@@ -16,10 +16,10 @@ import click
 
 from .config import load_config
 from .errors import MalformedSyntax
-from .group import act_vertex, compose, identity_like, norm, origin_of, phi
+from .group import act_vertex, norm, origin_of, phi
 from .rng import stream
 from .suites import SUITE_NAMES, run_suite
-from .walk import regime_summary
+from .walk import regime_summary, run_product
 from . import reports, __version__
 
 TAIL_CEILING = 0.05   # kernel tail bounds above this invalidate the run
@@ -88,12 +88,10 @@ def simulate(path, seed, trajectories, horizon, out_dir, dump):
         n_dump = min(cfg.trajectories, 20)
         n_steps = min(cfg.horizon, 2000)
         for i in range(n_dump):
-            g = identity_like(cfg.law.atoms[0])
-            r = stream(cfg.seed, 100 + i)
-            for step in range(1, n_steps + 1):
-                g = compose(g, cfg.law.sample_step(r))
-                rows.append((i, step, phi(g), norm(g),
-                             act_vertex(g, o).render()))
+            run_product(cfg.law, stream(cfg.seed, 100 + i), n_steps,
+                        visitor=lambda step, g, i=i: rows.append(
+                            (i, step, phi(g), norm(g),
+                             act_vertex(g, o).render())))
     reports.write_outputs(cfg.out_dir, summary, trajectories=rows)
     click.echo(f"wrote {cfg.out_dir}/report.json"
                + (f" and {cfg.out_dir}/trajectories.csv" if dump else ""))

@@ -58,11 +58,7 @@ class NonNegativeDrift(AffineTreeError):
 
 
 class StepBudgetExceeded(AffineTreeError):
-    """A step budget ran out.  ``partial`` holds whatever was computed."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A step budget ran out."""
 
 
 class TruncationTooCoarse(AffineTreeError):

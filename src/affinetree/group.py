@@ -181,7 +181,7 @@ def act_vertex(g, x):
             raise RealizationMismatch(f"{g!r} cannot act on {x!r}")
         h = x.height + phi(g)
         c = g.a * PAdic.from_fraction(x.center, g.prime, g.a.budget) + g.t
-        return PadicVertex(g.prime, h, c.residue(h))
+        return PadicVertex._canonical(g.prime, h, c.residue(h))
     if not isinstance(x, LampVertex) or x.q != g.q:
         raise RealizationMismatch(f"{g!r} cannot act on {x!r}")
     h = x.height + g.shift

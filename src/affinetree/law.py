@@ -9,6 +9,7 @@ visit the same atoms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,6 +68,10 @@ class StepLaw:
 
     def drift(self) -> Fraction:
         """Mean height displacement of one step, exact."""
+        return self._drift
+
+    @functools.cached_property
+    def _drift(self) -> Fraction:
         return sum((w * phi(a) for a, w in zip(self.atoms, self.weights)),
                    Fraction(0))
 
@@ -80,6 +85,10 @@ class StepLaw:
 
     def inverse(self) -> "StepLaw":
         """Law of the inverted step: same weights on the inverse atoms."""
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> "StepLaw":
         return StepLaw(tuple(invert(a) for a in self.atoms), self.weights)
 
     def validate(self, *, allow_non_surjective=False):

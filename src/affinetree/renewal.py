@@ -7,8 +7,11 @@ renewal product identity; the boundary limit of the kernel along the
 reference homothety is matched against an independent estimator built
 from the inverted walk's harmonic measure extended by rotation averaging.
 
-p-adic laws run on an exact rational fast path (the atoms carry exact
-rationals); lamplighter laws use generic group arithmetic.
+Laws on the p-adic digit grid run on the integer engine of ``grid``:
+the kernel loops keep the engine's state in local integers, and the
+excursion functionals read moved boundary points through its
+prefix-in-disc test.  Other laws (the lamplighter, inexact or off-grid
+atoms) use generic group arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import (
 from .group import (
     LampAffine,
     PadicAffine,
-    act_end,
     act_vertex,
     compose,
     default_homothety_lamp,
@@ -39,10 +41,12 @@ from .group import (
     phi,
     power,
 )
-from .padic import PAdic, fraction_truncate, int_valuation
+from .grid import GridLaw, atom_indices, vertex_test
+from .padic import PAdic
 from .rng import stream
-from .tree import LampEnd, LampVertex, PadicEnd, PadicVertex
-from .walk import ladder_excursion, ladder_heights, sample_boundary_limit
+from .tree import end_in_disc  # noqa: F401  (also importable from here)
+from .walk import ladder_boundary_limit, ladder_excursions, ladder_heights, \
+    sample_boundary_limit
 
 # -- events -------------------------------------------------------------------
 
@@ -87,23 +91,6 @@ class CylinderEvent:
         return self.name or pairs
 
 
-def end_in_disc(end, vertex) -> bool:
-    """Whether a boundary point lies in the disc below ``vertex``."""
-    if isinstance(end, PadicEnd):
-        return end.value.residue(vertex.height) == vertex.center
-    if isinstance(end, LampEnd):
-        return all(end.lamp(p) == v for p, v in vertex.lamps) and \
-            all(end.lamp(p) == 0 for p in range(_low_pos(vertex), vertex.height + 1)
-                if p not in dict(vertex.lamps))
-    raise TypeError(f"not a boundary point: {end!r}")
-
-
-def _low_pos(vertex) -> int:
-    # lamp discs only constrain positions down to the lowest recorded lamp;
-    # lower positions are constrained to 0 only within the end's own window
-    return min((p for p, _ in vertex.lamps), default=vertex.height + 1)
-
-
 @dataclass(frozen=True)
 class ProductCylinder:
     """disc x z-set event on (boundary, Z); z-support must be finite, >= 0."""
@@ -144,93 +131,21 @@ def reference_homothety(law):
     return default_homothety_lamp(law.degree)
 
 
-# -- exact rational fast path (p-adic) ----------------------------------------
-
-
-def _frac_phi(a: Fraction, p: int) -> int:
-    return int_valuation(a.numerator, p) - int_valuation(a.denominator, p)
-
-
-def _rational_atoms(law):
-    """(t, a, phi) exact triples for every atom, or None if unavailable."""
-    if not law.is_padic:
-        return None
-    out = []
-    for atom in law.atoms:
-        if atom.t.exact is None or atom.a.exact is None:
-            return None
-        out.append((atom.t.exact, atom.a.exact, phi(atom)))
-    return out
-
-
-def _atom_indices(rng, law, block=512):
-    """Endless atom-index stream, drawing uniforms in blocks."""
-    n = len(law.atoms) - 1
-    while True:
-        idx = np.minimum(
-            np.searchsorted(law.thresholds, rng.random(block), side="right"), n)
-        yield from (int(k) for k in idx)
-
-
-def _member_rational(t: Fraction, a: Fraction, s: int, f: CylinderEvent,
-                     p: int) -> bool:
-    if s != f.level:
-        return False
-    for src, tgt in zip(f.sources, f.targets):
-        if fraction_truncate(a * src.center + t, p, tgt.height) != tgt.center:
-            return False
-    return True
-
-
-def _p_power(p: int, e: int) -> Fraction:
-    return Fraction(p ** e) if e >= 0 else Fraction(1, p ** -e)
-
-
-def _int_walk_params(law, g):
-    """Setup for the integer fast walk, or None when it does not apply.
-
-    Applies to p-adic laws whose atom scales are exact powers of p and
-    whose translations have p-power denominators; the start element may
-    additionally carry a positive integer scale unit.  The walk then
-    keeps the translation part as a single integer over a p-power floor.
-    """
-    if not law.is_padic or not isinstance(g, PadicAffine):
-        return None
-    p = law.degree
-    steps = []
-    for atom in law.atoms:
-        t, a, ph = atom.t.exact, atom.a.exact, phi(atom)
-        if t is None or a is None or a != _p_power(p, ph):
-            return None
-        if t == 0:
-            steps.append((0, 0, ph))
-            continue
-        dv = int_valuation(t.denominator, p) if t.denominator % p == 0 else 0
-        if t.denominator != p ** dv:
-            return None
-        steps.append((int(t * p ** dv), -dv, ph))
-    tg, ag = g.t.exact, g.a.exact
-    if tg is None or ag is None:
-        return None
-    s0 = _frac_phi(ag, p)
-    u = ag / _p_power(p, s0)
-    if u.denominator != 1 or u <= 0:
-        return None
-    if tg == 0:
-        num0, floor0 = 0, 0
-    else:
-        dv = int_valuation(tg.denominator, p) if tg.denominator % p == 0 else 0
-        if tg.denominator != p ** dv:
-            return None
-        num0, floor0 = int(tg * p ** dv), -dv
-    return steps, int(u), num0, floor0, s0
-
-
 # -- potential kernel ---------------------------------------------------------
 
 KERNEL_DELTA = 15
 KERNEL_MIN_STEPS = 50
 TAIL_RHO_CAP = 0.9
+
+
+def _kernel_walk(g, f: CylinderEvent, law):
+    """(grid law, start state, membership test) of the integer kernel
+    walk, or None when the law or the start element is off the grid."""
+    grid = GridLaw.of(law)
+    start = grid and grid.start(g)
+    if not start:
+        return None
+    return grid, start, vertex_test(grid, f.sources, f.targets)
 
 
 def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
@@ -249,7 +164,7 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
         return KernelEstimate(0.0, 0.0, trajectories, 0, 0.0)
     drift = law.drift()
     direction = 0 if drift == 0 else (1 if drift > 0 else -1)
-    fast = _int_walk_params(law, g)
+    fast = _kernel_walk(g, f, law)
     p = law.degree
     level = f.level
 
@@ -261,16 +176,14 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     for i in range(trajectories):
         r = stream(seed, stream_base + i)
         if fast:
-            steps, u, num, floor, s = fast
-            idx = _atom_indices(r, law)
-            member = lambda: _member_rational(
-                Fraction(num) * _p_power(p, floor),
-                u * _p_power(p, s), s, f, p)
+            grid, (s, u, num, floor), member = fast
+            steps = grid.steps
+            idx = atom_indices(grid, r)
+            pre = 1.0 if s == level and member(s, u, num, floor) else 0.0
         else:
             cur = g
             s = phi(cur)
-            member = lambda: f.member(cur)
-        pre = 1.0 if s == level and member() else 0.0
+            pre = 1.0 if s == level and f.member(cur) else 0.0
         post = 0.0
         ex = re = False
         try:
@@ -290,7 +203,8 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
                 if s == level:
                     if ex and not re:
                         re = True
-                    hit = 1.0 if member() else 0.0
+                    hit = 1.0 if (member(s, u, num, floor) if fast
+                                  else f.member(cur)) else 0.0
                     if ex:
                         post += hit
                     else:
@@ -332,15 +246,16 @@ def _centered_tail(g, f, law, seed, stream_base, trajectories, horizon):
     # proxy only: visits cannot be bounded by a drift argument, so report
     # the last-half visit rate observed on a fresh small batch
     n = min(trajectories, 200)
-    fast = _int_walk_params(law, g)
+    fast = _kernel_walk(g, f, law)
     p = law.degree
     level = f.level
     late = 0.0
     for i in range(n):
         r = stream(seed, stream_base + trajectories + i)
         if fast:
-            steps, u, num, floor, s = fast
-            idx = _atom_indices(r, law)
+            grid, (s, u, num, floor), member = fast
+            steps = grid.steps
+            idx = atom_indices(grid, r)
             for m in range(1, horizon + 1):
                 txn, txe, px = steps[next(idx)]
                 if txn:
@@ -350,9 +265,7 @@ def _centered_tail(g, f, law, seed, stream_base, trajectories, horizon):
                         floor = e
                     num += u * txn * p ** (e - floor)
                 s += px
-                if m > horizon // 2 and s == level and _member_rational(
-                        Fraction(num) * _p_power(p, floor),
-                        u * _p_power(p, s), s, f, p):
+                if m > horizon // 2 and s == level and member(s, u, num, floor):
                     late += 1.0
         else:
             cur = g
@@ -419,11 +332,13 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
                        stream_base=0, depth=4) -> list:
     """Excursion-average estimates normalized by E[S_l].
 
-    Samples boundary points from the ladder walk's harmonic measure (one
-    fresh ladder-product step sampler per point), then runs independent
-    excursions from each; every functional(prefix, heights, point) is
-    averaged within clusters and divided by the empirical mean ladder
-    height.  Returns one ClusterEstimate per functional, plus a stats dict.
+    Samples boundary points from the ladder walk's harmonic measure, then
+    runs independent excursions from each; every
+    functional(heights, inside) is averaged within clusters and divided
+    by the empirical mean ladder height.  ``heights`` lists the heights
+    S_0..S_{l-1} of the prefix L_0..L_{l-1}, and ``inside(k, disc)`` says
+    whether L_k maps the point into the disc below the vertex ``disc``.
+    Returns one ClusterEstimate per functional, plus a stats dict.
     """
     mu = law.drift()
     if mu <= 0:
@@ -433,24 +348,20 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     denom = np.zeros(n_upsilon)
     lengths = np.zeros(n_upsilon)
     for i in range(n_upsilon):
-        r = stream(seed, stream_base + 2 * i)
-        ml_step = lambda rr: ladder_excursion(law, rr).element
         # generous window: excursion prefixes have negative heights and
         # shift the point's known digits down when acting on it
-        ups = sample_boundary_limit(law, r, depth=depth,
-                                    end_window=depth + 24,
-                                    step_sampler=ml_step).end
-        r2 = stream(seed, stream_base + 2 * i + 1)
+        ups = ladder_boundary_limit(law, stream(seed, stream_base + 2 * i),
+                                    depth=depth, end_window=depth + 24).end
         acc = np.zeros(n_fn)
         sl = 0.0
         ll = 0.0
-        for _ in range(exc_per_upsilon):
-            exc = ladder_excursion(law, r2, track_prefix=True)
-            heights = [phi(g) for g in exc.prefix]
+        for length, height, heights, inside in ladder_excursions(
+                law, stream(seed, stream_base + 2 * i + 1), exc_per_upsilon,
+                ups):
             for j, fn in enumerate(functionals):
-                acc[j] += fn(exc.prefix, heights, ups)
-            sl += exc.height
-            ll += exc.length
+                acc[j] += fn(heights, inside)
+            sl += height
+            ll += length
         numer[:, i] = acc / exc_per_upsilon
         denom[i] = sl / exc_per_upsilon
         lengths[i] = ll / exc_per_upsilon
@@ -482,10 +393,10 @@ def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50,
     fns = []
     for d in discs:
         if d is None:
-            fns.append(lambda prefix, hs, ups: float(len(prefix)))
+            fns.append(lambda hs, inside: float(len(hs)))
         else:
-            fns.append(lambda prefix, hs, ups, d=d: float(
-                sum(1 for g in prefix if end_in_disc(act_end(g, ups), d))))
+            fns.append(lambda hs, inside, d=d: float(
+                sum(1 for k in range(len(hs)) if inside(k, d))))
     return ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, fns,
                               stream_base=stream_base, depth=max(depth, 4))
 
@@ -691,11 +602,11 @@ def verify_renewal_identity(law, events, seed, *, n_upsilon=1000,
     for ev in events:
         zs = sorted(ev.zset)
 
-        def fn(prefix, heights, ups, disc=ev.disc, zs=zs):
+        def fn(heights, inside, disc=ev.disc, zs=zs):
             total = 0.0
-            for g, h in zip(prefix, heights):
+            for k, h in enumerate(heights):
                 count = sum(1 for z in zs if z >= h)
-                if count and end_in_disc(act_end(g, ups), disc):
+                if count and inside(k, disc):
                     total += count
             return total
         lhs_fns.append(fn)
@@ -753,16 +664,13 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40, residual=1e-12,
     if not law.is_padic:
         raise OracleUnsupported("the truncated-chain oracle is p-adic only")
     p = law.degree
-    atoms = _rational_atoms(law)
-    if atoms is None:
-        raise OracleUnsupported("atoms lack exact rational coordinates")
-    for t, a, _ in atoms:
-        if abs(a.numerator) != p ** int_valuation(a.numerator, p) \
-                or a.denominator != p ** int_valuation(a.denominator, p) \
-                or a < 0:
-            raise OracleUnsupported(f"scale {a} is not a power of {p}")
-        if t < 0 or t.denominator != p ** int_valuation(t.denominator, p):
-            raise OracleUnsupported(f"translation {t} not on the digit grid")
+    grid = GridLaw.of(law)
+    if grid is None:
+        raise OracleUnsupported(
+            "atoms are off the digit grid: need exact scales p**k and "
+            "translations with p-power denominators")
+    if any(txn < 0 for txn, _, _ in grid.steps):
+        raise OracleUnsupported("translations must be nonnegative")
     specs = []
     for cyl in cylinders:
         if cyl.is_empty or len(cyl.sources) != 1 \
@@ -779,20 +687,19 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40, residual=1e-12,
     n_s = s_max - s_min + 1
     probs = np.array([float(w) for w in law.weights])
     # per-atom, per-height index shift of the digit-grid coordinate
-    shifts = np.zeros((len(atoms), n_s), dtype=np.int64)
-    valid = np.ones((len(atoms), n_s), dtype=bool)
-    for ai, (t, a, ph) in enumerate(atoms):
-        if t == 0:
+    shifts = np.zeros((len(grid.steps), n_s), dtype=np.int64)
+    valid = np.ones((len(grid.steps), n_s), dtype=bool)
+    for ai, (txn, txe, _) in enumerate(grid.steps):
+        if not txn:
             continue
-        dv = int_valuation(t.denominator, p)
         for si, s in enumerate(range(s_min, s_max + 1)):
-            e = s - dv - s_min     # grid exponent of the added digits
+            e = s + txe - s_min    # grid exponent of the added digits
             if e < 0:
                 valid[ai, si] = False
             elif e >= width:
                 shifts[ai, si] = 0
             else:
-                shifts[ai, si] = (t.numerator * p ** e) % M
+                shifts[ai, si] = (txn * p ** e) % M
 
     P = np.zeros((n_s, M))
     P[-s_min, 0] = 1.0             # start at t = 0, height 0
@@ -817,7 +724,7 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40, residual=1e-12,
         if live < residual:
             break
         newP = np.zeros_like(P)
-        for ai, (t, a, ph) in enumerate(atoms):
+        for ai, (_, _, ph) in enumerate(grid.steps):
             for si in range(n_s):
                 row = P[si]
                 if not row.any():

@@ -17,8 +17,3 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator number ``index`` of the family keyed by seed."""
     key = ((seed << 64) ^ index) & _MASK128
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def substreams(seed: int, start: int, count: int):
-    """Generators for stream indices start..start+count-1."""
-    return [stream(seed, start + i) for i in range(count)]

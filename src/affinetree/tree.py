@@ -44,6 +44,8 @@ class _Omega:
 
 OMEGA = _Omega()
 
+_set_field = object.__setattr__
+
 
 @dataclass(frozen=True)
 class PadicVertex:
@@ -58,6 +60,16 @@ class PadicVertex:
         object.__setattr__(self, "center",
                            fraction_truncate(self.center, self.prime,
                                              self.height))
+
+    @classmethod
+    def _canonical(cls, prime: int, height: int, center: Fraction):
+        """The vertex of a center that is already the canonical truncation
+        (a ``PAdic.residue(height)``), without truncating it again."""
+        self = object.__new__(cls)
+        _set_field(self, "prime", prime)
+        _set_field(self, "height", height)
+        _set_field(self, "center", center)
+        return self
 
     @property
     def degree(self):
@@ -188,6 +200,23 @@ def busemann(x) -> int:
     return x.height
 
 
+def end_in_disc(end, vertex) -> bool:
+    """Whether a boundary point lies in the disc below ``vertex``."""
+    if isinstance(end, PadicEnd):
+        return end.value.residue(vertex.height) == vertex.center
+    if isinstance(end, LampEnd):
+        return all(end.lamp(p) == v for p, v in vertex.lamps) and \
+            all(end.lamp(p) == 0 for p in range(_low_pos(vertex), vertex.height + 1)
+                if p not in dict(vertex.lamps))
+    raise TypeError(f"not a boundary point: {end!r}")
+
+
+def _low_pos(vertex) -> int:
+    # lamp discs only constrain positions down to the lowest recorded lamp;
+    # lower positions are constrained to 0 only within the end's own window
+    return min((p for p, _ in vertex.lamps), default=vertex.height + 1)
+
+
 def _is_vertex(x):
     return isinstance(x, (PadicVertex, LampVertex))
 
@@ -243,8 +272,7 @@ def _meet_padic(x, y, budget):
         h = diff.valuation
         if caps:
             h = min(h, *caps)
-    center = ux.residue(h)
-    return PadicVertex(prime, h, center)
+    return PadicVertex._canonical(prime, h, ux.residue(h))
 
 
 def _lamp_known_cap(x):

@@ -5,17 +5,28 @@ vectorized numpy paths.  Questions about where the walk lands on the
 boundary track full group elements: the right products R_n = X_1...X_n
 converge to a boundary point when the height drift is positive, and the
 sampler certifies a disc of requested depth around the limit.
+
+Each element-tracking loop is written once, against a walk object.  For
+laws on the p-adic digit grid that object is ``grid.GridWalk`` (integer
+state, atom indices drawn in blocks); for any other law it is a generic
+twin on ``group.compose``.  Both give the same elements, disc ids and
+ends from the same uniforms and leave the generator in the same state.
+``run_product`` stays on generic arithmetic: it hands every running
+product to its visitor and is the reference the engine is tested
+against.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .group import PadicAffine, compose, identity_like, phi
-from .tree import LampEnd, PadicEnd
+from .grid import Draws, GridLaw, GridWalk
+from .group import PadicAffine, act_end, compose, identity_like, phi
+from .tree import LampEnd, PadicEnd, end_in_disc
 
 DEFAULT_STEP_BUDGET = 10 ** 7
 
@@ -49,20 +60,105 @@ class LadderExcursion:
     prefix: "list | None" = None
 
 
+class _GenericWalk:
+    """A walk from the identity on generic group arithmetic: the twin of
+    ``grid.GridWalk`` for laws off the digit grid."""
+
+    def __init__(self, law, rng):
+        self.law, self.rng = law, rng
+        self.g = identity_like(law.atoms[0])
+
+    def right(self) -> int:
+        self.g = compose(self.g, self.law.sample_step(self.rng))
+        return phi(self.g)
+
+    def left(self) -> int:
+        self.g = compose(self.law.sample_step(self.rng), self.g)
+        return phi(self.g)
+
+    def right_by(self, other: "_GenericWalk") -> int:
+        self.g = compose(self.g, other.g)
+        return phi(self.g)
+
+    def key(self, depth):
+        return _prefix_key(self.g, depth)
+
+    def disc_id(self, key):
+        return key
+
+    def snapshot(self):
+        return self.g
+
+    def element(self):
+        return self.g
+
+    def element_of(self, g):
+        return g
+
+    def point(self, end):
+        return end
+
+    def lands_in(self, g, end, disc) -> bool:
+        return end_in_disc(act_end(g, end), disc)
+
+
+@contextmanager
+def _walks(law, rng):
+    """Factory of walks from the identity, all drawing from ``rng``: on
+    the grid engine when the law is on the digit grid, else generic."""
+    grid = GridLaw.of(law)
+    if grid is None:
+        yield lambda: _GenericWalk(law, rng)
+        return
+    with Draws(grid, rng) as draws:
+        yield lambda: GridWalk(draws)
+
+
+def _excursion(walk, prefix, heights, max_steps):
+    """Left-multiply ``walk`` until its height is positive: (length,
+    height).  Appends each earlier state and height when ``prefix`` is a
+    list."""
+    for n in range(1, max_steps + 1):
+        h = walk.left()
+        if h > 0:
+            return n, h
+        if prefix is not None:
+            prefix.append(walk.snapshot())
+            heights.append(h)
+    raise StepBudgetExceeded(
+        f"no ascending ladder epoch within {max_steps} steps")
+
+
 def ladder_excursion(law, rng, *, track_prefix=False,
                      max_steps=DEFAULT_STEP_BUDGET) -> LadderExcursion:
-    g = identity_like(law.atoms[0])
-    prefix = [g] if track_prefix else None
-    for n in range(1, max_steps + 1):
-        g = compose(law.sample_step(rng), g)
-        h = phi(g)
-        if h > 0:
-            return LadderExcursion(n, g, h, prefix)
-        if track_prefix:
-            prefix.append(g)
-    raise StepBudgetExceeded(
-        f"no ascending ladder epoch within {max_steps} steps",
-        partial=LadderExcursion(max_steps, g, phi(g), prefix))
+    with _walks(law, rng) as new_walk:
+        w = new_walk()
+        prefix = [w.snapshot()] if track_prefix else None
+        n, h = _excursion(w, prefix, [], max_steps)
+        if prefix is not None:
+            prefix = [w.element_of(x) for x in prefix]
+        return LadderExcursion(n, w.element(), h, prefix)
+
+
+def ladder_excursions(law, rng, count: int, end) -> list:
+    """``count`` successive ladder excursions on ``rng``, read against the
+    boundary point ``end``, as (length, height, heights, inside).
+
+    ``heights`` lists S_0, ..., S_{l-1} of the prefix L_0 = e, ...,
+    L_{l-1}, and ``inside(k, disc)`` is
+    ``end_in_disc(act_end(L_k, end), disc)``.
+    """
+    out = []
+    with _walks(law, rng) as new_walk:
+        point = new_walk().point(end)
+        for _ in range(count):
+            w = new_walk()
+            prefix, heights = [w.snapshot()], [0]
+            n, h = _excursion(w, prefix, heights, DEFAULT_STEP_BUDGET)
+            out.append((n, h, heights,
+                        lambda k, disc, w=w, prefix=prefix:
+                        w.lands_in(prefix[k], point, disc)))
+    return out
 
 
 def ladder_heights(law, rng, count: int, *, chunk=512,
@@ -146,8 +242,38 @@ class BoundaryLimit:
     certified: bool
 
 
-def sample_boundary_limit(law, rng, *, depth: int, step_sampler=None,
-                          stable_epochs=3, height_guard=15, end_window=None,
+def _certified_limit(walk, step, depth, stable_epochs, height_guard,
+                     end_window, max_steps) -> BoundaryLimit:
+    if end_window is None:
+        end_window = depth + 8
+    top = 0
+    stable = 0
+    key = None
+    for n in range(1, max_steps + 1):
+        h = step()
+        if h <= top:
+            continue
+        top = h
+        if h < depth:
+            continue
+        k = walk.key(depth)
+        stable = stable + 1 if k == key else 1
+        key = k
+        if stable >= stable_epochs and top >= end_window + height_guard:
+            end = end_of_product(walk.element(), end_window)
+            return BoundaryLimit(end, walk.disc_id(key), n, top, True)
+    raise StepBudgetExceeded(
+        f"no certified depth-{depth} disc within {max_steps} steps")
+
+
+def _require_positive_drift(law):
+    if law.drift() <= 0:
+        raise NonPositiveDrift(
+            "right products only converge to the boundary under positive drift")
+
+
+def sample_boundary_limit(law, rng, *, depth: int, stable_epochs=3,
+                          height_guard=15, end_window=None,
                           max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
     """Limit disc of depth ``depth`` around lim R_n for a positive-drift walk.
 
@@ -157,36 +283,27 @@ def sample_boundary_limit(law, rng, *, depth: int, step_sampler=None,
     window, so a later return below the window has probability at most
     about q**-height_guard.  The returned end is known to ``end_window``
     digits (default depth + 8, leaving headroom for later arithmetic).
-
-    ``step_sampler(rng)`` overrides the law's own step draw; pass a
-    ladder-excursion sampler to walk with ladder increments.
     """
-    if step_sampler is None:
-        if law.drift() <= 0:
-            raise NonPositiveDrift(
-                "right products only converge to the boundary under positive drift")
-        step_sampler = law.sample_step
-    if end_window is None:
-        end_window = depth + 8
-    g = identity_like(law.atoms[0])
-    top = 0
-    stable = 0
-    key = None
-    for n in range(1, max_steps + 1):
-        g = compose(g, step_sampler(rng))
-        h = phi(g)
-        if h <= top:
-            continue
-        top = h
-        if h < depth:
-            continue
-        k = _prefix_key(g, depth)
-        stable = stable + 1 if k == key else 1
-        key = k
-        if stable >= stable_epochs and top >= end_window + height_guard:
-            end = end_of_product(g, end_window)
-            return BoundaryLimit(end, key, n, top, True)
-    end = end_of_product(g, max(depth, top - height_guard))
-    raise StepBudgetExceeded(
-        f"no certified depth-{depth} disc within {max_steps} steps",
-        partial=BoundaryLimit(end, key, max_steps, top, False))
+    _require_positive_drift(law)
+    with _walks(law, rng) as new_walk:
+        w = new_walk()
+        return _certified_limit(w, w.right, depth, stable_epochs,
+                                height_guard, end_window, max_steps)
+
+
+def ladder_boundary_limit(law, rng, *, depth: int, stable_epochs=3,
+                          height_guard=15, end_window=None,
+                          max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
+    """``sample_boundary_limit`` for the ladder walk, whose steps are the
+    elements L_l of successive ladder excursions drawn from ``rng``.
+    ``steps`` counts ladder steps."""
+    _require_positive_drift(law)
+    with _walks(law, rng) as new_walk:
+        w = new_walk()
+
+        def ladder_step():
+            exc = new_walk()
+            _excursion(exc, None, None, DEFAULT_STEP_BUDGET)
+            return w.right_by(exc)
+        return _certified_limit(w, ladder_step, depth, stable_epochs,
+                                height_guard, end_window, max_steps)

@@ -1,19 +1,44 @@
 """Walk engine: products, ladder epochs, boundary limits."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from affinetree.errors import NonPositiveDrift, StepBudgetExceeded
-from affinetree.group import PadicAffine, phi
+from affinetree.errors import (
+    NonPositiveDrift,
+    PrecisionExhausted,
+    StepBudgetExceeded,
+)
+from affinetree.grid import (
+    BLOCK,
+    Draws,
+    GridLaw,
+    GridPoint,
+    GridWalk,
+    element,
+    prefix_in_disc,
+    vertex_test,
+)
+from affinetree.group import PadicAffine, act_end, act_vertex, compose, \
+    identity_like, phi
 from affinetree.law import StepLaw
-from affinetree.padic import PAdic
+from affinetree.padic import DEFAULT_BUDGET, PAdic, PrecisionBudget, \
+    fraction_truncate
+from affinetree.renewal import CylinderEvent
 from affinetree.rng import stream
+from affinetree.tree import PadicEnd, PadicVertex, end_in_disc
 from affinetree.walk import (
+    BoundaryLimit,
+    LadderExcursion,
     disc_key,
     end_of_product,
+    ladder_boundary_limit,
     ladder_excursion,
+    ladder_excursions,
     ladder_heights,
     regime_summary,
     run_product,
@@ -103,3 +128,246 @@ def test_disc_key_depth_monotone():
     # agreeing at depth 6 implies agreeing at any shallower depth
     if disc_key(bl1.end, 6) == disc_key(bl2.end, 6):
         assert disc_key(bl1.end, 3) == disc_key(bl2.end, 3)
+
+
+# -- the grid engine against generic compose ------------------------------------
+#
+# The references below are the walks written on generic ``compose``, one
+# ``law.sample_step`` per step: the engine must give the same results and
+# leave the generator in the same state.
+
+PRIMES = st.sampled_from([2, 3, 5])
+# small working precisions, so that v(t) + working bounds a sum's window
+SMALL_BUDGETS = [PrecisionBudget(working=12, min_acceptable=4),
+                 PrecisionBudget(working=5, min_acceptable=2)]
+
+
+def _state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+def _p_power(p, e):
+    return Fraction(p) ** e
+
+
+@st.composite
+def grid_laws(draw):
+    """Laws on the digit grid with drift >= 1/4, negative translations
+    included."""
+    p = draw(PRIMES)
+    n = draw(st.integers(2, 3))
+    phis = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    ts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 2)),
+                       min_size=n, max_size=n))
+    ws = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    atoms = tuple(PadicAffine(PAdic.from_fraction(Fraction(tn, p ** tk), p),
+                              PAdic.from_fraction(_p_power(p, ph), p))
+                  for (tn, tk), ph in zip(ts, phis))
+    law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
+    assume(law.drift() >= Fraction(1, 4))
+    return law
+
+
+def _scalar_limit(law, rng, depth, *, step=None, max_steps=10 ** 7):
+    """sample_boundary_limit on generic compose."""
+    step = step or law.sample_step
+    end_window = depth + 8
+    g = identity_like(law.atoms[0])
+    top = stable = 0
+    key = None
+    for n in range(1, max_steps + 1):
+        g = compose(g, step(rng))
+        h = phi(g)
+        if h <= top:
+            continue
+        top = h
+        if h < depth:
+            continue
+        k = g.t.residue(depth)
+        stable = stable + 1 if k == key else 1
+        key = k
+        if stable >= 3 and top >= end_window + 15:
+            return BoundaryLimit(end_of_product(g, end_window), key, n, top,
+                                 True)
+    raise StepBudgetExceeded("reference budget")
+
+
+def _scalar_excursion(law, rng, track_prefix=False):
+    """ladder_excursion on generic compose."""
+    g = identity_like(law.atoms[0])
+    prefix = [g] if track_prefix else None
+    for n in itertools.count(1):
+        g = compose(law.sample_step(rng), g)
+        if phi(g) > 0:
+            return LadderExcursion(n, g, phi(g), prefix)
+        if track_prefix:
+            prefix.append(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_laws(), st.integers(0, 2 ** 32), st.integers(1, 5),
+       st.booleans())
+def test_boundary_limit_engine_matches_compose(law, seed, depth, ladder):
+    assert GridLaw.of(law) is not None
+    fast, ref = stream(seed, 0), stream(seed, 0)
+    if ladder:
+        got = ladder_boundary_limit(law, fast, depth=depth)
+        want = _scalar_limit(law, ref, depth, step=lambda r: _scalar_excursion(
+            law, r).element)
+    else:
+        got = sample_boundary_limit(law, fast, depth=depth)
+        want = _scalar_limit(law, ref, depth)
+    assert got == want
+    assert _state(fast) == _state(ref)
+    # a step budget that runs out leaves the generator as the scalar path does
+    fast, ref = stream(seed, 1), stream(seed, 1)
+    with pytest.raises(StepBudgetExceeded):
+        sample_boundary_limit(law, fast, depth=depth, max_steps=5)
+    with pytest.raises(StepBudgetExceeded):
+        _scalar_limit(law, ref, depth, max_steps=5)
+    assert _state(fast) == _state(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_laws(), st.integers(0, 2 ** 32), st.booleans())
+def test_ladder_excursion_engine_matches_compose(law, seed, track):
+    fast, ref = stream(seed, 0), stream(seed, 0)
+    for _ in range(3):   # successive excursions on one stream
+        got = ladder_excursion(law, fast, track_prefix=track)
+        assert got == _scalar_excursion(law, ref, track)
+        assert _state(fast) == _state(ref)
+    # the cluster form: the same excursions, prefix heights and generator
+    end = PadicEnd(PAdic.from_int(1, law.degree).with_known_exponent(30))
+    fast, ref = stream(seed, 1), stream(seed, 1)
+    for n, h, heights, _ in ladder_excursions(law, fast, 3, end):
+        want = _scalar_excursion(law, ref, True)
+        assert (n, h, heights) == (want.length, want.height,
+                                   [phi(g) for g in want.prefix])
+    assert _state(fast) == _state(ref)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 5])
+def test_draws_match_scalar_indices(count):
+    law = StepLaw((aff(0, 2), aff(1, Fraction(1, 2)), aff(-1, 1)),
+                  (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    fast, ref = stream(5, count), stream(5, count)
+    for r in (fast, ref):     # leave a buffered 32-bit half in the state
+        r.integers(0, 7, dtype=np.int32)
+    with Draws(GridLaw.of(law), fast) as draws:
+        got = [draws.next() for _ in range(count)]
+    assert got == [law.sample_index(ref) for _ in range(count)]
+    assert _state(fast) == _state(ref)
+    assert fast.random() == ref.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_laws(), st.data())
+def test_grid_steps_match_compose(law, data):
+    grid = GridLaw.of(law)
+    p = grid.prime
+    u = data.draw(st.integers(1, 40).filter(lambda v: v % p))
+    s0 = data.draw(st.integers(-3, 3))
+    t0 = Fraction(data.draw(st.integers(-50, 50)),
+                  p ** data.draw(st.integers(0, 3)))
+    g = PadicAffine(PAdic.from_fraction(t0, p),
+                    PAdic.from_fraction(u * _p_power(p, s0), p))
+    g0, state = g, grid.start(g)
+    assert state is not None and element(grid, state) == g
+    seed = data.draw(st.integers(0, 2 ** 32))
+    moves = data.draw(st.lists(st.sampled_from("lrx"), max_size=25))
+    r = stream(seed, 0)
+    with Draws(grid, stream(seed, 0)) as draws:
+        w = GridWalk(draws, state)
+        for move in moves:
+            if move == "r":
+                w.right()
+                g = compose(g, law.sample_step(r))
+            elif move == "l":
+                w.left()
+                g = compose(law.sample_step(r), g)
+            else:        # right by x2·x1·g0 for the start element g0
+                other = GridWalk(draws, state)
+                other.left()
+                other.left()
+                w.right_by(other)
+                x1 = law.sample_step(r)
+                g = compose(g, compose(law.sample_step(r), compose(x1, g0)))
+            assert w.element() == g
+            depth = data.draw(st.integers(-4, 8))
+            assert w.disc_id(w.key(depth)) == g.t.residue(depth)
+            src = PadicVertex(p, data.draw(st.integers(-3, 3)),
+                              Fraction(data.draw(st.integers(0, 99)), p ** 3))
+            tgt = PadicVertex(p, src.height + phi(g), Fraction(
+                data.draw(st.integers(0, 99)), p ** 3))
+            if data.draw(st.booleans()):
+                tgt = act_vertex(g, src)
+            f = CylinderEvent((src,), (tgt,))
+            assert vertex_test(grid, f.sources, f.targets)(*w.snapshot()) \
+                == f.member(g)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PrecisionExhausted:
+        return "precision exhausted"
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_prefix_in_disc_matches_act_end(data):
+    p = data.draw(PRIMES)
+    budget = data.draw(st.sampled_from([DEFAULT_BUDGET, *SMALL_BUDGETS]))
+    grid = GridLaw(p, ((0, 0, 1),), budget, np.array([1.0]))
+    state = (data.draw(st.integers(-4, 4)),
+             data.draw(st.integers(1, 30).filter(lambda v: v % p)),
+             data.draw(st.integers(-300, 300)), data.draw(st.integers(-4, 4)))
+    g = element(grid, state)
+    kind = data.draw(st.sampled_from(["digits", "cancel", "exact", "zero"]))
+    x = Fraction(data.draw(st.integers(-500, 500).filter(bool)),
+                 p ** data.draw(st.integers(0, 3)))
+    prec = data.draw(st.one_of(st.integers(1, budget.working + 2),
+                               st.integers(budget.working - 2,
+                                           budget.working + 2)))
+    if kind == "cancel" and state[2]:
+        # x = -t/a + p**(v + d)·x with v = v(t/a): a·x + t keeps about
+        # prec - d digits, often right at the min_acceptable bound
+        base = -g.t.exact / g.a.exact
+        d = data.draw(st.one_of(
+            st.integers(-2, prec + 2),
+            st.integers(-1, 1).map(
+                lambda k: prec - budget.min_acceptable + k)))
+        x = base + x * Fraction(p) ** (
+            PAdic.from_fraction(base, p).valuation + d)
+    if kind == "zero":
+        value = PAdic.zero(p, data.draw(st.integers(-2, 16)), budget)
+    elif kind == "exact" or not x:
+        value = PAdic.from_fraction(x, p, budget)
+    else:                    # x known to prec digits, maybe beyond working
+        exact = PAdic.from_fraction(x, p, PrecisionBudget(96, 1))
+        value = PAdic(p, exact.valuation, exact.unit, prec, budget=budget)
+    end = PadicEnd(value)
+    # disc heights near the bounds of the image's window: the point's
+    # window shifted by s, cut at working digits, and v(t) + working
+    known = value.known_exponent
+    anchor = data.draw(st.sampled_from([
+        6, 6 if known is None else state[0] + known,
+        6 if value.is_zero else state[0] + value.valuation + budget.working,
+        6 if not state[2] else g.t.valuation + budget.working]))
+    h = anchor + data.draw(st.integers(-4, 3))
+    center = fraction_truncate(
+        Fraction(data.draw(st.integers(0, 10 ** 6)),
+                 p ** data.draw(st.integers(0, 3))), p, h)
+    if data.draw(st.booleans()):   # the true residue, when there is one
+        try:
+            center = act_end(g, end).value.residue(h)
+        except PrecisionExhausted:
+            pass
+    disc = PadicVertex(p, h, center)
+    point = GridPoint(end, grid)
+    assert point.generic == (value.exact is not None or value.is_zero)
+    assert _outcome(lambda: prefix_in_disc(grid, state, point, disc)) == \
+        _outcome(lambda: end_in_disc(act_end(g, end), disc))
