@@ -8,7 +8,6 @@ truncation bound is too coarse for the requested tolerance.
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 import time
 
@@ -76,7 +75,7 @@ def simulate(path, seed, trajectories, horizon, out_dir, dump):
     """Run height trajectories and print the regime summary."""
     cfg = _override(_load(path), seed=seed, trajectories=trajectories,
                     horizon=horizon, out_dir=out_dir)
-    summary = regime_summary(cfg.law, stream(cfg.seed, 0),
+    summary = regime_summary(cfg.law, stream(cfg.seed, "simulate"),
                              cfg.trajectories, cfg.horizon)
     summary["drift"] = str(cfg.law.drift())
     summary["seed"] = cfg.seed
@@ -88,7 +87,7 @@ def simulate(path, seed, trajectories, horizon, out_dir, dump):
         n_dump = min(cfg.trajectories, 20)
         n_steps = min(cfg.horizon, 2000)
         for i in range(n_dump):
-            run_product(cfg.law, stream(cfg.seed, 100 + i), n_steps,
+            run_product(cfg.law, stream(cfg.seed, "dump", i), n_steps,
                         visitor=lambda step, g, i=i: rows.append(
                             (i, step, phi(g), norm(g),
                              act_vertex(g, o).render())))

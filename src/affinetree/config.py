@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
-    ConfigError,
     InvalidPrime,
     MalformedSyntax,
     NonExceptionalityFailed,
@@ -95,7 +94,6 @@ class ExperimentConfig:
     horizon: int
     tolerance_sigmas: float
     out_dir: str
-    direction: object            # optional element b for limits toward b·alpha
     cylinders: tuple             # ((name, CylinderEvent), ...)
     source_text: str = field(repr=False, default="")
 
@@ -114,7 +112,6 @@ class ExperimentConfig:
             str(self.end_window), law_part, str(self.seed),
             str(self.trajectories), str(self.horizon),
             str(self.tolerance_sigmas), cyl_part,
-            "" if self.direction is None else self.direction.render(),
         ])
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -188,10 +185,6 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
         if cp.has_section("experiment") else 3.0
     out_dir = exp.get("out", "results") if cp.has_section("experiment") \
         else "results"
-    direction = None
-    if cp.has_section("experiment") and exp.get("direction"):
-        direction = parse_element(exp["direction"], prime=prime, q=q,
-                                  budget=budget, location="experiment.direction")
 
     cylinders = []
     if cp.has_section("cylinders"):
@@ -215,7 +208,7 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
             cylinders.append((name, ev))
 
     return ExperimentConfig(kind, prime, q, budget, end_window, law, seed,
-                            trajectories, horizon, tol, out_dir, direction,
+                            trajectories, horizon, tol, out_dir,
                             tuple(cylinders), source_text=text)
 
 

@@ -61,10 +61,6 @@ class StepBudgetExceeded(AffineTreeError):
     """A step budget ran out."""
 
 
-class TruncationTooCoarse(AffineTreeError):
-    pass
-
-
 class OracleUnsupported(AffineTreeError):
     """The exact truncated-chain oracle only handles designed small instances."""
 

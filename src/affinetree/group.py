@@ -97,9 +97,6 @@ class LampAffine:
     __repr__ = render
 
 
-AffineElement = "PadicAffine | LampAffine"
-
-
 @functools.cache
 def identity_padic(prime: int, budget=DEFAULT_BUDGET) -> PadicAffine:
     """The identity, one shared element per (prime, budget)."""

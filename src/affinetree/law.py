@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import EmptySupport, WeightsNotNormalized
 from .group import (
-    LampAffine,
     PadicAffine,
     decompose,
     default_homothety_lamp,

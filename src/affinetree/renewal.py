@@ -17,7 +17,7 @@ atoms) use generic group arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +36,6 @@ from .group import (
     compose,
     default_homothety_lamp,
     default_homothety_padic,
-    identity_like,
     invert,
     phi,
     power,
@@ -44,7 +43,6 @@ from .group import (
 from .grid import GridLaw, atom_indices, vertex_test
 from .padic import PAdic
 from .rng import stream
-from .tree import end_in_disc  # noqa: F401  (also importable from here)
 from .walk import ladder_boundary_limit, ladder_excursions, ladder_heights, \
     sample_boundary_limit
 
@@ -149,8 +147,8 @@ def _kernel_walk(g, f: CylinderEvent, law):
 
 
 def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
-                     stream_base=0, horizon=20000,
-                     delta=KERNEL_DELTA, min_steps=KERNEL_MIN_STEPS) -> KernelEstimate:
+                     horizon=20000, delta=KERNEL_DELTA,
+                     min_steps=KERNEL_MIN_STEPS) -> KernelEstimate:
     """Expected visits of g·R_n to the event, over n = 0..horizon.
 
     For drifting walks each trajectory stops once the height has left the
@@ -158,7 +156,8 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     steps), then keeps watching until a second such exit; the tail beyond
     the stop is bounded by the observed re-entry frequency.  Centered
     walks run the full horizon and report the last-half visit count as a
-    truncation proxy.
+    truncation proxy.  ``seed`` is a stream key (see ``rng``): trajectory
+    i draws from ``(seed, "kernel", i)``, the centered tail from "tail".
     """
     if f.is_empty:
         return KernelEstimate(0.0, 0.0, trajectories, 0, 0.0)
@@ -174,7 +173,7 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     reentered = np.zeros(trajectories, dtype=bool)
     aborted = 0
     for i in range(trajectories):
-        r = stream(seed, stream_base + i)
+        r = stream(seed, "kernel", i)
         if fast:
             grid, (s, u, num, floor), member = fast
             steps = grid.steps
@@ -230,7 +229,7 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     stderr = float(totals.std(ddof=1) / math.sqrt(trajectories)) \
         if trajectories > 1 else 0.0
     if direction == 0:
-        tail = _centered_tail(g, f, law, seed, stream_base, trajectories, horizon)
+        tail = _centered_tail(g, f, law, seed, trajectories, horizon)
         return KernelEstimate(value, stderr, trajectories, horizon, tail,
                               truncated=True, aborted=aborted)
     n_ex = int(exited.sum())
@@ -242,7 +241,7 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
                           aborted=aborted)
 
 
-def _centered_tail(g, f, law, seed, stream_base, trajectories, horizon):
+def _centered_tail(g, f, law, seed, trajectories, horizon):
     # proxy only: visits cannot be bounded by a drift argument, so report
     # the last-half visit rate observed on a fresh small batch
     n = min(trajectories, 200)
@@ -251,7 +250,7 @@ def _centered_tail(g, f, law, seed, stream_base, trajectories, horizon):
     level = f.level
     late = 0.0
     for i in range(n):
-        r = stream(seed, stream_base + trajectories + i)
+        r = stream(seed, "tail", i)
         if fast:
             grid, (s, u, num, floor), member = fast
             steps = grid.steps
@@ -279,12 +278,13 @@ def _centered_tail(g, f, law, seed, stream_base, trajectories, horizon):
 # -- Wald / ladder mass -------------------------------------------------------
 
 
-def wald_mass_check(law, seed, excursions, *, stream_base=0) -> dict:
-    """Empirical E[l]/E[S_l] against the exact 1/drift, plus the Wald residual."""
+def wald_mass_check(law, seed, excursions) -> dict:
+    """Empirical E[l]/E[S_l] against the exact 1/drift, plus the Wald
+    residual; ``seed`` is a stream key, drawn from as ``(seed, "wald")``."""
     mu = law.drift()
     if mu <= 0:
         raise NonPositiveDrift("ascending ladder epochs need positive drift")
-    r = stream(seed, stream_base)
+    r = stream(seed, "wald")
     lengths, heights = ladder_heights(law, r, excursions)
     el, esl = lengths.mean(), heights.mean()
     ratio = el / esl
@@ -329,7 +329,7 @@ def _cluster_ratio(numers: np.ndarray, denoms: np.ndarray) -> ClusterEstimate:
 
 
 def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
-                       stream_base=0, depth=4) -> list:
+                       depth=4) -> list:
     """Excursion-average estimates normalized by E[S_l].
 
     Samples boundary points from the ladder walk's harmonic measure, then
@@ -339,6 +339,8 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     S_0..S_{l-1} of the prefix L_0..L_{l-1}, and ``inside(k, disc)`` says
     whether L_k maps the point into the disc below the vertex ``disc``.
     Returns one ClusterEstimate per functional, plus a stats dict.
+    Cluster i draws its point from ``(seed, "ups", i)`` and its
+    excursions from ``(seed, "exc", i)``; ``seed`` is a stream key.
     """
     mu = law.drift()
     if mu <= 0:
@@ -350,14 +352,13 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     for i in range(n_upsilon):
         # generous window: excursion prefixes have negative heights and
         # shift the point's known digits down when acting on it
-        ups = ladder_boundary_limit(law, stream(seed, stream_base + 2 * i),
+        ups = ladder_boundary_limit(law, stream(seed, "ups", i),
                                     depth=depth, end_window=depth + 24).end
         acc = np.zeros(n_fn)
         sl = 0.0
         ll = 0.0
         for length, height, heights, inside in ladder_excursions(
-                law, stream(seed, stream_base + 2 * i + 1), exc_per_upsilon,
-                ups):
+                law, stream(seed, "exc", i), exc_per_upsilon, ups):
             for j, fn in enumerate(functionals):
                 acc[j] += fn(heights, inside)
             sl += height
@@ -381,13 +382,13 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     return out, stats
 
 
-def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50,
-                      stream_base=0):
+def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50):
     """Invariant-measure values of boundary discs via excursion averages.
 
     m(D) = E[sum of 1_D(L_k·point) over the excursion] / E[S_l], the point
     drawn from the ladder walk's harmonic measure.  ``discs`` are vertices;
-    pass None entries for the whole boundary (constant 1).
+    pass None entries for the whole boundary (constant 1).  ``seed`` is a
+    stream key, used as in ``ladder_cluster_run``.
     """
     depth = max([d.height for d in discs if d is not None], default=1) + 2
     fns = []
@@ -398,7 +399,7 @@ def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50,
             fns.append(lambda hs, inside, d=d: float(
                 sum(1 for k in range(len(hs)) if inside(k, d))))
     return ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, fns,
-                              stream_base=stream_base, depth=max(depth, 4))
+                              depth=max(depth, 4))
 
 
 # -- inverted-walk boundary measure and kernel limits -------------------------
@@ -442,14 +443,14 @@ def sample_mbar(law, rng, *, depth=4) -> BoundaryMeasureSample:
     return BoundaryMeasureSample(elem, mass)
 
 
-def limit_measure_value(f: CylinderEvent, law, seed, samples, *,
-                        stream_base=0) -> KernelEstimate:
+def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     """Monte Carlo value of the limiting measure of the kernel along the
     reference homothety, evaluated on a single-level cylinder event.
 
     Only the height-f.level term of the homothety convolution can meet
     the event, so the value is mass x P[s**level · x^{-1} in f] with x
-    drawn from the rotation-averaged boundary measure.
+    drawn from the rotation-averaged boundary measure.  ``seed`` is a
+    stream key; sample i is drawn from ``stream(seed, "limit", i)``.
     """
     if f.is_empty:
         return KernelEstimate(0.0, 0.0, samples, 0, 0.0)
@@ -459,7 +460,7 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples, *,
     hits = 0
     mass = None
     for i in range(samples):
-        r = stream(seed, stream_base + i)
+        r = stream(seed, "limit", i)
         smp = sample_mbar(law, r, depth=max(depth, 4))
         mass = smp.mass_scale
         if f.member(compose(s_h, invert(smp.element))):
@@ -480,22 +481,19 @@ def _z_gap(e1: KernelEstimate, e2: KernelEstimate) -> float:
 
 def verify_boundary_limit(law, f: CylinderEvent, n_list, seed, *,
                           trajectories=20000, limit_samples=20000,
-                          sigmas=3.0, stream_base=0, horizon=20000) -> dict:
+                          sigmas=3.0, horizon=20000) -> dict:
     """Kernel estimates along s**n, compared per drift regime.
 
     Negative drift: estimates stabilize and match the boundary-measure
     prediction.  Positive drift: estimates decay to zero.  Centered:
     trend only (the excursion estimators have no variance control).
+    ``seed`` is a stream key; the kernel at s**n is keyed ``(seed, n)``.
     """
     s = reference_homothety(law)
     drift = law.drift()
-    base = stream_base
-    estimates = []
-    for n in n_list:
-        g = power(s.element, n)
-        estimates.append(potential_kernel(g, f, law, seed, trajectories,
-                                          stream_base=base, horizon=horizon))
-        base += 2 * trajectories + 1000
+    estimates = [potential_kernel(power(s.element, n), f, law, (seed, n),
+                                  trajectories, horizon=horizon)
+                 for n in n_list]
     report = {
         "drift": str(drift),
         "n_list": list(n_list),
@@ -504,8 +502,7 @@ def verify_boundary_limit(law, f: CylinderEvent, n_list, seed, *,
     }
     passed = True
     if drift < 0:
-        limit = limit_measure_value(f, law, seed, limit_samples,
-                                    stream_base=base)
+        limit = limit_measure_value(f, law, seed, limit_samples)
         report["limit_estimate"] = vars(limit)
         for i in range(len(estimates)):
             for j in range(i + 1, len(estimates)):
@@ -540,18 +537,18 @@ def verify_boundary_limit(law, f: CylinderEvent, n_list, seed, *,
 
 
 def verify_omega_limit(law, f: CylinderEvent, regime, n_list, seed, *,
-                       trajectories=3000, tolerance=0.05, horizon=4000,
-                       stream_base=0) -> dict:
+                       trajectories=3000, tolerance=0.05,
+                       horizon=4000) -> dict:
     """Kernel decay along sequences leaving through the top end.
 
     descend: g = s**-n.  ascend-escape (p-adic, negative drift): g =
     (t, p**n) with |t| = p**n, which moves toward the top end although
-    its height goes to +infinity.
+    its height goes to +infinity.  ``seed`` is a stream key; the kernel
+    at the n-th element is keyed ``(seed, n)``.
     """
     s = reference_homothety(law)
     drift = law.drift()
     estimates = []
-    base = stream_base
     for n in n_list:
         if regime == "descend":
             g = power(s.element, -n)
@@ -567,9 +564,8 @@ def verify_omega_limit(law, f: CylinderEvent, regime, n_list, seed, *,
                             PAdic.from_int(p ** n, p, budget))
         else:
             raise ValueError(f"unknown regime {regime!r}")
-        estimates.append(potential_kernel(g, f, law, seed, trajectories,
-                                          stream_base=base, horizon=horizon))
-        base += 2 * trajectories + 1000
+        estimates.append(potential_kernel(g, f, law, (seed, n), trajectories,
+                                          horizon=horizon))
     final = estimates[-1]
     ok = final.value + final.tail_bound < tolerance
     return {
@@ -579,15 +575,12 @@ def verify_omega_limit(law, f: CylinderEvent, regime, n_list, seed, *,
         "estimates": [vars(e) for e in estimates],
         "final_bound": final.value + final.tail_bound,
         "tolerance": tolerance,
-        "spread_out_note": ("atomic law, not spread out; decay relies on the "
-                            "drifting/escape regime, not smoothing"),
         "pass": bool(ok),
     }
 
 
 def verify_renewal_identity(law, events, seed, *, n_upsilon=1000,
-                            exc_per_upsilon=50, sigmas=3.0,
-                            stream_base=0) -> dict:
+                            exc_per_upsilon=50, sigmas=3.0) -> dict:
     """Renewal product identity on disc x z-set events, positive drift.
 
     LHS: excursion average of sum over prefix steps k and shifts z >= 0 of
@@ -595,6 +588,8 @@ def verify_renewal_identity(law, events, seed, *, n_upsilon=1000,
     every term with S_k + z outside the z-set vanishes, so the z-sum is
     finite with zero truncation error.  RHS: the z-section sum, i.e.
     |z-set| times the invariant disc measure, from an independent run.
+    ``seed`` is a stream key; the two sides are keyed ``(seed, "lhs")``
+    and ``(seed, "rhs")``.
     """
     if law.drift() <= 0:
         raise NonPositiveDrift("the renewal identity check needs positive drift")
@@ -610,13 +605,11 @@ def verify_renewal_identity(law, events, seed, *, n_upsilon=1000,
                     total += count
             return total
         lhs_fns.append(fn)
-    lhs, lhs_stats = ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon,
-                                        lhs_fns, stream_base=stream_base)
-    rhs_base = stream_base + 4 * n_upsilon + 1000
-    rhs, rhs_stats = estimate_m_misinv(law, [ev.disc for ev in events], seed,
-                                       n_upsilon=n_upsilon,
-                                       exc_per_upsilon=exc_per_upsilon,
-                                       stream_base=rhs_base)
+    lhs, lhs_stats = ladder_cluster_run(law, (seed, "lhs"), n_upsilon,
+                                        exc_per_upsilon, lhs_fns)
+    rhs, rhs_stats = estimate_m_misinv(law, [ev.disc for ev in events],
+                                       (seed, "rhs"), n_upsilon=n_upsilon,
+                                       exc_per_upsilon=exc_per_upsilon)
     checks = []
     passed = True
     for ev, le, re_ in zip(events, lhs, rhs):

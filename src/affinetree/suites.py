@@ -3,7 +3,8 @@
 Each claim is a dict {id, statement, estimate, stderr, tolerance, verdict,
 details}; verdicts are "pass", "fail" or "skip" (skip = not applicable to
 this configuration's drift regime, never a failure).  Suites are shared
-by the command line and by the acceptance tests.
+by the command line and by the acceptance tests.  Every random stream
+of a claim is keyed by its claim id (see ``rng``).
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    AffineTreeError,
     IndistinguishableAtPrecision,
     OracleUnsupported,
     StepBudgetExceeded,
 )
 from .group import (
-    LampAffine,
     PadicAffine,
     act_end,
     act_vertex,
@@ -38,9 +37,7 @@ from .padic import PAdic
 from .renewal import (
     CylinderEvent,
     ProductCylinder,
-    end_in_disc,
     kernel_oracle,
-    limit_measure_value,
     potential_kernel,
     reference_homothety,
     verify_boundary_limit,
@@ -50,7 +47,6 @@ from .renewal import (
 )
 from .rng import stream
 from .tree import (
-    OMEGA,
     LampEnd,
     LampVertex,
     PadicEnd,
@@ -130,7 +126,7 @@ def algebra_claims(cfg, cases=2000, seed=None):
     inverses = [invert(a) for a in atoms]
     ident = identity_like(atoms[0])
     powers = {}     # n -> power(s.element, n)
-    r = stream(seed, 900001)
+    r = stream(seed, "algebra.exact")
     for _ in range(cases):
         g, h, k = (_random_element(cfg, r, atoms, inverses) for _ in range(3))
         x, y = _random_vertex(cfg, r), _random_vertex(cfg, r)
@@ -181,7 +177,7 @@ def padic_isometry_claims(cfg, pairs=10000, seed=None):
         return [_skip("theta.isometry", "boundary distance matches the p-adic "
                       "norm of the difference", "p-adic realization only")]
     seed = cfg.seed if seed is None else seed
-    r = stream(seed, 900002)
+    r = stream(seed, "theta.isometry")
     bad = 0
     for _ in range(pairs):
         a, b = _random_end(cfg, r), _random_end(cfg, r)
@@ -208,8 +204,8 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
     mu = law.drift()
     claims = []
     if mu != 0:
-        paths = law.sample_phi_paths(stream(seed, 910000), trajectories,
-                                     horizon)
+        cid = "regime.descend" if mu < 0 else "regime.ascend"
+        paths = law.sample_phi_paths(stream(seed, cid), trajectories, horizon)
         final = paths[:, -1]
     if mu < 0:
         frac = float((final < -20).mean())
@@ -234,8 +230,9 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
         certified = 0
         for i in range(n):
             try:
-                bl = sample_boundary_limit(law, stream(seed, 910100 + i),
-                                           depth=4, max_steps=20000)
+                bl = sample_boundary_limit(
+                    law, stream(seed, "regime.boundary", i), depth=4,
+                    max_steps=20000)
                 certified += bl.certified
             except StepBudgetExceeded:
                 pass
@@ -250,7 +247,7 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
         # a 95% threshold needs N near 3e5 for unit-variance steps, so the
         # centered check runs its own longer horizon, blockwise to bound memory.
         span = max(horizon, 300000)
-        r = stream(seed, 910000)
+        r = stream(seed, "regime.centered")
         phis = np.array(law.phis, dtype=np.int64)
         carry = np.zeros(trajectories, dtype=np.int64)
         mx = np.zeros(trajectories, dtype=np.int64)
@@ -289,8 +286,8 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
                       "the limit law is invariant under one more step", reason)]
     ends = []
     for i in range(samples):
-        ends.append(sample_boundary_limit(law, stream(seed, 920000 + i),
-                                          depth=depth).end)
+        ends.append(sample_boundary_limit(
+            law, stream(seed, "boundary.nonatomic", i), depth=depth).end)
     max_mass = {}
     for d in range(2, depth + 1, 2):
         counts = {}
@@ -312,15 +309,16 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
     # invariance: an independent batch, each limit pushed by one fresh step
     pushed = {}
     base = {}
-    r_step = stream(seed, 930000)
+    cid = "boundary.invariance"
+    r_step = stream(seed, cid, "step")
     for i in range(samples):
-        e = sample_boundary_limit(law, stream(seed, 940000 + i),
+        e = sample_boundary_limit(law, stream(seed, cid, "base", i),
                                   depth=inv_depth + 2).end
         k = disc_key(e, inv_depth)
         base[k] = base.get(k, 0) + 1
         # the push a*e2 + t below can cancel leading digits, so certify
         # this batch with a much deeper digit window than the disc needs
-        e2 = sample_boundary_limit(law, stream(seed, 950000 + i),
+        e2 = sample_boundary_limit(law, stream(seed, cid, "pushed", i),
                                    depth=inv_depth + 2,
                                    end_window=inv_depth + 24).end
         k2 = disc_key(act_end(law.sample_step(r_step), e2), inv_depth)
@@ -354,7 +352,7 @@ def wald_claims(cfg, excursions=100000, sigmas=None, seed=None):
                       "equals the inverse drift", reason),
                 _skip("wald.residual", "ladder height minus drift times "
                       "ladder time is centered", reason)]
-    rep = wald_mass_check(cfg.law, seed, excursions, stream_base=960000)
+    rep = wald_mass_check(cfg.law, (seed, "wald.mass"), excursions)
     return [
         _claim("wald.mass",
                "mean ladder time over mean ladder height equals the exact "
@@ -389,9 +387,10 @@ def renewal_claims(cfg, n_upsilon=1000, exc_per_upsilon=50, sigmas=None,
     claims = []
     if cfg.law.drift() > 0:
         rep = verify_renewal_identity(cfg.law, _default_product_events(cfg),
-                                      seed, n_upsilon=n_upsilon,
+                                      (seed, "renewal.identity"),
+                                      n_upsilon=n_upsilon,
                                       exc_per_upsilon=exc_per_upsilon,
-                                      sigmas=sigmas, stream_base=970000)
+                                      sigmas=sigmas)
         for i, chk in enumerate(rep["checks"]):
             claims.append(_claim(
                 f"renewal.identity.{i}",
@@ -451,11 +450,10 @@ def oracle_claims(cfg, sigmas=3.0, seed=None, trajectories=6000):
     worst_name = None
     per = {}
     failures = 0
-    base = 980000
     for i, cyl in enumerate(cylinders):
-        est = potential_kernel(ident, cyl, cfg.law, seed, trajectories,
-                               stream_base=base, horizon=horizon)
-        base += 2 * trajectories + 1000
+        est = potential_kernel(ident, cyl, cfg.law,
+                               (seed, "renewal.oracle", i), trajectories,
+                               horizon=horizon)
         want = oracle["visits"][cyl.render()]
         se = est.stderr or 1e-12
         z = abs(est.value - want) / se
@@ -494,20 +492,19 @@ def boundary_limit_claims(cfg, n_list=None, trajectories=20000,
     mu = cfg.law.drift()
     if n_list is None:
         n_list = [15, 20, 25] if mu < 0 else [10, 20, 30]
+    key = (seed, "limit.boundary")
     if mu == 0:
-        rep = verify_boundary_limit(cfg.law, f, n_list, seed,
+        rep = verify_boundary_limit(cfg.law, f, n_list, key,
                                     trajectories=min(trajectories, 1000),
-                                    sigmas=sigmas, stream_base=990000,
-                                    horizon=3000)
+                                    sigmas=sigmas, horizon=3000)
         rep["reason"] = ("centered walk: excursion moments are not "
                          "integrable; trend report only, not pass/fail")
         return [_claim("limit.boundary",
                        "kernel values along the reference homothety stabilize",
                        "skip", details=rep)]
-    rep = verify_boundary_limit(cfg.law, f, n_list, seed,
+    rep = verify_boundary_limit(cfg.law, f, n_list, key,
                                 trajectories=trajectories,
-                                limit_samples=limit_samples,
-                                sigmas=sigmas, stream_base=990000)
+                                limit_samples=limit_samples, sigmas=sigmas)
     if mu < 0:
         statement = ("kernel values along the reference homothety stabilize "
                      "and match the rotation-averaged boundary measure")
@@ -551,13 +548,9 @@ def period_invariance_claims(cfg, n=20, trajectories=20000, sigmas=None,
     p = cfg.prime
     s = reference_homothety(cfg.law)
     sn = power(s.element, n)
-    holder = [1000000]
 
-    def kernel(g, f):
-        est = potential_kernel(g, f, cfg.law, seed, trajectories,
-                               stream_base=holder[0])
-        holder[0] += 2 * trajectories + 1000
-        return est
+    def kernel(g, f, *key):
+        return potential_kernel(g, f, cfg.law, (seed, *key), trajectories)
 
     def rotate(u):
         return PadicAffine(PAdic.zero(p, None, cfg.budget),
@@ -567,12 +560,12 @@ def period_invariance_claims(cfg, n=20, trajectories=20000, sigmas=None,
     # depth-1 event; units congruent to 1 mod p fix every depth-1 disc
     f1 = CylinderEvent((origin_padic(p),), (PadicVertex(p, 1, 1),),
                        name="V(o->p:1:1)")
-    base = kernel(sn, f1)
+    base = kernel(sn, f1, "limit.period", "base")
     checks = []
     ok_all = True
     for k in (1, 2, 3):
         u = 1 + k * p
-        est = kernel(compose(rotate(u), sn), f1)
+        est = kernel(compose(rotate(u), sn), f1, "limit.period", u)
         ok = est.agrees_with(base, sigmas)
         ok_all &= ok
         checks.append({"rotation": str(u), "estimate": est.value,
@@ -587,11 +580,11 @@ def period_invariance_claims(cfg, n=20, trajectories=20000, sigmas=None,
     # depth-2 event; rotations in one coset of 1 + p^2 Z_p act identically
     f2 = _deep_event(cfg)
     u0 = 1 + p
-    ests = {u0 + k * p * p: kernel(compose(rotate(u0 + k * p * p), sn), f2)
-            for k in (0, 1, 2)}
+    units = [u0 + k * p * p for k in (0, 1, 2)]
+    ests = {u: kernel(compose(rotate(u), sn), f2, "limit.period.pairwise", u)
+            for u in units}
     pair_checks = []
     ok_all = True
-    units = sorted(ests)
     for i in range(len(units)):
         for j in range(i + 1, len(units)):
             ok = ests[units[i]].agrees_with(ests[units[j]], sigmas)
@@ -629,9 +622,10 @@ def omega_limit_claims(cfg, n_list=None, trajectories=3000, horizon=4000,
     if cfg.law.drift() == 0:
         horizon = min(horizon, 3000)
         trajectories = min(trajectories, 1000)
-    rep = verify_omega_limit(cfg.law, f, "descend", n_list, seed,
+    rep = verify_omega_limit(cfg.law, f, "descend", n_list,
+                             (seed, "limit.top.descend"),
                              trajectories=trajectories, horizon=horizon,
-                             tolerance=tolerance, stream_base=1100000)
+                             tolerance=tolerance)
     claims.append(_claim(
         "limit.top.descend",
         "kernel values vanish along the inverse reference homothety",
@@ -640,9 +634,10 @@ def omega_limit_claims(cfg, n_list=None, trajectories=3000, horizon=4000,
     statement = ("kernel values vanish along translations escaping to the "
                  "top end with climbing heights")
     if cfg.kind == "padic" and cfg.law.drift() < 0:
-        rep = verify_omega_limit(cfg.law, f, "ascend-escape", n_list, seed,
+        rep = verify_omega_limit(cfg.law, f, "ascend-escape", n_list,
+                                 (seed, "limit.top.ascend_escape"),
                                  trajectories=trajectories, horizon=horizon,
-                                 tolerance=tolerance, stream_base=1200000)
+                                 tolerance=tolerance)
         claims.append(_claim(
             "limit.top.ascend_escape", statement,
             "pass" if rep["pass"] else "fail",
@@ -673,10 +668,3 @@ def run_suite(cfg, name):
         return omega_limit_claims(cfg, trajectories=min(cfg.trajectories, 3000),
                                   horizon=cfg.horizon)
     raise ValueError(f"unknown suite {name!r}")
-
-
-def run_suites(cfg, names):
-    claims = []
-    for n in names:
-        claims.extend(run_suite(cfg, n))
-    return claims

@@ -1,0 +1,93 @@
+"""Static checks of the package source, by AST scan (no linter needed):
+no unused imports, and every random generator is built in ``rng``."""
+
+import ast
+from pathlib import Path
+
+import affinetree
+
+SRC = Path(affinetree.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+# numpy.random names that build a generator or a bit generator
+BUILDERS = {"Generator", "default_rng", "RandomState", "BitGenerator",
+            "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
+            "SeedSequence"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _dotted(node):
+    """'np.random.Philox' for an attribute chain, None otherwise."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def unused_imports(tree):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in bound if name not in used)
+
+
+def generator_builders(tree):
+    """Calls (and imports) of numpy.random builders, as 'line: name'."""
+    numpy_names = {"numpy"}
+    random_names = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                if alias.name == "numpy.random" and alias.asname:
+                    random_names.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "numpy" and any(a.name == "random"
+                                              for a in node.names):
+                random_names.add("random")
+            if node.module.startswith("numpy.random"):
+                found += [f"{node.lineno}: {a.name}" for a in node.names
+                          if a.name in BUILDERS]
+    prefixes = {f"{n}.random." for n in numpy_names} \
+        | {f"{n}." for n in random_names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _dotted(node.func)
+            if name and any(name.startswith(p) and name[len(p):] in BUILDERS
+                            for p in prefixes):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_no_unused_imports():
+    bad = {p.name: unused_imports(_tree(p)) for p in MODULES
+           if p.name != "__init__.py"}
+    assert not {k: v for k, v in bad.items() if v}
+
+
+def test_only_rng_builds_generators():
+    found = {p.name: generator_builders(_tree(p)) for p in MODULES}
+    assert found.pop("rng.py"), "the scan must see the builders in rng.py"
+    assert not {k: v for k, v in found.items() if v}
+
+
+def test_scan_sees_unused_and_builders():
+    tree = ast.parse("import json\nimport numpy as np\n"
+                     "from numpy.random import PCG64\n"
+                     "g = np.random.Generator(np.random.Philox(1))\n")
+    assert unused_imports(tree) == ["PCG64", "json"]
+    assert generator_builders(tree) == [
+        "3: PCG64", "4: np.random.Generator", "4: np.random.Philox"]

@@ -19,7 +19,6 @@ from affinetree.renewal import (
     CylinderEvent,
     KernelEstimate,
     ProductCylinder,
-    end_in_disc,
     estimate_m_misinv,
     kernel_oracle,
     limit_measure_value,
@@ -31,7 +30,7 @@ from affinetree.renewal import (
     wald_mass_check,
 )
 from affinetree.rng import stream
-from affinetree.tree import PadicEnd, PadicVertex, origin_padic
+from affinetree.tree import PadicEnd, PadicVertex, end_in_disc, origin_padic
 
 
 def aff(t, a, p=2):
@@ -162,7 +161,7 @@ def test_limit_and_kernel_match_for_home_event():
     from affinetree.group import power
     s = reference_homothety(LAW_NEG)
     est = potential_kernel(power(s.element, 20), HOME, LAW_NEG, 8, 8000)
-    lim = limit_measure_value(HOME, LAW_NEG, 8, 8000, stream_base=50000)
+    lim = limit_measure_value(HOME, LAW_NEG, 8, 8000)
     assert est.agrees_with(lim, 4.0)
 
 

@@ -1,0 +1,119 @@
+"""The stream key rule: one Philox key per flattened path, no aliasing,
+and no key built twice in a run of every suite on a shipped config."""
+
+import cProfile
+import pstats
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from affinetree import rng
+from affinetree.config import load_config
+from affinetree import suites
+from affinetree.rng import stream
+from affinetree.suites import (
+    algebra_claims,
+    boundary_limit_claims,
+    boundary_measure_claims,
+    omega_limit_claims,
+    padic_isometry_claims,
+    period_invariance_claims,
+    regime_claims,
+    renewal_claims,
+    wald_claims,
+)
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
+
+
+def key(gen):
+    return tuple(int(w) for w in gen.bit_generator.state["state"]["key"])
+
+
+def test_stream_is_a_philox_generator():
+    gen = stream(3, 7)
+    assert isinstance(gen, np.random.Generator)
+    assert isinstance(gen.bit_generator, np.random.Philox)
+
+
+def test_pinned_encoding():
+    # blake2b-128 of repr((11, 'renewal.oracle', 3, 'kernel', 0)),
+    # read as two little-endian 64-bit words
+    assert key(stream(11, "renewal.oracle", 3, "kernel", 0)) == (
+        16779080856420387289, 3695638010278291371)
+
+
+def test_no_aliasing_between_seed_and_index():
+    assert key(stream(0, 2 ** 64)) != key(stream(1, 0))
+    assert key(stream(2 ** 64 + 5, 0)) != key(stream(5, 0))
+    assert key(stream(1, 2)) != key(stream(12)) != key(stream("1", 2))
+
+
+def test_tuple_keys_splice_and_numpy_ints_are_ints():
+    assert key(stream((7, "limit.boundary"), "kernel", 3)) \
+        == key(stream(7, "limit.boundary", "kernel", 3))
+    assert key(stream(7, np.int64(3))) == key(stream(7, 3))
+    with pytest.raises(TypeError):
+        stream(7, 1.5)
+
+
+def test_same_draws_as_philox_keyed_directly():
+    words = stream(5, "x").bit_generator.state["state"]["key"]
+    direct = np.random.Generator(np.random.Philox(
+        key=int(words[0]) | int(words[1]) << 64))
+    assert np.array_equal(stream(5, "x").random(9), direct.random(9))
+
+
+def test_no_os_entropy_read():
+    prof = cProfile.Profile()
+    prof.runcall(lambda: [stream(11, "kernel", i) for i in range(200)])
+    called = {fn for _, _, fn in pstats.Stats(prof).stats}
+    assert not [fn for fn in called if "urandom" in fn or "getrandbits" in fn]
+
+
+def record_keys(monkeypatch):
+    """Rebind ``stream`` in every module of the package to a recorder."""
+    keys = []
+
+    def recording(*args):
+        gen = real(*args)
+        keys.append(key(gen))
+        return gen
+
+    real = rng.stream
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "affinetree" \
+                and getattr(mod, "stream", None) is real:
+            monkeypatch.setattr(mod, "stream", recording)
+    return keys
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_no_key_built_twice_in_all_suites(path, monkeypatch):
+    # every claim of every suite, at small sizes: keys depend on sizes only
+    # through the range of indices.  These ranges are wide enough that
+    # fixed numeric stream offsets per claim would make them overlap
+    # (oracle cylinders and limit.boundary on drift_neg).
+    cfg = load_config(path)
+    keys = record_keys(monkeypatch)
+    # the exact oracle draws no randomness, and its solve on the centered
+    # config alone takes about 25 s
+    monkeypatch.setattr(suites, "kernel_oracle", lambda law, cylinders: {
+        "visits": {c.render(): 0.0 for c in cylinders}, "bias": 0.0})
+    claims = (algebra_claims(cfg, cases=20)
+              + padic_isometry_claims(cfg, pairs=20)
+              + regime_claims(cfg, trajectories=20, horizon=200,
+                              limit_samples=20)
+              + boundary_measure_claims(cfg, samples=20)
+              + wald_claims(cfg, excursions=200)
+              + renewal_claims(cfg, n_upsilon=10, exc_per_upsilon=5,
+                               oracle_trajectories=20)
+              + boundary_limit_claims(cfg, trajectories=100, limit_samples=100)
+              + period_invariance_claims(cfg, trajectories=100)
+              + omega_limit_claims(cfg, trajectories=100, horizon=400))
+    assert claims and keys
+    shared = [k for k, count in Counter(keys).items() if count > 1]
+    assert not shared, f"{len(shared)} of {len(set(keys))} keys built twice"
