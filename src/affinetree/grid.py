@@ -90,22 +90,20 @@ class GridLaw:
         return s, int(u), *tt
 
 
+def atom_index(grid: GridLaw, u):
+    """The atom indices ``StepLaw.sample_index`` reads from uniforms
+    ``u``, an array of any shape."""
+    return np.minimum(np.searchsorted(grid.thresholds, u, side="right"),
+                      len(grid.steps) - 1)
+
+
 def _blocks(grid: GridLaw, rng):
     """Blocks of atom indices; they double in size up to ``BLOCK``, so a
     short walk draws few uniforms it does not use."""
     size = FIRST_BLOCK
     while True:
-        u = rng.random(size)
-        yield np.minimum(np.searchsorted(grid.thresholds, u, side="right"),
-                         len(grid.steps) - 1).tolist()
+        yield atom_index(grid, rng.random(size)).tolist()
         size = min(2 * size, BLOCK)
-
-
-def atom_indices(grid: GridLaw, rng):
-    """Endless atom indices drawn from ``rng`` in blocks, for a generator
-    that is dropped afterwards (it runs ahead of the indices used)."""
-    for block in _blocks(grid, rng):
-        yield from block
 
 
 class Draws:

@@ -7,18 +7,24 @@ renewal product identity; the boundary limit of the kernel along the
 reference homothety is matched against an independent estimator built
 from the inverted walk's harmonic measure extended by rotation averaging.
 
-Laws on the p-adic digit grid run on the integer engine of ``grid``:
-the kernel loops keep the engine's state in local integers, and the
-excursion functionals read moved boundary points through its
+Laws on the p-adic digit grid run on the integer engine of ``grid``.
+The potential kernel walks all its trajectories as one batch: numpy
+draws the atom indices of many keyed streams at once (``rng.stream_rows``)
+and sums them into heights, the stop rule is a first-index search per
+trajectory, and the translation is read, in exact integers, only at the
+steps where the walk is at the event's level.  The excursion
+functionals read moved boundary points through the engine's
 prefix-in-disc test.  Other laws (the lamplighter, inexact or off-grid
-atoms) use generic group arithmetic.
+atoms) use generic group arithmetic, one step at a time.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,9 +46,9 @@ from .group import (
     phi,
     power,
 )
-from .grid import GridLaw, atom_indices, vertex_test
+from .grid import GridLaw, atom_index, vertex_test
 from .padic import PAdic
-from .rng import stream
+from .rng import stream, stream_rows
 from .walk import ladder_boundary_limit, ladder_excursions, ladder_heights, \
     sample_boundary_limit
 
@@ -115,6 +121,8 @@ class KernelEstimate:
     tail_bound: float
     truncated: bool = False
     aborted: int = 0
+    rho: float = 0.0            # observed re-entry frequency, before the cap
+    rho_capped: bool = False    # whether TAIL_RHO_CAP bounded the tail
 
     def agrees_with(self, other: "KernelEstimate", sigmas=3.0) -> bool:
         gap = abs(self.value - other.value)
@@ -134,39 +142,143 @@ def reference_homothety(law):
 KERNEL_DELTA = 15
 KERNEL_MIN_STEPS = 50
 TAIL_RHO_CAP = 0.9
+# A grid batch walks KERNEL_ROWS trajectories together and draws
+# KERNEL_COLS steps of each at a time, so its arrays stay near 128 KB
+# whatever the number of trajectories and the horizon.
+KERNEL_ROWS = 128
+KERNEL_COLS = 128
+_NEVER = np.iinfo(np.int64).max
 
 
 def _kernel_walk(g, f: CylinderEvent, law):
-    """(grid law, start state, membership test) of the integer kernel
-    walk, or None when the law or the start element is off the grid."""
+    """(grid law, start state, membership test, highest target height)
+    of the integer kernel walk, or None when the law or the start element
+    is off the grid."""
     grid = GridLaw.of(law)
     start = grid and grid.start(g)
     if not start:
         return None
-    return grid, start, vertex_test(grid, f.sources, f.targets)
+    return (grid, start, vertex_test(grid, f.sources, f.targets),
+            max(t.height for t in f.targets))
 
 
-def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
-                     horizon=20000, delta=KERNEL_DELTA,
-                     min_steps=KERNEL_MIN_STEPS) -> KernelEstimate:
-    """Expected visits of g·R_n to the event, over n = 0..horizon.
+def _first(mask, n0):
+    """Per row, the step of the first True of ``mask``, whose column c
+    holds step n0 + 1 + c; _NEVER for a row with none."""
+    col = mask.argmax(axis=1)
+    return np.where(mask[np.arange(len(mask)), col], n0 + 1 + col, _NEVER)
 
-    For drifting walks each trajectory stops once the height has left the
-    event's level by ``delta`` in the drift direction (after ``min_steps``
-    steps), then keeps watching until a second such exit; the tail beyond
-    the stop is bounded by the observed re-entry frequency.  Centered
-    walks run the full horizon and report the last-half visit count as a
-    truncation proxy.  ``seed`` is a stream key (see ``rng``): trajectory
-    i draws from ``(seed, "kernel", i)``, the centered tail from "tail".
+
+def _fold(num, floor, coefs, exps, p):
+    """(sums, low): sums[j]·p**low is num·p**floor plus the first j terms
+    coefs[k]·p**exps[k]."""
+    low = min([floor, *exps])
+    return list(accumulate((c * p ** (e - low) for c, e in zip(coefs, exps)),
+                           initial=num * p ** (floor - low))), low
+
+
+def _stop_steps(heights, at, n0, level, rule, e, r):
+    """The drifting stop rule on a block of steps n0 + 1, n0 + 2, ... of
+    each row, given the exit and re-entry steps found so far: (e, r, end)
+    with end the step a row stops at (_NEVER while it runs on), and r
+    cleared for a row that stops before re-entering."""
+    direction, delta, min_steps = rule
+    n = np.arange(n0 + 1, n0 + 1 + heights.shape[1])
+    d = (heights - level) * direction
+    e = np.where(e < _NEVER, e, _first((d > delta) & (n >= min_steps), n0))
+    r = np.where(r < _NEVER, r, _first(at & (n > e[:, None]), n0))
+    far = _first((d > 2 * delta) & (n >= e[:, None]) & (n < r[:, None]), n0)
+    end = np.minimum(far, _first((d > delta) & (n >= r[:, None]), n0))
+    return e, np.where(far < _NEVER, _NEVER, r), end
+
+
+def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
+    """Kernel walks 0..trajectories-1 on the grid, as a batch.
+
+    Trajectory i takes the uniforms of ``stream(seed, label, i)`` in
+    order, one atom per uniform.  ``stop`` is (direction, delta,
+    min_steps) of the drifting stop rule, or None to run the horizon.
+    Returns (rows, steps) of every visit to the event, as flat arrays,
+    and per trajectory its exit step E and re-entry step R (_NEVER when
+    it has none); see ``potential_kernel`` for the rule.
     """
-    if f.is_empty:
-        return KernelEstimate(0.0, 0.0, trajectories, 0, 0.0)
-    drift = law.drift()
-    direction = 0 if drift == 0 else (1 if drift > 0 else -1)
-    fast = _kernel_walk(g, f, law)
-    p = law.degree
-    level = f.level
+    grid, (s0, u, num0, floor0), member, top = walk
+    p, steps = grid.prime, grid.steps
+    phis = np.array([ph for _, _, ph in steps])
+    txes = np.array([txe for _, txe, _ in steps])
+    moves = np.array([txn != 0 for txn, _, _ in steps])
+    at_start = s0 == level and member(s0, u, num0, floor0)
+    hit_rows, hit_steps = [], []
+    exits = np.full(trajectories, _NEVER)
+    backs = np.full(trajectories, _NEVER)
+    for a in range(0, trajectories, KERNEL_ROWS):
+        rows = np.arange(a, min(a + KERNEL_ROWS, trajectories))
+        if at_start:
+            hit_rows += rows.tolist()
+            hit_steps += [0] * len(rows)
+        live = np.arange(len(rows))        # unfinished rows of the chunk
+        height = np.full(len(rows), s0)
+        carry = [(num0, floor0)] * len(rows)
+        reads = {}                         # membership by translation
+        n0 = 0                             # steps drawn so far
+        while live.size and n0 < horizon:
+            size = min(KERNEL_COLS, horizon - n0)
+            k = atom_index(grid, stream_rows(rows[live], n0, size, seed, label))
+            heights = height[live, None] + np.cumsum(phis[k], axis=1)
+            at = heights == level
+            end = np.full(live.size, _NEVER)
+            if stop:
+                exits[a + live], backs[a + live], end = _stop_steps(
+                    heights, at, n0, level, stop, exits[a + live],
+                    backs[a + live])
+            col = np.arange(size)
+            seen = at & (col < (end - n0)[:, None])
+            going = (end == _NEVER) & (n0 + size < horizon)
+            # the translation is read only at visits, from the terms that
+            # steps up to a row's last visit (its whole block, for a row
+            # that runs on) add below the top target height
+            last = np.where(seen.any(axis=1),
+                            size - 1 - seen[:, ::-1].argmax(axis=1), -1)
+            last[going] = size - 1
+            exps = np.hstack([height[live, None], heights[:, :-1]]) + txes[k]
+            tr, tc = np.nonzero(moves[k] & (exps < top)
+                                & (col <= last[:, None]))
+            vr, vc = np.nonzero(seen)
+            t_at = np.searchsorted(tr, np.arange(live.size + 1)).tolist()
+            v_at = np.searchsorted(vr, np.arange(live.size + 1)).tolist()
+            coefs = [u * steps[j][0] for j in k[tr, tc].tolist()]
+            exps = exps[tr, tc].tolist()
+            tc, vc = tc.tolist(), vc.tolist()
+            for i in np.flatnonzero(last >= 0).tolist():
+                row = live[i]
+                t0, t1, v0, v1 = t_at[i], t_at[i + 1], v_at[i], v_at[i + 1]
+                sums, low = _fold(*carry[row], coefs[t0:t1], exps[t0:t1], p)
+                for v in vc[v0:v1]:
+                    t = sums[bisect_right(tc, v, t0, t1) - t0], low
+                    hit = reads.get(t)
+                    if hit is None:    # walks meet the same few translations
+                        hit = reads[t] = member(level, u, *t)
+                    if hit:
+                        hit_rows.append(a + row)
+                        hit_steps.append(n0 + 1 + v)
+                if going[i]:
+                    # digits at p**top and above never change a read
+                    carry[row] = (sums[-1] % p ** (top - low)
+                                  if top > low else 0, low)
+            height[live] = heights[:, -1]
+            live = live[going]
+            n0 += size
+    return (np.array(hit_rows, dtype=np.int64),
+            np.array(hit_steps, dtype=np.int64), exits, backs)
 
+
+def _generic_visits(g, f, law, seed, trajectories, horizon, direction, delta,
+                    min_steps):
+    """Per trajectory: visits, visits after re-entry, exited, re-entered;
+    and the number of trajectories aborted by precision loss.  Generic
+    group arithmetic, one trajectory at a time, under the stop rule of
+    ``potential_kernel``."""
+    level = f.level
     totals = np.zeros(trajectories)
     post_visits = np.zeros(trajectories)
     exited = np.zeros(trajectories, dtype=bool)
@@ -174,36 +286,19 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     aborted = 0
     for i in range(trajectories):
         r = stream(seed, "kernel", i)
-        if fast:
-            grid, (s, u, num, floor), member = fast
-            steps = grid.steps
-            idx = atom_indices(grid, r)
-            pre = 1.0 if s == level and member(s, u, num, floor) else 0.0
-        else:
-            cur = g
-            s = phi(cur)
-            pre = 1.0 if s == level and f.member(cur) else 0.0
+        cur = g
+        s = phi(cur)
+        pre = 1.0 if s == level and f.member(cur) else 0.0
         post = 0.0
         ex = re = False
         try:
             for n in range(1, horizon + 1):
-                if fast:
-                    txn, txe, px = steps[next(idx)]
-                    if txn:
-                        e = s + txe
-                        if e < floor:
-                            num *= p ** (floor - e)
-                            floor = e
-                        num += u * txn * p ** (e - floor)
-                    s += px
-                else:
-                    cur = compose(cur, law.sample_step(r))
-                    s = phi(cur)
+                cur = compose(cur, law.sample_step(r))
+                s = phi(cur)
                 if s == level:
                     if ex and not re:
                         re = True
-                    hit = 1.0 if (member(s, u, num, floor) if fast
-                                  else f.member(cur)) else 0.0
+                    hit = 1.0 if f.member(cur) else 0.0
                     if ex:
                         post += hit
                     else:
@@ -224,6 +319,55 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
         post_visits[i] = post
         exited[i] = ex
         reentered[i] = re
+    return totals, post_visits, exited, reentered, aborted
+
+
+def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
+                     horizon=20000, delta=KERNEL_DELTA,
+                     min_steps=KERNEL_MIN_STEPS) -> KernelEstimate:
+    """Expected visits of g·R_n to the event, over n = 0..horizon.
+
+    For drifting walks with displacement d_n = (height - level) in the
+    drift direction, a trajectory exits at the first step E >= min_steps
+    with d_E > delta and re-enters at its next visit R to the level; it
+    stops at the first step in [E, R) with d > 2·delta (re-entry from
+    there is negligible), else at the first step from R on with d > delta,
+    else at the horizon.  The tail beyond the stop is bounded by the
+    observed re-entry frequency rho, capped at ``TAIL_RHO_CAP`` (``rho``
+    reports it before the cap, ``rho_capped`` whether the cap bit).
+    Centered walks run the full horizon and report the last-half visit
+    count as a truncation proxy.  ``seed`` is a stream key (see ``rng``):
+    trajectory i draws from ``(seed, "kernel", i)``, the centered tail
+    from "tail".
+
+    Grid laws run every trajectory in one batch (``_grid_visits``): atom
+    indices come from ``rng.stream_rows`` in blocks, heights are
+    cumulative sums, the stop rule is a first-index search per row, and
+    the translation is summed in exact integers only up to the visits it
+    is read at.  Only steps adding digits below the highest target
+    height H enter the sum: a term at exponent >= H is a multiple of
+    p**H and changes no residue modulo p**h for h <= H.  Other laws walk
+    one trajectory at a time on generic group arithmetic.
+    """
+    if f.is_empty:
+        return KernelEstimate(0.0, 0.0, trajectories, 0, 0.0)
+    drift = law.drift()
+    direction = 0 if drift == 0 else (1 if drift > 0 else -1)
+    fast = _kernel_walk(g, f, law)
+    level = f.level
+
+    if fast:
+        rows, steps, exits, backs = _grid_visits(
+            fast, level, seed, "kernel", trajectories, horizon,
+            (direction, delta, min_steps) if direction else None)
+        totals = np.bincount(rows, minlength=trajectories).astype(float)
+        post_visits = np.bincount(rows[steps >= backs[rows]],
+                                  minlength=trajectories).astype(float)
+        exited, reentered, aborted = exits < _NEVER, backs < _NEVER, 0
+    else:
+        totals, post_visits, exited, reentered, aborted = _generic_visits(
+            g, f, law, seed, trajectories, horizon, direction, delta,
+            min_steps)
 
     value = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(trajectories)) \
@@ -234,11 +378,12 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
                               truncated=True, aborted=aborted)
     n_ex = int(exited.sum())
     rho = float(reentered.sum()) / n_ex if n_ex else 0.0
-    rho = min(rho, TAIL_RHO_CAP)
+    capped = min(rho, TAIL_RHO_CAP)
     per_round = float(post_visits[reentered].mean()) if reentered.any() else 1.0
-    tail = per_round * rho / (1.0 - rho)
+    tail = per_round * capped / (1.0 - capped)
     return KernelEstimate(value, stderr, trajectories, horizon, tail,
-                          aborted=aborted)
+                          aborted=aborted, rho=rho,
+                          rho_capped=rho > TAIL_RHO_CAP)
 
 
 def _centered_tail(g, f, law, seed, trajectories, horizon):
@@ -246,32 +391,17 @@ def _centered_tail(g, f, law, seed, trajectories, horizon):
     # the last-half visit rate observed on a fresh small batch
     n = min(trajectories, 200)
     fast = _kernel_walk(g, f, law)
-    p = law.degree
-    level = f.level
+    if fast:
+        _, steps, _, _ = _grid_visits(fast, f.level, seed, "tail", n, horizon)
+        return float(np.count_nonzero(steps > horizon // 2)) / n
     late = 0.0
     for i in range(n):
         r = stream(seed, "tail", i)
-        if fast:
-            grid, (s, u, num, floor), member = fast
-            steps = grid.steps
-            idx = atom_indices(grid, r)
-            for m in range(1, horizon + 1):
-                txn, txe, px = steps[next(idx)]
-                if txn:
-                    e = s + txe
-                    if e < floor:
-                        num *= p ** (floor - e)
-                        floor = e
-                    num += u * txn * p ** (e - floor)
-                s += px
-                if m > horizon // 2 and s == level and member(s, u, num, floor):
-                    late += 1.0
-        else:
-            cur = g
-            for m in range(1, horizon + 1):
-                cur = compose(cur, law.sample_step(r))
-                if m > horizon // 2 and f.member(cur):
-                    late += 1.0
+        cur = g
+        for m in range(1, horizon + 1):
+            cur = compose(cur, law.sample_step(r))
+            if m > horizon // 2 and f.member(cur):
+                late += 1.0
     return late / n
 
 
@@ -717,20 +847,20 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40, residual=1e-12,
         if live < residual:
             break
         newP = np.zeros_like(P)
+        sums = P.sum(axis=1)
+        held = np.flatnonzero(sums).tolist()
         for ai, (_, _, ph) in enumerate(grid.steps):
-            for si in range(n_s):
-                row = P[si]
-                if not row.any():
-                    continue
+            for si in held:
                 if not valid[ai, si]:
-                    killed += probs[ai] * row.sum()
+                    killed += probs[ai] * sums[si]
                     continue
+                row = P[si]
                 moved = np.roll(row, shifts[ai, si]) if shifts[ai, si] else row
                 ti = si + ph
                 if ti < 0:
-                    killed += probs[ai] * row.sum()
+                    killed += probs[ai] * sums[si]
                 elif ti >= n_s:
-                    escaped += probs[ai] * row.sum()
+                    escaped += probs[ai] * sums[si]
                 else:
                     newP[ti] += probs[ai] * moved
         P = newP

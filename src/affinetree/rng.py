@@ -9,12 +9,18 @@ every stream has its own key, so two different paths never share a
 stream.  Estimators label their streams ("kernel", "limit", ...), a
 caller that runs one estimator several times adds what tells the calls
 apart, and suites key each claim by its claim id.
+
+``stream_rows(rows, start, size, seed, *path)`` reads many streams
+``stream(seed, *path, i)`` at once.  Philox is counter-based: uniform k
+of a stream depends only on its key and k, so one bit generator serves
+every row by taking each row's key and the counter of its first uniform.
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
+import struct
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -39,9 +45,42 @@ def _flat(parts):
             yield part if isinstance(part, str) else operator.index(part)
 
 
+_KEY_WORDS = struct.Struct("<2Q")     # a digest as two 64-bit key words
+
+
 def stream(seed, *path) -> np.random.Generator:
     """The generator keyed by the flattened path ``(seed, *path)``."""
     text = repr(tuple(_flat((seed, *path))))
     digest = hashlib.blake2b(text.encode(), digest_size=16).digest()
     words = np.frombuffer(digest, dtype="<u8")
     return np.random.Generator(np.random.Philox(_Key(words)))
+
+
+def stream_rows(rows, start, size, seed, *path) -> np.ndarray:
+    """Uniforms ``start`` to ``start + size`` of each stream
+    ``stream(seed, *path, i)`` for ``i`` in ``rows``: row r holds what
+    that stream's ``random()`` draws yield after ``start`` draws.
+
+    The shared prefix of the key paths is hashed once, and each row sets
+    the key and the counter ``start // 4`` of one Philox (a Philox block
+    holds four uniforms) instead of building a generator.
+    """
+    # repr of (*prefix, i) is the prefix's items, then repr(i) and ")"
+    head = "(" + "".join(f"{item!r}, " for item in _flat((seed, *path)))
+    prefix = hashlib.blake2b(head.encode(), digest_size=16)
+    bits = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
+    gen = np.random.Generator(bits)
+    # the setter reads plain ints faster than the arrays the getter gives
+    state = bits.state
+    inner = state["state"] = {"counter": [start // 4, 0, 0, 0], "key": None}
+    state["buffer"] = [0] * 4
+    out = np.empty((len(rows), size))
+    for r, i in enumerate(rows):
+        h = prefix.copy()
+        h.update(f"{operator.index(i)!r})".encode())
+        inner["key"] = _KEY_WORDS.unpack(h.digest())
+        bits.state = state
+        if start % 4:
+            gen.random(start % 4)
+        gen.random(out=out[r])
+    return out

@@ -461,7 +461,8 @@ def oracle_claims(cfg, sigmas=3.0, seed=None, trajectories=6000):
         ok = abs(est.value - want) <= margin
         failures += not ok
         per[cyl.render()] = {"mc": est.value, "stderr": est.stderr,
-                             "oracle": want, "z": z, "pass": ok}
+                             "oracle": want, "z": z, "pass": ok,
+                             "rho": est.rho, "rho_capped": est.rho_capped}
         if z > worst:
             worst, worst_name = z, cyl.render()
     return [_claim(
@@ -470,6 +471,7 @@ def oracle_claims(cfg, sigmas=3.0, seed=None, trajectories=6000):
         estimate=worst, tolerance=sigmas,
         details={"cylinders": len(cylinders), "trajectories": trajectories,
                  "oracle_bias": oracle["bias"], "worst": worst_name,
+                 "rho_capped": sum(c["rho_capped"] for c in per.values()),
                  "per_cylinder": per})]
 
 

@@ -3,15 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affinetree import renewal
 from affinetree.errors import NonPositiveDrift, OracleUnsupported
 from affinetree.group import (
     LampAffine,
     PadicAffine,
+    act_vertex,
+    compose,
     elements_agree,
     identity_like,
     invert,
     phi,
+    power,
 )
 from affinetree.law import StepLaw
 from affinetree.padic import PAdic
@@ -175,3 +181,87 @@ def test_ascend_escape_needs_negative_drift():
     with pytest.raises(NonNegativeDrift):
         verify_omega_limit(LAW_POS, HOME, "ascend-escape", [5], 1,
                            trajectories=10)
+
+
+# -- the grid batch against generic compose ------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """A grid law of any drift, a start element with unit u != 1 and
+    s != 0 allowed, a one- or two-pair cylinder, and stop-rule settings;
+    zero-drift cases keep the horizon small."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["centered", "weak", "any"]))
+    if kind != "any":   # weights (nearly) balance the heights
+        up, down = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        phis, ws = [up, -down], [down, up]
+        if kind == "weak":           # small drift: exits often re-enter
+            ws = [4 * w for w in ws]
+            ws[draw(st.integers(0, 1))] += 1
+        if draw(st.booleans()):
+            phis.append(0)
+            ws.append(draw(st.integers(1, 3)))
+    else:
+        n = draw(st.integers(2, 3))
+        phis = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        ws = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    ts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 2)),
+                       min_size=len(phis), max_size=len(phis)))
+    atoms = tuple(aff(Fraction(tn, p ** tk), Fraction(p) ** ph, p)
+                  for (tn, tk), ph in zip(ts, phis))
+    law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
+    u = draw(st.integers(1, 40).filter(lambda v: v % p))
+    s0 = draw(st.integers(-3, 3))
+    t0 = Fraction(draw(st.integers(-50, 50)), p ** draw(st.integers(0, 3)))
+    g = aff(t0, u * Fraction(p) ** s0, p)
+    # targets are the images of the sources under an element the walk can
+    # reach (g times a few atoms), or drawn at that element's level
+    reach = g
+    for atom in draw(st.lists(st.sampled_from(atoms), max_size=6)):
+        reach = compose(reach, atom)
+    sources, targets = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        src = PadicVertex(p, draw(st.integers(-2, 2)),
+                          Fraction(draw(st.integers(0, p ** 5)), p ** 3))
+        sources.append(src)
+        targets.append(act_vertex(reach, src) if draw(st.booleans())
+                       else PadicVertex(p, src.height + phi(reach), Fraction(
+                           draw(st.integers(0, p ** 4)), p ** 2)))
+    horizon = draw(st.integers(0, 60) if law.drift() == 0
+                   else st.sampled_from([draw(st.integers(0, 40)), 400]))
+    settings_ = dict(horizon=horizon, delta=draw(st.integers(-1, 3)),
+                     min_steps=draw(st.integers(0, 12)))
+    return law, g, CylinderEvent(tuple(sources), tuple(targets)), settings_
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases(), st.integers(0, 2 ** 32), st.integers(1, 16),
+       st.sampled_from([None, (1, 7), (3, 1), (5, 32)]))
+def test_grid_kernel_batch_matches_compose(case, seed, trajectories, sizes):
+    """The batch gives the generic-``compose`` KernelEstimate bit for bit,
+    also when trajectories are cut into small row chunks and step blocks
+    (extension blocks resume each stream mid-way)."""
+    law, g, f, kw = case
+    assert renewal._kernel_walk(g, f, law) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        if sizes:
+            mp.setattr(renewal, "KERNEL_ROWS", sizes[0])
+            mp.setattr(renewal, "KERNEL_COLS", sizes[1])
+        got = potential_kernel(g, f, law, seed, trajectories, **kw)
+        mp.setattr(renewal, "_kernel_walk", lambda *args: None)
+        want = potential_kernel(g, f, law, seed, trajectories, **kw)
+    assert got == want
+
+
+def test_tail_cap_is_reported(monkeypatch):
+    # a small exit distance makes re-entries common
+    law = StepLaw((aff(0, Fraction(1, 2)), aff(1, 2)),
+                  (Fraction(3, 5), Fraction(2, 5)))
+    g = power(reference_homothety(law).element, 2)
+    free = potential_kernel(g, HOME, law, 4, 400, delta=2, min_steps=0)
+    assert 0.1 < free.rho < renewal.TAIL_RHO_CAP and not free.rho_capped
+    monkeypatch.setattr(renewal, "TAIL_RHO_CAP", 0.05)
+    capped = potential_kernel(g, HOME, law, 4, 400, delta=2, min_steps=0)
+    assert capped.rho == free.rho and capped.rho_capped
+    assert capped.tail_bound < free.tail_bound

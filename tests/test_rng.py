@@ -1,5 +1,6 @@
 """The stream key rule: one Philox key per flattened path, no aliasing,
-and no key built twice in a run of every suite on a shipped config."""
+``stream_rows`` reads exactly what ``stream`` yields, and no key is
+built twice in a run of every suite on a shipped config."""
 
 import cProfile
 import pstats
@@ -13,7 +14,7 @@ import pytest
 from affinetree import rng
 from affinetree.config import load_config
 from affinetree import suites
-from affinetree.rng import stream
+from affinetree.rng import stream, stream_rows
 from affinetree.suites import (
     algebra_claims,
     boundary_limit_claims,
@@ -67,15 +68,32 @@ def test_same_draws_as_philox_keyed_directly():
     assert np.array_equal(stream(5, "x").random(9), direct.random(9))
 
 
+@pytest.mark.parametrize("start", [0, 1, 3, 4, 7, 130])
+def test_stream_rows_read_each_stream(start):
+    rows = [0, 1, 17, np.int64(5), 2 ** 65]
+    for path in [(5, "kernel"), ((7, "limit.boundary", 3), "kernel"),
+                 (np.int64(3),), (2 ** 70, "x", (1, ("y", 2)))]:
+        got = stream_rows(rows, start, 9, *path)
+        assert got.shape == (len(rows), 9)
+        for r, i in enumerate(rows):
+            gen = stream(*path, i)
+            gen.random(start)
+            assert np.array_equal(got[r], gen.random(9))
+    assert stream_rows([], start, 9, 5).shape == (0, 9)
+
+
 def test_no_os_entropy_read():
     prof = cProfile.Profile()
     prof.runcall(lambda: [stream(11, "kernel", i) for i in range(200)])
+    prof.runcall(lambda: stream_rows(range(200), 4, 8, 11, "kernel"))
     called = {fn for _, _, fn in pstats.Stats(prof).stats}
     assert not [fn for fn in called if "urandom" in fn or "getrandbits" in fn]
 
 
 def record_keys(monkeypatch):
-    """Rebind ``stream`` in every module of the package to a recorder."""
+    """Rebind ``stream`` and ``stream_rows`` in every module of the package
+    to recorders.  A batch serves the key of each of its rows when it
+    reads the row from its first uniform; later reads resume the row."""
     keys = []
 
     def recording(*args):
@@ -83,11 +101,19 @@ def record_keys(monkeypatch):
         keys.append(key(gen))
         return gen
 
-    real = rng.stream
+    def recording_rows(rows, start, size, *path):
+        if not start:
+            keys.extend(key(real(*path, i)) for i in rows)
+        return real_rows(rows, start, size, *path)
+
+    real, real_rows = rng.stream, rng.stream_rows
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "affinetree" \
-                and getattr(mod, "stream", None) is real:
+        if name.split(".")[0] != "affinetree":
+            continue
+        if getattr(mod, "stream", None) is real:
             monkeypatch.setattr(mod, "stream", recording)
+        if getattr(mod, "stream_rows", None) is real_rows:
+            monkeypatch.setattr(mod, "stream_rows", recording_rows)
     return keys
 
 
