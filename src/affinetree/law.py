@@ -4,7 +4,8 @@ A law is a list of atoms (group elements) with exact Fraction weights.
 Sampling uses inverse-CDF lookup against cumulative float thresholds;
 the scalar and vectorized paths consume uniforms identically, so a
 height-only simulation and a full group simulation with the same stream
-visit the same atoms.
+visit the same atoms.  Height-only paths skip the atom index: u picks the
+step phis[0] plus the jump phis[j+1] - phis[j] at each threshold j <= u.
 """
 
 from __future__ import annotations
@@ -105,15 +106,30 @@ class StepLaw:
         return self.atoms[self.sample_index(rng)]
 
     def sample_indices(self, rng, size) -> np.ndarray:
-        u = rng.random(size)
-        idx = np.searchsorted(self.thresholds, u, side="right")
+        idx = np.searchsorted(self.thresholds, rng.random(size), side="right")
         return np.minimum(idx, len(self.atoms) - 1)
+
+    def phi_steps(self, u) -> np.ndarray:
+        """``phis[sample_indices]`` for uniforms ``u``, in the narrowest
+        signed integer type holding every phi and phi jump."""
+        jumps = np.diff(self.phis).tolist()
+        dtype = np.min_scalar_type(-max(map(abs, [*self.phis, *jumps])) - 1)
+        out = np.full(u.shape, self.phis[0], dtype)
+        for t, d in zip(self.thresholds, jumps):
+            out += (u >= t) * dtype.type(d)
+        return out
 
     def sample_phi_paths(self, rng, n_traj: int, horizon: int) -> np.ndarray:
         """Cumulative heights S_1..S_horizon for n_traj trajectories."""
-        idx = self.sample_indices(rng, (n_traj, horizon))
-        steps = np.array(self.phis, dtype=np.int64)[idx]
-        return np.cumsum(steps, axis=1)
+        return np.cumsum(self.phi_steps(rng.random((n_traj, horizon))), 1)
+
+    def final_phis(self, rng, n_traj: int, horizon: int) -> np.ndarray:
+        """S_horizon of ``sample_phi_paths``, by chunks of rows."""
+        out = np.zeros(n_traj, dtype=np.int64)
+        step = max(1, 2 ** 20 // horizon)          # rows per chunk
+        for rows in np.split(out, range(step, n_traj, step)):
+            rows[:] = self.phi_steps(rng.random((rows.size, horizon))).sum(1)
+        return out
 
     def moment_report(self, eps=1) -> dict:
         """Exact moment summary; all quantities are finite (finite support).

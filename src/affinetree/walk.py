@@ -26,9 +26,11 @@ import numpy as np
 from .errors import NonPositiveDrift, StepBudgetExceeded
 from .grid import Draws, GridLaw, GridWalk
 from .group import PadicAffine, act_end, compose, identity_like, phi
+from .rng import position, seek, uniforms_at
 from .tree import LampEnd, PadicEnd, end_in_disc
 
 DEFAULT_STEP_BUDGET = 10 ** 7
+LADDER_BLOCK = 512    # ladder_heights' steps per path and block
 
 
 def run_product(law, rng, horizon: int, *, side="right", visitor=None):
@@ -161,32 +163,40 @@ def ladder_excursions(law, rng, count: int, end) -> list:
     return out
 
 
-def ladder_heights(law, rng, count: int, *, chunk=512,
-                   max_steps=DEFAULT_STEP_BUDGET):
+def ladder_heights(law, rng, count: int, *, max_steps=DEFAULT_STEP_BUDGET):
     """Vectorized (lengths, heights) at the first ascending ladder epoch.
 
-    Simulates ``count`` height paths in blocks of ``chunk`` steps and
-    extends the unfinished ones until every path has crossed above 0.
+    In a block of ``LADDER_BLOCK`` steps from position P of the Philox
+    stream ``rng``, the j-th path still below 0 reads uniforms P + j *
+    LADDER_BLOCK + k, in windows of growing width up to its epoch; ``rng``
+    ends where whole blocks leave it, also when the step budget runs out.
     """
     lengths = np.zeros(count, dtype=np.int64)
     heights = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
     carried = np.zeros(count, dtype=np.int64)  # S at the end of prior blocks
-    offset = 0
+    pos, offset = position(rng), 0
     while active.size:
         if offset >= max_steps:
+            seek(rng, pos)
             raise StepBudgetExceeded(
                 f"{active.size} paths without a ladder epoch after {offset} steps")
-        paths = carried[active, None] + law.sample_phi_paths(rng, active.size, chunk)
-        hit = paths > 0
-        any_hit = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)
-        done = active[any_hit]
-        lengths[done] = offset + first[any_hit] + 1
-        heights[done] = paths[any_hit, first[any_hit]]
-        carried[active] = paths[:, -1]
-        active = active[~any_hit]
-        offset += chunk
+        live, lo, hi = np.arange(active.size), 0, 8   # ranks still below 0
+        while live.size and lo < LADDER_BLOCK:
+            rows = active[live]
+            u = uniforms_at(rng, pos + LADDER_BLOCK * live + lo, hi - lo)
+            paths = carried[rows, None] + np.cumsum(law.phi_steps(u), axis=1)
+            hit = paths > 0
+            any_hit = hit.any(axis=1)
+            first = np.argmax(hit, axis=1)[any_hit]
+            lengths[rows[any_hit]] = offset + lo + first + 1
+            heights[rows[any_hit]] = paths[any_hit, first]
+            carried[rows] = paths[:, -1]
+            live, lo, hi = live[~any_hit], hi, 2 * hi
+        pos += LADDER_BLOCK * active.size
+        active = active[live]
+        offset += LADDER_BLOCK
+    seek(rng, pos)
     return lengths, heights
 
 

@@ -84,6 +84,50 @@ def test_phi_paths_match_atom_phis():
     assert set(np.unique(steps)) <= {-1, 1}
 
 
+class _Fixed:
+    """A stand-in generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert np.shape(size) == () or tuple(size) == self.u.shape
+        return self.u
+
+
+@pytest.mark.parametrize("exps,weights,dtype", [
+    ((1, -1), (3, 1), np.int8),
+    ((1, -1, 0), (3, 3, 2), np.int8),
+    ((200, -150, 0, 3), (1, 2, 3, 4), np.int16),     # phi jumps of 350
+    ((-127, 127), (1, 1), np.int16),                  # a jump of 254
+    ((0, 0), (1, 1), np.int8),
+    ((5,), (1,), np.int8),
+])
+def test_phi_steps_match_indexed_phis(exps, weights, dtype):
+    total = sum(weights)
+    law = StepLaw(tuple(aff(0, Fraction(2) ** e) for e in exps),
+                  tuple(Fraction(w, total) for w in weights))
+    assert law.phis == exps
+    t = law.thresholds
+    # every threshold exactly, its neighbours, the ends of [0, 1)
+    u = np.concatenate([t, np.nextafter(t, 0), np.nextafter(t, 1),
+                        [0.0, np.nextafter(1, 0)],
+                        stream(6, len(exps)).random(500)])
+    want = np.array(law.phis)[law.sample_indices(_Fixed(u), u.size)]
+    steps = law.phi_steps(u)
+    assert steps.dtype == dtype
+    assert np.array_equal(steps.astype(np.int64), want)
+
+
+def test_final_phis_are_path_ends():
+    law = StepLaw((aff(0, 4), aff(1, Fraction(1, 8)), aff(1, 1)),
+                  (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    # 7 rows of 300 000 steps come in row chunks of 3, 3 and 1
+    ends = law.final_phis(stream(7, 1), 7, 300000)
+    paths = law.sample_phi_paths(stream(7, 1), 7, 300000)
+    assert np.array_equal(ends, paths[:, -1])
+
+
 def test_inverse_atoms():
     law = law_pos()
     inv = law.inverse()

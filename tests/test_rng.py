@@ -1,6 +1,7 @@
 """The stream key rule: one Philox key per flattened path, no aliasing,
-``stream_rows`` reads exactly what ``stream`` yields, and no key is
-built twice in a run of every suite on a shipped config."""
+``stream_rows`` and ``uniforms_at`` read exactly what ``stream`` yields,
+``seek`` leaves a stream where its draws do, and no key is built twice in
+a run of every suite on a shipped config."""
 
 import cProfile
 import pstats
@@ -10,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinetree import rng
 from affinetree.config import load_config
 from affinetree import suites
-from affinetree.rng import stream, stream_rows
+from affinetree.rng import position, seek, stream, stream_rows, \
+    uniforms_at
 from affinetree.suites import (
     algebra_claims,
     boundary_limit_claims,
@@ -80,6 +84,58 @@ def test_stream_rows_read_each_stream(start):
             gen.random(start)
             assert np.array_equal(got[r], gen.random(9))
     assert stream_rows([], start, 9, 5).shape == (0, 9)
+
+
+paths = st.lists(st.one_of(st.integers(-5, 2 ** 70),
+                           st.text(alphabet="ab.", max_size=4)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 70), path=paths, moved=st.integers(0, 9),
+       starts=st.lists(st.one_of(st.integers(0, 600),
+                                 st.integers(0, 2 ** 60)),
+                       min_size=1, max_size=6),
+       width=st.integers(1, 40))
+def test_uniforms_at_match_numpy_philox(seed, path, moved, starts, width):
+    # numpy's own Philox reads each row, at a counter set by stream_rows
+    gen = stream(seed, *path, 0)
+    gen.random(moved)
+    got = uniforms_at(gen, starts, width)
+    assert got.shape == (len(starts), width)
+    for row, start in zip(got, starts):
+        assert np.array_equal(row, stream_rows([0], start, width, seed,
+                                               *path)[0])
+    assert position(gen) == moved
+    assert np.array_equal(gen.random(5), stream(seed, *path, 0).random(
+        moved + 5)[moved:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 70), path=paths,
+       pos=st.integers(0, 600), moved=st.integers(0, 600))
+def test_seek_leaves_a_stream_where_its_draws_do(seed, path, pos, moved):
+    drawn = stream(seed, *path)
+    drawn.random(pos)
+    sought = stream(seed, *path)
+    sought.random(moved)
+    seek(sought, pos)
+    assert position(sought) == position(drawn) == pos
+    a, b = drawn.bit_generator.state, sought.bit_generator.state
+    if pos:     # before the first draw the buffer holds nothing used
+        assert np.array_equal(a["buffer"], b["buffer"])
+    assert a["buffer_pos"] == b["buffer_pos"]
+    assert np.array_equal(a["state"]["counter"], b["state"]["counter"])
+    assert np.array_equal(drawn.random(11), sought.random(11))
+
+
+@pytest.mark.parametrize("pos", [2 ** 40, 2 ** 60 + 3])
+def test_seek_far(pos):
+    gen = stream(4, "far", 0)
+    seek(gen, pos)
+    assert position(gen) == pos
+    want = stream_rows([0], pos, 6, 4, "far")[0]
+    assert np.array_equal(uniforms_at(gen, [pos], 6)[0], want)
+    assert np.array_equal(gen.random(6), want)
 
 
 def test_no_os_entropy_read():

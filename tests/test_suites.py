@@ -1,0 +1,103 @@
+"""Regime claims: estimates from threshold counts equal those from atom
+indices, memory stays bounded, and step-budget exhaustion is reported."""
+
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from affinetree import suites
+from affinetree.config import load_config
+from affinetree.errors import StepBudgetExceeded
+from affinetree.group import PadicAffine
+from affinetree.law import StepLaw
+from affinetree.padic import PAdic
+from affinetree.rng import stream
+from affinetree.walk import sample_boundary_limit
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def aff(t, a):
+    return PadicAffine(PAdic.from_fraction(Fraction(t), 2),
+                       PAdic.from_fraction(Fraction(a), 2))
+
+
+def _indexed_estimate(law, trajectories, horizon, seed):
+    """``regime_claims``' first estimate from atom indices: final heights
+    of whole paths past +-20, or for a centered law the share of paths
+    whose running extremes pass +-10, in blocks of 20 000 steps."""
+    phis = np.array(law.phis, dtype=np.int64)
+
+    def steps(rng, shape):
+        idx = np.searchsorted(law.thresholds, rng.random(shape), side="right")
+        return phis[np.minimum(idx, len(phis) - 1)]
+
+    mu = law.drift()
+    if mu:
+        cid = "regime.descend" if mu < 0 else "regime.ascend"
+        final = steps(stream(seed, cid), (trajectories, horizon)).sum(axis=1)
+        return float((final < -20).mean() if mu < 0 else (final > 20).mean())
+    span, rng = max(horizon, 300000), stream(seed, "regime.centered")
+    carry = mx = mn = np.zeros(trajectories, dtype=np.int64)
+    for done in range(0, span, 20000):
+        seg = carry[:, None] + np.cumsum(
+            steps(rng, (trajectories, min(20000, span - done))), axis=1)
+        mx = np.maximum(mx, seg.max(axis=1))
+        mn = np.minimum(mn, seg.min(axis=1))
+        carry = seg[:, -1]
+    return float(((mx > 10) & (mn < -10)).mean())
+
+
+# laws whose estimates sit near 1/2, so that a changed height moves them
+UP, DOWN, STAY = aff(0, 2), aff(1, Fraction(1, 2)), aff(1, 1)
+SLIGHT_DOWN = StepLaw((UP, DOWN), (Fraction(19, 40), Fraction(21, 40)))
+SLIGHT_UP = StepLaw((UP, DOWN), (Fraction(21, 40), Fraction(19, 40)))
+LAZY = StepLaw((UP, DOWN, STAY), (Fraction(1, 1500), Fraction(1, 1500),
+                                  Fraction(1498, 1500)))
+
+
+@pytest.mark.parametrize("law,trajectories,horizon", [
+    (SLIGHT_DOWN, 300, 400), (SLIGHT_UP, 300, 401), (LAZY, 40, 1000)],
+    ids=["descend", "ascend", "centered"])
+def test_regime_estimates_match_atom_indices(law, trajectories, horizon):
+    claim = suites.regime_claims(SimpleNamespace(law=law), trajectories,
+                                 horizon, limit_samples=1, seed=8)[0]
+    assert 0.1 < claim["estimate"] < 0.9
+    assert claim["estimate"] == _indexed_estimate(law, trajectories,
+                                                  horizon, 8)
+
+
+def test_regime_descend_memory_is_bounded():
+    cfg = load_config(CONFIGS / "drift_neg.ini")
+    tracemalloc.start()
+    try:
+        claim = suites.regime_claims(cfg, trajectories=1000, horizon=10000,
+                                     seed=3)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert claim["claim"] == "regime.descend" and claim["verdict"] == "pass"
+    # whole paths took about 240 MB here
+    assert peak < 32 * 2 ** 20
+
+
+def test_regime_boundary_counts_budget_exhaustion(monkeypatch):
+    cfg = load_config(CONFIGS / "drift_pos.ini")
+
+    def every_third_runs_out(law, rng, **kw):
+        calls.append(kw["max_steps"])
+        if len(calls) % 3 == 0:
+            raise StepBudgetExceeded("patched")
+        return sample_boundary_limit(law, rng, **kw)
+
+    calls = []
+    monkeypatch.setattr(suites, "sample_boundary_limit", every_third_runs_out)
+    claim = suites.regime_claims(cfg, trajectories=20, horizon=200,
+                                 limit_samples=30, seed=4)[1]
+    assert claim["claim"] == "regime.boundary" and len(calls) == 30
+    assert claim["details"] == {"samples": 30, "budget_exhausted": 10}
+    assert claim["estimate"] <= 20 / 30 and claim["verdict"] == "fail"

@@ -1,6 +1,7 @@
 """Walk engine: products, ladder epochs, boundary limits."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,8 @@ from affinetree.renewal import CylinderEvent
 from affinetree.rng import stream
 from affinetree.tree import PadicEnd, PadicVertex, end_in_disc
 from affinetree.walk import (
+    DEFAULT_STEP_BUDGET,
+    LADDER_BLOCK,
     BoundaryLimit,
     LadderExcursion,
     disc_key,
@@ -55,6 +58,11 @@ LAW_POS = StepLaw((aff(0, 2), aff(1, Fraction(1, 2))),
                   (Fraction(3, 4), Fraction(1, 4)))
 LAW_NEG = StepLaw((aff(0, Fraction(1, 2)), aff(1, 2)),
                   (Fraction(3, 4), Fraction(1, 4)))
+# drift 1/50: many first ladder epochs lie several blocks out
+LAW_SLOW = StepLaw((aff(0, 2), aff(1, Fraction(1, 2))),
+                   (Fraction(51, 100), Fraction(49, 100)))
+LAW_23 = StepLaw((aff(0, 4), aff(1, Fraction(1, 8))),      # steps +2, -3
+                 (Fraction(2, 3), Fraction(1, 3)))
 
 
 def test_run_product_height_matches_phi_path():
@@ -92,6 +100,78 @@ def test_ladder_heights_vectorized_moments():
 def test_ladder_budget_negative_drift():
     with pytest.raises(StepBudgetExceeded):
         ladder_heights(LAW_NEG, stream(11, 0), 100, max_steps=5000)
+
+
+def _blockwise_ladder(law, rng, count, max_steps):
+    """The simulation whose uniforms ``ladder_heights`` reads: in blocks
+    of ``LADDER_BLOCK`` steps, every path still below its first epoch
+    draws a whole block of steps by inverse-CDF lookup."""
+    phis = np.array(law.phis, dtype=np.int64)
+    lengths = np.zeros(count, dtype=np.int64)
+    heights = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
+    carried = np.zeros(count, dtype=np.int64)
+    offset = 0
+    while active.size:
+        if offset >= max_steps:
+            raise StepBudgetExceeded(
+                f"{active.size} paths without a ladder epoch after "
+                f"{offset} steps")
+        u = rng.random((active.size, LADDER_BLOCK))
+        idx = np.minimum(np.searchsorted(law.thresholds, u, side="right"),
+                         len(phis) - 1)
+        paths = carried[active, None] + np.cumsum(phis[idx], axis=1)
+        hit = paths > 0
+        any_hit = hit.any(axis=1)
+        first = np.argmax(hit, axis=1)
+        done = active[any_hit]
+        lengths[done] = offset + first[any_hit] + 1
+        heights[done] = paths[any_hit, first[any_hit]]
+        carried[active] = paths[:, -1]
+        active = active[~any_hit]
+        offset += LADDER_BLOCK
+    return lengths, heights
+
+
+@pytest.mark.parametrize("law,count,moved,max_steps", [
+    (LAW_POS, 3000, 0, DEFAULT_STEP_BUDGET),
+    (LAW_POS, 1, 3, DEFAULT_STEP_BUDGET),
+    (LAW_POS, 0, 3, DEFAULT_STEP_BUDGET),
+    (LAW_SLOW, 400, 0, DEFAULT_STEP_BUDGET),
+    (LAW_SLOW, 400, 3, DEFAULT_STEP_BUDGET),
+    (LAW_23, 2000, 3, DEFAULT_STEP_BUDGET),
+    (LAW_NEG, 100, 3, 5000),          # the budget runs out
+    (LAW_SLOW, 400, 3, 1000),         # within the last block
+], ids=["pos", "pos-one", "pos-none", "slow", "slow-moved", "plus2-minus3",
+        "neg-budget", "slow-budget"])
+def test_ladder_heights_read_the_blockwise_uniforms(law, count, moved,
+                                                    max_steps):
+    def run(fn):
+        rng = stream(15, moved, count)
+        rng.random(moved)
+        try:
+            out = [a.tolist() for a in fn(law, rng, count, max_steps)]
+        except StepBudgetExceeded as exc:
+            out = str(exc)
+        return out, _state(rng), rng.random(7).tolist()
+
+    got = run(lambda *a: ladder_heights(*a[:3], max_steps=a[3]))
+    assert got == run(_blockwise_ladder)
+    if law is LAW_SLOW and max_steps == DEFAULT_STEP_BUDGET:
+        assert max(got[0][0]) > 2 * LADDER_BLOCK    # rows span blocks
+    if law is LAW_NEG:
+        assert "without a ladder epoch" in got[0]
+
+
+def test_ladder_heights_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        ladder_heights(LAW_POS, stream(10, 0), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # drawing each path's whole first block took about 235 MB
+    assert peak < 16 * 2 ** 20
 
 
 def test_regime_summary_signs():
