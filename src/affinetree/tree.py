@@ -205,16 +205,15 @@ def end_in_disc(end, vertex) -> bool:
     if isinstance(end, PadicEnd):
         return end.value.residue(vertex.height) == vertex.center
     if isinstance(end, LampEnd):
-        return all(end.lamp(p) == v for p, v in vertex.lamps) and \
-            all(end.lamp(p) == 0 for p in range(_low_pos(vertex), vertex.height + 1)
-                if p not in dict(vertex.lamps))
+        # the discs at one height partition the ends: an end lies in the
+        # disc whose lamps at positions <= height are its own
+        if vertex.height > end.known_to:
+            raise IndistinguishableAtPrecision(
+                f"disc at height {vertex.height} beyond known window "
+                f"(<= {end.known_to})")
+        return tuple((p, v) for p, v in end.values
+                     if p <= vertex.height) == vertex.lamps
     raise TypeError(f"not a boundary point: {end!r}")
-
-
-def _low_pos(vertex) -> int:
-    # lamp discs only constrain positions down to the lowest recorded lamp;
-    # lower positions are constrained to 0 only within the end's own window
-    return min((p for p, _ in vertex.lamps), default=vertex.height + 1)
 
 
 def _is_vertex(x):

@@ -15,6 +15,7 @@ from affinetree.tree import (
     PadicEnd,
     PadicVertex,
     busemann,
+    end_in_disc,
     graph_distance,
     meet,
     origin_lamp,
@@ -22,6 +23,7 @@ from affinetree.tree import (
     parse_vertex,
     theta,
 )
+from affinetree.walk import disc_key
 
 
 def pend(num, den=1, p=2):
@@ -119,6 +121,33 @@ def test_lamp_end_window_query():
     assert e.lamp(1) == 1 and e.lamp(0) == 0
     with pytest.raises(IndistinguishableAtPrecision):
         e.lamp(6)
+
+
+def test_lamp_discs_at_one_height_do_not_overlap():
+    e = LampEnd(2, 10, ((-5, 1), (1, 1)))
+    # both of these held when only the positions from the vertex's lowest
+    # lamp up were read
+    assert not end_in_disc(e, LampVertex(2, 1, ()))
+    assert not end_in_disc(e, LampVertex(2, 1, ((1, 1),)))
+    assert not end_in_disc(e, LampVertex(2, 1, ((-5, 1),)))
+    assert end_in_disc(e, LampVertex(2, 1, ((-5, 1), (1, 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(-3, 6),
+       st.dictionaries(st.integers(-4, 8), st.integers(1, 3), max_size=5),
+       st.integers(-5, 8),
+       st.dictionaries(st.integers(-6, 8), st.integers(1, 3), max_size=4))
+def test_end_in_disc_reads_the_lamps_up_to_the_height(q, known, values, h,
+                                                      lamps):
+    e = LampEnd(q, known, tuple(values.items()))
+    v = LampVertex(q, h, tuple(lamps.items()))
+    if h > known:
+        with pytest.raises(IndistinguishableAtPrecision):
+            end_in_disc(e, v)
+    else:
+        assert end_in_disc(e, v) == (disc_key(e, h) == v.lamps)
+        assert end_in_disc(e, LampVertex(q, h, disc_key(e, h)))
 
 
 def test_parse_vertex_round_trip():
