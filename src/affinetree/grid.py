@@ -1,14 +1,17 @@
-"""Exact integer walk engine for p-adic laws on the digit grid.
+"""Exact integer walk engine on the digit grid, for both realizations.
 
-A law is on the digit grid when every atom is (txn·p**txe, p**phi): its
-scale is a plain power of p and its translation has a p-power
-denominator.  An element reached by such a walk is kept as the scale
+A p-adic law is on the digit grid when every atom is (txn·p**txe,
+p**phi).  An element reached by such a walk is kept as the scale
 exponent ``s``, a positive integer unit ``u`` (a = u·p**s, u prime to p)
 and the translation ``num·p**floor``, so a step costs a few integer
-operations instead of exact ``PAdic`` arithmetic.  Group elements and
-ends are built once, when a walk is done, and every read (residues, the
-disc a moved boundary point lands in) gives what the generic arithmetic
-of ``group`` gives on the same element, errors included.
+operations instead of exact ``PAdic`` arithmetic.  A lamp element is a
+digit grid without carries (``LampGrid``): for prime q, Z/q ≀ Z is the
+subgroup of Aff(F_q((t))) with monomial scales (Cartwright, Kaimanovich
+& Woess, Ann. Inst. Fourier 44, 1994).  One walk class, ``GridWalk``,
+steps both, and the law's form adds the digits and reads the state.
+Group elements and ends are built once, when a walk is done, and every
+read gives what the generic arithmetic of ``group`` gives on the same
+element, errors included.
 
 Atom indices are drawn in blocks.  They are the indices of repeated
 ``StepLaw.sample_index`` on the same generator, and on leaving a
@@ -17,15 +20,15 @@ Atom indices are drawn in blocks.  They are the indices of repeated
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PrecisionExhausted
-from .group import PadicAffine, act_end, phi
+from .group import LampAffine, PadicAffine, act_end, phi
 from .padic import PAdic, PrecisionBudget, int_valuation
-from .tree import end_in_disc
+from .tree import LampEnd, end_in_disc
 
 FIRST_BLOCK = 64      # uniforms drawn at first
 BLOCK = 512           # at most at a time
@@ -54,23 +57,13 @@ class GridLaw:
 
     @classmethod
     def of(cls, law) -> "GridLaw | None":
-        """The grid form of ``law``; None when it is not on the grid."""
-        if not law.is_padic:
+        """The grid form of a p-adic ``law``; None when it is off the grid."""
+        grid = cls(law.degree, (), law.atoms[0].a.budget, law.thresholds)
+        states = [grid.start(atom) for atom in law.atoms]
+        if any(st is None or st[1] != 1 for st in states):
             return None
-        p = law.degree
-        steps = []
-        for atom in law.atoms:
-            t, a = atom.t.exact, atom.a.exact
-            if t is None or a is None:
-                return None
-            ph = phi(atom)
-            if a != (Fraction(p ** ph) if ph >= 0 else Fraction(1, p ** -ph)):
-                return None
-            txn = split(t, p)
-            if txn is None:
-                return None
-            steps.append((*txn, ph))
-        return cls(p, tuple(steps), law.atoms[0].a.budget, law.thresholds)
+        return replace(grid, steps=tuple((num, floor, s)
+                                         for s, _, num, floor in states))
 
     def start(self, g) -> "tuple | None":
         """(s, u, num, floor) of a start element; None when its scale is
@@ -88,6 +81,183 @@ class GridLaw:
         if u.denominator != 1 or u <= 0 or tt is None:
             return None
         return s, int(u), *tt
+
+    def sum(self, num, floor, n, e):
+        """(num', floor') with num'·p**floor' == num·p**floor + n·p**e."""
+        if not num:
+            return n, e
+        if e < floor:
+            return num * self.prime ** (floor - e) + n, e
+        return num + n * self.prime ** (e - floor), floor
+
+    def key(self, num, floor, depth):
+        """Id of the depth-``depth`` disc below the translation."""
+        return residue(num, floor, depth, self.prime)
+
+    def disc_id(self, key) -> Fraction:
+        """The residue a ``key`` stands for, as ``PAdic.residue`` gives it."""
+        r, e = key
+        return Fraction(r, self.prime ** -e)
+
+    def element(self, state) -> PadicAffine:
+        """The exact group element of a state (s, u, num, floor)."""
+        s, u, num, floor = state
+        p, budget = self.prime, self.budget
+        t = Fraction(num * p ** floor) if floor >= 0 else Fraction(num, p ** -floor)
+        a = Fraction(u * p ** s) if s >= 0 else Fraction(u, p ** -s)
+        return PadicAffine(PAdic.from_fraction(t, p, budget),
+                           PAdic.from_fraction(a, p, budget))
+
+    def point(self, end):
+        """(end, valuation, unit, digits) of a boundary point; exact and
+        zero-to-precision points stay generic, with valuation None."""
+        x = end.value
+        if x.exact is not None or x.is_zero:
+            return end, None, 0, 0
+        # a·x keeps the digits of the shorter operand; a is exact
+        return end, x.valuation, x.unit, min(x.precision, self.budget.working)
+
+    def lands_in(self, state, point, disc) -> bool:
+        """``end_in_disc(act_end(g, end), disc)`` for the grid element g
+        of ``state`` and the ``point`` of an end, on integers.
+
+        The image a·x + t is known modulo p**known, where a·x keeps the
+        digits of x shifted by s and, for t != 0, ``PAdic.__add__`` keeps
+        no more than v(t) + working digits and refuses a nonzero sum with
+        fewer than ``min_acceptable`` significant digits.  Reading the
+        disc below that window raises ``PrecisionExhausted``, as the
+        generic path does.
+        """
+        end, val, unit, prec = point
+        if val is None:
+            return end_in_disc(act_end(self.element(state), end), disc)
+        s, u, num, floor = state
+        p, h, center = self.prime, disc.height, disc.center
+        lead = s + val                         # valuation of a·x
+        known = lead + prec
+        prod = u * unit % p ** prec
+        if not num:                            # t = 0: the image is a·x
+            if lead >= h:
+                return center == 0
+            if known < h:
+                raise _precision_exhausted(known, h)
+            return residue_is(prod, lead, h, center, p)
+        budget = self.budget
+        if floor + budget.working < known:
+            known = min(known, floor + int_valuation(num, p) + budget.working)
+        base = min(lead, floor)
+        y = (prod * p ** (lead - base) + num * p ** (floor - base)) \
+            % p ** (known - base)
+        if not y:                              # zero to precision p**known
+            if known >= h:
+                return center == 0
+            raise PrecisionExhausted(
+                f"zero only known modulo p^{known}, need p^{h}")
+        val = base + int_valuation(y, p)
+        if known - val < budget.min_acceptable:
+            raise PrecisionExhausted(
+                f"{known - val} digits left after cancellation")
+        if val >= h:
+            return center == 0
+        if known < h:
+            raise _precision_exhausted(known, h)
+        return residue_is(y, base, h, center, p)
+
+
+def pack(lamps, width):
+    """(digits, lo) of sorted nonzero lamps: the lamp at position lo + i
+    in the ``width``-bit field i of ``digits``."""
+    lo = lamps[0][0] if lamps else 0
+    return sum(v << width * (p - lo) for p, v in lamps), lo
+
+
+def unpack(digits, lo, width) -> tuple:
+    """The sorted nonzero lamps ((position, value), ...) of ``pack``."""
+    mask = (1 << width) - 1
+    return tuple((lo + i, v) for i in range(-(-digits.bit_length() // width))
+                 if (v := digits >> width * i & mask))
+
+
+def _xor_sum(num, floor, n, e):
+    """``LampGrid.sum`` for q = 2: one bit per lamp, added by XOR."""
+    if not num:
+        return n, e
+    if e < floor:
+        return (num << (floor - e)) ^ n, e
+    return num ^ (n << (e - floor)), floor
+
+
+def _field_sum(q, width):
+    """``_xor_sum`` for q > 2, 2**(width-1) >= q: digits below q add within
+    a field, and adding 2**(width-1) - q sets a field's top bit exactly
+    where its sum is q or more; there q is taken off."""
+    def add(num, floor, n, e):
+        if not num:
+            return n, e
+        if e < floor:
+            num, floor = num << width * (floor - e), e
+        else:
+            n <<= width * (e - floor)
+        t = num + n
+        fields = t.bit_length() // width + 1
+        ones = ((1 << width * fields) - 1) // ((1 << width) - 1)
+        bias, top = ((1 << (width - 1)) - q) * ones, ones << (width - 1)
+        over = ((t + bias) & top) >> (width - 1)
+        return t - over * q, floor
+    return add
+
+
+class LampGrid:
+    """A lamplighter law on the digit grid without carries, atom k being
+    shift ``steps[k][2]`` with lamps ``pack``ed as ``steps[k][:2]``; a
+    state (s, 1, digits, lo) has shift s and lamps ``pack``ed as
+    (digits, lo)."""
+
+    def __init__(self, law):
+        q = self.q = law.degree
+        w = self.width = 1 if q == 2 else (q - 1).bit_length() + 1
+        self.steps = tuple((*pack(a.lamps, w), a.shift) for a in law.atoms)
+        self.thresholds = law.thresholds
+        self.sum = _xor_sum if q == 2 else _field_sum(q, w)
+
+    @classmethod
+    def of(cls, law) -> "LampGrid | None":
+        """The lamp form of ``law``; None when an atom is window-limited."""
+        return None if any(a.known_to is not None for a in law.atoms) \
+            else cls(law)
+
+    def key(self, num, floor, depth):
+        """The lamps at positions <= depth as ``pack`` gives them."""
+        w = self.width
+        m = num & ((1 << w * (depth - floor + 1)) - 1) \
+            if depth >= floor else 0
+        if not m:
+            return 0, 0
+        z = ((m & -m).bit_length() - 1) // w      # empty low fields
+        return m >> w * z, floor + z
+
+    def disc_id(self, key) -> tuple:
+        return unpack(*key, self.width)
+
+    def element(self, state) -> LampAffine:
+        s, _, num, floor = state
+        return LampAffine(self.q, unpack(num, floor, self.width), s)
+
+    def point(self, end):
+        """(end, digits, lo); digits None for an end off the engine."""
+        if not isinstance(end, LampEnd) or end.q != self.q:
+            return end, None, 0
+        return (end, *pack(end.values, self.width))
+
+    def lands_in(self, state, point, disc) -> bool:
+        """``GridLaw.lands_in``: the image knows positions up to
+        end.known_to + s; above that the generic call raises."""
+        s, _, num, floor = state
+        end, digits, lo = point
+        if digits is None or disc.height > end.known_to + s:
+            return end_in_disc(act_end(self.element(state), end), disc)
+        return self.key(*self.sum(num, floor, digits, lo + s), disc.height) \
+            == pack(disc.lamps, self.width)
 
 
 def atom_index(grid: GridLaw, u):
@@ -142,15 +312,6 @@ class Draws:
 # -- integer reads --------------------------------------------------------------
 
 
-def shifted_sum(num, floor, n, e, p):
-    """(num', floor') with num'·p**floor' == num·p**floor + n·p**e."""
-    if not num:
-        return n, e
-    if e < floor:
-        return num * p ** (floor - e) + n, e
-    return num + n * p ** (e - floor), floor
-
-
 def residue(num, floor, h, p):
     """num·p**floor modulo p**h as (r, e): the canonical residue (the
     digits below exponent h) is r·p**e, with e <= 0 and p not dividing r
@@ -172,16 +333,6 @@ def residue_is(num, floor, h, center: Fraction, p) -> bool:
     return center.numerator == r and center.denominator == p ** -e
 
 
-def element(grid: GridLaw, state) -> PadicAffine:
-    """The exact group element of a state (s, u, num, floor)."""
-    s, u, num, floor = state
-    p, budget = grid.prime, grid.budget
-    t = Fraction(num * p ** floor) if floor >= 0 else Fraction(num, p ** -floor)
-    a = Fraction(u * p ** s) if s >= 0 else Fraction(u, p ** -s)
-    return PadicAffine(PAdic.from_fraction(t, p, budget),
-                       PAdic.from_fraction(a, p, budget))
-
-
 def vertex_test(grid: GridLaw, sources, targets):
     """``test(s, u, num, floor)``: whether the element maps each source
     vertex into the disc of its target (``act_vertex(g, src) == tgt``
@@ -192,7 +343,7 @@ def vertex_test(grid: GridLaw, sources, targets):
 
     def test(s, u, num, floor):
         for cn, ce, h, c in pairs:
-            n, e = shifted_sum(num, floor, u * cn, s + ce, p) if cn \
+            n, e = grid.sum(num, floor, u * cn, s + ce) if cn \
                 else (num, floor)
             if not residue_is(n, e, h, c, p):
                 return False
@@ -200,99 +351,35 @@ def vertex_test(grid: GridLaw, sources, targets):
     return test
 
 
-class GridPoint:
-    """A boundary point prepared for ``prefix_in_disc``.  Exact and
-    zero-to-precision points stay on the generic path."""
-
-    __slots__ = ("end", "generic", "val", "unit", "prec")
-
-    def __init__(self, end, grid: GridLaw):
-        x = end.value
-        self.end = end
-        self.generic = x.exact is not None or x.is_zero
-        if not self.generic:
-            # a·x keeps the digits of the shorter operand; a is exact
-            self.val, self.unit = x.valuation, x.unit
-            self.prec = min(x.precision, grid.budget.working)
-
-
 def _precision_exhausted(known, h):
     return PrecisionExhausted(f"value known modulo p^{known}, need p^{h}")
-
-
-def prefix_in_disc(grid: GridLaw, state, point: GridPoint, disc) -> bool:
-    """``end_in_disc(act_end(g, point.end), disc)`` for the grid element
-    g of ``state``, on integers.
-
-    The image a·x + t is known modulo p**known, where a·x keeps the
-    digits of x shifted by s and, for t != 0, ``PAdic.__add__`` keeps no
-    more than v(t) + working digits and refuses a nonzero sum with fewer
-    than ``min_acceptable`` significant digits.  Reading the disc below
-    that window raises ``PrecisionExhausted``, as the generic path does.
-    """
-    if point.generic:
-        return end_in_disc(act_end(element(grid, state), point.end), disc)
-    s, u, num, floor = state
-    p, h, center = grid.prime, disc.height, disc.center
-    lead = s + point.val                   # valuation of a·x
-    known = lead + point.prec
-    prod = u * point.unit % p ** point.prec
-    if not num:                            # t = 0: the image is a·x
-        if lead >= h:
-            return center == 0
-        if known < h:
-            raise _precision_exhausted(known, h)
-        return residue_is(prod, lead, h, center, p)
-    budget = grid.budget
-    if floor + budget.working < known:
-        known = min(known, floor + int_valuation(num, p) + budget.working)
-    base = min(lead, floor)
-    y = (prod * p ** (lead - base) + num * p ** (floor - base)) \
-        % p ** (known - base)
-    if not y:                              # zero to precision p**known
-        if known >= h:
-            return center == 0
-        raise PrecisionExhausted(
-            f"zero only known modulo p^{known}, need p^{h}")
-    val = base + int_valuation(y, p)
-    if known - val < budget.min_acceptable:
-        raise PrecisionExhausted(
-            f"{known - val} digits left after cancellation")
-    if val >= h:
-        return center == 0
-    if known < h:
-        raise _precision_exhausted(known, h)
-    return residue_is(y, base, h, center, p)
 
 
 # -- walks -----------------------------------------------------------------------
 
 
 class GridWalk:
-    """A walk's element (num·p**floor, u·p**s) on a grid law.
+    """A walk's state (s, u, num, floor) on a law's engine form.
 
     ``right()`` and ``left()`` multiply by the next drawn atom on that
     side and return the new height; ``walk.py`` runs its loops on this
     class and on a generic twin with the same methods.
     """
 
-    __slots__ = ("grid", "next", "p", "steps", "s", "u", "num", "floor")
+    __slots__ = ("grid", "next", "sum", "steps", "s", "u", "num", "floor")
 
     def __init__(self, draws: Draws, state=IDENTITY):
         grid = draws.grid
-        self.grid, self.next, self.p, self.steps = \
-            grid, draws.next, grid.prime, grid.steps
+        self.grid, self.next, self.sum, self.steps = \
+            grid, draws.next, grid.sum, grid.steps
         self.s, self.u, self.num, self.floor = state
-
-    def _add(self, n, e):
-        """t += n·p**e"""
-        self.num, self.floor = shifted_sum(self.num, self.floor, n, e, self.p)
 
     def right(self) -> int:
         """g -> g·x for a drawn atom x."""
         txn, txe, ph = self.steps[self.next()]
         if txn:
-            self._add(self.u * txn, self.s + txe)
+            self.num, self.floor = self.sum(self.num, self.floor,
+                                            self.u * txn, self.s + txe)
         self.s += ph
         return self.s
 
@@ -302,37 +389,37 @@ class GridWalk:
         self.s += ph
         self.floor += ph
         if txn:
-            self._add(txn, txe)
+            self.num, self.floor = self.sum(self.num, self.floor, txn, txe)
         return self.s
 
     def right_by(self, other: "GridWalk") -> int:
         """g -> g·h for the element h another walk has reached."""
         if other.num:
-            self._add(self.u * other.num, self.s + other.floor)
+            self.num, self.floor = self.sum(
+                self.num, self.floor, self.u * other.num, self.s + other.floor)
         self.u *= other.u
         self.s += other.s
         return self.s
 
     def key(self, depth):
         """Id of the depth-``depth`` disc below the element's position."""
-        return residue(self.num, self.floor, depth, self.p)
+        return self.grid.key(self.num, self.floor, depth)
 
-    def disc_id(self, key) -> Fraction:
-        """The residue a ``key`` stands for, as ``PAdic.residue`` gives it."""
-        r, e = key
-        return Fraction(r, self.p ** -e)
+    def disc_id(self, key):
+        """The disc id a ``key`` stands for, as the generic walk gives it."""
+        return self.grid.disc_id(key)
 
     def snapshot(self):
         return self.s, self.u, self.num, self.floor
 
-    def element(self) -> PadicAffine:
-        return element(self.grid, self.snapshot())
+    def element(self):
+        return self.grid.element(self.snapshot())
 
-    def element_of(self, state) -> PadicAffine:
-        return element(self.grid, state)
+    def element_of(self, state):
+        return self.grid.element(state)
 
-    def point(self, end) -> GridPoint:
-        return GridPoint(end, self.grid)
+    def point(self, end):
+        return self.grid.point(end)
 
-    def lands_in(self, state, point: GridPoint, disc) -> bool:
-        return prefix_in_disc(self.grid, state, point, disc)
+    def lands_in(self, state, point, disc) -> bool:
+        return self.grid.lands_in(state, point, disc)

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySupport, WeightsNotNormalized
+from .grid import GridLaw, LampGrid
 from .group import (
     PadicAffine,
     decompose,
@@ -91,6 +92,11 @@ class StepLaw:
     def _inverse(self) -> "StepLaw":
         return StepLaw(tuple(invert(a) for a in self.atoms), self.weights)
 
+    @functools.cached_property
+    def grid(self) -> "GridLaw | LampGrid | None":
+        """The law's form on the integer walk engine; None if off it."""
+        return GridLaw.of(self) if self.is_padic else LampGrid.of(self)
+
     def validate(self, *, allow_non_surjective=False):
         return validate_non_exceptional(
             self.atoms, allow_non_surjective=allow_non_surjective)
@@ -123,12 +129,19 @@ class StepLaw:
         """Cumulative heights S_1..S_horizon for n_traj trajectories."""
         return np.cumsum(self.phi_steps(rng.random((n_traj, horizon))), 1)
 
+    def phi_step_chunks(self, rng, n_traj: int, horizon: int):
+        """(rows, ``phi_steps(rng.random((n_traj, horizon)))[rows]``) by
+        row chunks of about 2**20 steps, which read the same uniforms."""
+        step = max(1, 2 ** 20 // horizon)          # rows per chunk
+        for a in range(0, n_traj, step):
+            rows = slice(a, min(a + step, n_traj))
+            yield rows, self.phi_steps(rng.random((rows.stop - a, horizon)))
+
     def final_phis(self, rng, n_traj: int, horizon: int) -> np.ndarray:
         """S_horizon of ``sample_phi_paths``, by chunks of rows."""
         out = np.zeros(n_traj, dtype=np.int64)
-        step = max(1, 2 ** 20 // horizon)          # rows per chunk
-        for rows in np.split(out, range(step, n_traj, step)):
-            rows[:] = self.phi_steps(rng.random((rows.size, horizon))).sum(1)
+        for rows, steps in self.phi_step_chunks(rng, n_traj, horizon):
+            out[rows] = steps.sum(1)
         return out
 
     def moment_report(self, eps=1) -> dict:

@@ -13,9 +13,9 @@ draws the atom indices of many keyed streams at once (``rng.stream_rows``)
 and sums them into heights, the stop rule is a first-index search per
 trajectory, and the translation is read, in exact integers, only at the
 steps where the walk is at the event's level.  The excursion
-functionals read moved boundary points through the engine's
-prefix-in-disc test.  Other laws (the lamplighter, inexact or off-grid
-atoms) use generic group arithmetic, one step at a time.
+functionals of p-adic and lamp laws read moved boundary points through
+the engine's ``lands_in`` test.  The lamplighter kernel and laws off the
+engine use generic group arithmetic, one step at a time.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .group import (
     phi,
     power,
 )
-from .grid import GridLaw, atom_index, vertex_test
+from .grid import atom_index, vertex_test
 from .padic import PAdic
 from .rng import stream, stream_rows
 from .walk import ladder_boundary_limit, ladder_excursions, ladder_heights, \
@@ -154,7 +154,7 @@ def _kernel_walk(g, f: CylinderEvent, law):
     """(grid law, start state, membership test, highest target height)
     of the integer kernel walk, or None when the law or the start element
     is off the grid."""
-    grid = GridLaw.of(law)
+    grid = law.grid if law.is_padic else None    # the batch is p-adic
     start = grid and grid.start(g)
     if not start:
         return None
@@ -787,7 +787,7 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40, residual=1e-12,
     if not law.is_padic:
         raise OracleUnsupported("the truncated-chain oracle is p-adic only")
     p = law.degree
-    grid = GridLaw.of(law)
+    grid = law.grid
     if grid is None:
         raise OracleUnsupported(
             "atoms are off the digit grid: need exact scales p**k and "

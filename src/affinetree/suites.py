@@ -249,13 +249,14 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
         span = max(horizon, 300000)
         r = stream(seed, "regime.centered")
         sums = np.int32 if 20000 * max(map(abs, law.phis)) < 2**31 else np.int64
-        carry = mx = mn = np.zeros(trajectories, dtype=np.int64)
+        carry, mx, mn = np.zeros((3, trajectories), dtype=np.int64)
         for done in range(0, span, 20000):
-            u = r.random((trajectories, min(20000, span - done)))
-            seg = np.cumsum(law.phi_steps(u), axis=1, dtype=sums)
-            mx = np.maximum(mx, seg.max(axis=1) + carry)
-            mn = np.minimum(mn, seg.min(axis=1) + carry)
-            carry = carry + seg[:, -1]
+            for rows, steps in law.phi_step_chunks(
+                    r, trajectories, min(20000, span - done)):
+                seg = np.cumsum(steps, axis=1, dtype=sums)
+                mx[rows] = np.maximum(mx[rows], seg.max(axis=1) + carry[rows])
+                mn[rows] = np.minimum(mn[rows], seg.min(axis=1) + carry[rows])
+                carry[rows] += seg[:, -1]
         frac = float(((mx > 10) & (mn < -10)).mean())
         claims.append(_claim(
             "regime.centered",

@@ -7,13 +7,13 @@ converge to a boundary point when the height drift is positive, and the
 sampler certifies a disc of requested depth around the limit.
 
 Each element-tracking loop is written once, against a walk object.  For
-laws on the p-adic digit grid that object is ``grid.GridWalk`` (integer
-state, atom indices drawn in blocks); for any other law it is a generic
-twin on ``group.compose``.  Both give the same elements, disc ids and
-ends from the same uniforms and leave the generator in the same state.
-``run_product`` stays on generic arithmetic: it hands every running
-product to its visitor and is the reference the engine is tested
-against.
+p-adic and lamp laws with an engine form (``StepLaw.grid``) that object
+is ``grid.GridWalk`` (integer state, atom indices drawn in blocks); for
+any other law it is a generic twin on ``group.compose``.  Both give the
+same elements, disc ids and ends from the same uniforms and leave the
+generator in the same state.  ``run_product`` stays on generic
+arithmetic: it hands every running product to its visitor and is the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import Draws, GridLaw, GridWalk
+from .grid import Draws, GridWalk
 from .group import PadicAffine, act_end, compose, identity_like, phi
 from .rng import position, seek, uniforms_at
 from .tree import LampEnd, PadicEnd, end_in_disc
@@ -107,8 +107,8 @@ class _GenericWalk:
 @contextmanager
 def _walks(law, rng):
     """Factory of walks from the identity, all drawing from ``rng``: on
-    the grid engine when the law is on the digit grid, else generic."""
-    grid = GridLaw.of(law)
+    the integer engine when the law has a grid form, else generic."""
+    grid = law.grid
     if grid is None:
         yield lambda: _GenericWalk(law, rng)
         return

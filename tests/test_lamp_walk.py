@@ -1,0 +1,172 @@
+"""The lamp engine (``grid.LampGrid``) against the generic twin.
+
+Each reference runs the same function on a copy of the law with its
+engine form switched off, so it walks on ``group.compose``, one
+``law.sample_step`` per step: the engine must give the same elements,
+disc ids, reads and errors, and leave the generator in the same state.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from affinetree.errors import AffineTreeError, StepBudgetExceeded
+from affinetree.grid import Draws, GridWalk, LampGrid
+from affinetree.group import LampAffine, act_end, compose, identity_lamp, phi
+from affinetree.law import StepLaw
+from affinetree.rng import stream
+from affinetree.tree import OMEGA, LampEnd, LampVertex, end_in_disc
+from affinetree.walk import (
+    _prefix_key,
+    _walks,
+    disc_key,
+    ladder_boundary_limit,
+    ladder_excursion,
+    ladder_excursions,
+    sample_boundary_limit,
+)
+
+
+def _state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+def _generic_twin(law):
+    """The same law with its engine form switched off."""
+    twin = StepLaw(law.atoms, law.weights)
+    twin.__dict__["grid"] = None
+    return twin
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (AffineTreeError, TypeError) as exc:
+        return type(exc).__name__
+
+
+def _lamps(draw, q, lo, hi, size):
+    return tuple(draw(st.dictionaries(st.integers(lo, hi),
+                                      st.integers(1, q - 1),
+                                      max_size=size)).items())
+
+
+@st.composite
+def lamp_laws(draw, min_drift=None):
+    """Lamp laws with q in {2, 3, 4, 5}, shifts in [-2, 2] and random
+    atom lamps."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(2, 3))
+    atoms = tuple(LampAffine(q, _lamps(draw, q, -3, 3, 3),
+                             draw(st.integers(-2, 2))) for _ in range(n))
+    ws = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
+    if min_drift is not None:
+        assume(law.drift() >= min_drift)
+    assert law.grid is not None
+    return law
+
+
+def _end(draw, q):
+    return LampEnd(q, draw(st.integers(-2, 12)), _lamps(draw, q, -6, 12, 5))
+
+
+def _disc(draw, q, image):
+    """A disc near the image's window, at times the image's own disc."""
+    known = image.known_to if isinstance(image, LampEnd) else 8
+    h = known + draw(st.integers(-6, 2))
+    if isinstance(image, LampEnd) and h <= known and draw(st.booleans()):
+        return LampVertex(q, h, disc_key(image, h))
+    return LampVertex(q, h, _lamps(draw, q, h - 6, h, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lamp_laws(), st.data())
+def test_lamp_steps_match_compose(law, data):
+    q = law.degree
+    seed = data.draw(st.integers(0, 2 ** 32))
+    moves = data.draw(st.lists(st.sampled_from("lrx"), max_size=20))
+    g, r = identity_lamp(q), stream(seed, 0)
+    with Draws(law.grid, stream(seed, 0)) as draws:
+        w = GridWalk(draws)
+        for move in moves:
+            if move == "r":
+                w.right()
+                g = compose(g, law.sample_step(r))
+            elif move == "l":
+                w.left()
+                g = compose(law.sample_step(r), g)
+            else:        # right by x2·x1 drawn by another walk
+                other = GridWalk(draws)
+                other.left()
+                other.left()
+                w.right_by(other)
+                x1 = law.sample_step(r)
+                g = compose(g, compose(law.sample_step(r), x1))
+            assert w.s == phi(g) and w.element() == g
+            depth = data.draw(st.integers(-6, 8))
+            assert w.disc_id(w.key(depth)) == _prefix_key(g, depth)
+            end = OMEGA if data.draw(st.integers(0, 20)) == 0 \
+                else _end(data.draw, q)
+            image = _outcome(lambda: act_end(g, end))
+            disc = _disc(data.draw, q, image)
+            assert _outcome(lambda: w.lands_in(w.snapshot(), w.point(end),
+                                               disc)) == \
+                _outcome(lambda: end_in_disc(act_end(g, end), disc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lamp_laws(min_drift=Fraction(1, 4)), st.integers(0, 2 ** 32),
+       st.integers(1, 5), st.booleans())
+def test_lamp_boundary_limit_matches_generic(law, seed, depth, ladder):
+    twin = _generic_twin(law)
+    fn = ladder_boundary_limit if ladder else sample_boundary_limit
+    fast, ref = stream(seed, 0), stream(seed, 0)
+    assert fn(law, fast, depth=depth) == fn(twin, ref, depth=depth)
+    assert _state(fast) == _state(ref)
+    fast, ref = stream(seed, 1), stream(seed, 1)
+    for w in ((law, fast), (twin, ref)):
+        with pytest.raises(StepBudgetExceeded):
+            fn(*w, depth=depth, max_steps=5)
+    assert _state(fast) == _state(ref)
+    assert fast.random() == ref.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lamp_laws(min_drift=Fraction(1, 4)), st.integers(0, 2 ** 32),
+       st.data())
+def test_lamp_ladder_excursions_match_generic(law, seed, data):
+    q, twin = law.degree, _generic_twin(law)
+    fast, ref = stream(seed, 0), stream(seed, 0)
+    for _ in range(3):
+        assert ladder_excursion(law, fast, track_prefix=True) == \
+            ladder_excursion(twin, ref, track_prefix=True)
+    assert _state(fast) == _state(ref)
+    end = _end(data.draw, q)
+    discs = [_disc(data.draw, q, end) for _ in range(4)]
+    fast, ref = stream(seed, 1), stream(seed, 1)
+    for got, want in zip(ladder_excursions(law, fast, 4, end),
+                         ladder_excursions(twin, ref, 4, end)):
+        assert got[:3] == want[:3]
+        for k in range(len(got[2])):
+            for disc in discs:
+                assert _outcome(lambda: got[3](k, disc)) == \
+                    _outcome(lambda: want[3](k, disc))
+    assert _state(fast) == _state(ref)
+    assert fast.random() == ref.random()
+
+
+@pytest.mark.parametrize("known_to", [0, 5])
+def test_window_limited_atoms_stay_generic(known_to):
+    atoms = (LampAffine(3, (), 1), LampAffine(3, ((0, 2),), -1, known_to))
+    law = StepLaw(atoms, (Fraction(3, 4), Fraction(1, 4)))
+    assert law.grid is None and LampGrid.of(law) is None
+    with _walks(law, stream(1, 0)) as new_walk:
+        assert not isinstance(new_walk(), GridWalk)
+    bl = sample_boundary_limit(law, stream(2, 0), depth=2)
+    assert bl == sample_boundary_limit(_generic_twin(law), stream(2, 0),
+                                       depth=2)

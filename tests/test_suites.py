@@ -85,6 +85,20 @@ def test_regime_descend_memory_is_bounded():
     assert peak < 32 * 2 ** 20
 
 
+def test_regime_centered_memory_is_bounded():
+    cfg = load_config(CONFIGS / "centered.ini")
+    tracemalloc.start()
+    try:
+        claim = suites.regime_claims(cfg, trajectories=200, horizon=10000,
+                                     seed=3)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert claim["claim"] == "regime.centered" and claim["verdict"] == "pass"
+    # whole 20 000-step blocks of 200 paths took about 80 MB here
+    assert peak < 24 * 2 ** 20
+
+
 def test_regime_boundary_counts_budget_exhaustion(monkeypatch):
     cfg = load_config(CONFIGS / "drift_pos.ini")
 

@@ -18,10 +18,7 @@ from affinetree.grid import (
     BLOCK,
     Draws,
     GridLaw,
-    GridPoint,
     GridWalk,
-    element,
-    prefix_in_disc,
     vertex_test,
 )
 from affinetree.group import PadicAffine, act_end, act_vertex, compose, \
@@ -355,7 +352,7 @@ def test_grid_steps_match_compose(law, data):
     g = PadicAffine(PAdic.from_fraction(t0, p),
                     PAdic.from_fraction(u * _p_power(p, s0), p))
     g0, state = g, grid.start(g)
-    assert state is not None and element(grid, state) == g
+    assert state is not None and grid.element(state) == g
     seed = data.draw(st.integers(0, 2 ** 32))
     moves = data.draw(st.lists(st.sampled_from("lrx"), max_size=25))
     r = stream(seed, 0)
@@ -405,7 +402,7 @@ def test_prefix_in_disc_matches_act_end(data):
     state = (data.draw(st.integers(-4, 4)),
              data.draw(st.integers(1, 30).filter(lambda v: v % p)),
              data.draw(st.integers(-300, 300)), data.draw(st.integers(-4, 4)))
-    g = element(grid, state)
+    g = grid.element(state)
     kind = data.draw(st.sampled_from(["digits", "cancel", "exact", "zero"]))
     x = Fraction(data.draw(st.integers(-500, 500).filter(bool)),
                  p ** data.draw(st.integers(0, 3)))
@@ -447,7 +444,7 @@ def test_prefix_in_disc_matches_act_end(data):
         except PrecisionExhausted:
             pass
     disc = PadicVertex(p, h, center)
-    point = GridPoint(end, grid)
-    assert point.generic == (value.exact is not None or value.is_zero)
-    assert _outcome(lambda: prefix_in_disc(grid, state, point, disc)) == \
+    point = grid.point(end)
+    assert (point[1] is None) == (value.exact is not None or value.is_zero)
+    assert _outcome(lambda: grid.lands_in(state, point, disc)) == \
         _outcome(lambda: end_in_disc(act_end(g, end), disc))
