@@ -1,5 +1,6 @@
 """Potential kernel estimators, invariant measures, renewal checks."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,120 @@ def test_oracle_rejects_off_grid_laws():
     lamp = StepLaw((LampAffine(2, (), 1),), (Fraction(1),))
     with pytest.raises(OracleUnsupported):
         kernel_oracle(lamp, [HOME])
+
+
+@pytest.mark.parametrize("target", [PadicVertex(2, -9, 0),
+                                    PadicVertex(2, 41, 0),
+                                    PadicVertex(2, 0, Fraction(1, 2 ** 9))],
+                         ids=["below", "above", "center-below-grid"])
+def test_oracle_rejects_targets_off_the_window(target):
+    # a target outside the truncated chain would read 0 visits
+    with pytest.raises(OracleUnsupported):
+        kernel_oracle(LAW_POS, [HOME, CylinderEvent((O,), (target,))])
+
+
+def _exact_chain(law, cylinders, s_min, s_max):
+    """Visits, killed and escaped mass of the truncated chain by an exact
+    ``Fraction`` solve of the Green function over its reachable (height,
+    translation mod p**c_max) states, stepping with the atoms' exact
+    translations and heights."""
+    p = law.degree
+    c_max = max(1, *(c.targets[0].height for c in cylinders))
+    mod, unit = Fraction(p) ** c_max, Fraction(p) ** s_min
+    start = (0, Fraction(0))
+    index, states, moves = {start: 0}, [start], []
+    killed, escaped = [], []
+    for s, t in states:              # grows while it is walked
+        out, kill, esc = [], Fraction(0), Fraction(0)
+        for atom, w in zip(law.atoms, law.weights):
+            t2, s2 = t + Fraction(p) ** s * atom.t.exact, s + phi(atom)
+            if (t2 / unit).denominator != 1 or s2 < s_min:
+                kill += w
+            elif s2 > s_max:
+                esc += w
+            else:
+                key = (s2, t2 % mod)
+                if key not in index:
+                    index[key] = len(states)
+                    states.append(key)
+                out.append((index[key], w))
+        moves.append(out)
+        killed.append(kill)
+        escaped.append(esc)
+    n = len(states)
+    # (I - T^T) g = e_start, with the right-hand side as column n
+    rows = [{i: Fraction(1)} for i in range(n)]
+    rows[0][n] = Fraction(1)
+    for i, out in enumerate(moves):
+        for j, w in out:
+            rows[j][i] = rows[j].get(i, 0) - w
+    for i in range(n):
+        piv = next(r for r in range(i, n) if rows[r].get(i))
+        rows[i], rows[piv] = rows[piv], rows[i]
+        inv = 1 / rows[i][i]
+        pivot = {c: v * inv for c, v in rows[i].items()}
+        rows[i] = pivot
+        for r in range(n):
+            f = rows[r].get(i) if r != i else None
+            if f:
+                for c, v in pivot.items():
+                    rows[r][c] = rows[r].get(c, 0) - f * v
+    g = [row.get(n, Fraction(0)) for row in rows]
+    visits = {}
+    for cyl in cylinders:
+        y = cyl.targets[0]
+        visits[cyl.render()] = sum(
+            (g[i] for i, (s, t) in enumerate(states)
+             if s == y.height and ((t - y.center) / Fraction(p) ** s)
+             .denominator == 1), Fraction(0))
+    return (visits, sum(map(operator.mul, g, killed)),
+            sum(map(operator.mul, g, escaped)))
+
+
+def _shallow_cylinders(p, s_min):
+    o = origin_padic(p)
+    return [CylinderEvent((o,), (PadicVertex(p, h, Fraction(k, p ** -s_min)),))
+            for h in range(s_min, 2)
+            for k in range(0, p ** (h - s_min), p ** max(0, h - s_min - 3))]
+
+
+@pytest.mark.parametrize("law, s_min, s_max", [
+    # drift_pos with a negative translation
+    (StepLaw((aff(0, 2), aff(-1, Fraction(1, 2))),
+             (Fraction(3, 4), Fraction(1, 4))), -3, 3),
+    # the first atom climbs from the window's floor with a digit below
+    # the grid
+    (StepLaw((aff(Fraction(-1, 2), 2), aff(1, Fraction(1, 2))),
+             (Fraction(3, 4), Fraction(1, 4))), -2, 4),
+    # centered, with a translation at height 0
+    (StepLaw((aff(0, 2), aff(0, Fraction(1, 2)), aff(3, 1)),
+             (Fraction(3, 8), Fraction(3, 8), Fraction(1, 4))), -2, 3),
+    # p = 3: an odd number of grid residues
+    (StepLaw((aff(0, 3, 3), aff(2, Fraction(1, 3), 3)),
+             (Fraction(2, 3), Fraction(1, 3))), -1, 3),
+], ids=["negative-t", "digits-below-grid", "centered", "p3"])
+def test_oracle_matches_exact_chain(law, s_min, s_max):
+    cylinders = _shallow_cylinders(law.degree, s_min)
+    out = kernel_oracle(law, cylinders, s_min=s_min, s_max=s_max)
+    visits, killed, escaped = _exact_chain(law, cylinders, s_min, s_max)
+    assert killed > 0 and escaped > 0
+    for name, want in visits.items():
+        assert abs(out["visits"][name] - want) < 1e-12, name
+    assert abs(out["bias"] - killed) < 1e-12
+    assert abs(out["escaped_mass"] - escaped) < 1e-12
+
+
+def test_kernel_matches_oracle_with_negative_translation():
+    law = StepLaw((aff(0, 2), aff(-1, Fraction(1, 2))),
+                  (Fraction(3, 4), Fraction(1, 4)))
+    cylinders = _shallow_cylinders(2, -2)
+    oracle = kernel_oracle(law, cylinders)
+    ident = identity_like(law.atoms[0])
+    for i, cyl in enumerate(cylinders):
+        est = potential_kernel(ident, cyl, law, (5, i), 3000)
+        want = oracle["visits"][cyl.render()]
+        assert abs(est.value - want) <= 4 * est.stderr + est.tail_bound \
+            + oracle["bias"], cyl.render()
 
 
 def test_wald_identity_small_run():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from affinetree import rng
 from affinetree.config import load_config
-from affinetree import suites
 from affinetree.rng import position, seek, stream, stream_rows, \
     uniforms_at
 from affinetree.suites import (
@@ -181,10 +180,6 @@ def test_no_key_built_twice_in_all_suites(path, monkeypatch):
     # (oracle cylinders and limit.boundary on drift_neg).
     cfg = load_config(path)
     keys = record_keys(monkeypatch)
-    # the exact oracle draws no randomness, and its solve on the centered
-    # config alone takes about 25 s
-    monkeypatch.setattr(suites, "kernel_oracle", lambda law, cylinders: {
-        "visits": {c.render(): 0.0 for c in cylinders}, "bias": 0.0})
     claims = (algebra_claims(cfg, cases=20)
               + padic_isometry_claims(cfg, pairs=20)
               + regime_claims(cfg, trajectories=20, horizon=200,

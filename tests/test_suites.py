@@ -1,5 +1,6 @@
 """Regime claims: estimates from threshold counts equal those from atom
-indices, memory stays bounded, and step-budget exhaustion is reported."""
+indices, memory stays bounded, and step-budget exhaustion is reported.
+The exact oracle's values on the shipped configs are pinned."""
 
 import tracemalloc
 from fractions import Fraction
@@ -115,3 +116,28 @@ def test_regime_boundary_counts_budget_exhaustion(monkeypatch):
     assert claim["claim"] == "regime.boundary" and len(calls) == 30
     assert claim["details"] == {"samples": 30, "budget_exhausted": 10}
     assert claim["estimate"] <= 20 / 30 and claim["verdict"] == "fail"
+
+
+# visits of three shallow cylinders, killed and escaped mass, as a power
+# iteration of the truncated chain gave them before the direct solve
+ORACLE_VALUES = {
+    "drift_pos": ((1.8147963595218777, 0.042561494782530844,
+                   0.20164289696879628), 5.080526342529088e-05,
+                  0.9999491947357874),
+    "drift_neg": ((1.4443900183284109, 0.042561631138084775,
+                   1.4443841328209983), 1.0, 0.0),
+    "centered": ((6.209044618936746, 1.171590489345089,
+                  5.904756629076967), 0.82, 0.18),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_VALUES))
+def test_oracle_values_are_pinned(name):
+    cfg = load_config(CONFIGS / f"{name}.ini")
+    out = suites.kernel_oracle(cfg.law, suites._oracle_cylinders(cfg))
+    visits, killed, escaped = ORACLE_VALUES[name]
+    for cyl, want in zip(("V(o->p:0:0)", "V(o->p:1:1@-1)", "V(o->p:-2:0)"),
+                         visits):
+        assert abs(out["visits"][cyl] - want) < 1e-10, cyl
+    assert abs(out["bias"] - killed) < 1e-10
+    assert abs(out["escaped_mass"] - escaped) < 1e-10
