@@ -42,6 +42,7 @@ from .group import (
 )
 from .law import StepLaw
 from .walk import (
+    boundary_limits,
     ladder_excursion,
     ladder_heights,
     regime_summary,

@@ -55,6 +55,8 @@ class GridLaw:
     budget: PrecisionBudget
     thresholds: np.ndarray
 
+    key_reach = 0    # ``key(.., depth)`` reads terms at exponents < depth
+
     @classmethod
     def of(cls, law) -> "GridLaw | None":
         """The grid form of a p-adic ``law``; None when it is off the grid."""
@@ -213,6 +215,8 @@ class LampGrid:
     state (s, 1, digits, lo) has shift s and lamps ``pack``ed as
     (digits, lo)."""
 
+    key_reach = 1    # ``key(.., depth)`` reads terms at exponents <= depth
+
     def __init__(self, law):
         q = self.q = law.degree
         w = self.width = 1 if q == 2 else (q - 1).bit_length() + 1
@@ -361,9 +365,11 @@ def _precision_exhausted(known, h):
 class GridWalk:
     """A walk's state (s, u, num, floor) on a law's engine form.
 
-    ``right()`` and ``left()`` multiply by the next drawn atom on that
-    side and return the new height; ``walk.py`` runs its loops on this
-    class and on a generic twin with the same methods.
+    ``left()`` multiplies by the next drawn atom on the left and
+    ``right_by`` by another walk's element on the right; each returns the
+    new height.  ``walk.py`` runs its ladder loops on this class and on a
+    generic twin with the same methods; right walks of atoms run as a
+    batch (``walk.boundary_limits``).
     """
 
     __slots__ = ("grid", "next", "sum", "steps", "s", "u", "num", "floor")
@@ -373,15 +379,6 @@ class GridWalk:
         self.grid, self.next, self.sum, self.steps = \
             grid, draws.next, grid.sum, grid.steps
         self.s, self.u, self.num, self.floor = state
-
-    def right(self) -> int:
-        """g -> g·x for a drawn atom x."""
-        txn, txe, ph = self.steps[self.next()]
-        if txn:
-            self.num, self.floor = self.sum(self.num, self.floor,
-                                            self.u * txn, self.s + txe)
-        self.s += ph
-        return self.s
 
     def left(self) -> int:
         """g -> x·g for a drawn atom x."""

@@ -12,9 +12,11 @@ The potential kernel walks all its trajectories as one batch: numpy
 draws the atom indices of many keyed streams at once (``rng.stream_rows``)
 and sums them into heights, the stop rule is a first-index search per
 trajectory, and the translation is read, in exact integers, only at the
-steps where the walk is at the event's level.  The excursion
-functionals of p-adic and lamp laws read moved boundary points through
-the engine's ``lands_in`` test.  The lamplighter kernel and laws off the
+steps where the walk is at the event's level.  The limit-measure
+estimator walks its certified boundary limits as one batch as well
+(``walk.limit_rows``) and reads its hits from the ends' integer digits.
+The excursion functionals of p-adic and lamp laws read moved boundary
+points through the engine's ``lands_in`` test.  The lamplighter kernel and laws off the
 engine use generic group arithmetic, one step at a time.
 """
 
@@ -24,7 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .errors import (
     OracleUnsupported,
     PrecisionExhausted,
     RealizationMismatch,
+    StepBudgetExceeded,
 )
 from .group import (
     LampAffine,
@@ -46,11 +49,11 @@ from .group import (
     phi,
     power,
 )
-from .grid import atom_index, vertex_test
+from .grid import LampGrid, atom_index, pack, residue_is, vertex_test
 from .padic import PAdic
-from .rng import stream, stream_rows
-from .walk import ladder_boundary_limit, ladder_excursions, ladder_heights, \
-    sample_boundary_limit
+from .rng import stream, stream_rows, streams_at
+from .walk import DEFAULT_STEP_BUDGET, ladder_boundary_limit, \
+    ladder_excursions, ladder_heights, limit_rows, sample_boundary_limit
 
 # -- events -------------------------------------------------------------------
 
@@ -547,6 +550,22 @@ def _uniform_unit(rng, p: int, digits: int) -> int:
     return u - u % p + d0
 
 
+def _mbar_element(law, end, unit):
+    """The element of ``sample_mbar`` for a boundary limit's end and, on
+    p-adic laws, its rotation unit."""
+    if law.is_padic:
+        budget = law.atoms[0].a.budget
+        return PadicAffine(end.value, PAdic.from_int(unit, law.degree, budget))
+    return LampAffine(law.degree, end.values, 0, known_to=end.known_to)
+
+
+def _draw_unit(law, rng):
+    """The rotation unit ``sample_mbar`` draws: p-adic laws only."""
+    if law.is_padic:
+        return _uniform_unit(rng, law.degree, law.atoms[0].a.budget.working)
+    return None
+
+
 def sample_mbar(law, rng, *, depth=4) -> BoundaryMeasureSample:
     """One draw from the rotation-averaged extension of the inverted-walk
     harmonic measure to the horocyclic group, for a negative-drift law.
@@ -558,19 +577,72 @@ def sample_mbar(law, rng, *, depth=4) -> BoundaryMeasureSample:
     mu = law.drift()
     if mu >= 0:
         raise NonNegativeDrift("the inverted walk must have positive drift")
-    hat = law.inverse()
-    bl = sample_boundary_limit(hat, rng, depth=depth)
-    mass = -1 / mu
-    if law.is_padic:
-        p = law.degree
-        budget = law.atoms[0].a.budget
-        r_unit = _uniform_unit(rng, p, budget.working)
-        xi = bl.end.value
-        elem = PadicAffine(xi, PAdic.from_int(r_unit, p, budget))
-        return BoundaryMeasureSample(elem, mass)
-    end = bl.end
-    elem = LampAffine(law.degree, end.values, 0, known_to=end.known_to)
-    return BoundaryMeasureSample(elem, mass)
+    bl = sample_boundary_limit(law.inverse(), rng, depth=depth)
+    return BoundaryMeasureSample(
+        _mbar_element(law, bl.end, _draw_unit(law, rng)), -1 / mu)
+
+
+def _mbar_rows(law, seed, samples, depth):
+    """The draws of ``sample_mbar(law, stream(seed, "limit", i), depth)``
+    for i < samples, for a law whose inverse is on the engine: per sample
+    (row, unit, gen, limit).  ``row`` is the inverted walk's (steps, top,
+    key, translation) of ``walk.limit_rows`` and ``limit(i, row)`` its
+    ``BoundaryLimit``; ``gen`` is stream i where the unit draw left it, and
+    is reused for the next sample."""
+    if law.drift() >= 0:
+        raise NonNegativeDrift("the inverted walk must have positive drift")
+    chunks, limit = limit_rows(law.inverse(), samples, seed, "limit",
+                               depth=depth)
+    i = 0
+    for rows in chunks:
+        if None in rows:
+            raise StepBudgetExceeded(
+                f"no certified depth-{depth} disc within "
+                f"{DEFAULT_STEP_BUDGET} steps")
+        gens = streams_at(range(i, i + len(rows)), [r[0] for r in rows],
+                          seed, "limit") if law.is_padic else repeat(None)
+        for row, gen in zip(rows, gens):
+            yield row, _draw_unit(law, gen), gen, limit
+        i += len(rows)
+
+
+def _hit_on_integers(f: CylinderEvent, grid, window):
+    """``test(translation, unit)``: whether s**level·x^{-1} lies in ``f``
+    for the ``sample_mbar`` element x whose end, known to ``window``
+    digits, has that translation (num, floor) and whose rotation unit is
+    ``unit``; None where the end's digits do not decide it on integers.
+
+    Each source vertex must lie at most ``window`` levels up, and, on
+    p-adic laws, be centered at 0: then the image of a source (h, 0) is
+    -p**level·x/unit modulo p**(h + level), read from the end's digits
+    below h, and generic arithmetic neither loses nor refuses a digit.
+    A lamp image is the source minus the end's lamps, shifted by level.
+    """
+    level = f.level
+    pairs = list(zip(f.sources, f.targets))
+    if any(src.height > window for src, _ in pairs):
+        return None
+    if isinstance(grid, LampGrid):
+        want = []
+        for src, tgt in pairs:
+            lamps = dict(src.lamps)
+            for pos, v in tgt.lamps:
+                lamps[pos - level] = (lamps.get(pos - level, 0) - v) % grid.q
+            want.append((src.height, pack(sorted(
+                (pos, v) for pos, v in lamps.items() if v), grid.width)))
+        return lambda t, unit: all(grid.key(*t, h) == w for h, w in want)
+    if any(src.center for src, _ in pairs):
+        return None
+    p = grid.prime
+
+    def test(t, unit):
+        for src, tgt in pairs:
+            n, e = grid.key(*t, src.height)     # x mod p**h is n·p**e
+            m = -n * pow(unit, -1, p ** (src.height - e)) if n else 0
+            if not residue_is(m, e + level, tgt.height, tgt.center, p):
+                return False
+        return True
+    return test
 
 
 def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
@@ -581,20 +653,33 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     the event, so the value is mass x P[s**level · x^{-1} in f] with x
     drawn from the rotation-averaged boundary measure.  ``seed`` is a
     stream key; sample i is drawn from ``stream(seed, "limit", i)``.
+
+    When the inverted law is on the engine, the samples' certified limits
+    walk as one batch (``walk.limit_rows``), each unit is drawn where its
+    walk left its stream, and the event is read on integers where the
+    end's digits decide it (``_hit_on_integers``), else on the element.
     """
     if f.is_empty:
         return KernelEstimate(0.0, 0.0, samples, 0, 0.0)
     s = reference_homothety(law)
     s_h = power(s.element, f.level)
-    depth = max(t.height for t in f.targets) + 2
+    depth = max(max(t.height for t in f.targets) + 2, 4)
     hits = 0
-    mass = None
-    for i in range(samples):
-        r = stream(seed, "limit", i)
-        smp = sample_mbar(law, r, depth=max(depth, 4))
-        mass = smp.mass_scale
-        if f.member(compose(s_h, invert(smp.element))):
-            hits += 1
+    grid = law.inverse().grid
+    if grid is None:
+        for i in range(samples):
+            smp = sample_mbar(law, stream(seed, "limit", i), depth=depth)
+            hits += f.member(compose(s_h, invert(smp.element)))
+    elif samples:
+        test = _hit_on_integers(f, grid, depth + 8)
+        for i, (row, unit, _, limit) in enumerate(
+                _mbar_rows(law, seed, samples, depth)):
+            if test is not None:
+                hits += test(row[3], unit)
+            else:
+                x = _mbar_element(law, limit(i, row).end, unit)
+                hits += f.member(compose(s_h, invert(x)))
+    mass = -1 / law.drift()
     prob = hits / samples
     value = float(mass) * prob
     stderr = float(mass) * math.sqrt(max(prob * (1 - prob), 1e-12) / samples)

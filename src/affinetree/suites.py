@@ -56,7 +56,7 @@ from .tree import (
     origin_padic,
     theta,
 )
-from .walk import disc_key, sample_boundary_limit
+from .walk import boundary_limits, disc_key
 
 SUITE_NAMES = ("algebra", "regimes", "wald", "renewal", "boundary-limit",
                "omega-limit")
@@ -226,16 +226,10 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
             estimate=frac, tolerance=0.99,
             details={"trajectories": trajectories, "horizon": horizon}))
         n = limit_samples or trajectories
-        certified = exhausted = 0
-        for i in range(n):
-            try:
-                bl = sample_boundary_limit(
-                    law, stream(seed, "regime.boundary", i), depth=4,
-                    max_steps=20000)
-                certified += bl.certified
-            except StepBudgetExceeded:
-                exhausted += 1
-        frac = certified / n
+        limits = [bl for bl, _ in boundary_limits(
+            law, n, seed, "regime.boundary", depth=4, max_steps=20000)]
+        exhausted = limits.count(None)
+        frac = sum(bl.certified for bl in limits if bl) / n
         claims.append(_claim(
             "regime.boundary",
             "positive drift: the depth-4 boundary prefix stabilizes",
@@ -268,6 +262,15 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
     return claims
 
 
+def _limits(law, count, seed, *path, **kw):
+    """The certified limits of ``boundary_limits``; a walk that runs out of
+    its step budget raises, as ``sample_boundary_limit`` does."""
+    limits = [bl for bl, _ in boundary_limits(law, count, seed, *path, **kw)]
+    if None in limits:
+        raise StepBudgetExceeded("a boundary limit ran out of steps")
+    return limits
+
+
 def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
                             sigmas=None, seed=None):
     """Non-atomicity and step-invariance of the boundary limit law."""
@@ -280,10 +283,8 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
                       "maximum disc mass decreases with depth", reason),
                 _skip("boundary.invariance",
                       "the limit law is invariant under one more step", reason)]
-    ends = []
-    for i in range(samples):
-        ends.append(sample_boundary_limit(
-            law, stream(seed, "boundary.nonatomic", i), depth=depth).end)
+    ends = [bl.end for bl in _limits(law, samples, seed, "boundary.nonatomic",
+                                      depth=depth)]
     max_mass = {}
     for d in range(2, depth + 1, 2):
         counts = {}
@@ -307,17 +308,15 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
     base = {}
     cid = "boundary.invariance"
     r_step = stream(seed, cid, "step")
-    for i in range(samples):
-        e = sample_boundary_limit(law, stream(seed, cid, "base", i),
-                                  depth=inv_depth + 2).end
-        k = disc_key(e, inv_depth)
+    # the push a*e + t below can cancel leading digits, so certify the
+    # pushed batch with a much deeper digit window than the disc needs
+    for bl, bl2 in zip(
+            _limits(law, samples, seed, cid, "base", depth=inv_depth + 2),
+            _limits(law, samples, seed, cid, "pushed", depth=inv_depth + 2,
+                    end_window=inv_depth + 24)):
+        k = disc_key(bl.end, inv_depth)
         base[k] = base.get(k, 0) + 1
-        # the push a*e2 + t below can cancel leading digits, so certify
-        # this batch with a much deeper digit window than the disc needs
-        e2 = sample_boundary_limit(law, stream(seed, cid, "pushed", i),
-                                   depth=inv_depth + 2,
-                                   end_window=inv_depth + 24).end
-        k2 = disc_key(act_end(law.sample_step(r_step), e2), inv_depth)
+        k2 = disc_key(act_end(law.sample_step(r_step), bl2.end), inv_depth)
         pushed[k2] = pushed.get(k2, 0) + 1
     worst = 0.0
     for k in set(base) | set(pushed):

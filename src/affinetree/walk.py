@@ -14,23 +14,35 @@ same elements, disc ids and ends from the same uniforms and leave the
 generator in the same state.  ``run_product`` stays on generic
 arithmetic: it hands every running product to its visitor and is the
 reference the engine is tested against.
+
+Certified boundary limits of laws on the engine are walked as one batch
+instead (``boundary_limits``, walk i on ``stream(seed, *path, i)``):
+heights are cumulative sums over a block of atom indices, records a
+running maximum, and translation terms are folded in exact integers only
+below the depth and the end window they can change.
+``sample_boundary_limit`` is the batch's one-walk case on a generator;
+the loop on a walk object serves laws off the engine and the ladder walk.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import Draws, GridWalk
+from .grid import Draws, GridWalk, atom_index
 from .group import PadicAffine, act_end, compose, identity_like, phi
-from .rng import position, seek, uniforms_at
+from .rng import position, seek, stream, stream_rows, uniforms_at
 from .tree import LampEnd, PadicEnd, end_in_disc
 
 DEFAULT_STEP_BUDGET = 10 ** 7
 LADDER_BLOCK = 512    # ladder_heights' steps per path and block
+LIMIT_ROWS = 256      # walks of a certified-limit batch
+LIMIT_COLS = 128      # steps each of them draws at a time
 
 
 def run_product(law, rng, horizon: int, *, side="right", visitor=None):
@@ -254,6 +266,8 @@ class BoundaryLimit:
 
 def _certified_limit(walk, step, depth, stable_epochs, height_guard,
                      end_window, max_steps) -> BoundaryLimit:
+    """The certified limit of one walk stepped by ``step``: the ladder
+    walk, and laws off the engine."""
     if end_window is None:
         end_window = depth + 8
     top = 0
@@ -276,10 +290,187 @@ def _certified_limit(walk, step, depth, stable_epochs, height_guard,
         f"no certified depth-{depth} disc within {max_steps} steps")
 
 
+@functools.lru_cache(maxsize=64)
+def _step_columns(steps):
+    """(phis, txes) of an engine form's steps as arrays, shared by every
+    caller and never written; an atom without a translation term has its
+    exponent far above every cut."""
+    return (np.array([ph for _, _, ph in steps]),
+            np.array([e if n else 2 ** 62 for n, e, _ in steps]))
+
+
+def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
+                  end_window, max_steps):
+    """Certified limits of the right walks 0..count-1 on the engine form
+    ``grid``, as one list per chunk of ``LIMIT_ROWS`` walks: per walk
+    (steps, top, key, translation), or None when ``max_steps`` run out.
+
+    Walk i takes one atom per uniform of ``read(rows, start, size)``, the
+    uniforms ``start`` to ``start + size`` of each of the walks ``rows``.
+    Heights are cumulative sums and records a running maximum.  Only
+    translation terms below ``max(depth, end_window) + grid.key_reach``
+    can change a key or the end; they are folded in exact integers, and
+    ``translation`` is their sum (num, floor).  A key changes only at a
+    term below ``depth + grid.key_reach``, so the stop rule compares keys
+    only at the first record after such a term.
+    """
+    steps = grid.steps
+    phis, txes = _step_columns(steps)
+    span = max(depth, end_window)
+    key_cut, fold_cut = depth + grid.key_reach, span + grid.key_reach
+    goal = end_window + height_guard
+    for a in range(0, count, LIMIT_ROWS):
+        m = min(LIMIT_ROWS, count - a)
+        out = [None] * m
+        height = np.zeros(m, dtype=np.int64)
+        # the running maximum, or depth - 1 while that is more: a record
+        # that counts is a step above it
+        top = np.full(m, depth - 1, dtype=np.int64)
+        trans = [(0, 0)] * m          # terms folded so far
+        cur = [grid.key(0, 0, depth)] * m   # and their key
+        last = [None] * m     # key at the last record at or above depth
+        stable = [0] * m      # records in a row with that key
+        live, n0 = np.arange(m), 0
+        while live.size and n0 < max_steps:
+            size = min(LIMIT_COLS, max_steps - n0)
+            k = atom_index(grid, read(live + a, n0, size))
+            path = np.empty((live.size, size + 1), dtype=np.int64)
+            path[:, 0] = height[live]
+            path[:, 1:] = phis[k]
+            path.cumsum(axis=1, out=path)      # heights before and after
+            hs = path[:, 1:]
+            exps = path[:, :-1] + txes[k]      # exponents of the terms
+            tr, tc = (exps < fold_cut).nonzero()
+            path[:, 0] = top[live]
+            best = np.maximum.accumulate(path, axis=1)
+            rr, rc = (best[:, 1:] > best[:, :-1]).nonzero()
+            bounds = np.arange(live.size + 1)
+            r_at = rr.searchsorted(bounds).tolist()
+            r_h, rc = hs[rr, rc].tolist(), rc.tolist()
+            t_at = tr.searchsorted(bounds).tolist()
+            coefs = [steps[j][0] for j in k[tr, tc].tolist()]
+            texps, tc = exps[tr, tc].tolist(), tc.tolist()
+            going = []
+            for i, row in enumerate(live.tolist()):
+                # fold the walk's terms; keys[v] is the key after the v-th
+                # key term, which comes at step cols[v - 1]
+                t, keys, sums, cols = trans[row], [cur[row]], [], []
+                for j in range(t_at[i], t_at[i + 1]):
+                    t = grid.sum(*t, coefs[j], texps[j])
+                    sums.append(t)
+                    if texps[j] < key_cut:
+                        keys.append(grid.key(*t, depth))
+                        cols.append(tc[j])
+                # records: heights rise and a key moves only at a key
+                # term, so a run of equal keys restarts only at the first
+                # record after one, and the stop is the first record high
+                # enough in a run long enough
+                r, r1 = r_at[i], r_at[i + 1]
+                high = bisect_left(r_h, goal, r, r1)
+                first = r - stable[row]           # first record of the run
+                key = last[row]
+                while r < r1:
+                    v = bisect_right(cols, rc[r])
+                    if keys[v] != key:
+                        key, first = keys[v], r
+                    end = bisect_left(rc, cols[v], r, r1) \
+                        if v < len(cols) else r1
+                    stop = max(r, high, first + stable_epochs - 1)
+                    if stop < end:
+                        c = rc[stop]
+                        j = bisect_right(tc, c, t_at[i], t_at[i + 1]) \
+                            - t_at[i]
+                        out[row] = (n0 + c + 1, r_h[stop], key,
+                                    sums[j - 1] if j else trans[row])
+                        break
+                    r = end
+                else:
+                    going.append(i)
+                    if sums:   # digits that no read reaches are dropped
+                        trans[row] = grid.key(*sums[-1], span)
+                        cur[row] = keys[-1]
+                    if r1 > r_at[i]:
+                        last[row], stable[row] = key, r1 - first
+            if not going:
+                break
+            height[live], top[live] = hs[:, -1], best[:, -1]
+            live = live[going]
+            n0 += size
+        yield out
+
+
+def _translation(grid, indices):
+    """(num, floor) of the whole translation of the right walk through
+    the atoms ``indices``."""
+    s, t = 0, (0, 0)
+    for j in indices.tolist():
+        n, e, ph = grid.steps[j]
+        if n:
+            t = grid.sum(*t, n, s + e)
+        s += ph
+    return t
+
+
+def _boundary_limit(grid, read, i, limit, end_window) -> BoundaryLimit:
+    """The ``BoundaryLimit`` of walk i's (steps, top, key, translation)."""
+    n, top, key, t = limit
+    end = end_of_product(grid.element((top, 1, *t)), end_window)
+    if isinstance(end, PadicEnd) and end.value.exact is not None:
+        # an end with few digits keeps the exact value: every term counts
+        t = _translation(grid, atom_index(grid, read([i], 0, n)[0]))
+        end = end_of_product(grid.element((top, 1, *t)), end_window)
+    return BoundaryLimit(end, grid.disc_id(key), n, top, True)
+
+
 def _require_positive_drift(law):
     if law.drift() <= 0:
         raise NonPositiveDrift(
             "right products only converge to the boundary under positive drift")
+
+
+def limit_rows(law, count, seed, *path, depth: int, stable_epochs=3,
+               height_guard=15, end_window=None, max_steps=DEFAULT_STEP_BUDGET):
+    """The walks of ``boundary_limits`` on the engine form of ``law``,
+    as (chunks, limit): ``chunks`` yields one list per chunk of walks,
+    per walk (steps, top, key, translation) or None, and ``limit(i,
+    row)`` makes walk i's ``BoundaryLimit`` of its row."""
+    grid = law.grid
+    window = depth + 8 if end_window is None else end_window
+
+    def read(rows, start, size):
+        return stream_rows(rows, start, size, seed, *path)
+    chunks = _limit_chunks(grid, read, count, depth, stable_epochs,
+                           height_guard, window, max_steps)
+    return chunks, lambda i, row: _boundary_limit(grid, read, i, row, window)
+
+
+def boundary_limits(law, count, seed, *path, depth: int, stable_epochs=3,
+                    height_guard=15, end_window=None,
+                    max_steps=DEFAULT_STEP_BUDGET) -> list:
+    """``sample_boundary_limit`` on the streams ``stream(seed, *path, i)``
+    for i < count, as a list of (limit, uniforms used); limit is None for
+    a walk that ran out of ``max_steps``.  Laws on the engine walk as one
+    batch (``limit_rows``)."""
+    _require_positive_drift(law)
+    kw = dict(depth=depth, stable_epochs=stable_epochs,
+              height_guard=height_guard, end_window=end_window,
+              max_steps=max_steps)
+    out = []
+    if law.grid is None:
+        for i in range(count):
+            r = stream(seed, *path, i)
+            try:
+                out.append((sample_boundary_limit(law, r, **kw), position(r)))
+            except StepBudgetExceeded:
+                out.append((None, position(r)))
+        return out
+    chunks, limit = limit_rows(law, count, seed, *path, **kw)
+    for rows in chunks:
+        for row in rows:
+            i = len(out)
+            out.append((None, max_steps) if row is None
+                       else (limit(i, row), row[0]))
+    return out
 
 
 def sample_boundary_limit(law, rng, *, depth: int, stable_epochs=3,
@@ -293,12 +484,36 @@ def sample_boundary_limit(law, rng, *, depth: int, stable_epochs=3,
     window, so a later return below the window has probability at most
     about q**-height_guard.  The returned end is known to ``end_window``
     digits (default depth + 8, leaving headroom for later arithmetic).
+    On the engine this is the one-walk case of the batch, and ``rng``
+    is left where one draw per step leaves it.
     """
     _require_positive_drift(law)
-    with _walks(law, rng) as new_walk:
-        w = new_walk()
-        return _certified_limit(w, w.right, depth, stable_epochs,
-                                height_guard, end_window, max_steps)
+    grid = law.grid
+    if grid is None:
+        with _walks(law, rng) as new_walk:
+            w = new_walk()
+            return _certified_limit(w, w.right, depth, stable_epochs,
+                                    height_guard, end_window, max_steps)
+    if end_window is None:
+        end_window = depth + 8
+    pos = position(rng)
+    drawn = 0     # uniforms read from pos on
+
+    def read(rows, start, size):
+        nonlocal drawn
+        if start != drawn:
+            seek(rng, pos + start)
+        drawn = start + size
+        return rng.random((1, size))
+    [row], = _limit_chunks(grid, read, 1, depth, stable_epochs, height_guard,
+                           end_window, max_steps)
+    if row is None:
+        seek(rng, pos + max_steps)
+        raise StepBudgetExceeded(
+            f"no certified depth-{depth} disc within {max_steps} steps")
+    bl = _boundary_limit(grid, read, 0, row, end_window)
+    seek(rng, pos + row[0])
+    return bl
 
 
 def ladder_boundary_limit(law, rng, *, depth: int, stable_epochs=3,

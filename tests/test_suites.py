@@ -16,8 +16,8 @@ from affinetree.errors import StepBudgetExceeded
 from affinetree.group import PadicAffine
 from affinetree.law import StepLaw
 from affinetree.padic import PAdic
-from affinetree.rng import stream
-from affinetree.walk import sample_boundary_limit
+from affinetree.rng import position, stream
+from affinetree.walk import boundary_limits, sample_boundary_limit
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -103,19 +103,41 @@ def test_regime_centered_memory_is_bounded():
 def test_regime_boundary_counts_budget_exhaustion(monkeypatch):
     cfg = load_config(CONFIGS / "drift_pos.ini")
 
-    def every_third_runs_out(law, rng, **kw):
-        calls.append(kw["max_steps"])
-        if len(calls) % 3 == 0:
-            raise StepBudgetExceeded("patched")
-        return sample_boundary_limit(law, rng, **kw)
+    def every_third_runs_out(law, count, *key, **kw):
+        calls.append((count, kw["max_steps"]))
+        rows = boundary_limits(law, count, *key, **kw)
+        return [(None, kw["max_steps"]) if i % 3 == 2 else row
+                for i, row in enumerate(rows)]
 
     calls = []
-    monkeypatch.setattr(suites, "sample_boundary_limit", every_third_runs_out)
+    monkeypatch.setattr(suites, "boundary_limits", every_third_runs_out)
     claim = suites.regime_claims(cfg, trajectories=20, horizon=200,
                                  limit_samples=30, seed=4)[1]
-    assert claim["claim"] == "regime.boundary" and len(calls) == 30
+    assert claim["claim"] == "regime.boundary" and calls == [(30, 20000)]
     assert claim["details"] == {"samples": 30, "budget_exhausted": 10}
     assert claim["estimate"] <= 20 / 30 and claim["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("max_steps", [1, 26, 60, 90])
+def test_batch_counts_exhaustion_as_the_scalar_loop(max_steps):
+    law = load_config(CONFIGS / "drift_pos.ini").law
+    rows = boundary_limits(law, 40, 4, "regime.boundary", depth=4,
+                           max_steps=max_steps)
+    want = []
+    for i in range(40):
+        rng = stream(4, "regime.boundary", i)
+        try:
+            want.append(sample_boundary_limit(law, rng, depth=4,
+                                              max_steps=max_steps))
+        except StepBudgetExceeded:
+            want.append(None)
+        assert rows[i][1] == position(rng)
+    assert [bl for bl, _ in rows] == want
+    exhausted = want.count(None)
+    if max_steps < 27:       # a certified limit climbs to height 27
+        assert exhausted == 40
+    if max_steps == 60:
+        assert 0 < exhausted < 40
 
 
 # visits of three shallow cylinders, killed and escaped mass, as a power

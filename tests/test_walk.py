@@ -354,15 +354,12 @@ def test_grid_steps_match_compose(law, data):
     g0, state = g, grid.start(g)
     assert state is not None and grid.element(state) == g
     seed = data.draw(st.integers(0, 2 ** 32))
-    moves = data.draw(st.lists(st.sampled_from("lrx"), max_size=25))
+    moves = data.draw(st.lists(st.sampled_from("lx"), max_size=25))
     r = stream(seed, 0)
     with Draws(grid, stream(seed, 0)) as draws:
         w = GridWalk(draws, state)
         for move in moves:
-            if move == "r":
-                w.right()
-                g = compose(g, law.sample_step(r))
-            elif move == "l":
+            if move == "l":
                 w.left()
                 g = compose(law.sample_step(r), g)
             else:        # right by x2·x1·g0 for the start element g0
