@@ -16,10 +16,14 @@ element, errors included.
 Atom indices are drawn in blocks.  They are the indices of repeated
 ``StepLaw.sample_index`` on the same generator, and on leaving a
 ``Draws`` context the generator is where those scalar draws leave it.
+Batches of walks, one stream each, are read block by block (``blocks``):
+atom indices, heights and the exponents of translation terms, for the
+potential kernel and for certified boundary limits alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -32,6 +36,8 @@ from .tree import LampEnd, end_in_disc
 
 FIRST_BLOCK = 64      # uniforms drawn at first
 BLOCK = 512           # at most at a time
+BATCH_ROWS = 128      # walks of a batch (``blocks``) walked together
+BATCH_COLS = 128      # steps each of them draws at a time
 IDENTITY = (0, 1, 0, 0)   # (s, u, num, floor) of the identity
 
 
@@ -269,6 +275,64 @@ def atom_index(grid: GridLaw, u):
     ``u``, an array of any shape."""
     return np.minimum(np.searchsorted(grid.thresholds, u, side="right"),
                       len(grid.steps) - 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _step_columns(steps):
+    """(phis, txes) of a form's steps as arrays, shared and never written;
+    an atom without a translation term has its exponent far above every
+    cut."""
+    return (np.array([ph for _, _, ph in steps]),
+            np.array([e if n else 2 ** 62 for n, e, _ in steps]))
+
+
+class Block:
+    """Steps n0 + 1 .. n0 + size of the walks of a batch still running.
+
+    ``live`` holds their ranks among the batch's rows, ``k`` their atom
+    indices, ``path`` their heights before the block and after each of
+    its steps, and ``exps`` the exponent of each step's translation term.
+    The reader of a block sets ``going``, the entries of ``live`` (a mask
+    or a list) that walk on into the next block; it may write the first
+    column of ``path``.
+    """
+
+    __slots__ = ("live", "n0", "k", "path", "exps", "going")
+
+
+def row_chunks(count):
+    """The rows 0..count-1 of a batch of walks, ``BATCH_ROWS`` at a
+    time."""
+    for a in range(0, count, BATCH_ROWS):
+        yield np.arange(a, min(a + BATCH_ROWS, count))
+
+
+def blocks(grid: GridLaw, read, rows, s0, horizon):
+    """The walks ``rows`` on the engine form ``grid``, all from height
+    ``s0``, block by block up to ``horizon`` steps, as ``Block``s.
+
+    Walk ``rows[r]`` takes one atom per uniform of ``read(ids, start,
+    size)``, the uniforms ``start`` to ``start + size`` of each of the
+    walks ``ids``.  A batch of ``BATCH_ROWS`` rows in blocks of
+    ``BATCH_COLS`` steps keeps the arrays near 128 KB.
+    """
+    phis, txes = _step_columns(grid.steps)
+    height = np.full(len(rows), s0, dtype=np.int64)
+    b = Block()
+    b.live, b.n0 = np.arange(len(rows)), 0
+    while b.live.size and b.n0 < horizon:
+        size = min(BATCH_COLS, horizon - b.n0)
+        b.k = atom_index(grid, read(rows[b.live], b.n0, size))
+        b.path = np.empty((b.live.size, size + 1), dtype=np.int64)
+        b.path[:, 0] = height[b.live]
+        b.path[:, 1:] = phis[b.k]
+        b.path.cumsum(axis=1, out=b.path)
+        b.exps = b.path[:, :-1] + txes[b.k]
+        b.going = None
+        yield b
+        height[b.live] = b.path[:, -1]
+        b.live = b.live[b.going]
+        b.n0 += size
 
 
 def _blocks(grid: GridLaw, rng):

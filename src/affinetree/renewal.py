@@ -9,15 +9,16 @@ from the inverted walk's harmonic measure extended by rotation averaging.
 
 Laws on the p-adic digit grid run on the integer engine of ``grid``.
 The potential kernel walks all its trajectories as one batch: numpy
-draws the atom indices of many keyed streams at once (``rng.stream_rows``)
-and sums them into heights, the stop rule is a first-index search per
-trajectory, and the translation is read, in exact integers, only at the
-steps where the walk is at the event's level.  The limit-measure
-estimator walks its certified boundary limits as one batch as well
-(``walk.limit_rows``) and reads its hits from the ends' integer digits.
-The excursion functionals of p-adic and lamp laws read moved boundary
-points through the engine's ``lands_in`` test.  The lamplighter kernel and laws off the
-engine use generic group arithmetic, one step at a time.
+draws the atom indices of many keyed streams at once (``rng.stream_rows``,
+read block by block by ``grid.blocks``) and sums them into heights, the
+stop rule is a first-index search per trajectory, and the translation
+is read, in exact integers, only at the steps where the walk is at the
+event's level.  The limit-measure estimator walks its certified
+boundary limits as one batch as well (``walk.limit_rows``) and reads
+its hits from the ends' integer digits.  The excursion functionals of
+p-adic and lamp laws read moved boundary points through the engine's
+``lands_in`` test.  The lamplighter kernel and laws off the engine use
+generic group arithmetic, one step at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .group import (
     phi,
     power,
 )
-from .grid import LampGrid, atom_index, pack, residue_is, vertex_test
+from .grid import LampGrid, blocks, pack, residue_is, row_chunks, \
+    vertex_test
 from .padic import PAdic
 from .rng import stream, stream_rows, streams_at
 from .walk import DEFAULT_STEP_BUDGET, ladder_boundary_limit, \
@@ -145,11 +147,6 @@ def reference_homothety(law):
 KERNEL_DELTA = 15
 KERNEL_MIN_STEPS = 50
 TAIL_RHO_CAP = 0.9
-# A grid batch walks KERNEL_ROWS trajectories together and draws
-# KERNEL_COLS steps of each at a time, so its arrays stay near 128 KB
-# whatever the number of trajectories and the horizon.
-KERNEL_ROWS = 128
-KERNEL_COLS = 128
 _NEVER = np.iinfo(np.int64).max
 
 
@@ -207,33 +204,29 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     """
     grid, (s0, u, num0, floor0), member, top = walk
     p, steps = grid.prime, grid.steps
-    phis = np.array([ph for _, _, ph in steps])
-    txes = np.array([txe for _, txe, _ in steps])
-    moves = np.array([txn != 0 for txn, _, _ in steps])
     at_start = s0 == level and member(s0, u, num0, floor0)
     hit_rows, hit_steps = [], []
     exits = np.full(trajectories, _NEVER)
     backs = np.full(trajectories, _NEVER)
-    for a in range(0, trajectories, KERNEL_ROWS):
-        rows = np.arange(a, min(a + KERNEL_ROWS, trajectories))
+
+    def read(ids, start, size):
+        return stream_rows(ids, start, size, seed, label)
+    for rows in row_chunks(trajectories):
         if at_start:
             hit_rows += rows.tolist()
             hit_steps += [0] * len(rows)
-        live = np.arange(len(rows))        # unfinished rows of the chunk
-        height = np.full(len(rows), s0)
         carry = [(num0, floor0)] * len(rows)
         reads = {}                         # membership by translation
-        n0 = 0                             # steps drawn so far
-        while live.size and n0 < horizon:
-            size = min(KERNEL_COLS, horizon - n0)
-            k = atom_index(grid, stream_rows(rows[live], n0, size, seed, label))
-            heights = height[live, None] + np.cumsum(phis[k], axis=1)
+        for b in blocks(grid, read, rows, s0, horizon):
+            live, n0, k = b.live, b.n0, b.k
+            heights = b.path[:, 1:]
+            size = heights.shape[1]
             at = heights == level
             end = np.full(live.size, _NEVER)
             if stop:
-                exits[a + live], backs[a + live], end = _stop_steps(
-                    heights, at, n0, level, stop, exits[a + live],
-                    backs[a + live])
+                exits[rows[live]], backs[rows[live]], end = _stop_steps(
+                    heights, at, n0, level, stop, exits[rows[live]],
+                    backs[rows[live]])
             col = np.arange(size)
             seen = at & (col < (end - n0)[:, None])
             going = (end == _NEVER) & (n0 + size < horizon)
@@ -243,14 +236,12 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
             last = np.where(seen.any(axis=1),
                             size - 1 - seen[:, ::-1].argmax(axis=1), -1)
             last[going] = size - 1
-            exps = np.hstack([height[live, None], heights[:, :-1]]) + txes[k]
-            tr, tc = np.nonzero(moves[k] & (exps < top)
-                                & (col <= last[:, None]))
+            tr, tc = np.nonzero((b.exps < top) & (col <= last[:, None]))
             vr, vc = np.nonzero(seen)
             t_at = np.searchsorted(tr, np.arange(live.size + 1)).tolist()
             v_at = np.searchsorted(vr, np.arange(live.size + 1)).tolist()
             coefs = [u * steps[j][0] for j in k[tr, tc].tolist()]
-            exps = exps[tr, tc].tolist()
+            exps = b.exps[tr, tc].tolist()
             tc, vc = tc.tolist(), vc.tolist()
             for i in np.flatnonzero(last >= 0).tolist():
                 row = live[i]
@@ -262,15 +253,13 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
                     if hit is None:    # walks meet the same few translations
                         hit = reads[t] = member(level, u, *t)
                     if hit:
-                        hit_rows.append(a + row)
+                        hit_rows.append(rows[row])
                         hit_steps.append(n0 + 1 + v)
                 if going[i]:
                     # digits at p**top and above never change a read
                     carry[row] = (sums[-1] % p ** (top - low)
                                   if top > low else 0, low)
-            height[live] = heights[:, -1]
-            live = live[going]
-            n0 += size
+            b.going = going
     return (np.array(hit_rows, dtype=np.int64),
             np.array(hit_steps, dtype=np.int64), exits, backs)
 

@@ -16,17 +16,17 @@ arithmetic: it hands every running product to its visitor and is the
 reference the engine is tested against.
 
 Certified boundary limits of laws on the engine are walked as one batch
-instead (``boundary_limits``, walk i on ``stream(seed, *path, i)``):
-heights are cumulative sums over a block of atom indices, records a
-running maximum, and translation terms are folded in exact integers only
-below the depth and the end window they can change.
+instead (``boundary_limits``, walk i on ``stream(seed, *path, i)``,
+read block by block as the potential kernel reads its walks,
+``grid.blocks``): heights are cumulative sums, records a running
+maximum, and translation terms are folded in exact integers only below
+the depth and the end window they can change.
 ``sample_boundary_limit`` is the batch's one-walk case on a generator;
 the loop on a walk object serves laws off the engine and the ladder walk.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,15 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import Draws, GridWalk, atom_index
+from .grid import Draws, GridWalk, atom_index, blocks, row_chunks
 from .group import PadicAffine, act_end, compose, identity_like, phi
 from .rng import position, seek, stream, stream_rows, uniforms_at
 from .tree import LampEnd, PadicEnd, end_in_disc
 
 DEFAULT_STEP_BUDGET = 10 ** 7
 LADDER_BLOCK = 512    # ladder_heights' steps per path and block
-LIMIT_ROWS = 256      # walks of a certified-limit batch
-LIMIT_COLS = 128      # steps each of them draws at a time
+STABLE_EPOCHS = 3     # defaults of the certified-limit stop rule
+HEIGHT_GUARD = 15
 
 
 def run_product(law, rng, horizon: int, *, side="right", visitor=None):
@@ -290,39 +290,28 @@ def _certified_limit(walk, step, depth, stable_epochs, height_guard,
         f"no certified depth-{depth} disc within {max_steps} steps")
 
 
-@functools.lru_cache(maxsize=64)
-def _step_columns(steps):
-    """(phis, txes) of an engine form's steps as arrays, shared by every
-    caller and never written; an atom without a translation term has its
-    exponent far above every cut."""
-    return (np.array([ph for _, _, ph in steps]),
-            np.array([e if n else 2 ** 62 for n, e, _ in steps]))
-
-
 def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
                   end_window, max_steps):
     """Certified limits of the right walks 0..count-1 on the engine form
-    ``grid``, as one list per chunk of ``LIMIT_ROWS`` walks: per walk
-    (steps, top, key, translation), or None when ``max_steps`` run out.
+    ``grid``, as one list per batch of walks: per walk (steps, top, key,
+    translation), or None when ``max_steps`` run out.
 
-    Walk i takes one atom per uniform of ``read(rows, start, size)``, the
-    uniforms ``start`` to ``start + size`` of each of the walks ``rows``.
-    Heights are cumulative sums and records a running maximum.  Only
-    translation terms below ``max(depth, end_window) + grid.key_reach``
-    can change a key or the end; they are folded in exact integers, and
-    ``translation`` is their sum (num, floor).  A key changes only at a
-    term below ``depth + grid.key_reach``, so the stop rule compares keys
-    only at the first record after such a term.
+    The walks are read by ``grid.blocks`` from ``read``, a batch of rows
+    at a time (``grid.row_chunks``).  Records are a running maximum of
+    the heights.  Only translation terms below
+    ``max(depth, end_window) + grid.key_reach`` can change a key or the
+    end; they are folded in exact integers, and ``translation`` is their
+    sum (num, floor).  A key changes only at a term below ``depth +
+    grid.key_reach``, so the stop rule compares keys only at the first
+    record after such a term.
     """
     steps = grid.steps
-    phis, txes = _step_columns(steps)
     span = max(depth, end_window)
     key_cut, fold_cut = depth + grid.key_reach, span + grid.key_reach
     goal = end_window + height_guard
-    for a in range(0, count, LIMIT_ROWS):
-        m = min(LIMIT_ROWS, count - a)
+    for rows in row_chunks(count):
+        m = len(rows)
         out = [None] * m
-        height = np.zeros(m, dtype=np.int64)
         # the running maximum, or depth - 1 while that is more: a record
         # that counts is a step above it
         top = np.full(m, depth - 1, dtype=np.int64)
@@ -330,17 +319,10 @@ def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
         cur = [grid.key(0, 0, depth)] * m   # and their key
         last = [None] * m     # key at the last record at or above depth
         stable = [0] * m      # records in a row with that key
-        live, n0 = np.arange(m), 0
-        while live.size and n0 < max_steps:
-            size = min(LIMIT_COLS, max_steps - n0)
-            k = atom_index(grid, read(live + a, n0, size))
-            path = np.empty((live.size, size + 1), dtype=np.int64)
-            path[:, 0] = height[live]
-            path[:, 1:] = phis[k]
-            path.cumsum(axis=1, out=path)      # heights before and after
+        for b in blocks(grid, read, rows, 0, max_steps):
+            live, n0, k, path = b.live, b.n0, b.k, b.path
             hs = path[:, 1:]
-            exps = path[:, :-1] + txes[k]      # exponents of the terms
-            tr, tc = (exps < fold_cut).nonzero()
+            tr, tc = (b.exps < fold_cut).nonzero()
             path[:, 0] = top[live]
             best = np.maximum.accumulate(path, axis=1)
             rr, rc = (best[:, 1:] > best[:, :-1]).nonzero()
@@ -349,7 +331,7 @@ def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
             r_h, rc = hs[rr, rc].tolist(), rc.tolist()
             t_at = tr.searchsorted(bounds).tolist()
             coefs = [steps[j][0] for j in k[tr, tc].tolist()]
-            texps, tc = exps[tr, tc].tolist(), tc.tolist()
+            texps, tc = b.exps[tr, tc].tolist(), tc.tolist()
             going = []
             for i, row in enumerate(live.tolist()):
                 # fold the walk's terms; keys[v] is the key after the v-th
@@ -391,11 +373,8 @@ def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
                         cur[row] = keys[-1]
                     if r1 > r_at[i]:
                         last[row], stable[row] = key, r1 - first
-            if not going:
-                break
-            height[live], top[live] = hs[:, -1], best[:, -1]
-            live = live[going]
-            n0 += size
+            top[live] = best[:, -1]
+            b.going = going
         yield out
 
 
@@ -428,43 +407,48 @@ def _require_positive_drift(law):
             "right products only converge to the boundary under positive drift")
 
 
-def limit_rows(law, count, seed, *path, depth: int, stable_epochs=3,
-               height_guard=15, end_window=None, max_steps=DEFAULT_STEP_BUDGET):
-    """The walks of ``boundary_limits`` on the engine form of ``law``,
-    as (chunks, limit): ``chunks`` yields one list per chunk of walks,
-    per walk (steps, top, key, translation) or None, and ``limit(i,
-    row)`` makes walk i's ``BoundaryLimit`` of its row."""
-    grid = law.grid
-    window = depth + 8 if end_window is None else end_window
-
+def _limit_rows(grid, count, seed, path, depth, end_window, max_steps):
+    """(chunks, limit) of ``limit_rows`` with its end window and step
+    budget."""
     def read(rows, start, size):
         return stream_rows(rows, start, size, seed, *path)
-    chunks = _limit_chunks(grid, read, count, depth, stable_epochs,
-                           height_guard, window, max_steps)
-    return chunks, lambda i, row: _boundary_limit(grid, read, i, row, window)
+    chunks = _limit_chunks(grid, read, count, depth, STABLE_EPOCHS,
+                           HEIGHT_GUARD, end_window, max_steps)
+    return chunks, lambda i, row: _boundary_limit(grid, read, i, row,
+                                                  end_window)
 
 
-def boundary_limits(law, count, seed, *path, depth: int, stable_epochs=3,
-                    height_guard=15, end_window=None,
+def limit_rows(law, count, seed, *path, depth: int):
+    """The walks of ``boundary_limits`` on the engine form of ``law``,
+    as (chunks, limit): ``chunks`` yields one list per batch of walks,
+    per walk (steps, top, key, translation) or None, and ``limit(i,
+    row)`` makes walk i's ``BoundaryLimit`` of its row."""
+    return _limit_rows(law.grid, count, seed, path, depth, depth + 8,
+                       DEFAULT_STEP_BUDGET)
+
+
+def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
                     max_steps=DEFAULT_STEP_BUDGET) -> list:
     """``sample_boundary_limit`` on the streams ``stream(seed, *path, i)``
     for i < count, as a list of (limit, uniforms used); limit is None for
     a walk that ran out of ``max_steps``.  Laws on the engine walk as one
     batch (``limit_rows``)."""
     _require_positive_drift(law)
-    kw = dict(depth=depth, stable_epochs=stable_epochs,
-              height_guard=height_guard, end_window=end_window,
-              max_steps=max_steps)
+    if end_window is None:
+        end_window = depth + 8
     out = []
     if law.grid is None:
         for i in range(count):
             r = stream(seed, *path, i)
             try:
-                out.append((sample_boundary_limit(law, r, **kw), position(r)))
+                out.append((sample_boundary_limit(
+                    law, r, depth=depth, end_window=end_window,
+                    max_steps=max_steps), position(r)))
             except StepBudgetExceeded:
                 out.append((None, position(r)))
         return out
-    chunks, limit = limit_rows(law, count, seed, *path, **kw)
+    chunks, limit = _limit_rows(law.grid, count, seed, path, depth,
+                                end_window, max_steps)
     for rows in chunks:
         for row in rows:
             i = len(out)
@@ -473,8 +457,9 @@ def boundary_limits(law, count, seed, *path, depth: int, stable_epochs=3,
     return out
 
 
-def sample_boundary_limit(law, rng, *, depth: int, stable_epochs=3,
-                          height_guard=15, end_window=None,
+def sample_boundary_limit(law, rng, *, depth: int,
+                          stable_epochs=STABLE_EPOCHS,
+                          height_guard=HEIGHT_GUARD, end_window=None,
                           max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
     """Limit disc of depth ``depth`` around lim R_n for a positive-drift walk.
 
@@ -516,8 +501,9 @@ def sample_boundary_limit(law, rng, *, depth: int, stable_epochs=3,
     return bl
 
 
-def ladder_boundary_limit(law, rng, *, depth: int, stable_epochs=3,
-                          height_guard=15, end_window=None,
+def ladder_boundary_limit(law, rng, *, depth: int,
+                          stable_epochs=STABLE_EPOCHS,
+                          height_guard=HEIGHT_GUARD, end_window=None,
                           max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
     """``sample_boundary_limit`` for the ladder walk, whose steps are the
     elements L_l of successive ladder excursions drawn from ``rng``.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetree import renewal
+from affinetree import grid, renewal
 from affinetree.errors import NonPositiveDrift, OracleUnsupported
 from affinetree.group import (
     LampAffine,
@@ -361,8 +361,8 @@ def test_grid_kernel_batch_matches_compose(case, seed, trajectories, sizes):
     assert renewal._kernel_walk(g, f, law) is not None
     with pytest.MonkeyPatch.context() as mp:
         if sizes:
-            mp.setattr(renewal, "KERNEL_ROWS", sizes[0])
-            mp.setattr(renewal, "KERNEL_COLS", sizes[1])
+            mp.setattr(grid, "BATCH_ROWS", sizes[0])
+            mp.setattr(grid, "BATCH_COLS", sizes[1])
         got = potential_kernel(g, f, law, seed, trajectories, **kw)
         mp.setattr(renewal, "_kernel_walk", lambda *args: None)
         want = potential_kernel(g, f, law, seed, trajectories, **kw)
