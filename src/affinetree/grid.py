@@ -7,18 +7,18 @@ and the translation ``num·p**floor``, so a step costs a few integer
 operations instead of exact ``PAdic`` arithmetic.  A lamp element is a
 digit grid without carries (``LampGrid``): for prime q, Z/q ≀ Z is the
 subgroup of Aff(F_q((t))) with monomial scales (Cartwright, Kaimanovich
-& Woess, Ann. Inst. Fourier 44, 1994).  One walk class, ``GridWalk``,
-steps both, and the law's form adds the digits and reads the state.
-Group elements and ends are built once, when a walk is done, and every
-read gives what the generic arithmetic of ``group`` gives on the same
-element, errors included.
+& Woess, Ann. Inst. Fourier 44, 1994), so one body of code serves both,
+and the law's form adds the digits and reads them.  Group elements and
+ends are built once, when a walk is done, and every read gives what the
+generic arithmetic of ``group`` gives on the same element, errors
+included.
 
-Atom indices are drawn in blocks.  They are the indices of repeated
-``StepLaw.sample_index`` on the same generator, and on leaving a
-``Draws`` context the generator is where those scalar draws leave it.
-Batches of walks, one stream each, are read block by block (``blocks``):
-atom indices, heights and the exponents of translation terms, for the
-potential kernel and for certified boundary limits alike.
+Walks run as batches, one keyed stream each, read block by block
+(``blocks``): atom indices, heights and the exponents of translation
+terms, for the potential kernel, certified boundary limits and ladder
+excursions alike.  A prefix state (s, t) of an excursion maps an end x
+to p**s·(x + t), so ``reader`` reads a disc of height h at depth h - s
+of x + t.
 """
 
 from __future__ import annotations
@@ -34,11 +34,8 @@ from .group import LampAffine, PadicAffine, act_end, phi
 from .padic import PAdic, PrecisionBudget, int_valuation
 from .tree import LampEnd, end_in_disc
 
-FIRST_BLOCK = 64      # uniforms drawn at first
-BLOCK = 512           # at most at a time
 BATCH_ROWS = 128      # walks of a batch (``blocks``) walked together
 BATCH_COLS = 128      # steps each of them draws at a time
-IDENTITY = (0, 1, 0, 0)   # (s, u, num, floor) of the identity
 
 
 def split(x: Fraction, p: int):
@@ -117,59 +114,56 @@ class GridLaw:
                            PAdic.from_fraction(a, p, budget))
 
     def point(self, end):
-        """(end, valuation, unit, digits) of a boundary point; exact and
-        zero-to-precision points stay generic, with valuation None."""
+        """(end, valuation, unit, digits) of a boundary point, the unit cut
+        to its digits; exact and zero-to-precision points stay generic,
+        with valuation None."""
         x = end.value
         if x.exact is not None or x.is_zero:
             return end, None, 0, 0
         # a·x keeps the digits of the shorter operand; a is exact
-        return end, x.valuation, x.unit, min(x.precision, self.budget.working)
+        prec = min(x.precision, self.budget.working)
+        return end, x.valuation, x.unit % self.prime ** prec, prec
 
-    def lands_in(self, state, point, disc) -> bool:
-        """``end_in_disc(act_end(g, end), disc)`` for the grid element g
-        of ``state`` and the ``point`` of an end, on integers.
+    def digits(self, disc):
+        """(num, floor) of a disc's center."""
+        return split(disc.center, self.prime)
 
-        The image a·x + t is known modulo p**known, where a·x keeps the
-        digits of x shifted by s and, for t != 0, ``PAdic.__add__`` keeps
-        no more than v(t) + working digits and refuses a nonzero sum with
-        fewer than ``min_acceptable`` significant digits.  Reading the
-        disc below that window raises ``PrecisionExhausted``, as the
-        generic path does.
-        """
-        end, val, unit, prec = point
+    def image_key(self, point, s, t, h):
+        """The key at depth h - s of x + t, for the ``point`` x and t =
+        (num, floor), that tells whether p**s·(x + t) lies in a disc of
+        height h; None for a point off the engine.  x + t is known modulo
+        p**known: x keeps its digits, and for t != 0 ``PAdic.__add__``
+        keeps at most v(t) + working digits and refuses a nonzero sum
+        with fewer than ``min_acceptable`` significant ones.  A read below
+        that window raises ``PrecisionExhausted`` as the generic one does,
+        with the image's exponents."""
+        _, val, y, prec = point    # y: x's digits, then x + t's over base
         if val is None:
-            return end_in_disc(act_end(self.element(state), end), disc)
-        s, u, num, floor = state
-        p, h, center = self.prime, disc.height, disc.center
-        lead = s + val                         # valuation of a·x
-        known = lead + prec
-        prod = u * unit % p ** prec
-        if not num:                            # t = 0: the image is a·x
-            if lead >= h:
-                return center == 0
-            if known < h:
-                raise _precision_exhausted(known, h)
-            return residue_is(prod, lead, h, center, p)
-        budget = self.budget
-        if floor + budget.working < known:
-            known = min(known, floor + int_valuation(num, p) + budget.working)
-        base = min(lead, floor)
-        y = (prod * p ** (lead - base) + num * p ** (floor - base)) \
-            % p ** (known - base)
-        if not y:                              # zero to precision p**known
-            if known >= h:
-                return center == 0
-            raise PrecisionExhausted(
-                f"zero only known modulo p^{known}, need p^{h}")
-        val = base + int_valuation(y, p)
-        if known - val < budget.min_acceptable:
-            raise PrecisionExhausted(
-                f"{known - val} digits left after cancellation")
+            return None
+        p, h = self.prime, h - s
+        known, (num, floor), base = val + prec, t, val
+        if num:                     # else the image is p**s·x
+            budget = self.budget
+            if floor + budget.working < known:
+                known = min(known,
+                            floor + int_valuation(num, p) + budget.working)
+            base = min(val, floor)
+            y = (y * p ** (val - base) + num * p ** (floor - base)) \
+                % p ** (known - base)
+            if not y:                          # zero to precision p**known
+                if known >= h:
+                    return 0, 0
+                raise PrecisionExhausted(
+                    f"zero only known modulo p^{known + s}, need p^{h + s}")
+            val = base + int_valuation(y, p)
+            if known - val < budget.min_acceptable:
+                raise PrecisionExhausted(
+                    f"{known - val} digits left after cancellation")
         if val >= h:
-            return center == 0
+            return 0, 0
         if known < h:
-            raise _precision_exhausted(known, h)
-        return residue_is(y, base, h, center, p)
+            raise _precision_exhausted(known + s, h + s)
+        return residue(y, base, h, p)
 
 
 def pack(lamps, width):
@@ -259,15 +253,17 @@ class LampGrid:
             return end, None, 0
         return (end, *pack(end.values, self.width))
 
-    def lands_in(self, state, point, disc) -> bool:
-        """``GridLaw.lands_in``: the image knows positions up to
-        end.known_to + s; above that the generic call raises."""
-        s, _, num, floor = state
+    def digits(self, disc):
+        """(num, floor) of a disc's lamps."""
+        return pack(disc.lamps, self.width)
+
+    def image_key(self, point, s, t, h):
+        """``GridLaw.image_key``; None above the image's window,
+        end.known_to + s, and for an end off the engine."""
         end, digits, lo = point
-        if digits is None or disc.height > end.known_to + s:
-            return end_in_disc(act_end(self.element(state), end), disc)
-        return self.key(*self.sum(num, floor, digits, lo + s), disc.height) \
-            == pack(disc.lamps, self.width)
+        if digits is None or h - s > end.known_to:
+            return None
+        return self.key(*self.sum(*t, digits, lo), h - s)
 
 
 def atom_index(grid: GridLaw, u):
@@ -335,48 +331,6 @@ def blocks(grid: GridLaw, read, rows, s0, horizon):
         b.n0 += size
 
 
-def _blocks(grid: GridLaw, rng):
-    """Blocks of atom indices; they double in size up to ``BLOCK``, so a
-    short walk draws few uniforms it does not use."""
-    size = FIRST_BLOCK
-    while True:
-        yield atom_index(grid, rng.random(size)).tolist()
-        size = min(2 * size, BLOCK)
-
-
-class Draws:
-    """Atom indices for walks that share one generator, as a context.
-
-    ``next()`` hands out the indices of repeated ``law.sample_index(rng)``.
-    On exit the generator is put back where one such scalar draw per
-    index handed out would leave it, so whatever draws from it next sees
-    the same uniforms as after the scalar path.
-    """
-
-    def __init__(self, grid: GridLaw, rng):
-        self.grid = grid
-        self._rng = rng
-        self._mark = None    # generator state before the current block
-        self._used = 0       # indices of the current block handed out
-        self.next = self._indices().__next__
-
-    def _indices(self):
-        blocks = _blocks(self.grid, self._rng)
-        while True:
-            self._mark = self._rng.bit_generator.state
-            for self._used, k in enumerate(next(blocks), 1):
-                yield k
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._mark is not None:
-            self._rng.bit_generator.state = self._mark
-            self._rng.random(self._used)
-        self.next = None
-
-
 # -- integer reads --------------------------------------------------------------
 
 
@@ -423,64 +377,30 @@ def _precision_exhausted(known, h):
     return PrecisionExhausted(f"value known modulo p^{known}, need p^{h}")
 
 
-# -- walks -----------------------------------------------------------------------
+def reader(grid, end):
+    """``inside((s, t), disc)``: whether the prefix state (s, t), the
+    element (s, 1, t·p**s) of the engine form ``grid``, maps ``end`` into
+    ``disc``, as ``end_in_disc(act_end(g, end), disc)`` says, errors
+    included.  The image p**s·(x + t) lies in a disc of height h iff x +
+    t lies in the disc shifted by p**-s, read at depth h - s.  Reads are
+    kept per state and height, shifted discs per disc and s."""
+    point, keys, shifted = grid.point(end), {}, {}
 
-
-class GridWalk:
-    """A walk's state (s, u, num, floor) on a law's engine form.
-
-    ``left()`` multiplies by the next drawn atom on the left and
-    ``right_by`` by another walk's element on the right; each returns the
-    new height.  ``walk.py`` runs its ladder loops on this class and on a
-    generic twin with the same methods; right walks of atoms run as a
-    batch (``walk.boundary_limits``).
-    """
-
-    __slots__ = ("grid", "next", "sum", "steps", "s", "u", "num", "floor")
-
-    def __init__(self, draws: Draws, state=IDENTITY):
-        grid = draws.grid
-        self.grid, self.next, self.sum, self.steps = \
-            grid, draws.next, grid.sum, grid.steps
-        self.s, self.u, self.num, self.floor = state
-
-    def left(self) -> int:
-        """g -> x·g for a drawn atom x."""
-        txn, txe, ph = self.steps[self.next()]
-        self.s += ph
-        self.floor += ph
-        if txn:
-            self.num, self.floor = self.sum(self.num, self.floor, txn, txe)
-        return self.s
-
-    def right_by(self, other: "GridWalk") -> int:
-        """g -> g·h for the element h another walk has reached."""
-        if other.num:
-            self.num, self.floor = self.sum(
-                self.num, self.floor, self.u * other.num, self.s + other.floor)
-        self.u *= other.u
-        self.s += other.s
-        return self.s
-
-    def key(self, depth):
-        """Id of the depth-``depth`` disc below the element's position."""
-        return self.grid.key(self.num, self.floor, depth)
-
-    def disc_id(self, key):
-        """The disc id a ``key`` stands for, as the generic walk gives it."""
-        return self.grid.disc_id(key)
-
-    def snapshot(self):
-        return self.s, self.u, self.num, self.floor
-
-    def element(self):
-        return self.grid.element(self.snapshot())
-
-    def element_of(self, state):
-        return self.grid.element(state)
-
-    def point(self, end):
-        return self.grid.point(end)
-
-    def lands_in(self, state, point, disc) -> bool:
-        return self.grid.lands_in(state, point, disc)
+    def inside(state, disc):
+        s, t = state
+        h = disc.height
+        at = s, t, h
+        key = keys.get(at, keys)
+        if key is keys:
+            key = keys[at] = grid.image_key(point, s, t, h)
+        if key is None:
+            g = grid.element((s, 1, t[0], t[1] + s))
+            return end_in_disc(act_end(g, end), disc)
+        # kept with the disc itself, so that its id stays its own
+        kept = shifted.get((id(disc), s))
+        if kept is None:
+            num, floor = grid.digits(disc)
+            kept = shifted[id(disc), s] = disc, grid.key(num, floor - s,
+                                                        h - s)
+        return key == kept[1]
+    return inside

@@ -15,10 +15,13 @@ stop rule is a first-index search per trajectory, and the translation
 is read, in exact integers, only at the steps where the walk is at the
 event's level.  The limit-measure estimator walks its certified
 boundary limits as one batch as well (``walk.limit_rows``) and reads
-its hits from the ends' integer digits.  The excursion functionals of
-p-adic and lamp laws read moved boundary points through the engine's
-``lands_in`` test.  The lamplighter kernel and laws off the engine use
-generic group arithmetic, one step at a time.
+its hits from the ends' integer digits.  The excursion estimators walk
+their clusters as batches too, p-adic and lamp laws alike: each
+cluster's ladder-walk limit and excursions are rows of
+``walk.ladder_limit_rows`` and ``walk.excursion_rows``, and a functional
+reads each distinct prefix state once (``grid.reader``).  The
+lamplighter kernel and laws off the engine use generic group arithmetic,
+one step at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import (
 from .group import (
     LampAffine,
     PadicAffine,
+    act_end,
     act_vertex,
     compose,
     default_homothety_lamp,
@@ -50,12 +54,21 @@ from .group import (
     phi,
     power,
 )
-from .grid import LampGrid, blocks, pack, residue_is, row_chunks, \
+from .grid import LampGrid, blocks, pack, reader, residue_is, row_chunks, \
     vertex_test
 from .padic import PAdic
 from .rng import stream, stream_rows, streams_at
-from .walk import DEFAULT_STEP_BUDGET, ladder_boundary_limit, \
-    ladder_excursions, ladder_heights, limit_rows, sample_boundary_limit
+from .tree import end_in_disc
+from .walk import (
+    DEFAULT_STEP_BUDGET,
+    excursion_rows,
+    ladder_boundary_limit,
+    ladder_excursion,
+    ladder_heights,
+    ladder_limit_rows,
+    limit_rows,
+    sample_boundary_limit,
+)
 
 # -- events -------------------------------------------------------------------
 
@@ -446,8 +459,61 @@ def _cluster_ratio(numers: np.ndarray, denoms: np.ndarray) -> ClusterEstimate:
     n = len(denoms)
     m = float(numers.mean() / denoms.mean())
     resid = numers - m * denoms
-    se = float(resid.std(ddof=1) / (denoms.mean() * math.sqrt(n))) if n > 1 else 0.0
+    se = float(resid.std(ddof=1) / (denoms.mean() * math.sqrt(n)))
     return ClusterEstimate(m, se, n, 0)
+
+
+def _clusters(law, seed, count, exc_count, depth):
+    """Per cluster i < count: (lengths, heights, states, inside) of its
+    ``exc_count`` excursions on ``(seed, "exc", i)``, read against the
+    ladder walk's limit on ``(seed, "ups", i)``.  ``states`` lists (S,
+    state, multiplicity) of the prefix states and ``inside(state, disc)``
+    reads one."""
+    # generous window: excursion prefixes have negative heights and
+    # shift the point's known digits down when acting on it
+    window = depth + 24
+    grid = law.grid
+    if grid is None:
+        for i in range(count):
+            end = ladder_boundary_limit(law, stream(seed, "ups", i),
+                                        depth=depth, end_window=window).end
+            rng = stream(seed, "exc", i)
+            excs = [ladder_excursion(law, rng, track_prefix=True)
+                    for _ in range(exc_count)]
+            yield ([e.length for e in excs], [e.height for e in excs],
+                   [(phi(g), g, 1) for e in excs for g in e.prefix],
+                   lambda g, disc, end=end: end_in_disc(act_end(g, end),
+                                                        disc))
+        return
+
+    def rows_of(key):
+        return lambda ids, start, size: stream_rows(ids, start, size, seed,
+                                                    key)
+    for rows in row_chunks(count):
+        limits = ladder_limit_rows(grid, rows_of("ups"), rows, depth, window)
+        excs = excursion_rows(grid, rows_of("exc"), rows, exc_count)
+        for bl, (lengths, heights, states) in zip(limits, excs):
+            yield (lengths, heights,
+                   [(s, (s, t), m) for (s, t), m in states.items()],
+                   reader(grid, bl.end))
+
+
+def _totals(functionals, states, inside) -> list:
+    """Per functional (disc, weight): the sum over prefix states of
+    weight(S), times the state's multiplicity, over the states whose
+    point lies in the disc (every state for disc None).  A state whose
+    weight is 0 is not read."""
+    out = [0] * len(functionals)
+    fns = [(j, disc, weight, {}) for j, (disc, weight) in
+           enumerate(functionals)]    # with weight(S) per S met
+    for s, state, m in states:
+        for j, disc, weight, weights in fns:
+            w = weights.get(s)
+            if w is None:
+                w = weights[s] = weight(s)
+            if w and (disc is None or inside(state, disc)):
+                out[j] += m * w
+    return out
 
 
 def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
@@ -455,15 +521,19 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     """Excursion-average estimates normalized by E[S_l].
 
     Samples boundary points from the ladder walk's harmonic measure, then
-    runs independent excursions from each; every
-    functional(heights, inside) is averaged within clusters and divided
-    by the empirical mean ladder height.  ``heights`` lists the heights
-    S_0..S_{l-1} of the prefix L_0..L_{l-1}, and ``inside(k, disc)`` says
-    whether L_k maps the point into the disc below the vertex ``disc``.
-    Returns one ClusterEstimate per functional, plus a stats dict.
-    Cluster i draws its point from ``(seed, "ups", i)`` and its
+    runs independent excursions from each.  A functional is a pair
+    (disc, weight): per excursion it sums weight(S_k) over the prefix
+    L_0..L_{l-1} (heights S_0..S_{l-1}) where L_k maps the point into the
+    disc below the vertex ``disc`` (every k for disc None).  Each is
+    averaged within clusters and divided by the empirical mean ladder
+    height.  Returns one ClusterEstimate per functional, plus a stats
+    dict.  Cluster i draws its point from ``(seed, "ups", i)`` and its
     excursions from ``(seed, "exc", i)``; ``seed`` is a stream key.
+    Laws on the engine walk the clusters as batches of keyed rows.
     """
+    if n_upsilon < 2:
+        raise ValueError(f"{n_upsilon} clusters give no standard error; "
+                         "the cluster estimates need at least 2")
     mu = law.drift()
     if mu <= 0:
         raise NonPositiveDrift("excursion averages need positive drift")
@@ -471,23 +541,12 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     numer = np.zeros((n_fn, n_upsilon))
     denom = np.zeros(n_upsilon)
     lengths = np.zeros(n_upsilon)
-    for i in range(n_upsilon):
-        # generous window: excursion prefixes have negative heights and
-        # shift the point's known digits down when acting on it
-        ups = ladder_boundary_limit(law, stream(seed, "ups", i),
-                                    depth=depth, end_window=depth + 24).end
-        acc = np.zeros(n_fn)
-        sl = 0.0
-        ll = 0.0
-        for length, height, heights, inside in ladder_excursions(
-                law, stream(seed, "exc", i), exc_per_upsilon, ups):
-            for j, fn in enumerate(functionals):
-                acc[j] += fn(heights, inside)
-            sl += height
-            ll += length
-        numer[:, i] = acc / exc_per_upsilon
-        denom[i] = sl / exc_per_upsilon
-        lengths[i] = ll / exc_per_upsilon
+    for i, (ls, hs, states, inside) in enumerate(_clusters(
+            law, seed, n_upsilon, exc_per_upsilon, depth)):
+        numer[:, i] = np.array(_totals(functionals, states, inside),
+                               dtype=float) / exc_per_upsilon
+        denom[i] = sum(hs) / exc_per_upsilon
+        lengths[i] = sum(ls) / exc_per_upsilon
     out = []
     for j in range(n_fn):
         est = _cluster_ratio(numer[j], denom)
@@ -513,14 +572,8 @@ def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50):
     stream key, used as in ``ladder_cluster_run``.
     """
     depth = max([d.height for d in discs if d is not None], default=1) + 2
-    fns = []
-    for d in discs:
-        if d is None:
-            fns.append(lambda hs, inside: float(len(hs)))
-        else:
-            fns.append(lambda hs, inside, d=d: float(
-                sum(1 for k in range(len(hs)) if inside(k, d))))
-    return ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, fns,
+    return ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon,
+                              [(d, lambda s: 1) for d in discs],
                               depth=max(depth, 4))
 
 
@@ -534,7 +587,15 @@ class BoundaryMeasureSample:
 
 
 def _uniform_unit(rng, p: int, digits: int) -> int:
-    u = int(rng.integers(0, p ** digits))
+    """A uniform unit modulo p**digits.  Its digits are one draw when
+    p**digits fits numpy's int64 bound, else drawn low chunks first, each
+    of as many digits as fit."""
+    if p ** digits <= 2 ** 63:
+        u = int(rng.integers(0, p ** digits))
+    else:
+        chunk = max(c for c in range(1, 64) if p ** c <= 2 ** 63)
+        u = sum(int(rng.integers(0, p ** min(chunk, digits - lo))) * p ** lo
+                for lo in range(0, digits, chunk))
     d0 = 1 + int(rng.integers(0, p - 1))
     return u - u % p + d0
 
@@ -797,18 +858,9 @@ def verify_renewal_identity(law, events, seed, *, n_upsilon=1000,
     """
     if law.drift() <= 0:
         raise NonPositiveDrift("the renewal identity check needs positive drift")
-    lhs_fns = []
-    for ev in events:
-        zs = sorted(ev.zset)
-
-        def fn(heights, inside, disc=ev.disc, zs=zs):
-            total = 0.0
-            for k, h in enumerate(heights):
-                count = sum(1 for z in zs if z >= h)
-                if count and inside(k, disc):
-                    total += count
-            return total
-        lhs_fns.append(fn)
+    # at a prefix height S, the shifts z in the z-set with S + z >= 0
+    lhs_fns = [(ev.disc, lambda s, zs=tuple(ev.zset): sum(z >= s for z in zs))
+               for ev in events]
     lhs, lhs_stats = ladder_cluster_run(law, (seed, "lhs"), n_upsilon,
                                         exc_per_upsilon, lhs_fns)
     rhs, rhs_stats = estimate_m_misinv(law, [ev.disc for ev in events],

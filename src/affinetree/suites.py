@@ -380,7 +380,15 @@ def renewal_claims(cfg, n_upsilon=1000, exc_per_upsilon=50, sigmas=None,
     sigmas = sigmas or cfg.tolerance_sigmas
     seed = cfg.seed if seed is None else seed
     claims = []
-    if cfg.law.drift() > 0:
+    statement = "the renewal product identity on disc x z-set events"
+    if cfg.law.drift() <= 0:
+        claims.append(_skip("renewal.identity", statement,
+                            "needs positive drift"))
+    elif n_upsilon < 2:
+        claims.append(_skip("renewal.identity", statement,
+                            f"needs at least 2 clusters for a standard "
+                            f"error, got {n_upsilon}"))
+    else:
         rep = verify_renewal_identity(cfg.law, _default_product_events(cfg),
                                       (seed, "renewal.identity"),
                                       n_upsilon=n_upsilon,
@@ -394,10 +402,6 @@ def renewal_claims(cfg, n_upsilon=1000, exc_per_upsilon=50, sigmas=None,
                 "pass" if chk["pass"] else "fail",
                 estimate=chk["lhs"], stderr=chk["lhs_stderr"],
                 tolerance=chk["tolerance"], details=chk))
-    else:
-        claims.append(_skip("renewal.identity",
-                            "the renewal product identity on disc x z-set "
-                            "events", "needs positive drift"))
     claims.extend(oracle_claims(cfg, sigmas=sigmas, seed=seed,
                                 trajectories=oracle_trajectories))
     return claims

@@ -6,38 +6,37 @@ boundary track full group elements: the right products R_n = X_1...X_n
 converge to a boundary point when the height drift is positive, and the
 sampler certifies a disc of requested depth around the limit.
 
-Each element-tracking loop is written once, against a walk object.  For
-p-adic and lamp laws with an engine form (``StepLaw.grid``) that object
-is ``grid.GridWalk`` (integer state, atom indices drawn in blocks); for
-any other law it is a generic twin on ``group.compose``.  Both give the
-same elements, disc ids and ends from the same uniforms and leave the
-generator in the same state.  ``run_product`` stays on generic
-arithmetic: it hands every running product to its visitor and is the
-reference the engine is tested against.
+Laws with an engine form (``StepLaw.grid``, p-adic and lamp) walk as
+batches of keyed rows, read block by block as the potential kernel reads
+its walks (``grid.blocks``): heights are cumulative sums, records a
+running maximum, and translation terms are folded in exact integers.
+Laws off the engine walk one step at a time on ``group.compose`` (a
+generic walk object), and that loop is the reference the batches are
+tested against; ``run_product`` hands every running product to its
+visitor.
 
-Certified boundary limits of laws on the engine are walked as one batch
-instead (``boundary_limits``, walk i on ``stream(seed, *path, i)``,
-read block by block as the potential kernel reads its walks,
-``grid.blocks``): heights are cumulative sums, records a running
-maximum, and translation terms are folded in exact integers only below
-the depth and the end window they can change.
-``sample_boundary_limit`` is the batch's one-walk case on a generator;
-the loop on a walk object serves laws off the engine and the ladder walk.
+Certified boundary limits (``boundary_limits``, walk i on
+``stream(seed, *path, i)``) fold only the terms below the depth and the
+end window they can change; ``sample_boundary_limit`` is the batch's
+one-walk case on a generator.  The successive ladder excursions of one
+walk are split by the strict records of its running maximum
+(``excursion_rows``), and the ladder walk, whose steps are whole
+excursions, takes its limit from the same records
+(``ladder_limit_rows``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import Draws, GridWalk, atom_index, blocks, row_chunks
-from .group import PadicAffine, act_end, compose, identity_like, phi
+from .grid import atom_index, blocks, row_chunks
+from .group import PadicAffine, compose, identity_like, phi
 from .rng import position, seek, stream, stream_rows, uniforms_at
-from .tree import LampEnd, PadicEnd, end_in_disc
+from .tree import LampEnd, PadicEnd
 
 DEFAULT_STEP_BUDGET = 10 ** 7
 LADDER_BLOCK = 512    # ladder_heights' steps per path and block
@@ -75,8 +74,8 @@ class LadderExcursion:
 
 
 class _GenericWalk:
-    """A walk from the identity on generic group arithmetic: the twin of
-    ``grid.GridWalk`` for laws off the digit grid."""
+    """A walk from the identity on generic group arithmetic, one draw of
+    ``rng`` per step: laws off the engine, and the batches' reference."""
 
     def __init__(self, law, rng):
         self.law, self.rng = law, rng
@@ -90,89 +89,117 @@ class _GenericWalk:
         self.g = compose(self.law.sample_step(self.rng), self.g)
         return phi(self.g)
 
-    def right_by(self, other: "_GenericWalk") -> int:
-        self.g = compose(self.g, other.g)
-        return phi(self.g)
 
-    def key(self, depth):
-        return _prefix_key(self.g, depth)
-
-    def disc_id(self, key):
-        return key
-
-    def snapshot(self):
-        return self.g
-
-    def element(self):
-        return self.g
-
-    def element_of(self, g):
-        return g
-
-    def point(self, end):
-        return end
-
-    def lands_in(self, g, end, disc) -> bool:
-        return end_in_disc(act_end(g, end), disc)
-
-
-@contextmanager
-def _walks(law, rng):
-    """Factory of walks from the identity, all drawing from ``rng``: on
-    the integer engine when the law has a grid form, else generic."""
-    grid = law.grid
-    if grid is None:
-        yield lambda: _GenericWalk(law, rng)
-        return
-    with Draws(grid, rng) as draws:
-        yield lambda: GridWalk(draws)
-
-
-def _excursion(walk, prefix, heights, max_steps):
-    """Left-multiply ``walk`` until its height is positive: (length,
-    height).  Appends each earlier state and height when ``prefix`` is a
-    list."""
+def ladder_excursion(law, rng, *, track_prefix=False,
+                     max_steps=DEFAULT_STEP_BUDGET) -> LadderExcursion:
+    """One ladder excursion on ``_GenericWalk``."""
+    w = _GenericWalk(law, rng)
+    prefix = [w.g] if track_prefix else None
     for n in range(1, max_steps + 1):
-        h = walk.left()
+        h = w.left()
         if h > 0:
-            return n, h
+            return LadderExcursion(n, w.g, h, prefix)
         if prefix is not None:
-            prefix.append(walk.snapshot())
-            heights.append(h)
+            prefix.append(w.g)
     raise StepBudgetExceeded(
         f"no ascending ladder epoch within {max_steps} steps")
 
 
-def ladder_excursion(law, rng, *, track_prefix=False,
-                     max_steps=DEFAULT_STEP_BUDGET) -> LadderExcursion:
-    with _walks(law, rng) as new_walk:
-        w = new_walk()
-        prefix = [w.snapshot()] if track_prefix else None
-        n, h = _excursion(w, prefix, [], max_steps)
-        if prefix is not None:
-            prefix = [w.element_of(x) for x in prefix]
-        return LadderExcursion(n, w.element(), h, prefix)
-
-
-def ladder_excursions(law, rng, count: int, end) -> list:
-    """``count`` successive ladder excursions on ``rng``, read against the
-    boundary point ``end``, as (length, height, heights, inside).
-
-    ``heights`` lists S_0, ..., S_{l-1} of the prefix L_0 = e, ...,
-    L_{l-1}, and ``inside(k, disc)`` is
-    ``end_in_disc(act_end(L_k, end), disc)``.
-    """
-    out = []
-    with _walks(law, rng) as new_walk:
-        point = new_walk().point(end)
-        for _ in range(count):
-            w = new_walk()
-            prefix, heights = [w.snapshot()], [0]
-            n, h = _excursion(w, prefix, heights, DEFAULT_STEP_BUDGET)
-            out.append((n, h, heights,
-                        lambda k, disc, w=w, prefix=prefix:
-                        w.lands_in(prefix[k], point, disc)))
+def _record_rows(grid, read, rows, first, walk, error):
+    """Each walk ``rows`` on the engine form ``grid``, read block by block
+    by ``grid.blocks`` from ``read``, until ``walk`` has its result.
+    ``walk(state, n, ks, hs)`` takes a walk's state (``first()`` at the
+    start), its steps so far and the block's atom indices and heights
+    after each step, and gives (result, None) or (None, next state).  A
+    walk that runs out of steps raises ``StepBudgetExceeded(error)``."""
+    out, run = [None] * len(rows), [first() for _ in rows]
+    for b in blocks(grid, read, rows, 0, DEFAULT_STEP_BUDGET):
+        going = []
+        for i, (row, ks, hs) in enumerate(zip(
+                b.live.tolist(), b.k.tolist(), b.path[:, 1:].tolist())):
+            out[row], run[row] = walk(run[row], b.n0, ks, hs)
+            if out[row] is None:
+                going.append(i)
+        b.going = going
+    if None in out:
+        raise StepBudgetExceeded(error)
     return out
+
+
+def excursion_rows(grid, read, rows, count) -> list:
+    """The first ``count`` ladder excursions of each walk ``rows``
+    (``_record_rows``), as (lengths, heights, states) per walk.
+
+    The excursions of a walk are split by the strict records of its
+    running maximum.  ``states`` counts the prefix states (S_k, T_k) of
+    them all: S_k is the height of L_k over the excursion's start and
+    T_k = sum over j <= k of txn_j·p**(txe_j - S_j), so L_k maps a point
+    x to p**S_k·(x + T_k) (``grid.reader``).
+    """
+    add, steps = grid.sum, grid.steps
+
+    def walk(run, n, ks, hs):
+        lengths, heights, states, top, start, t = run
+        for j, h in zip(ks, hs):
+            n += 1
+            if h > top:                 # the excursion ends
+                lengths.append(n - start)
+                heights.append(h - top)
+                if len(lengths) == count:
+                    return (lengths, heights, states), None
+                top, start, t = h, n, (0, 0)
+                state = 0, t
+            else:
+                txn, txe, _ = steps[j]
+                if txn:
+                    t = add(*t, txn, txe - h + top)
+                state = h - top, t
+            states[state] = states.get(state, 0) + 1
+        return None, (lengths, heights, states, top, start, t)
+    return _record_rows(
+        grid, read, rows, lambda: ([], [], {(0, (0, 0)): 1}, 0, 0, (0, 0)),
+        walk, f"no ascending ladder epoch within {DEFAULT_STEP_BUDGET} steps")
+
+
+def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
+    """``ladder_boundary_limit`` of each walk ``rows`` (``_record_rows``).
+
+    Ladder step m is the element of the walk's m-th excursion, so the
+    ladder heights are the walk's records, and atom n of an excursion
+    from height H0 to H1 adds txn·p**(txe + H0 + H1 - H_n) to the
+    translation (H_n the height after it).  Terms wait at exponent txe -
+    H_n until their excursion ends; the whole translation is folded, so
+    the end is the generic ladder walk's.
+    """
+    add, steps = grid.sum, grid.steps
+    goal = end_window + HEIGHT_GUARD
+
+    def walk(run, _n0, ks, hs):
+        # translation, waiting terms, top, ladder steps, key, stable
+        t, wait, top, n, key, stable = run
+        for j, h in zip(ks, hs):
+            txn, txe, _ = steps[j]
+            if txn:
+                wait = add(*wait, txn, txe - h)
+            if h <= top:
+                continue
+            if wait[0]:
+                t = add(*t, wait[0], wait[1] + top + h)
+            wait, top, n = (0, 0), h, n + 1
+            if h < depth:
+                continue
+            k = grid.key(*t, depth)
+            stable = stable + 1 if k == key else 1
+            key = k
+            if stable >= STABLE_EPOCHS and top >= goal:
+                end = end_of_product(grid.element((top, 1, *t)), end_window)
+                return BoundaryLimit(end, grid.disc_id(key), n, top,
+                                     True), None
+        return None, (t, wait, top, n, key, stable)
+    return _record_rows(
+        grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, None, 0), walk,
+        f"no certified depth-{depth} disc within {DEFAULT_STEP_BUDGET} "
+        "steps")
 
 
 def ladder_heights(law, rng, count: int, *, max_steps=DEFAULT_STEP_BUDGET):
@@ -266,8 +293,7 @@ class BoundaryLimit:
 
 def _certified_limit(walk, step, depth, stable_epochs, height_guard,
                      end_window, max_steps) -> BoundaryLimit:
-    """The certified limit of one walk stepped by ``step``: the ladder
-    walk, and laws off the engine."""
+    """The certified limit of one generic walk stepped by ``step``."""
     if end_window is None:
         end_window = depth + 8
     top = 0
@@ -280,12 +306,12 @@ def _certified_limit(walk, step, depth, stable_epochs, height_guard,
         top = h
         if h < depth:
             continue
-        k = walk.key(depth)
+        k = _prefix_key(walk.g, depth)
         stable = stable + 1 if k == key else 1
         key = k
         if stable >= stable_epochs and top >= end_window + height_guard:
-            end = end_of_product(walk.element(), end_window)
-            return BoundaryLimit(end, walk.disc_id(key), n, top, True)
+            end = end_of_product(walk.g, end_window)
+            return BoundaryLimit(end, key, n, top, True)
     raise StepBudgetExceeded(
         f"no certified depth-{depth} disc within {max_steps} steps")
 
@@ -407,24 +433,21 @@ def _require_positive_drift(law):
             "right products only converge to the boundary under positive drift")
 
 
-def _limit_rows(grid, count, seed, path, depth, end_window, max_steps):
-    """(chunks, limit) of ``limit_rows`` with its end window and step
-    budget."""
+def limit_rows(law, count, seed, *path, depth: int, end_window=None,
+               max_steps=DEFAULT_STEP_BUDGET):
+    """The walks of ``boundary_limits`` on the engine form of ``law``,
+    as (chunks, limit): ``chunks`` yields one list per batch of walks,
+    per walk (steps, top, key, translation) or None, and ``limit(i,
+    row)`` makes walk i's ``BoundaryLimit`` of its row."""
+    grid = law.grid
+    end_window = depth + 8 if end_window is None else end_window
+
     def read(rows, start, size):
         return stream_rows(rows, start, size, seed, *path)
     chunks = _limit_chunks(grid, read, count, depth, STABLE_EPOCHS,
                            HEIGHT_GUARD, end_window, max_steps)
     return chunks, lambda i, row: _boundary_limit(grid, read, i, row,
                                                   end_window)
-
-
-def limit_rows(law, count, seed, *path, depth: int):
-    """The walks of ``boundary_limits`` on the engine form of ``law``,
-    as (chunks, limit): ``chunks`` yields one list per batch of walks,
-    per walk (steps, top, key, translation) or None, and ``limit(i,
-    row)`` makes walk i's ``BoundaryLimit`` of its row."""
-    return _limit_rows(law.grid, count, seed, path, depth, depth + 8,
-                       DEFAULT_STEP_BUDGET)
 
 
 def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
@@ -447,8 +470,8 @@ def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
             except StepBudgetExceeded:
                 out.append((None, position(r)))
         return out
-    chunks, limit = _limit_rows(law.grid, count, seed, path, depth,
-                                end_window, max_steps)
+    chunks, limit = limit_rows(law, count, seed, *path, depth=depth,
+                               end_window=end_window, max_steps=max_steps)
     for rows in chunks:
         for row in rows:
             i = len(out)
@@ -475,10 +498,9 @@ def sample_boundary_limit(law, rng, *, depth: int,
     _require_positive_drift(law)
     grid = law.grid
     if grid is None:
-        with _walks(law, rng) as new_walk:
-            w = new_walk()
-            return _certified_limit(w, w.right, depth, stable_epochs,
-                                    height_guard, end_window, max_steps)
+        w = _GenericWalk(law, rng)
+        return _certified_limit(w, w.right, depth, stable_epochs,
+                                height_guard, end_window, max_steps)
     if end_window is None:
         end_window = depth + 8
     pos = position(rng)
@@ -506,15 +528,14 @@ def ladder_boundary_limit(law, rng, *, depth: int,
                           height_guard=HEIGHT_GUARD, end_window=None,
                           max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
     """``sample_boundary_limit`` for the ladder walk, whose steps are the
-    elements L_l of successive ladder excursions drawn from ``rng``.
-    ``steps`` counts ladder steps."""
+    elements L_l of successive ladder excursions drawn from ``rng``, on
+    generic group arithmetic.  ``steps`` counts ladder steps; its batch
+    form on the engine is ``ladder_limit_rows``."""
     _require_positive_drift(law)
-    with _walks(law, rng) as new_walk:
-        w = new_walk()
+    w = _GenericWalk(law, rng)
 
-        def ladder_step():
-            exc = new_walk()
-            _excursion(exc, None, None, DEFAULT_STEP_BUDGET)
-            return w.right_by(exc)
-        return _certified_limit(w, ladder_step, depth, stable_epochs,
-                                height_guard, end_window, max_steps)
+    def ladder_step():
+        w.g = compose(w.g, ladder_excursion(law, rng).element)
+        return phi(w.g)
+    return _certified_limit(w, ladder_step, depth, stable_epochs,
+                            height_guard, end_window, max_steps)

@@ -171,14 +171,8 @@ def _hit_cases(f, law, depth, rows, units):
         yield x, (None if test is None else test(row[3], unit)), want
 
 
-def _unit_drawn(law):
-    """Whether ``sample_mbar`` can draw the law's rotation unit."""
-    return not law.is_padic or law.degree ** 48 < 2 ** 63
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(grid_laws(), lamp_laws(min_drift=Fraction(1, 4)))
-       .filter(lambda up: _unit_drawn(up.inverse())),
+@given(st.one_of(grid_laws(), lamp_laws(min_drift=Fraction(1, 4))),
        st.integers(0, 2 ** 32), st.integers(0, 4), st.data())
 def test_limit_samples_match_sample_mbar(up, seed, top, data):
     law = up.inverse()          # negative drift; its inverse walks up
@@ -210,8 +204,7 @@ def test_limit_samples_match_sample_mbar(up, seed, top, data):
        st.integers(0, 2 ** 32), st.integers(0, 4), st.data())
 def test_integer_hits_match_member_for_odd_primes(up, seed, top, data):
     """The hit read on integers at p = 3 and 5, whose unit inverse is
-    taken modulo a power of p, with units drawn here: ``sample_mbar``
-    cannot draw them yet (see the test below)."""
+    taken modulo a power of p, with units drawn here."""
     law = up.inverse()
     p, depth, samples = law.degree, max(top + 2, 4), 5
     chunks, limit = limit_rows(up, samples, seed, "limit", depth=depth)
@@ -224,10 +217,9 @@ def test_integer_hits_match_member_for_odd_primes(up, seed, top, data):
             assert hit in (None, want)
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
-    "renewal._uniform_unit draws rng.integers(0, p**48), past numpy's "
-    "int64 range for p = 3 and 5 (a FOUND line of CHANGES.md)"))
 def test_sample_mbar_draws_units_for_odd_primes():
+    """p**48 is past numpy's int64 bound for p = 3 and 5, so the unit's
+    digits are drawn in chunks."""
     law = StepLaw((PadicAffine(PAdic.from_int(0, 3),
                                PAdic.from_fraction(Fraction(1, 3), 3)),
                    PadicAffine(PAdic.from_int(1, 3), PAdic.from_int(3, 3))),

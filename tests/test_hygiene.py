@@ -1,5 +1,6 @@
 """Static checks of the package source, by AST scan (no linter needed):
-no unused imports, and every random generator is built in ``rng``."""
+no unused imports, no module-level name that nothing uses, and every
+random generator is built in ``rng``."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,48 @@ def generator_builders(tree):
     return found
 
 
+def module_names(tree):
+    """Module-level functions, classes and constants as {name: line};
+    decorated functions and ``__all__`` are left out."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and not node.decorator_list:
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update({t.id: node.lineno for t in targets
+                        if isinstance(t, ast.Name) and t.id != "__all__"})
+    return out
+
+
+def named(tree):
+    """Names a module reads: loaded names, attributes and imported
+    names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def dead_names(trees):
+    """'module: name' for each module-level name of ``trees`` (module
+    name -> AST) that no module names."""
+    used = set().union(*map(named, trees.values()))
+    return sorted(f"{mod}: {name}" for mod, tree in trees.items()
+                  for name in module_names(tree) if name not in used)
+
+
+def test_no_dead_module_names():
+    assert not dead_names({p.name: _tree(p) for p in MODULES})
+
+
 def test_no_unused_imports():
     bad = {p.name: unused_imports(_tree(p)) for p in MODULES
            if p.name != "__init__.py"}
@@ -89,5 +132,8 @@ def test_scan_sees_unused_and_builders():
                      "from numpy.random import PCG64\n"
                      "g = np.random.Generator(np.random.Philox(1))\n")
     assert unused_imports(tree) == ["PCG64", "json"]
+    dead = ast.parse("A = 1\nB = A\n__all__ = []\n@staticmethod\n"
+                     "def f(): pass\ndef g(): return B\nclass C: pass\n")
+    assert dead_names({"m.py": dead}) == ["m.py: C", "m.py: g"]
     assert generator_builders(tree) == [
         "3: PCG64", "4: np.random.Generator", "4: np.random.Philox"]

@@ -3,30 +3,33 @@
 Each reference runs the same function on a copy of the law with its
 engine form switched off, so it walks on ``group.compose``, one
 ``law.sample_step`` per step: the engine must give the same elements,
-disc ids, reads and errors, and leave the generator in the same state.
+disc ids, reads and errors from the same uniforms.
 """
 
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinetree.errors import AffineTreeError, StepBudgetExceeded
-from affinetree.grid import Draws, GridWalk, LampGrid
-from affinetree.group import LampAffine, act_end, compose, identity_lamp, phi
+from affinetree.grid import LampGrid, pack, reader
+from affinetree.group import LampAffine, act_end, compose, identity_lamp
 from affinetree.law import StepLaw
-from affinetree.rng import stream
+from affinetree.rng import stream, stream_rows
 from affinetree.tree import OMEGA, LampEnd, LampVertex, end_in_disc
 from affinetree.walk import (
     _prefix_key,
-    _walks,
     disc_key,
+    excursion_rows,
     ladder_boundary_limit,
     ladder_excursion,
-    ladder_excursions,
     sample_boundary_limit,
 )
+
+from test_walk import _counts
 
 
 def _state(rng):
@@ -84,36 +87,32 @@ def _disc(draw, q, image):
     return LampVertex(q, h, _lamps(draw, q, h - 6, h, 3))
 
 
+def _lamp_state(grid, g):
+    """The prefix state (s, t) of the lamp element g: t its lamps
+    ``pack``ed, shifted by -s."""
+    num, lo = pack(g.lamps, grid.width)
+    return g.shift, (num, lo - g.shift)
+
+
 @settings(max_examples=120, deadline=None)
 @given(lamp_laws(), st.data())
-def test_lamp_steps_match_compose(law, data):
-    q = law.degree
-    seed = data.draw(st.integers(0, 2 ** 32))
-    moves = data.draw(st.lists(st.sampled_from("lx"), max_size=20))
-    g, r = identity_lamp(q), stream(seed, 0)
-    with Draws(law.grid, stream(seed, 0)) as draws:
-        w = GridWalk(draws)
-        for move in moves:
-            if move == "l":
-                w.left()
-                g = compose(law.sample_step(r), g)
-            else:        # right by x2·x1 drawn by another walk
-                other = GridWalk(draws)
-                other.left()
-                other.left()
-                w.right_by(other)
-                x1 = law.sample_step(r)
-                g = compose(g, compose(law.sample_step(r), x1))
-            assert w.s == phi(g) and w.element() == g
-            depth = data.draw(st.integers(-6, 8))
-            assert w.disc_id(w.key(depth)) == _prefix_key(g, depth)
-            end = OMEGA if data.draw(st.integers(0, 20)) == 0 \
-                else _end(data.draw, q)
-            image = _outcome(lambda: act_end(g, end))
-            disc = _disc(data.draw, q, image)
-            assert _outcome(lambda: w.lands_in(w.snapshot(), w.point(end),
-                                               disc)) == \
-                _outcome(lambda: end_in_disc(act_end(g, end), disc))
+def test_lamp_reads_match_compose(law, data):
+    q, grid = law.degree, law.grid
+    g, r = identity_lamp(q), stream(data.draw(st.integers(0, 2 ** 32)), 0)
+    for move in data.draw(st.lists(st.sampled_from("lr"), max_size=20)):
+        x = law.sample_step(r)
+        g = compose(x, g) if move == "l" else compose(g, x)
+        s, (num, floor) = state = _lamp_state(grid, g)
+        assert grid.element((s, 1, num, floor + s)) == g
+        depth = data.draw(st.integers(-6, 8))
+        assert grid.disc_id(grid.key(num, floor + s, depth)) == \
+            _prefix_key(g, depth)
+        end = OMEGA if data.draw(st.integers(0, 20)) == 0 \
+            else _end(data.draw, q)
+        image = _outcome(lambda: act_end(g, end))
+        disc = _disc(data.draw, q, image)
+        assert _outcome(lambda: reader(grid, end)(state, disc)) == \
+            _outcome(lambda: end_in_disc(act_end(g, end), disc))
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,24 +136,27 @@ def test_lamp_boundary_limit_matches_generic(law, seed, depth, ladder):
 @given(lamp_laws(min_drift=Fraction(1, 4)), st.integers(0, 2 ** 32),
        st.data())
 def test_lamp_ladder_excursions_match_generic(law, seed, data):
-    q, twin = law.degree, _generic_twin(law)
-    fast, ref = stream(seed, 0), stream(seed, 0)
-    for _ in range(3):
-        assert ladder_excursion(law, fast, track_prefix=True) == \
-            ladder_excursion(twin, ref, track_prefix=True)
-    assert _state(fast) == _state(ref)
+    """The batch's excursions of one stream against the generic twin's,
+    and each prefix state's reads."""
+    q, grid, twin = law.degree, law.grid, _generic_twin(law)
+    [(lengths, heights, states)] = excursion_rows(
+        grid, lambda ids, start, size: stream_rows(ids, start, size, seed),
+        np.array([1]), 4)
+    ref = stream(seed, 1)
+    want = [ladder_excursion(twin, ref, track_prefix=True) for _ in range(4)]
+    assert (lengths, heights) == ([w.length for w in want],
+                                  [w.height for w in want])
+    prefix = {(s, t): grid.element((s, 1, t[0], t[1] + s))
+              for s, t in states}
+    assert _counts((prefix[k], m) for k, m in states.items()) == \
+        Counter(g for w in want for g in w.prefix)
     end = _end(data.draw, q)
-    discs = [_disc(data.draw, q, end) for _ in range(4)]
-    fast, ref = stream(seed, 1), stream(seed, 1)
-    for got, want in zip(ladder_excursions(law, fast, 4, end),
-                         ladder_excursions(twin, ref, 4, end)):
-        assert got[:3] == want[:3]
-        for k in range(len(got[2])):
-            for disc in discs:
-                assert _outcome(lambda: got[3](k, disc)) == \
-                    _outcome(lambda: want[3](k, disc))
-    assert _state(fast) == _state(ref)
-    assert fast.random() == ref.random()
+    inside = reader(grid, end)
+    for _ in range(4):
+        disc = _disc(data.draw, q, end)
+        for state, g in prefix.items():
+            assert _outcome(lambda: inside(state, disc)) == \
+                _outcome(lambda: end_in_disc(act_end(g, end), disc))
 
 
 @pytest.mark.parametrize("known_to", [0, 5])
@@ -162,8 +164,6 @@ def test_window_limited_atoms_stay_generic(known_to):
     atoms = (LampAffine(3, (), 1), LampAffine(3, ((0, 2),), -1, known_to))
     law = StepLaw(atoms, (Fraction(3, 4), Fraction(1, 4)))
     assert law.grid is None and LampGrid.of(law) is None
-    with _walks(law, stream(1, 0)) as new_walk:
-        assert not isinstance(new_walk(), GridWalk)
     bl = sample_boundary_limit(law, stream(2, 0), depth=2)
     assert bl == sample_boundary_limit(_generic_twin(law), stream(2, 0),
                                        depth=2)

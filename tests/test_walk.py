@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,20 +15,14 @@ from affinetree.errors import (
     PrecisionExhausted,
     StepBudgetExceeded,
 )
-from affinetree.grid import (
-    BLOCK,
-    Draws,
-    GridLaw,
-    GridWalk,
-    vertex_test,
-)
+from affinetree.grid import GridLaw, blocks, reader, vertex_test
 from affinetree.group import PadicAffine, act_end, act_vertex, compose, \
     identity_like, phi
 from affinetree.law import StepLaw
 from affinetree.padic import DEFAULT_BUDGET, PAdic, PrecisionBudget, \
     fraction_truncate
 from affinetree.renewal import CylinderEvent
-from affinetree.rng import stream
+from affinetree.rng import stream, stream_rows
 from affinetree.tree import PadicEnd, PadicVertex, end_in_disc
 from affinetree.walk import (
     DEFAULT_STEP_BUDGET,
@@ -36,9 +31,9 @@ from affinetree.walk import (
     LadderExcursion,
     disc_key,
     end_of_product,
+    excursion_rows,
     ladder_boundary_limit,
     ladder_excursion,
-    ladder_excursions,
     ladder_heights,
     regime_summary,
     run_product,
@@ -315,34 +310,62 @@ def test_ladder_excursion_engine_matches_compose(law, seed, track):
         got = ladder_excursion(law, fast, track_prefix=track)
         assert got == _scalar_excursion(law, ref, track)
         assert _state(fast) == _state(ref)
-    # the cluster form: the same excursions, prefix heights and generator
-    end = PadicEnd(PAdic.from_int(1, law.degree).with_known_exponent(30))
-    fast, ref = stream(seed, 1), stream(seed, 1)
-    for n, h, heights, _ in ladder_excursions(law, fast, 3, end):
-        want = _scalar_excursion(law, ref, True)
-        assert (n, h, heights) == (want.length, want.height,
-                                   [phi(g) for g in want.prefix])
-    assert _state(fast) == _state(ref)
+    # the batch on the same stream: the same excursions and prefixes
+    grid, ref = GridLaw.of(law), stream(seed, 1)
+    [(lengths, heights, states)] = excursion_rows(
+        grid, lambda ids, start, size: _uniforms(stream(seed, 1), start, size),
+        np.array([0]), 3)
+    want = [_scalar_excursion(law, ref, True) for _ in range(3)]
+    assert (lengths, heights) == ([w.length for w in want],
+                                  [w.height for w in want])
+    assert _prefix_counts(grid, states) == \
+        Counter(g for w in want for g in w.prefix)
 
 
-@pytest.mark.parametrize("count", [0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   2 * BLOCK + 5])
+def _uniforms(rng, start, size):
+    """Uniforms ``start`` to ``start + size`` of a fresh stream, as one
+    row of a batch."""
+    rng.random(start)
+    return rng.random((1, size))
+
+
+def _counts(pairs):
+    """A Counter of (item, multiplicity) pairs; equal items add up."""
+    out = Counter()
+    for item, m in pairs:
+        out[item] += m
+    return out
+
+
+def _prefix_counts(grid, states):
+    """The prefix elements of counted states (s, t) of ``excursion_rows``,
+    with their multiplicities: a state's translation may cancel to zero
+    at another floor."""
+    return _counts((grid.element((s, 1, t[0], t[1] + s)), m)
+                   for (s, t), m in states.items())
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 511, 512, 513, 1029])
 def test_draws_match_scalar_indices(count):
+    """The atom indices of a batch's rows, block by block, are those of
+    repeated ``law.sample_index`` on each row's stream."""
     law = StepLaw((aff(0, 2), aff(1, Fraction(1, 2)), aff(-1, 1)),
                   (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
-    fast, ref = stream(5, count), stream(5, count)
-    for r in (fast, ref):     # leave a buffered 32-bit half in the state
-        r.integers(0, 7, dtype=np.int32)
-    with Draws(GridLaw.of(law), fast) as draws:
-        got = [draws.next() for _ in range(count)]
-    assert got == [law.sample_index(ref) for _ in range(count)]
-    assert _state(fast) == _state(ref)
-    assert fast.random() == ref.random()
+    rows = np.arange(3)
+    got = [[] for _ in rows]
+    for b in blocks(law.grid, lambda ids, start, size: stream_rows(
+            ids, start, size, 5, count), rows, 0, count):
+        for row, ks in zip(b.live.tolist(), b.k.tolist()):
+            got[row] += ks
+        b.going = slice(None)
+    for i in rows:
+        ref = stream(5, count, i)
+        assert got[i] == [law.sample_index(ref) for _ in range(count)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(grid_laws(), st.data())
-def test_grid_steps_match_compose(law, data):
+def test_grid_reads_match_compose(law, data):
     grid = GridLaw.of(law)
     p = grid.prime
     u = data.draw(st.integers(1, 40).filter(lambda v: v % p))
@@ -351,36 +374,24 @@ def test_grid_steps_match_compose(law, data):
                   p ** data.draw(st.integers(0, 3)))
     g = PadicAffine(PAdic.from_fraction(t0, p),
                     PAdic.from_fraction(u * _p_power(p, s0), p))
-    g0, state = g, grid.start(g)
-    assert state is not None and grid.element(state) == g
-    seed = data.draw(st.integers(0, 2 ** 32))
-    moves = data.draw(st.lists(st.sampled_from("lx"), max_size=25))
-    r = stream(seed, 0)
-    with Draws(grid, stream(seed, 0)) as draws:
-        w = GridWalk(draws, state)
-        for move in moves:
-            if move == "l":
-                w.left()
-                g = compose(law.sample_step(r), g)
-            else:        # right by x2·x1·g0 for the start element g0
-                other = GridWalk(draws, state)
-                other.left()
-                other.left()
-                w.right_by(other)
-                x1 = law.sample_step(r)
-                g = compose(g, compose(law.sample_step(r), compose(x1, g0)))
-            assert w.element() == g
-            depth = data.draw(st.integers(-4, 8))
-            assert w.disc_id(w.key(depth)) == g.t.residue(depth)
-            src = PadicVertex(p, data.draw(st.integers(-3, 3)),
-                              Fraction(data.draw(st.integers(0, 99)), p ** 3))
-            tgt = PadicVertex(p, src.height + phi(g), Fraction(
-                data.draw(st.integers(0, 99)), p ** 3))
-            if data.draw(st.booleans()):
-                tgt = act_vertex(g, src)
-            f = CylinderEvent((src,), (tgt,))
-            assert vertex_test(grid, f.sources, f.targets)(*w.snapshot()) \
-                == f.member(g)
+    r = stream(data.draw(st.integers(0, 2 ** 32)), 0)
+    for move in data.draw(st.lists(st.sampled_from("lr"), max_size=25)):
+        x = law.sample_step(r)
+        g = compose(x, g) if move == "l" else compose(g, x)
+        state = grid.start(g)
+        assert state is not None and grid.element(state) == g
+        depth = data.draw(st.integers(-4, 8))
+        assert grid.disc_id(grid.key(*state[2:], depth)) == \
+            g.t.residue(depth)
+        src = PadicVertex(p, data.draw(st.integers(-3, 3)),
+                          Fraction(data.draw(st.integers(0, 99)), p ** 3))
+        tgt = PadicVertex(p, src.height + phi(g), Fraction(
+            data.draw(st.integers(0, 99)), p ** 3))
+        if data.draw(st.booleans()):
+            tgt = act_vertex(g, src)
+        f = CylinderEvent((src,), (tgt,))
+        assert vertex_test(grid, f.sources, f.targets)(*state) == \
+            f.member(g)
 
 
 def _outcome(fn):
@@ -396,8 +407,7 @@ def test_prefix_in_disc_matches_act_end(data):
     p = data.draw(PRIMES)
     budget = data.draw(st.sampled_from([DEFAULT_BUDGET, *SMALL_BUDGETS]))
     grid = GridLaw(p, ((0, 0, 1),), budget, np.array([1.0]))
-    state = (data.draw(st.integers(-4, 4)),
-             data.draw(st.integers(1, 30).filter(lambda v: v % p)),
+    state = (data.draw(st.integers(-4, 4)), 1,
              data.draw(st.integers(-300, 300)), data.draw(st.integers(-4, 4)))
     g = grid.element(state)
     kind = data.draw(st.sampled_from(["digits", "cancel", "exact", "zero"]))
@@ -441,7 +451,9 @@ def test_prefix_in_disc_matches_act_end(data):
         except PrecisionExhausted:
             pass
     disc = PadicVertex(p, h, center)
-    point = grid.point(end)
-    assert (point[1] is None) == (value.exact is not None or value.is_zero)
-    assert _outcome(lambda: grid.lands_in(state, point, disc)) == \
+    assert (grid.point(end)[1] is None) == \
+        (value.exact is not None or value.is_zero)
+    s, _, num, floor = state
+    assert _outcome(lambda: reader(grid, end)((s, (num, floor - s)),
+                                              disc)) == \
         _outcome(lambda: end_in_disc(act_end(g, end), disc))
