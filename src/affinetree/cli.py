@@ -22,6 +22,8 @@ from .walk import regime_summary, run_product
 from . import reports, __version__
 
 TAIL_CEILING = 0.05   # kernel tail bounds above this invalidate the run
+# run sizes from the command line, held to the config's bounds
+RUN_SIZE = click.IntRange(min=1)
 
 
 def _load(path, **kw):
@@ -66,8 +68,8 @@ def validate(path):
 @main.command()
 @click.option("--config", "path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--trajectories", type=int, default=None)
-@click.option("--horizon", type=int, default=None)
+@click.option("--trajectories", type=RUN_SIZE, default=None)
+@click.option("--horizon", type=RUN_SIZE, default=None)
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 @click.option("--dump", is_flag=True,
               help="Also write full trajectories to trajectories.csv.")
@@ -101,8 +103,8 @@ def simulate(path, seed, trajectories, horizon, out_dir, dump):
 @click.option("--suite", "suite_name", default="all",
               type=click.Choice(SUITE_NAMES + ("all",)))
 @click.option("--seed", type=int, default=None)
-@click.option("--trajectories", type=int, default=None)
-@click.option("--horizon", type=int, default=None)
+@click.option("--trajectories", type=RUN_SIZE, default=None)
+@click.option("--horizon", type=RUN_SIZE, default=None)
 @click.option("--tol", "tol", type=float, default=None,
               help="Tolerance in combined standard errors.")
 @click.option("--out", "out_dir", type=click.Path(), default=None)

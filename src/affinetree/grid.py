@@ -230,6 +230,14 @@ class LampGrid:
         return None if any(a.known_to is not None for a in law.atoms) \
             else cls(law)
 
+    def start(self, g) -> "tuple | None":
+        """(shift, 1, digits, lo) of a start element; None when it is
+        window-limited or of another realization."""
+        if not isinstance(g, LampAffine) or g.q != self.q \
+                or g.known_to is not None:
+            return None
+        return g.shift, 1, *pack(g.lamps, self.width)
+
     def key(self, num, floor, depth):
         """The lamps at positions <= depth as ``pack`` gives them."""
         w = self.width
@@ -266,11 +274,16 @@ class LampGrid:
         return self.key(*self.sum(*t, digits, lo), h - s)
 
 
-def atom_index(grid: GridLaw, u):
-    """The atom indices ``StepLaw.sample_index`` reads from uniforms
-    ``u``, an array of any shape."""
-    return np.minimum(np.searchsorted(grid.thresholds, u, side="right"),
-                      len(grid.steps) - 1)
+def inverse_cdf(thresholds, u):
+    """The atom indices a law with cumulative ``thresholds`` reads from
+    uniforms ``u``, a float or an array of any shape: the count of the
+    thresholds but the last at or below u.  That is searchsorted(side=
+    "right") clamped to the last atom, one comparison per atom instead
+    of a binary search per uniform."""
+    k = np.zeros(u.shape, np.intp) if isinstance(u, np.ndarray) else 0
+    for t in thresholds[:-1].tolist():
+        k += u >= t
+    return k
 
 
 @functools.lru_cache(maxsize=64)
@@ -318,7 +331,7 @@ def blocks(grid: GridLaw, read, rows, s0, horizon):
     b.live, b.n0 = np.arange(len(rows)), 0
     while b.live.size and b.n0 < horizon:
         size = min(BATCH_COLS, horizon - b.n0)
-        b.k = atom_index(grid, read(rows[b.live], b.n0, size))
+        b.k = inverse_cdf(grid.thresholds, read(rows[b.live], b.n0, size))
         b.path = np.empty((b.live.size, size + 1), dtype=np.int64)
         b.path[:, 0] = height[b.live]
         b.path[:, 1:] = phis[b.k]
@@ -355,19 +368,19 @@ def residue_is(num, floor, h, center: Fraction, p) -> bool:
     return center.numerator == r and center.denominator == p ** -e
 
 
-def vertex_test(grid: GridLaw, sources, targets):
-    """``test(s, u, num, floor)``: whether the element maps each source
-    vertex into the disc of its target (``act_vertex(g, src) == tgt``
-    for sources and targets at the element's height displacement)."""
-    p = grid.prime
-    pairs = [(*split(x.center, p), y.height, y.center)
+def vertex_test(grid, sources, targets):
+    """``test(s, u, num, floor)``: whether the element of the engine form
+    ``grid`` maps each source vertex into the disc of its target
+    (``act_vertex(g, src) == tgt`` for sources and targets at the
+    element's height displacement).  The image of a source adds its
+    digits, times u, at their exponents shifted by s."""
+    pairs = [(*grid.digits(x), y.height, grid.key(*grid.digits(y), y.height))
              for x, y in zip(sources, targets)]
 
     def test(s, u, num, floor):
-        for cn, ce, h, c in pairs:
-            n, e = grid.sum(num, floor, u * cn, s + ce) if cn \
-                else (num, floor)
-            if not residue_is(n, e, h, c, p):
+        for cn, ce, h, want in pairs:
+            t = grid.sum(num, floor, u * cn, s + ce) if cn else (num, floor)
+            if grid.key(*t, h) != want:
                 return False
         return True
     return test

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySupport, WeightsNotNormalized
-from .grid import GridLaw, LampGrid
+from .grid import GridLaw, LampGrid, inverse_cdf
 from .group import (
     PadicAffine,
     decompose,
@@ -104,16 +104,13 @@ class StepLaw:
     # -- sampling ------------------------------------------------------------
 
     def sample_index(self, rng) -> int:
-        u = rng.random()
-        return min(int(np.searchsorted(self.thresholds, u, side="right")),
-                   len(self.atoms) - 1)
+        return inverse_cdf(self.thresholds, rng.random())
 
     def sample_step(self, rng):
         return self.atoms[self.sample_index(rng)]
 
     def sample_indices(self, rng, size) -> np.ndarray:
-        idx = np.searchsorted(self.thresholds, rng.random(size), side="right")
-        return np.minimum(idx, len(self.atoms) - 1)
+        return inverse_cdf(self.thresholds, rng.random(size))
 
     def phi_steps(self, u) -> np.ndarray:
         """``phis[sample_indices]`` for uniforms ``u``, in the narrowest

@@ -7,21 +7,22 @@ renewal product identity; the boundary limit of the kernel along the
 reference homothety is matched against an independent estimator built
 from the inverted walk's harmonic measure extended by rotation averaging.
 
-Laws on the p-adic digit grid run on the integer engine of ``grid``.
-The potential kernel walks all its trajectories as one batch: numpy
-draws the atom indices of many keyed streams at once (``rng.stream_rows``,
-read block by block by ``grid.blocks``) and sums them into heights, the
-stop rule is a first-index search per trajectory, and the translation
-is read, in exact integers, only at the steps where the walk is at the
-event's level.  The limit-measure estimator walks its certified
-boundary limits as one batch as well (``walk.limit_rows``) and reads
-its hits from the ends' integer digits.  The excursion estimators walk
-their clusters as batches too, p-adic and lamp laws alike: each
-cluster's ladder-walk limit and excursions are rows of
-``walk.ladder_limit_rows`` and ``walk.excursion_rows``, and a functional
-reads each distinct prefix state once (``grid.reader``).  The
-lamplighter kernel and laws off the engine use generic group arithmetic,
-one step at a time.
+Laws with an engine form (``StepLaw.grid``: the p-adic digit grid, or
+lamp digits added without carries) run on the integer engine of
+``grid``.  The potential kernel walks all its trajectories as one batch,
+one body for both forms: numpy draws the atom indices of many keyed
+streams at once (``rng.stream_rows``, read block by block by
+``grid.blocks``) and sums them into heights, the stop rule is a
+first-index search per trajectory, and the translation is folded by the
+form's ``sum``, in exact integers, only up to the steps where the walk
+is at the event's level.  The limit-measure estimator walks its
+certified boundary limits as one batch as well (``walk.limit_rows``) and
+reads its hits from the ends' integer digits.  The excursion estimators
+walk their clusters as batches too: each cluster's ladder-walk limit and
+excursions are rows of ``walk.ladder_limit_rows`` and
+``walk.excursion_rows``, and a functional reads each distinct prefix
+state once (``grid.reader``).  Only laws off the engine use generic
+group arithmetic, one step at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -164,10 +165,10 @@ _NEVER = np.iinfo(np.int64).max
 
 
 def _kernel_walk(g, f: CylinderEvent, law):
-    """(grid law, start state, membership test, highest target height)
+    """(engine form, start state, membership test, highest target height)
     of the integer kernel walk, or None when the law or the start element
-    is off the grid."""
-    grid = law.grid if law.is_padic else None    # the batch is p-adic
+    is off the engine."""
+    grid = law.grid
     start = grid and grid.start(g)
     if not start:
         return None
@@ -180,14 +181,6 @@ def _first(mask, n0):
     holds step n0 + 1 + c; _NEVER for a row with none."""
     col = mask.argmax(axis=1)
     return np.where(mask[np.arange(len(mask)), col], n0 + 1 + col, _NEVER)
-
-
-def _fold(num, floor, coefs, exps, p):
-    """(sums, low): sums[j]·p**low is num·p**floor plus the first j terms
-    coefs[k]·p**exps[k]."""
-    low = min([floor, *exps])
-    return list(accumulate((c * p ** (e - low) for c, e in zip(coefs, exps)),
-                           initial=num * p ** (floor - low))), low
 
 
 def _stop_steps(heights, at, n0, level, rule, e, r):
@@ -206,7 +199,7 @@ def _stop_steps(heights, at, n0, level, rule, e, r):
 
 
 def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
-    """Kernel walks 0..trajectories-1 on the grid, as a batch.
+    """Kernel walks 0..trajectories-1 on the engine, as a batch.
 
     Trajectory i takes the uniforms of ``stream(seed, label, i)`` in
     order, one atom per uniform.  ``stop`` is (direction, delta,
@@ -216,20 +209,21 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     it has none); see ``potential_kernel`` for the rule.
     """
     grid, (s0, u, num0, floor0), member, top = walk
-    p, steps = grid.prime, grid.steps
+    add, steps, cut = grid.sum, grid.steps, top + grid.key_reach
     at_start = s0 == level and member(s0, u, num0, floor0)
     hit_rows, hit_steps = [], []
     exits = np.full(trajectories, _NEVER)
     backs = np.full(trajectories, _NEVER)
+    reads = {}            # membership by translation: walks meet few
 
     def read(ids, start, size):
         return stream_rows(ids, start, size, seed, label)
     for rows in row_chunks(trajectories):
+        ids = rows.tolist()
         if at_start:
-            hit_rows += rows.tolist()
-            hit_steps += [0] * len(rows)
+            hit_rows += ids
+            hit_steps += [0] * len(ids)
         carry = [(num0, floor0)] * len(rows)
-        reads = {}                         # membership by translation
         for b in blocks(grid, read, rows, s0, horizon):
             live, n0, k = b.live, b.n0, b.k
             heights = b.path[:, 1:]
@@ -245,33 +239,36 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
             going = (end == _NEVER) & (n0 + size < horizon)
             # the translation is read only at visits, from the terms that
             # steps up to a row's last visit (its whole block, for a row
-            # that runs on) add below the top target height
+            # that runs on) add at exponents a read at the top height sees
             last = np.where(seen.any(axis=1),
                             size - 1 - seen[:, ::-1].argmax(axis=1), -1)
             last[going] = size - 1
-            tr, tc = np.nonzero((b.exps < top) & (col <= last[:, None]))
+            tr, tc = np.nonzero((b.exps < cut) & (col <= last[:, None]))
             vr, vc = np.nonzero(seen)
-            t_at = np.searchsorted(tr, np.arange(live.size + 1)).tolist()
-            v_at = np.searchsorted(vr, np.arange(live.size + 1)).tolist()
+            bounds = np.arange(live.size + 1)
+            t_at = tr.searchsorted(bounds).tolist()
+            v_at = vr.searchsorted(bounds).tolist()
             coefs = [u * steps[j][0] for j in k[tr, tc].tolist()]
-            exps = b.exps[tr, tc].tolist()
-            tc, vc = tc.tolist(), vc.tolist()
+            exps, tc, vc = b.exps[tr, tc].tolist(), tc.tolist(), vc.tolist()
+            live_l, going_l = live.tolist(), going.tolist()
             for i in np.flatnonzero(last >= 0).tolist():
-                row = live[i]
-                t0, t1, v0, v1 = t_at[i], t_at[i + 1], v_at[i], v_at[i + 1]
-                sums, low = _fold(*carry[row], coefs[t0:t1], exps[t0:t1], p)
-                for v in vc[v0:v1]:
-                    t = sums[bisect_right(tc, v, t0, t1) - t0], low
-                    hit = reads.get(t)
-                    if hit is None:    # walks meet the same few translations
-                        hit = reads[t] = member(level, u, *t)
+                row, t0, t1 = live_l[i], t_at[i], t_at[i + 1]
+                t = carry[row]
+                sums = [t]              # sums[j]: t after j terms
+                for j in range(t0, t1):
+                    t = add(*t, coefs[j], exps[j])
+                    sums.append(t)
+                for v in vc[v_at[i]:v_at[i + 1]]:
+                    x = sums[bisect_right(tc, v, t0, t1) - t0]
+                    hit = reads.get(x)
+                    if hit is None:
+                        hit = reads[x] = member(level, u, *x)
                     if hit:
-                        hit_rows.append(rows[row])
+                        hit_rows.append(ids[row])
                         hit_steps.append(n0 + 1 + v)
-                if going[i]:
-                    # digits at p**top and above never change a read
-                    carry[row] = (sums[-1] % p ** (top - low)
-                                  if top > low else 0, low)
+                if going_l[i] and t1 > t0:
+                    # terms that no read at the top sees are dropped
+                    carry[row] = grid.key(*t, top)
             b.going = going
     return (np.array(hit_rows, dtype=np.int64),
             np.array(hit_steps, dtype=np.int64), exits, backs)
@@ -345,15 +342,19 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     trajectory i draws from ``(seed, "kernel", i)``, the centered tail
     from "tail".
 
-    Grid laws run every trajectory in one batch (``_grid_visits``): atom
-    indices come from ``rng.stream_rows`` in blocks, heights are
-    cumulative sums, the stop rule is a first-index search per row, and
-    the translation is summed in exact integers only up to the visits it
-    is read at.  Only steps adding digits below the highest target
-    height H enter the sum: a term at exponent >= H is a multiple of
-    p**H and changes no residue modulo p**h for h <= H.  Other laws walk
-    one trajectory at a time on generic group arithmetic.
+    Laws on the engine, p-adic and lamp, run every trajectory in one
+    batch (``_grid_visits``): atom indices come from ``rng.stream_rows``
+    in blocks, heights are cumulative sums, the stop rule is a
+    first-index search per row, and the translation is summed in exact
+    integers only up to the visits it is read at.  Only terms at
+    exponents below H + ``key_reach`` enter the sum, H the highest
+    target height: a read at height h <= H sees the digits below h
+    (p-adic) or up to h (lamp), so a later term changes no read.  Only
+    laws off the engine walk one trajectory at a time on generic group
+    arithmetic.
     """
+    if trajectories < 1:
+        raise ValueError(f"{trajectories} trajectories estimate nothing")
     if f.is_empty:
         return KernelEstimate(0.0, 0.0, trajectories, 0, 0.0)
     drift = law.drift()

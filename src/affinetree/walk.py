@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import atom_index, blocks, row_chunks
+from .grid import blocks, inverse_cdf, row_chunks
 from .group import PadicAffine, compose, identity_like, phi
 from .rng import position, seek, stream, stream_rows, uniforms_at
 from .tree import LampEnd, PadicEnd
@@ -422,7 +422,8 @@ def _boundary_limit(grid, read, i, limit, end_window) -> BoundaryLimit:
     end = end_of_product(grid.element((top, 1, *t)), end_window)
     if isinstance(end, PadicEnd) and end.value.exact is not None:
         # an end with few digits keeps the exact value: every term counts
-        t = _translation(grid, atom_index(grid, read([i], 0, n)[0]))
+        t = _translation(grid, inverse_cdf(grid.thresholds,
+                                           read([i], 0, n)[0]))
         end = end_of_product(grid.element((top, 1, *t)), end_window)
     return BoundaryLimit(end, grid.disc_id(key), n, top, True)
 

@@ -131,3 +131,18 @@ def test_verify_seed_override_changes_hash(runner, tmp_path):
                          "--seed", "77"])
     h2 = json.loads((out / "report.json").read_text())["config_hash"]
     assert h1 != h2
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("option", ["--trajectories", "--horizon"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_run_sizes_below_one_are_usage_errors(runner, tmp_path, command,
+                                              option, value):
+    """Command-line run sizes are held to the bounds the config parser
+    enforces: nothing runs and nothing is written."""
+    out = tmp_path / "r"
+    cfg = write(tmp_path, POS.format(out=out))
+    res = runner.invoke(main, [command, "--config", cfg, option, value])
+    assert res.exit_code == 2
+    assert "x>=1" in res.output
+    assert not out.exists()

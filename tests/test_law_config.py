@@ -13,6 +13,7 @@ from affinetree.errors import (
     NonExceptionalityFailed,
     WeightsNotNormalized,
 )
+from affinetree.grid import inverse_cdf
 from affinetree.group import LampAffine, PadicAffine, phi
 from affinetree.law import StepLaw
 from affinetree.padic import PAdic
@@ -74,6 +75,35 @@ def test_scalar_and_vector_sampling_agree():
     # same stream, same first uniform
     vec = law.sample_indices(stream(3, 7), 1)
     assert scalar[0] == vec[0]
+
+
+TINY = Fraction(1, 10 ** 20)
+
+
+@pytest.mark.parametrize("weights", [
+    (1,), (3, 1), (1, 1, 1), (5, 1, 2, 7), (1, 2, 3, 4, 5),
+    (6, 1, 1, 3, 2, 9),
+    # a weight so small that two float thresholds are equal
+    (Fraction(1, 2), TINY, Fraction(1, 2) - TINY),
+    (Fraction(1, 3), Fraction(2, 3) - TINY, TINY),
+])
+def test_inverse_cdf_is_clamped_searchsorted(weights):
+    """The comparison lookup every sampler uses gives the clamped binary
+    search, on arrays and on single floats."""
+    total = sum(map(Fraction, weights))
+    law = StepLaw(tuple(aff(0, 2) for _ in weights),
+                  tuple(Fraction(w) / total for w in weights))
+    t, k = law.thresholds, len(weights)
+    assert bool((np.diff(t) == 0).any()) == (TINY in weights)
+    u = np.concatenate([t, np.nextafter(t, 0), np.nextafter(t, 1),
+                        [0.0, np.nextafter(1, 0)],
+                        stream(8, k).random(2000)])
+    want = np.minimum(np.searchsorted(t, u, side="right"), k - 1)
+    got = inverse_cdf(t, u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(inverse_cdf(t, u[None]), want[None])
+    assert [inverse_cdf(t, x) for x in u.tolist()] == want.tolist()
+    assert np.array_equal(law.sample_indices(_Fixed(u), u.size), want)
 
 
 def test_phi_paths_match_atom_phis():

@@ -37,7 +37,15 @@ from affinetree.renewal import (
     wald_mass_check,
 )
 from affinetree.rng import stream
-from affinetree.tree import PadicEnd, PadicVertex, end_in_disc, origin_padic
+from affinetree.tree import (
+    LampVertex,
+    PadicEnd,
+    PadicVertex,
+    end_in_disc,
+    origin_padic,
+)
+
+from test_lamp_walk import _lamps
 
 
 def aff(t, a, p=2):
@@ -93,6 +101,13 @@ def test_single_atom_kernel_exact():
     up = CylinderEvent((O,), (PadicVertex(2, 3, 0),))
     est = potential_kernel(identity_like(law.atoms[0]), up, law, 1, 50)
     assert est.value == 1.0
+
+
+@pytest.mark.parametrize("trajectories", [0, -1])
+def test_kernel_refuses_empty_batches(trajectories):
+    with pytest.raises(ValueError):
+        potential_kernel(identity_like(LAW_POS.atoms[0]), HOME, LAW_POS, 1,
+                         trajectories)
 
 
 def test_oracle_matches_single_atom_law():
@@ -357,6 +372,10 @@ def test_grid_kernel_batch_matches_compose(case, seed, trajectories, sizes):
     """The batch gives the generic-``compose`` KernelEstimate bit for bit,
     also when trajectories are cut into small row chunks and step blocks
     (extension blocks resume each stream mid-way)."""
+    _batch_matches_compose(case, seed, trajectories, sizes)
+
+
+def _batch_matches_compose(case, seed, trajectories, sizes):
     law, g, f, kw = case
     assert renewal._kernel_walk(g, f, law) is not None
     with pytest.MonkeyPatch.context() as mp:
@@ -367,6 +386,56 @@ def test_grid_kernel_batch_matches_compose(case, seed, trajectories, sizes):
         mp.setattr(renewal, "_kernel_walk", lambda *args: None)
         want = potential_kernel(g, f, law, seed, trajectories, **kw)
     assert got == want
+
+
+@st.composite
+def lamp_kernel_cases(draw):
+    """A lamp law with q in 2..5 and positive, negative or zero drift, a
+    start s**n or b·s**n for a horocyclic b with lamps, a one- or
+    two-pair cylinder, and stop-rule settings."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    up, down = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    shifts, ws = [up, -down], [down, up]             # zero drift
+    sign = draw(st.sampled_from([-1, 0, 1]))
+    if sign:                 # tilt the weights toward one direction
+        ws = [4 * w for w in ws]
+        ws[0 if sign > 0 else 1] += draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        shifts.append(0)
+        ws.append(draw(st.integers(1, 3)))
+    atoms = tuple(LampAffine(q, _lamps(draw, q, -3, 3, 3), sh)
+                  for sh in shifts)
+    law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
+    assert (law.drift() > 0) - (law.drift() < 0) == sign
+    g = power(reference_homothety(law).element, draw(st.integers(-20, 20)))
+    if draw(st.booleans()):
+        g = compose(LampAffine(q, _lamps(draw, q, -6, 6, 4), 0), g)
+    reach = g
+    for atom in draw(st.lists(st.sampled_from(atoms), max_size=6)):
+        reach = compose(reach, atom)
+    sources, targets = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        h = draw(st.integers(-2, 2))
+        src = LampVertex(q, h, _lamps(draw, q, h - 4, h, 3))
+        sources.append(src)
+        targets.append(act_vertex(reach, src) if draw(st.booleans())
+                       else LampVertex(q, h + phi(reach),
+                                       _lamps(draw, q, h - 6, h + 2, 3)))
+    horizon = draw(st.integers(0, 60) if sign == 0
+                   else st.sampled_from([draw(st.integers(0, 40)), 400]))
+    settings_ = dict(horizon=horizon, delta=draw(st.integers(-1, 3)),
+                     min_steps=draw(st.integers(0, 12)))
+    return law, g, CylinderEvent(tuple(sources), tuple(targets)), settings_
+
+
+@settings(max_examples=200, deadline=None)
+@given(lamp_kernel_cases(), st.integers(0, 2 ** 32), st.integers(1, 16),
+       st.sampled_from([None, (1, 7), (3, 1), (5, 32)]))
+def test_lamp_kernel_batch_matches_compose(case, seed, trajectories, sizes):
+    """``test_grid_kernel_batch_matches_compose`` for lamp laws, whose
+    batch adds digits without carries: bit for bit the generic estimate,
+    the centered tail included."""
+    _batch_matches_compose(case, seed, trajectories, sizes)
 
 
 def test_tail_cap_is_reported(monkeypatch):

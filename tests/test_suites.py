@@ -10,10 +10,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from affinetree import suites
+from affinetree import renewal, suites
 from affinetree.config import load_config
 from affinetree.errors import StepBudgetExceeded
-from affinetree.group import PadicAffine
+from affinetree.group import PadicAffine, identity_like, power
 from affinetree.law import StepLaw
 from affinetree.padic import PAdic
 from affinetree.rng import position, stream
@@ -163,3 +163,16 @@ def test_oracle_values_are_pinned(name):
         assert abs(out["visits"][cyl] - want) < 1e-10, cyl
     assert abs(out["bias"] - killed) < 1e-10
     assert abs(out["escaped_mass"] - escaped) < 1e-10
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
+                         ids=lambda p: p.stem)
+def test_shipped_kernels_run_on_the_engine(path):
+    """Every shipped law's potential kernel takes the engine batch from
+    the starts its claims use; one that falls back to the generic walk
+    runs about ten times slower with no other sign."""
+    cfg = load_config(str(path))
+    f = suites._home_event(cfg)
+    s = renewal.reference_homothety(cfg.law).element
+    for g in (identity_like(s), power(s, 15), power(s, -15)):
+        assert renewal._kernel_walk(g, f, cfg.law) is not None, g
