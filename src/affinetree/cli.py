@@ -13,9 +13,9 @@ import time
 
 import click
 
-from .config import load_config
+from .config import load_config, sigmas
 from .errors import MalformedSyntax
-from .group import act_vertex, norm, origin_of, phi
+from .group import act_vertex, norm, phi
 from .rng import stream
 from .suites import SUITE_NAMES, run_suite
 from .walk import regime_summary, run_product
@@ -37,6 +37,13 @@ def _load(path, **kw):
         sys.exit(2)
 
 
+def _tolerance(ctx, param, value):
+    try:
+        return None if value is None else sigmas(value)
+    except MalformedSyntax as exc:
+        raise click.BadParameter(str(exc)) from exc
+
+
 def _override(cfg, **kw):
     fields = {k: v for k, v in kw.items() if v is not None}
     return dataclasses.replace(cfg, **fields) if fields else cfg
@@ -55,8 +62,8 @@ def validate(path):
     """Parse a config and check the step law is non-exceptional."""
     cfg = _load(path, allow_exceptional=True)
     report = cfg.law.validate()
-    click.echo(f"realization: {cfg.kind} "
-               f"({'p=' + str(cfg.prime) if cfg.kind == 'padic' else 'q=' + str(cfg.q)})")
+    atom = cfg.law.atoms[0]
+    click.echo(f"realization: {cfg.kind} ({atom.degree_name}={atom.degree})")
     click.echo(f"drift: {cfg.law.drift()}")
     for key, val in cfg.law.moment_report().items():
         if key not in ("atoms", "weights", "drift", "drift_float"):
@@ -85,7 +92,7 @@ def simulate(path, seed, trajectories, horizon, out_dir, dump):
     rows = None
     if dump:
         rows = []
-        o = origin_of(cfg.law.atoms[0])
+        o = cfg.law.atoms[0].origin()
         n_dump = min(cfg.trajectories, 20)
         n_steps = min(cfg.horizon, 2000)
         for i in range(n_dump):
@@ -105,8 +112,8 @@ def simulate(path, seed, trajectories, horizon, out_dir, dump):
 @click.option("--seed", type=int, default=None)
 @click.option("--trajectories", type=RUN_SIZE, default=None)
 @click.option("--horizon", type=RUN_SIZE, default=None)
-@click.option("--tol", "tol", type=float, default=None,
-              help="Tolerance in combined standard errors.")
+@click.option("--tol", "tol", type=float, default=None, callback=_tolerance,
+              help="Tolerance in combined standard errors, above 0.")
 @click.option("--out", "out_dir", type=click.Path(), default=None)
 def verify(path, suite_name, seed, trajectories, horizon, tol, out_dir):
     """Run verification suites and write report.json / manifest.json."""

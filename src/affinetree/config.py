@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .group import LampAffine, PadicAffine
 from .law import StepLaw
 from .padic import PrecisionBudget, is_prime, parse_padic
 from .renewal import CylinderEvent
-from .tree import parse_vertex
+from .tree import parse_lamps, parse_vertex
 
 _AFFINE_RE = re.compile(
     r"^affine\(\s*t\s*=\s*(?P<t>[^,]+?)\s*,\s*a\s*=\s*(?P<a>[^)]+?)\s*\)$")
@@ -60,18 +61,21 @@ def parse_element(text, *, prime=None, q=None, budget=None, location=None):
         if q is None:
             raise MalformedSyntax("lamp(...) literal in a p-adic config",
                                   location)
-        lamps = []
-        inner = m.group("lamps").strip()
-        if inner:
-            for item in inner.split(","):
-                try:
-                    pos, val = item.split(":")
-                    lamps.append((int(pos), int(val)))
-                except ValueError as exc:
-                    raise MalformedSyntax(f"bad lamp entry {item!r}",
-                                          location) from exc
-        return LampAffine(q, tuple(lamps), int(m.group("shift")))
+        return LampAffine(q, parse_lamps(m.group("lamps"), ":", location),
+                          int(m.group("shift")))
     raise MalformedSyntax(f"cannot parse element literal {text!r}", location)
+
+
+def sigmas(text, location=None) -> float:
+    """A tolerance in standard errors: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise MalformedSyntax(f"tolerance {text!r} is not a finite number "
+                              "above 0", location)
+    return value
 
 
 def _parse_fraction(text, location):
@@ -99,7 +103,7 @@ class ExperimentConfig:
 
     @property
     def degree(self) -> int:
-        return self.prime if self.kind == "padic" else self.q
+        return self.law.degree
 
     def config_hash(self) -> str:
         """Hash of the semantic fields (not the raw text)."""
@@ -170,21 +174,19 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
     if not report.passed and not allow_exceptional:
         raise NonExceptionalityFailed(report.summary(), "law")
 
-    exp = cp["experiment"] if cp.has_section("experiment") else {}
-    getint = (lambda k, d: exp.getint(k, d)) if cp.has_section("experiment") \
-        else (lambda k, d: d)
-    seed = getint("seed", 0)
-    trajectories = getint("trajectories", 1000)
-    horizon = getint("horizon", 4000)
+    if not cp.has_section("experiment"):
+        cp.add_section("experiment")
+    exp = cp["experiment"]
+    seed = exp.getint("seed", 0)
+    trajectories = exp.getint("trajectories", 1000)
+    horizon = exp.getint("horizon", 4000)
     if trajectories < 1:
         raise MalformedSyntax("trajectories must be >= 1",
                               "experiment.trajectories")
     if horizon < 1:
         raise MalformedSyntax("horizon must be >= 1", "experiment.horizon")
-    tol = float(exp.get("tolerance_sigmas", "3")) \
-        if cp.has_section("experiment") else 3.0
-    out_dir = exp.get("out", "results") if cp.has_section("experiment") \
-        else "results"
+    tol = sigmas(exp.get("tolerance_sigmas", "3"), "experiment.tolerance_sigmas")
+    out_dir = exp.get("out", "results")
 
     cylinders = []
     if cp.has_section("cylinders"):

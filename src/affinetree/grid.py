@@ -26,13 +26,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import PrecisionExhausted
 from .group import LampAffine, PadicAffine, act_end, phi
 from .padic import PAdic, PrecisionBudget, int_valuation
-from .tree import LampEnd, end_in_disc
+from .tree import OMEGA, end_in_disc, same_realization
 
 BATCH_ROWS = 128      # walks of a batch (``blocks``) walked together
 BATCH_COLS = 128      # steps each of them draws at a time
@@ -59,6 +60,8 @@ class GridLaw:
     thresholds: np.ndarray
 
     key_reach = 0    # ``key(.., depth)`` reads terms at exponents < depth
+    kind = "padic"
+    degree = property(attrgetter("prime"))
 
     @classmethod
     def of(cls, law) -> "GridLaw | None":
@@ -74,8 +77,7 @@ class GridLaw:
         """(s, u, num, floor) of a start element; None when its scale is
         not a positive integer unit times a power of p or its translation
         is off the grid."""
-        if not isinstance(g, PadicAffine) or g.prime != self.prime:
-            return None
+        same_realization(self, g)
         t, a = g.t.exact, g.a.exact
         if t is None or a is None:
             return None
@@ -117,6 +119,7 @@ class GridLaw:
         """(end, valuation, unit, digits) of a boundary point, the unit cut
         to its digits; exact and zero-to-precision points stay generic,
         with valuation None."""
+        same_realization(self, end)
         x = end.value
         if x.exact is not None or x.is_zero:
             return end, None, 0, 0
@@ -162,8 +165,32 @@ class GridLaw:
         if val >= h:
             return 0, 0
         if known < h:
-            raise _precision_exhausted(known + s, h + s)
+            raise PrecisionExhausted(
+                f"value known modulo p^{known + s}, need p^{h + s}")
         return residue(y, base, h, p)
+
+    def hit_test(self, f, window):
+        """``test(translation, unit)``: whether s**level·x^{-1} lies in
+        the event ``f`` for the ``sample_mbar`` element x whose end, known
+        to ``window`` digits, has that translation (num, floor) and whose
+        rotation unit is ``unit``; None unless each source lies at most
+        ``window`` levels up and is centered at 0.  Then the image of a
+        source (h, 0) is -p**level·x/unit modulo p**(h + level), and
+        generic arithmetic neither loses nor refuses a digit."""
+        level, p = f.level, self.prime
+        if any(src.height > window or src.center for src in f.sources):
+            return None
+        pairs = [(x.height, y.height, self.key(*self.digits(y), y.height))
+                 for x, y in zip(f.sources, f.targets)]
+
+        def test(t, unit):
+            for h, th, want in pairs:
+                n, e = self.key(*t, h)          # x mod p**h is n·p**e
+                m = -n * pow(unit, -1, p ** (h - e)) if n else 0
+                if self.key(m, e + level, th) != want:
+                    return False
+            return True
+        return test
 
 
 def pack(lamps, width):
@@ -216,6 +243,8 @@ class LampGrid:
     (digits, lo)."""
 
     key_reach = 1    # ``key(.., depth)`` reads terms at exponents <= depth
+    kind = "lamplighter"
+    degree = property(attrgetter("q"))
 
     def __init__(self, law):
         q = self.q = law.degree
@@ -232,9 +261,9 @@ class LampGrid:
 
     def start(self, g) -> "tuple | None":
         """(shift, 1, digits, lo) of a start element; None when it is
-        window-limited or of another realization."""
-        if not isinstance(g, LampAffine) or g.q != self.q \
-                or g.known_to is not None:
+        window-limited."""
+        same_realization(self, g)
+        if g.known_to is not None:
             return None
         return g.shift, 1, *pack(g.lamps, self.width)
 
@@ -256,9 +285,8 @@ class LampGrid:
         return LampAffine(self.q, unpack(num, floor, self.width), s)
 
     def point(self, end):
-        """(end, digits, lo); digits None for an end off the engine."""
-        if not isinstance(end, LampEnd) or end.q != self.q:
-            return end, None, 0
+        """(end, digits, lo) of a boundary point."""
+        same_realization(self, end)
         return (end, *pack(end.values, self.width))
 
     def digits(self, disc):
@@ -267,11 +295,25 @@ class LampGrid:
 
     def image_key(self, point, s, t, h):
         """``GridLaw.image_key``; None above the image's window,
-        end.known_to + s, and for an end off the engine."""
+        end.known_to + s."""
         end, digits, lo = point
-        if digits is None or h - s > end.known_to:
+        if h - s > end.known_to:
             return None
         return self.key(*self.sum(*t, digits, lo), h - s)
+
+    def hit_test(self, f, window):
+        """``GridLaw.hit_test``; a source may have any lamps, and its image
+        is the source minus the end's lamps, shifted by level."""
+        level, want = f.level, []
+        if any(src.height > window for src in f.sources):
+            return None
+        for src, tgt in zip(f.sources, f.targets):
+            lamps = dict(src.lamps)
+            for pos, v in tgt.lamps:
+                lamps[pos - level] = (lamps.get(pos - level, 0) - v) % self.q
+            want.append((src.height, pack(sorted(
+                (pos, v) for pos, v in lamps.items() if v), self.width)))
+        return lambda t, unit: all(self.key(*t, h) == w for h, w in want)
 
 
 def inverse_cdf(thresholds, u):
@@ -362,12 +404,6 @@ def residue(num, floor, h, p):
     return r // p ** w, floor + w
 
 
-def residue_is(num, floor, h, center: Fraction, p) -> bool:
-    """Whether num·p**floor modulo p**h is the canonical residue ``center``."""
-    r, e = residue(num, floor, h, p)
-    return center.numerator == r and center.denominator == p ** -e
-
-
 def vertex_test(grid, sources, targets):
     """``test(s, u, num, floor)``: whether the element of the engine form
     ``grid`` maps each source vertex into the disc of its target
@@ -386,18 +422,16 @@ def vertex_test(grid, sources, targets):
     return test
 
 
-def _precision_exhausted(known, h):
-    return PrecisionExhausted(f"value known modulo p^{known}, need p^{h}")
-
-
 def reader(grid, end):
     """``inside((s, t), disc)``: whether the prefix state (s, t), the
     element (s, 1, t·p**s) of the engine form ``grid``, maps ``end`` into
     ``disc``, as ``end_in_disc(act_end(g, end), disc)`` says, errors
     included.  The image p**s·(x + t) lies in a disc of height h iff x +
     t lies in the disc shifted by p**-s, read at depth h - s.  Reads are
-    kept per state and height, shifted discs per disc and s."""
-    point, keys, shifted = grid.point(end), {}, {}
+    kept per state and height, shifted discs per disc and s; the top end
+    is read on the element."""
+    point = None if end is OMEGA else grid.point(end)
+    keys, shifted = {}, {}
 
     def inside(state, disc):
         s, t = state
@@ -405,7 +439,7 @@ def reader(grid, end):
         at = s, t, h
         key = keys.get(at, keys)
         if key is keys:
-            key = keys[at] = grid.image_key(point, s, t, h)
+            key = keys[at] = point and grid.image_key(point, s, t, h)
         if key is None:
             g = grid.element((s, 1, t[0], t[1] + s))
             return end_in_disc(act_end(g, end), disc)

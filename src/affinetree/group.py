@@ -1,14 +1,19 @@
 """Affine isometries of the oriented tree in two exact realizations.
 
-* p-adic: maps u -> a*u + t with a, t in Q_p, a != 0; height displacement
-  is the valuation of a.
-* lamplighter: pairs (lamp configuration, shift) composing by
+* ``PadicAffine``: maps u -> a*u + t with a, t in Q_p, a != 0; height
+  displacement is the valuation of a.
+* ``LampAffine``: pairs (lamp configuration, shift) composing by
   shifted pointwise sum; height displacement is the shift.
 
-Both fix the top end; the height displacement is a group homomorphism
-onto Z.  Module functions implement composition, inversion, the action on
-vertices and ends, the semidirect decomposition against a reference
-homothety, and non-degeneracy validation of a support set.
+Both fix the top end; the height displacement (``phi``) is a group
+homomorphism onto Z.  Each class joins its realization's family in
+``tree`` and owns the arithmetic: composition, inversion, the action on
+vertices and ends, and the realization's identity, origin and reference
+homothety.  The module functions are the package's entry points: each
+holds its operands to the realization rule (``tree.same_realization``)
+and hands them to the method.  The semidirect decomposition against a
+reference homothety and the non-degeneracy validation of a support set
+work the same on both.
 """
 
 from __future__ import annotations
@@ -16,13 +21,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 from .errors import (
     EmptySupport,
     PrecisionExhausted,
     RealizationMismatch,
 )
-from .padic import DEFAULT_BUDGET, PAdic
+from .padic import PAdic
 from .tree import (
     OMEGA,
     LampEnd,
@@ -32,6 +39,7 @@ from .tree import (
     graph_distance,
     origin_lamp,
     origin_padic,
+    same_realization,
 )
 
 
@@ -42,20 +50,116 @@ class PadicAffine:
     t: PAdic
     a: PAdic
 
+    kind = "padic"
+    degree_name = "p"
+    prime = degree = property(attrgetter("a.prime"))
+    phi = property(attrgetter("a.valuation"))
+
     def __post_init__(self):
         if self.a.prime != self.t.prime:
             raise RealizationMismatch("t and a live over different primes")
         if self.a.is_zero:
             raise ValueError("scale coefficient must be invertible")
 
-    @property
-    def prime(self):
-        return self.a.prime
+    def compose(self, other) -> "PadicAffine":
+        return PadicAffine(self.t + self.a * other.t, self.a * other.a)
+
+    def inverse(self) -> "PadicAffine":
+        ainv = self.a.inverse()
+        return PadicAffine(-(ainv * self.t), ainv)
+
+    def act_vertex(self, x) -> PadicVertex:
+        h = x.height + self.phi
+        c = self.a * PAdic.from_fraction(x.center, self.prime, self.a.budget) \
+            + self.t
+        return PadicVertex._canonical(self.prime, h, c.residue(h))
+
+    def act_end(self, e) -> PadicEnd:
+        return PadicEnd(self.a * e.value + self.t)
+
+    def identity(self) -> "PadicAffine":
+        """The identity, one shared element per (prime, budget)."""
+        return _padic_identity(self.prime, self.a.budget)
+
+    def origin(self) -> PadicVertex:
+        return origin_padic(self.prime)
+
+    def agrees(self, other) -> bool:
+        return (self.t - other.t).is_zero and (self.a - other.a).is_zero
+
+    def fixed_end(self, end_window=None):
+        one = PAdic.from_int(1, self.prime, self.a.budget)
+        denom = one - self.a
+        if denom.is_zero:
+            if denom.zero_bound is not None:
+                raise PrecisionExhausted("a - 1 is zero only to precision")
+            if self.t.is_zero and self.t.zero_bound is None:
+                return FIXES_ALL
+            if self.t.is_zero:
+                raise PrecisionExhausted("t is zero only to precision")
+            return None
+        return PadicEnd(self.t * denom.inverse())
+
+    def reference_homothety(self) -> "ReferenceHomothety":
+        """s = (t=0, a=p) fixing the end 0."""
+        p, budget = self.prime, self.a.budget
+        return ReferenceHomothety(
+            PadicAffine(PAdic.zero(p, None, budget),
+                        PAdic.from_int(p, p, budget)),
+            PadicEnd(PAdic.zero(p, None, budget)))
+
+    def prefix_key(self, depth: int):
+        """Id of the depth-``depth`` disc below the element's position."""
+        return self.t.residue(depth)
+
+    def limit_end(self, known_exponent: int) -> PadicEnd:
+        """Where a right product at this element goes, known that far."""
+        return PadicEnd(self.t.with_known_exponent(known_exponent))
+
+    def engine(self, law):
+        """The engine form of a law of this realization, or None."""
+        from .grid import GridLaw
+        return GridLaw.of(law)
+
+    def section(self, end, unit) -> "PadicAffine":
+        """The horocyclic element (t = the end, a = the rotation unit)."""
+        return PadicAffine(end.value,
+                           PAdic.from_int(unit, self.prime, self.a.budget))
+
+    def rotation_draws(self, gens):
+        """(unit, generator) per generator of ``gens``: the rotation about
+        the reference end, a uniform unit modulo p**working drawn from it."""
+        return ((_uniform_unit(g, self.prime, self.a.budget.working), g)
+                for g in gens)
 
     def render(self) -> str:
         return f"affine(t = {self.t.render()}, a = {self.a.render()})"
 
     __repr__ = render
+
+
+@functools.cache
+def _padic_identity(prime, budget):
+    return PadicAffine(PAdic.zero(prime, None, budget),
+                       PAdic.from_int(1, prime, budget))
+
+
+def _uniform_unit(rng, p: int, digits: int) -> int:
+    """A uniform unit modulo p**digits.  Its digits are one draw when
+    p**digits fits numpy's int64 bound, else drawn low chunks first, each
+    of as many digits as fit."""
+    if p ** digits <= 2 ** 63:
+        u = int(rng.integers(0, p ** digits))
+    else:
+        chunk = max(c for c in range(1, 64) if p ** c <= 2 ** 63)
+        u = sum(int(rng.integers(0, p ** min(chunk, digits - lo))) * p ** lo
+                for lo in range(0, digits, chunk))
+    d0 = 1 + int(rng.integers(0, p - 1))
+    return u - u % p + d0
+
+
+def _min_known(*vals):
+    return min((v for v in vals if v is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -72,6 +176,11 @@ class LampAffine:
     shift: int
     known_to: "int | None" = None
 
+    kind = "lamplighter"
+    degree_name = "q"
+    degree = property(attrgetter("q"))
+    phi = property(attrgetter("shift"))
+
     def __post_init__(self):
         lamps = tuple(sorted((p, v % self.q) for p, v in self.lamps
                              if v % self.q != 0))
@@ -81,14 +190,84 @@ class LampAffine:
             raise ValueError("duplicate lamp positions")
         object.__setattr__(self, "lamps", lamps)
 
-    def lamp(self, pos: int) -> int:
-        if self.known_to is not None and pos > self.known_to:
+    def _shifted_sum(self, lamps) -> tuple:
+        """This element's lamps plus ``lamps`` moved by its shift."""
+        merged = dict(self.lamps)
+        for p, v in lamps:
+            pos = p + self.shift
+            merged[pos] = (merged.get(pos, 0) + v) % self.q
+        return tuple(merged.items())
+
+    def compose(self, other) -> "LampAffine":
+        known = _min_known(self.known_to, None if other.known_to is None
+                           else other.known_to + self.shift)
+        return LampAffine(self.q, self._shifted_sum(other.lamps),
+                          self.shift + other.shift, known)
+
+    def inverse(self) -> "LampAffine":
+        lamps = tuple((p - self.shift, (-v) % self.q) for p, v in self.lamps)
+        known = None if self.known_to is None else self.known_to - self.shift
+        return LampAffine(self.q, lamps, -self.shift, known)
+
+    def act_vertex(self, x) -> LampVertex:
+        h = x.height + self.shift
+        if self.known_to is not None and self.known_to < h:
             raise PrecisionExhausted(
-                f"lamp at {pos} beyond known window (<= {self.known_to})")
-        for p, v in self.lamps:
-            if p == pos:
-                return v
-        return 0
+                f"acting element known to {self.known_to}, need {h}")
+        return LampVertex(self.q, h, self._shifted_sum(x.lamps))
+
+    def act_end(self, e) -> LampEnd:
+        known = _min_known(self.known_to, e.known_to + self.shift)
+        return LampEnd(self.q, known, self._shifted_sum(e.values))
+
+    def identity(self) -> "LampAffine":
+        return LampAffine(self.q, (), 0)
+
+    def origin(self) -> LampVertex:
+        return origin_lamp(self.q)
+
+    def agrees(self, other) -> bool:
+        known = _min_known(self.known_to, other.known_to)
+        return self.shift == other.shift and (
+            self.lamps == other.lamps if known is None
+            else self.prefix_key(known) == other.prefix_key(known))
+
+    def fixed_end(self, end_window=None):
+        """For a nonzero shift h, the unique configuration xi(n) = sum_j
+        sigma(n - j h), which has support bounded below."""
+        h, sigma = self.shift, dict(self.lamps)
+        if h == 0:
+            return FIXES_ALL if not sigma and self.known_to is None else None
+        low, high = min(sigma, default=0), max(sigma, default=0)
+        if end_window is None:
+            end_window = max(0, high) + 4 * abs(h) + 8
+        stop = low - 1 if h > 0 else high + 1
+        return LampEnd(self.q, end_window, tuple(
+            (n, sum(sigma.get(pos, 0) for pos in range(n, stop, -h)))
+            for n in range(low - abs(h), end_window + 1)))
+
+    def reference_homothety(self, end_window=24) -> "ReferenceHomothety":
+        """s = (0, shift 1) fixing the all-zero configuration."""
+        return ReferenceHomothety(LampAffine(self.q, (), 1),
+                                  LampEnd(self.q, end_window, ()))
+
+    def prefix_key(self, depth: int):
+        return tuple((p, v) for p, v in self.lamps if p <= depth)
+
+    def limit_end(self, known_exponent: int) -> LampEnd:
+        return LampEnd(self.q, known_exponent, self.prefix_key(known_exponent))
+
+    def engine(self, law):
+        from .grid import LampGrid
+        return LampGrid.of(law)
+
+    def section(self, end, unit=None) -> "LampAffine":
+        """The translation section; the rotation group is trivial."""
+        return LampAffine(self.q, end.values, 0, known_to=end.known_to)
+
+    def rotation_draws(self, gens):
+        """No unit and no generator: nothing is drawn."""
+        return repeat((None, None))
 
     def render(self) -> str:
         inner = ",".join(f"{p}:{v}" for p, v in self.lamps)
@@ -97,62 +276,19 @@ class LampAffine:
     __repr__ = render
 
 
-@functools.cache
-def identity_padic(prime: int, budget=DEFAULT_BUDGET) -> PadicAffine:
-    """The identity, one shared element per (prime, budget)."""
-    return PadicAffine(PAdic.zero(prime, None, budget),
-                       PAdic.from_int(1, prime, budget))
-
-
-@functools.cache
-def identity_lamp(q: int) -> LampAffine:
-    return LampAffine(q, (), 0)
-
-
-def _same_realization(g1, g2):
-    if type(g1) is not type(g2):
-        raise RealizationMismatch(f"{type(g1).__name__} vs {type(g2).__name__}")
-    if isinstance(g1, PadicAffine):
-        if g1.prime != g2.prime:
-            raise RealizationMismatch(f"p={g1.prime} vs p={g2.prime}")
-    elif g1.q != g2.q:
-        raise RealizationMismatch(f"q={g1.q} vs q={g2.q}")
-
-
-def _min_known(*vals):
-    known = [v for v in vals if v is not None]
-    return min(known) if known else None
-
-
 def compose(g1, g2):
     """Group product: apply g2 first, then g1."""
-    _same_realization(g1, g2)
-    if isinstance(g1, PadicAffine):
-        return PadicAffine(g1.t + g1.a * g2.t, g1.a * g2.a)
-    merged = dict(g1.lamps)
-    for p, v in g2.lamps:
-        pos = p + g1.shift
-        merged[pos] = (merged.get(pos, 0) + v) % g1.q
-    known = _min_known(g1.known_to,
-                       None if g2.known_to is None else g2.known_to + g1.shift)
-    lamps = tuple((p, v) for p, v in merged.items() if v)
-    return LampAffine(g1.q, lamps, g1.shift + g2.shift, known)
+    same_realization(g1, g2)
+    return g1.compose(g2)
 
 
 def invert(g):
-    if isinstance(g, PadicAffine):
-        ainv = g.a.inverse()
-        return PadicAffine(-(ainv * g.t), ainv)
-    lamps = tuple((p - g.shift, (-v) % g.q) for p, v in g.lamps)
-    known = None if g.known_to is None else g.known_to - g.shift
-    return LampAffine(g.q, lamps, -g.shift, known)
+    return g.inverse()
 
 
 def phi(g) -> int:
     """Height displacement; a homomorphism onto Z."""
-    if isinstance(g, PadicAffine):
-        return g.a.valuation
-    return g.shift
+    return g.phi
 
 
 def power(g, n: int):
@@ -173,75 +309,36 @@ def power(g, n: int):
 
 def act_vertex(g, x):
     """Image of a vertex; height moves by phi(g)."""
-    if isinstance(g, PadicAffine):
-        if not isinstance(x, PadicVertex) or x.prime != g.prime:
-            raise RealizationMismatch(f"{g!r} cannot act on {x!r}")
-        h = x.height + phi(g)
-        c = g.a * PAdic.from_fraction(x.center, g.prime, g.a.budget) + g.t
-        return PadicVertex._canonical(g.prime, h, c.residue(h))
-    if not isinstance(x, LampVertex) or x.q != g.q:
+    if not x.is_vertex:
         raise RealizationMismatch(f"{g!r} cannot act on {x!r}")
-    h = x.height + g.shift
-    if g.known_to is not None and g.known_to < h:
-        raise PrecisionExhausted(
-            f"acting element known to {g.known_to}, need {h}")
-    merged = dict(g.lamps)
-    for p, v in x.lamps:
-        pos = p + g.shift
-        merged[pos] = (merged.get(pos, 0) + v) % g.q
-    lamps = tuple((p, v) for p, v in merged.items() if v and p <= h)
-    return LampVertex(g.q, h, lamps)
+    same_realization(g, x)
+    return g.act_vertex(x)
 
 
 def act_end(g, e):
     """Image of a boundary point; the top end is always fixed."""
     if e is OMEGA:
         return OMEGA
-    if isinstance(g, PadicAffine):
-        if not isinstance(e, PadicEnd) or e.prime != g.prime:
-            raise RealizationMismatch(f"{g!r} cannot act on {e!r}")
-        return PadicEnd(g.a * e.value + g.t)
-    if not isinstance(e, LampEnd) or e.q != g.q:
+    if e.is_vertex:
         raise RealizationMismatch(f"{g!r} cannot act on {e!r}")
-    known = _min_known(g.known_to, e.known_to + g.shift)
-    merged = {p + g.shift: v for p, v in e.values}
-    for p, v in g.lamps:
-        merged[p] = (merged.get(p, 0) + v) % g.q
-    vals = tuple((p, v) for p, v in merged.items() if v and p <= known)
-    return LampEnd(g.q, known, vals)
-
-
-def origin_of(g):
-    return origin_padic(g.prime) if isinstance(g, PadicAffine) \
-        else origin_lamp(g.q)
+    same_realization(g, e)
+    return g.act_end(e)
 
 
 def identity_like(g):
-    return identity_padic(g.prime, g.a.budget) if isinstance(g, PadicAffine) \
-        else identity_lamp(g.q)
+    return g.identity()
 
 
 def norm(g) -> int:
     """Semi-norm |g| = d(g o, o)."""
-    o = origin_of(g)
+    o = g.origin()
     return graph_distance(act_vertex(g, o), o)
 
 
 def elements_agree(g1, g2) -> bool:
     """Equality to precision (p-adic) / on the known window (lamplighter)."""
-    _same_realization(g1, g2)
-    if isinstance(g1, PadicAffine):
-        return (g1.t - g2.t).is_zero and (g1.a - g2.a).is_zero
-    if g1.shift != g2.shift:
-        return False
-    known = _min_known(g1.known_to, g2.known_to)
-    positions = {p for p, _ in g1.lamps} | {p for p, _ in g2.lamps}
-    for p in positions:
-        if known is not None and p > known:
-            continue
-        if g1.lamp(p) != g2.lamp(p):
-            return False
-    return True
+    same_realization(g1, g2)
+    return g1.agrees(g2)
 
 
 def is_identity(g) -> bool:
@@ -258,19 +355,6 @@ class ReferenceHomothety:
     def __post_init__(self):
         if phi(self.element) != 1:
             raise ValueError("reference homothety must have height displacement 1")
-
-
-def default_homothety_padic(prime, budget=DEFAULT_BUDGET) -> ReferenceHomothety:
-    """s = (t=0, a=p) fixing the end 0."""
-    s = PadicAffine(PAdic.zero(prime, None, budget),
-                    PAdic.from_int(prime, prime, budget))
-    return ReferenceHomothety(s, PadicEnd(PAdic.zero(prime, None, budget)))
-
-
-def default_homothety_lamp(q, end_window=24) -> ReferenceHomothety:
-    """s = (0, shift 1) fixing the all-zero configuration."""
-    s = LampAffine(q, (), 1)
-    return ReferenceHomothety(s, LampEnd(q, end_window, ()))
 
 
 def decompose(g, s: ReferenceHomothety):
@@ -294,57 +378,15 @@ def fixed_end(g, *, end_window=None):
     """The bottom end fixed by g, FIXES_ALL for the identity, None if none.
 
     p-adic: a != 1 gives y = t/(1-a); a pure translation fixes nothing.
-    Lamplighter with nonzero shift h: the unique configuration
-    xi(n) = sum_j sigma(n - j h), which has support bounded below.
+    Lamplighter with nonzero shift h: ``LampAffine.fixed_end``.
     """
-    if isinstance(g, PadicAffine):
-        one = PAdic.from_int(1, g.prime, g.a.budget)
-        denom = one - g.a
-        if denom.is_zero:
-            if denom.zero_bound is not None:
-                raise PrecisionExhausted("a - 1 is zero only to precision")
-            if g.t.is_zero and g.t.zero_bound is None:
-                return FIXES_ALL
-            if g.t.is_zero:
-                raise PrecisionExhausted("t is zero only to precision")
-            return None
-        return PadicEnd(g.t * denom.inverse())
-    if g.shift == 0:
-        if not g.lamps:
-            return FIXES_ALL if g.known_to is None else None
-        return None
-    h = g.shift
-    if end_window is None:
-        top = max((p for p, _ in g.lamps), default=0)
-        end_window = max(0, top) + 4 * abs(h) + 8
-    sigma = dict(g.lamps)
-    vals = []
-    low = min((p for p, _ in g.lamps), default=0)
-    for n in range(low - abs(h), end_window + 1):
-        total = 0
-        j = 0
-        while True:
-            pos = n - j * h
-            if h > 0 and pos < low:
-                break
-            if h < 0 and pos > max((p for p, _ in g.lamps), default=0):
-                break
-            total = (total + sigma.get(pos, 0)) % g.q
-            j += 1
-        if total:
-            vals.append((n, total))
-    return LampEnd(g.q, end_window, tuple(vals))
+    return g.fixed_end(end_window)
 
 
 def ends_agree(e1, e2) -> bool:
     """Whether two bottom ends agree on their common known window."""
-    if type(e1) is not type(e2):
-        return False
-    if isinstance(e1, PadicEnd):
-        return (e1.value - e2.value).is_zero
-    cap = min(e1.known_to, e2.known_to)
-    positions = {p for p, _ in e1.values} | {p for p, _ in e2.values}
-    return all(e1.lamp(p) == e2.lamp(p) for p in positions if p <= cap)
+    same_realization(e1, e2)
+    return e1.agrees(e2)
 
 
 @dataclass
@@ -373,7 +415,7 @@ def validate_non_exceptional(atoms, *, allow_non_surjective=False):
     if not atoms:
         raise EmptySupport("a step law needs at least one atom")
     for other in atoms[1:]:
-        _same_realization(atoms[0], other)
+        same_realization(atoms[0], other)
     phis = tuple(phi(g) for g in atoms)
     messages = []
     in_hor = all(v == 0 for v in phis)
@@ -385,20 +427,16 @@ def validate_non_exceptional(atoms, *, allow_non_surjective=False):
         if fe is None:
             common = None
             break
-        if isinstance(fe, FixesEverything):
+        if fe is FIXES_ALL:
             continue
-        if isinstance(common, FixesEverything):
+        if common is FIXES_ALL:
             common = fe
         elif not ends_agree(common, fe):
             common = None
             break
-    if isinstance(common, FixesEverything):
-        # every atom is the identity: degenerate, fixes everything
-        common = atoms and fixed_end(atoms[0]) or None
     if common is not None:
         messages.append("all atoms fix a common bottom end (roto-homothety group)")
-    nonzero = [abs(v) for v in phis if v]
-    g = math.gcd(*nonzero) if nonzero else 0
+    g = math.gcd(*phis)
     surjective_ok = (g == 1) or allow_non_surjective
     if g != 1 and not in_hor and not allow_non_surjective:
         messages.append(f"height displacements generate {g}Z, not Z "

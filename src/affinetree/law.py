@@ -18,17 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptySupport, WeightsNotNormalized
-from .grid import GridLaw, LampGrid, inverse_cdf
-from .group import (
-    PadicAffine,
-    decompose,
-    default_homothety_lamp,
-    default_homothety_padic,
-    invert,
-    norm,
-    phi,
-    validate_non_exceptional,
-)
+from .grid import inverse_cdf
+from .group import decompose, invert, norm, phi, validate_non_exceptional
 
 
 @dataclass(frozen=True)
@@ -54,14 +45,14 @@ class StepLaw:
         object.__setattr__(self, "thresholds", cum)
 
     @property
-    def is_padic(self) -> bool:
-        return isinstance(self.atoms[0], PadicAffine)
+    def kind(self) -> str:
+        """The realization kind of the atoms, "padic" or "lamplighter"."""
+        return self.atoms[0].kind
 
     @property
     def degree(self) -> int:
         """Branching number q of the tree the law acts on."""
-        a = self.atoms[0]
-        return a.prime if isinstance(a, PadicAffine) else a.q
+        return self.atoms[0].degree
 
     @property
     def phis(self) -> tuple:
@@ -81,8 +72,7 @@ class StepLaw:
                    Fraction(0))
 
     def phi_gcd(self) -> int:
-        nonzero = [abs(v) for v in self.phis if v]
-        return math.gcd(*nonzero) if nonzero else 0
+        return math.gcd(*self.phis)
 
     def inverse(self) -> "StepLaw":
         """Law of the inverted step: same weights on the inverse atoms."""
@@ -95,7 +85,7 @@ class StepLaw:
     @functools.cached_property
     def grid(self) -> "GridLaw | LampGrid | None":
         """The law's form on the integer walk engine; None if off it."""
-        return GridLaw.of(self) if self.is_padic else LampGrid.of(self)
+        return self.atoms[0].engine(self)
 
     def validate(self, *, allow_non_surjective=False):
         return validate_non_exceptional(
@@ -149,8 +139,7 @@ class StepLaw:
         default reference homothety.
         """
         drift = self.drift()
-        s = default_homothety_padic(self.degree, self.atoms[0].a.budget) \
-            if self.is_padic else default_homothety_lamp(self.degree)
+        s = self.atoms[0].reference_homothety()
         norms = [norm(a) for a in self.atoms]
         b_norms = [norm(decompose(a, s)[0]) for a in self.atoms]
         wsum = lambda vals: sum((w * v for w, v in zip(self.weights, vals)),

@@ -31,7 +31,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -44,19 +43,15 @@ from .errors import (
     StepBudgetExceeded,
 )
 from .group import (
-    LampAffine,
     PadicAffine,
     act_end,
     act_vertex,
     compose,
-    default_homothety_lamp,
-    default_homothety_padic,
     invert,
     phi,
     power,
 )
-from .grid import LampGrid, blocks, pack, reader, residue_is, row_chunks, \
-    vertex_test
+from .grid import blocks, reader, row_chunks, vertex_test
 from .padic import PAdic
 from .rng import stream, stream_rows, streams_at
 from .tree import end_in_disc
@@ -148,12 +143,6 @@ class KernelEstimate:
         tol = sigmas * math.hypot(self.stderr, other.stderr) \
             + self.tail_bound + other.tail_bound
         return gap <= tol
-
-
-def reference_homothety(law):
-    if law.is_padic:
-        return default_homothety_padic(law.degree, law.atoms[0].a.budget)
-    return default_homothety_lamp(law.degree)
 
 
 # -- potential kernel ---------------------------------------------------------
@@ -587,36 +576,6 @@ class BoundaryMeasureSample:
     mass_scale: Fraction  # total mass of the extended measure
 
 
-def _uniform_unit(rng, p: int, digits: int) -> int:
-    """A uniform unit modulo p**digits.  Its digits are one draw when
-    p**digits fits numpy's int64 bound, else drawn low chunks first, each
-    of as many digits as fit."""
-    if p ** digits <= 2 ** 63:
-        u = int(rng.integers(0, p ** digits))
-    else:
-        chunk = max(c for c in range(1, 64) if p ** c <= 2 ** 63)
-        u = sum(int(rng.integers(0, p ** min(chunk, digits - lo))) * p ** lo
-                for lo in range(0, digits, chunk))
-    d0 = 1 + int(rng.integers(0, p - 1))
-    return u - u % p + d0
-
-
-def _mbar_element(law, end, unit):
-    """The element of ``sample_mbar`` for a boundary limit's end and, on
-    p-adic laws, its rotation unit."""
-    if law.is_padic:
-        budget = law.atoms[0].a.budget
-        return PadicAffine(end.value, PAdic.from_int(unit, law.degree, budget))
-    return LampAffine(law.degree, end.values, 0, known_to=end.known_to)
-
-
-def _draw_unit(law, rng):
-    """The rotation unit ``sample_mbar`` draws: p-adic laws only."""
-    if law.is_padic:
-        return _uniform_unit(rng, law.degree, law.atoms[0].a.budget.working)
-    return None
-
-
 def sample_mbar(law, rng, *, depth=4) -> BoundaryMeasureSample:
     """One draw from the rotation-averaged extension of the inverted-walk
     harmonic measure to the horocyclic group, for a negative-drift law.
@@ -629,8 +588,9 @@ def sample_mbar(law, rng, *, depth=4) -> BoundaryMeasureSample:
     if mu >= 0:
         raise NonNegativeDrift("the inverted walk must have positive drift")
     bl = sample_boundary_limit(law.inverse(), rng, depth=depth)
-    return BoundaryMeasureSample(
-        _mbar_element(law, bl.end, _draw_unit(law, rng)), -1 / mu)
+    atom = law.atoms[0]
+    unit, _ = next(atom.rotation_draws([rng]))
+    return BoundaryMeasureSample(atom.section(bl.end, unit), -1 / mu)
 
 
 def _mbar_rows(law, seed, samples, depth):
@@ -638,8 +598,8 @@ def _mbar_rows(law, seed, samples, depth):
     for i < samples, for a law whose inverse is on the engine: per sample
     (row, unit, gen, limit).  ``row`` is the inverted walk's (steps, top,
     key, translation) of ``walk.limit_rows`` and ``limit(i, row)`` its
-    ``BoundaryLimit``; ``gen`` is stream i where the unit draw left it, and
-    is reused for the next sample."""
+    ``BoundaryLimit``; ``gen`` is stream i where the unit draw left it
+    (None where no unit is drawn), and is reused for the next sample."""
     if law.drift() >= 0:
         raise NonNegativeDrift("the inverted walk must have positive drift")
     chunks, limit = limit_rows(law.inverse(), samples, seed, "limit",
@@ -650,50 +610,11 @@ def _mbar_rows(law, seed, samples, depth):
             raise StepBudgetExceeded(
                 f"no certified depth-{depth} disc within "
                 f"{DEFAULT_STEP_BUDGET} steps")
-        gens = streams_at(range(i, i + len(rows)), [r[0] for r in rows],
-                          seed, "limit") if law.is_padic else repeat(None)
-        for row, gen in zip(rows, gens):
-            yield row, _draw_unit(law, gen), gen, limit
+        draws = law.atoms[0].rotation_draws(streams_at(
+            range(i, i + len(rows)), [r[0] for r in rows], seed, "limit"))
+        for row, (unit, gen) in zip(rows, draws):
+            yield row, unit, gen, limit
         i += len(rows)
-
-
-def _hit_on_integers(f: CylinderEvent, grid, window):
-    """``test(translation, unit)``: whether s**level·x^{-1} lies in ``f``
-    for the ``sample_mbar`` element x whose end, known to ``window``
-    digits, has that translation (num, floor) and whose rotation unit is
-    ``unit``; None where the end's digits do not decide it on integers.
-
-    Each source vertex must lie at most ``window`` levels up, and, on
-    p-adic laws, be centered at 0: then the image of a source (h, 0) is
-    -p**level·x/unit modulo p**(h + level), read from the end's digits
-    below h, and generic arithmetic neither loses nor refuses a digit.
-    A lamp image is the source minus the end's lamps, shifted by level.
-    """
-    level = f.level
-    pairs = list(zip(f.sources, f.targets))
-    if any(src.height > window for src, _ in pairs):
-        return None
-    if isinstance(grid, LampGrid):
-        want = []
-        for src, tgt in pairs:
-            lamps = dict(src.lamps)
-            for pos, v in tgt.lamps:
-                lamps[pos - level] = (lamps.get(pos - level, 0) - v) % grid.q
-            want.append((src.height, pack(sorted(
-                (pos, v) for pos, v in lamps.items() if v), grid.width)))
-        return lambda t, unit: all(grid.key(*t, h) == w for h, w in want)
-    if any(src.center for src, _ in pairs):
-        return None
-    p = grid.prime
-
-    def test(t, unit):
-        for src, tgt in pairs:
-            n, e = grid.key(*t, src.height)     # x mod p**h is n·p**e
-            m = -n * pow(unit, -1, p ** (src.height - e)) if n else 0
-            if not residue_is(m, e + level, tgt.height, tgt.center, p):
-                return False
-        return True
-    return test
 
 
 def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
@@ -708,12 +629,12 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     When the inverted law is on the engine, the samples' certified limits
     walk as one batch (``walk.limit_rows``), each unit is drawn where its
     walk left its stream, and the event is read on integers where the
-    end's digits decide it (``_hit_on_integers``), else on the element.
+    end's digits decide it (``hit_test`` of the engine form), else on the
+    element.
     """
     if f.is_empty:
         return KernelEstimate(0.0, 0.0, samples, 0, 0.0)
-    s = reference_homothety(law)
-    s_h = power(s.element, f.level)
+    s_h = power(law.atoms[0].reference_homothety().element, f.level)
     depth = max(max(t.height for t in f.targets) + 2, 4)
     hits = 0
     grid = law.inverse().grid
@@ -722,13 +643,13 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
             smp = sample_mbar(law, stream(seed, "limit", i), depth=depth)
             hits += f.member(compose(s_h, invert(smp.element)))
     elif samples:
-        test = _hit_on_integers(f, grid, depth + 8)
+        test = grid.hit_test(f, depth + 8)
         for i, (row, unit, _, limit) in enumerate(
                 _mbar_rows(law, seed, samples, depth)):
             if test is not None:
                 hits += test(row[3], unit)
             else:
-                x = _mbar_element(law, limit(i, row).end, unit)
+                x = law.atoms[0].section(limit(i, row).end, unit)
                 hits += f.member(compose(s_h, invert(x)))
     mass = -1 / law.drift()
     prob = hits / samples
@@ -755,7 +676,7 @@ def verify_boundary_limit(law, f: CylinderEvent, n_list, seed, *,
     trend only (the excursion estimators have no variance control).
     ``seed`` is a stream key; the kernel at s**n is keyed ``(seed, n)``.
     """
-    s = reference_homothety(law)
+    s = law.atoms[0].reference_homothety()
     drift = law.drift()
     estimates = [potential_kernel(power(s.element, n), f, law, (seed, n),
                                   trajectories, horizon=horizon)
@@ -812,14 +733,14 @@ def verify_omega_limit(law, f: CylinderEvent, regime, n_list, seed, *,
     its height goes to +infinity.  ``seed`` is a stream key; the kernel
     at the n-th element is keyed ``(seed, n)``.
     """
-    s = reference_homothety(law)
+    s = law.atoms[0].reference_homothety()
     drift = law.drift()
     estimates = []
     for n in n_list:
         if regime == "descend":
             g = power(s.element, -n)
         elif regime == "ascend-escape":
-            if not law.is_padic:
+            if law.kind != "padic":
                 raise RealizationMismatch("ascend-escape sequences are p-adic")
             if drift >= 0:
                 raise NonNegativeDrift(
@@ -925,7 +846,7 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
     expectations, ``bias`` (the killed mass) and ``escaped_mass`` (the
     mass that leaves above the window).
     """
-    if not law.is_padic:
+    if law.kind != "padic":
         raise OracleUnsupported("the truncated-chain oracle is p-adic only")
     p = law.degree
     grid = law.grid

@@ -65,21 +65,12 @@ def kernel_rows(claims) -> list:
     return rows
 
 
-def _write_csv(path, header, rows):
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     w.writerows(rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-
-
-def write_kernel_csv(path, rows):
-    _write_csv(path, ("n", "estimate", "stderr", "tail_bound"), rows)
-
-
-def write_trajectories_csv(path, rows):
-    _write_csv(path, ("trajectory", "step", "height", "norm", "vertex"), rows)
+    return buf.getvalue()
 
 
 def build_manifest(cfg, claims, timings: dict) -> dict:
@@ -108,11 +99,9 @@ def write_outputs(out_dir, report, manifest=None, kernel=None,
     if manifest is not None:
         emit("manifest.json", canonical_json(manifest))
     if kernel:
-        write_kernel_csv(os.path.join(out_dir, "kernel_values.csv"), kernel)
-        written["kernel_values.csv"] = os.path.join(out_dir,
-                                                    "kernel_values.csv")
+        emit("kernel_values.csv",
+             _csv(("n", "estimate", "stderr", "tail_bound"), kernel))
     if trajectories is not None:
-        write_trajectories_csv(os.path.join(out_dir, "trajectories.csv"),
-                               trajectories)
-        written["trajectories.csv"] = os.path.join(out_dir, "trajectories.csv")
+        emit("trajectories.csv", _csv(
+            ("trajectory", "step", "height", "norm", "vertex"), trajectories))
     return written

@@ -10,6 +10,7 @@ of a claim is keyed by its claim id (see ``rng``).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,6 @@ from .renewal import (
     ProductCylinder,
     kernel_oracle,
     potential_kernel,
-    reference_homothety,
     verify_boundary_limit,
     verify_omega_limit,
     verify_renewal_identity,
@@ -52,11 +52,9 @@ from .tree import (
     PadicEnd,
     PadicVertex,
     meet,
-    origin_lamp,
-    origin_padic,
     theta,
 )
-from .walk import boundary_limits, disc_key
+from .walk import boundary_limits
 
 SUITE_NAMES = ("algebra", "regimes", "wald", "renewal", "boundary-limit",
                "omega-limit")
@@ -117,7 +115,7 @@ def _random_end(cfg, rng):
 def algebra_claims(cfg, cases=2000, seed=None):
     """Exact identities on randomized elements, vertices and ends."""
     seed = cfg.seed if seed is None else seed
-    s = reference_homothety(cfg.law)
+    s = cfg.law.atoms[0].reference_homothety()
     q = Fraction(cfg.degree)
     failures = {k: 0 for k in ("axioms", "decomposition", "meet", "theta",
                                "norm")}
@@ -285,13 +283,8 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
                       "the limit law is invariant under one more step", reason)]
     ends = [bl.end for bl in _limits(law, samples, seed, "boundary.nonatomic",
                                       depth=depth)]
-    max_mass = {}
-    for d in range(2, depth + 1, 2):
-        counts = {}
-        for e in ends:
-            k = disc_key(e, d)
-            counts[k] = counts.get(k, 0) + 1
-        max_mass[d] = max(counts.values()) / samples
+    max_mass = {d: max(Counter(e.disc_key(d) for e in ends).values())
+                / samples for d in range(2, depth + 1, 2)}
     depths = sorted(max_mass)
     decreasing = all(max_mass[depths[i + 1]] < max_mass[depths[i]]
                      for i in range(len(depths) - 1))
@@ -304,8 +297,7 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
         details={"samples": samples,
                  "max_mass_by_depth": {str(k): v for k, v in max_mass.items()}})]
     # invariance: an independent batch, each limit pushed by one fresh step
-    pushed = {}
-    base = {}
+    base, pushed = Counter(), Counter()
     cid = "boundary.invariance"
     r_step = stream(seed, cid, "step")
     # the push a*e + t below can cancel leading digits, so certify the
@@ -314,14 +306,12 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
             _limits(law, samples, seed, cid, "base", depth=inv_depth + 2),
             _limits(law, samples, seed, cid, "pushed", depth=inv_depth + 2,
                     end_window=inv_depth + 24)):
-        k = disc_key(bl.end, inv_depth)
-        base[k] = base.get(k, 0) + 1
-        k2 = disc_key(act_end(law.sample_step(r_step), bl2.end), inv_depth)
-        pushed[k2] = pushed.get(k2, 0) + 1
+        base[bl.end.disc_key(inv_depth)] += 1
+        pushed[act_end(law.sample_step(r_step), bl2.end).disc_key(
+            inv_depth)] += 1
     worst = 0.0
     for k in set(base) | set(pushed):
-        p1 = base.get(k, 0) / samples
-        p2 = pushed.get(k, 0) / samples
+        p1, p2 = base[k] / samples, pushed[k] / samples
         se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / samples) or 1e-12
         worst = max(worst, abs(p1 - p2) / se)
     claims.append(_claim(
@@ -367,12 +357,9 @@ def wald_claims(cfg, excursions=100000, sigmas=None, seed=None):
 
 
 def _default_product_events(cfg):
-    if cfg.kind == "padic":
-        discs = [PadicVertex(cfg.prime, 1, 0), PadicVertex(cfg.prime, 1, 1)]
-    else:
-        discs = [LampVertex(cfg.q, 1, ()), LampVertex(cfg.q, 1, ((1, 1),))]
-    return [ProductCylinder(discs[0], frozenset({0, 1})),
-            ProductCylinder(discs[1], frozenset({0}))]
+    o = cfg.law.atoms[0].origin()
+    return [ProductCylinder(o.son(0), frozenset({0, 1})),
+            ProductCylinder(o.son(1), frozenset({0}))]
 
 
 def renewal_claims(cfg, n_upsilon=1000, exc_per_upsilon=50, sigmas=None,
@@ -410,8 +397,7 @@ def renewal_claims(cfg, n_upsilon=1000, exc_per_upsilon=50, sigmas=None,
 def _oracle_cylinders(cfg, max_depth=2):
     """All single-pair V(origin -> y) events with y within the depth window
     and center representable above valuation -max_depth."""
-    p = cfg.prime
-    o = origin_padic(p)
+    p, o = cfg.prime, cfg.law.atoms[0].origin()
     out = []
     for h in range(-max_depth, max_depth + 1):
         lo = -max_depth
@@ -481,7 +467,7 @@ def _home_event(cfg):
     for name, ev in cfg.cylinders:
         if ev.level == 0:
             return ev
-    o = origin_padic(cfg.prime) if cfg.kind == "padic" else origin_lamp(cfg.q)
+    o = cfg.law.atoms[0].origin()
     return CylinderEvent((o,), (o,), name="V(o->o)")
 
 
@@ -536,31 +522,27 @@ def period_invariance_claims(cfg, n=20, trajectories=20000, sigmas=None,
                  "limit direction")
     statement2 = ("rotations agreeing to the event's depth give pairwise "
                   "matching kernel estimates")
-    if cfg.law.drift() >= 0:
-        return [_skip("limit.period", statement,
-                      "stabilizing limits need negative drift"),
-                _skip("limit.period.pairwise", statement2,
-                      "stabilizing limits need negative drift")]
-    if cfg.kind != "padic":
-        return [_skip("limit.period", statement,
-                      "rotation family configured for the p-adic realization"),
-                _skip("limit.period.pairwise", statement2,
-                      "rotation family configured for the p-adic realization")]
-    p = cfg.prime
-    s = reference_homothety(cfg.law)
+    reason = ("stabilizing limits need negative drift"
+              if cfg.law.drift() >= 0 else
+              "rotation family configured for the p-adic realization"
+              if cfg.kind != "padic" else None)
+    if reason:
+        return [_skip("limit.period", statement, reason),
+                _skip("limit.period.pairwise", statement2, reason)]
+    p, atom = cfg.prime, cfg.law.atoms[0]
+    s = atom.reference_homothety()
     sn = power(s.element, n)
 
     def kernel(g, f, *key):
         return potential_kernel(g, f, cfg.law, (seed, *key), trajectories)
 
-    def rotate(u):
-        return PadicAffine(PAdic.zero(p, None, cfg.budget),
-                           PAdic.from_fraction(Fraction(u), p, cfg.budget))
+    def rotate(u):      # the rotation by u about the reference end
+        return atom.section(s.fixed_center, u)
 
     claims = []
     # depth-1 event; units congruent to 1 mod p fix every depth-1 disc
-    f1 = CylinderEvent((origin_padic(p),), (PadicVertex(p, 1, 1),),
-                       name="V(o->p:1:1)")
+    o = atom.origin()
+    f1 = CylinderEvent((o,), (o.son(1),), name="V(o->p:1:1)")
     base = kernel(sn, f1, "limit.period", "base")
     checks = []
     ok_all = True
@@ -579,7 +561,8 @@ def period_invariance_claims(cfg, n=20, trajectories=20000, sigmas=None,
                          details={"n": n, "event": f1.render(),
                                   "checks": checks}))
     # depth-2 event; rotations in one coset of 1 + p^2 Z_p act identically
-    f2 = _deep_event(cfg)
+    y = o.son(1).son(0)
+    f2 = CylinderEvent((o,), (y,), name=f"V(o->{y!r})")
     u0 = 1 + p
     units = [u0 + k * p * p for k in (0, 1, 2)]
     ests = {u: kernel(compose(rotate(u), sn), f2, "limit.period.pairwise", u)
@@ -601,17 +584,6 @@ def period_invariance_claims(cfg, n=20, trajectories=20000, sigmas=None,
                          details={"n": n, "event": f2.render(),
                                   "checks": pair_checks}))
     return claims
-
-
-def _deep_event(cfg):
-    """A depth-2 event the rotation group acts on non-trivially."""
-    if cfg.kind == "padic":
-        o = origin_padic(cfg.prime)
-        y = PadicVertex(cfg.prime, 2, 1)
-        return CylinderEvent((o,), (y,), name=f"V(o->{y!r})")
-    o = origin_lamp(cfg.q)
-    y = LampVertex(cfg.q, 2, ((1, 1),))
-    return CylinderEvent((o,), (y,), name=f"V(o->{y!r})")
 
 
 def omega_limit_claims(cfg, n_list=None, trajectories=3000, horizon=4000,

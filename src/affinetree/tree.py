@@ -1,13 +1,19 @@
 """The oriented homogeneous tree: vertices, ends, meets, heights, ultrametric.
 
-Two concrete realizations share one vertex/end API:
+Each realization is one family of classes that owns its arithmetic:
 
-* p-adic: a vertex at height h is the disc of radius p**(-h) around a
-  canonical center (the digit expansion truncated below exponent h);
-  bottom ends are p-adic numbers known to finite precision.
-* lamplighter: a vertex at height h is a lamp configuration known on
-  positions <= h; bottom ends are configurations with support bounded
-  below, known on a finite window.
+* p-adic (``PadicVertex``, ``PadicEnd``): a vertex at height h is the
+  disc of radius p**(-h) around a canonical center (the digit expansion
+  truncated below exponent h); bottom ends are p-adic numbers known to
+  finite precision.
+* lamplighter (``LampVertex``, ``LampEnd``): a vertex at height h is a
+  lamp configuration known on positions <= h; bottom ends are
+  configurations with support bounded below, known on a finite window.
+
+Every class of a family (with the elements of ``group`` and the engine
+forms of ``grid``) has the family's ``kind`` and a ``degree``, the
+branching number.  The module functions hold their operands to one
+realization (``same_realization``) and hand them to the family's method.
 
 Heights grow away from the distinguished top end: the father of a vertex
 sits one level above it (height - 1), each vertex has q sons below.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     BranchOutOfRange,
@@ -32,6 +39,7 @@ class _Omega:
     """The distinguished fixed end; a singleton."""
 
     _instance = None
+    is_vertex = False
 
     def __new__(cls):
         if cls._instance is None:
@@ -47,13 +55,83 @@ OMEGA = _Omega()
 _set_field = object.__setattr__
 
 
+def same_realization(x, y):
+    """The realization rule: raise ``RealizationMismatch`` unless x and y
+    are of one class family (``kind``) and one ``degree``."""
+    if x.kind != y.kind or x.degree != y.degree:
+        raise RealizationMismatch(f"{x!r} vs {y!r}")
+
+
+def _scale(q, h) -> Fraction:
+    """q**(-h), exactly."""
+    return Fraction(1, q ** h) if h >= 0 else Fraction(q ** -h)
+
+
+class _PadicPoint:
+    """What p-adic vertices and ends share: each is a p-adic value known
+    up to a cap (``value_and_cap``)."""
+
+    kind = "padic"
+    degree = property(attrgetter("prime"))
+
+    def meet(self, other, budget):
+        prime = self.prime
+        ux, capx = self.value_and_cap(budget)
+        uy, capy = other.value_and_cap(budget)
+        caps = [c for c in (capx, capy) if c is not None]
+        diff = ux - uy
+        if diff.is_zero:
+            bound = diff.zero_bound
+            if not caps:
+                raise IndistinguishableAtPrecision(
+                    "ends agree on the whole known window",
+                    upper_bound=Fraction(0) if bound is None
+                    else _scale(prime, bound))
+            h = min(caps)
+            if bound is not None and bound < h:
+                raise IndistinguishableAtPrecision(
+                    "operands agree beyond the known window",
+                    upper_bound=_scale(prime, h))
+        else:
+            h = min([diff.valuation, *caps])
+        return PadicVertex._canonical(prime, h, ux.residue(h))
+
+
+class _LampPoint:
+    """What lamp vertices and ends share: nonzero ``lamps`` known on the
+    positions up to ``known_to``."""
+
+    kind = "lamplighter"
+    degree = property(attrgetter("q"))
+
+    def meet(self, other, budget=None):
+        cap = min(self.known_to, other.known_to)
+        mine, theirs = dict(self.lamps), dict(other.lamps)
+        h = cap
+        for pos in sorted(mine.keys() | theirs.keys()):
+            if pos > cap:
+                break
+            if mine.get(pos, 0) != theirs.get(pos, 0):
+                h = pos - 1
+                break
+        else:
+            if not (self.is_vertex or other.is_vertex):
+                raise IndistinguishableAtPrecision(
+                    "lamp ends agree on the whole known window",
+                    upper_bound=_scale(self.q, cap))
+        return LampVertex(self.q, h, [(p, v) for p, v in self.lamps
+                                      if p <= h])
+
+
 @dataclass(frozen=True)
-class PadicVertex:
+class PadicVertex(_PadicPoint):
     """Disc D(center, p**(-height)); center is the canonical truncation."""
 
     prime: int
     height: int
     center: Fraction
+
+    is_vertex = True
 
     def __post_init__(self):
         # canonical form: 0 <= center < p**height-scale, digits below exponent height
@@ -71,9 +149,9 @@ class PadicVertex:
         _set_field(self, "center", center)
         return self
 
-    @property
-    def degree(self):
-        return self.prime
+    def value_and_cap(self, budget):
+        return PAdic.from_fraction(self.center, self.prime, budget), \
+            self.height
 
     def father(self) -> "PadicVertex":
         return PadicVertex(self.prime, self.height - 1, self.center)
@@ -84,11 +162,6 @@ class PadicVertex:
         c = self.center + branch * Fraction(self.prime) ** self.height
         return PadicVertex(self.prime, self.height + 1, c)
 
-    def ancestor(self, height: int) -> "PadicVertex":
-        if height > self.height:
-            raise ValueError("ancestor must be at or above the vertex")
-        return PadicVertex(self.prime, height, self.center)
-
     def render(self) -> str:
         return f"p:{self.height}:{_render_center(self.center, self.prime)}"
 
@@ -96,12 +169,15 @@ class PadicVertex:
 
 
 @dataclass(frozen=True)
-class LampVertex:
+class LampVertex(_LampPoint):
     """Lamp configuration known on positions <= height."""
 
     q: int
     height: int
     lamps: tuple  # sorted ((pos, val), ...), val != 0, pos <= height
+
+    is_vertex = True
+    known_to = property(attrgetter("height"))
 
     def __post_init__(self):
         lamps = tuple(sorted((p, v % self.q) for p, v in self.lamps
@@ -109,10 +185,6 @@ class LampVertex:
         if len({p for p, _ in lamps}) != len(lamps):
             raise ValueError("duplicate lamp positions")
         object.__setattr__(self, "lamps", lamps)
-
-    @property
-    def degree(self):
-        return self.q
 
     def father(self) -> "LampVertex":
         return LampVertex(self.q, self.height - 1, self.lamps)
@@ -123,11 +195,6 @@ class LampVertex:
         lamps = self.lamps + (((self.height + 1, branch),) if branch else ())
         return LampVertex(self.q, self.height + 1, lamps)
 
-    def ancestor(self, height: int) -> "LampVertex":
-        if height > self.height:
-            raise ValueError("ancestor must be at or above the vertex")
-        return LampVertex(self.q, height, self.lamps)
-
     def render(self) -> str:
         inner = ",".join(f"{p}={v}" for p, v in self.lamps)
         return f"lamp:{self.height}:[{inner}]"
@@ -136,14 +203,42 @@ class LampVertex:
 
 
 @dataclass(frozen=True)
-class PadicEnd:
+class PadicEnd(_PadicPoint):
     """A bottom end of the p-adic tree: a p-adic number to finite precision."""
 
     value: PAdic
 
+    is_vertex = False
+    prime = property(attrgetter("value.prime"))
+
     @property
-    def prime(self):
-        return self.value.prime
+    def is_exact(self) -> bool:
+        return self.value.exact is not None
+
+    def value_and_cap(self, budget):
+        return self.value, None
+
+    def in_disc(self, vertex) -> bool:
+        return self.value.residue(vertex.height) == vertex.center
+
+    def disc_key(self, depth: int):
+        """Hashable id of the depth-``depth`` disc containing the end."""
+        return self.value.residue(depth)
+
+    def agrees(self, other) -> bool:
+        return (self.value - other.value).is_zero
+
+    def coincides(self, other) -> bool:
+        """Whether the two ends are one exactly; ends that agree only on
+        the known window raise ``IndistinguishableAtPrecision``."""
+        if not self.value.eq_to_precision(other.value):
+            return False
+        bound = (self.value - other.value).zero_bound
+        if bound is None:
+            return True
+        raise IndistinguishableAtPrecision(
+            "ends agree on the whole known window",
+            upper_bound=_scale(self.prime, bound))
 
     def render(self) -> str:
         return f"end:{self.value.render()}"
@@ -152,7 +247,7 @@ class PadicEnd:
 
 
 @dataclass(frozen=True)
-class LampEnd:
+class LampEnd(_LampPoint):
     """A bottom end of the lamplighter tree.
 
     ``values`` lists the nonzero lamps at positions <= ``known_to``; all
@@ -164,6 +259,10 @@ class LampEnd:
     known_to: int
     values: tuple  # sorted ((pos, val), ...), val != 0, pos <= known_to
 
+    is_vertex = False
+    is_exact = False
+    lamps = property(attrgetter("values"))
+
     def __post_init__(self):
         vals = tuple(sorted((p, v % self.q) for p, v in self.values
                             if v % self.q != 0 and p <= self.known_to))
@@ -173,10 +272,27 @@ class LampEnd:
         if pos > self.known_to:
             raise IndistinguishableAtPrecision(
                 f"lamp at {pos} beyond known window (<= {self.known_to})")
-        for p, v in self.values:
-            if p == pos:
-                return v
-        return 0
+        return dict(self.values).get(pos, 0)
+
+    def in_disc(self, vertex) -> bool:
+        # the discs at one height partition the ends: an end lies in the
+        # disc whose lamps at positions <= height are its own
+        if vertex.height > self.known_to:
+            raise IndistinguishableAtPrecision(
+                f"disc at height {vertex.height} beyond known window "
+                f"(<= {self.known_to})")
+        return self.disc_key(vertex.height) == vertex.lamps
+
+    def disc_key(self, depth: int):
+        """Hashable id of the depth-``depth`` disc containing the end."""
+        return tuple((p, v) for p, v in self.values if p <= depth)
+
+    def agrees(self, other) -> bool:
+        cap = min(self.known_to, other.known_to)
+        return self.disc_key(cap) == other.disc_key(cap)
+
+    def coincides(self, other) -> bool:
+        return False
 
     def render(self) -> str:
         inner = ",".join(f"{p}={v}" for p, v in self.values)
@@ -202,117 +318,25 @@ def busemann(x) -> int:
 
 def end_in_disc(end, vertex) -> bool:
     """Whether a boundary point lies in the disc below ``vertex``."""
-    if isinstance(end, PadicEnd):
-        return end.value.residue(vertex.height) == vertex.center
-    if isinstance(end, LampEnd):
-        # the discs at one height partition the ends: an end lies in the
-        # disc whose lamps at positions <= height are its own
-        if vertex.height > end.known_to:
-            raise IndistinguishableAtPrecision(
-                f"disc at height {vertex.height} beyond known window "
-                f"(<= {end.known_to})")
-        return tuple((p, v) for p, v in end.values
-                     if p <= vertex.height) == vertex.lamps
-    raise TypeError(f"not a boundary point: {end!r}")
-
-
-def _is_vertex(x):
-    return isinstance(x, (PadicVertex, LampVertex))
-
-
-def _is_end(x):
-    return isinstance(x, (PadicEnd, LampEnd))
-
-
-def _padic_value_and_cap(x, budget):
-    """(p-adic value, knowledge cap) for a vertex or end operand."""
-    if isinstance(x, PadicVertex):
-        return PAdic.from_fraction(x.center, x.prime, budget), x.height
-    return x.value, None
+    if end is OMEGA or end.is_vertex:
+        raise TypeError(f"not a boundary point: {end!r}")
+    same_realization(end, vertex)
+    return end.in_disc(vertex)
 
 
 def meet(x, y, budget=DEFAULT_BUDGET):
     """First common vertex of the geodesics from x and y to the top end."""
     if x is OMEGA or y is OMEGA:
         raise OmegaOperand("meet with the top end is undefined")
-    if isinstance(x, (PadicVertex, PadicEnd)) != isinstance(y, (PadicVertex, PadicEnd)):
-        raise RealizationMismatch(f"{x!r} vs {y!r}")
-    if _is_vertex(x) and _is_vertex(y) and x == y:
+    same_realization(x, y)
+    if x.is_vertex and x == y:
         return x
-    if isinstance(x, (PadicVertex, PadicEnd)):
-        return _meet_padic(x, y, budget)
-    return _meet_lamp(x, y)
-
-
-def _meet_padic(x, y, budget):
-    prime = x.prime
-    if prime != y.prime:
-        raise RealizationMismatch(f"p={prime} vs p={y.prime}")
-    ux, capx = _padic_value_and_cap(x, budget)
-    uy, capy = _padic_value_and_cap(y, budget)
-    caps = [c for c in (capx, capy) if c is not None]
-    diff = ux - uy
-    if diff.is_zero:
-        if caps and diff.zero_bound is not None and min(caps) <= diff.zero_bound:
-            h = min(caps)
-        elif not caps:
-            bound = diff.zero_bound
-            ub = Fraction(1, prime ** bound) if bound is not None and bound >= 0 \
-                else (Fraction(prime ** -bound) if bound is not None else Fraction(0))
-            raise IndistinguishableAtPrecision(
-                "ends agree on the whole known window", upper_bound=ub)
-        elif diff.zero_bound is None:
-            h = min(caps)
-        else:
-            raise IndistinguishableAtPrecision(
-                "operands agree beyond the known window",
-                upper_bound=Fraction(1) / Fraction(prime) ** min(caps))
-    else:
-        h = diff.valuation
-        if caps:
-            h = min(h, *caps)
-    return PadicVertex._canonical(prime, h, ux.residue(h))
-
-
-def _lamp_known_cap(x):
-    return x.height if isinstance(x, LampVertex) else x.known_to
-
-
-def _lamp_value(x, pos):
-    if isinstance(x, LampVertex):
-        for p, v in x.lamps:
-            if p == pos:
-                return v
-        return 0
-    return x.lamp(pos)
-
-
-def _meet_lamp(x, y):
-    if x.q != y.q:
-        raise RealizationMismatch(f"q={x.q} vs q={y.q}")
-    cap = min(_lamp_known_cap(x), _lamp_known_cap(y))
-    positions = sorted({p for p, _ in (x.lamps if _is_vertex(x) else x.values)}
-                       | {p for p, _ in (y.lamps if _is_vertex(y) else y.values)})
-    h = cap
-    for pos in positions:
-        if pos > cap:
-            break
-        if _lamp_value(x, pos) != _lamp_value(y, pos):
-            h = pos - 1
-            break
-    else:
-        if _is_end(x) and _is_end(y):
-            raise IndistinguishableAtPrecision(
-                "lamp ends agree on the whole known window",
-                upper_bound=Fraction(1) / Fraction(x.q) ** cap)
-    lamps = tuple((p, _lamp_value(x, p)) for p in positions
-                  if p <= h and _lamp_value(x, p) != 0)
-    return LampVertex(x.q, h, lamps)
+    return x.meet(y, budget)
 
 
 def graph_distance(x, y, budget=DEFAULT_BUDGET) -> int:
     """Edge count between two vertices: phi(x) + phi(y) - 2 phi(x ^ y)."""
-    if not (_is_vertex(x) and _is_vertex(y)):
+    if not (x.is_vertex and y.is_vertex):
         raise TypeError("graph_distance takes vertices")
     return x.height + y.height - 2 * meet(x, y, budget).height
 
@@ -321,25 +345,11 @@ def theta(a, b, budget=DEFAULT_BUDGET) -> Fraction:
     """Ultrametric q**(-phi(a ^ b)); zero when the operands coincide."""
     if a is OMEGA or b is OMEGA:
         raise OmegaOperand("theta with the top end is undefined")
-    if a == b:
+    same_realization(a, b)
+    if a == b or not (a.is_vertex or b.is_vertex) and a.coincides(b):
         return Fraction(0)
-    if _is_end(a) and _is_end(b):
-        same = (a.value.eq_to_precision(b.value)
-                if isinstance(a, PadicEnd) and isinstance(b, PadicEnd) else None)
-        if same:
-            # agreement through the window: report the distance upper bound
-            bound = (a.value - b.value).zero_bound
-            ub = Fraction(0) if bound is None else \
-                (Fraction(1, a.prime ** bound) if bound >= 0
-                 else Fraction(a.prime ** -bound))
-            if bound is None:
-                return Fraction(0)
-            raise IndistinguishableAtPrecision(
-                "ends agree on the whole known window", upper_bound=ub)
     m = meet(a, b, budget)
-    q = m.degree
-    h = m.height
-    return Fraction(1, q ** h) if h >= 0 else Fraction(q ** -h)
+    return _scale(m.degree, m.height)
 
 
 # -- serialization -----------------------------------------------------------
@@ -397,11 +407,18 @@ def parse_vertex(text: str, *, prime=None, q=None) -> "PadicVertex | LampVertex"
         payload = payload.strip()
         if not (payload.startswith("[") and payload.endswith("]")):
             raise MalformedSyntax(f"bad lamp list in {text!r}")
-        inner = payload[1:-1].strip()
-        lamps = []
-        if inner:
-            for item in inner.split(","):
-                pos, val = item.split("=")
-                lamps.append((int(pos), int(val)))
-        return LampVertex(q, height, tuple(lamps))
+        return LampVertex(q, height, parse_lamps(payload[1:-1], "="))
     raise MalformedSyntax(f"unknown vertex kind {kind!r}")
+
+
+def parse_lamps(text: str, sep: str, location=None) -> tuple:
+    """The (position, value) pairs of "pos<sep>val, ..." lamp entries."""
+    lamps, text = [], text.strip()
+    for item in text.split(",") if text else ():
+        try:
+            pos, val = item.split(sep)
+            lamps.append((int(pos), int(val)))
+        except ValueError as exc:
+            raise MalformedSyntax(f"bad lamp entry {item!r}",
+                                  location) from exc
+    return tuple(lamps)

@@ -34,9 +34,8 @@ import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
 from .grid import blocks, inverse_cdf, row_chunks
-from .group import PadicAffine, compose, identity_like, phi
+from .group import compose, identity_like, phi
 from .rng import position, seek, stream, stream_rows, uniforms_at
-from .tree import LampEnd, PadicEnd
 
 DEFAULT_STEP_BUDGET = 10 ** 7
 LADDER_BLOCK = 512    # ladder_heights' steps per path and block
@@ -192,7 +191,7 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
             stable = stable + 1 if k == key else 1
             key = k
             if stable >= STABLE_EPOCHS and top >= goal:
-                end = end_of_product(grid.element((top, 1, *t)), end_window)
+                end = grid.element((top, 1, *t)).limit_end(end_window)
                 return BoundaryLimit(end, grid.disc_id(key), n, top,
                                      True), None
         return None, (t, wait, top, n, key, stable)
@@ -260,28 +259,6 @@ def regime_summary(law, rng, n_traj: int, horizon: int) -> dict:
     }
 
 
-def _prefix_key(g, depth: int):
-    """Hashable id of the depth-``depth`` disc below the element's position."""
-    if isinstance(g, PadicAffine):
-        return g.t.residue(depth)
-    return tuple((p, v) for p, v in g.lamps if p <= depth)
-
-
-def end_of_product(g, known_exponent: int):
-    """Boundary point the right product is converging to, with honest window."""
-    if isinstance(g, PadicAffine):
-        return PadicEnd(g.t.with_known_exponent(known_exponent))
-    return LampEnd(g.q, known_exponent,
-                   tuple((p, v) for p, v in g.lamps if p <= known_exponent))
-
-
-def disc_key(end, depth: int):
-    """Hashable id of the depth-``depth`` disc containing a boundary point."""
-    if isinstance(end, PadicEnd):
-        return end.value.residue(depth)
-    return tuple((p, v) for p, v in end.values if p <= depth)
-
-
 @dataclass
 class BoundaryLimit:
     end: object
@@ -306,11 +283,11 @@ def _certified_limit(walk, step, depth, stable_epochs, height_guard,
         top = h
         if h < depth:
             continue
-        k = _prefix_key(walk.g, depth)
+        k = walk.g.prefix_key(depth)
         stable = stable + 1 if k == key else 1
         key = k
         if stable >= stable_epochs and top >= end_window + height_guard:
-            end = end_of_product(walk.g, end_window)
+            end = walk.g.limit_end(end_window)
             return BoundaryLimit(end, key, n, top, True)
     raise StepBudgetExceeded(
         f"no certified depth-{depth} disc within {max_steps} steps")
@@ -419,12 +396,12 @@ def _translation(grid, indices):
 def _boundary_limit(grid, read, i, limit, end_window) -> BoundaryLimit:
     """The ``BoundaryLimit`` of walk i's (steps, top, key, translation)."""
     n, top, key, t = limit
-    end = end_of_product(grid.element((top, 1, *t)), end_window)
-    if isinstance(end, PadicEnd) and end.value.exact is not None:
+    end = grid.element((top, 1, *t)).limit_end(end_window)
+    if end.is_exact:
         # an end with few digits keeps the exact value: every term counts
         t = _translation(grid, inverse_cdf(grid.thresholds,
                                            read([i], 0, n)[0]))
-        end = end_of_product(grid.element((top, 1, *t)), end_window)
+        end = grid.element((top, 1, *t)).limit_end(end_window)
     return BoundaryLimit(end, grid.disc_id(key), n, top, True)
 
 
@@ -458,8 +435,6 @@ def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
     a walk that ran out of ``max_steps``.  Laws on the engine walk as one
     batch (``limit_rows``)."""
     _require_positive_drift(law)
-    if end_window is None:
-        end_window = depth + 8
     out = []
     if law.grid is None:
         for i in range(count):

@@ -23,11 +23,8 @@ from affinetree.law import StepLaw
 from affinetree.padic import PAdic
 from affinetree.renewal import (
     CylinderEvent,
-    _hit_on_integers,
-    _mbar_element,
     _mbar_rows,
     limit_measure_value,
-    reference_homothety,
     sample_mbar,
 )
 from affinetree.rng import position, stream
@@ -47,7 +44,7 @@ LAW_NEG = StepLaw((PadicAffine(PAdic.from_int(0, 2),
 def _with_budget(law, budget):
     """The p-adic law with its atoms' values held at ``budget``: a small
     working precision keeps some ends exact."""
-    if not law.is_padic or budget is None:
+    if law.kind != "padic" or budget is None:
         return law
     atoms = tuple(PadicAffine(PAdic.from_fraction(g.t.exact, g.prime, budget),
                               PAdic.from_fraction(g.a.exact, g.prime, budget))
@@ -134,13 +131,13 @@ def _events(draw, law, window, x):
     it, some above the window, and targets that are often the images of
     the sources under s**level·x^{-1}, so that deep sources hit too."""
     level = draw(st.integers(-3, 3))
-    image = compose(power(reference_homothety(law).element, level),
+    image = compose(power(law.atoms[0].reference_homothety().element, level),
                     invert(x))
     out = []
     for _ in range(draw(st.integers(1, 2))):
         h = draw(st.sampled_from([0, 1, window - 1, window, window + 1,
                                   draw(st.integers(-3, window + 2))]))
-        if law.is_padic:
+        if law.kind == "padic":
             p = law.degree
             center = draw(st.sampled_from(
                 [0, 0, Fraction(draw(st.integers(0, 99)), p ** 2)]))
@@ -161,12 +158,12 @@ def _events(draw, law, window, x):
 
 def _hit_cases(f, law, depth, rows, units):
     """Per limit row of ``law``'s inverted walk and its unit: the hit read
-    on integers (None where ``_hit_on_integers`` does not decide it) and
+    on integers (None where ``hit_test`` does not decide it) and
     the generic member test of s**level·x^{-1}, or its error's name."""
-    s_h = power(reference_homothety(law).element, f.level)
-    test = _hit_on_integers(f, law.inverse().grid, depth + 8)
+    s_h = power(law.atoms[0].reference_homothety().element, f.level)
+    test = law.inverse().grid.hit_test(f, depth + 8)
     for i, ((row, limit), unit) in enumerate(zip(rows, units)):
-        x = _mbar_element(law, limit(i, row).end, unit)
+        x = law.atoms[0].section(limit(i, row).end, unit)
         want = _outcome(lambda: f.member(compose(s_h, invert(x))))
         yield x, (None if test is None else test(row[3], unit)), want
 
@@ -180,7 +177,7 @@ def test_limit_samples_match_sample_mbar(up, seed, top, data):
     samples = 5
     rows = list(_mbar_rows(law, seed, samples, depth))
     row, unit, _, limit = rows[0]
-    x = _mbar_element(law, limit(0, row).end, unit)
+    x = law.atoms[0].section(limit(0, row).end, unit)
     for f in _events(data.draw, law, depth + 8, x):
         cases = _hit_cases(f, law, depth, [(r, lim) for r, _, _, lim in rows],
                            [unit for _, unit, _, _ in rows])
@@ -193,7 +190,7 @@ def test_limit_samples_match_sample_mbar(up, seed, top, data):
             _mbar_rows(law, seed, samples, depth)):
         rng = stream(seed, "limit", i)
         sample_mbar(law, rng, depth=depth)
-        if law.is_padic:
+        if law.kind == "padic":
             assert position(gen) == position(rng)
         else:
             assert gen is None and unit is None
@@ -211,7 +208,8 @@ def test_integer_hits_match_member_for_odd_primes(up, seed, top, data):
     rows = [(row, limit) for chunk in chunks for row in chunk]
     units = [data.draw(st.integers(0, p ** 48 // p - 1)) * p
              + data.draw(st.integers(1, p - 1)) for _ in rows]
-    x = _mbar_element(law, limit(0, rows[0][0]).end, units[0])
+    x = law.atoms[0].section(limit(0, rows[0][0]).end,
+                                units[0])
     for f in _events(data.draw, law, depth + 8, x):
         for _, hit, want in _hit_cases(f, law, depth, rows, units):
             assert hit in (None, want)
@@ -226,14 +224,14 @@ def test_sample_mbar_draws_units_for_odd_primes():
                   (Fraction(3, 4), Fraction(1, 4)))
     smp = sample_mbar(law, stream(1, "limit", 0), depth=4)
     [(_, unit, _, _)] = _mbar_rows(law, 1, 1, 4)
-    assert repr(smp.element) == repr(_mbar_element(
-        law, sample_boundary_limit(law.inverse(), stream(1, "limit", 0),
+    assert repr(smp.element) == repr(law.atoms[0].section(
+        sample_boundary_limit(law.inverse(), stream(1, "limit", 0),
                                    depth=4).end, unit))
 
 
 def _reference_value(f, law, seed, samples):
     """``limit_measure_value`` one ``sample_mbar`` at a time."""
-    s_h = power(reference_homothety(law).element, f.level)
+    s_h = power(law.atoms[0].reference_homothety().element, f.level)
     depth = max(max(t.height for t in f.targets) + 2, 4)
     hits = sum(f.member(compose(s_h, invert(sample_mbar(
         law, stream(seed, "limit", i), depth=depth).element)))

@@ -1,6 +1,7 @@
 """Command line contract: exit codes, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -145,4 +146,20 @@ def test_run_sizes_below_one_are_usage_errors(runner, tmp_path, command,
     res = runner.invoke(main, [command, "--config", cfg, option, value])
     assert res.exit_code == 2
     assert "x>=1" in res.output
+    assert not out.exists()
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(runner, tmp_path, tol):
+    """A tolerance at or below 0, or not finite, would judge every claim
+    on nothing: it is a usage error and nothing runs."""
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["verify", "--config",
+                               str(SHIPPED / "drift_pos.ini"), "--suite",
+                               "wald", "--tol", tol, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--tol" in res.output
     assert not out.exists()

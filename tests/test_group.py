@@ -13,13 +13,9 @@ from affinetree.group import (
     act_vertex,
     compose,
     decompose,
-    default_homothety_lamp,
-    default_homothety_padic,
     elements_agree,
     ends_agree,
     fixed_end,
-    identity_lamp,
-    identity_padic,
     invert,
     is_identity,
     norm,
@@ -58,7 +54,7 @@ def lamp_elements(draw):
 def test_padic_group_axioms(g, h, k):
     assert elements_agree(compose(compose(g, h), k), compose(g, compose(h, k)))
     assert is_identity(compose(g, invert(g)))
-    assert elements_agree(compose(identity_padic(2), g), g)
+    assert elements_agree(compose(g.identity(), g), g)
     assert phi(compose(g, h)) == phi(g) + phi(h)
 
 
@@ -67,14 +63,14 @@ def test_padic_group_axioms(g, h, k):
 def test_lamp_group_axioms(g, h, k):
     assert elements_agree(compose(compose(g, h), k), compose(g, compose(h, k)))
     assert is_identity(compose(g, invert(g)))
-    assert elements_agree(compose(g, identity_lamp(2)), g)
+    assert elements_agree(compose(g, g.identity()), g)
     assert phi(compose(g, h)) == phi(g) + phi(h)
 
 
 @settings(max_examples=100, deadline=None)
 @given(padic_elements(), st.integers(-6, 6))
 def test_power_matches_repeated_composition(g, n):
-    direct = identity_padic(2)
+    direct = g.identity()
     step = g if n >= 0 else invert(g)
     for _ in range(abs(n)):
         direct = compose(direct, step)
@@ -110,11 +106,11 @@ def test_norm_is_displacement_of_origin():
     o = origin_padic(2)
     for g in (aff(0, 2), aff(1, 1), aff(Fraction(3, 4), Fraction(1, 2))):
         assert norm(g) == graph_distance(act_vertex(g, o), o)
-    assert norm(identity_padic(2)) == 0
+    assert norm(aff(0, 1).identity()) == 0
 
 
 def test_decompose_round_trip():
-    s = default_homothety_padic(2)
+    s = aff(0, 1).reference_homothety()
     for g in (aff(0, 4), aff(Fraction(5, 8), Fraction(1, 2)), aff(7, 1)):
         b, n = decompose(g, s)
         assert phi(b) == 0 and n == phi(g)
@@ -122,8 +118,8 @@ def test_decompose_round_trip():
 
 
 def test_decompose_lamp():
-    s = default_homothety_lamp(2)
     g = LampAffine(2, ((0, 1), (2, 1)), -2)
+    s = g.reference_homothety()
     b, n = decompose(g, s)
     assert phi(b) == 0 and n == -2
     assert elements_agree(compose(b, power(s.element, n)), g)

@@ -1,6 +1,7 @@
 """Static checks of the package source, by AST scan (no linter needed):
-no unused imports, no module-level name that nothing uses, and every
-random generator is built in ``rng``."""
+no unused imports, no module-level name that nothing uses, every random
+generator is built in ``rng``, and no code outside a realization's own
+classes tests which realization it holds."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,17 @@ MODULES = sorted(SRC.glob("*.py"))
 BUILDERS = {"Generator", "default_rng", "RandomState", "BitGenerator",
             "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
             "SeedSequence"}
+
+# classes of the two realizations, whose own bodies may test their types
+REALIZATION_CLASSES = {"PadicAffine", "LampAffine", "PadicVertex",
+                       "LampVertex", "PadicEnd", "LampEnd", "GridLaw",
+                       "LampGrid"}
+# functions that may compare a ``kind``: the realization rule, config
+# parsing, the algebra suite's random inputs and the p-adic-only claims
+KIND_TESTS = {"same_realization", "parse_config", "_random_element",
+              "_random_vertex", "_random_end", "padic_isometry_claims",
+              "oracle_claims", "kernel_oracle", "period_invariance_claims",
+              "omega_limit_claims", "verify_omega_limit"}
 
 
 def _tree(path):
@@ -111,6 +123,47 @@ def dead_names(trees):
                   for name in module_names(tree) if name not in used)
 
 
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def realization_tests(tree):
+    """'line: what' for each type test naming a realization class outside
+    those classes' bodies, each read of ``is_padic``, and each comparison
+    of a ``kind`` outside ``KIND_TESTS``."""
+    found = []
+
+    def scan(node, classes, function):
+        if isinstance(node, ast.ClassDef):
+            classes = classes | {node.name}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        own = REALIZATION_CLASSES & classes
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "isinstance" and len(node.args) == 2 \
+                    and not own and _names(node.args[1]) & REALIZATION_CLASSES:
+                found.append(f"{node.lineno}: isinstance")
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            typed = any(isinstance(o, ast.Call) and isinstance(o.func, ast.Name)
+                        and o.func.id == "type" or isinstance(o, ast.Attribute)
+                        and o.attr == "__class__" for o in operands)
+            if typed and not own and any(
+                    _names(o) & REALIZATION_CLASSES for o in operands):
+                found.append(f"{node.lineno}: type test")
+            if function not in KIND_TESTS and any(
+                    isinstance(n, ast.Attribute) and n.attr == "kind"
+                    for o in operands for n in ast.walk(o)):
+                found.append(f"{node.lineno}: kind test in {function}")
+        if isinstance(node, ast.Attribute) and node.attr == "is_padic" \
+                or isinstance(node, ast.Name) and node.id == "is_padic":
+            found.append(f"{node.lineno}: is_padic")
+        for child in ast.iter_child_nodes(node):
+            scan(child, classes, function)
+    scan(tree, frozenset(), None)
+    return found
+
+
 def test_no_dead_module_names():
     assert not dead_names({p.name: _tree(p) for p in MODULES})
 
@@ -137,3 +190,24 @@ def test_scan_sees_unused_and_builders():
     assert dead_names({"m.py": dead}) == ["m.py: C", "m.py: g"]
     assert generator_builders(tree) == [
         "3: PCG64", "4: np.random.Generator", "4: np.random.Philox"]
+
+
+def test_only_realization_classes_test_realizations():
+    found = {p.name: realization_tests(_tree(p)) for p in MODULES}
+    assert not {k: v for k, v in found.items() if v}
+
+
+def test_scan_sees_realization_tests():
+    tree = ast.parse(
+        "class PadicAffine:\n"
+        "    def f(self, g):\n"
+        "        return isinstance(g, PadicAffine)\n"
+        "def g(x, law):\n"
+        "    if isinstance(x, (LampEnd, int)) or type(x) is GridLaw:\n"
+        "        return law.is_padic\n"
+        "    return x.__class__ == PadicVertex or x.kind == 'padic'\n"
+        "def parse_config(cfg):\n"
+        "    return cfg.kind != 'lamplighter' and isinstance(cfg, dict)\n")
+    assert realization_tests(tree) == [
+        "5: isinstance", "5: type test", "6: is_padic", "7: type test",
+        "7: kind test in g"]

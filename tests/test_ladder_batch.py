@@ -57,7 +57,7 @@ def _narrow_end(draw, law):
     """An end whose window is near the prefix heights: a p-adic value
     known to a few digits, exact or zero to precision, or a lamp end
     known to a low position."""
-    if not law.is_padic:
+    if law.kind != "padic":
         q = law.degree
         lamps = draw(st.dictionaries(st.integers(-6, 6),
                                      st.integers(1, q - 1), max_size=4))
@@ -80,7 +80,7 @@ def _disc(draw, law, state, end):
     state, at times the image's own disc."""
     s = state[0]
     h = s + draw(st.integers(-3, 8))
-    if law.is_padic:
+    if law.kind == "padic":
         p = law.degree
         center = Fraction(draw(st.integers(0, 10 ** 4)),
                           p ** draw(st.integers(0, 2)))
@@ -190,7 +190,7 @@ def test_reads_raise_where_generic_raises(kind):
 
 
 def _default_product_events_of(law):
-    name = "drift_pos" if law.is_padic else "lamplighter"
+    name = "drift_pos" if law.kind == "padic" else "lamplighter"
     return _default_product_events(load_config(CONFIGS / f"{name}.ini"))
 
 
@@ -204,14 +204,14 @@ def test_cluster_run_matches_generic_twin(law):
     runs = [renewal.ladder_cluster_run(w, 3, 4, 10, fns)
             for w in (law, _generic_twin(law))]
     assert repr(runs[0]) == repr(runs[1])
-    deep = PadicVertex(2, 30, 0) if law.is_padic else LampVertex(2, 30, ())
+    deep = PadicVertex(2, 30, 0) if law.kind == "padic" else LampVertex(2, 30, ())
     errors = []
     for w in (law, _generic_twin(law)):
         with pytest.raises(AffineTreeError) as exc:
             renewal.ladder_cluster_run(w, 3, 2, 3, [(deep, lambda s: 1)])
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1]
-    if law.is_padic:
+    if law.kind == "padic":
         assert errors[0][0] is PrecisionExhausted
 
 

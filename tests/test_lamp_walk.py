@@ -16,13 +16,11 @@ from hypothesis import strategies as st
 
 from affinetree.errors import AffineTreeError, StepBudgetExceeded
 from affinetree.grid import LampGrid, pack, reader
-from affinetree.group import LampAffine, act_end, compose, identity_lamp
+from affinetree.group import LampAffine, act_end, compose
 from affinetree.law import StepLaw
 from affinetree.rng import stream, stream_rows
 from affinetree.tree import OMEGA, LampEnd, LampVertex, end_in_disc
 from affinetree.walk import (
-    _prefix_key,
-    disc_key,
     excursion_rows,
     ladder_boundary_limit,
     ladder_excursion,
@@ -83,7 +81,7 @@ def _disc(draw, q, image):
     known = image.known_to if isinstance(image, LampEnd) else 8
     h = known + draw(st.integers(-6, 2))
     if isinstance(image, LampEnd) and h <= known and draw(st.booleans()):
-        return LampVertex(q, h, disc_key(image, h))
+        return LampVertex(q, h, image.disc_key(h))
     return LampVertex(q, h, _lamps(draw, q, h - 6, h, 3))
 
 
@@ -98,7 +96,7 @@ def _lamp_state(grid, g):
 @given(lamp_laws(), st.data())
 def test_lamp_reads_match_compose(law, data):
     q, grid = law.degree, law.grid
-    g, r = identity_lamp(q), stream(data.draw(st.integers(0, 2 ** 32)), 0)
+    g, r = law.atoms[0].identity(), stream(data.draw(st.integers(0, 2 ** 32)), 0)
     for move in data.draw(st.lists(st.sampled_from("lr"), max_size=20)):
         x = law.sample_step(r)
         g = compose(x, g) if move == "l" else compose(g, x)
@@ -106,7 +104,7 @@ def test_lamp_reads_match_compose(law, data):
         assert grid.element((s, 1, num, floor + s)) == g
         depth = data.draw(st.integers(-6, 8))
         assert grid.disc_id(grid.key(num, floor + s, depth)) == \
-            _prefix_key(g, depth)
+            g.prefix_key(depth)
         end = OMEGA if data.draw(st.integers(0, 20)) == 0 \
             else _end(data.draw, q)
         image = _outcome(lambda: act_end(g, end))

@@ -230,3 +230,20 @@ def test_empty_cylinder_rejected():
     with pytest.raises(MalformedSyntax) as exc:
         parse_config(bad)
     assert "cylinders.home" in str(exc.value)
+
+
+def _with_tolerance(tol):
+    return POS.replace("horizon = 500",
+                       f"horizon = 500\ntolerance_sigmas = {tol}")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(MalformedSyntax) as exc:
+        parse_config(_with_tolerance(tol))
+    assert "experiment.tolerance_sigmas" in str(exc.value)
+
+
+def test_default_tolerance_parses():
+    assert parse_config(POS).tolerance_sigmas == 3.0
+    assert parse_config(_with_tolerance("3")).tolerance_sigmas == 3.0

@@ -30,7 +30,6 @@ from affinetree.renewal import (
     kernel_oracle,
     limit_measure_value,
     potential_kernel,
-    reference_homothety,
     sample_mbar,
     verify_omega_limit,
     verify_renewal_identity,
@@ -295,7 +294,7 @@ def test_renewal_identity_requires_positive_drift():
 def test_limit_and_kernel_match_for_home_event():
     # coarse version of the two-estimator agreement check
     from affinetree.group import power
-    s = reference_homothety(LAW_NEG)
+    s = LAW_NEG.atoms[0].reference_homothety()
     est = potential_kernel(power(s.element, 20), HOME, LAW_NEG, 8, 8000)
     lim = limit_measure_value(HOME, LAW_NEG, 8, 8000)
     assert est.agrees_with(lim, 4.0)
@@ -407,7 +406,7 @@ def lamp_kernel_cases(draw):
                   for sh in shifts)
     law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
     assert (law.drift() > 0) - (law.drift() < 0) == sign
-    g = power(reference_homothety(law).element, draw(st.integers(-20, 20)))
+    g = power(law.atoms[0].reference_homothety().element, draw(st.integers(-20, 20)))
     if draw(st.booleans()):
         g = compose(LampAffine(q, _lamps(draw, q, -6, 6, 4), 0), g)
     reach = g
@@ -442,7 +441,7 @@ def test_tail_cap_is_reported(monkeypatch):
     # a small exit distance makes re-entries common
     law = StepLaw((aff(0, Fraction(1, 2)), aff(1, 2)),
                   (Fraction(3, 5), Fraction(2, 5)))
-    g = power(reference_homothety(law).element, 2)
+    g = power(law.atoms[0].reference_homothety().element, 2)
     free = potential_kernel(g, HOME, law, 4, 400, delta=2, min_steps=0)
     assert 0.1 < free.rho < renewal.TAIL_RHO_CAP and not free.rho_capped
     monkeypatch.setattr(renewal, "TAIL_RHO_CAP", 0.05)

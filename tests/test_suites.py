@@ -173,6 +173,6 @@ def test_shipped_kernels_run_on_the_engine(path):
     runs about ten times slower with no other sign."""
     cfg = load_config(str(path))
     f = suites._home_event(cfg)
-    s = renewal.reference_homothety(cfg.law).element
+    s = cfg.law.atoms[0].reference_homothety().element
     for g in (identity_like(s), power(s, 15), power(s, -15)):
         assert renewal._kernel_walk(g, f, cfg.law) is not None, g

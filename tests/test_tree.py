@@ -23,7 +23,6 @@ from affinetree.tree import (
     parse_vertex,
     theta,
 )
-from affinetree.walk import disc_key
 
 
 def pend(num, den=1, p=2):
@@ -146,8 +145,8 @@ def test_end_in_disc_reads_the_lamps_up_to_the_height(q, known, values, h,
         with pytest.raises(IndistinguishableAtPrecision):
             end_in_disc(e, v)
     else:
-        assert end_in_disc(e, v) == (disc_key(e, h) == v.lamps)
-        assert end_in_disc(e, LampVertex(q, h, disc_key(e, h)))
+        assert end_in_disc(e, v) == (e.disc_key(h) == v.lamps)
+        assert end_in_disc(e, LampVertex(q, h, e.disc_key(h)))
 
 
 def test_parse_vertex_round_trip():

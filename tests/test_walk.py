@@ -29,8 +29,6 @@ from affinetree.walk import (
     LADDER_BLOCK,
     BoundaryLimit,
     LadderExcursion,
-    disc_key,
-    end_of_product,
     excursion_rows,
     ladder_boundary_limit,
     ladder_excursion,
@@ -180,7 +178,7 @@ def test_boundary_limit_certified_and_stable():
     # a longer window over the same stream lands in the same depth-4 disc
     again = sample_boundary_limit(LAW_POS, stream(13, 0), depth=4,
                                   end_window=20)
-    assert disc_key(bl.end, 4) == disc_key(again.end, 4)
+    assert bl.end.disc_key(4) == again.end.disc_key(4)
 
 
 def test_boundary_limit_needs_positive_drift():
@@ -190,7 +188,7 @@ def test_boundary_limit_needs_positive_drift():
 
 def test_end_of_product_window_is_honest():
     g = run_product(LAW_POS, stream(14, 0), 400)
-    e = end_of_product(g, known_exponent=6)
+    e = g.limit_end(known_exponent=6)
     assert e.value.known_exponent == 6
 
 
@@ -198,8 +196,8 @@ def test_disc_key_depth_monotone():
     bl1 = sample_boundary_limit(LAW_POS, stream(15, 0), depth=6)
     bl2 = sample_boundary_limit(LAW_POS, stream(15, 1), depth=6)
     # agreeing at depth 6 implies agreeing at any shallower depth
-    if disc_key(bl1.end, 6) == disc_key(bl2.end, 6):
-        assert disc_key(bl1.end, 3) == disc_key(bl2.end, 3)
+    if bl1.end.disc_key(6) == bl2.end.disc_key(6):
+        assert bl1.end.disc_key(3) == bl2.end.disc_key(3)
 
 
 # -- the grid engine against generic compose ------------------------------------
@@ -261,8 +259,7 @@ def _scalar_limit(law, rng, depth, *, step=None, max_steps=10 ** 7):
         stable = stable + 1 if k == key else 1
         key = k
         if stable >= 3 and top >= end_window + 15:
-            return BoundaryLimit(end_of_product(g, end_window), key, n, top,
-                                 True)
+            return BoundaryLimit(g.limit_end(end_window), key, n, top, True)
     raise StepBudgetExceeded("reference budget")
 
 
