@@ -246,10 +246,10 @@ class LampAffine:
             (n, sum(sigma.get(pos, 0) for pos in range(n, stop, -h)))
             for n in range(low - abs(h), end_window + 1)))
 
-    def reference_homothety(self, end_window=24) -> "ReferenceHomothety":
+    def reference_homothety(self) -> "ReferenceHomothety":
         """s = (0, shift 1) fixing the all-zero configuration."""
         return ReferenceHomothety(LampAffine(self.q, (), 1),
-                                  LampEnd(self.q, end_window, ()))
+                                  LampEnd(self.q, 24, ()))
 
     def prefix_key(self, depth: int):
         return tuple((p, v) for p, v in self.lamps if p <= depth)
@@ -261,7 +261,7 @@ class LampAffine:
         from .grid import LampGrid
         return LampGrid.of(law)
 
-    def section(self, end, unit=None) -> "LampAffine":
+    def section(self, end, unit) -> "LampAffine":
         """The translation section; the rotation group is trivial."""
         return LampAffine(self.q, end.values, 0, known_to=end.known_to)
 

@@ -104,7 +104,7 @@ class _LampPoint:
     kind = "lamplighter"
     degree = property(attrgetter("q"))
 
-    def meet(self, other, budget=None):
+    def meet(self, other, budget):
         cap = min(self.known_to, other.known_to)
         mine, theirs = dict(self.lamps), dict(other.lamps)
         h = cap

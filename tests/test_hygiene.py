@@ -124,7 +124,10 @@ def dead_names(trees):
 
 
 def _names(node):
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    """Names and attribute names under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
 
 
 def realization_tests(tree):
@@ -145,8 +148,10 @@ def realization_tests(tree):
                 found.append(f"{node.lineno}: isinstance")
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            typed = any(isinstance(o, ast.Call) and isinstance(o.func, ast.Name)
-                        and o.func.id == "type" or isinstance(o, ast.Attribute)
+            typed = any(isinstance(o, ast.Call)
+                        and isinstance(o.func, ast.Name)
+                        and o.func.id == "type"
+                        or isinstance(o, ast.Attribute)
                         and o.attr == "__class__" for o in operands)
             if typed and not own and any(
                     _names(o) & REALIZATION_CLASSES for o in operands):
@@ -203,7 +208,7 @@ def test_scan_sees_realization_tests():
         "    def f(self, g):\n"
         "        return isinstance(g, PadicAffine)\n"
         "def g(x, law):\n"
-        "    if isinstance(x, (LampEnd, int)) or type(x) is GridLaw:\n"
+        "    if isinstance(x, (LampEnd, int)) or type(x) is grid.GridLaw:\n"
         "        return law.is_padic\n"
         "    return x.__class__ == PadicVertex or x.kind == 'padic'\n"
         "def parse_config(cfg):\n"

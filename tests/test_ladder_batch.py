@@ -204,7 +204,8 @@ def test_cluster_run_matches_generic_twin(law):
     runs = [renewal.ladder_cluster_run(w, 3, 4, 10, fns)
             for w in (law, _generic_twin(law))]
     assert repr(runs[0]) == repr(runs[1])
-    deep = PadicVertex(2, 30, 0) if law.kind == "padic" else LampVertex(2, 30, ())
+    deep = PadicVertex(2, 30, 0) if law.kind == "padic" \
+        else LampVertex(2, 30, ())
     errors = []
     for w in (law, _generic_twin(law)):
         with pytest.raises(AffineTreeError) as exc:
