@@ -116,19 +116,14 @@ class StepLaw:
         """Cumulative heights S_1..S_horizon for n_traj trajectories."""
         return np.cumsum(self.phi_steps(rng.random((n_traj, horizon))), 1)
 
-    def phi_step_chunks(self, rng, n_traj: int, horizon: int):
-        """(rows, ``phi_steps(rng.random((n_traj, horizon)))[rows]``) by
-        row chunks of about 2**20 steps, which read the same uniforms."""
+    def final_phis(self, rng, n_traj: int, horizon: int) -> np.ndarray:
+        """S_horizon of ``sample_phi_paths``, by row chunks of about 2**20
+        steps, which read the same uniforms."""
+        out = np.zeros(n_traj, dtype=np.int64)
         step = max(1, 2 ** 20 // horizon)          # rows per chunk
         for a in range(0, n_traj, step):
-            rows = slice(a, min(a + step, n_traj))
-            yield rows, self.phi_steps(rng.random((rows.stop - a, horizon)))
-
-    def final_phis(self, rng, n_traj: int, horizon: int) -> np.ndarray:
-        """S_horizon of ``sample_phi_paths``, by chunks of rows."""
-        out = np.zeros(n_traj, dtype=np.int64)
-        for rows, steps in self.phi_step_chunks(rng, n_traj, horizon):
-            out[rows] = steps.sum(1)
+            out[a:a + step] = self.phi_steps(
+                rng.random((min(step, n_traj - a), horizon))).sum(1)
         return out
 
     def moment_report(self, eps=1) -> dict:

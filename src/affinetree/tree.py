@@ -114,11 +114,10 @@ class _LampPoint:
             if mine.get(pos, 0) != theirs.get(pos, 0):
                 h = pos - 1
                 break
-        else:
-            if not (self.is_vertex or other.is_vertex):
-                raise IndistinguishableAtPrecision(
-                    "lamp ends agree on the whole known window",
-                    upper_bound=_scale(self.q, cap))
+        if h == cap and not (self.is_vertex or other.is_vertex):
+            raise IndistinguishableAtPrecision(
+                "lamp ends agree on the whole known window",
+                upper_bound=_scale(self.q, cap))
         return LampVertex(self.q, h, [(p, v) for p, v in self.lamps
                                       if p <= h])
 

@@ -1,7 +1,7 @@
 """The stream key rule: one Philox key per flattened path, no aliasing,
-``stream_rows`` and ``uniforms_at`` read exactly what ``stream`` yields,
-``seek`` leaves a stream where its draws do, and no key is built twice in
-a run of every suite on a shipped config."""
+``stream_rows``, ``uniforms_at`` and ``fill_at`` read exactly what
+``stream`` yields, ``seek`` leaves a stream where its draws do, and no
+key is built twice in a run of every suite on a shipped config."""
 
 import cProfile
 import pstats
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from affinetree import rng
 from affinetree.config import load_config
-from affinetree.rng import position, seek, stream, stream_rows, \
+from affinetree.rng import fill_at, position, seek, stream, stream_rows, \
     uniforms_at
 from affinetree.suites import (
     algebra_claims,
@@ -106,6 +106,24 @@ def test_uniforms_at_match_numpy_philox(seed, path, moved, starts, width):
                                                *path)[0])
     assert position(gen) == moved
     assert np.array_equal(gen.random(5), stream(seed, *path, 0).random(
+        moved + 5)[moved:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 70), path=paths, moved=st.integers(0, 9),
+       starts=st.lists(st.one_of(st.integers(0, 600),
+                                 st.integers(0, 2 ** 60)),
+                       min_size=1, max_size=6),
+       width=st.integers(1, 40))
+def test_fill_at_reads_what_uniforms_at_reads(seed, path, moved, starts,
+                                              width):
+    gen = stream(seed, *path)
+    gen.random(moved)
+    out = np.empty((len(starts), width))
+    assert fill_at(gen, starts, out) is out
+    assert np.array_equal(out, uniforms_at(gen, starts, width))
+    assert position(gen) == moved
+    assert np.array_equal(gen.random(5), stream(seed, *path).random(
         moved + 5)[moved:])
 
 

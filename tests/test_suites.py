@@ -59,17 +59,60 @@ SLIGHT_DOWN = StepLaw((UP, DOWN), (Fraction(19, 40), Fraction(21, 40)))
 SLIGHT_UP = StepLaw((UP, DOWN), (Fraction(21, 40), Fraction(19, 40)))
 LAZY = StepLaw((UP, DOWN, STAY), (Fraction(1, 1500), Fraction(1, 1500),
                                   Fraction(1498, 1500)))
+# a little lazier than centered.ini: at seeds 1 and 3 some paths are
+# decided within their first 512-step window, and a few never are
+LAZIER = StepLaw((UP, DOWN, STAY), (Fraction(1, 4), Fraction(1, 4),
+                                    Fraction(1, 2)))
 
 
-@pytest.mark.parametrize("law,trajectories,horizon", [
-    (SLIGHT_DOWN, 300, 400), (SLIGHT_UP, 300, 401), (LAZY, 40, 1000)],
-    ids=["descend", "ascend", "centered"])
-def test_regime_estimates_match_atom_indices(law, trajectories, horizon):
-    claim = suites.regime_claims(SimpleNamespace(law=law), trajectories,
-                                 horizon, limit_samples=1, seed=8)[0]
-    assert 0.1 < claim["estimate"] < 0.9
-    assert claim["estimate"] == _indexed_estimate(law, trajectories,
-                                                  horizon, 8)
+@pytest.mark.parametrize("law,trajectories,horizon,seeds,within", [
+    (SLIGHT_DOWN, 300, 400, (8,), (0.1, 0.9)),
+    (SLIGHT_UP, 300, 401, (8,), (0.1, 0.9)),
+    (LAZY, 40, 1000, (8,), (0.1, 0.9)),
+    (LAZY, 5, 310000, (8, 9, 10), (0.1, 0.9)),
+    (LAZY, 1, 1000, tuple(range(6)), (0.1, 0.9)),
+    (LAZIER, 40, 1000, (1, 2, 3), (0.5, 0.99))],
+    ids=["descend", "ascend", "centered", "centered-ragged-span",
+         "centered-one-path", "centered-lazier"])
+def test_regime_estimates_match_atom_indices(law, trajectories, horizon,
+                                             seeds, within):
+    got = [suites.regime_claims(SimpleNamespace(law=law), trajectories,
+                                horizon, limit_samples=1, seed=seed)[0]
+           ["estimate"] for seed in seeds]
+    assert got == [_indexed_estimate(law, trajectories, horizon, seed)
+                   for seed in seeds]
+    # paths of both verdicts, so that a changed height would show
+    assert within[0] < np.mean(got) < within[1]
+
+
+class _Counted:
+    """A generator that counts the uniforms drawn through it."""
+
+    def __init__(self, gen):
+        self.gen, self.drawn = gen, 0
+
+    bit_generator = property(lambda self: self.gen.bit_generator)
+
+    def random(self, size=None, out=None):
+        self.drawn += out.size if out is not None else int(np.prod(size))
+        return self.gen.random(size, out=out)
+
+
+def test_regime_centered_reads_only_undecided_paths(monkeypatch):
+    """A path's verdict is final once both extremes pass +-10, typically
+    a few thousand of its 300 000 steps in, so the claim reads a small
+    share of the uniforms of whole paths."""
+    made = []
+
+    def counted(*key):
+        made.append(_Counted(stream(*key)))
+        return made[-1]
+
+    monkeypatch.setattr(suites, "stream", counted)
+    claim = suites.regime_claims(load_config(CONFIGS / "centered.ini"),
+                                 trajectories=200, horizon=10000, seed=3)[0]
+    assert claim["claim"] == "regime.centered" and len(made) == 1
+    assert made[0].drawn < 0.15 * 200 * claim["details"]["horizon"]
 
 
 def test_regime_descend_memory_is_bounded():

@@ -108,6 +108,18 @@ def test_end_agreement_beyond_window_raises():
     assert exc.value.upper_bound <= Fraction(2) ** -3
 
 
+@pytest.mark.parametrize("lamps", [((1, 1),), ((1, 1), (8, 1))],
+                         ids=["no-lamp-above", "lamp-above"])
+def test_lamp_ends_agreeing_on_the_common_window_raise(lamps):
+    # a lamp of the longer end above the shorter end's window tells the
+    # ends apart no more than its absence does, as in the p-adic meet
+    a, b = LampEnd(2, 5, ((1, 1),)), LampEnd(2, 10, lamps)
+    for f in (meet, theta):
+        with pytest.raises(IndistinguishableAtPrecision) as exc:
+            f(a, b)
+        assert exc.value.upper_bound == Fraction(1, 32)
+
+
 def test_lamp_meet():
     a = LampEnd(2, 10, ((0, 1),))
     b = LampEnd(2, 10, ((0, 1), (2, 1)))
