@@ -819,12 +819,6 @@ def verify_renewal_identity(law, events, seed, *, n_upsilon=1000,
 # -- exact truncated-chain oracle ----------------------------------------------
 
 
-# Characters per batched height solve.  Each is one complex n_s × n_s
-# system (38 KB on the default window); 16 at a time keep the solve's peak
-# memory under 2 MB at about the speed of larger chunks.
-ORACLE_CHUNK = 16
-
-
 def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
     """Exact expected-visit values for designed small p-adic instances.
 
@@ -838,11 +832,15 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
     character method of Diaconis, *Group Representations in Probability
     and Statistics*, ch. 3).  For each character k the Green function
     from (height 0, digits 0) solves one height system
-    (I - A_k) Ĝ_k = e_0, and one inverse real FFT gives G(height, digits)
+    (I - A_k) Ĝ_k = e_0, banded with bandwidth max |phi|.  One Gaussian
+    elimination without pivoting solves the systems of all M/2 + 1
+    characters at once, and one inverse real FFT gives G(height, digits)
     exactly, up to float rounding.
 
-    Cylinders must be single-source V(origin -> y) with y in the height
-    window and its center on the grid.  Returns per-cylinder visit
+    The window must contain height 0.  Cylinders must be single-source
+    V(origin -> y) with y in the height window and its center on the
+    grid.  A law whose walk cannot leave a height of the window gives a
+    singular system and is refused too.  Returns per-cylinder visit
     expectations, ``bias`` (the killed mass) and ``escaped_mass`` (the
     mass that leaves above the window).
     """
@@ -854,6 +852,8 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
         raise OracleUnsupported(
             "atoms are off the digit grid: need exact scales p**k and "
             "translations with p-power denominators")
+    if s_min > 0 or s_max < 0:
+        raise OracleUnsupported("the height window must contain height 0")
     specs = []
     for cyl in cylinders:
         if cyl.is_empty or len(cyl.sources) != 1 \
@@ -881,17 +881,38 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
         keep = on_grid & (to >= 0) & (to < n_s)
         shift = [txn * pow(p, int(r) + txe, M) % M for r in rows[keep]]
         moves.append((rows[keep], to[keep], w, np.array(shift, np.int64)))
-    start = np.zeros(n_s)
-    start[-s_min] = 1.0
-    # G is real, so the characters k and M - k are conjugate
-    g_hat = np.empty((n_s, M // 2 + 1), complex)
-    for k0 in range(0, M // 2 + 1, ORACLE_CHUNK):
-        ks = np.arange(k0, min(k0 + ORACLE_CHUNK, M // 2 + 1))
-        lhs = np.repeat(np.eye(n_s, dtype=complex)[None], len(ks), axis=0)
-        for r, to, w, shift in moves:
-            lhs[:, to, r] -= w * np.exp(-2j * np.pi / M
-                                        * (np.outer(ks, shift) % M))
-        g_hat[:, k0:k0 + len(ks)] = np.linalg.solve(lhs, start).T
+    # one band over all characters: band[k, i, lo + j - i] is entry (i, j)
+    # of I - A_k, and a move up by phi lies on the diagonal lo - phi.  G is
+    # real, so the characters k and M - k are conjugate.
+    lo = max(0, *(ph for _, _, ph in grid.steps))
+    up = max(0, *(-ph for _, _, ph in grid.steps))
+    ks = np.arange(M // 2 + 1)
+    band = np.zeros((len(ks), n_s, lo + up + 1), complex)
+    band[:, :, lo] = 1.0
+    roots = np.exp(-2j * np.pi / M * np.arange(M))
+    for r, to, w, shift in moves:
+        band[:, to, lo + r - to] -= w * roots[np.outer(ks, shift) % M]
+    # Column r of A_k holds the moves out of row r, of total weight at most
+    # 1, so I - A_k is column diagonally dominant; elimination keeps it so
+    # and needs no pivoting (Golub & Van Loan, *Matrix Computations*, 3.4),
+    # and a pivot within rounding of 0 leaves a zero column: singular.
+    x = np.zeros((len(ks), n_s + up), complex)    # zeros above the top row
+    x[:, -s_min] = 1.0
+    for i in range(n_s):
+        piv = band[:, i, lo]
+        if (np.abs(piv) <= n_s * np.finfo(float).eps).any():
+            raise OracleUnsupported(
+                f"singular height system: no way out of height {i + s_min}")
+        for d in range(1, min(lo, n_s - 1 - i) + 1):
+            f = band[:, i + d, lo - d, None] / piv[:, None]
+            band[:, i + d, lo - d:lo - d + up + 1] -= f * band[:, i, lo:]
+            x[:, i + d] -= f[:, 0] * x[:, i]
+    for i in reversed(range(n_s)):
+        x[:, i] -= (band[:, i, lo + 1:] * x[:, i + 1:i + 1 + up]).sum(1)
+        x[:, i] /= band[:, i, lo]
+    if not np.isfinite(x).all():
+        raise OracleUnsupported("the height solve is not finite")
+    g_hat = x[:, :n_s].T
     # targets sit at rows 0 .. width
     green = np.fft.irfft(g_hat[:width + 1], n=M, axis=1)
     visits = {name: float(green[j].reshape(-1, p ** j)[:, c].sum())

@@ -1,6 +1,7 @@
 """Potential kernel estimators, invariant measures, renewal checks."""
 
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -219,7 +220,18 @@ def _shallow_cylinders(p, s_min):
     # p = 3: an odd number of grid residues
     (StepLaw((aff(0, 3, 3), aff(2, Fraction(1, 3), 3)),
              (Fraction(2, 3), Fraction(1, 3))), -1, 3),
-], ids=["negative-t", "digits-below-grid", "centered", "p3"])
+    # bands wider than 1: an upward step of 2 with a downward step of 1
+    (StepLaw((aff(0, 4), aff(1, Fraction(1, 2))),
+             (Fraction(1, 3), Fraction(2, 3))), -3, 4),
+    # a downward step of 3
+    (StepLaw((aff(0, 2), aff(-1, Fraction(1, 8))),
+             (Fraction(3, 4), Fraction(1, 4))), -3, 4),
+    # p = 3 with steps of 2 both ways
+    (StepLaw((aff(1, 9, 3), aff(-2, Fraction(1, 3), 3),
+              aff(0, Fraction(1, 9), 3)),
+             (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))), -1, 3),
+], ids=["negative-t", "digits-below-grid", "centered", "p3", "up2-down1",
+        "down3", "p3-phi2"])
 def test_oracle_matches_exact_chain(law, s_min, s_max):
     cylinders = _shallow_cylinders(law.degree, s_min)
     out = kernel_oracle(law, cylinders, s_min=s_min, s_max=s_max)
@@ -229,6 +241,74 @@ def test_oracle_matches_exact_chain(law, s_min, s_max):
         assert abs(out["visits"][name] - want) < 1e-12, name
     assert abs(out["bias"] - killed) < 1e-12
     assert abs(out["escaped_mass"] - escaped) < 1e-12
+
+
+@st.composite
+def grid_oracle_cases(draw):
+    """A small grid law with 2-3 atoms, |phi| <= 3 and p-power
+    translations, and a window small enough for ``_exact_chain``."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 3))
+    phis = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+                .filter(any))      # a walk that keeps its height may be stuck
+    ws = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    atoms = tuple(aff(Fraction(draw(st.integers(-3, 3)),
+                               p ** draw(st.integers(0, 2))),
+                      Fraction(p) ** ph, p) for ph in phis)
+    law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
+    s_min = draw(st.integers(-2 if p == 2 else -1, 0))
+    return law, s_min, draw(st.integers(1, 3))   # targets reach height 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_oracle_cases())
+def test_oracle_matches_exact_chain_on_grid_laws(case):
+    law, s_min, s_max = case
+    cylinders = _shallow_cylinders(law.degree, s_min)
+    out = kernel_oracle(law, cylinders, s_min=s_min, s_max=s_max)
+    visits, killed, escaped = _exact_chain(law, cylinders, s_min, s_max)
+    for name, want in visits.items():
+        assert abs(out["visits"][name] - want) < 1e-12, name
+    assert abs(out["bias"] - killed) < 1e-12
+    assert abs(out["escaped_mass"] - escaped) < 1e-12
+
+
+@pytest.mark.parametrize("s_min, s_max, target", [
+    (1, 6, PadicVertex(2, 2, 0)),
+    (2, 6, PadicVertex(2, 2, 0)),
+    (-8, -1, PadicVertex(2, -2, 0)),
+])
+def test_oracle_refuses_windows_without_height_0(s_min, s_max, target):
+    # the walk starts at height 0, so a window without it has no start row
+    with pytest.raises(OracleUnsupported, match="height 0"):
+        kernel_oracle(LAW_POS, [CylinderEvent((O,), (target,))],
+                      s_min=s_min, s_max=s_max)
+
+
+@pytest.mark.parametrize("law", [
+    StepLaw((aff(1, 1),), (Fraction(1),)),
+    StepLaw((aff(0, 1), aff(1, 1)), (Fraction(1, 2), Fraction(1, 2))),
+], ids=["translation", "translation-or-stay"])
+def test_oracle_refuses_walks_that_keep_their_height(law):
+    with pytest.raises(OracleUnsupported, match="singular"):
+        kernel_oracle(law, [HOME])
+
+
+def test_oracle_deep_window_is_cheap():
+    # a height-6 target widens drift_pos's digit grid to M = 2**14
+    targets = [PadicVertex(2, 6, 0), PadicVertex(2, 6, 5)]
+    tracemalloc.start()
+    try:
+        out = kernel_oracle(LAW_POS, [CylinderEvent((O,), (y,))
+                                      for y in targets])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # visits as a dense solve per character gives them
+    for y, want in zip(targets, (0.359035164865851, 0.02374705795607699)):
+        name = CylinderEvent((O,), (y,)).render()
+        assert abs(out["visits"][name] - want) < 1e-12, name
 
 
 def test_kernel_matches_oracle_with_negative_translation():
