@@ -57,6 +57,7 @@ from .rng import stream, stream_rows, streams_at
 from .tree import end_in_disc
 from .walk import (
     DEFAULT_STEP_BUDGET,
+    _GenericWalk,
     excursion_rows,
     ladder_boundary_limit,
     ladder_excursion,
@@ -194,8 +195,9 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     order, one atom per uniform.  ``stop`` is (direction, delta,
     min_steps) of the drifting stop rule, or None to run the horizon.
     Returns (rows, steps) of every visit to the event, as flat arrays,
-    and per trajectory its exit step E and re-entry step R (_NEVER when
-    it has none); see ``potential_kernel`` for the rule.
+    per trajectory its exit step E and re-entry step R (_NEVER when it
+    has none), and 0: no trajectory loses precision on integers.  See
+    ``potential_kernel`` for the rule.
     """
     grid, (s0, u, num0, floor0), member, top = walk
     add, steps, cut = grid.sum, grid.steps, top + grid.key_reach
@@ -260,76 +262,69 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
                     carry[row] = grid.key(*t, top)
             b.going = going
     return (np.array(hit_rows, dtype=np.int64),
-            np.array(hit_steps, dtype=np.int64), exits, backs)
+            np.array(hit_steps, dtype=np.int64), exits, backs, 0)
 
 
-def _generic_visits(g, f, law, seed, trajectories, horizon, direction, delta,
-                    min_steps):
-    """Per trajectory: visits, visits after re-entry, exited, re-entered;
-    and the number of trajectories aborted by precision loss.  Generic
-    group arithmetic, one trajectory at a time, under the stop rule of
-    ``potential_kernel``."""
+def _generic_visits(g, f, law, seed, label, trajectories, horizon,
+                    stop=None):
+    """``_grid_visits`` on generic group arithmetic, for laws or starts
+    off the engine: trajectory i walks ``_GenericWalk`` from g on
+    ``stream(seed, label, i)``, and the rule of ``_stop_steps`` is applied
+    step by step.  A trajectory that loses its precision ends there; the
+    last item is how many did."""
     level = f.level
-    totals = np.zeros(trajectories)
-    post_visits = np.zeros(trajectories)
-    exited = np.zeros(trajectories, dtype=bool)
-    reentered = np.zeros(trajectories, dtype=bool)
+    direction, delta, min_steps = stop or (0, 0, 0)   # d = 0: no exit
+    hit_rows, hit_steps = [], []
+    exits = np.full(trajectories, _NEVER)
+    backs = np.full(trajectories, _NEVER)
     aborted = 0
     for i in range(trajectories):
-        r = stream(seed, "kernel", i)
-        cur = g
-        s = phi(cur)
-        pre = 1.0 if s == level and f.member(cur) else 0.0
-        post = 0.0
-        ex = re = False
+        w = _GenericWalk(law, stream(seed, label, i), g)
+        if f.member(g):
+            hit_rows.append(i)
+            hit_steps.append(0)
+        e = r = _NEVER
         try:
             for n in range(1, horizon + 1):
-                cur = compose(cur, law.sample_step(r))
-                s = phi(cur)
-                if s == level:
-                    if ex and not re:
-                        re = True
-                    hit = 1.0 if f.member(cur) else 0.0
-                    if ex:
-                        post += hit
-                    else:
-                        pre += hit
-                if direction and n >= min_steps:
-                    displaced = (s - level) * direction
-                    if displaced > delta:
-                        if not ex:
-                            ex = True
-                        elif re:
-                            break
-                    # re-entry from 2*delta past the level is negligible
-                    if ex and not re and displaced > 2 * delta:
-                        break
+                h = w.right()
+                if h == level and f.member(w.g):
+                    hit_rows.append(i)
+                    hit_steps.append(n)
+                d = (h - level) * direction
+                if e == _NEVER:
+                    if d > delta and n >= min_steps:
+                        e = n
+                elif r == _NEVER and h == level:
+                    r = n
+                # from the exit on: 2·delta out before re-entry, delta after
+                if e <= n and d > (2 * delta if r == _NEVER else delta):
+                    break
         except PrecisionExhausted:
             aborted += 1
-        totals[i] = pre + post
-        post_visits[i] = post
-        exited[i] = ex
-        reentered[i] = re
-    return totals, post_visits, exited, reentered, aborted
+        exits[i], backs[i] = e, r
+    return (np.array(hit_rows, dtype=np.int64),
+            np.array(hit_steps, dtype=np.int64), exits, backs, aborted)
 
 
 def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
-                     horizon=20000, delta=KERNEL_DELTA,
-                     min_steps=KERNEL_MIN_STEPS) -> KernelEstimate:
+                     horizon=20000) -> KernelEstimate:
     """Expected visits of g·R_n to the event, over n = 0..horizon.
 
     For drifting walks with displacement d_n = (height - level) in the
-    drift direction, a trajectory exits at the first step E >= min_steps
-    with d_E > delta and re-enters at its next visit R to the level; it
-    stops at the first step in [E, R) with d > 2·delta (re-entry from
-    there is negligible), else at the first step from R on with d > delta,
-    else at the horizon.  The tail beyond the stop is bounded by the
-    observed re-entry frequency rho, capped at ``TAIL_RHO_CAP`` (``rho``
-    reports it before the cap, ``rho_capped`` whether the cap bit).
-    Centered walks run the full horizon and report the last-half visit
-    count as a truncation proxy.  ``seed`` is a stream key (see ``rng``):
+    drift direction, a trajectory exits at the first step E >=
+    ``KERNEL_MIN_STEPS`` with d_E > ``KERNEL_DELTA`` and re-enters at its
+    next visit R to the level; it stops at the first step in [E, R) with
+    d > 2·KERNEL_DELTA (re-entry from there is negligible), else at the
+    first step from R on with d > KERNEL_DELTA, else at the horizon.  Both
+    constants are read when it is called.  The tail beyond the stop is
+    bounded by the observed re-entry frequency rho, capped at
+    ``TAIL_RHO_CAP`` (``rho`` reports it before the cap, ``rho_capped``
+    whether the cap bit).  Centered walks run the full horizon and report
+    the last-half visit rate of a fresh batch of at most 200 trajectories
+    as a truncation proxy.  ``seed`` is a stream key (see ``rng``):
     trajectory i draws from ``(seed, "kernel", i)``, the centered tail
-    from "tail".
+    from "tail".  ``aborted`` counts the trajectories of both batches
+    that lost their precision; each keeps the visits it made.
 
     Laws on the engine, p-adic and lamp, run every trajectory in one
     batch (``_grid_visits``): atom indices come from ``rng.stream_rows``
@@ -340,7 +335,8 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     target height: a read at height h <= H sees the digits below h
     (p-adic) or up to h (lamp), so a later term changes no read.  Only
     laws off the engine walk one trajectory at a time on generic group
-    arithmetic.
+    arithmetic (``_generic_visits``); both give the visits the same way,
+    and one reduction reads them.
     """
     if trajectories < 1:
         raise ValueError(f"{trajectories} trajectories estimate nothing")
@@ -349,29 +345,32 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     drift = law.drift()
     direction = 0 if drift == 0 else (1 if drift > 0 else -1)
     fast = _kernel_walk(g, f, law)
-    level = f.level
 
-    if fast:
-        rows, steps, exits, backs = _grid_visits(
-            fast, level, seed, "kernel", trajectories, horizon,
-            (direction, delta, min_steps) if direction else None)
-        totals = np.bincount(rows, minlength=trajectories).astype(float)
-        post_visits = np.bincount(rows[steps >= backs[rows]],
-                                  minlength=trajectories).astype(float)
-        exited, reentered, aborted = exits < _NEVER, backs < _NEVER, 0
-    else:
-        totals, post_visits, exited, reentered, aborted = _generic_visits(
-            g, f, law, seed, trajectories, horizon, direction, delta,
-            min_steps)
+    def visits(label, count, stop=None):
+        if fast:
+            return _grid_visits(fast, f.level, seed, label, count, horizon,
+                                stop)
+        return _generic_visits(g, f, law, seed, label, count, horizon, stop)
 
+    rows, steps, exits, backs, aborted = visits(
+        "kernel", trajectories,
+        (direction, KERNEL_DELTA, KERNEL_MIN_STEPS) if direction else None)
+    totals = np.bincount(rows, minlength=trajectories).astype(float)
     value = float(totals.mean())
     stderr = float(totals.std(ddof=1) / math.sqrt(trajectories)) \
         if trajectories > 1 else 0.0
     if direction == 0:
-        tail = _centered_tail(g, f, law, seed, trajectories, horizon)
+        # proxy only: visits cannot be bounded by a drift argument, so
+        # report the last-half visit rate observed on a fresh small batch
+        n = min(trajectories, 200)
+        _, late, _, _, lost = visits("tail", n)
+        tail = float(np.count_nonzero(late > horizon // 2)) / n
         return KernelEstimate(value, stderr, trajectories, horizon, tail,
-                              truncated=True, aborted=aborted)
-    n_ex = int(exited.sum())
+                              truncated=True, aborted=aborted + lost)
+    post_visits = np.bincount(rows[steps >= backs[rows]],
+                              minlength=trajectories).astype(float)
+    reentered = backs < _NEVER
+    n_ex = int(np.count_nonzero(exits < _NEVER))
     rho = float(reentered.sum()) / n_ex if n_ex else 0.0
     capped = min(rho, TAIL_RHO_CAP)
     per_round = float(post_visits[reentered].mean()) if reentered.any() else 1.0
@@ -379,25 +378,6 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     return KernelEstimate(value, stderr, trajectories, horizon, tail,
                           aborted=aborted, rho=rho,
                           rho_capped=rho > TAIL_RHO_CAP)
-
-
-def _centered_tail(g, f, law, seed, trajectories, horizon):
-    # proxy only: visits cannot be bounded by a drift argument, so report
-    # the last-half visit rate observed on a fresh small batch
-    n = min(trajectories, 200)
-    fast = _kernel_walk(g, f, law)
-    if fast:
-        _, steps, _, _ = _grid_visits(fast, f.level, seed, "tail", n, horizon)
-        return float(np.count_nonzero(steps > horizon // 2)) / n
-    late = 0.0
-    for i in range(n):
-        r = stream(seed, "tail", i)
-        cur = g
-        for m in range(1, horizon + 1):
-            cur = compose(cur, law.sample_step(r))
-            if m > horizon // 2 and f.member(cur):
-                late += 1.0
-    return late / n
 
 
 # -- Wald / ladder mass -------------------------------------------------------

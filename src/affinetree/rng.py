@@ -10,11 +10,11 @@ stream.  Estimators label their streams ("kernel", "limit", ...), a
 caller that runs one estimator several times adds what tells the calls
 apart, and suites key each claim by its claim id.
 
-``stream_rows(rows, start, size, seed, *path)`` reads many streams
-``stream(seed, *path, i)`` at once, and ``streams_at`` hands out each
-such stream at a given position.  Philox is counter-based: uniform k
-of a stream depends only on its key and k, so one bit generator serves
-every row by taking each row's key and the counter of its first uniform.
+``streams_at`` hands out each stream ``stream(seed, *path, i)`` of many
+at a given position; ``stream_rows`` reads many at once through it.
+Philox is counter-based: uniform k of a stream depends only on its key
+and k, so one bit generator serves every row by taking each row's key
+and the counter of its first uniform.
 ``uniforms_at`` reads given positions of a stream by a numpy Philox,
 without moving it.  At several numpy draws per uniform it pays only where
 most uniforms are skipped (``stream_rows`` through it took 1.90 ms, not
@@ -68,20 +68,10 @@ def stream_rows(rows, start, size, seed, *path) -> np.ndarray:
     ``stream(seed, *path, i)`` for ``i`` in ``rows``: row r holds what
     that stream's ``random()`` draws yield after ``start`` draws.
     """
-    prefix, bits, gen, state = _rekeyed(seed, *path)
-    inner = state["state"]
-    inner["counter"][0] = start // 4
     out = np.empty((len(rows), size))
-    # the loop of streams_at, written out: one more call per row made the
-    # kernel batch about 3 % slower
-    for r, i in enumerate(rows):
-        h = prefix.copy()
-        h.update(f"{operator.index(i)!r})".encode())
-        inner["key"] = _KEY_WORDS.unpack(h.digest())
-        bits.state = state
-        if start % 4:
-            gen.random(start % 4)
-        gen.random(out=out[r])
+    for row, gen in zip(out, streams_at(rows, [start] * len(rows), seed,
+                                        *path)):
+        gen.random(out=row)
     return out
 
 
@@ -90,8 +80,16 @@ def streams_at(rows, starts, seed, *path):
     ``stream(seed, *path, i)`` after as many draws as the matching item of
     ``starts``; it is one generator, re-keyed for every row, so use each
     before asking for the next."""
-    prefix, bits, gen, state = _rekeyed(seed, *path)
-    inner = state["state"]
+    # repr of (*prefix, i) is the prefix's items, then repr(i) and ")"
+    head = "(" + "".join(f"{item!r}, " for item in _flat((seed, *path)))
+    prefix = hashlib.blake2b(head.encode(), digest_size=16)
+    bits = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
+    gen = np.random.Generator(bits)
+    # the setter reads plain ints faster than the arrays the getter gives;
+    # a row gets its key and the counter of its first uniform's block
+    state = bits.state
+    inner = state["state"] = {"counter": [0, 0, 0, 0], "key": None}
+    state["buffer"] = [0] * 4
     for i, start in zip(rows, starts):
         h = prefix.copy()
         h.update(f"{operator.index(i)!r})".encode())
@@ -101,24 +99,6 @@ def streams_at(rows, starts, seed, *path):
         if start % 4:
             gen.random(start % 4)
         yield gen
-
-
-def _rekeyed(seed, *path):
-    """(prefix, bits, gen, state) for reading streams ``stream(seed,
-    *path, i)`` row by row: the hash of the key paths' shared prefix, and
-    one Philox generator whose state gets each row's key and the counter
-    ``start // 4`` of its first uniform (a Philox block holds four
-    uniforms) instead of a generator built per row."""
-    # repr of (*prefix, i) is the prefix's items, then repr(i) and ")"
-    head = "(" + "".join(f"{item!r}, " for item in _flat((seed, *path)))
-    prefix = hashlib.blake2b(head.encode(), digest_size=16)
-    bits = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
-    gen = np.random.Generator(bits)
-    # the setter reads plain ints faster than the arrays the getter gives
-    state = bits.state
-    state["state"] = {"counter": [0, 0, 0, 0], "key": None}
-    state["buffer"] = [0] * 4
-    return prefix, bits, gen, state
 
 
 def _philox(key, counters):

@@ -11,18 +11,19 @@ batches of keyed rows, read block by block as the potential kernel reads
 its walks (``grid.blocks``): heights are cumulative sums, records a
 running maximum, and translation terms are folded in exact integers.
 Laws off the engine walk one step at a time on ``group.compose`` (a
-generic walk object), and that loop is the reference the batches are
-tested against; ``run_product`` hands every running product to its
-visitor.
+generic walk object, from any start), and that loop is the reference the
+batches are tested against; ``run_product`` hands every running product
+to its visitor.
 
 Certified boundary limits (``boundary_limits``, walk i on
 ``stream(seed, *path, i)``) fold only the terms below the depth and the
 end window they can change; ``sample_boundary_limit`` is the batch's
-one-walk case on a generator.  The successive ladder excursions of one
-walk are split by the strict records of its running maximum
-(``excursion_rows``), and the ladder walk, whose steps are whole
-excursions, takes its limit from the same records
-(``ladder_limit_rows``).
+one-walk case on a generator.  Every certified limit stops under the
+rule of ``STABLE_EPOCHS`` and ``HEIGHT_GUARD``, read when it is called.
+The successive ladder excursions of one walk are split by the strict
+records of its running maximum (``excursion_rows``), and the ladder
+walk, whose steps are whole excursions, takes its limit from the same
+records (``ladder_limit_rows``).
 """
 
 from __future__ import annotations
@@ -39,22 +40,21 @@ from .rng import position, seek, stream, stream_rows, uniforms_at
 
 DEFAULT_STEP_BUDGET = 10 ** 7
 LADDER_BLOCK = 512    # ladder_heights' steps per path and block
-STABLE_EPOCHS = 3     # defaults of the certified-limit stop rule
+STABLE_EPOCHS = 3     # the certified-limit stop rule, read at each call
 HEIGHT_GUARD = 15
 
 
-def run_product(law, rng, horizon: int, *, side="right", visitor=None):
-    """Product of ``horizon`` sampled steps; new steps multiply on ``side``.
-
-    ``visitor(n, g)`` is called after each step with the running product.
+def run_product(law, rng, horizon: int, *, visitor=None):
+    """The right product R_n of ``horizon`` sampled steps, walked by
+    ``_GenericWalk``; ``visitor(n, g)`` is called after each step with
+    the running product.
     """
-    g = identity_like(law.atoms[0])
+    w = _GenericWalk(law, rng)
     for n in range(1, horizon + 1):
-        x = law.sample_step(rng)
-        g = compose(g, x) if side == "right" else compose(x, g)
+        w.right()
         if visitor is not None:
-            visitor(n, g)
-    return g
+            visitor(n, w.g)
+    return w.g
 
 
 @dataclass
@@ -73,12 +73,13 @@ class LadderExcursion:
 
 
 class _GenericWalk:
-    """A walk from the identity on generic group arithmetic, one draw of
-    ``rng`` per step: laws off the engine, and the batches' reference."""
+    """A walk from ``g`` (the identity by default) on generic group
+    arithmetic, one draw of ``rng`` per step: laws off the engine, and
+    the batches' reference."""
 
-    def __init__(self, law, rng):
+    def __init__(self, law, rng, g=None):
         self.law, self.rng = law, rng
-        self.g = identity_like(law.atoms[0])
+        self.g = identity_like(law.atoms[0]) if g is None else g
 
     def right(self) -> int:
         self.g = compose(self.g, self.law.sample_step(self.rng))
@@ -89,19 +90,19 @@ class _GenericWalk:
         return phi(self.g)
 
 
-def ladder_excursion(law, rng, *, track_prefix=False,
-                     max_steps=DEFAULT_STEP_BUDGET) -> LadderExcursion:
-    """One ladder excursion on ``_GenericWalk``."""
+def ladder_excursion(law, rng, *, track_prefix=False) -> LadderExcursion:
+    """One ladder excursion on ``_GenericWalk``, within
+    ``DEFAULT_STEP_BUDGET`` steps."""
     w = _GenericWalk(law, rng)
     prefix = [w.g] if track_prefix else None
-    for n in range(1, max_steps + 1):
+    for n in range(1, DEFAULT_STEP_BUDGET + 1):
         h = w.left()
         if h > 0:
             return LadderExcursion(n, w.g, h, prefix)
         if prefix is not None:
             prefix.append(w.g)
     raise StepBudgetExceeded(
-        f"no ascending ladder epoch within {max_steps} steps")
+        f"no ascending ladder epoch within {DEFAULT_STEP_BUDGET} steps")
 
 
 def _record_rows(grid, read, rows, first, walk, error):
@@ -268,11 +269,15 @@ class BoundaryLimit:
     certified: bool
 
 
-def _certified_limit(walk, step, depth, stable_epochs, height_guard,
-                     end_window, max_steps) -> BoundaryLimit:
+def _end_window(depth, end_window):
+    """``end_window``, or by default depth + 8: headroom for later
+    arithmetic on the end."""
+    return depth + 8 if end_window is None else end_window
+
+
+def _certified_limit(walk, step, depth, end_window, max_steps):
     """The certified limit of one generic walk stepped by ``step``."""
-    if end_window is None:
-        end_window = depth + 8
+    end_window = _end_window(depth, end_window)
     top = 0
     stable = 0
     key = None
@@ -286,15 +291,14 @@ def _certified_limit(walk, step, depth, stable_epochs, height_guard,
         k = walk.g.prefix_key(depth)
         stable = stable + 1 if k == key else 1
         key = k
-        if stable >= stable_epochs and top >= end_window + height_guard:
+        if stable >= STABLE_EPOCHS and top >= end_window + HEIGHT_GUARD:
             end = walk.g.limit_end(end_window)
             return BoundaryLimit(end, key, n, top, True)
     raise StepBudgetExceeded(
         f"no certified depth-{depth} disc within {max_steps} steps")
 
 
-def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
-                  end_window, max_steps):
+def _limit_chunks(grid, read, count, depth, end_window, max_steps):
     """Certified limits of the right walks 0..count-1 on the engine form
     ``grid``, as one list per batch of walks: per walk (steps, top, key,
     translation), or None when ``max_steps`` run out.
@@ -311,7 +315,7 @@ def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
     steps = grid.steps
     span = max(depth, end_window)
     key_cut, fold_cut = depth + grid.key_reach, span + grid.key_reach
-    goal = end_window + height_guard
+    goal = end_window + HEIGHT_GUARD
     for rows in row_chunks(count):
         m = len(rows)
         out = [None] * m
@@ -360,7 +364,7 @@ def _limit_chunks(grid, read, count, depth, stable_epochs, height_guard,
                         key, first = keys[v], r
                     end = bisect_left(rc, cols[v], r, r1) \
                         if v < len(cols) else r1
-                    stop = max(r, high, first + stable_epochs - 1)
+                    stop = max(r, high, first + STABLE_EPOCHS - 1)
                     if stop < end:
                         c = rc[stop]
                         j = bisect_right(tc, c, t_at[i], t_at[i + 1]) \
@@ -418,12 +422,11 @@ def limit_rows(law, count, seed, *path, depth: int, end_window=None,
     per walk (steps, top, key, translation) or None, and ``limit(i,
     row)`` makes walk i's ``BoundaryLimit`` of its row."""
     grid = law.grid
-    end_window = depth + 8 if end_window is None else end_window
+    end_window = _end_window(depth, end_window)
 
     def read(rows, start, size):
         return stream_rows(rows, start, size, seed, *path)
-    chunks = _limit_chunks(grid, read, count, depth, STABLE_EPOCHS,
-                           HEIGHT_GUARD, end_window, max_steps)
+    chunks = _limit_chunks(grid, read, count, depth, end_window, max_steps)
     return chunks, lambda i, row: _boundary_limit(grid, read, i, row,
                                                   end_window)
 
@@ -456,17 +459,15 @@ def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
     return out
 
 
-def sample_boundary_limit(law, rng, *, depth: int,
-                          stable_epochs=STABLE_EPOCHS,
-                          height_guard=HEIGHT_GUARD, end_window=None,
+def sample_boundary_limit(law, rng, *, depth: int, end_window=None,
                           max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
     """Limit disc of depth ``depth`` around lim R_n for a positive-drift walk.
 
     The depth-d disc is certified once its id is unchanged across
-    ``stable_epochs`` successive running-maximum records of the height
-    and the height has climbed ``height_guard`` levels past the end
+    ``STABLE_EPOCHS`` successive running-maximum records of the height
+    and the height has climbed ``HEIGHT_GUARD`` levels past the end
     window, so a later return below the window has probability at most
-    about q**-height_guard.  The returned end is known to ``end_window``
+    about q**-HEIGHT_GUARD.  The returned end is known to ``end_window``
     digits (default depth + 8, leaving headroom for later arithmetic).
     On the engine this is the one-walk case of the batch, and ``rng``
     is left where one draw per step leaves it.
@@ -475,10 +476,8 @@ def sample_boundary_limit(law, rng, *, depth: int,
     grid = law.grid
     if grid is None:
         w = _GenericWalk(law, rng)
-        return _certified_limit(w, w.right, depth, stable_epochs,
-                                height_guard, end_window, max_steps)
-    if end_window is None:
-        end_window = depth + 8
+        return _certified_limit(w, w.right, depth, end_window, max_steps)
+    end_window = _end_window(depth, end_window)
     pos = position(rng)
     drawn = 0     # uniforms read from pos on
 
@@ -488,8 +487,7 @@ def sample_boundary_limit(law, rng, *, depth: int,
             seek(rng, pos + start)
         drawn = start + size
         return rng.random((1, size))
-    [row], = _limit_chunks(grid, read, 1, depth, stable_epochs, height_guard,
-                           end_window, max_steps)
+    [row], = _limit_chunks(grid, read, 1, depth, end_window, max_steps)
     if row is None:
         seek(rng, pos + max_steps)
         raise StepBudgetExceeded(
@@ -499,19 +497,17 @@ def sample_boundary_limit(law, rng, *, depth: int,
     return bl
 
 
-def ladder_boundary_limit(law, rng, *, depth: int,
-                          stable_epochs=STABLE_EPOCHS,
-                          height_guard=HEIGHT_GUARD, end_window=None,
+def ladder_boundary_limit(law, rng, *, depth: int, end_window=None,
                           max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
     """``sample_boundary_limit`` for the ladder walk, whose steps are the
     elements L_l of successive ladder excursions drawn from ``rng``, on
-    generic group arithmetic.  ``steps`` counts ladder steps; its batch
-    form on the engine is ``ladder_limit_rows``."""
+    generic group arithmetic, under the same stop rule (``STABLE_EPOCHS``
+    and ``HEIGHT_GUARD``).  ``steps`` counts ladder steps; its batch form
+    on the engine is ``ladder_limit_rows``."""
     _require_positive_drift(law)
     w = _GenericWalk(law, rng)
 
     def ladder_step():
         w.g = compose(w.g, ladder_excursion(law, rng).element)
         return phi(w.g)
-    return _certified_limit(w, ladder_step, depth, stable_epochs,
-                            height_guard, end_window, max_steps)
+    return _certified_limit(w, ladder_step, depth, end_window, max_steps)

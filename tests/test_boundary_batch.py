@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetree import grid
+from affinetree import grid, walk
 from affinetree.errors import AffineTreeError, StepBudgetExceeded
 from affinetree.group import PadicAffine, act_vertex, compose, invert, \
     power
@@ -87,8 +87,9 @@ def batch_cases(draw):
 @given(batch_cases(), st.integers(0, 2 ** 32), st.integers(1, 9))
 def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
     """The batch against ``sample_boundary_limit`` on the engine and on
-    generic compose; the stop rule's other settings through the one-row
-    case, against generic compose."""
+    generic compose; the stop rule's other settings (``walk.STABLE_EPOCHS``
+    and ``walk.HEIGHT_GUARD`` patched) through the one-row case, against
+    generic compose."""
     law, kw, rule, (rows, cols) = case
     assert law.grid is not None
     twin = _generic_twin(law)
@@ -104,8 +105,11 @@ def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
                 assert used == kw["max_steps"]
             else:
                 assert bl.certified and used == bl.steps
-            assert _scalar(law, seed, ("batch",), i, **kw, **rule) == \
-                _scalar(twin, seed, ("batch",), i, **kw, **rule)
+            with pytest.MonkeyPatch.context() as rule_mp:
+                rule_mp.setattr(walk, "STABLE_EPOCHS", rule["stable_epochs"])
+                rule_mp.setattr(walk, "HEIGHT_GUARD", rule["height_guard"])
+                assert _scalar(law, seed, ("batch",), i, **kw) == \
+                    _scalar(twin, seed, ("batch",), i, **kw)
 
 
 def test_rows_span_blocks_and_exhaust_budgets():

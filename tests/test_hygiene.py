@@ -1,9 +1,11 @@
 """Static checks of the package source, by AST scan (no linter needed):
 no unused imports, no module-level name that nothing uses, every random
 generator is built in ``rng``, and no code outside a realization's own
-classes tests which realization it holds."""
+classes tests which realization it holds.  The benchmark's tracer must
+still find every package function it wraps."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import affinetree
@@ -216,3 +218,28 @@ def test_scan_sees_realization_tests():
     assert realization_tests(tree) == [
         "5: isinstance", "5: type test", "6: is_padic", "7: type test",
         "7: kind test in g"]
+
+
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_targets_install_and_uninstall():
+    """Every target of ``perfbench/tracing.package_targets`` names a
+    package function or method (a rename breaks ``run.py --trace 1``);
+    installing wraps each one, and uninstalling puts the originals back."""
+    tracing = _perfbench_tracing()
+    tracer = tracing.Tracer()
+    targets = tracing.package_targets(tracer)
+    before = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in targets]
+    try:
+        tracer.install(targets)
+        assert all(vars(owner)[attr] is not orig
+                   for owner, attr, orig in before)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is orig for owner, attr, orig in before)

@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetree import grid, renewal
-from affinetree.errors import NonPositiveDrift, OracleUnsupported
+from affinetree.errors import (
+    NonPositiveDrift,
+    OracleUnsupported,
+    PrecisionExhausted,
+)
 from affinetree.group import (
     LampAffine,
     PadicAffine,
@@ -22,7 +26,7 @@ from affinetree.group import (
     power,
 )
 from affinetree.law import StepLaw
-from affinetree.padic import PAdic
+from affinetree.padic import PAdic, PrecisionBudget
 from affinetree.renewal import (
     CylinderEvent,
     KernelEstimate,
@@ -455,15 +459,21 @@ def test_grid_kernel_batch_matches_compose(case, seed, trajectories, sizes):
 
 
 def _batch_matches_compose(case, seed, trajectories, sizes):
+    """The stop-rule settings are drawn into ``renewal.KERNEL_DELTA`` and
+    ``renewal.KERNEL_MIN_STEPS``."""
     law, g, f, kw = case
     assert renewal._kernel_walk(g, f, law) is not None
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renewal, "KERNEL_DELTA", kw["delta"])
+        mp.setattr(renewal, "KERNEL_MIN_STEPS", kw["min_steps"])
         if sizes:
             mp.setattr(grid, "BATCH_ROWS", sizes[0])
             mp.setattr(grid, "BATCH_COLS", sizes[1])
-        got = potential_kernel(g, f, law, seed, trajectories, **kw)
+        got = potential_kernel(g, f, law, seed, trajectories,
+                               horizon=kw["horizon"])
         mp.setattr(renewal, "_kernel_walk", lambda *args: None)
-        want = potential_kernel(g, f, law, seed, trajectories, **kw)
+        want = potential_kernel(g, f, law, seed, trajectories,
+                                horizon=kw["horizon"])
     assert got == want
 
 
@@ -519,12 +529,64 @@ def test_lamp_kernel_batch_matches_compose(case, seed, trajectories, sizes):
 
 def test_tail_cap_is_reported(monkeypatch):
     # a small exit distance makes re-entries common
+    monkeypatch.setattr(renewal, "KERNEL_DELTA", 2)
+    monkeypatch.setattr(renewal, "KERNEL_MIN_STEPS", 0)
     law = StepLaw((aff(0, Fraction(1, 2)), aff(1, 2)),
                   (Fraction(3, 5), Fraction(2, 5)))
     g = power(law.atoms[0].reference_homothety().element, 2)
-    free = potential_kernel(g, HOME, law, 4, 400, delta=2, min_steps=0)
+    free = potential_kernel(g, HOME, law, 4, 400)
     assert 0.1 < free.rho < renewal.TAIL_RHO_CAP and not free.rho_capped
     monkeypatch.setattr(renewal, "TAIL_RHO_CAP", 0.05)
-    capped = potential_kernel(g, HOME, law, 4, 400, delta=2, min_steps=0)
+    capped = potential_kernel(g, HOME, law, 4, 400)
     assert capped.rho == free.rho and capped.rho_capped
     assert capped.tail_bound < free.tail_bound
+
+
+def _lossy_law(*weights):
+    """Atoms (t, 2), (-t, 1/2) and (0, 1) off the engine, with t known to
+    7 digits at working precision 8: their products lose digits to
+    cancellation until fewer than 6 are left, and the walk aborts."""
+    budget = PrecisionBudget(8, 6)
+    t = PAdic(2, 0, 0b1011011, 7, budget=budget)
+
+    def value(x):
+        return PAdic.from_fraction(Fraction(x), 2, budget=budget)
+    atoms = (PadicAffine(t, value(2)), PadicAffine(-t, value("1/2")),
+             PadicAffine(value(0), value(1)))
+    return StepLaw(atoms, tuple(map(Fraction, weights)))
+
+
+def _compose_aborts(law, seed, label, count, horizon):
+    """How many walks of ``horizon`` steps on ``compose`` from the
+    identity, on ``stream(seed, label, i)`` for i < count, lose their
+    precision."""
+    lost = 0
+    for i in range(count):
+        rng, g = stream(seed, label, i), identity_like(law.atoms[0])
+        try:
+            for _ in range(horizon):
+                g = compose(g, law.sample_step(rng))
+        except PrecisionExhausted:
+            lost += 1
+    return lost
+
+
+def test_kernel_counts_precision_aborts():
+    law = _lossy_law("1/2", "1/4", "1/4")        # drift 1/4
+    assert law.grid is None and law.drift() > 0
+    est = potential_kernel(identity_like(law.atoms[0]), HOME, law, 1, 50,
+                           horizon=200)
+    assert est.value == pytest.approx(1.74, abs=1e-12)
+    assert est.aborted == 20 == _compose_aborts(law, 1, "kernel", 50, 200)
+
+
+def test_centered_tail_counts_precision_aborts():
+    """The tail batch of a centered walk loses precision as the main batch
+    does; it is counted, not raised."""
+    law = _lossy_law("1/4", "1/4", "1/2")        # centered
+    assert law.drift() == 0
+    est = potential_kernel(identity_like(law.atoms[0]), HOME, law, 1, 50,
+                           horizon=200)
+    assert est.truncated
+    assert est.aborted == 82 == _compose_aborts(law, 1, "kernel", 50, 200) \
+        + _compose_aborts(law, 1, "tail", 50, 200)

@@ -61,12 +61,6 @@ def test_run_product_height_matches_phi_path():
     assert phi(g) == heights[0, -1]
 
 
-def test_run_product_sides_differ():
-    right = run_product(LAW_POS, stream(4, 1), 50, side="right")
-    left = run_product(LAW_POS, stream(4, 1), 50, side="left")
-    assert phi(right) == phi(left)   # same steps, same total height
-
-
 def test_ladder_excursion_stops_at_first_record():
     for i in range(50):
         exc = ladder_excursion(LAW_POS, stream(9, i), track_prefix=True)
