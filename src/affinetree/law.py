@@ -126,12 +126,12 @@ class StepLaw:
                 rng.random((min(step, n_traj - a), horizon))).sum(1)
         return out
 
-    def moment_report(self, eps=1) -> dict:
+    def moment_report(self) -> dict:
         """Exact moment summary; all quantities are finite (finite support).
 
         Includes the mean absolute height step, the mean vertex norm of a
-        step, and the (2+eps)-moment of the horocyclic parts against the
-        default reference homothety.
+        step, and the third moment (2 + eps with eps = 1) of the norms of
+        the horocyclic parts against the default reference homothety.
         """
         drift = self.drift()
         s = self.atoms[0].reference_homothety()
@@ -148,8 +148,7 @@ class StepLaw:
             "phi_abs_mean": str(wsum([abs(v) for v in self.phis])),
             "phi_second_moment": str(self.phi_second_moment()),
             "norm_mean": str(wsum(norms)),
-            "b_norm_moment_exponent": 2 + eps,
-            "b_norm_moment": float(wsum([Fraction(v) ** (2 + eps)
-                                         for v in b_norms])),
+            "b_norm_moment_exponent": 3,
+            "b_norm_moment": float(wsum([Fraction(v) ** 3 for v in b_norms])),
             "phi_gcd": self.phi_gcd(),
         }

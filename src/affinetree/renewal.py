@@ -28,7 +28,6 @@ group arithmetic, one step at a time.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +56,7 @@ from .rng import stream, stream_rows, streams_at
 from .tree import end_in_disc
 from .walk import (
     DEFAULT_STEP_BUDGET,
+    _end_window,
     _GenericWalk,
     excursion_rows,
     ladder_boundary_limit,
@@ -140,10 +140,12 @@ class KernelEstimate:
     rho_capped: bool = False    # whether TAIL_RHO_CAP bounded the tail
 
     def agrees_with(self, other: "KernelEstimate", sigmas=3.0) -> bool:
+        """Values within ``sigmas`` standard errors plus both tail bounds,
+        and neither estimate lost trajectories to precision aborts."""
         gap = abs(self.value - other.value)
         tol = sigmas * math.hypot(self.stderr, other.stderr) \
             + self.tail_bound + other.tail_bound
-        return gap <= tol
+        return gap <= tol and not (self.aborted or other.aborted)
 
 
 # -- potential kernel ---------------------------------------------------------
@@ -194,10 +196,11 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     Trajectory i takes the uniforms of ``stream(seed, label, i)`` in
     order, one atom per uniform.  ``stop`` is (direction, delta,
     min_steps) of the drifting stop rule, or None to run the horizon.
-    Returns (rows, steps) of every visit to the event, as flat arrays,
-    per trajectory its exit step E and re-entry step R (_NEVER when it
-    has none), and 0: no trajectory loses precision on integers.  See
-    ``potential_kernel`` for the rule.
+    Each row folds its translation terms in step order, only as far as
+    the visit that reads them.  Returns (rows, steps) of every visit to
+    the event, as flat arrays, per trajectory its exit step E and
+    re-entry step R (_NEVER when it has none), and 0: no trajectory
+    loses precision on integers.  See ``potential_kernel`` for the rule.
     """
     grid, (s0, u, num0, floor0), member, top = walk
     add, steps, cut = grid.sum, grid.steps, top + grid.key_reach
@@ -243,23 +246,22 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
             exps, tc, vc = b.exps[tr, tc].tolist(), tc.tolist(), vc.tolist()
             live_l, going_l = live.tolist(), going.tolist()
             for i in np.flatnonzero(last >= 0).tolist():
-                row, t0, t1 = live_l[i], t_at[i], t_at[i + 1]
+                row, j, t1 = live_l[i], t_at[i], t_at[i + 1]
                 t = carry[row]
-                sums = [t]              # sums[j]: t after j terms
-                for j in range(t0, t1):
-                    t = add(*t, coefs[j], exps[j])
-                    sums.append(t)
                 for v in vc[v_at[i]:v_at[i + 1]]:
-                    x = sums[bisect_right(tc, v, t0, t1) - t0]
-                    hit = reads.get(x)
+                    while j < t1 and tc[j] <= v:
+                        t = add(*t, coefs[j], exps[j])
+                        j += 1
+                    hit = reads.get(t)
                     if hit is None:
-                        hit = reads[x] = member(level, u, *x)
+                        hit = reads[t] = member(level, u, *t)
                     if hit:
                         hit_rows.append(ids[row])
                         hit_steps.append(n0 + 1 + v)
-                if going_l[i] and t1 > t0:
-                    # terms that no read at the top sees are dropped
-                    carry[row] = grid.key(*t, top)
+                if going_l[i] and t1 > t_at[i]:
+                    for j in range(j, t1):
+                        t = add(*t, coefs[j], exps[j])
+                    carry[row] = grid.key(*t, top)   # drop what no read sees
             b.going = going
     return (np.array(hit_rows, dtype=np.int64),
             np.array(hit_steps, dtype=np.int64), exits, backs, 0)
@@ -623,7 +625,7 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
             smp = sample_mbar(law, stream(seed, "limit", i), depth=depth)
             hits += f.member(compose(s_h, invert(smp.element)))
     elif samples:
-        test = grid.hit_test(f, depth + 8)
+        test = grid.hit_test(f, _end_window(depth, None))
         for i, (row, unit, _, limit) in enumerate(
                 _mbar_rows(law, seed, samples, depth)):
             if test is not None:
@@ -653,8 +655,9 @@ def verify_boundary_limit(law, f: CylinderEvent, n_list, seed, *,
 
     Negative drift: estimates stabilize and match the boundary-measure
     prediction.  Positive drift: estimates decay to zero.  Centered:
-    trend only (the excursion estimators have no variance control).
-    ``seed`` is a stream key; the kernel at s**n is keyed ``(seed, n)``.
+    trend only (the excursion estimators have no variance control).  An
+    estimate with precision aborts fails the first two.  ``seed`` is a
+    stream key; the kernel at s**n is keyed ``(seed, n)``.
     """
     s = law.atoms[0].reference_homothety()
     drift = law.drift()
@@ -693,7 +696,7 @@ def verify_boundary_limit(law, f: CylinderEvent, n_list, seed, *,
         small = vals[-1] < 0.05
         report["checks"].append({"trend_nonincreasing": decay,
                                  "final_below_0.05": small})
-        passed = decay and small
+        passed = decay and small and not any(e.aborted for e in estimates)
     else:
         report["caveat"] = ("centered walk: excursion lengths are not "
                             "integrable, values reported as a trend only")
@@ -710,8 +713,9 @@ def verify_omega_limit(law, f: CylinderEvent, regime, n_list, seed, *,
 
     descend: g = s**-n.  ascend-escape (p-adic, negative drift): g =
     (t, p**n) with |t| = p**n, which moves toward the top end although
-    its height goes to +infinity.  ``seed`` is a stream key; the kernel
-    at the n-th element is keyed ``(seed, n)``.
+    its height goes to +infinity.  The last estimate must be below
+    ``tolerance`` with no precision aborts.  ``seed`` is a stream key;
+    the kernel at the n-th element is keyed ``(seed, n)``.
     """
     s = law.atoms[0].reference_homothety()
     drift = law.drift()
@@ -734,7 +738,7 @@ def verify_omega_limit(law, f: CylinderEvent, regime, n_list, seed, *,
         estimates.append(potential_kernel(g, f, law, (seed, n), trajectories,
                                           horizon=horizon))
     final = estimates[-1]
-    ok = final.value + final.tail_bound < tolerance
+    ok = final.value + final.tail_bound < tolerance and not final.aborted
     return {
         "regime": regime,
         "drift": str(drift),

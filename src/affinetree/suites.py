@@ -74,14 +74,14 @@ def _skip(cid, statement, reason):
 # -- randomized exact algebra ---------------------------------------------------
 
 
-def _random_element(cfg, rng, atoms, inverses, factors=4):
-    """A product of 1..factors atoms, each inverted with probability 1/2.
+def _random_element(cfg, rng, atoms, inverses):
+    """A product of 1..4 atoms, each inverted with probability 1/2.
 
     ``inverses[i]`` is ``invert(atoms[i])``; the product starts from its
     first factor.
     """
     g = None
-    for _ in range(int(rng.integers(1, factors + 1))):
+    for _ in range(int(rng.integers(1, 5))):
         i = int(rng.integers(0, len(atoms)))
         a = inverses[i] if rng.random() < 0.5 else atoms[i]
         g = a if g is None else compose(g, a)
@@ -408,16 +408,14 @@ def renewal_claims(cfg, n_upsilon=1000, exc_per_upsilon=50, sigmas=None,
     return claims
 
 
-def _oracle_cylinders(cfg, max_depth=2):
-    """All single-pair V(origin -> y) events with y within the depth window
-    and center representable above valuation -max_depth."""
+def _oracle_cylinders(cfg):
+    """All single-pair V(origin -> y) events with y at heights -2..2 and
+    center representable above valuation -2."""
     p, o = cfg.prime, cfg.law.atoms[0].origin()
     out = []
-    for h in range(-max_depth, max_depth + 1):
-        lo = -max_depth
-        count = p ** (h - lo) if h > lo else 1
-        for k in range(count):
-            c = Fraction(k, p ** -lo)
+    for h in range(-2, 3):
+        for k in range(p ** (h + 2)):
+            c = Fraction(k, p ** 2)
             y = PadicVertex(p, h, c)
             if y.center != c:
                 continue

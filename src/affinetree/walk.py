@@ -9,7 +9,8 @@ sampler certifies a disc of requested depth around the limit.
 Laws with an engine form (``StepLaw.grid``, p-adic and lamp) walk as
 batches of keyed rows, read block by block as the potential kernel reads
 its walks (``grid.blocks``): heights are cumulative sums, records a
-running maximum, and translation terms are folded in exact integers.
+running maximum, and each row folds its translation terms in exact
+integers, in step order, only as far as the record that reads them.
 Laws off the engine walk one step at a time on ``group.compose`` (a
 generic walk object, from any start), and that loop is the reference the
 batches are tested against; ``run_product`` hands every running product
@@ -28,7 +29,6 @@ records (``ladder_limit_rows``).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +202,9 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
         "steps")
 
 
-def ladder_heights(law, rng, count: int, *, max_steps=DEFAULT_STEP_BUDGET):
-    """Vectorized (lengths, heights) at the first ascending ladder epoch.
+def ladder_heights(law, rng, count: int):
+    """Vectorized (lengths, heights) at the first ascending ladder epoch,
+    within ``DEFAULT_STEP_BUDGET`` steps, read when it is called.
 
     In a block of ``LADDER_BLOCK`` steps from position P of the Philox
     stream ``rng``, the j-th path still below 0 reads uniforms P + j *
@@ -216,7 +217,7 @@ def ladder_heights(law, rng, count: int, *, max_steps=DEFAULT_STEP_BUDGET):
     carried = np.zeros(count, dtype=np.int64)  # S at the end of prior blocks
     pos, offset = position(rng), 0
     while active.size:
-        if offset >= max_steps:
+        if offset >= DEFAULT_STEP_BUDGET:
             seek(rng, pos)
             raise StepBudgetExceeded(
                 f"{active.size} paths without a ladder epoch after {offset} steps")
@@ -307,12 +308,13 @@ def _limit_chunks(grid, read, count, depth, end_window, max_steps):
     at a time (``grid.row_chunks``).  Records are a running maximum of
     the heights.  Only translation terms below
     ``max(depth, end_window) + grid.key_reach`` can change a key or the
-    end; they are folded in exact integers, and ``translation`` is their
-    sum (num, floor).  A key changes only at a term below ``depth +
-    grid.key_reach``, so the stop rule compares keys only at the first
-    record after such a term.
+    end; each row folds them in exact integers, in step order, only as
+    far as the record that reads them, and ``translation`` is their sum
+    (num, floor) at the stop.  A key changes only at a term below
+    ``depth + grid.key_reach``, so a record reads the key again only
+    after such a term.
     """
-    steps = grid.steps
+    add, steps = grid.sum, grid.steps
     span = max(depth, end_window)
     key_cut, fold_cut = depth + grid.key_reach, span + grid.key_reach
     goal = end_window + HEIGHT_GUARD
@@ -322,64 +324,45 @@ def _limit_chunks(grid, read, count, depth, end_window, max_steps):
         # the running maximum, or depth - 1 while that is more: a record
         # that counts is a step above it
         top = np.full(m, depth - 1, dtype=np.int64)
-        trans = [(0, 0)] * m          # terms folded so far
-        cur = [grid.key(0, 0, depth)] * m   # and their key
-        last = [None] * m     # key at the last record at or above depth
-        stable = [0] * m      # records in a row with that key
+        # per walk: terms folded so far, their key (None until read again),
+        # the key at the last record and the records in a row with it
+        state = [((0, 0), None, None, 0)] * m
         for b in blocks(grid, read, rows, 0, max_steps):
             live, n0, k, path = b.live, b.n0, b.k, b.path
-            hs = path[:, 1:]
             tr, tc = (b.exps < fold_cut).nonzero()
             path[:, 0] = top[live]
             best = np.maximum.accumulate(path, axis=1)
             rr, rc = (best[:, 1:] > best[:, :-1]).nonzero()
             bounds = np.arange(live.size + 1)
             r_at = rr.searchsorted(bounds).tolist()
-            r_h, rc = hs[rr, rc].tolist(), rc.tolist()
+            r_h, rc = path[rr, rc + 1].tolist(), rc.tolist()
             t_at = tr.searchsorted(bounds).tolist()
             coefs = [steps[j][0] for j in k[tr, tc].tolist()]
             texps, tc = b.exps[tr, tc].tolist(), tc.tolist()
             going = []
             for i, row in enumerate(live.tolist()):
-                # fold the walk's terms; keys[v] is the key after the v-th
-                # key term, which comes at step cols[v - 1]
-                t, keys, sums, cols = trans[row], [cur[row]], [], []
-                for j in range(t_at[i], t_at[i + 1]):
-                    t = grid.sum(*t, coefs[j], texps[j])
-                    sums.append(t)
-                    if texps[j] < key_cut:
-                        keys.append(grid.key(*t, depth))
-                        cols.append(tc[j])
-                # records: heights rise and a key moves only at a key
-                # term, so a run of equal keys restarts only at the first
-                # record after one, and the stop is the first record high
-                # enough in a run long enough
-                r, r1 = r_at[i], r_at[i + 1]
-                high = bisect_left(r_h, goal, r, r1)
-                first = r - stable[row]           # first record of the run
-                key = last[row]
-                while r < r1:
-                    v = bisect_right(cols, rc[r])
-                    if keys[v] != key:
-                        key, first = keys[v], r
-                    end = bisect_left(rc, cols[v], r, r1) \
-                        if v < len(cols) else r1
-                    stop = max(r, high, first + STABLE_EPOCHS - 1)
-                    if stop < end:
-                        c = rc[stop]
-                        j = bisect_right(tc, c, t_at[i], t_at[i + 1]) \
-                            - t_at[i]
-                        out[row] = (n0 + c + 1, r_h[stop], key,
-                                    sums[j - 1] if j else trans[row])
+                t, cur, key, stable = state[row]
+                j, t1 = t_at[i], t_at[i + 1]
+                for r in range(r_at[i], r_at[i + 1]):
+                    while j < t1 and tc[j] <= rc[r]:
+                        t = add(*t, coefs[j], texps[j])
+                        cur = None if texps[j] < key_cut else cur
+                        j += 1
+                    if cur is None:
+                        cur = grid.key(*t, depth)
+                    stable = stable + 1 if cur == key else 1
+                    key = cur
+                    if stable >= STABLE_EPOCHS and r_h[r] >= goal:
+                        out[row] = (n0 + rc[r] + 1, r_h[r], key, t)
                         break
-                    r = end
                 else:
                     going.append(i)
-                    if sums:   # digits that no read reaches are dropped
-                        trans[row] = grid.key(*sums[-1], span)
-                        cur[row] = keys[-1]
-                    if r1 > r_at[i]:
-                        last[row], stable[row] = key, r1 - first
+                    for j in range(j, t1):
+                        t = add(*t, coefs[j], texps[j])
+                        cur = None if texps[j] < key_cut else cur
+                    if t1 > t_at[i]:   # digits that no read reaches go
+                        t = grid.key(*t, span)
+                    state[row] = t, cur, key, stable
             top[live] = best[:, -1]
             b.going = going
         yield out

@@ -87,9 +87,8 @@ def batch_cases(draw):
 @given(batch_cases(), st.integers(0, 2 ** 32), st.integers(1, 9))
 def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
     """The batch against ``sample_boundary_limit`` on the engine and on
-    generic compose; the stop rule's other settings (``walk.STABLE_EPOCHS``
-    and ``walk.HEIGHT_GUARD`` patched) through the one-row case, against
-    generic compose."""
+    generic compose, under the stop rule as shipped and under its other
+    settings (``walk.STABLE_EPOCHS`` and ``walk.HEIGHT_GUARD`` patched)."""
     law, kw, rule, (rows, cols) = case
     assert law.grid is not None
     twin = _generic_twin(law)
@@ -105,11 +104,13 @@ def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
                 assert used == kw["max_steps"]
             else:
                 assert bl.certified and used == bl.steps
-            with pytest.MonkeyPatch.context() as rule_mp:
-                rule_mp.setattr(walk, "STABLE_EPOCHS", rule["stable_epochs"])
-                rule_mp.setattr(walk, "HEIGHT_GUARD", rule["height_guard"])
-                assert _scalar(law, seed, ("batch",), i, **kw) == \
-                    _scalar(twin, seed, ("batch",), i, **kw)
+        mp.setattr(walk, "STABLE_EPOCHS", rule["stable_epochs"])
+        mp.setattr(walk, "HEIGHT_GUARD", rule["height_guard"])
+        got = boundary_limits(law, count, seed, "batch", **kw)
+        for i, (bl, used) in enumerate(got):
+            assert (repr(bl), used) == \
+                _scalar(law, seed, ("batch",), i, **kw) == \
+                _scalar(twin, seed, ("batch",), i, **kw)
 
 
 def test_rows_span_blocks_and_exhaust_budgets():
@@ -245,11 +246,21 @@ def _reference_value(f, law, seed, samples):
 
 @pytest.mark.parametrize("src,tgt", [
     ((0, 0), (0, 0)), ((1, 0), (2, 1)), ((2, 0), (1, 1)), ((1, 1), (1, 1)),
-    ((20, 0), (20, 0))], ids=["home", "up", "down", "off-center", "deep"])
+    ((20, 0), (20, 0)), ((12, 0), (0, 0)), ((13, 0), (0, 0))],
+    ids=["home", "up", "down", "off-center", "deep", "window-edge",
+         "past-window"])
 def test_limit_measure_value_matches_sample_mbar(src, tgt):
+    """Hits are read on integers for sources centered at 0 within the
+    ends' default window (depth 4 + 8 levels at target height 0); past it
+    the element read runs out of digits on both paths."""
     f = CylinderEvent((PadicVertex(2, *src),), (PadicVertex(2, *tgt),))
-    est = limit_measure_value(f, LAW_NEG, 3, 300)
-    assert est.value == 2 * _reference_value(f, LAW_NEG, 3, 300)
+    depth = max(tgt[0] + 2, 4)
+    on_integers = LAW_NEG.inverse().grid.hit_test(
+        f, walk._end_window(depth, None)) is not None
+    assert on_integers == (src[0] <= depth + 8 and src[1] == 0)
+    got = _outcome(lambda: limit_measure_value(f, LAW_NEG, 3, 300).value)
+    assert got == _outcome(lambda: 2 * _reference_value(f, LAW_NEG, 3, 300))
+    assert (got == "PrecisionExhausted") == (src == (13, 0))
 
 
 def _peak(samples):

@@ -1,5 +1,6 @@
 """Potential kernel estimators, invariant measures, renewal checks."""
 
+import dataclasses
 import operator
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +37,7 @@ from affinetree.renewal import (
     limit_measure_value,
     potential_kernel,
     sample_mbar,
+    verify_boundary_limit,
     verify_omega_limit,
     verify_renewal_identity,
     wald_mass_check,
@@ -578,6 +580,29 @@ def test_kernel_counts_precision_aborts():
                            horizon=200)
     assert est.value == pytest.approx(1.74, abs=1e-12)
     assert est.aborted == 20 == _compose_aborts(law, 1, "kernel", 50, 200)
+
+
+def test_precision_aborts_fail_verdicts():
+    """An estimate that lost trajectories to precision aborts passes no
+    check: ``agrees_with``, the positive-drift decay check and the
+    omega-limit bound each fail it, though its numbers alone pass."""
+    law = _lossy_law("1/2", "1/4", "1/4")        # drift 1/4
+    est = potential_kernel(identity_like(law.atoms[0]), HOME, law, 1, 50,
+                           horizon=200)
+    whole = dataclasses.replace(est, aborted=0)
+    assert est.aborted == 20 and whole.agrees_with(whole)
+    assert not est.agrees_with(est)
+    assert not est.agrees_with(whole) and not whole.agrees_with(est)
+    rep = verify_boundary_limit(law, HOME, [2, 4], 1, trajectories=50,
+                                horizon=200)
+    assert [e["aborted"] for e in rep["estimates"]] == [17, 18]
+    assert rep["checks"] == [{"trend_nonincreasing": True,
+                              "final_below_0.05": True}]
+    assert not rep["pass"]
+    rep = verify_omega_limit(law, HOME, "descend", [2, 4], 1,
+                             trajectories=50, horizon=200)
+    assert [e["aborted"] for e in rep["estimates"]] == [17, 18]
+    assert rep["final_bound"] < rep["tolerance"] and not rep["pass"]
 
 
 def test_centered_tail_counts_precision_aborts():

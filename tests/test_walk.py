@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from affinetree import walk
 from affinetree.errors import (
     NonPositiveDrift,
     PrecisionExhausted,
@@ -81,9 +82,10 @@ def test_ladder_heights_vectorized_moments():
     assert abs(ratio - 2.0) < 0.1
 
 
-def test_ladder_budget_negative_drift():
+def test_ladder_budget_negative_drift(monkeypatch):
+    monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", 5000)
     with pytest.raises(StepBudgetExceeded):
-        ladder_heights(LAW_NEG, stream(11, 0), 100, max_steps=5000)
+        ladder_heights(LAW_NEG, stream(11, 0), 100)
 
 
 def _blockwise_ladder(law, rng, count, max_steps):
@@ -129,7 +131,7 @@ def _blockwise_ladder(law, rng, count, max_steps):
 ], ids=["pos", "pos-one", "pos-none", "slow", "slow-moved", "plus2-minus3",
         "neg-budget", "slow-budget"])
 def test_ladder_heights_read_the_blockwise_uniforms(law, count, moved,
-                                                    max_steps):
+                                                    max_steps, monkeypatch):
     def run(fn):
         rng = stream(15, moved, count)
         rng.random(moved)
@@ -139,7 +141,8 @@ def test_ladder_heights_read_the_blockwise_uniforms(law, count, moved,
             out = str(exc)
         return out, _state(rng), rng.random(7).tolist()
 
-    got = run(lambda *a: ladder_heights(*a[:3], max_steps=a[3]))
+    monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", max_steps)
+    got = run(lambda *a: ladder_heights(*a[:3]))
     assert got == run(_blockwise_ladder)
     if law is LAW_SLOW and max_steps == DEFAULT_STEP_BUDGET:
         assert max(got[0][0]) > 2 * LADDER_BLOCK    # rows span blocks
