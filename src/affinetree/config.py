@@ -18,7 +18,7 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -99,7 +99,6 @@ class ExperimentConfig:
     tolerance_sigmas: float
     out_dir: str
     cylinders: tuple             # ((name, CylinderEvent), ...)
-    source_text: str = field(repr=False, default="")
 
     @property
     def degree(self) -> int:
@@ -211,7 +210,7 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
 
     return ExperimentConfig(kind, prime, q, budget, end_window, law, seed,
                             trajectories, horizon, tol, out_dir,
-                            tuple(cylinders), source_text=text)
+                            tuple(cylinders))
 
 
 def load_config(path, **kw) -> ExperimentConfig:

@@ -127,9 +127,9 @@ class PadicAffine:
                            PAdic.from_int(unit, self.prime, self.a.budget))
 
     def rotation_draws(self, gens):
-        """(unit, generator) per generator of ``gens``: the rotation about
-        the reference end, a uniform unit modulo p**working drawn from it."""
-        return ((_uniform_unit(g, self.prime, self.a.budget.working), g)
+        """Per generator of ``gens``, the rotation about the reference end:
+        a uniform unit modulo p**working drawn from it."""
+        return (_uniform_unit(g, self.prime, self.a.budget.working)
                 for g in gens)
 
     def render(self) -> str:
@@ -266,8 +266,8 @@ class LampAffine:
         return LampAffine(self.q, end.values, 0, known_to=end.known_to)
 
     def rotation_draws(self, gens):
-        """No unit and no generator: nothing is drawn."""
-        return repeat((None, None))
+        """No unit: nothing is drawn."""
+        return repeat(None)
 
     def render(self) -> str:
         inner = ",".join(f"{p}:{v}" for p, v in self.lamps)

@@ -17,12 +17,13 @@ first-index search per trajectory, and the translation is folded by the
 form's ``sum``, in exact integers, only up to the steps where the walk
 is at the event's level.  The limit-measure estimator walks its
 certified boundary limits as one batch as well (``walk.limit_rows``) and
-reads its hits from the ends' integer digits.  The excursion estimators
-walk their clusters as batches too: each cluster's ladder-walk limit and
-excursions are rows of ``walk.ladder_limit_rows`` and
-``walk.excursion_rows``, and a functional reads each distinct prefix
-state once (``grid.reader``).  Only laws off the engine use generic
-group arithmetic, one step at a time.
+reads its hits from the ends' integer digits; ``sample_mbar``, its
+one-sample form, gives the horocyclic element alone (the mass -1/drift
+enters only the value).  The excursion estimators walk their clusters as
+batches too: each cluster's ladder-walk limit and excursions are rows of
+``walk.ladder_limit_rows`` and ``walk.excursion_rows``, and a functional
+reads each distinct prefix state once (``grid.reader``).  Only laws off
+the engine use generic group arithmetic, one step at a time.
 """
 
 from __future__ import annotations
@@ -423,8 +424,6 @@ def wald_mass_check(law, seed, excursions) -> dict:
 class ClusterEstimate:
     value: float
     stderr: float
-    clusters: int
-    excursions: int
 
 
 def _cluster_ratio(numers: np.ndarray, denoms: np.ndarray) -> ClusterEstimate:
@@ -432,7 +431,7 @@ def _cluster_ratio(numers: np.ndarray, denoms: np.ndarray) -> ClusterEstimate:
     m = float(numers.mean() / denoms.mean())
     resid = numers - m * denoms
     se = float(resid.std(ddof=1) / (denoms.mean() * math.sqrt(n)))
-    return ClusterEstimate(m, se, n, 0)
+    return ClusterEstimate(m, se)
 
 
 def _clusters(law, seed, count, exc_count, depth):
@@ -519,11 +518,7 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
                                dtype=float) / exc_per_upsilon
         denom[i] = sum(hs) / exc_per_upsilon
         lengths[i] = sum(ls) / exc_per_upsilon
-    out = []
-    for j in range(n_fn):
-        est = _cluster_ratio(numer[j], denom)
-        est.excursions = n_upsilon * exc_per_upsilon
-        out.append(est)
+    out = [_cluster_ratio(numer[j], denom) for j in range(n_fn)]
     stats = {
         "clusters": n_upsilon,
         "excursions_per_cluster": exc_per_upsilon,
@@ -552,36 +547,29 @@ def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50):
 # -- inverted-walk boundary measure and kernel limits -------------------------
 
 
-@dataclass
-class BoundaryMeasureSample:
-    element: object       # horocyclic: phi == 0
-    mass_scale: Fraction  # total mass of the extended measure
-
-
-def sample_mbar(law, rng, *, depth=4) -> BoundaryMeasureSample:
+def sample_mbar(law, rng, *, depth=4):
     """One draw from the rotation-averaged extension of the inverted-walk
-    harmonic measure to the horocyclic group, for a negative-drift law.
+    harmonic measure (total mass -1/drift) to the horocyclic group, for a
+    negative-drift law: a horocyclic element (phi == 0).
 
     p-adic: (t = sampled end of the inverted walk, a = uniform unit);
     lamplighter: the rotation group at the reference end is trivial, so
     the element is the translation section of the sampled end.
     """
-    mu = law.drift()
-    if mu >= 0:
+    if law.drift() >= 0:
         raise NonNegativeDrift("the inverted walk must have positive drift")
     bl = sample_boundary_limit(law.inverse(), rng, depth=depth)
     atom = law.atoms[0]
-    unit, _ = next(atom.rotation_draws([rng]))
-    return BoundaryMeasureSample(atom.section(bl.end, unit), -1 / mu)
+    return atom.section(bl.end, next(atom.rotation_draws([rng])))
 
 
 def _mbar_rows(law, seed, samples, depth):
     """The draws of ``sample_mbar(law, stream(seed, "limit", i), depth)``
     for i < samples, for a law whose inverse is on the engine: per sample
-    (row, unit, gen, limit).  ``row`` is the inverted walk's (steps, top,
-    key, translation) of ``walk.limit_rows`` and ``limit(i, row)`` its
-    ``BoundaryLimit``; ``gen`` is stream i where the unit draw left it
-    (None where no unit is drawn), and is reused for the next sample."""
+    (row, unit, limit).  ``row`` is the inverted walk's (steps, top, key,
+    translation) of ``walk.limit_rows`` and ``limit(i, row)`` its
+    ``BoundaryLimit``; ``unit`` is drawn where the walk left stream i
+    (None where no unit is drawn)."""
     if law.drift() >= 0:
         raise NonNegativeDrift("the inverted walk must have positive drift")
     chunks, limit = limit_rows(law.inverse(), samples, seed, "limit",
@@ -594,8 +582,8 @@ def _mbar_rows(law, seed, samples, depth):
                 f"{DEFAULT_STEP_BUDGET} steps")
         draws = law.atoms[0].rotation_draws(streams_at(
             range(i, i + len(rows)), [r[0] for r in rows], seed, "limit"))
-        for row, (unit, gen) in zip(rows, draws):
-            yield row, unit, gen, limit
+        for row, unit in zip(rows, draws):
+            yield row, unit, limit
         i += len(rows)
 
 
@@ -622,11 +610,11 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     grid = law.inverse().grid
     if grid is None:
         for i in range(samples):
-            smp = sample_mbar(law, stream(seed, "limit", i), depth=depth)
-            hits += f.member(compose(s_h, invert(smp.element)))
+            x = sample_mbar(law, stream(seed, "limit", i), depth=depth)
+            hits += f.member(compose(s_h, invert(x)))
     elif samples:
         test = grid.hit_test(f, _end_window(depth, None))
-        for i, (row, unit, _, limit) in enumerate(
+        for i, (row, unit, limit) in enumerate(
                 _mbar_rows(law, seed, samples, depth)):
             if test is not None:
                 hits += test(row[3], unit)

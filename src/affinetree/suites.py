@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -224,10 +225,9 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
             estimate=frac, tolerance=0.99,
             details={"trajectories": trajectories, "horizon": horizon}))
         n = limit_samples or trajectories
-        limits = [bl for bl, _ in boundary_limits(
-            law, n, seed, "regime.boundary", depth=4, max_steps=20000)]
-        exhausted = limits.count(None)
-        frac = sum(bl.certified for bl in limits if bl) / n
+        exhausted = boundary_limits(law, n, seed, "regime.boundary", depth=4,
+                                    max_steps=20000).count(None)
+        frac = (n - exhausted) / n
         claims.append(_claim(
             "regime.boundary",
             "positive drift: the depth-4 boundary prefix stabilizes",
@@ -277,7 +277,7 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
 def _limits(law, count, seed, *path, **kw):
     """The certified limits of ``boundary_limits``; a walk that runs out of
     its step budget raises, as ``sample_boundary_limit`` does."""
-    limits = [bl for bl, _ in boundary_limits(law, count, seed, *path, **kw)]
+    limits = boundary_limits(law, count, seed, *path, **kw)
     if None in limits:
         raise StepBudgetExceeded("a boundary limit ran out of steps")
     return limits
@@ -323,19 +323,24 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
         base[bl.end.disc_key(inv_depth)] += 1
         pushed[act_end(law.sample_step(r_step), bl2.end).disc_key(
             inv_depth)] += 1
+    discs = set(base) | set(pushed)
     worst = 0.0
-    for k in set(base) | set(pushed):
+    for k in discs:
         p1, p2 = base[k] / samples, pushed[k] / samples
         se = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / samples) or 1e-12
         worst = max(worst, abs(p1 - p2) / se)
+    # Bonferroni: m discs jointly at one z's two-sided rate at sigmas; the
+    # tail keeps its digits past 8.3 sigmas (1 - tail does not) until 38
+    tail = math.erfc(sigmas / math.sqrt(2)) / (2 * len(discs))
+    z_star = -NormalDist().inv_cdf(tail) if tail else sigmas
     claims.append(_claim(
         "boundary.invariance",
         "the boundary limit law agrees with its one-step push-forward on "
         "all discs of the test depth",
-        "pass" if worst <= sigmas else "fail",
-        estimate=worst, tolerance=sigmas,
+        "pass" if worst <= z_star else "fail",
+        estimate=worst, tolerance=z_star,
         details={"samples": samples, "depth": inv_depth,
-                 "discs": len(set(base) | set(pushed))}))
+                 "discs": len(discs)}))
     return claims
 
 
@@ -426,17 +431,15 @@ def _oracle_cylinders(cfg):
 def oracle_claims(cfg, sigmas=3.0, seed=None, trajectories=6000):
     """Monte Carlo kernel versus the exact truncated-chain oracle."""
     seed = cfg.seed if seed is None else seed
-    horizon = 20000
-    if cfg.law.drift() == 0:
-        # no drifted early stop: keep the horizon small, the truncation
-        # tail bound enters the comparison margin
-        trajectories = min(trajectories, 1500)
-        horizon = 1000
     statement = ("Monte Carlo visit counts match the exact truncated-chain "
                  "values on all shallow cylinders")
     if cfg.kind != "padic":
         return [_skip("renewal.oracle", statement,
                       "the exact oracle is p-adic only")]
+    if cfg.law.drift() == 0:
+        return [_skip("renewal.oracle", statement,
+                      "centered law: its height walk is recurrent, so the "
+                      "mass killed below the window bounds nothing")]
     cylinders = _oracle_cylinders(cfg)
     try:
         oracle = kernel_oracle(cfg.law, cylinders)
@@ -449,8 +452,7 @@ def oracle_claims(cfg, sigmas=3.0, seed=None, trajectories=6000):
     failures = 0
     for i, cyl in enumerate(cylinders):
         est = potential_kernel(ident, cyl, cfg.law,
-                               (seed, "renewal.oracle", i), trajectories,
-                               horizon=horizon)
+                               (seed, "renewal.oracle", i), trajectories)
         want = oracle["visits"][cyl.render()]
         se = est.stderr or 1e-12
         z = abs(est.value - want) / se

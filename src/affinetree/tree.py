@@ -32,7 +32,7 @@ from .errors import (
     OmegaOperand,
     RealizationMismatch,
 )
-from .padic import DEFAULT_BUDGET, PAdic, fraction_truncate, int_valuation
+from .padic import PAdic, fraction_truncate, int_valuation
 
 
 class _Omega:
@@ -74,10 +74,10 @@ class _PadicPoint:
     kind = "padic"
     degree = property(attrgetter("prime"))
 
-    def meet(self, other, budget):
+    def meet(self, other):
         prime = self.prime
-        ux, capx = self.value_and_cap(budget)
-        uy, capy = other.value_and_cap(budget)
+        ux, capx = self.value_and_cap()
+        uy, capy = other.value_and_cap()
         caps = [c for c in (capx, capy) if c is not None]
         diff = ux - uy
         if diff.is_zero:
@@ -104,7 +104,7 @@ class _LampPoint:
     kind = "lamplighter"
     degree = property(attrgetter("q"))
 
-    def meet(self, other, budget):
+    def meet(self, other):
         cap = min(self.known_to, other.known_to)
         mine, theirs = dict(self.lamps), dict(other.lamps)
         h = cap
@@ -148,9 +148,8 @@ class PadicVertex(_PadicPoint):
         _set_field(self, "center", center)
         return self
 
-    def value_and_cap(self, budget):
-        return PAdic.from_fraction(self.center, self.prime, budget), \
-            self.height
+    def value_and_cap(self):
+        return PAdic.from_fraction(self.center, self.prime), self.height
 
     def father(self) -> "PadicVertex":
         return PadicVertex(self.prime, self.height - 1, self.center)
@@ -214,7 +213,7 @@ class PadicEnd(_PadicPoint):
     def is_exact(self) -> bool:
         return self.value.exact is not None
 
-    def value_and_cap(self, budget):
+    def value_and_cap(self):
         return self.value, None
 
     def in_disc(self, vertex) -> bool:
@@ -323,31 +322,31 @@ def end_in_disc(end, vertex) -> bool:
     return end.in_disc(vertex)
 
 
-def meet(x, y, budget=DEFAULT_BUDGET):
+def meet(x, y):
     """First common vertex of the geodesics from x and y to the top end."""
     if x is OMEGA or y is OMEGA:
         raise OmegaOperand("meet with the top end is undefined")
     same_realization(x, y)
     if x.is_vertex and x == y:
         return x
-    return x.meet(y, budget)
+    return x.meet(y)
 
 
-def graph_distance(x, y, budget=DEFAULT_BUDGET) -> int:
+def graph_distance(x, y) -> int:
     """Edge count between two vertices: phi(x) + phi(y) - 2 phi(x ^ y)."""
     if not (x.is_vertex and y.is_vertex):
         raise TypeError("graph_distance takes vertices")
-    return x.height + y.height - 2 * meet(x, y, budget).height
+    return x.height + y.height - 2 * meet(x, y).height
 
 
-def theta(a, b, budget=DEFAULT_BUDGET) -> Fraction:
+def theta(a, b) -> Fraction:
     """Ultrametric q**(-phi(a ^ b)); zero when the operands coincide."""
     if a is OMEGA or b is OMEGA:
         raise OmegaOperand("theta with the top end is undefined")
     same_realization(a, b)
     if a == b or not (a.is_vertex or b.is_vertex) and a.coincides(b):
         return Fraction(0)
-    m = meet(a, b, budget)
+    m = meet(a, b)
     return _scale(m.degree, m.height)
 
 

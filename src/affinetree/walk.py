@@ -17,14 +17,15 @@ batches are tested against; ``run_product`` hands every running product
 to its visitor.
 
 Certified boundary limits (``boundary_limits``, walk i on
-``stream(seed, *path, i)``) fold only the terms below the depth and the
-end window they can change; ``sample_boundary_limit`` is the batch's
-one-walk case on a generator.  Every certified limit stops under the
-rule of ``STABLE_EPOCHS`` and ``HEIGHT_GUARD``, read when it is called.
-The successive ladder excursions of one walk are split by the strict
-records of its running maximum (``excursion_rows``), and the ladder
-walk, whose steps are whole excursions, takes its limit from the same
-records (``ladder_limit_rows``).
+``stream(seed, *path, i)``) give one ``BoundaryLimit`` per walk, None
+for a walk out of steps; they fold only the terms below the depth and
+end window they can change, and ``sample_boundary_limit`` is the
+batch's one-walk case on a generator.  Every certified limit stops
+under the rule of ``STABLE_EPOCHS`` and ``HEIGHT_GUARD``, read when it
+is called.  The successive ladder excursions of one walk are split by
+the strict records of its running maximum (``excursion_rows``), and the
+ladder walk, whose steps are whole excursions, takes its limit from the
+same records (``ladder_limit_rows``).
 """
 
 from __future__ import annotations
@@ -193,8 +194,7 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
             key = k
             if stable >= STABLE_EPOCHS and top >= goal:
                 end = grid.element((top, 1, *t)).limit_end(end_window)
-                return BoundaryLimit(end, grid.disc_id(key), n, top,
-                                     True), None
+                return BoundaryLimit(end, grid.disc_id(key), n), None
         return None, (t, wait, top, n, key, stable)
     return _record_rows(
         grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, None, 0), walk,
@@ -266,8 +266,6 @@ class BoundaryLimit:
     end: object
     key: object       # disc id at the requested depth
     steps: int
-    max_height: int
-    certified: bool
 
 
 def _end_window(depth, end_window):
@@ -294,7 +292,7 @@ def _certified_limit(walk, step, depth, end_window, max_steps):
         key = k
         if stable >= STABLE_EPOCHS and top >= end_window + HEIGHT_GUARD:
             end = walk.g.limit_end(end_window)
-            return BoundaryLimit(end, key, n, top, True)
+            return BoundaryLimit(end, key, n)
     raise StepBudgetExceeded(
         f"no certified depth-{depth} disc within {max_steps} steps")
 
@@ -389,7 +387,7 @@ def _boundary_limit(grid, read, i, limit, end_window) -> BoundaryLimit:
         t = _translation(grid, inverse_cdf(grid.thresholds,
                                            read([i], 0, n)[0]))
         end = grid.element((top, 1, *t)).limit_end(end_window)
-    return BoundaryLimit(end, grid.disc_id(key), n, top, True)
+    return BoundaryLimit(end, grid.disc_id(key), n)
 
 
 def _require_positive_drift(law):
@@ -417,28 +415,25 @@ def limit_rows(law, count, seed, *path, depth: int, end_window=None,
 def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
                     max_steps=DEFAULT_STEP_BUDGET) -> list:
     """``sample_boundary_limit`` on the streams ``stream(seed, *path, i)``
-    for i < count, as a list of (limit, uniforms used); limit is None for
-    a walk that ran out of ``max_steps``.  Laws on the engine walk as one
-    batch (``limit_rows``)."""
+    for i < count, as a list of ``BoundaryLimit``, None for a walk that
+    ran out of ``max_steps``.  Laws on the engine walk as one batch
+    (``limit_rows``)."""
     _require_positive_drift(law)
     out = []
     if law.grid is None:
         for i in range(count):
-            r = stream(seed, *path, i)
             try:
-                out.append((sample_boundary_limit(
-                    law, r, depth=depth, end_window=end_window,
-                    max_steps=max_steps), position(r)))
+                out.append(sample_boundary_limit(
+                    law, stream(seed, *path, i), depth=depth,
+                    end_window=end_window, max_steps=max_steps))
             except StepBudgetExceeded:
-                out.append((None, position(r)))
+                out.append(None)
         return out
     chunks, limit = limit_rows(law, count, seed, *path, depth=depth,
                                end_window=end_window, max_steps=max_steps)
     for rows in chunks:
         for row in rows:
-            i = len(out)
-            out.append((None, max_steps) if row is None
-                       else (limit(i, row), row[0]))
+            out.append(None if row is None else limit(len(out), row))
     return out
 
 

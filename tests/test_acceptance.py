@@ -127,7 +127,9 @@ def test_criterion_05_no_point_mass(boundary_measure):
 
 def test_criterion_06_invariance(boundary_measure):
     c = next(c for c in boundary_measure if c["claim"] == "boundary.invariance")
-    ok = c["verdict"] == "pass"
+    # the claim holds all discs together (Bonferroni); the criterion keeps
+    # its per-disc bound as well
+    ok = c["verdict"] == "pass" and c["estimate"] <= SIGMAS
     detail = (f"worst disc z = {c['estimate']:.2f} over "
               f"{c['details']['discs']} depth-3 discs (tol {SIGMAS})")
     assert record_criterion(6, "one-step invariance", ok, detail), detail

@@ -2,10 +2,10 @@
 
 ``walk.boundary_limits`` walks the streams ``stream(seed, *path, i)``
 together; each row must give what ``sample_boundary_limit`` gives on
-that stream, on the engine and on generic ``compose``, and use as many
-uniforms.  ``limit_measure_value`` draws its rotation units and reads its
-hits from the batch; both must match ``sample_mbar`` and the generic
-membership test, sample by sample.
+that stream, on the engine and on generic ``compose``, and its steps
+must be the uniforms that call used.  ``limit_measure_value`` draws its
+rotation units and reads its hits from the batch; both must match
+``sample_mbar`` and the generic membership test, sample by sample.
 """
 
 import tracemalloc
@@ -52,6 +52,12 @@ def _with_budget(law, budget):
     return StepLaw(atoms, law.weights)
 
 
+def _row(bl, max_steps):
+    """A batch row as ``_scalar`` gives it: a walk out of steps used
+    ``max_steps`` uniforms, a certified one its ``steps``."""
+    return repr(bl), max_steps if bl is None else bl.steps
+
+
 def _scalar(law, seed, path, i, **kw):
     """(limit or None, uniforms used) of ``sample_boundary_limit`` on
     stream i, the limit as its repr: equal p-adic values compare equal
@@ -96,19 +102,15 @@ def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
         mp.setattr(grid, "BATCH_ROWS", rows)
         mp.setattr(grid, "BATCH_COLS", cols)
         got = boundary_limits(law, count, seed, "batch", **kw)
-        for i, (bl, used) in enumerate(got):
-            one = _scalar(law, seed, ("batch",), i, **kw)
-            assert (repr(bl), used) == one == \
+        for i, bl in enumerate(got):
+            assert _row(bl, kw["max_steps"]) == \
+                _scalar(law, seed, ("batch",), i, **kw) == \
                 _scalar(twin, seed, ("batch",), i, **kw)
-            if bl is None:
-                assert used == kw["max_steps"]
-            else:
-                assert bl.certified and used == bl.steps
         mp.setattr(walk, "STABLE_EPOCHS", rule["stable_epochs"])
         mp.setattr(walk, "HEIGHT_GUARD", rule["height_guard"])
         got = boundary_limits(law, count, seed, "batch", **kw)
-        for i, (bl, used) in enumerate(got):
-            assert (repr(bl), used) == \
+        for i, bl in enumerate(got):
+            assert _row(bl, kw["max_steps"]) == \
                 _scalar(law, seed, ("batch",), i, **kw) == \
                 _scalar(twin, seed, ("batch",), i, **kw)
 
@@ -117,11 +119,11 @@ def test_rows_span_blocks_and_exhaust_budgets():
     law = LAW_NEG.inverse()
     got = boundary_limits(law, 200, 7, "span", depth=3, end_window=40,
                           max_steps=150)
-    steps = [bl.steps for bl, _ in got if bl]
+    steps = [bl.steps for bl in got if bl]
     assert max(steps) > grid.BATCH_COLS and len(steps) < len(got)
-    for i, (bl, used) in enumerate(got):
-        assert (repr(bl), used) == _scalar(law, 7, ("span",), i, depth=3,
-                                           end_window=40, max_steps=150)
+    for i, bl in enumerate(got):
+        assert _row(bl, 150) == _scalar(law, 7, ("span",), i, depth=3,
+                                        end_window=40, max_steps=150)
 
 
 def _outcome(fn):
@@ -181,24 +183,18 @@ def test_limit_samples_match_sample_mbar(up, seed, top, data):
     depth = max(top + 2, 4)
     samples = 5
     rows = list(_mbar_rows(law, seed, samples, depth))
-    row, unit, _, limit = rows[0]
+    row, unit, limit = rows[0]
     x = law.atoms[0].section(limit(0, row).end, unit)
     for f in _events(data.draw, law, depth + 8, x):
-        cases = _hit_cases(f, law, depth, [(r, lim) for r, _, _, lim in rows],
-                           [unit for _, unit, _, _ in rows])
+        cases = _hit_cases(f, law, depth, [(r, lim) for r, _, lim in rows],
+                           [unit for _, unit, _ in rows])
         for i, (x, hit, want) in enumerate(cases):
+            # the repr holds every digit of the end and of the unit
             smp = sample_mbar(law, stream(seed, "limit", i), depth=depth)
-            assert repr(x) == repr(smp.element)
+            assert repr(x) == repr(smp)
             assert hit in (None, want)
-    # the generator as each unit draw leaves it, before the next re-keys it
-    for i, (row, unit, gen, limit) in enumerate(
-            _mbar_rows(law, seed, samples, depth)):
-        rng = stream(seed, "limit", i)
-        sample_mbar(law, rng, depth=depth)
-        if law.kind == "padic":
-            assert position(gen) == position(rng)
-        else:
-            assert gen is None and unit is None
+    if law.kind != "padic":
+        assert [unit for _, unit, _ in rows] == [None] * samples
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,8 +224,8 @@ def test_sample_mbar_draws_units_for_odd_primes():
                    PadicAffine(PAdic.from_int(1, 3), PAdic.from_int(3, 3))),
                   (Fraction(3, 4), Fraction(1, 4)))
     smp = sample_mbar(law, stream(1, "limit", 0), depth=4)
-    [(_, unit, _, _)] = _mbar_rows(law, 1, 1, 4)
-    assert repr(smp.element) == repr(law.atoms[0].section(
+    [(_, unit, _)] = _mbar_rows(law, 1, 1, 4)
+    assert repr(smp) == repr(law.atoms[0].section(
         sample_boundary_limit(law.inverse(), stream(1, "limit", 0),
                                    depth=4).end, unit))
 
@@ -239,7 +235,7 @@ def _reference_value(f, law, seed, samples):
     s_h = power(law.atoms[0].reference_homothety().element, f.level)
     depth = max(max(t.height for t in f.targets) + 2, 4)
     hits = sum(f.member(compose(s_h, invert(sample_mbar(
-        law, stream(seed, "limit", i), depth=depth).element)))
+        law, stream(seed, "limit", i), depth=depth))))
         for i in range(samples))
     return hits / samples
 

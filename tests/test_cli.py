@@ -163,3 +163,26 @@ def test_tolerance_must_be_finite_and_positive(runner, tmp_path, tol):
     assert res.exit_code == 2
     assert "--tol" in res.output
     assert not out.exists()
+
+
+def test_verify_regimes_passes_on_drift_pos(runner, tmp_path):
+    """The invariance claim holds its discs together to the stated rate,
+    so correct code passes at the shipped seed."""
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["verify", "--config",
+                               str(SHIPPED / "drift_pos.ini"), "--suite",
+                               "regimes", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "report.json").read_text())["verdict"] == "pass"
+
+
+def test_verify_renewal_skips_the_centered_oracle(runner, tmp_path):
+    out = tmp_path / "r"
+    res = runner.invoke(main, ["verify", "--config",
+                               str(SHIPPED / "centered.ini"), "--suite",
+                               "renewal", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    claims = json.loads((out / "report.json").read_text())["claims"]
+    [oracle] = [c for c in claims if c["claim"] == "renewal.oracle"]
+    assert oracle["verdict"] == "skip"
+    assert "recurrent" in oracle["details"]["reason"]

@@ -1,8 +1,9 @@
 """Static checks of the package source, by AST scan (no linter needed):
-no unused imports, no module-level name that nothing uses, every random
-generator is built in ``rng``, and no code outside a realization's own
-classes tests which realization it holds.  The benchmark's tracer must
-still find every package function it wraps."""
+no unused imports, no module-level name that nothing uses, no dataclass
+field that nothing reads, every random generator is built in ``rng``,
+and no code outside a realization's own classes tests which realization
+it holds.  The benchmark's tracer must still find every package
+function it wraps."""
 
 import ast
 import importlib.util
@@ -12,6 +13,12 @@ import affinetree
 
 SRC = Path(affinetree.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# everything that may read a package dataclass's fields
+READERS = MODULES + sorted(ROOT.glob("tests/*.py")) \
+    + sorted(ROOT.glob("perfbench/*.py"))
+# dataclasses whose fields are read as report keys, through ``vars()``
+FIELDS_READ_BY_VARS = {"KernelEstimate"}
 # numpy.random names that build a generator or a bit generator
 BUILDERS = {"Generator", "default_rng", "RandomState", "BitGenerator",
             "Philox", "PCG64", "PCG64DXSM", "MT19937", "SFC64",
@@ -125,6 +132,31 @@ def dead_names(trees):
                   for name in module_names(tree) if name not in used)
 
 
+def dataclass_fields(tree):
+    """'Class.field' for each annotated field of each dataclass."""
+    return [f"{node.name}.{item.target.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any("dataclass" in _names(d) for d in node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def attribute_reads(tree):
+    """Attribute names ``tree`` reads (not those it only assigns)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(trees, readers):
+    """'Class.field' for each dataclass field of ``trees`` whose name no
+    tree of ``readers`` reads as an attribute."""
+    read = set().union(*map(attribute_reads, readers))
+    return sorted(f for tree in trees for f in dataclass_fields(tree)
+                  if f.split(".")[0] not in FIELDS_READ_BY_VARS
+                  and f.split(".")[1] not in read)
+
+
 def _names(node):
     """Names and attribute names under ``node``."""
     return {n.id if isinstance(n, ast.Name) else n.attr
@@ -179,6 +211,22 @@ def test_no_unused_imports():
     bad = {p.name: unused_imports(_tree(p)) for p in MODULES
            if p.name != "__init__.py"}
     assert not {k: v for k, v in bad.items() if v}
+
+
+def test_every_dataclass_field_is_read():
+    """A field no code reads is a result no caller needs."""
+    assert not unread_fields([_tree(p) for p in MODULES],
+                             [_tree(p) for p in READERS])
+
+
+def test_scan_sees_unread_fields():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    x: int\n"
+                     "    y: int = 0\n    z = 1\n"
+                     "@dataclass\nclass KernelEstimate:\n    w: int\n"
+                     "class B:\n    v: int\n"
+                     "def f(a):\n    a.y = a.x\n")
+    assert dataclass_fields(tree) == ["A.x", "A.y", "KernelEstimate.w"]
+    assert unread_fields([tree], [tree]) == ["A.y"]
 
 
 def test_only_rng_builds_generators():

@@ -1,7 +1,10 @@
 """Regime claims: estimates from threshold counts equal those from atom
 indices, memory stays bounded, and step-budget exhaustion is reported.
-The exact oracle's values on the shipped configs are pinned."""
+The exact oracle's values on the shipped configs are pinned, a centered
+oracle claim is a skip, and the invariance claim holds its discs
+together to the rate its tolerance states."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -149,8 +152,7 @@ def test_regime_boundary_counts_budget_exhaustion(monkeypatch):
     def every_third_runs_out(law, count, *key, **kw):
         calls.append((count, kw["max_steps"]))
         rows = boundary_limits(law, count, *key, **kw)
-        return [(None, kw["max_steps"]) if i % 3 == 2 else row
-                for i, row in enumerate(rows)]
+        return [None if i % 3 == 2 else bl for i, bl in enumerate(rows)]
 
     calls = []
     monkeypatch.setattr(suites, "boundary_limits", every_third_runs_out)
@@ -174,8 +176,8 @@ def test_batch_counts_exhaustion_as_the_scalar_loop(max_steps):
                                               max_steps=max_steps))
         except StepBudgetExceeded:
             want.append(None)
-        assert rows[i][1] == position(rng)
-    assert [bl for bl, _ in rows] == want
+        assert (rows[i].steps if rows[i] else max_steps) == position(rng)
+    assert rows == want
     exhausted = want.count(None)
     if max_steps < 27:       # a certified limit climbs to height 27
         assert exhausted == 40
@@ -219,3 +221,56 @@ def test_shipped_kernels_run_on_the_engine(path):
     s = cfg.law.atoms[0].reference_homothety().element
     for g in (identity_like(s), power(s, 15), power(s, -15)):
         assert renewal._kernel_walk(g, f, cfg.law) is not None, g
+
+
+def test_centered_oracle_is_a_skip_without_a_kernel(monkeypatch):
+    """A centered height walk is recurrent: the mass killed below the
+    oracle's window (0.82 on centered.ini) bounds no gap, so the claim is
+    a skip and runs no kernel."""
+    def no_kernel(*args, **kw):
+        raise AssertionError("a kernel ran")
+    monkeypatch.setattr(suites, "potential_kernel", no_kernel)
+    [claim] = suites.oracle_claims(load_config(CONFIGS / "centered.ini"))
+    assert claim["claim"] == "renewal.oracle" and claim["verdict"] == "skip"
+    assert claim["details"]["reason"] == (
+        "centered law: its height walk is recurrent, so the mass killed "
+        "below the window bounds nothing")
+
+
+def test_invariance_holds_all_discs_to_the_stated_rate():
+    """drift_pos.ini at its own seed reads a worst z of 3.17 over 73
+    discs: a 3-sigma bound per disc failed it, and the threshold for all
+    discs together, at the two-sided rate of one disc at 3 sigma, passes
+    it."""
+    cfg = load_config(CONFIGS / "drift_pos.ini")
+    c = suites.boundary_measure_claims(cfg, samples=4000, seed=11)[1]
+    m, z_star = c["details"]["discs"], c["tolerance"]
+    assert m * math.erfc(z_star / math.sqrt(2)) == \
+        pytest.approx(math.erfc(3 / math.sqrt(2)), rel=1e-9)
+    assert 3 < c["estimate"] <= z_star and c["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("sigmas", [0.01, 10.0, 40.0])
+def test_invariance_threshold_at_any_tolerance(sigmas):
+    """Every finite tolerance above 0 gives a finite threshold at or above
+    it: past 8.3 sigmas 1 - tail rounds to 1, past 38 the tail is 0."""
+    cfg = load_config(CONFIGS / "drift_pos.ini")
+    c = suites.boundary_measure_claims(cfg, samples=200, sigmas=sigmas,
+                                       seed=1)[1]
+    assert sigmas <= c["tolerance"] < math.inf
+
+
+def test_invariance_fails_a_moved_push(monkeypatch):
+    """Pushing by atom2 with t = 3 instead of 1 moves the limit law; the
+    push is the claim's only draw through ``StepLaw.sample_step``."""
+    cfg = load_config(CONFIGS / "drift_pos.ini")
+    moved = PadicAffine(PAdic.from_int(3, 2, cfg.budget), cfg.law.atoms[1].a)
+    drawn = []
+
+    def push(law, rng):
+        drawn.append(law.sample_index(rng))
+        return moved if drawn[-1] == 1 else law.atoms[drawn[-1]]
+    monkeypatch.setattr(StepLaw, "sample_step", push)
+    c = suites.boundary_measure_claims(cfg, samples=4000, seed=1)[1]
+    assert len(drawn) == 4000 and 1 in drawn
+    assert c["verdict"] == "fail" and c["estimate"] > 3 * c["tolerance"]

@@ -23,7 +23,7 @@ from affinetree.law import StepLaw
 from affinetree.padic import DEFAULT_BUDGET, PAdic, PrecisionBudget, \
     fraction_truncate
 from affinetree.renewal import CylinderEvent
-from affinetree.rng import stream, stream_rows
+from affinetree.rng import position, stream, stream_rows
 from affinetree.tree import PadicEnd, PadicVertex, end_in_disc
 from affinetree.walk import (
     DEFAULT_STEP_BUDGET,
@@ -170,8 +170,9 @@ def test_regime_summary_signs():
 
 
 def test_boundary_limit_certified_and_stable():
-    bl = sample_boundary_limit(LAW_POS, stream(13, 0), depth=4)
-    assert bl.certified
+    rng = stream(13, 0)
+    bl = sample_boundary_limit(LAW_POS, rng, depth=4)
+    assert bl.steps == position(rng)      # one uniform per step
     # a longer window over the same stream lands in the same depth-4 disc
     again = sample_boundary_limit(LAW_POS, stream(13, 0), depth=4,
                                   end_window=20)
@@ -256,7 +257,7 @@ def _scalar_limit(law, rng, depth, *, step=None, max_steps=10 ** 7):
         stable = stable + 1 if k == key else 1
         key = k
         if stable >= 3 and top >= end_window + 15:
-            return BoundaryLimit(g.limit_end(end_window), key, n, top, True)
+            return BoundaryLimit(g.limit_end(end_window), key, n)
     raise StepBudgetExceeded("reference budget")
 
 
