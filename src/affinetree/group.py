@@ -36,7 +36,6 @@ from .tree import (
     LampVertex,
     PadicEnd,
     PadicVertex,
-    graph_distance,
     origin_lamp,
     origin_padic,
     same_realization,
@@ -76,6 +75,14 @@ class PadicAffine:
 
     def act_end(self, e) -> PadicEnd:
         return PadicEnd(self.a * e.value + self.t)
+
+    def norm(self) -> int:
+        """d(g o, o) = phi - 2 min(0, phi, v(t)): g o is the disc of t at
+        height phi, which meets o at min(0, phi, v(t))."""
+        h, t = self.phi, self.t
+        if t.exact is None:
+            t.residue(h)  # raises where act_vertex(g, o) does
+        return h - 2 * (min(0, h) if t.is_zero else min(0, h, t.valuation))
 
     def identity(self) -> "PadicAffine":
         """The identity, one shared element per (prime, budget)."""
@@ -216,6 +223,14 @@ class LampAffine:
                 f"acting element known to {self.known_to}, need {h}")
         return LampVertex(self.q, h, self._shifted_sum(x.lamps))
 
+    def norm(self) -> int:
+        """d(g o, o) = shift - 2 min(0, shift, lowest lamp - 1): g o and o
+        first differ at the element's lowest lamp."""
+        h = self.shift
+        if self.known_to is not None and self.known_to < h:
+            self.act_vertex(self.origin())  # raises: g o is not known
+        return h - 2 * min(0, h, *(p - 1 for p, _ in self.lamps[:1]))
+
     def act_end(self, e) -> LampEnd:
         known = _min_known(self.known_to, e.known_to + self.shift)
         return LampEnd(self.q, known, self._shifted_sum(e.values))
@@ -330,9 +345,9 @@ def identity_like(g):
 
 
 def norm(g) -> int:
-    """Semi-norm |g| = d(g o, o)."""
-    o = g.origin()
-    return graph_distance(act_vertex(g, o), o)
+    """Semi-norm |g| = d(g o, o), read from the element's fields by its
+    height-only form (the image g o is never built)."""
+    return g.norm()
 
 
 def elements_agree(g1, g2) -> bool:

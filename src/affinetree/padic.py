@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     DivisionByZero,
@@ -101,7 +102,8 @@ def fraction_truncate(value, p: int, exponent: int) -> Fraction:
     return Fraction(kept, p ** dv)
 
 
-_DIGIT_FIELDS = frozenset(("valuation", "unit", "precision", "zero_bound"))
+_DIGIT_FIELDS = ("zero_bound", "valuation", "unit", "precision")
+_digit_fields = attrgetter("prime", *_DIGIT_FIELDS)
 
 
 class PAdic:
@@ -231,8 +233,7 @@ class PAdic:
         """
         if self.is_zero:
             return Fraction(0)
-        return Fraction(1, self.prime ** self.valuation) if self.valuation >= 0 \
-            else Fraction(self.prime ** -self.valuation)
+        return Fraction(self.prime) ** -self.valuation
 
     def digits(self):
         """Significant base-p digits, least significant first; d0 != 0."""
@@ -294,11 +295,6 @@ class PAdic:
             raise TypeError(f"expected PAdic, got {type(other).__name__}")
         if self.prime != other.prime:
             raise PrimeMismatch(f"p={self.prime} vs p={other.prime}")
-
-    def eq_to_precision(self, other) -> bool:
-        """Whether the two values agree on the common known window."""
-        self._require_same(other)
-        return (self - other).is_zero
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -409,15 +405,13 @@ class PAdic:
     def __eq__(self, other):
         if not isinstance(other, PAdic):
             return NotImplemented
-        return (self.prime == other.prime
-                and self.zero_bound == other.zero_bound
-                and self.valuation == other.valuation
-                and self.unit == other.unit
-                and self.precision == other.precision)
+        if self.exact is None or other.exact is None:
+            return _digit_fields(self) == _digit_fields(other)
+        return self.prime == other.prime and self.exact == other.exact
 
     def __hash__(self):
-        return hash((self.prime, self.valuation, self.unit,
-                     self.precision, self.zero_bound))
+        # what equal values share, whether they are exact or not
+        return hash((self.prime, self.valuation, self.zero_bound))
 
 
 # Slot setters that bypass the immutability guard, to build exact values

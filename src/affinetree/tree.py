@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from operator import attrgetter
 
 from .errors import (
@@ -62,11 +63,6 @@ def same_realization(x, y):
         raise RealizationMismatch(f"{x!r} vs {y!r}")
 
 
-def _scale(q, h) -> Fraction:
-    """q**(-h), exactly."""
-    return Fraction(1, q ** h) if h >= 0 else Fraction(q ** -h)
-
-
 class _PadicPoint:
     """What p-adic vertices and ends share: each is a p-adic value known
     up to a cap (``value_and_cap``)."""
@@ -74,27 +70,33 @@ class _PadicPoint:
     kind = "padic"
     degree = property(attrgetter("prime"))
 
-    def meet(self, other):
-        prime = self.prime
+    def meet_height(self, other):
+        """Height of the meet, or None for ends that coincide exactly;
+        raises ``IndistinguishableAtPrecision`` for operands that agree
+        on all their known digits but are not known to coincide."""
         ux, capx = self.value_and_cap()
         uy, capy = other.value_and_cap()
         caps = [c for c in (capx, capy) if c is not None]
         diff = ux - uy
-        if diff.is_zero:
-            bound = diff.zero_bound
-            if not caps:
-                raise IndistinguishableAtPrecision(
-                    "ends agree on the whole known window",
-                    upper_bound=Fraction(0) if bound is None
-                    else _scale(prime, bound))
-            h = min(caps)
-            if bound is not None and bound < h:
-                raise IndistinguishableAtPrecision(
-                    "operands agree beyond the known window",
-                    upper_bound=_scale(prime, h))
-        else:
-            h = min([diff.valuation, *caps])
-        return PadicVertex._canonical(prime, h, ux.residue(h))
+        if not diff.is_zero:
+            return min([diff.valuation, *caps])
+        # zero, or zero only below p**bound: the caps decide, if any
+        bound = diff.zero_bound
+        if bound is None or caps and bound >= min(caps):
+            return min(caps, default=None)
+        raise IndistinguishableAtPrecision(
+            "operands agree beyond the known window" if caps
+            else "ends agree on the whole known window",
+            upper_bound=Fraction(self.prime) ** -min(caps, default=bound))
+
+    def meet(self, other):
+        h = self.meet_height(other)
+        if h is None:
+            raise IndistinguishableAtPrecision(
+                "ends agree on the whole known window",
+                upper_bound=Fraction(0))
+        return PadicVertex._canonical(self.prime, h,
+                                      self.value_and_cap()[0].residue(h))
 
 
 class _LampPoint:
@@ -104,22 +106,25 @@ class _LampPoint:
     kind = "lamplighter"
     degree = property(attrgetter("q"))
 
-    def meet(self, other):
+    def meet_height(self, other):
+        """Height of the meet: below the first position where the sorted
+        lamp tuples part, capped by the common window."""
         cap = min(self.known_to, other.known_to)
-        mine, theirs = dict(self.lamps), dict(other.lamps)
-        h = cap
-        for pos in sorted(mine.keys() | theirs.keys()):
-            if pos > cap:
+        past = (cap + 1, 0)
+        for a, b in zip_longest(self.lamps, other.lamps, fillvalue=past):
+            if a != b:
+                h = min(a[0], b[0]) - 1
+                if h < cap:
+                    return h
                 break
-            if mine.get(pos, 0) != theirs.get(pos, 0):
-                h = pos - 1
-                break
-        if h == cap and not (self.is_vertex or other.is_vertex):
+        if not (self.is_vertex or other.is_vertex):
             raise IndistinguishableAtPrecision(
                 "lamp ends agree on the whole known window",
-                upper_bound=_scale(self.q, cap))
-        return LampVertex(self.q, h, [(p, v) for p, v in self.lamps
-                                      if p <= h])
+                upper_bound=Fraction(self.q) ** -cap)
+        return cap
+
+    def meet(self, other):
+        return LampVertex(self.q, self.meet_height(other), self.lamps)
 
 
 @dataclass(frozen=True)
@@ -226,18 +231,6 @@ class PadicEnd(_PadicPoint):
     def agrees(self, other) -> bool:
         return (self.value - other.value).is_zero
 
-    def coincides(self, other) -> bool:
-        """Whether the two ends are one exactly; ends that agree only on
-        the known window raise ``IndistinguishableAtPrecision``."""
-        if not self.value.eq_to_precision(other.value):
-            return False
-        bound = (self.value - other.value).zero_bound
-        if bound is None:
-            return True
-        raise IndistinguishableAtPrecision(
-            "ends agree on the whole known window",
-            upper_bound=_scale(self.prime, bound))
-
     def render(self) -> str:
         return f"end:{self.value.render()}"
 
@@ -289,9 +282,6 @@ class LampEnd(_LampPoint):
         cap = min(self.known_to, other.known_to)
         return self.disc_key(cap) == other.disc_key(cap)
 
-    def coincides(self, other) -> bool:
-        return False
-
     def render(self) -> str:
         inner = ",".join(f"{p}={v}" for p, v in self.values)
         return f"lampend:{self.known_to}:[{inner}]"
@@ -323,31 +313,31 @@ def end_in_disc(end, vertex) -> bool:
 
 
 def meet(x, y):
-    """First common vertex of the geodesics from x and y to the top end."""
+    """First common vertex of the geodesics from x and y to the top end,
+    built at the height ``meet_height`` finds."""
     if x is OMEGA or y is OMEGA:
         raise OmegaOperand("meet with the top end is undefined")
     same_realization(x, y)
-    if x.is_vertex and x == y:
-        return x
     return x.meet(y)
 
 
 def graph_distance(x, y) -> int:
-    """Edge count between two vertices: phi(x) + phi(y) - 2 phi(x ^ y)."""
+    """Edge count between two vertices: phi(x) + phi(y) - 2 phi(x ^ y),
+    from the meet's height alone (no meet vertex is built)."""
     if not (x.is_vertex and y.is_vertex):
         raise TypeError("graph_distance takes vertices")
-    return x.height + y.height - 2 * meet(x, y).height
+    same_realization(x, y)
+    return x.height + y.height - 2 * x.meet_height(y)
 
 
 def theta(a, b) -> Fraction:
-    """Ultrametric q**(-phi(a ^ b)); zero when the operands coincide."""
+    """Ultrametric q**(-phi(a ^ b)) from the meet's height alone; zero when
+    the operands are equal or are ends that coincide exactly."""
     if a is OMEGA or b is OMEGA:
         raise OmegaOperand("theta with the top end is undefined")
     same_realization(a, b)
-    if a == b or not (a.is_vertex or b.is_vertex) and a.coincides(b):
-        return Fraction(0)
-    m = meet(a, b)
-    return _scale(m.degree, m.height)
+    h = None if a == b else a.meet_height(b)
+    return Fraction(0) if h is None else Fraction(a.degree) ** -h
 
 
 # -- serialization -----------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinetree.errors import AffineTreeError, PrecisionExhausted
 from affinetree.group import (
     FIXES_ALL,
     LampAffine,
@@ -24,7 +26,14 @@ from affinetree.group import (
     validate_non_exceptional,
 )
 from affinetree.padic import PAdic
-from affinetree.tree import OMEGA, PadicEnd, origin_lamp, origin_padic
+from affinetree.tree import (
+    OMEGA,
+    PadicEnd,
+    graph_distance,
+    meet,
+    origin_lamp,
+    origin_padic,
+)
 
 
 def aff(t, a, p=2):
@@ -102,7 +111,6 @@ def test_action_is_homomorphism_on_vertices():
 
 
 def test_norm_is_displacement_of_origin():
-    from affinetree.tree import graph_distance
     o = origin_padic(2)
     for g in (aff(0, 2), aff(1, 1), aff(Fraction(3, 4), Fraction(1, 2))):
         assert norm(g) == graph_distance(act_vertex(g, o), o)
@@ -173,3 +181,70 @@ def test_validate_non_exceptional():
 @given(padic_elements())
 def test_norm_symmetry(g):
     assert norm(g) == norm(invert(g))
+
+
+@st.composite
+def limited_padic_elements(draw):
+    """Exact elements, and elements whose t (or a) is known only below
+    some exponent: digits, or zero only to a bound."""
+    p = draw(st.sampled_from([2, 3]))
+    a = PAdic.from_fraction(Fraction(p) ** draw(st.integers(-3, 5))
+                            * draw(st.sampled_from([1, -1, Fraction(1, 5)])),
+                            p)
+    t = PAdic.from_fraction(draw(small), p)
+    if draw(st.booleans()):
+        t = t.with_known_exponent(draw(st.integers(-4, 7)))
+    if draw(st.booleans()):
+        a = a.with_known_exponent(a.valuation + draw(st.integers(1, 6)))
+    return PadicAffine(t, a)
+
+
+@st.composite
+def limited_lamp_elements(draw):
+    """Lamp elements, known everywhere or only up to a position."""
+    lamps = tuple((pos, draw(st.integers(1, 2)))
+                  for pos in draw(st.sets(st.integers(-5, 5), max_size=4)))
+    known = draw(st.one_of(st.none(), st.integers(-6, 6)))
+    return LampAffine(3, lamps, draw(st.integers(-4, 4)), known)
+
+
+def _outcome(f):
+    """f(), or the type and message of the package error it raises."""
+    try:
+        return f()
+    except AffineTreeError as exc:
+        return type(exc), str(exc)
+
+
+def _distance_through_meet(g):
+    o = g.origin()
+    x = act_vertex(g, o)
+    return x.height + o.height - 2 * meet(x, o).height
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(limited_padic_elements(), limited_lamp_elements()))
+def test_norm_matches_distance_of_the_image(g):
+    o = g.origin()
+    want = _outcome(lambda: graph_distance(act_vertex(g, o), o))
+    assert _outcome(lambda: norm(g)) == want
+    assert _outcome(lambda: _distance_through_meet(g)) == want
+
+
+@pytest.mark.parametrize("g", [
+    PadicAffine(PAdic.from_int(1, 2).with_known_exponent(1),
+                PAdic.from_int(8, 2)),
+    PadicAffine(PAdic.zero(2, 1), PAdic.from_int(8, 2)),
+    LampAffine(2, ((0, 1),), 3, known_to=1),
+], ids=["t-digits-below-phi", "t-zero-to-a-bound", "lamps-known-below-shift"])
+def test_norm_raises_where_the_image_is_not_known(g):
+    for f in (lambda: norm(g), lambda: act_vertex(g, g.origin())):
+        with pytest.raises(PrecisionExhausted):
+            f()
+
+
+def test_lamp_norm():
+    # g o sits at height 2 with a lamp at -1: it meets o at height -2
+    g = LampAffine(2, ((-1, 1), (2, 1)), 2)
+    assert norm(g) == 2 + 0 - 2 * -2 == _distance_through_meet(g)
+    assert norm(LampAffine(2, (), -3)) == 3

@@ -178,4 +178,41 @@ def test_exact_path_matches_modular_path(a, b, p):
         except PrecisionExhausted:
             continue   # cancellation the exact path does not suffer
         assert m.exact is None or m.is_exact_zero
-        assert out.eq_to_precision(m)
+        assert (out - m).is_zero
+
+
+def test_exact_values_compare_as_rationals():
+    # equal on the 48 working digits, yet different rationals
+    x, y = PAdic.from_fraction(1, 2), PAdic.from_fraction(1 + 2 ** 50, 2)
+    assert _digit_fields(x) == _digit_fields(y)
+    assert x != y and x == PAdic.from_rational(2, 2, 2)
+    # a digit value equal to both compares on the digits
+    assert _digit_copy(x) == x and _digit_copy(x) == y
+
+
+def _value_of_form(a, p, form):
+    """The rational a as an exact value, its digit copy, or its digits
+    known to six places."""
+    x = PAdic.from_fraction(a, p)
+    if form == "digits":
+        return _digit_copy(x)
+    if form == "short":
+        return x.with_known_exponent(6 if x.is_zero else x.valuation + 6)
+    return x
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+forms = st.sampled_from(["exact", "digits", "short"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3]), small_rationals, st.integers(0, 1), forms,
+       small_rationals, st.integers(0, 1), forms)
+def test_equal_values_hash_equal(p, a, ka, form_a, b, kb, form_b):
+    # ka, kb add p**50: a change beyond the working digits
+    a, b = a + ka * Fraction(p) ** 50, b + kb * Fraction(p) ** 50
+    x, y = _value_of_form(a, p, form_a), _value_of_form(b, p, form_b)
+    if x == y:
+        assert hash(x) == hash(y)
+    if form_a == form_b == "exact":
+        assert (x == y) == (a == b)

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetree.errors import IndistinguishableAtPrecision, MalformedSyntax
+from affinetree.errors import (
+    AffineTreeError,
+    IndistinguishableAtPrecision,
+    MalformedSyntax,
+)
 from affinetree.padic import PAdic
 from affinetree.tree import (
     OMEGA,
@@ -187,3 +191,93 @@ def test_meet_height_bounds_both_heights(h, k):
     m = meet(x, y)
     assert m.height <= min(x.height, y.height)
     assert m == meet(y, x)
+
+
+def test_theta_tells_apart_ends_beyond_the_working_digits():
+    # the two values share their 48 working digits but not their rationals
+    a, b = pend(1), pend(1 + 2 ** 50)
+    assert theta(a, b) == (a.value - b.value).norm() == Fraction(1, 2 ** 50)
+    assert meet(a, b).height == a.meet_height(b) == 50
+
+
+def _padic_point(draw, p, vertex):
+    if vertex:
+        return PadicVertex(p, draw(st.integers(-3, 4)),
+                           Fraction(draw(st.integers(0, p ** 5)), p ** 2))
+    # few values, so that ends often agree or coincide
+    value = PAdic.from_fraction(Fraction(draw(st.integers(-6, 6)), p ** 2)
+                                + draw(st.integers(0, 1)) * p ** 50, p)
+    if draw(st.booleans()):
+        value = value.with_known_exponent(draw(st.integers(-3, 6)))
+    return PadicEnd(value)
+
+
+def _lamp_point(draw, q, vertex):
+    lamps = tuple((pos, draw(st.integers(1, q - 1)))
+                  for pos in draw(st.sets(st.integers(-3, 4), max_size=3)))
+    top = draw(st.integers(-3, 5))
+    return LampVertex(q, top, lamps) if vertex else LampEnd(q, top, lamps)
+
+
+@st.composite
+def point_pairs(draw, vertices):
+    """Two points of one realization; ``vertices`` says which are
+    vertices."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3]))
+        return tuple(_padic_point(draw, p, v) for v in vertices)
+    q = draw(st.sampled_from([2, 3]))
+    return tuple(_lamp_point(draw, q, v) for v in vertices)
+
+
+def _outcome(f):
+    """f(), or the type and upper bound of the package error it raises."""
+    try:
+        return f()
+    except AffineTreeError as exc:
+        return type(exc), getattr(exc, "upper_bound", None)
+
+
+@pytest.mark.parametrize("vertices", [(True, True), (True, False),
+                                      (False, False)],
+                         ids=["vertex/vertex", "vertex/end", "end/end"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_meet_height_matches_meet(vertices, data):
+    x, y = data.draw(point_pairs(vertices))
+    if x == y:
+        assert theta(x, y) == 0
+    h = _outcome(lambda: x.meet_height(y))
+    m = _outcome(lambda: meet(x, y))
+    if h is None:
+        # ends that coincide exactly: meet raises, theta is zero
+        assert m == (IndistinguishableAtPrecision, 0)
+        assert theta(x, y) == 0
+    elif isinstance(h, tuple):
+        assert m == h
+    else:
+        assert m.height == h
+        if x != y:
+            assert theta(x, y) == Fraction(x.degree) ** -h
+        if x.is_vertex and y.is_vertex:
+            assert graph_distance(x, y) == x.height + y.height - 2 * h
+            # the highest common ancestor, found by climbing
+            assert h == next(k for k in range(min(x.height, y.height), -20, -1)
+                             if _ancestor(x, k) == _ancestor(y, k))
+        elif x.is_vertex:
+            assert end_in_disc(y, _ancestor(x, h))
+
+
+def _ancestor(v, height):
+    while v.height > height:
+        v = v.father()
+    return v
+
+
+def test_end_known_to_a_vertex_height_meets_it_there():
+    v = PadicVertex(2, 3, Fraction(5))
+    e = PadicEnd(PAdic.from_int(5, 2).with_known_exponent(3))
+    assert v.meet_height(e) == 3 and meet(v, e) == v
+    assert theta(e, v) == Fraction(1, 8)
+    with pytest.raises(IndistinguishableAtPrecision):
+        v.son(1).meet_height(e)
