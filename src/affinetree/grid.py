@@ -31,22 +31,12 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import PrecisionExhausted
-from .group import LampAffine, PadicAffine, act_end, phi
+from .group import LampAffine, PadicAffine, act_end
 from .padic import PAdic, PrecisionBudget, int_valuation
 from .tree import OMEGA, end_in_disc, same_realization
 
 BATCH_ROWS = 128      # walks of a batch (``blocks``) walked together
 BATCH_COLS = 128      # steps each of them draws at a time
-
-
-def split(x: Fraction, p: int):
-    """(num, e) with x == num·p**e and e <= 0, or None when the
-    denominator of x is not a power of p."""
-    den = x.denominator
-    if den == 1:
-        return x.numerator, 0
-    dv = int_valuation(den, p) if den % p == 0 else 0
-    return (x.numerator, -dv) if den == p ** dv else None
 
 
 @dataclass(frozen=True)
@@ -78,16 +68,13 @@ class GridLaw:
         not a positive integer unit times a power of p or its translation
         is off the grid."""
         same_realization(self, g)
-        t, a = g.t.exact, g.a.exact
-        if t is None or a is None:
+        t, a = g.t, g.a
+        if t.den != 1 or a.den != 1 or a.num < 0:
             return None
-        p = self.prime
-        s = phi(g)
-        u = a * p ** -s if s <= 0 else a / p ** s
-        tt = split(t, p)
-        if u.denominator != 1 or u <= 0 or tt is None:
-            return None
-        return s, int(u), *tt
+        v = t.valuation or 0           # None for t == 0
+        if v >= 0:
+            return a.valuation, a.num, t.num * self.prime ** v, 0
+        return a.valuation, a.num, t.num, v
 
     def sum(self, num, floor, n, e):
         """(num', floor') with num'·p**floor' == num·p**floor + n·p**e."""
@@ -110,10 +97,10 @@ class GridLaw:
         """The exact group element of a state (s, u, num, floor)."""
         s, u, num, floor = state
         p, budget = self.prime, self.budget
-        t = Fraction(num * p ** floor) if floor >= 0 else Fraction(num, p ** -floor)
-        a = Fraction(u * p ** s) if s >= 0 else Fraction(u, p ** -s)
-        return PadicAffine(PAdic.from_fraction(t, p, budget),
-                           PAdic.from_fraction(a, p, budget))
+        w = int_valuation(num, p) if num else 0
+        return PadicAffine(
+            PAdic._of_exact(p, floor + w, num // p ** w, 1, budget),
+            PAdic._of_exact(p, s, u, 1, budget))
 
     def point(self, end):
         """(end, valuation, unit, digits) of a boundary point, the unit cut
@@ -121,15 +108,17 @@ class GridLaw:
         with valuation None."""
         same_realization(self, end)
         x = end.value
-        if x.exact is not None or x.is_zero:
+        if x.den is not None or x.is_zero:
             return end, None, 0, 0
         # a·x keeps the digits of the shorter operand; a is exact
         prec = min(x.precision, self.budget.working)
         return end, x.valuation, x.unit % self.prime ** prec, prec
 
     def digits(self, disc):
-        """(num, floor) of a disc's center."""
-        return split(disc.center, self.prime)
+        """(num, floor) of a disc's center, floor <= 0: its denominator
+        is a power of p."""
+        c = disc.center
+        return c.numerator, -int_valuation(c.denominator, self.prime)
 
     def image_key(self, point, s, t, h):
         """The key at depth h - s of x + t, for the ``point`` x and t =

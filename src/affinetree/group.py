@@ -39,6 +39,7 @@ from .tree import (
     origin_lamp,
     origin_padic,
     same_realization,
+    sorted_lamps,
 )
 
 
@@ -80,7 +81,7 @@ class PadicAffine:
         """d(g o, o) = phi - 2 min(0, phi, v(t)): g o is the disc of t at
         height phi, which meets o at min(0, phi, v(t))."""
         h, t = self.phi, self.t
-        if t.exact is None:
+        if t.den is None:
             t.residue(h)  # raises where act_vertex(g, o) does
         return h - 2 * (min(0, h) if t.is_zero else min(0, h, t.valuation))
 
@@ -189,13 +190,8 @@ class LampAffine:
     phi = property(attrgetter("shift"))
 
     def __post_init__(self):
-        lamps = tuple(sorted((p, v % self.q) for p, v in self.lamps
-                             if v % self.q != 0))
-        if self.known_to is not None:
-            lamps = tuple((p, v) for p, v in lamps if p <= self.known_to)
-        if len({p for p, _ in lamps}) != len(lamps):
-            raise ValueError("duplicate lamp positions")
-        object.__setattr__(self, "lamps", lamps)
+        object.__setattr__(self, "lamps",
+                           sorted_lamps(self.lamps, self.q, self.known_to))
 
     def _shifted_sum(self, lamps) -> tuple:
         """This element's lamps plus ``lamps`` moved by its shift."""

@@ -1,11 +1,15 @@
-"""Bounded-precision arithmetic in the field of p-adic numbers.
+"""Exact and bounded-precision arithmetic in the field of p-adic numbers.
 
-A value is stored as ``unit * p**valuation`` where ``unit`` is an integer
-coprime to ``p`` known modulo ``p**precision``.  Every operation tracks how
-many significant base-p digits survive; cancellation raises the valuation
-and shrinks the precision instead of fabricating digits.  A value that is
-congruent to zero modulo everything we know is kept in a distinct
-"zero to precision" state rather than being promoted to a true zero.
+An exact value, a rational, is stored as the integers (v, n, d) with
+value p**v·n/d, n and d prime to p and to each other and d > 0, so
+its arithmetic is integer arithmetic and its valuation a field read.
+Any other value is stored as ``unit * p**valuation`` where ``unit`` is an
+integer coprime to ``p`` known modulo ``p**precision``.  Every operation
+on such values tracks how many significant base-p digits survive;
+cancellation raises the valuation and shrinks the precision instead of
+fabricating digits.  A value that is congruent to zero modulo everything
+we know is kept in a distinct "zero to precision" state rather than being
+promoted to a true zero.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 
 from .errors import (
@@ -87,40 +92,31 @@ def fraction_truncate(value, p: int, exponent: int) -> Fraction:
     Keeps the base-p digits at exponents below ``exponent``; the result is
     a nonnegative fraction whose denominator is a power of p.
     """
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value == 0:
-        return Fraction(0)
-    den = value.denominator
-    dv = int_valuation(den, p) if den % p == 0 else 0
-    modexp = exponent + dv
-    if modexp <= 0:
-        return Fraction(0)
-    den_unit = den // p ** dv
-    mod = p ** modexp
-    kept = value.numerator * pow(den_unit, -1, mod) % mod
-    return Fraction(kept, p ** dv)
+    return PAdic.from_fraction(value, p).residue(exponent)
 
 
-_DIGIT_FIELDS = ("zero_bound", "valuation", "unit", "precision")
-_digit_fields = attrgetter("prime", *_DIGIT_FIELDS)
+_digit_fields = attrgetter("prime", "zero_bound", "valuation", "unit",
+                           "precision")
+_exact_fields = attrgetter("prime", "valuation", "num", "den")
 
 
 class PAdic:
     """An element of Q_p, exact or known to finitely many significant digits.
 
-    Immutable.  A value whose rational ``exact`` is known keeps just that
-    rational and never loses digits: its ``valuation``, ``unit``,
-    ``precision`` and ``zero_bound`` are those of ``from_rational(exact)``
-    at working precision, worked out the first time they are read.
-    Any other value keeps truncated digits: ``unit`` modulo
-    ``p**precision``, or, when the value is indistinguishable from zero,
-    ``zero_bound`` (and no ``unit``/``valuation``): it is then only known
-    to be divisible by ``p**zero_bound`` (``None`` means exactly zero).
+    Immutable.  An exact value is p**valuation·num/den in ints, with
+    ``num`` and ``den`` prime to p and to each other and ``den`` > 0
+    (``num`` 0 and ``valuation`` None for zero).  It never loses digits:
+    its ``unit`` and ``precision`` are those of its expansion at working
+    precision, worked out the first time they are read.
+    Any other value has ``den`` None and keeps truncated digits: ``unit``
+    modulo ``p**precision``, or, when the value is indistinguishable from
+    zero, ``zero_bound`` (and no ``unit``/``valuation``): it is then only
+    known to be divisible by ``p**zero_bound`` (``None`` means exactly
+    zero).  An exact value never equals one of truncated digits.
     """
 
     __slots__ = ("prime", "valuation", "unit", "precision", "zero_bound",
-                 "budget", "exact")
+                 "budget", "num", "den")
 
     def __init__(self, prime, valuation, unit, precision, *, zero_bound=False,
                  budget=DEFAULT_BUDGET, _checked=False):
@@ -133,46 +129,38 @@ class PAdic:
                 unit %= prime ** precision
                 if unit % prime == 0:
                     raise ValueError("unit must be coprime to p")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "zero_bound", zero_bound)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "exact", None)
+        _set_prime(self, prime)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_precision(self, precision)
+        _set_zero_bound(self, zero_bound)
+        _set_budget(self, budget)
+        _set_num(self, None)
+        _set_den(self, None)
 
     @classmethod
-    def _of_exact(cls, prime, exact, budget):
-        """The exact value ``exact`` (a Fraction); its digit fields are
-        worked out from the rational when they are first read."""
+    def _of_exact(cls, prime, v, n, d, budget):
+        """The exact value p**v·n/d of ints n, d prime to p and to each
+        other, d > 0; zero for n == 0."""
         self = object.__new__(cls)
         _set_prime(self, prime)
         _set_budget(self, budget)
-        _set_exact(self, exact)
+        _set_num(self, n)
+        _set_den(self, d if n else 1)
+        _set_valuation(self, v if n else None)
+        _set_zero_bound(self, False if n else None)
         return self
 
     def __getattr__(self, name):
         # called only for unset slots: the digit fields of an exact value
-        # that were not read before
-        if name not in _DIGIT_FIELDS or self.exact is None:
+        # that were not read before (no digits and unit None for zero)
+        if name not in ("unit", "precision") or self.den is None:
             raise AttributeError(name)
-        exact = self.exact
-        if not exact:
-            value = 0 if name == "precision" else None
-        elif name == "zero_bound":
-            value = False
-        elif name == "precision":
-            value = self.budget.working
-        else:
-            p, num, den = self.prime, exact.numerator, exact.denominator
-            vn, vd = int_valuation(num, p), int_valuation(den, p)
-            if name == "valuation":
-                value = vn - vd
-            else:
-                mod = p ** self.budget.working
-                value = num // p ** vn * pow(den // p ** vd, -1, mod) % mod
-        object.__setattr__(self, name, value)
-        return value
+        prec = self.budget.working if self.num else 0
+        mod = self.prime ** prec
+        _set_precision(self, prec)
+        _set_unit(self, self.num * pow(self.den, -1, mod) % mod or None)
+        return getattr(self, name)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("PAdic values are immutable")
@@ -183,7 +171,7 @@ class PAdic:
     def zero(cls, prime, bound=None, budget=DEFAULT_BUDGET):
         """Zero, or 'divisible by p**bound' when bound is an int."""
         if bound is None:
-            return cls._of_exact(prime, Fraction(0), budget)
+            return cls._of_exact(prime, 0, 0, 1, budget)
         return cls(prime, None, None, 0, zero_bound=bound, budget=budget,
                    _checked=True)
 
@@ -193,30 +181,44 @@ class PAdic:
 
     @classmethod
     def from_rational(cls, num, den, prime, budget=DEFAULT_BUDGET):
-        """Exact rational num/den embedded in Q_p at working precision."""
+        """Exact rational num/den (ints) embedded in Q_p."""
         if den == 0:
             raise ZeroDenominator("denominator is zero")
-        return cls.from_fraction(Fraction(num, den), prime, budget)
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den, v = num // g, den // g, 0
+        if num % prime == 0 and num:
+            v = int_valuation(num, prime)
+            num //= prime ** v
+        elif den % prime == 0:
+            v = -int_valuation(den, prime)
+            den //= prime ** -v
+        return cls._of_exact(prime, v, num, den, budget)
 
     @classmethod
     def from_fraction(cls, frac, prime, budget=DEFAULT_BUDGET):
-        if not is_prime(prime):
-            raise ValueError(f"{prime} is not prime")
-        if not isinstance(frac, Fraction):
-            frac = Fraction(frac)
-        return cls._of_exact(prime, frac, budget)
+        """Exact rational ``frac`` (a Fraction or an int) embedded in Q_p."""
+        return cls.from_rational(frac.numerator, frac.denominator, prime,
+                                 budget)
 
     # -- predicates and views ----------------------------------------------
 
     @property
+    def exact(self):
+        """The value as a Fraction; None unless it is exact."""
+        if self.den is not None:
+            p, v = self.prime, self.valuation or 0
+            return Fraction(self.num * p ** max(v, 0),
+                            self.den * p ** max(-v, 0))
+
+    @property
     def is_zero(self) -> bool:
-        if self.exact is not None:
-            return not self.exact
         return self.zero_bound is not False
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.zero_bound is None and self.is_zero
+        return self.zero_bound is None
 
     @property
     def known_exponent(self):
@@ -233,7 +235,8 @@ class PAdic:
         """
         if self.is_zero:
             return Fraction(0)
-        return Fraction(self.prime) ** -self.valuation
+        p, v = self.prime, self.valuation
+        return Fraction(p ** max(-v, 0), p ** max(v, 0))
 
     def digits(self):
         """Significant base-p digits, least significant first; d0 != 0."""
@@ -252,23 +255,19 @@ class PAdic:
         below ``exponent``, as an exact Fraction in [0, ...).  Errors when
         the expansion is not known that far.
         """
-        p = self.prime
-        if self.exact is not None:
-            return fraction_truncate(self.exact, p, exponent)
-        if self.is_zero:
-            if self.zero_bound is None or self.zero_bound >= exponent:
-                return Fraction(0)
-            raise PrecisionExhausted(
-                f"zero only known modulo p^{self.zero_bound}, need p^{exponent}")
-        if self.valuation >= exponent:
+        p, v, n, d = self.prime, self.valuation, self.num, self.den
+        if d is None:                        # digits, or zero to precision
+            known = self.known_exponent
+            if known is not None and known < exponent:
+                raise PrecisionExhausted(
+                    f"{'zero only' if self.is_zero else 'value'} known "
+                    f"modulo p^{known}, need p^{exponent}")
+            n, d = self.unit, 1
+        if not n or v >= exponent:
             return Fraction(0)
-        if self.valuation + self.precision < exponent:
-            raise PrecisionExhausted(
-                f"value known modulo p^{self.valuation + self.precision}, "
-                f"need p^{exponent}")
-        trunc = self.unit % p ** (exponent - self.valuation)
-        return Fraction(trunc * p ** self.valuation) if self.valuation >= 0 \
-            else Fraction(trunc, p ** -self.valuation)
+        mod = p ** (exponent - v)
+        kept = n * pow(d, -1, mod) % mod
+        return Fraction(kept * p ** v) if v >= 0 else Fraction(kept, p ** -v)
 
     def with_known_exponent(self, exponent: int) -> "PAdic":
         """Forget digits at and above ``exponent`` (weaken the knowledge).
@@ -298,9 +297,30 @@ class PAdic:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _plus(self, v, n, d):
+        """This exact value plus the exact p**v·n/d: the sum of the
+        fractions over the lower valuation, as ``Fraction`` adds them."""
+        p, v1, n1, d1 = self.prime, self.valuation, self.num, self.den
+        if not (n and n1):
+            return PAdic._of_exact(p, v, n, d, self.budget) if n else self
+        if v < v1:
+            n1 *= p ** (v1 - v)
+        elif v > v1:
+            n, v = n * p ** (v - v1), v1
+        g = gcd(d1, d)
+        s = d1 // g
+        t = n1 * (d // g) + n * s
+        g = gcd(t, g)
+        n, d = t // g, s * (d // g)
+        if n % p == 0 and n:
+            w = int_valuation(n, p)
+            n, v = n // p ** w, v + w
+        return PAdic._of_exact(p, v, n, d, self.budget)
+
     def __neg__(self):
-        if self.exact is not None:
-            return PAdic._of_exact(self.prime, -self.exact, self.budget)
+        if self.den is not None:
+            return PAdic._of_exact(self.prime, self.valuation, -self.num,
+                                   self.den, self.budget)
         if self.is_zero:
             return self
         return PAdic(self.prime, self.valuation,
@@ -309,9 +329,8 @@ class PAdic:
 
     def __add__(self, other):
         self._require_same(other)
-        if self.exact is not None and other.exact is not None:
-            return PAdic._of_exact(self.prime, self.exact + other.exact,
-                                   self.budget)
+        if self.den is not None and other.den is not None:
+            return self._plus(other.valuation, other.num, other.den)
         p, budget = self.prime, self.budget
         kx, ky = self.known_exponent, other.known_exponent
         if self.is_zero and other.is_zero:
@@ -347,16 +366,21 @@ class PAdic:
 
     def __sub__(self, other):
         self._require_same(other)
-        if self.exact is not None and other.exact is not None:
-            return PAdic._of_exact(self.prime, self.exact - other.exact,
-                                   self.budget)
+        if self.den is not None and other.den is not None:
+            return self._plus(other.valuation, -other.num, other.den)
         return self + (-other)
 
     def __mul__(self, other):
         self._require_same(other)
         p, budget = self.prime, self.budget
-        if self.exact is not None and other.exact is not None:
-            return PAdic._of_exact(p, self.exact * other.exact, budget)
+        if self.den is not None and other.den is not None:
+            n1, n2, d1, d2 = self.num, other.num, self.den, other.den
+            if not (n1 and n2):
+                return PAdic._of_exact(p, 0, 0, 1, budget)
+            g1, g2 = gcd(n1, d2), gcd(n2, d1)
+            return PAdic._of_exact(p, self.valuation + other.valuation,
+                                   n1 // g1 * (n2 // g2),
+                                   d1 // g2 * (d2 // g1), budget)
         if self.is_zero or other.is_zero:
             if self.is_exact_zero or other.is_exact_zero:
                 return PAdic.zero(p, None, budget)
@@ -376,11 +400,14 @@ class PAdic:
     def inverse(self):
         if self.is_zero:
             raise DivisionByZero("cannot invert a (to-precision) zero")
-        if self.exact is not None:
-            return PAdic._of_exact(self.prime, 1 / self.exact, self.budget)
-        p, prec = self.prime, self.precision
+        p, budget = self.prime, self.budget
+        if self.den is not None:
+            n, d = (self.num, self.den) if self.num > 0 \
+                else (-self.num, -self.den)
+            return PAdic._of_exact(p, -self.valuation, d, n, budget)
+        prec = self.precision
         unit = pow(self.unit % p ** prec, -1, p ** prec)
-        return PAdic(p, -self.valuation, unit, prec, budget=self.budget,
+        return PAdic(p, -self.valuation, unit, prec, budget=budget,
                      _checked=True)
 
     def __truediv__(self, other):
@@ -391,7 +418,7 @@ class PAdic:
     def render(self) -> str:
         """Log/CSV form: the exact rational when known, else the digit form
         "p^v * (d0.d1...)_p"; to-precision zero as "0 (mod p^k)"."""
-        if self.exact is not None:
+        if self.den is not None:
             return str(self.exact)
         if self.is_zero:
             if self.zero_bound is None:
@@ -405,20 +432,21 @@ class PAdic:
     def __eq__(self, other):
         if not isinstance(other, PAdic):
             return NotImplemented
-        if self.exact is None or other.exact is None:
-            return _digit_fields(self) == _digit_fields(other)
-        return self.prime == other.prime and self.exact == other.exact
+        if self.den is None:
+            return other.den is None \
+                and _digit_fields(self) == _digit_fields(other)
+        return _exact_fields(self) == _exact_fields(other)
 
     def __hash__(self):
-        # what equal values share, whether they are exact or not
+        # what equal values share
         return hash((self.prime, self.valuation, self.zero_bound))
 
 
-# Slot setters that bypass the immutability guard, to build exact values
-# without the cost of object.__setattr__.
-_set_prime = PAdic.__dict__["prime"].__set__
-_set_budget = PAdic.__dict__["budget"].__set__
-_set_exact = PAdic.__dict__["exact"].__set__
+# Slot setters that bypass the immutability guard, cheaper than
+# object.__setattr__.
+(_set_prime, _set_valuation, _set_unit, _set_precision, _set_zero_bound,
+ _set_budget, _set_num, _set_den) = (PAdic.__dict__[name].__set__
+                                     for name in PAdic.__slots__)
 
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)\s*(?:/\s*(\d+))?$")

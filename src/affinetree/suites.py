@@ -88,9 +88,9 @@ def _random_element(cfg, rng, atoms, inverses):
         g = a if g is None else compose(g, a)
     if cfg.kind == "padic":
         # extra translation so elements are not confined to the law's span
-        t = Fraction(int(rng.integers(-64, 65)), cfg.prime ** 2)
-        g = compose(g, PadicAffine(PAdic.from_fraction(t, cfg.prime, cfg.budget),
-                                   PAdic.from_int(1, cfg.prime, cfg.budget)))
+        t = PAdic.from_rational(int(rng.integers(-64, 65)), cfg.prime ** 2,
+                                cfg.prime, cfg.budget)
+        g = compose(g, PadicAffine(t, PAdic.from_int(1, cfg.prime, cfg.budget)))
     return g
 
 
@@ -106,8 +106,9 @@ def _random_vertex(cfg, rng):
 
 def _random_end(cfg, rng):
     if cfg.kind == "padic":
-        val = Fraction(int(rng.integers(0, cfg.prime ** 12)), cfg.prime ** 4)
-        return PadicEnd(PAdic.from_fraction(val, cfg.prime, cfg.budget))
+        return PadicEnd(PAdic.from_rational(
+            int(rng.integers(0, cfg.prime ** 12)), cfg.prime ** 4, cfg.prime,
+            cfg.budget))
     vals = tuple((pos, int(rng.integers(0, cfg.q)))
                  for pos in range(-4, cfg.end_window + 1) if rng.random() < 0.3)
     return LampEnd(cfg.q, cfg.end_window, vals)

@@ -99,6 +99,17 @@ class _PadicPoint:
                                       self.value_and_cap()[0].residue(h))
 
 
+def sorted_lamps(lamps, q, top) -> tuple:
+    """``lamps`` ((pos, val), ...) with values modulo q, sorted by
+    position, without zero lamps or lamps above ``top`` (None: no top);
+    raises ``ValueError`` for a position given twice."""
+    out = tuple(sorted((p, v % q) for p, v in lamps
+                       if v % q and (top is None or p <= top)))
+    if len(dict(out)) != len(out):
+        raise ValueError("duplicate lamp positions")
+    return out
+
+
 class _LampPoint:
     """What lamp vertices and ends share: nonzero ``lamps`` known on the
     positions up to ``known_to``."""
@@ -183,11 +194,8 @@ class LampVertex(_LampPoint):
     known_to = property(attrgetter("height"))
 
     def __post_init__(self):
-        lamps = tuple(sorted((p, v % self.q) for p, v in self.lamps
-                             if v % self.q != 0 and p <= self.height))
-        if len({p for p, _ in lamps}) != len(lamps):
-            raise ValueError("duplicate lamp positions")
-        object.__setattr__(self, "lamps", lamps)
+        object.__setattr__(self, "lamps",
+                           sorted_lamps(self.lamps, self.q, self.height))
 
     def father(self) -> "LampVertex":
         return LampVertex(self.q, self.height - 1, self.lamps)
@@ -216,7 +224,7 @@ class PadicEnd(_PadicPoint):
 
     @property
     def is_exact(self) -> bool:
-        return self.value.exact is not None
+        return self.value.den is not None
 
     def value_and_cap(self):
         return self.value, None
@@ -255,9 +263,8 @@ class LampEnd(_LampPoint):
     lamps = property(attrgetter("values"))
 
     def __post_init__(self):
-        vals = tuple(sorted((p, v % self.q) for p, v in self.values
-                            if v % self.q != 0 and p <= self.known_to))
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           sorted_lamps(self.values, self.q, self.known_to))
 
     def lamp(self, pos: int) -> int:
         if pos > self.known_to:
@@ -336,8 +343,9 @@ def theta(a, b) -> Fraction:
     if a is OMEGA or b is OMEGA:
         raise OmegaOperand("theta with the top end is undefined")
     same_realization(a, b)
-    h = None if a == b else a.meet_height(b)
-    return Fraction(0) if h is None else Fraction(a.degree) ** -h
+    h, q = None if a == b else a.meet_height(b), a.degree
+    return Fraction(0) if h is None else Fraction(q ** max(-h, 0),
+                                                  q ** max(h, 0))
 
 
 # -- serialization -----------------------------------------------------------

@@ -119,14 +119,30 @@ rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rationals, rationals, st.sampled_from([2, 3, 5]))
-def test_field_ops_match_exact_rationals(a, b, p):
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, st.sampled_from([2, 3, 5]),
+       st.sampled_from([-50, 0, 50]), st.sampled_from([-50, 0, 50]),
+       st.integers(-70, 70))
+def test_field_ops_match_exact_rationals(a, b, p, ka, kb, e):
+    # scaling by p**±50 changes an operand beyond the 48 working digits
+    a, b = a * Fraction(p) ** ka, b * Fraction(p) ** kb
     x, y = PAdic.from_fraction(a, p), PAdic.from_fraction(b, p)
-    assert (x + y).exact == a + b
-    assert (x * y).exact == a * b
-    assert (x - y).exact == a - b
-    assert (-x).exact == -a
+    cases = [(x + y, a + b), (x * y, a * b), (x - y, a - b), (-x, -a)]
+    if a:
+        cases.append((x.inverse(), 1 / a))
+    if b:
+        cases.append((x / y, a / b))
+    for out, want in cases:
+        # the same rational, kept in the same lowest terms
+        assert out.exact == want and out == PAdic.from_fraction(want, p)
+    r = x.residue(e)
+    assert r == fraction_truncate(a, p, e)
+    assert 0 <= r < Fraction(p) ** e
+    assert r == a or int_valuation((a - r).numerator, p) \
+        - int_valuation((a - r).denominator, p) >= e
+    if a:
+        u = a / Fraction(p) ** x.valuation
+        assert u.numerator % p and u.denominator % p
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,8 +202,11 @@ def test_exact_values_compare_as_rationals():
     x, y = PAdic.from_fraction(1, 2), PAdic.from_fraction(1 + 2 ** 50, 2)
     assert _digit_fields(x) == _digit_fields(y)
     assert x != y and x == PAdic.from_rational(2, 2, 2)
-    # a digit value equal to both compares on the digits
-    assert _digit_copy(x) == x and _digit_copy(x) == y
+    # a digit value never equals an exact one, so equality stays
+    # transitive and a set's size does not hang on insertion order
+    d = _digit_copy(x)
+    assert d != x and d != y and d == _digit_copy(y)
+    assert len({x, d, y}) == len({d, x, y}) == 3
 
 
 def _value_of_form(a, p, form):

@@ -11,6 +11,7 @@ from affinetree.errors import (
     IndistinguishableAtPrecision,
     MalformedSyntax,
 )
+from affinetree.group import LampAffine
 from affinetree.padic import PAdic
 from affinetree.tree import (
     OMEGA,
@@ -136,6 +137,16 @@ def test_lamp_end_window_query():
     assert e.lamp(1) == 1 and e.lamp(0) == 0
     with pytest.raises(IndistinguishableAtPrecision):
         e.lamp(6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda lamps: LampEnd(3, 5, lamps), lambda lamps: LampVertex(3, 5, lamps),
+    lambda lamps: LampAffine(3, lamps, 0)])
+def test_lamp_positions_given_twice_raise(make):
+    with pytest.raises(ValueError, match="duplicate lamp positions"):
+        make(((1, 1), (1, 2)))
+    # a zero lamp is dropped before the check
+    assert make(((1, 3), (1, 2))).lamps == ((1, 2),)
 
 
 def test_lamp_discs_at_one_height_do_not_overlap():

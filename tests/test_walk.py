@@ -396,6 +396,19 @@ def _outcome(fn):
         return "precision exhausted"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(-60, 60),
+       st.integers(1, 10 ** 20), st.integers(-10 ** 20, 10 ** 20),
+       st.integers(-60, 0))
+def test_engine_form_round_trips(p, s, u, num, floor):
+    # a state as ``start`` gives it: a unit u prime to p, and num prime to
+    # p unless floor is 0
+    assume(u % p and (floor == 0 or num % p))
+    grid = GridLaw(p, ((0, 0, 1),), DEFAULT_BUDGET, np.array([1.0]))
+    state = (s, u, num, floor)
+    assert grid.start(grid.element(state)) == state
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_prefix_in_disc_matches_act_end(data):
