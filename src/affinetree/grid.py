@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PrecisionExhausted
 from .group import LampAffine, PadicAffine, act_end
-from .padic import PAdic, PrecisionBudget, int_valuation
+from .padic import PAdic, PrecisionBudget, int_valuation, residue
 from .tree import OMEGA, end_in_disc, same_realization
 
 BATCH_ROWS = 128      # walks of a batch (``blocks``) walked together
@@ -97,10 +97,8 @@ class GridLaw:
         """The exact group element of a state (s, u, num, floor)."""
         s, u, num, floor = state
         p, budget = self.prime, self.budget
-        w = int_valuation(num, p) if num else 0
-        return PadicAffine(
-            PAdic._of_exact(p, floor + w, num // p ** w, 1, budget),
-            PAdic._of_exact(p, s, u, 1, budget))
+        return PadicAffine(PAdic.from_digits(num, floor, p, budget),
+                           PAdic._of_exact(p, s, u, 1, budget))
 
     def point(self, end):
         """(end, valuation, unit, digits) of a boundary point, the unit cut
@@ -117,8 +115,7 @@ class GridLaw:
     def digits(self, disc):
         """(num, floor) of a disc's center, floor <= 0: its denominator
         is a power of p."""
-        c = disc.center
-        return c.numerator, -int_valuation(c.denominator, self.prime)
+        return disc.num, disc.floor
 
     def image_key(self, point, s, t, h):
         """The key at depth h - s of x + t, for the ``point`` x and t =
@@ -376,21 +373,6 @@ def blocks(grid: GridLaw, read, rows, s0, horizon):
 
 
 # -- integer reads --------------------------------------------------------------
-
-
-def residue(num, floor, h, p):
-    """num·p**floor modulo p**h as (r, e): the canonical residue (the
-    digits below exponent h) is r·p**e, with e <= 0 and p not dividing r
-    when e < 0, so equal residues give equal pairs."""
-    if not num or h <= floor:
-        return 0, 0
-    r = num % p ** (h - floor)
-    if floor >= 0:
-        return r * p ** floor, 0
-    if not r:
-        return 0, 0
-    w = min(int_valuation(r, p), -floor)
-    return r // p ** w, floor + w
 
 
 def vertex_test(grid, sources, targets):

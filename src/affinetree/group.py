@@ -70,9 +70,9 @@ class PadicAffine:
 
     def act_vertex(self, x) -> PadicVertex:
         h = x.height + self.phi
-        c = self.a * PAdic.from_fraction(x.center, self.prime, self.a.budget) \
-            + self.t
-        return PadicVertex._canonical(self.prime, h, c.residue(h))
+        c = self.a * PAdic.from_digits(x.num, x.floor, self.prime,
+                                       self.a.budget) + self.t
+        return PadicVertex(self.prime, h, *c.residue_pair(h))
 
     def act_end(self, e) -> PadicEnd:
         return PadicEnd(self.a * e.value + self.t)

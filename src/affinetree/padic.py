@@ -86,13 +86,19 @@ class PrecisionBudget:
 DEFAULT_BUDGET = PrecisionBudget()
 
 
-def fraction_truncate(value, p: int, exponent: int) -> Fraction:
-    """Canonical representative of a rational modulo p**exponent.
-
-    Keeps the base-p digits at exponents below ``exponent``; the result is
-    a nonnegative fraction whose denominator is a power of p.
-    """
-    return PAdic.from_fraction(value, p).residue(exponent)
+def residue(num, floor, h, p):
+    """num·p**floor modulo p**h as (r, e): the canonical residue (the
+    digits below exponent h) is r·p**e, with e <= 0 and p not dividing r
+    when e < 0, so equal residues give equal pairs."""
+    if not num or h <= floor:
+        return 0, 0
+    r = num % p ** (h - floor)
+    if floor >= 0:
+        return r * p ** floor, 0
+    if not r:
+        return 0, 0
+    w = min(int_valuation(r, p), -floor)
+    return r // p ** w, floor + w
 
 
 _digit_fields = attrgetter("prime", "zero_bound", "valuation", "unit",
@@ -197,6 +203,12 @@ class PAdic:
         return cls._of_exact(prime, v, num, den, budget)
 
     @classmethod
+    def from_digits(cls, num, floor, prime, budget=DEFAULT_BUDGET):
+        """The exact value num·p**floor of ints; p is taken to be prime."""
+        w = int_valuation(num, prime) if num else 0
+        return cls._of_exact(prime, floor + w, num // prime ** w, 1, budget)
+
+    @classmethod
     def from_fraction(cls, frac, prime, budget=DEFAULT_BUDGET):
         """Exact rational ``frac`` (a Fraction or an int) embedded in Q_p."""
         return cls.from_rational(frac.numerator, frac.denominator, prime,
@@ -249,12 +261,14 @@ class PAdic:
         return out
 
     def residue(self, exponent: int) -> Fraction:
-        """Canonical representative of the value modulo p**exponent.
+        """Canonical representative of the value modulo p**exponent: the
+        digits below ``exponent``, as an exact Fraction in [0, ...).
+        Errors when the expansion is not known that far."""
+        r, e = self.residue_pair(exponent)
+        return Fraction(r, self.prime ** -e)
 
-        The result is the truncation of the digit expansion to exponents
-        below ``exponent``, as an exact Fraction in [0, ...).  Errors when
-        the expansion is not known that far.
-        """
+    def residue_pair(self, exponent: int):
+        """``residue`` as the ints (r, e) of the module's ``residue``."""
         p, v, n, d = self.prime, self.valuation, self.num, self.den
         if d is None:                        # digits, or zero to precision
             known = self.known_exponent
@@ -264,10 +278,10 @@ class PAdic:
                     f"modulo p^{known}, need p^{exponent}")
             n, d = self.unit, 1
         if not n or v >= exponent:
-            return Fraction(0)
+            return 0, 0
         mod = p ** (exponent - v)
-        kept = n * pow(d, -1, mod) % mod
-        return Fraction(kept * p ** v) if v >= 0 else Fraction(kept, p ** -v)
+        kept = n * pow(d, -1, mod) % mod    # prime to p, as n and d are
+        return (kept * p ** v, 0) if v >= 0 else (kept, v)
 
     def with_known_exponent(self, exponent: int) -> "PAdic":
         """Forget digits at and above ``exponent`` (weaken the knowledge).

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 from statistics import NormalDist
 
 import numpy as np
@@ -74,44 +76,56 @@ def _skip(cid, statement, reason):
 
 # -- randomized exact algebra ---------------------------------------------------
 
+_BLOCK = 1000   # cases whose inputs are drawn and held at once
 
-def _random_element(cfg, rng, atoms, inverses):
-    """A product of 1..4 atoms, each inverted with probability 1/2.
 
-    ``inverses[i]`` is ``invert(atoms[i])``; the product starts from its
-    first factor.
-    """
-    g = None
-    for _ in range(int(rng.integers(1, 5))):
-        i = int(rng.integers(0, len(atoms)))
-        a = inverses[i] if rng.random() < 0.5 else atoms[i]
-        g = a if g is None else compose(g, a)
+def _random_element(cfg, rng, factors, n):
+    """n products of 1..4 atoms, each inverted with probability 1/2;
+    ``factors`` lists the atoms, then their inverses."""
+    lengths, half = rng.integers(1, 5, n), len(factors) // 2
+    m = int(lengths.sum())
+    picks = iter((rng.integers(0, half, m)
+                  + half * (rng.random(m) < 0.5)).tolist())
+    out = [reduce(compose, (factors[i] for i in islice(picks, k)))
+           for k in lengths.tolist()]
     if cfg.kind == "padic":
         # extra translation so elements are not confined to the law's span
-        t = PAdic.from_rational(int(rng.integers(-64, 65)), cfg.prime ** 2,
-                                cfg.prime, cfg.budget)
-        g = compose(g, PadicAffine(t, PAdic.from_int(1, cfg.prime, cfg.budget)))
-    return g
+        p, budget = cfg.prime, cfg.budget
+        one = PAdic.from_int(1, p, budget)
+        out = [compose(g, PadicAffine(PAdic.from_digits(t, -2, p, budget),
+                                      one))
+               for g, t in zip(out, rng.integers(-64, 65, n).tolist())]
+    return out
 
 
-def _random_vertex(cfg, rng):
-    h = int(rng.integers(-4, 5))
+def _below_power(rng, p, k, n):
+    """n uniform ints in [0, p**k), from k base-p digits each."""
+    digits = rng.integers(0, p, (n, k), dtype=np.uint64).astype(object)
+    return (digits @ [p ** i for i in range(k)]).tolist()
+
+
+def _random_lamps(rng, q, n, width, rate):
+    """n rows of ``width`` lamps, each lit (uniform mod q) at ``rate``."""
+    lit = rng.random((n, width)) < rate
+    return (rng.integers(0, q, (n, width)) * lit).tolist()
+
+
+def _random_vertex(cfg, rng, n):
+    heights = rng.integers(-4, 5, n).tolist()
     if cfg.kind == "padic":
-        center = Fraction(int(rng.integers(0, cfg.prime ** 8)), cfg.prime ** 4)
-        return PadicVertex(cfg.prime, h, center)
-    lamps = tuple((pos, int(rng.integers(0, cfg.q)))
-                  for pos in range(h - 4, h + 1) if rng.random() < 0.5)
-    return LampVertex(cfg.q, h, lamps)
+        return [PadicVertex(cfg.prime, h, c, -4) for h, c in
+                zip(heights, _below_power(rng, cfg.prime, 8, n))]
+    return [LampVertex(cfg.q, h, tuple(zip(range(h - 4, h + 1), row)))
+            for h, row in zip(heights, _random_lamps(rng, cfg.q, n, 5, 0.5))]
 
 
-def _random_end(cfg, rng):
+def _random_end(cfg, rng, n):
     if cfg.kind == "padic":
-        return PadicEnd(PAdic.from_rational(
-            int(rng.integers(0, cfg.prime ** 12)), cfg.prime ** 4, cfg.prime,
-            cfg.budget))
-    vals = tuple((pos, int(rng.integers(0, cfg.q)))
-                 for pos in range(-4, cfg.end_window + 1) if rng.random() < 0.3)
-    return LampEnd(cfg.q, cfg.end_window, vals)
+        return [PadicEnd(PAdic.from_digits(v, -4, cfg.prime, cfg.budget))
+                for v in _below_power(rng, cfg.prime, 12, n)]
+    known = range(-4, cfg.end_window + 1)
+    return [LampEnd(cfg.q, cfg.end_window, tuple(zip(known, row)))
+            for row in _random_lamps(rng, cfg.q, n, len(known), 0.3)]
 
 
 def algebra_claims(cfg, cases=2000, seed=None):
@@ -123,43 +137,46 @@ def algebra_claims(cfg, cases=2000, seed=None):
                                "norm")}
     skipped_theta = 0
     atoms = cfg.law.atoms
-    inverses = [invert(a) for a in atoms]
+    factors = [*atoms, *map(invert, atoms)]
     ident = identity_like(atoms[0])
     powers = {}     # n -> power(s.element, n)
     r = stream(seed, "algebra.exact")
-    for _ in range(cases):
-        g, h, k = (_random_element(cfg, r, atoms, inverses) for _ in range(3))
-        x, y = _random_vertex(cfg, r), _random_vertex(cfg, r)
-        gh, g_inv = compose(g, h), invert(g)
-        # group axioms
-        ok = elements_agree(compose(gh, k), compose(g, compose(h, k)))
-        ok &= is_identity(compose(g, g_inv))
-        ok &= elements_agree(compose(g, ident), g)
-        if not ok:
-            failures["axioms"] += 1
-        # semidirect decomposition round trip
-        b, n = decompose(g, s)
-        if n not in powers:
-            powers[n] = power(s.element, n)
-        if phi(b) != 0 or n != phi(g) \
-                or not elements_agree(compose(b, powers[n]), g):
-            failures["decomposition"] += 1
-        # meet equivariance
-        if act_vertex(g, meet(x, y)) != meet(act_vertex(g, x), act_vertex(g, y)):
-            failures["meet"] += 1
-        # ultrametric scaling
-        alpha, beta = _random_end(cfg, r), _random_end(cfg, r)
-        try:
-            lhs = theta(act_end(g, alpha), act_end(g, beta))
-            rhs = q ** (-phi(g)) * theta(alpha, beta)
-            if lhs != rhs:
-                failures["theta"] += 1
-        except IndistinguishableAtPrecision:
-            skipped_theta += 1
-        # norm symmetry and subadditivity
-        norm_g = norm(g)
-        if norm_g != norm(g_inv) or norm(gh) > norm_g + norm(h):
-            failures["norm"] += 1
+    for done in range(0, cases, _BLOCK):
+        m = min(_BLOCK, cases - done)
+        inputs = [_random_element(cfg, r, factors, m) for _ in range(3)]
+        inputs += [_random_vertex(cfg, r, m) for _ in range(2)]
+        inputs += [_random_end(cfg, r, m) for _ in range(2)]
+        for g, h, k, x, y, alpha, beta in zip(*inputs):
+            gh, g_inv = compose(g, h), invert(g)
+            # group axioms
+            ok = elements_agree(compose(gh, k), compose(g, compose(h, k)))
+            ok &= is_identity(compose(g, g_inv))
+            ok &= elements_agree(compose(g, ident), g)
+            if not ok:
+                failures["axioms"] += 1
+            # semidirect decomposition round trip
+            b, n = decompose(g, s)
+            if n not in powers:
+                powers[n] = power(s.element, n)
+            if phi(b) != 0 or n != phi(g) \
+                    or not elements_agree(compose(b, powers[n]), g):
+                failures["decomposition"] += 1
+            # meet equivariance
+            if act_vertex(g, meet(x, y)) != meet(act_vertex(g, x),
+                                                 act_vertex(g, y)):
+                failures["meet"] += 1
+            # ultrametric scaling
+            try:
+                lhs = theta(act_end(g, alpha), act_end(g, beta))
+                rhs = q ** (-phi(g)) * theta(alpha, beta)
+                if lhs != rhs:
+                    failures["theta"] += 1
+            except IndistinguishableAtPrecision:
+                skipped_theta += 1
+            # norm symmetry and subadditivity
+            norm_g = norm(g)
+            if norm_g != norm(g_inv) or norm(gh) > norm_g + norm(h):
+                failures["norm"] += 1
     total = sum(failures.values())
     details = {"cases": cases, "failures": failures,
                "theta_pairs_beyond_window": skipped_theta}
@@ -179,14 +196,15 @@ def padic_isometry_claims(cfg, pairs=10000, seed=None):
     seed = cfg.seed if seed is None else seed
     r = stream(seed, "theta.isometry")
     bad = 0
-    for _ in range(pairs):
-        a, b = _random_end(cfg, r), _random_end(cfg, r)
-        try:
-            if theta(a, b) != (a.value - b.value).norm():
-                bad += 1
-        except IndistinguishableAtPrecision:
-            if not (a.value - b.value).is_zero:
-                bad += 1
+    for done in range(0, pairs, _BLOCK):
+        m = min(_BLOCK, pairs - done)
+        for a, b in zip(_random_end(cfg, r, m), _random_end(cfg, r, m)):
+            try:
+                if theta(a, b) != (a.value - b.value).norm():
+                    bad += 1
+            except IndistinguishableAtPrecision:
+                if not (a.value - b.value).is_zero:
+                    bad += 1
     return [_claim("theta.isometry",
                    "boundary distance matches the p-adic norm of the "
                    "difference on random end pairs",

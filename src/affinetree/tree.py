@@ -33,7 +33,7 @@ from .errors import (
     OmegaOperand,
     RealizationMismatch,
 )
-from .padic import PAdic, fraction_truncate, int_valuation
+from .padic import PAdic, int_valuation, is_prime, residue
 
 
 class _Omega:
@@ -52,8 +52,6 @@ class _Omega:
 
 
 OMEGA = _Omega()
-
-_set_field = object.__setattr__
 
 
 def same_realization(x, y):
@@ -95,8 +93,8 @@ class _PadicPoint:
             raise IndistinguishableAtPrecision(
                 "ends agree on the whole known window",
                 upper_bound=Fraction(0))
-        return PadicVertex._canonical(self.prime, h,
-                                      self.value_and_cap()[0].residue(h))
+        return PadicVertex(self.prime, h,
+                           *self.value_and_cap()[0].residue_pair(h))
 
 
 def sorted_lamps(lamps, q, top) -> tuple:
@@ -138,46 +136,48 @@ class _LampPoint:
         return LampVertex(self.q, self.meet_height(other), self.lamps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PadicVertex(_PadicPoint):
-    """Disc D(center, p**(-height)); center is the canonical truncation."""
+    """Disc D(center, p**(-height)) around the canonical center, the
+    digits below exponent height, of a Fraction or int center·p**floor.
+    It is stored as the ints (num, floor) in ``residue``'s form, and
+    ``center`` is its Fraction view."""
 
     prime: int
     height: int
-    center: Fraction
+    num: int
+    floor: int
 
     is_vertex = True
 
-    def __post_init__(self):
-        # canonical form: 0 <= center < p**height-scale, digits below exponent height
-        object.__setattr__(self, "center",
-                           fraction_truncate(self.center, self.prime,
-                                             self.height))
+    def __init__(self, prime: int, height: int, center, floor: int = 0):
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        num, floor = residue(center, floor, height, prime) \
+            if isinstance(center, int) else PAdic.from_fraction(
+                center * Fraction(prime) ** floor, prime).residue_pair(height)
+        self.__dict__.update(prime=prime, height=height, num=num, floor=floor)
 
-    @classmethod
-    def _canonical(cls, prime: int, height: int, center: Fraction):
-        """The vertex of a center that is already the canonical truncation
-        (a ``PAdic.residue(height)``), without truncating it again."""
-        self = object.__new__(cls)
-        _set_field(self, "prime", prime)
-        _set_field(self, "height", height)
-        _set_field(self, "center", center)
-        return self
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self.num, self.prime ** -self.floor)
 
     def value_and_cap(self):
-        return PAdic.from_fraction(self.center, self.prime), self.height
+        return PAdic.from_digits(self.num, self.floor, self.prime), self.height
 
     def father(self) -> "PadicVertex":
-        return PadicVertex(self.prime, self.height - 1, self.center)
+        return PadicVertex(self.prime, self.height - 1, self.num, self.floor)
 
     def son(self, branch: int) -> "PadicVertex":
-        if not 0 <= branch < self.prime:
-            raise BranchOutOfRange(f"branch {branch} not in [0, {self.prime})")
-        c = self.center + branch * Fraction(self.prime) ** self.height
-        return PadicVertex(self.prime, self.height + 1, c)
+        p, h, floor = self.prime, self.height, min(self.floor, self.height)
+        if not 0 <= branch < p:
+            raise BranchOutOfRange(f"branch {branch} not in [0, {p})")
+        return PadicVertex(p, h + 1, self.num * p ** (self.floor - floor)
+                           + branch * p ** (h - floor), floor)
 
     def render(self) -> str:
-        return f"p:{self.height}:{_render_center(self.center, self.prime)}"
+        center = _render_center(self.num, self.floor, self.prime)
+        return f"p:{self.height}:{center}"
 
     __repr__ = render
 
@@ -230,7 +230,8 @@ class PadicEnd(_PadicPoint):
         return self.value, None
 
     def in_disc(self, vertex) -> bool:
-        return self.value.residue(vertex.height) == vertex.center
+        return self.value.residue_pair(vertex.height) == \
+            (vertex.num, vertex.floor)
 
     def disc_key(self, depth: int):
         """Hashable id of the depth-``depth`` disc containing the end."""
@@ -351,36 +352,30 @@ def theta(a, b) -> Fraction:
 # -- serialization -----------------------------------------------------------
 
 
-def _render_center(center: Fraction, p: int) -> str:
-    if center == 0:
+def _render_center(num: int, floor: int, p: int) -> str:
+    if not num:
         return "0"
-    den_val = int_valuation(center.denominator, p) if center.denominator > 1 else 0
-    n = int(center * p ** den_val)
-    v = int_valuation(n, p) - den_val
-    u = n // p ** (v + den_val)
-    digits = []
+    w = int_valuation(num, p)
+    u, digits = num // p ** w, []
     while u:
         digits.append(str(u % p))
         u //= p
-    return ".".join(digits) + f"@{v}"
+    return ".".join(digits) + f"@{floor + w}"
 
 
-def _parse_center(text: str, p: int) -> Fraction:
+def _parse_center(text: str, p: int):
+    """(c, floor) of a center literal, the center being c·p**floor."""
     text = text.strip()
-    if text == "0":
-        return Fraction(0)
     if "@" in text:
         digit_str, v = text.rsplit("@", 1)
-        v = int(v)
         digits = [int(d) for d in digit_str.split(".")]
         if not digits or digits[0] == 0:
             raise MalformedSyntax(f"leading digit must be nonzero in {text!r}")
-        u = sum(d * p ** i for i, d in enumerate(digits))
-        return Fraction(u) * Fraction(p) ** v
+        return sum(d * p ** i for i, d in enumerate(digits)), int(v)
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(int(num), int(den)), 0
+    return int(text), 0
 
 
 def parse_vertex(text: str, *, prime=None, q=None) -> "PadicVertex | LampVertex":
@@ -396,7 +391,7 @@ def parse_vertex(text: str, *, prime=None, q=None) -> "PadicVertex | LampVertex"
     if kind == "p":
         if prime is None:
             raise MalformedSyntax("p-adic vertex literal but no prime configured")
-        return PadicVertex(prime, height, _parse_center(payload, prime))
+        return PadicVertex(prime, height, *_parse_center(payload, prime))
     if kind == "lamp":
         if q is None:
             raise MalformedSyntax("lamplighter vertex literal but no q configured")

