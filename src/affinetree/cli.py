@@ -14,7 +14,7 @@ import time
 import click
 
 from .config import load_config, sigmas
-from .errors import MalformedSyntax
+from .errors import ConfigError, MalformedSyntax, NonExceptionalityFailed
 from .group import act_vertex, norm, phi
 from .rng import stream
 from .suites import SUITE_NAMES, run_suite
@@ -29,10 +29,13 @@ RUN_SIZE = click.IntRange(min=1)
 def _load(path, **kw):
     try:
         return load_config(path, **kw)
+    except NonExceptionalityFailed as exc:    # a failed validation
+        click.echo(exc, err=True)
+        sys.exit(1)
     except OSError as exc:
         click.echo(f"cannot read config: {exc}", err=True)
         sys.exit(2)
-    except MalformedSyntax as exc:
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
 

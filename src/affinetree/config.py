@@ -140,8 +140,9 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
     prime = q = None
     if kind == "padic":
         prime = real.getint("prime", 2)
-        if not is_prime(prime):
-            raise InvalidPrime(f"{prime} is not prime", "realization.prime")
+        if prime >= 2 ** 64 or not is_prime(prime):
+            raise InvalidPrime(f"{prime} is not a prime below 2**64",
+                               "realization.prime")
     else:
         q = real.getint("q", 2)
         if q < 2:

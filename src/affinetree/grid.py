@@ -16,9 +16,8 @@ included.
 Walks run as batches, one keyed stream each, read block by block
 (``blocks``): atom indices, heights and the exponents of translation
 terms, for the potential kernel, certified boundary limits and ladder
-excursions alike.  A prefix state (s, t) of an excursion maps an end x
-to p**s·(x + t), so ``reader`` reads a disc of height h at depth h - s
-of x + t.
+excursions alike.  ``GridLaw.characters`` is the digit grid's character
+table, for the exact oracle.
 """
 
 from __future__ import annotations
@@ -177,6 +176,29 @@ class GridLaw:
                     return False
             return True
         return test
+
+    def characters(self, width):
+        """(count, phases) of the characters k < count of Z/M, M = p**width,
+        the real-FFT half k <= M/2 (k and M - k are conjugate on a real
+        function); ``phases(txn, cells)[k, i]`` is ω**(k·txn·p**cells[i]),
+        ω = exp(-2πi/M): what adding that term, cell 0 the lowest digit,
+        puts on character k."""
+        p, M = self.prime, self.prime ** width
+        ks = np.arange(M // 2 + 1)
+        roots = np.exp(-2j * np.pi / M * np.arange(M))
+
+        def phases(txn, cells):
+            shift = [txn * pow(p, int(c), M) % M for c in cells]
+            return roots[np.outer(ks, np.array(shift, np.int64)) % M]
+        return len(ks), phases
+
+    def disc_sums(self, width, hat, discs):
+        """Per disc (j, c), the sum over the cells x = c mod p**j of the
+        real function on Z/p**width whose ``characters`` are ``hat[j]``."""
+        p = self.prime
+        cells = np.fft.irfft(hat[:width + 1], n=p ** width, axis=1)
+        return [float(cells[j].reshape(-1, p ** j)[:, c].sum())
+                for j, c in discs]
 
 
 def pack(lamps, width):

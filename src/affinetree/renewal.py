@@ -8,22 +8,13 @@ reference homothety is matched against an independent estimator built
 from the inverted walk's harmonic measure extended by rotation averaging.
 
 Laws with an engine form (``StepLaw.grid``: the p-adic digit grid, or
-lamp digits added without carries) run on the integer engine of
-``grid``.  The potential kernel walks all its trajectories as one batch,
-one body for both forms: numpy draws the atom indices of many keyed
-streams at once (``rng.stream_rows``, read block by block by
-``grid.blocks``) and sums them into heights, the stop rule is a
-first-index search per trajectory, and the translation is folded by the
-form's ``sum``, in exact integers, only up to the steps where the walk
-is at the event's level.  The limit-measure estimator walks its
-certified boundary limits as one batch as well (``walk.limit_rows``) and
-reads its hits from the ends' integer digits; ``sample_mbar``, its
-one-sample form, gives the horocyclic element alone (the mass -1/drift
-enters only the value).  The excursion estimators walk their clusters as
-batches too: each cluster's ladder-walk limit and excursions are rows of
-``walk.ladder_limit_rows`` and ``walk.excursion_rows``, and a functional
-reads each distinct prefix state once (``grid.reader``).  Only laws off
-the engine use generic group arithmetic, one step at a time.
+lamp digits added without carries) walk as batches of keyed rows on the
+integer engine of ``grid``: the potential kernel's trajectories, the
+limit-measure estimator's certified limits and the excursion clusters
+alike.  Only laws off the engine use generic group arithmetic, one step
+at a time.  The exact oracle ``kernel_oracle`` reads three parts: a
+``HeightChain``, the characters of the digit grid (``GridLaw``) and one
+``band_solve`` over all of them.
 """
 
 from __future__ import annotations
@@ -31,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, pairwise
 
 import numpy as np
 
@@ -602,6 +594,8 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     end's digits decide it (``hit_test`` of the engine form), else on the
     element.
     """
+    if samples < 1:
+        raise ValueError(f"{samples} samples estimate nothing")
     if f.is_empty:
         return KernelEstimate(0.0, 0.0, samples, 0, 0.0)
     s_h = power(law.atoms[0].reference_homothety().element, f.level)
@@ -612,7 +606,7 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
         for i in range(samples):
             x = sample_mbar(law, stream(seed, "limit", i), depth=depth)
             hits += f.member(compose(s_h, invert(x)))
-    elif samples:
+    else:
         test = grid.hit_test(f, _end_window(depth, None))
         for i, (row, unit, limit) in enumerate(
                 _mbar_rows(law, seed, samples, depth)):
@@ -662,25 +656,17 @@ def verify_boundary_limit(law, f: CylinderEvent, n_list, seed, *,
     if drift < 0:
         limit = limit_measure_value(f, law, seed, limit_samples)
         report["limit_estimate"] = vars(limit)
-        for i in range(len(estimates)):
-            for j in range(i + 1, len(estimates)):
-                ok = estimates[i].agrees_with(estimates[j], sigmas)
-                report["checks"].append({
-                    "pair": [n_list[i], n_list[j]],
-                    "z": _z_gap(estimates[i], estimates[j]),
-                    "pass": ok})
-                passed &= ok
-        for i, e in enumerate(estimates):
-            ok = e.agrees_with(limit, sigmas)
-            report["checks"].append({
-                "pair": [n_list[i], "limit"],
-                "z": _z_gap(e, limit), "pass": ok})
+        at = list(zip(n_list, estimates))
+        for (n1, e1), (n2, e2) in [*combinations(at, 2),
+                                   *((x, ("limit", limit)) for x in at)]:
+            ok = e1.agrees_with(e2, sigmas)
+            report["checks"].append({"pair": [n1, n2], "z": _z_gap(e1, e2),
+                                     "pass": ok})
             passed &= ok
     elif drift > 0:
         vals = [e.value + e.tail_bound for e in estimates]
-        decay = all(vals[i + 1] <= vals[i] + sigmas * math.hypot(
-            estimates[i].stderr, estimates[i + 1].stderr)
-            for i in range(len(vals) - 1))
+        decay = all(v2 <= v1 + sigmas * math.hypot(e1.stderr, e2.stderr)
+                    for (v1, e1), (v2, e2) in pairwise(zip(vals, estimates)))
         small = vals[-1] < 0.05
         report["checks"].append({"trend_nonincreasing": decay,
                                  "final_below_0.05": small})
@@ -791,34 +777,80 @@ def verify_renewal_identity(law, events, seed, *, n_upsilon=1000,
 # -- exact truncated-chain oracle ----------------------------------------------
 
 
+class HeightChain:
+    """A grid law's height on the window [s_min, s_max], rows 0 .. n - 1.
+    Atom k, of weight w, moves row r to r + phi and adds txn·p**(r + txe)
+    at digit cell r + txe, cell 0 being exponent s_min: ``moves`` has per
+    atom (rows, to, w, txn, cells) of its moves within the window, and
+    ``killed`` and ``escaped`` per row the weight that leaves below the
+    window or the cells (txe < 0 only for txn prime to p), and above."""
+
+    def __init__(self, steps, weights, s_min, s_max):
+        n = self.n = s_max - s_min + 1
+        rows = np.arange(n)
+        self.moves, self.killed, self.escaped = [], np.zeros(n), np.zeros(n)
+        for (txn, txe, ph), w in zip(steps, weights):
+            to, cells = rows + ph, rows + txe
+            keep = cells >= 0
+            self.killed += w * (~keep | (to < 0))
+            self.escaped += w * (keep & (to >= n))
+            keep &= (to >= 0) & (to < n)
+            self.moves.append((rows[keep], to[keep], w, txn, cells[keep]))
+        self.lo = max(0, *(ph for _, _, ph in steps))     # moves up
+        self.up = max(0, *(-ph for _, _, ph in steps))
+
+    def band(self, count, phases):
+        """I - A_k for k < count as ``band_solve`` reads it, A_k[to, r] the
+        weight of r -> to times column k of ``phases(txn, cells)``.  Column
+        r holds the moves out of row r, of weight at most 1 and phases of
+        modulus 1, so I - A_k is column diagonally dominant."""
+        lo = self.lo
+        band = np.zeros((count, self.n, lo + self.up + 1), complex)
+        band[:, :, lo] = 1.0
+        for r, to, w, txn, cells in self.moves:
+            band[:, to, lo + r - to] -= w * phases(txn, cells)
+        return band
+
+
+def band_solve(band, lo, rhs, s_min=0):
+    """x with band[k] x[k] = rhs for all k, rhs (n, c) or (K, n, c) with a
+    column per right-hand side; ``band[k, i, lo + j - i]`` is entry (i, j)
+    of system k, and is overwritten.  Elimination without pivoting keeps
+    a column diagonally dominant system so (Golub & Van Loan, *Matrix
+    Computations*, 3.4): there a pivot within rounding of 0 leaves a zero
+    column, and row i is refused as singular, named height s_min + i."""
+    count, n, wide = band.shape
+    up = wide - 1 - lo
+    x = np.zeros((count, n + up, rhs.shape[-1]), complex)  # 0 past row n
+    x[:, :n] = rhs
+    for i in range(n):
+        piv = band[:, i, lo]
+        if (np.abs(piv) <= n * np.finfo(float).eps).any():
+            raise OracleUnsupported(
+                f"singular height system: no way out of height {i + s_min}")
+        for d in range(1, min(lo, n - 1 - i) + 1):
+            f = band[:, i + d, lo - d, None] / piv[:, None]
+            band[:, i + d, lo - d:lo - d + up + 1] -= f * band[:, i, lo:]
+            x[:, i + d] -= f * x[:, i]
+    for i in reversed(range(n)):
+        x[:, i] -= (band[:, i, lo + 1:, None] * x[:, i + 1:i + 1 + up]).sum(1)
+        x[:, i] /= band[:, i, lo, None]
+    if not np.isfinite(x).all():
+        raise OracleUnsupported("the height solve is not finite")
+    return x[:, :n]
+
+
 def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
-    """Exact expected-visit values for designed small p-adic instances.
-
-    Requires every atom's scale to be a plain power of p and every atom's
-    translation to have a p-power denominator, so the translation part of
-    R_n lives on a fixed digit grid.  The grid keeps digits at exponents
-    in [s_min, c_max); paths whose height leaves [s_min, s_max], or that
-    add digits below s_min, are removed.  A step adds a multiple of a
-    power of p to the digits modulo M = p**(c_max - s_min), a convolution
-    on Z/M, so the discrete Fourier transform diagonalises it (the
-    character method of Diaconis, *Group Representations in Probability
-    and Statistics*, ch. 3).  For each character k the Green function
-    from (height 0, digits 0) solves one height system
-    (I - A_k) Ĝ_k = e_0, banded with bandwidth max |phi|.  One Gaussian
-    elimination without pivoting solves the systems of all M/2 + 1
-    characters at once, and one inverse real FFT gives G(height, digits)
-    exactly, up to float rounding.
-
-    The window must contain height 0.  Cylinders must be single-source
-    V(origin -> y) with y in the height window and its center on the
-    grid.  A law whose walk cannot leave a height of the window gives a
-    singular system and is refused too.  Returns per-cylinder visit
-    expectations, ``bias`` (the killed mass) and ``escaped_mass`` (the
-    mass that leaves above the window).
-    """
+    """Exact expected visits of V(origin -> y) events, y in the window
+    [s_min, s_max] with its center on the grid, for p-adic laws on the
+    digit grid, on their ``HeightChain``; the window must contain height
+    0.  A step adds a term to the digits, a convolution, so characters
+    diagonalise it (Diaconis, *Group Representations in Probability and
+    Statistics*, ch. 3): per character k the Green function from (height
+    0, digits 0) solves (I - A_k) Ĝ_k = e_0.  Returns ``visits`` per
+    cylinder, ``bias`` (the killed mass) and ``escaped_mass``."""
     if law.kind != "padic":
         raise OracleUnsupported("the truncated-chain oracle is p-adic only")
-    p = law.degree
     grid = law.grid
     if grid is None:
         raise OracleUnsupported(
@@ -826,69 +858,25 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
             "translations with p-power denominators")
     if s_min > 0 or s_max < 0:
         raise OracleUnsupported("the height window must contain height 0")
-    specs = []
+    names, discs = [], []
     for cyl in cylinders:
         if cyl.is_empty or len(cyl.sources) != 1 \
-                or cyl.sources[0].height != 0 or cyl.sources[0].center != 0:
+                or cyl.sources[0].height != 0 or cyl.sources[0].num != 0:
             raise OracleUnsupported("oracle cylinders must be V(origin -> y)")
         y = cyl.targets[0]
         if not s_min <= y.height <= s_max:
             raise OracleUnsupported("target outside the height window")
-        c = y.center / Fraction(p) ** s_min
-        if c.denominator != 1:
+        if y.floor < s_min:      # the center num·p**floor, num prime to p
             raise OracleUnsupported("target center below the digit grid")
-        specs.append((cyl.render(), y.height - s_min, int(c)))
-    width = max([1 - s_min] + [j for _, j, _ in specs])
-    M = p ** width
-    n_s = s_max - s_min + 1
-    rows = np.arange(n_s)
-    moves, killed, escaped = [], np.zeros(n_s), np.zeros(n_s)
-    for (txn, txe, ph), w in zip(grid.steps, map(float, law.weights)):
-        # row r moves to r + ph and adds txn·p**(r + txe) to the digits;
-        # txe < 0 only for txn prime to p, so r + txe < 0 leaves the grid
-        to = rows + ph
-        on_grid = rows + txe >= 0
-        killed += w * (~on_grid | (to < 0))
-        escaped += w * (on_grid & (to >= n_s))
-        keep = on_grid & (to >= 0) & (to < n_s)
-        shift = [txn * pow(p, int(r) + txe, M) % M for r in rows[keep]]
-        moves.append((rows[keep], to[keep], w, np.array(shift, np.int64)))
-    # one band over all characters: band[k, i, lo + j - i] is entry (i, j)
-    # of I - A_k, and a move up by phi lies on the diagonal lo - phi.  G is
-    # real, so the characters k and M - k are conjugate.
-    lo = max(0, *(ph for _, _, ph in grid.steps))
-    up = max(0, *(-ph for _, _, ph in grid.steps))
-    ks = np.arange(M // 2 + 1)
-    band = np.zeros((len(ks), n_s, lo + up + 1), complex)
-    band[:, :, lo] = 1.0
-    roots = np.exp(-2j * np.pi / M * np.arange(M))
-    for r, to, w, shift in moves:
-        band[:, to, lo + r - to] -= w * roots[np.outer(ks, shift) % M]
-    # Column r of A_k holds the moves out of row r, of total weight at most
-    # 1, so I - A_k is column diagonally dominant; elimination keeps it so
-    # and needs no pivoting (Golub & Van Loan, *Matrix Computations*, 3.4),
-    # and a pivot within rounding of 0 leaves a zero column: singular.
-    x = np.zeros((len(ks), n_s + up), complex)    # zeros above the top row
-    x[:, -s_min] = 1.0
-    for i in range(n_s):
-        piv = band[:, i, lo]
-        if (np.abs(piv) <= n_s * np.finfo(float).eps).any():
-            raise OracleUnsupported(
-                f"singular height system: no way out of height {i + s_min}")
-        for d in range(1, min(lo, n_s - 1 - i) + 1):
-            f = band[:, i + d, lo - d, None] / piv[:, None]
-            band[:, i + d, lo - d:lo - d + up + 1] -= f * band[:, i, lo:]
-            x[:, i + d] -= f[:, 0] * x[:, i]
-    for i in reversed(range(n_s)):
-        x[:, i] -= (band[:, i, lo + 1:] * x[:, i + 1:i + 1 + up]).sum(1)
-        x[:, i] /= band[:, i, lo]
-    if not np.isfinite(x).all():
-        raise OracleUnsupported("the height solve is not finite")
-    g_hat = x[:, :n_s].T
-    # targets sit at rows 0 .. width
-    green = np.fft.irfft(g_hat[:width + 1], n=M, axis=1)
-    visits = {name: float(green[j].reshape(-1, p ** j)[:, c].sum())
-              for name, j, c in specs}
+        names.append(cyl.render())
+        discs.append((y.height - s_min,
+                      y.num * grid.prime ** (y.floor - s_min)))
+    # digit cells: the exponents s_min .. 0 and those below every target
+    width = max([1 - s_min] + [j for j, _ in discs])
+    chain = HeightChain(grid.steps, map(float, law.weights), s_min, s_max)
+    g_hat = band_solve(chain.band(*grid.characters(width)), chain.lo,
+                       np.eye(chain.n)[:, [-s_min]], s_min)[:, :, 0].T
     mass = g_hat[:, 0].real
-    return {"visits": visits, "bias": float(mass @ killed),
-            "escaped_mass": float(mass @ escaped)}
+    return {"visits": dict(zip(names, grid.disc_sums(width, g_hat, discs))),
+            "bias": float(mass @ chain.killed),
+            "escaped_mass": float(mass @ chain.escaped)}

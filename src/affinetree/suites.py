@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import combinations, islice, pairwise
 from statistics import NormalDist
 
 import numpy as np
@@ -319,8 +319,7 @@ def boundary_measure_claims(cfg, samples=4000, depth=6, inv_depth=3,
     max_mass = {d: max(Counter(e.disc_key(d) for e in ends).values())
                 / samples for d in range(2, depth + 1, 2)}
     depths = sorted(max_mass)
-    decreasing = all(max_mass[depths[i + 1]] < max_mass[depths[i]]
-                     for i in range(len(depths) - 1))
+    decreasing = all(b < a for a, b in pairwise(map(max_mass.get, depths)))
     claims = [_claim(
         "boundary.nonatomic",
         "maximum empirical disc mass strictly decreases with depth "
@@ -433,18 +432,12 @@ def renewal_claims(cfg, n_upsilon=1000, exc_per_upsilon=50, sigmas=None,
 
 
 def _oracle_cylinders(cfg):
-    """All single-pair V(origin -> y) events with y at heights -2..2 and
-    center representable above valuation -2."""
+    """All single-pair V(origin -> y) events with y at a height h in
+    -2..2 and its center k·p**-2 for 0 <= k < p**(h + 2)."""
     p, o = cfg.prime, cfg.law.atoms[0].origin()
-    out = []
-    for h in range(-2, 3):
-        for k in range(p ** (h + 2)):
-            c = Fraction(k, p ** 2)
-            y = PadicVertex(p, h, c)
-            if y.center != c:
-                continue
-            out.append(CylinderEvent((o,), (y,), name=f"V(o->{y!r})"))
-    return out
+    return [CylinderEvent((o,), (y,), name=f"V(o->{y!r})")
+            for h in range(-2, 3) for k in range(p ** (h + 2))
+            for y in [PadicVertex(p, h, k, -2)]]
 
 
 def oracle_claims(cfg, sigmas=3.0, seed=None, trajectories=6000):
@@ -602,14 +595,12 @@ def period_invariance_claims(cfg, n=20, trajectories=20000, sigmas=None,
             for u in units}
     pair_checks = []
     ok_all = True
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            ok = ests[units[i]].agrees_with(ests[units[j]], sigmas)
-            ok_all &= ok
-            pair_checks.append({"pair": [str(units[i]), str(units[j])],
-                                "values": [ests[units[i]].value,
-                                           ests[units[j]].value],
-                                "pass": ok})
+    for u, v in combinations(units, 2):
+        ok = ests[u].agrees_with(ests[v], sigmas)
+        ok_all &= ok
+        pair_checks.append({"pair": [str(u), str(v)],
+                            "values": [ests[u].value, ests[v].value],
+                            "pass": ok})
     claims.append(_claim("limit.period.pairwise", statement2,
                          "pass" if ok_all else "fail",
                          estimate=ests[units[0]].value,

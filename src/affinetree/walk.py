@@ -7,25 +7,14 @@ converge to a boundary point when the height drift is positive, and the
 sampler certifies a disc of requested depth around the limit.
 
 Laws with an engine form (``StepLaw.grid``, p-adic and lamp) walk as
-batches of keyed rows, read block by block as the potential kernel reads
-its walks (``grid.blocks``): heights are cumulative sums, records a
-running maximum, and each row folds its translation terms in exact
-integers, in step order, only as far as the record that reads them.
-Laws off the engine walk one step at a time on ``group.compose`` (a
-generic walk object, from any start), and that loop is the reference the
-batches are tested against; ``run_product`` hands every running product
-to its visitor.
-
-Certified boundary limits (``boundary_limits``, walk i on
-``stream(seed, *path, i)``) give one ``BoundaryLimit`` per walk, None
-for a walk out of steps; they fold only the terms below the depth and
-end window they can change, and ``sample_boundary_limit`` is the
-batch's one-walk case on a generator.  Every certified limit stops
-under the rule of ``STABLE_EPOCHS`` and ``HEIGHT_GUARD``, read when it
-is called.  The successive ladder excursions of one walk are split by
-the strict records of its running maximum (``excursion_rows``), and the
-ladder walk, whose steps are whole excursions, takes its limit from the
-same records (``ladder_limit_rows``).
+batches of keyed rows (``grid.blocks``): certified boundary limits
+(``boundary_limits``), ladder excursions split by the strict records of
+the running maximum (``excursion_rows``) and the ladder walk's limit
+(``ladder_limit_rows``).  Laws off the engine walk one step at a time on
+``group.compose`` (``_GenericWalk``, from any start), and that loop is
+the reference the batches are tested against.  Every certified limit
+stops under the rule of ``STABLE_EPOCHS`` and ``HEIGHT_GUARD``, read
+when it is called.
 """
 
 from __future__ import annotations

@@ -71,6 +71,46 @@ def test_malformed_config_exit_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def _config_error(res):
+    """Exit 2 with the error's location, without a traceback."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "config error: " in res.stderr
+
+
+def test_invalid_prime_exit_2(runner, tmp_path):
+    cfg = write(tmp_path, POS.format(out=tmp_path / "r")
+                .replace("prime = 2", "prime = 4"))
+    res = runner.invoke(main, ["validate", "--config", cfg])
+    _config_error(res)
+    assert "realization.prime" in res.stderr
+
+
+def test_weights_not_normalized_exit_2(runner, tmp_path):
+    out = tmp_path / "r"
+    cfg = write(tmp_path, POS.format(out=out).replace("weight 1/4",
+                                                      "weight 1/3"))
+    res = runner.invoke(main, ["verify", "--config", cfg, "--suite",
+                               "algebra"])
+    _config_error(res)
+    assert "law: weights sum to 13/12" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_exceptional_law_is_a_failed_validation(runner, tmp_path, command):
+    """A law that fails the non-exceptionality check stops ``simulate``
+    and ``verify`` as ``validate`` fails it: exit 1, with the check's
+    summary and no traceback."""
+    out = tmp_path / "r"
+    cfg = write(tmp_path, HOR + f"\n[experiment]\nout = {out}\n")
+    res = runner.invoke(main, [command, "--config", cfg])
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Hor(T)" in res.stderr and "config error" not in res.stderr
+    assert not out.exists()
+
+
 def test_simulate_writes_report(runner, tmp_path):
     out = tmp_path / "sim"
     cfg = write(tmp_path, POS.format(out=out))

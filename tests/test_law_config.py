@@ -208,6 +208,23 @@ def test_located_errors():
                                  "atom1 = affine(t = 0, a = 2)"))
 
 
+@pytest.mark.parametrize("prime", [
+    2 ** 64 + 13,                      # prime, past uint64 digit draws
+    318665857834031151167461,          # 399165290221 · 798330580441
+], ids=["prime-past-2**64", "pseudoprime-to-bases-2..37"])
+def test_primes_from_2_64_on_are_refused(prime):
+    with pytest.raises(InvalidPrime, match="realization.prime"):
+        parse_config(POS.replace("prime = 2", f"prime = {prime}"))
+
+
+def test_largest_prime_below_2_64_is_accepted():
+    p = 2 ** 64 - 59
+    cfg = parse_config(POS.replace("prime = 2", f"prime = {p}")
+                       .replace("a = 2", f"a = {p}")
+                       .replace("a = 1/2", f"a = 1/{p}"))
+    assert cfg.prime == p
+
+
 def test_exceptional_law_rejected():
     hor = POS.replace("affine(t = 0, a = 2)", "affine(t = 2, a = 1)") \
              .replace("affine(t = 1, a = 1/2)", "affine(t = 1, a = 1)")

@@ -35,6 +35,14 @@ def test_is_prime_small():
     assert is_prime(2 ** 61 - 1)
 
 
+@pytest.mark.parametrize("n", [
+    3215031751,             # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,    # strong pseudoprime to the bases 2 .. 23
+])
+def test_is_prime_sees_through_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
 def test_int_valuation():
     assert int_valuation(12, 2) == 2
     assert int_valuation(12, 3) == 1

@@ -5,6 +5,7 @@ import operator
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from affinetree.renewal import (
     CylinderEvent,
     KernelEstimate,
     ProductCylinder,
+    band_solve,
     estimate_m_misinv,
     kernel_oracle,
     limit_measure_value,
@@ -114,6 +116,75 @@ def test_kernel_refuses_empty_batches(trajectories):
     with pytest.raises(ValueError):
         potential_kernel(identity_like(LAW_POS.atoms[0]), HOME, LAW_POS, 1,
                          trajectories)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_limit_value_refuses_empty_batches(samples, monkeypatch):
+    # refused before any draw: both ways of drawing are cut off
+    monkeypatch.setattr(renewal, "sample_mbar", None)
+    monkeypatch.setattr(renewal, "_mbar_rows", None)
+    with pytest.raises(ValueError, match="samples"):
+        limit_measure_value(HOME, LAW_NEG, 1, samples)
+
+
+def _dominant_band(rng, count, n, lo, up):
+    """A random complex band of ``count`` column diagonally dominant
+    systems in ``band_solve``'s layout, and the systems as dense
+    matrices."""
+    band = rng.normal(size=(count, n, lo + up + 1)) \
+        + 1j * rng.normal(size=(count, n, lo + up + 1))
+    dense = np.zeros((count, n, n), complex)
+    for i in range(n):
+        for j in range(max(0, i - lo), min(n, i + up + 1)):
+            dense[:, i, j] = band[:, i, lo + j - i]
+    off = np.abs(dense).sum(axis=1) - np.abs(np.diagonal(dense, 0, 1, 2))
+    for i in range(n):
+        dense[:, i, i] = band[:, i, lo] = (off[:, i] + 0.5) * np.exp(
+            2j * np.pi * rng.random(count))
+    return band, dense
+
+
+@pytest.mark.parametrize("lo", range(4))
+@pytest.mark.parametrize("up", range(4))
+@pytest.mark.parametrize("columns", [1, 3])
+def test_band_solve_matches_dense_solve(lo, up, columns):
+    rng = stream("band_solve", lo, up, columns)
+    count, n = 5, 9
+    band, dense = _dominant_band(rng, count, n, lo, up)
+    rhs = rng.normal(size=(n, columns)) + 1j * rng.normal(size=(n, columns))
+    got = band_solve(band.copy(), lo, rhs)
+    want = np.linalg.solve(dense, np.broadcast_to(rhs, (count, n, columns)))
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    # one right-hand side per system
+    rhs = rng.normal(size=(count, n, columns))
+    got = band_solve(band.copy(), lo, rhs)
+    assert np.abs(got - np.linalg.solve(dense, rhs)).max() \
+        < 1e-12 * np.abs(got).max()
+
+
+def test_band_solve_refuses_a_singular_system():
+    band, _ = _dominant_band(stream("band_solve", "singular"), 3, 5, 1, 1)
+    band[1, 3] = 0.0                  # row 3 and, with it, column 3 of
+    band[1, 2, 2] = band[1, 4, 0] = 0.0       # system 1 are zero
+    with pytest.raises(OracleUnsupported, match="singular.*height 1"):
+        band_solve(band, 1, np.ones((5, 1)), s_min=-2)
+
+
+@pytest.mark.parametrize("law, width", [(LAW_POS, 6), (StepLaw(
+    (aff(0, 3, 3), aff(-2, Fraction(1, 9), 3)),
+    (Fraction(2, 3), Fraction(1, 3))), 4)], ids=["p2", "p3"])
+def test_grid_phases_are_the_characters_of_the_digit_shift(law, width):
+    grid = law.grid
+    p = grid.prime
+    m = p ** width
+    count, phases = grid.characters(width)
+    assert count == m // 2 + 1
+    k = np.arange(count)[:, None]
+    for txn in (1, -1, 2, 5):
+        cells = np.arange(width + 2)   # the last ones shift by 0 mod M
+        shift = np.array([txn * p ** int(c) % m for c in cells])
+        want = np.exp(-2j * np.pi * k * shift / m)
+        assert np.abs(phases(txn, cells) - want).max() < 1e-12
 
 
 def test_oracle_matches_single_atom_law():
