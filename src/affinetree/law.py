@@ -21,6 +21,8 @@ from .errors import EmptySupport, WeightsNotNormalized
 from .grid import inverse_cdf
 from .group import decompose, invert, norm, phi, validate_non_exceptional
 
+WINDOW_CAP = 20000    # the widest window of steps a height path draws
+
 
 @dataclass(frozen=True)
 class StepLaw:
@@ -125,6 +127,18 @@ class StepLaw:
             out[a:a + step] = self.phi_steps(
                 rng.random((min(step, n_traj - a), horizon))).sum(1)
         return out
+
+    def phi_sums(self, rng, rows, width: int):
+        """Running heights over ``width`` steps of the paths ``rows``, from
+        one (rows, width) block of uniforms of ``rng``: yields (chunk,
+        sums) by row chunks of about 2**20 steps, which read the same
+        uniforms.  Sums are int32 where the window cannot overflow them."""
+        sums = np.int32 if width * max(map(abs, self.phis)) < 2**31 else np.int64
+        step = max(1, 2 ** 20 // width)            # rows per chunk
+        for a in range(0, len(rows), step):
+            chunk = rows[a:a + step]
+            yield chunk, np.cumsum(self.phi_steps(
+                rng.random((len(chunk), width))), axis=1, dtype=sums)
 
     def moment_report(self) -> dict:
         """Exact moment summary; all quantities are finite (finite support).

@@ -381,11 +381,13 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
 def wald_mass_check(law, seed, excursions) -> dict:
     """Empirical E[l]/E[S_l] against the exact 1/drift, plus the Wald
     residual; ``seed`` is a stream key, drawn from as ``(seed, "wald")``."""
+    if excursions < 2:
+        raise ValueError(f"{excursions} excursions give no standard error; "
+                         "the Wald check needs at least 2")
     mu = law.drift()
     if mu <= 0:
         raise NonPositiveDrift("ascending ladder epochs need positive drift")
-    r = stream(seed, "wald")
-    lengths, heights = ladder_heights(law, r, excursions)
+    lengths, heights = ladder_heights(law, stream(seed, "wald"), excursions)
     el, esl = lengths.mean(), heights.mean()
     ratio = el / esl
     target = 1 / mu
@@ -395,6 +397,9 @@ def wald_mass_check(law, seed, excursions) -> dict:
     wald = heights - float(mu) * lengths
     wald_mean = float(wald.mean())
     wald_se = float(wald.std(ddof=1) / math.sqrt(excursions))
+    # a gap with no spread at all is infinitely many standard errors
+    z = lambda gap, se: gap / se if se else math.copysign(math.inf, gap) \
+        if gap else 0.0
     return {
         "excursions": excursions,
         "mean_ladder_time": float(el),
@@ -402,11 +407,12 @@ def wald_mass_check(law, seed, excursions) -> dict:
         "ratio": float(ratio),
         "ratio_stderr": ratio_se,
         "exact_inverse_drift": str(Fraction(target)),
-        "ratio_z": (float(ratio) - float(target)) / ratio_se if ratio_se else 0.0,
+        "ratio_z": z(float(ratio) - float(target), ratio_se),
         "wald_residual": wald_mean,
         "wald_residual_stderr": wald_se,
-        "wald_z": wald_mean / wald_se if wald_se else 0.0,
+        "wald_z": z(wald_mean, wald_se),
     }
+
 
 
 # -- excursion-average invariant measure --------------------------------------
@@ -497,6 +503,9 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     if n_upsilon < 2:
         raise ValueError(f"{n_upsilon} clusters give no standard error; "
                          "the cluster estimates need at least 2")
+    if exc_per_upsilon < 1:
+        raise ValueError(f"{exc_per_upsilon} excursions per cluster give no "
+                         "estimate; each cluster needs at least 1")
     mu = law.drift()
     if mu <= 0:
         raise NonPositiveDrift("excursion averages need positive drift")

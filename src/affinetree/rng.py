@@ -15,12 +15,8 @@ at a given position; ``stream_rows`` reads many at once through it.
 Philox is counter-based: uniform k of a stream depends only on its key
 and k, so one bit generator serves every row by taking each row's key
 and the counter of its first uniform.
-``uniforms_at`` reads given positions of a stream by a numpy Philox,
-without moving it.  At several numpy draws per uniform it pays only where
-most uniforms are skipped (``stream_rows`` through it took 1.90 ms, not
-0.83, per 128 x 128 block); ``seek`` then moves the generator past them.
-``fill_at`` reads the same positions by the generator's own Philox, one
-counter set per row, for rows wide enough that the set pays.
+``position`` and ``seek`` read and set how far one stream has been
+drawn; no other module reads or sets a generator's state.
 """
 
 from __future__ import annotations
@@ -101,25 +97,6 @@ def streams_at(rows, starts, seed, *path):
         yield gen
 
 
-def _philox(key, counters):
-    """Philox4x64-10 of the counters ``(c, 0, 0, 0)``: four words each."""
-    def mulhilo(m, x):        # high and low words of the 128-bit m * x
-        x0, x1, m0, m1 = x & 0xFFFFFFFF, x >> 32, m & 0xFFFFFFFF, m >> 32
-        t = (x0 * m0 >> 32) + x1 * m0
-        w = (t & 0xFFFFFFFF) + x0 * m1
-        return x1 * m1 + (t >> 32) + (w >> 32), x * m
-    mult = (0xD2E7470EE14C6C93, 0xCA5A826395121157)    # round multipliers
-    bump = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)    # key increments
-    k0, k1 = (int(w) for w in key)
-    c0 = counters.astype(np.uint64)
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for _ in range(10):
-        (hi0, lo0), (hi1, lo1) = mulhilo(mult[0], c0), mulhilo(mult[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = (k0 + bump[0]) % 2 ** 64, (k1 + bump[1]) % 2 ** 64
-    return np.stack([c0, c1, c2, c3], axis=-1)
-
-
 def position(gen) -> int:
     """Uniforms ``gen`` has handed out, four per Philox block."""
     state = gen.bit_generator.state
@@ -132,36 +109,3 @@ def seek(gen, pos: int) -> None:
     state["state"]["counter"][0], state["buffer_pos"] = max(pos - 1, 0) // 4, 4
     gen.bit_generator.state = state
     gen.random((pos - 1) % 4 + 1 if pos else 0)
-
-
-def fill_at(gen, starts, out) -> np.ndarray:
-    """``out`` row i: uniforms ``starts[i]`` to ``starts[i] + out.shape[1]``
-    of ``gen``'s stream, ``gen`` unmoved.  Each row is one counter set and
-    one draw of ``gen``'s own Philox, so it pays for wide rows, where
-    ``uniforms_at`` costs about 90 ns a uniform."""
-    bits = gen.bit_generator
-    saved = bits.state
-    counter = [0, 0, 0, 0]
-    state = {**saved, "buffer": [0] * 4, "buffer_pos": 4,
-             "state": {"counter": counter,
-                       "key": saved["state"]["key"].tolist()}}
-    for row, start in zip(out, np.asarray(starts, dtype=np.int64).tolist()):
-        counter[0] = start // 4
-        bits.state = state
-        if start % 4:
-            gen.random(start % 4)
-        gen.random(out=row)
-    bits.state = saved
-    return out
-
-
-def uniforms_at(gen, starts, width: int) -> np.ndarray:
-    """Row i: uniforms ``starts[i]`` to ``starts[i] + width`` of ``gen``'s
-    stream, ``gen`` unmoved (uniform k is word k % 4 of block k // 4 + 1)."""
-    starts = np.asarray(starts, dtype=np.int64)[:, None]
-    blocks = (int(np.max(starts % 4, initial=0)) + width + 3) // 4
-    words = _philox(gen.bit_generator.state["state"]["key"],
-                    starts // 4 + 1 + np.arange(blocks))
-    words = np.take_along_axis(words.reshape(len(starts), 4 * blocks),
-                               starts % 4 + np.arange(width), 1)
-    return (words >> 11) * (1.0 / 2 ** 53)

@@ -37,6 +37,7 @@ from .group import (
     phi,
     power,
 )
+from .law import WINDOW_CAP
 from .padic import PAdic
 from .renewal import (
     CylinderEvent,
@@ -48,7 +49,7 @@ from .renewal import (
     verify_renewal_identity,
     wald_mass_check,
 )
-from .rng import fill_at, stream
+from .rng import stream
 from .tree import (
     LampEnd,
     LampVertex,
@@ -256,32 +257,21 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
     else:
         # P[both records beyond +-10 by step N] ~ 1 - 2(2 Phi(10 / sigma sqrt(N)) - 1);
         # a 95% threshold needs N near 3e5 for unit-variance steps, so the
-        # centered check runs its own longer horizon.  In the block of w
-        # steps from step `done`, path i reads the uniforms done *
-        # trajectories + i * w + k of a blockwise simulation, but only
-        # while it is undecided: extremes only grow, so a path whose
-        # running max is past +10 and min past -10 drops out.  A live path
-        # reads windows of growing width, by chunks of about 2**20 steps.
+        # centered check runs its own longer horizon.  Extremes only grow,
+        # so only paths whose max is at most +10 or min at least -10 draw
+        # the next window of 512, 1024, ... steps, up to ``WINDOW_CAP``.
         span = max(horizon, 300000)
         r = stream(seed, "regime.centered")
-        sums = np.int32 if 20000 * max(map(abs, law.phis)) < 2**31 else np.int64
         carry, mx, mn = np.zeros((3, trajectories), dtype=np.int64)
-        live = np.arange(trajectories)
-        for done in range(0, span, 20000):
-            w, lo, hi = min(20000, span - done), 0, 512
-            while live.size and lo < w:
-                hi = min(hi, w)
-                chunk = max(1, 2 ** 20 // (hi - lo))
-                for a in range(0, live.size, chunk):
-                    rows = live[a:a + chunk]
-                    u = fill_at(r, done * trajectories + rows * w + lo,
-                                np.empty((rows.size, hi - lo)))
-                    seg = np.cumsum(law.phi_steps(u), axis=1, dtype=sums)
-                    mx[rows] = np.maximum(mx[rows], seg.max(axis=1) + carry[rows])
-                    mn[rows] = np.minimum(mn[rows], seg.min(axis=1) + carry[rows])
-                    carry[rows] += seg[:, -1]
-                live = live[(mx[live] <= 10) | (mn[live] >= -10)]
-                lo, hi = hi, 2 * hi
+        live, done, width = np.arange(trajectories), 0, 512
+        while live.size and done < span:
+            width = min(width, WINDOW_CAP, span - done)
+            for rows, seg in law.phi_sums(r, live, width):
+                mx[rows] = np.maximum(mx[rows], seg.max(axis=1) + carry[rows])
+                mn[rows] = np.minimum(mn[rows], seg.min(axis=1) + carry[rows])
+                carry[rows] += seg[:, -1]
+            live = live[(mx[live] <= 10) | (mn[live] >= -10)]
+            done, width = done + width, 2 * width
         frac = float(((mx > 10) & (mn < -10)).mean())
         claims.append(_claim(
             "regime.centered",

@@ -1,10 +1,12 @@
 """Random walk trajectories, ladder epochs and boundary limits.
 
 Height-only questions (drift, Wald identity, regime classification) use
-vectorized numpy paths.  Questions about where the walk lands on the
-boundary track full group elements: the right products R_n = X_1...X_n
-converge to a boundary point when the height drift is positive, and the
-sampler certifies a disc of requested depth around the limit.
+vectorized numpy paths, drawn in sequence by windows of growing width
+(``StepLaw.phi_sums``) until each path is decided.  Questions about
+where the walk lands on the boundary track full group elements: the
+right products R_n = X_1...X_n converge to a boundary point when the
+height drift is positive, and the sampler certifies a disc of requested
+depth around the limit.
 
 Laws with an engine form (``StepLaw.grid``, p-adic and lamp) walk as
 batches of keyed rows (``grid.blocks``): certified boundary limits
@@ -26,10 +28,10 @@ import numpy as np
 from .errors import NonPositiveDrift, StepBudgetExceeded
 from .grid import blocks, inverse_cdf, row_chunks
 from .group import compose, identity_like, phi
-from .rng import position, seek, stream, stream_rows, uniforms_at
+from .law import WINDOW_CAP
+from .rng import position, seek, stream, stream_rows
 
 DEFAULT_STEP_BUDGET = 10 ** 7
-LADDER_BLOCK = 512    # ladder_heights' steps per path and block
 STABLE_EPOCHS = 3     # the certified-limit stop rule, read at each call
 HEIGHT_GUARD = 15
 
@@ -195,37 +197,28 @@ def ladder_heights(law, rng, count: int):
     """Vectorized (lengths, heights) at the first ascending ladder epoch,
     within ``DEFAULT_STEP_BUDGET`` steps, read when it is called.
 
-    In a block of ``LADDER_BLOCK`` steps from position P of the Philox
-    stream ``rng``, the j-th path still below 0 reads uniforms P + j *
-    LADDER_BLOCK + k, in windows of growing width up to its epoch; ``rng``
-    ends where whole blocks leave it, also when the step budget runs out.
+    Windows of 8, 16, 32, ... steps, up to ``WINDOW_CAP``, follow one
+    another; in each, the paths still below their first epoch, in order,
+    draw one (paths, width) block of ``rng`` (``StepLaw.phi_sums``).  So
+    ``rng`` ends where those draws leave it, also when the budget runs out.
     """
-    lengths = np.zeros(count, dtype=np.int64)
-    heights = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    carried = np.zeros(count, dtype=np.int64)  # S at the end of prior blocks
-    pos, offset = position(rng), 0
-    while active.size:
-        if offset >= DEFAULT_STEP_BUDGET:
-            seek(rng, pos)
+    lengths, heights, carried = np.zeros((3, count), dtype=np.int64)
+    live, done, width = np.arange(count), 0, 8    # carried: S at done
+    while live.size:
+        if done >= DEFAULT_STEP_BUDGET:
             raise StepBudgetExceeded(
-                f"{active.size} paths without a ladder epoch after {offset} steps")
-        live, lo, hi = np.arange(active.size), 0, 8   # ranks still below 0
-        while live.size and lo < LADDER_BLOCK:
-            rows = active[live]
-            u = uniforms_at(rng, pos + LADDER_BLOCK * live + lo, hi - lo)
-            paths = carried[rows, None] + np.cumsum(law.phi_steps(u), axis=1)
+                f"{live.size} paths without a ladder epoch after {done} steps")
+        width = min(width, WINDOW_CAP, DEFAULT_STEP_BUDGET - done)
+        for rows, seg in law.phi_sums(rng, live, width):
+            paths = carried[rows, None] + seg
             hit = paths > 0
             any_hit = hit.any(axis=1)
             first = np.argmax(hit, axis=1)[any_hit]
-            lengths[rows[any_hit]] = offset + lo + first + 1
+            lengths[rows[any_hit]] = done + first + 1
             heights[rows[any_hit]] = paths[any_hit, first]
             carried[rows] = paths[:, -1]
-            live, lo, hi = live[~any_hit], hi, 2 * hi
-        pos += LADDER_BLOCK * active.size
-        active = active[live]
-        offset += LADDER_BLOCK
-    seek(rng, pos)
+        live = live[lengths[live] == 0]
+        done, width = done + width, 2 * width
     return lengths, heights
 
 

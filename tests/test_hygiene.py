@@ -1,9 +1,9 @@
 """Static checks of the package source, by AST scan (no linter needed):
 no unused imports, no module-level name that nothing uses, no dataclass
-field that nothing reads, every random generator is built in ``rng``,
-and no code outside a realization's own classes tests which realization
-it holds.  The benchmark's tracer must still find every package
-function it wraps."""
+field that nothing reads, every random generator is built in ``rng``
+and only ``rng`` reads or sets a generator's state, and no code outside
+a realization's own classes tests which realization it holds.  The
+benchmark's tracer must still find every package function it wraps."""
 
 import ast
 import importlib.util
@@ -91,6 +91,20 @@ def generator_builders(tree):
             if name and any(name.startswith(p) and name[len(p):] in BUILDERS
                             for p in prefixes):
                 found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def state_access(tree):
+    """'line: what' for each read of a generator's ``bit_generator``, by
+    which its state is read or set, and each import from
+    numpy.random.bit_generator."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "bit_generator":
+            found.append(f"{node.lineno}: bit_generator")
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("numpy.random.bit_generator"):
+            found.append(f"{node.lineno}: import {node.module}")
     return found
 
 
@@ -233,6 +247,24 @@ def test_only_rng_builds_generators():
     found = {p.name: generator_builders(_tree(p)) for p in MODULES}
     assert found.pop("rng.py"), "the scan must see the builders in rng.py"
     assert not {k: v for k, v in found.items() if v}
+
+
+def test_only_rng_reads_or_sets_stream_state():
+    """Stream positions have one owner, ``rng`` (``position``, ``seek``,
+    ``streams_at``); other modules draw in sequence or through it."""
+    found = {p.name: state_access(_tree(p)) for p in MODULES}
+    assert found.pop("rng.py"), "the scan must see the state reads in rng.py"
+    assert not {k: v for k, v in found.items() if v}
+
+
+def test_scan_sees_state_access():
+    tree = ast.parse("from numpy.random.bit_generator import ISeedSequence\n"
+                     "s = gen.bit_generator.state\n"
+                     "gen.bit_generator.state = s\n"
+                     "u = gen.random(3)\n")
+    assert state_access(tree) == [
+        "1: import numpy.random.bit_generator", "2: bit_generator",
+        "3: bit_generator"]
 
 
 def test_scan_sees_unused_and_builders():

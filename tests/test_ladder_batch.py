@@ -32,6 +32,7 @@ from affinetree.walk import excursion_rows, ladder_boundary_limit, \
 
 from test_boundary_batch import _with_budget
 from test_lamp_walk import _generic_twin, lamp_laws
+from test_renewal import _no_draws
 from test_walk import SMALL_BUDGETS, _counts, grid_laws
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -240,3 +241,12 @@ def test_fewer_than_two_clusters_are_refused(clusters):
     assert claim["claim"] == "renewal.identity"
     assert claim["verdict"] == "skip"
     assert "at least 2 clusters" in claim["details"]["reason"]
+
+
+def test_no_excursions_per_cluster_are_refused(monkeypatch):
+    """0 excursions per cluster used to walk every cluster to the step
+    budget before an error that named no ladder epoch."""
+    for name in ("_clusters", "stream", "stream_rows"):
+        monkeypatch.setattr(renewal, name, _no_draws)
+    with pytest.raises(ValueError, match="at least 1"):
+        renewal.ladder_cluster_run(LAW_POS, 1, 10, 0, [(None, lambda s: 1)])

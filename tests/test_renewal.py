@@ -1,9 +1,11 @@
 """Potential kernel estimators, invariant measures, renewal checks."""
 
 import dataclasses
+import math
 import operator
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from affinetree.renewal import (
     wald_mass_check,
 )
 from affinetree.rng import stream
+from affinetree.suites import wald_claims
 from affinetree.tree import (
     LampVertex,
     PadicEnd,
@@ -405,6 +408,34 @@ def test_wald_identity_small_run():
     rep = wald_mass_check(LAW_POS, 3, 20000)
     assert abs(rep["ratio"] - 2.0) < 3 * rep["ratio_stderr"]
     assert abs(rep["wald_residual"]) < 3 * rep["wald_residual_stderr"]
+
+
+def _no_draws(*args, **kw):
+    raise AssertionError("drew before refusing")
+
+
+@pytest.mark.parametrize("excursions", [0, 1])
+def test_wald_check_refuses_fewer_than_two_excursions(excursions,
+                                                      monkeypatch):
+    monkeypatch.setattr(renewal, "stream", _no_draws)
+    monkeypatch.setattr(renewal, "ladder_heights", _no_draws)
+    with pytest.raises(ValueError, match="at least 2"):
+        wald_mass_check(LAW_POS, 1, excursions)
+
+
+@pytest.mark.parametrize("lengths,heights,ratio_z,wald_z", [
+    ([1, 1], [1, 1], -math.inf, math.inf),    # ratio 1 against 2
+    ([2, 2], [1, 1], 0.0, 0.0)], ids=["off-target", "on-target"])
+def test_wald_gap_without_spread_is_infinitely_many_errors(
+        lengths, heights, ratio_z, wald_z, monkeypatch):
+    monkeypatch.setattr(renewal, "ladder_heights", lambda law, rng, count: (
+        np.array(lengths), np.array(heights)))
+    rep = wald_mass_check(LAW_POS, 1, 2)
+    assert rep["ratio_stderr"] == rep["wald_residual_stderr"] == 0.0
+    assert (rep["ratio_z"], rep["wald_z"]) == (ratio_z, wald_z)
+    cfg = SimpleNamespace(law=LAW_POS, seed=1, tolerance_sigmas=4.0)
+    verdicts = [c["verdict"] for c in wald_claims(cfg, excursions=2)]
+    assert verdicts == ["fail" if ratio_z else "pass"] * 2
 
 
 def test_mbar_samples_are_horocyclic():

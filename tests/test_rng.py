@@ -1,7 +1,7 @@
 """The stream key rule: one Philox key per flattened path, no aliasing,
-``stream_rows``, ``uniforms_at`` and ``fill_at`` read exactly what
-``stream`` yields, ``seek`` leaves a stream where its draws do, and no
-key is built twice in a run of every suite on a shipped config."""
+``stream_rows`` reads exactly what ``stream`` yields, ``seek`` leaves a
+stream where its draws do, and no key is built twice in a run of every
+suite on a shipped config."""
 
 import cProfile
 import pstats
@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from affinetree import rng
 from affinetree.config import load_config
-from affinetree.rng import fill_at, position, seek, stream, stream_rows, \
-    uniforms_at
+from affinetree.rng import position, seek, stream, stream_rows
 from affinetree.suites import (
     algebra_claims,
     boundary_limit_claims,
@@ -90,44 +89,6 @@ paths = st.lists(st.one_of(st.integers(-5, 2 ** 70),
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 70), path=paths, moved=st.integers(0, 9),
-       starts=st.lists(st.one_of(st.integers(0, 600),
-                                 st.integers(0, 2 ** 60)),
-                       min_size=1, max_size=6),
-       width=st.integers(1, 40))
-def test_uniforms_at_match_numpy_philox(seed, path, moved, starts, width):
-    # numpy's own Philox reads each row, at a counter set by stream_rows
-    gen = stream(seed, *path, 0)
-    gen.random(moved)
-    got = uniforms_at(gen, starts, width)
-    assert got.shape == (len(starts), width)
-    for row, start in zip(got, starts):
-        assert np.array_equal(row, stream_rows([0], start, width, seed,
-                                               *path)[0])
-    assert position(gen) == moved
-    assert np.array_equal(gen.random(5), stream(seed, *path, 0).random(
-        moved + 5)[moved:])
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 70), path=paths, moved=st.integers(0, 9),
-       starts=st.lists(st.one_of(st.integers(0, 600),
-                                 st.integers(0, 2 ** 60)),
-                       min_size=1, max_size=6),
-       width=st.integers(1, 40))
-def test_fill_at_reads_what_uniforms_at_reads(seed, path, moved, starts,
-                                              width):
-    gen = stream(seed, *path)
-    gen.random(moved)
-    out = np.empty((len(starts), width))
-    assert fill_at(gen, starts, out) is out
-    assert np.array_equal(out, uniforms_at(gen, starts, width))
-    assert position(gen) == moved
-    assert np.array_equal(gen.random(5), stream(seed, *path).random(
-        moved + 5)[moved:])
-
-
-@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 70), path=paths,
        pos=st.integers(0, 600), moved=st.integers(0, 600))
 def test_seek_leaves_a_stream_where_its_draws_do(seed, path, pos, moved):
@@ -150,9 +111,8 @@ def test_seek_far(pos):
     gen = stream(4, "far", 0)
     seek(gen, pos)
     assert position(gen) == pos
-    want = stream_rows([0], pos, 6, 4, "far")[0]
-    assert np.array_equal(uniforms_at(gen, [pos], 6)[0], want)
-    assert np.array_equal(gen.random(6), want)
+    assert np.array_equal(gen.random(6),
+                          stream_rows([0], pos, 6, 4, "far")[0])
 
 
 def test_no_os_entropy_read():

@@ -17,7 +17,7 @@ from affinetree import renewal, suites
 from affinetree.config import load_config
 from affinetree.errors import StepBudgetExceeded
 from affinetree.group import PadicAffine, identity_like, power
-from affinetree.law import StepLaw
+from affinetree.law import WINDOW_CAP, StepLaw
 from affinetree.padic import PAdic
 from affinetree.rng import position, stream
 from affinetree.walk import boundary_limits, sample_boundary_limit
@@ -33,7 +33,8 @@ def aff(t, a):
 def _indexed_estimate(law, trajectories, horizon, seed):
     """``regime_claims``' first estimate from atom indices: final heights
     of whole paths past +-20, or for a centered law the share of paths
-    whose running extremes pass +-10, in blocks of 20 000 steps."""
+    whose running extremes pass +-10: in windows of 512, 1024, ... steps,
+    up to ``WINDOW_CAP``, the paths still undecided draw one block."""
     phis = np.array(law.phis, dtype=np.int64)
 
     def steps(rng, shape):
@@ -46,13 +47,17 @@ def _indexed_estimate(law, trajectories, horizon, seed):
         final = steps(stream(seed, cid), (trajectories, horizon)).sum(axis=1)
         return float((final < -20).mean() if mu < 0 else (final > 20).mean())
     span, rng = max(horizon, 300000), stream(seed, "regime.centered")
-    carry = mx = mn = np.zeros(trajectories, dtype=np.int64)
-    for done in range(0, span, 20000):
-        seg = carry[:, None] + np.cumsum(
-            steps(rng, (trajectories, min(20000, span - done))), axis=1)
-        mx = np.maximum(mx, seg.max(axis=1))
-        mn = np.minimum(mn, seg.min(axis=1))
-        carry = seg[:, -1]
+    carry, mx, mn = np.zeros((3, trajectories), dtype=np.int64)
+    live, done, width = np.arange(trajectories), 0, 512
+    while live.size and done < span:
+        width = min(width, WINDOW_CAP, span - done)
+        seg = carry[live, None] + np.cumsum(steps(rng, (live.size, width)),
+                                            axis=1)
+        mx[live] = np.maximum(mx[live], seg.max(axis=1))
+        mn[live] = np.minimum(mn[live], seg.min(axis=1))
+        carry[live] = seg[:, -1]
+        live = live[(mx[live] <= 10) | (mn[live] >= -10)]
+        done, width = done + width, 2 * width
     return float(((mx > 10) & (mn < -10)).mean())
 
 
@@ -62,7 +67,7 @@ SLIGHT_DOWN = StepLaw((UP, DOWN), (Fraction(19, 40), Fraction(21, 40)))
 SLIGHT_UP = StepLaw((UP, DOWN), (Fraction(21, 40), Fraction(19, 40)))
 LAZY = StepLaw((UP, DOWN, STAY), (Fraction(1, 1500), Fraction(1, 1500),
                                   Fraction(1498, 1500)))
-# a little lazier than centered.ini: at seeds 1 and 3 some paths are
+# a little lazier than centered.ini: at seeds 1 and 2 some paths are
 # decided within their first 512-step window, and a few never are
 LAZIER = StepLaw((UP, DOWN, STAY), (Fraction(1, 4), Fraction(1, 4),
                                     Fraction(1, 2)))

@@ -19,14 +19,13 @@ from affinetree.errors import (
 from affinetree.grid import GridLaw, blocks, reader, vertex_test
 from affinetree.group import PadicAffine, act_end, act_vertex, compose, \
     identity_like, phi
-from affinetree.law import StepLaw
+from affinetree.law import WINDOW_CAP, StepLaw
 from affinetree.padic import DEFAULT_BUDGET, PAdic, PrecisionBudget
 from affinetree.renewal import CylinderEvent
 from affinetree.rng import position, stream, stream_rows
 from affinetree.tree import PadicEnd, PadicVertex, end_in_disc
 from affinetree.walk import (
     DEFAULT_STEP_BUDGET,
-    LADDER_BLOCK,
     BoundaryLimit,
     LadderExcursion,
     excursion_rows,
@@ -88,21 +87,23 @@ def test_ladder_budget_negative_drift(monkeypatch):
 
 
 def _blockwise_ladder(law, rng, count, max_steps):
-    """The simulation whose uniforms ``ladder_heights`` reads: in blocks
-    of ``LADDER_BLOCK`` steps, every path still below its first epoch
-    draws a whole block of steps by inverse-CDF lookup."""
+    """The simulation whose uniforms ``ladder_heights`` reads: in windows
+    of 8, 16, 32, ... steps, up to ``WINDOW_CAP`` and cut at ``max_steps``,
+    every path still below its first epoch draws a whole block of steps
+    by inverse-CDF lookup."""
     phis = np.array(law.phis, dtype=np.int64)
     lengths = np.zeros(count, dtype=np.int64)
     heights = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
     carried = np.zeros(count, dtype=np.int64)
-    offset = 0
+    offset, width = 0, 8
     while active.size:
         if offset >= max_steps:
             raise StepBudgetExceeded(
                 f"{active.size} paths without a ladder epoch after "
                 f"{offset} steps")
-        u = rng.random((active.size, LADDER_BLOCK))
+        width = min(width, WINDOW_CAP, max_steps - offset)
+        u = rng.random((active.size, width))
         idx = np.minimum(np.searchsorted(law.thresholds, u, side="right"),
                          len(phis) - 1)
         paths = carried[active, None] + np.cumsum(phis[idx], axis=1)
@@ -114,7 +115,7 @@ def _blockwise_ladder(law, rng, count, max_steps):
         heights[done] = paths[any_hit, first[any_hit]]
         carried[active] = paths[:, -1]
         active = active[~any_hit]
-        offset += LADDER_BLOCK
+        offset, width = offset + width, 2 * width
     return lengths, heights
 
 
@@ -126,7 +127,7 @@ def _blockwise_ladder(law, rng, count, max_steps):
     (LAW_SLOW, 400, 3, DEFAULT_STEP_BUDGET),
     (LAW_23, 2000, 3, DEFAULT_STEP_BUDGET),
     (LAW_NEG, 100, 3, 5000),          # the budget runs out
-    (LAW_SLOW, 400, 3, 1000),         # within the last block
+    (LAW_SLOW, 400, 3, 1000),         # the budget cuts the last window
 ], ids=["pos", "pos-one", "pos-none", "slow", "slow-moved", "plus2-minus3",
         "neg-budget", "slow-budget"])
 def test_ladder_heights_read_the_blockwise_uniforms(law, count, moved,
@@ -144,9 +145,26 @@ def test_ladder_heights_read_the_blockwise_uniforms(law, count, moved,
     got = run(lambda *a: ladder_heights(*a[:3]))
     assert got == run(_blockwise_ladder)
     if law is LAW_SLOW and max_steps == DEFAULT_STEP_BUDGET:
-        assert max(got[0][0]) > 2 * LADDER_BLOCK    # rows span blocks
+        assert max(got[0][0]) > 2040    # past 8 + 16 + ... + 1024 steps
     if law is LAW_NEG:
         assert "without a ladder epoch" in got[0]
+
+
+@pytest.mark.parametrize("law,count,budget", [
+    (LAW_SLOW, 400, 1000), (LAW_SLOW, 40, 1000), (LAW_SLOW, 40, 5000),
+    (LAW_NEG, 100, 5000), (LAW_POS, 3000, 1000)])
+def test_ladder_heights_keep_their_step_budget(law, count, budget,
+                                               monkeypatch):
+    """No path runs past the budget, and a path without an epoch within
+    it ends the call after exactly that many steps."""
+    monkeypatch.setattr(walk, "DEFAULT_STEP_BUDGET", budget)
+    try:
+        lengths, _ = ladder_heights(law, stream(10, "b"), count)
+    except StepBudgetExceeded as exc:
+        assert str(exc).endswith(f"without a ladder epoch after {budget} "
+                                 "steps")
+    else:
+        assert lengths.min() >= 1 and lengths.max() <= budget
 
 
 def test_ladder_heights_memory_is_bounded():
