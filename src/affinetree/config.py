@@ -78,6 +78,19 @@ def sigmas(text, location=None) -> float:
     return value
 
 
+def _int(section, key, default, low=-math.inf, high=math.inf):
+    """The integer ``section.key`` in [low, high], ``default`` if absent."""
+    loc = f"{section.name}.{key}"
+    try:
+        value = section.getint(key, default)
+    except ValueError as exc:
+        raise MalformedSyntax(f"{section[key]!r} is not an integer",
+                              loc) from exc
+    if not low <= value <= high:
+        raise MalformedSyntax(f"{value} is not in [{low}, {high}]", loc)
+    return value
+
+
 def _parse_fraction(text, location):
     try:
         return Fraction(text.strip())
@@ -134,20 +147,18 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
     if kind not in ("padic", "lamplighter"):
         raise MalformedSyntax(f"unknown realization kind {kind!r}",
                               "realization.kind")
-    budget = PrecisionBudget(
-        working=real.getint("working_precision", 48),
-        min_acceptable=real.getint("min_precision", 6))
+    working = _int(real, "working_precision", 48, 1)
+    budget = PrecisionBudget(working,
+                             _int(real, "min_precision", 6, 1, working))
     prime = q = None
     if kind == "padic":
-        prime = real.getint("prime", 2)
+        prime = _int(real, "prime", 2)
         if prime >= 2 ** 64 or not is_prime(prime):
             raise InvalidPrime(f"{prime} is not a prime below 2**64",
                                "realization.prime")
     else:
-        q = real.getint("q", 2)
-        if q < 2:
-            raise MalformedSyntax("q must be at least 2", "realization.q")
-    end_window = real.getint("end_window", 24)
+        q = _int(real, "q", 2, 2)
+    end_window = _int(real, "end_window", 24)
 
     if not cp.has_section("law"):
         raise MalformedSyntax("missing [law] section")
@@ -177,14 +188,9 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
     if not cp.has_section("experiment"):
         cp.add_section("experiment")
     exp = cp["experiment"]
-    seed = exp.getint("seed", 0)
-    trajectories = exp.getint("trajectories", 1000)
-    horizon = exp.getint("horizon", 4000)
-    if trajectories < 1:
-        raise MalformedSyntax("trajectories must be >= 1",
-                              "experiment.trajectories")
-    if horizon < 1:
-        raise MalformedSyntax("horizon must be >= 1", "experiment.horizon")
+    seed = _int(exp, "seed", 0)
+    trajectories = _int(exp, "trajectories", 1000, 1)
+    horizon = _int(exp, "horizon", 4000, 1)
     tol = sigmas(exp.get("tolerance_sigmas", "3"), "experiment.tolerance_sigmas")
     out_dir = exp.get("out", "results")
 

@@ -121,7 +121,8 @@ class PadicAffine:
         return self.t.residue(depth)
 
     def limit_end(self, known_exponent: int) -> PadicEnd:
-        """Where a right product at this element goes, known that far."""
+        """Where a right product at this element goes, known modulo
+        p**known_exponent: later terms may change any digit above."""
         return PadicEnd(self.t.with_known_exponent(known_exponent))
 
     def engine(self, law):

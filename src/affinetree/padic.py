@@ -289,20 +289,24 @@ class PAdic:
 
         Used when a computed value is only certified modulo p**exponent,
         e.g. the limit of a convergent series summed to finitely many terms.
+        An exact value is always cut there, its unit read from num/den (its
+        ``unit`` has only working digits); digits known less far are kept.
         """
         if self.is_zero:
             if self.zero_bound is None or self.zero_bound >= exponent:
                 return PAdic.zero(self.prime, exponent, self.budget)
             return self
-        if self.known_exponent <= exponent:
+        if self.den is None and self.known_exponent <= exponent:
             return self
         if self.valuation >= exponent:
             return PAdic.zero(self.prime, exponent, self.budget)
         # a deliberate weakening, so the min_acceptable floor does not apply
-        prec = exponent - self.valuation
-        return PAdic(self.prime, self.valuation,
-                     self.unit % self.prime ** prec, prec,
-                     budget=self.budget, _checked=True)
+        mod = self.prime ** (exponent - self.valuation)
+        unit = self.unit if self.den is None \
+            else self.num * pow(self.den, -1, mod)
+        return PAdic(self.prime, self.valuation, unit % mod,
+                     exponent - self.valuation, budget=self.budget,
+                     _checked=True)
 
     def _require_same(self, other):
         if not isinstance(other, PAdic):

@@ -49,6 +49,7 @@ from .rng import stream, stream_rows, streams_at
 from .tree import end_in_disc
 from .walk import (
     DEFAULT_STEP_BUDGET,
+    _boundary_limit,
     _end_window,
     _GenericWalk,
     excursion_rows,
@@ -567,24 +568,20 @@ def sample_mbar(law, rng, *, depth=4):
 def _mbar_rows(law, seed, samples, depth):
     """The draws of ``sample_mbar(law, stream(seed, "limit", i), depth)``
     for i < samples, for a law whose inverse is on the engine: per sample
-    (row, unit, limit).  ``row`` is the inverted walk's (steps, top, key,
-    translation) of ``walk.limit_rows`` and ``limit(i, row)`` its
-    ``BoundaryLimit``; ``unit`` is drawn where the walk left stream i
-    (None where no unit is drawn)."""
+    the inverted walk's row of ``walk.limit_rows`` and the unit drawn
+    where the walk left stream i (None where no unit is drawn)."""
     if law.drift() >= 0:
         raise NonNegativeDrift("the inverted walk must have positive drift")
-    chunks, limit = limit_rows(law.inverse(), samples, seed, "limit",
-                               depth=depth)
     i = 0
-    for rows in chunks:
+    for rows in limit_rows(law.inverse(), samples, seed, "limit",
+                           depth=depth):
         if None in rows:
             raise StepBudgetExceeded(
                 f"no certified depth-{depth} disc within "
                 f"{DEFAULT_STEP_BUDGET} steps")
         draws = law.atoms[0].rotation_draws(streams_at(
             range(i, i + len(rows)), [r[0] for r in rows], seed, "limit"))
-        for row, unit in zip(rows, draws):
-            yield row, unit, limit
+        yield from zip(rows, draws)
         i += len(rows)
 
 
@@ -616,13 +613,14 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
             x = sample_mbar(law, stream(seed, "limit", i), depth=depth)
             hits += f.member(compose(s_h, invert(x)))
     else:
-        test = grid.hit_test(f, _end_window(depth, None))
-        for i, (row, unit, limit) in enumerate(
-                _mbar_rows(law, seed, samples, depth)):
+        window = _end_window(depth, None)
+        test = grid.hit_test(f, window)
+        for row, unit in _mbar_rows(law, seed, samples, depth):
             if test is not None:
                 hits += test(row[3], unit)
             else:
-                x = law.atoms[0].section(limit(i, row).end, unit)
+                end = _boundary_limit(grid, row, window).end
+                x = law.atoms[0].section(end, unit)
                 hits += f.member(compose(s_h, invert(x)))
     mass = -1 / law.drift()
     prob = hits / samples

@@ -222,10 +222,6 @@ class PadicEnd(_PadicPoint):
     is_vertex = False
     prime = property(attrgetter("value.prime"))
 
-    @property
-    def is_exact(self) -> bool:
-        return self.value.den is not None
-
     def value_and_cap(self):
         return self.value, None
 
@@ -260,7 +256,6 @@ class LampEnd(_LampPoint):
     values: tuple  # sorted ((pos, val), ...), val != 0, pos <= known_to
 
     is_vertex = False
-    is_exact = False
     lamps = property(attrgetter("values"))
 
     def __post_init__(self):

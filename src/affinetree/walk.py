@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import blocks, inverse_cdf, row_chunks
+from .grid import blocks, row_chunks
 from .group import compose, identity_like, phi
 from .law import WINDOW_CAP
 from .rng import position, seek, stream, stream_rows
@@ -184,8 +184,8 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
             stable = stable + 1 if k == key else 1
             key = k
             if stable >= STABLE_EPOCHS and top >= goal:
-                end = grid.element((top, 1, *t)).limit_end(end_window)
-                return BoundaryLimit(end, grid.disc_id(key), n), None
+                return _boundary_limit(grid, (n, top, key, t),
+                                       end_window), None
         return None, (t, wait, top, n, key, stable)
     return _record_rows(
         grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, None, 0), walk,
@@ -348,27 +348,10 @@ def _limit_chunks(grid, read, count, depth, end_window, max_steps):
         yield out
 
 
-def _translation(grid, indices):
-    """(num, floor) of the whole translation of the right walk through
-    the atoms ``indices``."""
-    s, t = 0, (0, 0)
-    for j in indices.tolist():
-        n, e, ph = grid.steps[j]
-        if n:
-            t = grid.sum(*t, n, s + e)
-        s += ph
-    return t
-
-
-def _boundary_limit(grid, read, i, limit, end_window) -> BoundaryLimit:
-    """The ``BoundaryLimit`` of walk i's (steps, top, key, translation)."""
+def _boundary_limit(grid, limit, end_window) -> BoundaryLimit:
+    """The ``BoundaryLimit`` of a walk's (steps, top, key, translation)."""
     n, top, key, t = limit
     end = grid.element((top, 1, *t)).limit_end(end_window)
-    if end.is_exact:
-        # an end with few digits keeps the exact value: every term counts
-        t = _translation(grid, inverse_cdf(grid.thresholds,
-                                           read([i], 0, n)[0]))
-        end = grid.element((top, 1, *t)).limit_end(end_window)
     return BoundaryLimit(end, grid.disc_id(key), n)
 
 
@@ -380,18 +363,13 @@ def _require_positive_drift(law):
 
 def limit_rows(law, count, seed, *path, depth: int, end_window=None,
                max_steps=DEFAULT_STEP_BUDGET):
-    """The walks of ``boundary_limits`` on the engine form of ``law``,
-    as (chunks, limit): ``chunks`` yields one list per batch of walks,
-    per walk (steps, top, key, translation) or None, and ``limit(i,
-    row)`` makes walk i's ``BoundaryLimit`` of its row."""
-    grid = law.grid
-    end_window = _end_window(depth, end_window)
-
+    """The walks of ``boundary_limits`` on the engine form of ``law``: one
+    list per batch of walks, per walk (steps, top, key, translation) or
+    None, the translation exact below the end window (``_boundary_limit``)."""
     def read(rows, start, size):
         return stream_rows(rows, start, size, seed, *path)
-    chunks = _limit_chunks(grid, read, count, depth, end_window, max_steps)
-    return chunks, lambda i, row: _boundary_limit(grid, read, i, row,
-                                                  end_window)
+    return _limit_chunks(law.grid, read, count, depth,
+                         _end_window(depth, end_window), max_steps)
 
 
 def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
@@ -411,11 +389,11 @@ def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
             except StepBudgetExceeded:
                 out.append(None)
         return out
-    chunks, limit = limit_rows(law, count, seed, *path, depth=depth,
-                               end_window=end_window, max_steps=max_steps)
-    for rows in chunks:
-        for row in rows:
-            out.append(None if row is None else limit(len(out), row))
+    end_window = _end_window(depth, end_window)
+    for rows in limit_rows(law, count, seed, *path, depth=depth,
+                           end_window=end_window, max_steps=max_steps):
+        out += [None if row is None else
+                _boundary_limit(law.grid, row, end_window) for row in rows]
     return out
 
 
@@ -427,10 +405,11 @@ def sample_boundary_limit(law, rng, *, depth: int, end_window=None,
     ``STABLE_EPOCHS`` successive running-maximum records of the height
     and the height has climbed ``HEIGHT_GUARD`` levels past the end
     window, so a later return below the window has probability at most
-    about q**-HEIGHT_GUARD.  The returned end is known to ``end_window``
-    digits (default depth + 8, leaving headroom for later arithmetic).
-    On the engine this is the one-walk case of the batch, and ``rng``
-    is left where one draw per step leaves it.
+    about q**-HEIGHT_GUARD.  The end is known modulo p**``end_window``
+    (default depth + 8, headroom for later arithmetic), exact or not: a
+    read past it raises.  On the engine this is the one-walk case of the
+    batch, read from ``rng`` in sequence, and ``rng`` is left where one
+    draw per step leaves it.
     """
     _require_positive_drift(law)
     grid = law.grid
@@ -439,22 +418,13 @@ def sample_boundary_limit(law, rng, *, depth: int, end_window=None,
         return _certified_limit(w, w.right, depth, end_window, max_steps)
     end_window = _end_window(depth, end_window)
     pos = position(rng)
-    drawn = 0     # uniforms read from pos on
-
-    def read(rows, start, size):
-        nonlocal drawn
-        if start != drawn:
-            seek(rng, pos + start)
-        drawn = start + size
-        return rng.random((1, size))
-    [row], = _limit_chunks(grid, read, 1, depth, end_window, max_steps)
+    [row], = _limit_chunks(grid, lambda rows, start, size: rng.random(
+        (1, size)), 1, depth, end_window, max_steps)
+    seek(rng, pos + (max_steps if row is None else row[0]))
     if row is None:
-        seek(rng, pos + max_steps)
         raise StepBudgetExceeded(
             f"no certified depth-{depth} disc within {max_steps} steps")
-    bl = _boundary_limit(grid, read, 0, row, end_window)
-    seek(rng, pos + row[0])
-    return bl
+    return _boundary_limit(grid, row, end_window)
 
 
 def ladder_boundary_limit(law, rng, *, depth: int, end_window=None,

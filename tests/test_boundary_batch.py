@@ -10,13 +10,16 @@ rotation units and reads its hits from the batch; both must match
 
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetree import grid, walk
-from affinetree.errors import AffineTreeError, StepBudgetExceeded
+from affinetree.config import parse_config
+from affinetree.errors import AffineTreeError, PrecisionExhausted, \
+    StepBudgetExceeded
 from affinetree.group import PadicAffine, act_vertex, compose, invert, \
     power
 from affinetree.law import StepLaw
@@ -29,8 +32,8 @@ from affinetree.renewal import (
 )
 from affinetree.rng import position, stream
 from affinetree.tree import LampVertex, PadicVertex
-from affinetree.walk import boundary_limits, limit_rows, \
-    sample_boundary_limit
+from affinetree.walk import boundary_limits, ladder_boundary_limit, \
+    limit_rows, sample_boundary_limit
 
 from test_lamp_walk import _generic_twin, lamp_laws
 from test_walk import SMALL_BUDGETS, grid_laws
@@ -42,8 +45,9 @@ LAW_NEG = StepLaw((PadicAffine(PAdic.from_int(0, 2),
 
 
 def _with_budget(law, budget):
-    """The p-adic law with its atoms' values held at ``budget``: a small
-    working precision keeps some ends exact."""
+    """The p-adic law with its atoms' values held at ``budget``: at a
+    small working precision an exact translation has fewer digits than
+    the end window, which the end must still cut at the window."""
     if law.kind != "padic" or budget is None:
         return law
     atoms = tuple(PadicAffine(PAdic.from_fraction(g.t.exact, g.prime, budget),
@@ -115,6 +119,41 @@ def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
                 _scalar(twin, seed, ("batch",), i, **kw)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("working", [48, 8])
+def test_ends_carry_exactly_their_window(working):
+    """At working precision 8 most translations here are exact with fewer
+    digits than the window; every end, on the engine batch, the one-row
+    branch, the generic walk and the ladder walk, is still known modulo
+    exactly p**end_window and refuses a read past the window, and every
+    end of the right walk agrees at the window with a 40-digit
+    certification of its stream."""
+    text = (CONFIGS / "drift_pos.ini").read_text()
+    law = parse_config(text.replace("working_precision = 48",
+                                    f"working_precision = {working}")).law
+    assert law.atoms[0].t.budget.working == working
+    depth, window, count = 4, 12, 200
+    deep = boundary_limits(law, count, 5, "window", depth=depth,
+                           end_window=40)
+    batch = boundary_limits(law, count, 5, "window", depth=depth)
+    for i, (bl, ref) in enumerate(zip(batch, deep)):
+        rng = lambda: stream(5, "window", i)
+        ends = [bl.end,
+                sample_boundary_limit(law, rng(), depth=depth).end,
+                sample_boundary_limit(_generic_twin(law), rng(),
+                                      depth=depth).end]
+        for end in ends:
+            assert end.disc_key(window) == ref.end.disc_key(window)
+        if i < 20:      # the ladder walk's limit is another point
+            ends.append(ladder_boundary_limit(law, rng(), depth=depth).end)
+        for end in ends:
+            assert end.value.known_exponent == window
+            with pytest.raises(PrecisionExhausted):
+                end.disc_key(30)
+
+
 def test_rows_span_blocks_and_exhaust_budgets():
     law = LAW_NEG.inverse()
     got = boundary_limits(law, 200, 7, "span", depth=3, end_window=40,
@@ -163,14 +202,19 @@ def _events(draw, law, window, x):
     return [CylinderEvent(*zip(*out))]
 
 
+def _end(law, row, depth):
+    """The end of a limit row of ``law``'s inverted walk."""
+    return walk._boundary_limit(law.inverse().grid, row, depth + 8).end
+
+
 def _hit_cases(f, law, depth, rows, units):
     """Per limit row of ``law``'s inverted walk and its unit: the hit read
     on integers (None where ``hit_test`` does not decide it) and
     the generic member test of s**level·x^{-1}, or its error's name."""
     s_h = power(law.atoms[0].reference_homothety().element, f.level)
     test = law.inverse().grid.hit_test(f, depth + 8)
-    for i, ((row, limit), unit) in enumerate(zip(rows, units)):
-        x = law.atoms[0].section(limit(i, row).end, unit)
+    for row, unit in zip(rows, units):
+        x = law.atoms[0].section(_end(law, row, depth), unit)
         want = _outcome(lambda: f.member(compose(s_h, invert(x))))
         yield x, (None if test is None else test(row[3], unit)), want
 
@@ -182,19 +226,17 @@ def test_limit_samples_match_sample_mbar(up, seed, top, data):
     law = up.inverse()          # negative drift; its inverse walks up
     depth = max(top + 2, 4)
     samples = 5
-    rows = list(_mbar_rows(law, seed, samples, depth))
-    row, unit, limit = rows[0]
-    x = law.atoms[0].section(limit(0, row).end, unit)
+    rows, units = zip(*_mbar_rows(law, seed, samples, depth))
+    x = law.atoms[0].section(_end(law, rows[0], depth), units[0])
     for f in _events(data.draw, law, depth + 8, x):
-        cases = _hit_cases(f, law, depth, [(r, lim) for r, _, lim in rows],
-                           [unit for _, unit, _ in rows])
+        cases = _hit_cases(f, law, depth, rows, units)
         for i, (x, hit, want) in enumerate(cases):
             # the repr holds every digit of the end and of the unit
             smp = sample_mbar(law, stream(seed, "limit", i), depth=depth)
             assert repr(x) == repr(smp)
             assert hit in (None, want)
     if law.kind != "padic":
-        assert [unit for _, unit, _ in rows] == [None] * samples
+        assert units == (None,) * samples
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,12 +247,11 @@ def test_integer_hits_match_member_for_odd_primes(up, seed, top, data):
     taken modulo a power of p, with units drawn here."""
     law = up.inverse()
     p, depth, samples = law.degree, max(top + 2, 4), 5
-    chunks, limit = limit_rows(up, samples, seed, "limit", depth=depth)
-    rows = [(row, limit) for chunk in chunks for row in chunk]
+    rows = [row for chunk in limit_rows(up, samples, seed, "limit",
+                                        depth=depth) for row in chunk]
     units = [data.draw(st.integers(0, p ** 48 // p - 1)) * p
              + data.draw(st.integers(1, p - 1)) for _ in rows]
-    x = law.atoms[0].section(limit(0, rows[0][0]).end,
-                                units[0])
+    x = law.atoms[0].section(_end(law, rows[0], depth), units[0])
     for f in _events(data.draw, law, depth + 8, x):
         for _, hit, want in _hit_cases(f, law, depth, rows, units):
             assert hit in (None, want)
@@ -224,7 +265,7 @@ def test_sample_mbar_draws_units_for_odd_primes():
                    PadicAffine(PAdic.from_int(1, 3), PAdic.from_int(3, 3))),
                   (Fraction(3, 4), Fraction(1, 4)))
     smp = sample_mbar(law, stream(1, "limit", 0), depth=4)
-    [(_, unit, _)] = _mbar_rows(law, 1, 1, 4)
+    [(_, unit)] = _mbar_rows(law, 1, 1, 4)
     assert repr(smp) == repr(law.atoms[0].section(
         sample_boundary_limit(law.inverse(), stream(1, "limit", 0),
                                    depth=4).end, unit))

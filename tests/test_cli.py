@@ -86,6 +86,30 @@ def test_invalid_prime_exit_2(runner, tmp_path):
     assert "realization.prime" in res.stderr
 
 
+@pytest.mark.parametrize("line,location", [
+    ("working_precision = abc", "realization.working_precision"),
+    ("working_precision = 0", "realization.working_precision"),
+    ("min_precision = 60", "realization.min_precision"),
+    ("end_window = 2.5", "realization.end_window"),
+    ("seed = x", "experiment.seed"),
+    ("trajectories = 0", "experiment.trajectories"),
+])
+def test_malformed_integer_exit_2(runner, tmp_path, line, location):
+    """An integer value that does not parse, or lies out of its range,
+    is a config error at its key, not a traceback."""
+    key = line.split(" =")[0]
+    text = POS.format(out=tmp_path / "r")
+    if location.startswith("experiment"):
+        text = "\n".join(ln for ln in text.splitlines()
+                         if not ln.startswith(key + " "))
+        text = text.replace("[experiment]", f"[experiment]\n{line}")
+    else:
+        text = text.replace("prime = 2", f"prime = 2\n{line}")
+    res = runner.invoke(main, ["validate", "--config", write(tmp_path, text)])
+    _config_error(res)
+    assert f"config error: {location}: " in res.stderr
+
+
 def test_weights_not_normalized_exit_2(runner, tmp_path):
     out = tmp_path / "r"
     cfg = write(tmp_path, POS.format(out=out).replace("weight 1/4",

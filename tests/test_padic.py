@@ -131,6 +131,22 @@ rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rationals.filter(bool), st.sampled_from([2, 3, 5]),
+       st.integers(1, 12), st.integers(1, 40))
+def test_exact_value_weakens_to_exactly_its_window(r, p, working, extra):
+    """An exact value is cut at the requested exponent also where that
+    lies past its working digits: what is kept is the rational's residue,
+    and no digit above it."""
+    x = PAdic.from_fraction(r, p, PrecisionBudget(working, 1))
+    k = x.valuation + extra
+    y = x.with_known_exponent(k)
+    assert y.den is None and y.known_exponent == k
+    assert y.residue_pair(k) == x.residue_pair(k)
+    with pytest.raises(PrecisionExhausted):
+        y.residue_pair(k + 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rationals, rationals, st.sampled_from([2, 3, 5]),
        st.sampled_from([-50, 0, 50]), st.sampled_from([-50, 0, 50]),

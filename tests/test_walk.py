@@ -38,9 +38,9 @@ from affinetree.walk import (
 )
 
 
-def aff(t, a, p=2):
-    return PadicAffine(PAdic.from_fraction(Fraction(t), p),
-                       PAdic.from_fraction(Fraction(a), p))
+def aff(t, a, p=2, budget=DEFAULT_BUDGET):
+    return PadicAffine(PAdic.from_fraction(Fraction(t), p, budget),
+                       PAdic.from_fraction(Fraction(a), p, budget))
 
 
 LAW_POS = StepLaw((aff(0, 2), aff(1, Fraction(1, 2))),
@@ -202,9 +202,18 @@ def test_boundary_limit_needs_positive_drift():
 
 
 def test_end_of_product_window_is_honest():
-    g = run_product(LAW_POS, stream(14, 0), 400)
-    e = g.limit_end(known_exponent=6)
-    assert e.value.known_exponent == 6
+    """The end is cut at its window at every working precision, also
+    where the exact translation has fewer digits than the window."""
+    for budget in [DEFAULT_BUDGET, *SMALL_BUDGETS]:
+        law = StepLaw(tuple(aff(g.t.exact, g.a.exact, budget=budget)
+                            for g in LAW_POS.atoms), LAW_POS.weights)
+        g = run_product(law, stream(14, 0), 400)
+        for window in (6, 20):
+            e = g.limit_end(known_exponent=window)
+            assert e.value.known_exponent == window
+            assert e.disc_key(window) == g.t.residue(window)
+            with pytest.raises(PrecisionExhausted):
+                e.disc_key(window + 1)
 
 
 def test_disc_key_depth_monotone():
