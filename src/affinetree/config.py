@@ -158,7 +158,7 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
                                "realization.prime")
     else:
         q = _int(real, "q", 2, 2)
-    end_window = _int(real, "end_window", 24)
+    end_window = _int(real, "end_window", 24, 1)
 
     if not cp.has_section("law"):
         raise MalformedSyntax("missing [law] section")

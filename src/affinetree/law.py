@@ -4,8 +4,9 @@ A law is a list of atoms (group elements) with exact Fraction weights.
 Sampling uses inverse-CDF lookup against cumulative float thresholds;
 the scalar and vectorized paths consume uniforms identically, so a
 height-only simulation and a full group simulation with the same stream
-visit the same atoms.  Height-only paths skip the atom index: u picks the
+visit the same atoms.  Whole height paths skip the atom index: u picks the
 step phis[0] plus the jump phis[j+1] - phis[j] at each threshold j <= u.
+A final height draws no step: it is phis . K, K its multinomial atom counts.
 """
 
 from __future__ import annotations
@@ -119,14 +120,11 @@ class StepLaw:
         return np.cumsum(self.phi_steps(rng.random((n_traj, horizon))), 1)
 
     def final_phis(self, rng, n_traj: int, horizon: int) -> np.ndarray:
-        """S_horizon of ``sample_phi_paths``, by row chunks of about 2**20
-        steps, which read the same uniforms."""
-        out = np.zeros(n_traj, dtype=np.int64)
-        step = max(1, 2 ** 20 // horizon)          # rows per chunk
-        for a in range(0, n_traj, step):
-            out[a:a + step] = self.phi_steps(
-                rng.random((min(step, n_traj - a), horizon))).sum(1)
-        return out
+        """S_horizon of n_traj paths: phis . K for atom counts K drawn from
+        Multinomial(horizon, the samplers' float weights), in atom order."""
+        probs = np.diff(self.thresholds, prepend=0.0)
+        return rng.multinomial(horizon, probs, size=n_traj) @ np.array(
+            self.phis, dtype=np.int64)
 
     def phi_sums(self, rng, rows, width: int):
         """Running heights over ``width`` steps of the paths ``rows``, from

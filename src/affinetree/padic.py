@@ -235,7 +235,9 @@ class PAdic:
 
     @property
     def known_exponent(self):
-        """The value is determined modulo p**known_exponent (None = exact)."""
+        """The value is determined modulo p**known_exponent; None only for
+        an exact zero.  A nonzero exact value gives valuation + working, as
+        ``__add__`` needs, yet its ``residue`` reads any depth."""
         if self.is_zero:
             return self.zero_bound
         return self.valuation + self.precision

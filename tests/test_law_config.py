@@ -1,5 +1,6 @@
 """Step laws and the experiment config format."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -149,13 +150,31 @@ def test_phi_steps_match_indexed_phis(exps, weights, dtype):
     assert np.array_equal(steps.astype(np.int64), want)
 
 
-def test_final_phis_are_path_ends():
+def _exact_cdf(law, n):
+    """P(S_n <= x) for x = n * min(phis) .. n * max(phis): the n-fold
+    convolution of the step law, as the n-th power of its discrete Fourier
+    transform over exactly the support's span."""
+    lo, hi = min(law.phis), max(law.phis)
+    size = n * (hi - lo) + 1
+    step = np.zeros(size)
+    np.add.at(step, np.array(law.phis) - lo, [float(w) for w in law.weights])
+    return n * lo, np.cumsum(np.fft.irfft(np.fft.rfft(step) ** n, size))
+
+
+def test_final_phis_follow_the_exact_law():
+    """Final heights against the exact law of S_n, by the
+    Dvoretzky-Kiefer-Wolfowitz bound: the empirical CDF of k draws strays
+    past eps = sqrt(12 / k) anywhere with probability below 2e^-24."""
     law = StepLaw((aff(0, 4), aff(1, Fraction(1, 8)), aff(1, 1)),
                   (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
-    # 7 rows of 300 000 steps come in row chunks of 3, 3 and 1
-    ends = law.final_phis(stream(7, 1), 7, 300000)
-    paths = law.sample_phi_paths(stream(7, 1), 7, 300000)
-    assert np.array_equal(ends, paths[:, -1])
+    k = 20000
+    for n in (1, 2, 7, 100000):
+        ends = law.final_phis(stream(7, n), k, n)
+        assert ends.shape == (k,) and ends.dtype == np.int64
+        lo, cdf = _exact_cdf(law, n)
+        assert lo <= ends.min() and ends.max() < lo + cdf.size
+        seen = np.cumsum(np.bincount(ends - lo, minlength=cdf.size)) / k
+        assert np.abs(seen - cdf).max() < math.sqrt(12 / k), n
 
 
 def test_inverse_atoms():

@@ -127,6 +127,15 @@ def test_with_known_exponent_drops_shadow():
     assert x.known_exponent == 10
 
 
+def test_known_exponent_of_an_exact_value():
+    """Only an exact zero has no known exponent.  A nonzero exact value
+    reports valuation + working, yet its residue reads past that."""
+    x = PAdic.from_int(16, 2, PrecisionBudget(8, 6))
+    assert x.known_exponent == 12
+    assert x.residue(30) == 16
+    assert PAdic.from_int(0, 2).known_exponent is None
+
+
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
 

@@ -1,5 +1,7 @@
-"""Regime claims: estimates from threshold counts equal those from atom
-indices, memory stays bounded, and step-budget exhaustion is reported.
+"""Regime claims: drift estimates follow the exact law of the final
+height, centered estimates from threshold counts equal those from atom
+indices, the drift claims draw per path and not per step, memory stays
+bounded, and step-budget exhaustion is reported.
 The exact oracle's values on the shipped configs are pinned, a centered
 oracle claim is a skip, and the invariance claim holds its discs
 together to the rate its tolerance states."""
@@ -30,22 +32,27 @@ def aff(t, a):
                        PAdic.from_fraction(Fraction(a), 2))
 
 
+def _exact_tail(law, horizon):
+    """P(S_horizon < -20) for a descending law, P(S_horizon > 20) for an
+    ascending one, summed exactly over the atom counts of a two-atom law."""
+    (a, b), (wa, wb) = law.phis, law.weights
+    past = (lambda s: s < -20) if law.drift() < 0 else (lambda s: s > 20)
+    return float(sum(math.comb(horizon, k) * wa ** k * wb ** (horizon - k)
+                     for k in range(horizon + 1)
+                     if past(a * k + b * (horizon - k))))
+
+
 def _indexed_estimate(law, trajectories, horizon, seed):
-    """``regime_claims``' first estimate from atom indices: final heights
-    of whole paths past +-20, or for a centered law the share of paths
-    whose running extremes pass +-10: in windows of 512, 1024, ... steps,
-    up to ``WINDOW_CAP``, the paths still undecided draw one block."""
+    """``regime_claims``' estimate for a centered law from atom indices:
+    the share of paths whose running extremes pass +-10: in windows of
+    512, 1024, ... steps, up to ``WINDOW_CAP``, the paths still undecided
+    draw one block."""
     phis = np.array(law.phis, dtype=np.int64)
 
     def steps(rng, shape):
         idx = np.searchsorted(law.thresholds, rng.random(shape), side="right")
         return phis[np.minimum(idx, len(phis) - 1)]
 
-    mu = law.drift()
-    if mu:
-        cid = "regime.descend" if mu < 0 else "regime.ascend"
-        final = steps(stream(seed, cid), (trajectories, horizon)).sum(axis=1)
-        return float((final < -20).mean() if mu < 0 else (final > 20).mean())
     span, rng = max(horizon, 300000), stream(seed, "regime.centered")
     carry, mx, mn = np.zeros((3, trajectories), dtype=np.int64)
     live, done, width = np.arange(trajectories), 0, 512
@@ -74,8 +81,8 @@ LAZIER = StepLaw((UP, DOWN, STAY), (Fraction(1, 4), Fraction(1, 4),
 
 
 @pytest.mark.parametrize("law,trajectories,horizon,seeds,within", [
-    (SLIGHT_DOWN, 300, 400, (8,), (0.1, 0.9)),
-    (SLIGHT_UP, 300, 401, (8,), (0.1, 0.9)),
+    (SLIGHT_DOWN, 2000, 400, tuple(range(20)), (0.1, 0.9)),
+    (SLIGHT_UP, 2000, 401, tuple(range(20)), (0.1, 0.9)),
     (LAZY, 40, 1000, (8,), (0.1, 0.9)),
     (LAZY, 5, 310000, (8, 9, 10), (0.1, 0.9)),
     (LAZY, 1, 1000, tuple(range(6)), (0.1, 0.9)),
@@ -87,17 +94,23 @@ def test_regime_estimates_match_atom_indices(law, trajectories, horizon,
     got = [suites.regime_claims(SimpleNamespace(law=law), trajectories,
                                 horizon, limit_samples=1, seed=seed)[0]
            ["estimate"] for seed in seeds]
-    assert got == [_indexed_estimate(law, trajectories, horizon, seed)
-                   for seed in seeds]
+    if law.drift():
+        # pooled over the seeds, within 5 sigma of the exact tail
+        p, n = _exact_tail(law, horizon), trajectories * len(seeds)
+        assert abs(np.mean(got) - p) < 5 * math.sqrt(p * (1 - p) / n)
+    else:
+        assert got == [_indexed_estimate(law, trajectories, horizon, seed)
+                       for seed in seeds]
     # paths of both verdicts, so that a changed height would show
     assert within[0] < np.mean(got) < within[1]
 
 
 class _Counted:
-    """A generator that counts the uniforms drawn through it."""
+    """A generator that counts the uniforms and the multinomial rows drawn
+    through it."""
 
     def __init__(self, gen):
-        self.gen, self.drawn = gen, 0
+        self.gen, self.drawn, self.rows = gen, 0, 0
 
     bit_generator = property(lambda self: self.gen.bit_generator)
 
@@ -105,11 +118,13 @@ class _Counted:
         self.drawn += out.size if out is not None else int(np.prod(size))
         return self.gen.random(size, out=out)
 
+    def multinomial(self, n, pvals, size):
+        self.rows += int(np.prod(size))
+        return self.gen.multinomial(n, pvals, size)
 
-def test_regime_centered_reads_only_undecided_paths(monkeypatch):
-    """A path's verdict is final once both extremes pass +-10, typically
-    a few thousand of its 300 000 steps in, so the claim reads a small
-    share of the uniforms of whole paths."""
+
+def _counted_streams(monkeypatch):
+    """The streams ``suites`` opens from here on, each a ``_Counted``."""
     made = []
 
     def counted(*key):
@@ -117,10 +132,28 @@ def test_regime_centered_reads_only_undecided_paths(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(suites, "stream", counted)
+    return made
+
+
+def test_regime_centered_reads_only_undecided_paths(monkeypatch):
+    """A path's verdict is final once both extremes pass +-10, typically
+    a few thousand of its 300 000 steps in, so the claim reads a small
+    share of the uniforms of whole paths."""
+    made = _counted_streams(monkeypatch)
     claim = suites.regime_claims(load_config(CONFIGS / "centered.ini"),
                                  trajectories=200, horizon=10000, seed=3)[0]
     assert claim["claim"] == "regime.centered" and len(made) == 1
     assert made[0].drawn < 0.15 * 200 * claim["details"]["horizon"]
+
+
+def test_regime_descend_draws_per_path(monkeypatch):
+    """A final height comes from its path's atom counts: one multinomial
+    row per path through the claim's stream, and no uniform per step."""
+    made = _counted_streams(monkeypatch)
+    claim = suites.regime_claims(load_config(CONFIGS / "drift_neg.ini"),
+                                 trajectories=1000, horizon=10000, seed=3)[0]
+    assert claim["claim"] == "regime.descend" and claim["verdict"] == "pass"
+    assert len(made) == 1 and made[0].drawn == 0 and made[0].rows <= 1000
 
 
 def test_regime_descend_memory_is_bounded():
