@@ -19,7 +19,6 @@ from .tree import (
     LampVertex,
     PadicEnd,
     PadicVertex,
-    busemann,
     graph_distance,
     meet,
     origin_lamp,

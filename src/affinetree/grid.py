@@ -7,8 +7,10 @@ and the translation ``num·p**floor``, so a step costs a few integer
 operations instead of exact ``PAdic`` arithmetic.  A lamp element is a
 digit grid without carries (``LampGrid``): for prime q, Z/q ≀ Z is the
 subgroup of Aff(F_q((t))) with monomial scales (Cartwright, Kaimanovich
-& Woess, Ann. Inst. Fourier 44, 1994), so one body of code serves both,
-and the law's form adds the digits and reads them.  Group elements and
+& Woess, Ann. Inst. Fourier 44, 1994), so one body of code serves both.
+The lamp classes hold their lamps in that packed form (``tree.pack``),
+so the law's form reads their fields as they are and adds them with the
+same field sums.  Group elements and
 ends are built once, when a walk is done, and every read gives what the
 generic arithmetic of ``group`` gives on the same element, errors
 included.
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import PrecisionExhausted
 from .group import LampAffine, PadicAffine, act_end
 from .padic import PAdic, PrecisionBudget, int_valuation, residue
-from .tree import OMEGA, end_in_disc, same_realization
+from .tree import OMEGA, cut, end_in_disc, lamp_form, same_realization
 
 BATCH_ROWS = 128      # walks of a batch (``blocks``) walked together
 BATCH_COLS = 128      # steps each of them draws at a time
@@ -201,65 +203,21 @@ class GridLaw:
                 for j, c in discs]
 
 
-def pack(lamps, width):
-    """(digits, lo) of sorted nonzero lamps: the lamp at position lo + i
-    in the ``width``-bit field i of ``digits``."""
-    lo = lamps[0][0] if lamps else 0
-    return sum(v << width * (p - lo) for p, v in lamps), lo
-
-
-def unpack(digits, lo, width) -> tuple:
-    """The sorted nonzero lamps ((position, value), ...) of ``pack``."""
-    mask = (1 << width) - 1
-    return tuple((lo + i, v) for i in range(-(-digits.bit_length() // width))
-                 if (v := digits >> width * i & mask))
-
-
-def _xor_sum(num, floor, n, e):
-    """``LampGrid.sum`` for q = 2: one bit per lamp, added by XOR."""
-    if not num:
-        return n, e
-    if e < floor:
-        return (num << (floor - e)) ^ n, e
-    return num ^ (n << (e - floor)), floor
-
-
-def _field_sum(q, width):
-    """``_xor_sum`` for q > 2, 2**(width-1) >= q: digits below q add within
-    a field, and adding 2**(width-1) - q sets a field's top bit exactly
-    where its sum is q or more; there q is taken off."""
-    def add(num, floor, n, e):
-        if not num:
-            return n, e
-        if e < floor:
-            num, floor = num << width * (floor - e), e
-        else:
-            n <<= width * (e - floor)
-        t = num + n
-        fields = t.bit_length() // width + 1
-        ones = ((1 << width * fields) - 1) // ((1 << width) - 1)
-        bias, top = ((1 << (width - 1)) - q) * ones, ones << (width - 1)
-        over = ((t + bias) & top) >> (width - 1)
-        return t - over * q, floor
-    return add
-
-
 class LampGrid:
     """A lamplighter law on the digit grid without carries, atom k being
-    shift ``steps[k][2]`` with lamps ``pack``ed as ``steps[k][:2]``; a
-    state (s, 1, digits, lo) has shift s and lamps ``pack``ed as
-    (digits, lo)."""
+    shift ``steps[k][2]`` with the packed lamps ``steps[k][:2]`` (the
+    form of ``tree.pack``); a state (s, 1, num, floor) has shift s and
+    the packed lamps (num, floor)."""
 
     key_reach = 1    # ``key(.., depth)`` reads terms at exponents <= depth
     kind = "lamplighter"
     degree = property(attrgetter("q"))
 
     def __init__(self, law):
-        q = self.q = law.degree
-        w = self.width = 1 if q == 2 else (q - 1).bit_length() + 1
-        self.steps = tuple((*pack(a.lamps, w), a.shift) for a in law.atoms)
+        self.q = law.degree
+        self.width, self.sum, self.neg = lamp_form(self.q)
+        self.steps = tuple((a.num, a.floor, a.shift) for a in law.atoms)
         self.thresholds = law.thresholds
-        self.sum = _xor_sum if q == 2 else _field_sum(q, w)
 
     @classmethod
     def of(cls, law) -> "LampGrid | None":
@@ -268,46 +226,42 @@ class LampGrid:
             else cls(law)
 
     def start(self, g) -> "tuple | None":
-        """(shift, 1, digits, lo) of a start element; None when it is
+        """(shift, 1, num, floor) of a start element; None when it is
         window-limited."""
         same_realization(self, g)
         if g.known_to is not None:
             return None
-        return g.shift, 1, *pack(g.lamps, self.width)
+        return g.shift, 1, g.num, g.floor
 
     def key(self, num, floor, depth):
-        """The lamps at positions <= depth as ``pack`` gives them."""
-        w = self.width
-        m = num & ((1 << w * (depth - floor + 1)) - 1) \
-            if depth >= floor else 0
-        if not m:
-            return 0, 0
-        z = ((m & -m).bit_length() - 1) // w      # empty low fields
-        return m >> w * z, floor + z
+        """The lamps at positions <= depth, packed and canonical: the
+        ``prefix_key`` and ``disc_key`` of the lamp classes."""
+        return cut(num, floor, depth, self.width)
 
     def disc_id(self, key) -> tuple:
-        return unpack(*key, self.width)
+        return key
 
     def element(self, state) -> LampAffine:
         s, _, num, floor = state
-        return LampAffine(self.q, unpack(num, floor, self.width), s)
+        return LampAffine._of(self.q, *cut(num, floor, None, self.width), s,
+                              None)
 
     def point(self, end):
-        """(end, digits, lo) of a boundary point."""
+        """(end, num, floor) of a boundary point."""
         same_realization(self, end)
-        return (end, *pack(end.values, self.width))
+        return end, end.num, end.floor
 
     def digits(self, disc):
         """(num, floor) of a disc's lamps."""
-        return pack(disc.lamps, self.width)
+        return disc.num, disc.floor
 
     def image_key(self, point, s, t, h):
         """``GridLaw.image_key``; None above the image's window,
         end.known_to + s."""
-        end, digits, lo = point
+        end, num, floor = point
         if h - s > end.known_to:
             return None
-        return self.key(*self.sum(*t, digits, lo), h - s)
+        return self.key(*self.sum(*t, num, floor), h - s)
 
     def hit_test(self, f, window):
         """``GridLaw.hit_test``; a source may have any lamps, and its image
@@ -316,11 +270,9 @@ class LampGrid:
         if any(src.height > window for src in f.sources):
             return None
         for src, tgt in zip(f.sources, f.targets):
-            lamps = dict(src.lamps)
-            for pos, v in tgt.lamps:
-                lamps[pos - level] = (lamps.get(pos - level, 0) - v) % self.q
-            want.append((src.height, pack(sorted(
-                (pos, v) for pos, v in lamps.items() if v), self.width)))
+            diff = self.sum(src.num, src.floor, self.neg(tgt.num),
+                            tgt.floor - level)
+            want.append((src.height, self.key(*diff, src.height)))
         return lambda t, unit: all(self.key(*t, h) == w for h, w in want)
 
 

@@ -32,14 +32,16 @@ from .errors import (
 from .padic import PAdic
 from .tree import (
     OMEGA,
+    LampDigits,
     LampEnd,
     LampVertex,
     PadicEnd,
     PadicVertex,
+    cut,
+    lamp_form,
     origin_lamp,
     origin_padic,
     same_realization,
-    sorted_lamps,
 )
 
 
@@ -167,13 +169,15 @@ def _uniform_unit(rng, p: int, digits: int) -> int:
     return u - u % p + d0
 
 
-def _min_known(*vals):
-    return min((v for v in vals if v is not None), default=None)
+def _min_known(a, b):
+    """The smaller window; None (no bound) when both are None."""
+    return b if a is None else a if b is None else min(a, b)
 
 
-@dataclass(frozen=True)
-class LampAffine:
-    """(configuration, shift) acting by shifted sum on lamp configurations.
+@dataclass(frozen=True, init=False)
+class LampAffine(LampDigits):
+    """(configuration, shift) acting by shifted sum on lamp configurations,
+    built from ``lamps`` ((pos, val), ...) and kept packed.
 
     ``known_to`` bounds the positions where the configuration is known
     (None: fully known, finite support).  Window-limited elements arise
@@ -181,44 +185,49 @@ class LampAffine:
     """
 
     q: int
-    lamps: tuple
+    num: int
+    floor: int
     shift: int
     known_to: "int | None" = None
 
-    kind = "lamplighter"
     degree_name = "q"
-    degree = property(attrgetter("q"))
     phi = property(attrgetter("shift"))
 
-    def __post_init__(self):
-        object.__setattr__(self, "lamps",
-                           sorted_lamps(self.lamps, self.q, self.known_to))
+    def __init__(self, q: int, lamps, shift: int, known_to=None):
+        self._fill(q, lamps, known_to, shift=shift, known_to=known_to)
 
-    def _shifted_sum(self, lamps) -> tuple:
-        """This element's lamps plus ``lamps`` moved by its shift."""
-        merged = dict(self.lamps)
-        for p, v in lamps:
-            pos = p + self.shift
-            merged[pos] = (merged.get(pos, 0) + v) % self.q
-        return tuple(merged.items())
+    @classmethod
+    def _of(cls, q, num, floor, shift, known_to):
+        self = object.__new__(cls)
+        self.__dict__.update(q=q, num=num, floor=floor, shift=shift,
+                             known_to=known_to)
+        return self
+
+    def _shifted_sum(self, x, top):
+        """(num, floor) of this element's lamps plus those of ``x`` moved
+        by its shift, cut at ``top``."""
+        width, add, _ = lamp_form(self.q)
+        return cut(*add(self.num, self.floor, x.num, x.floor + self.shift),
+                   top, width)
 
     def compose(self, other) -> "LampAffine":
         known = _min_known(self.known_to, None if other.known_to is None
                            else other.known_to + self.shift)
-        return LampAffine(self.q, self._shifted_sum(other.lamps),
-                          self.shift + other.shift, known)
+        return LampAffine._of(self.q, *self._shifted_sum(other, known),
+                              self.shift + other.shift, known)
 
     def inverse(self) -> "LampAffine":
-        lamps = tuple((p - self.shift, (-v) % self.q) for p, v in self.lamps)
-        known = None if self.known_to is None else self.known_to - self.shift
-        return LampAffine(self.q, lamps, -self.shift, known)
+        h, num = self.shift, self.num
+        known = None if self.known_to is None else self.known_to - h
+        return LampAffine._of(self.q, lamp_form(self.q)[2](num),
+                              self.floor - h if num else 0, -h, known)
 
     def act_vertex(self, x) -> LampVertex:
         h = x.height + self.shift
         if self.known_to is not None and self.known_to < h:
             raise PrecisionExhausted(
                 f"acting element known to {self.known_to}, need {h}")
-        return LampVertex(self.q, h, self._shifted_sum(x.lamps))
+        return LampVertex._of(self.q, *self._shifted_sum(x, h), h)
 
     def norm(self) -> int:
         """d(g o, o) = shift - 2 min(0, shift, lowest lamp - 1): g o and o
@@ -226,37 +235,41 @@ class LampAffine:
         h = self.shift
         if self.known_to is not None and self.known_to < h:
             self.act_vertex(self.origin())  # raises: g o is not known
-        return h - 2 * min(0, h, *(p - 1 for p, _ in self.lamps[:1]))
+        return h - 2 * min(0, h, self.floor - 1 if self.num else 0)
 
     def act_end(self, e) -> LampEnd:
         known = _min_known(self.known_to, e.known_to + self.shift)
-        return LampEnd(self.q, known, self._shifted_sum(e.values))
+        return LampEnd._of(self.q, *self._shifted_sum(e, known), known)
 
     def identity(self) -> "LampAffine":
-        return LampAffine(self.q, (), 0)
+        return LampAffine._of(self.q, 0, 0, 0, None)
 
     def origin(self) -> LampVertex:
         return origin_lamp(self.q)
 
     def agrees(self, other) -> bool:
         known = _min_known(self.known_to, other.known_to)
-        return self.shift == other.shift and (
-            self.lamps == other.lamps if known is None
-            else self.prefix_key(known) == other.prefix_key(known))
+        return self.shift == other.shift and \
+            self.lamps_to(known) == other.lamps_to(known)
 
     def fixed_end(self, end_window=None):
-        """For a nonzero shift h, the unique configuration xi(n) = sum_j
-        sigma(n - j h), which has support bounded below."""
-        h, sigma = self.shift, dict(self.lamps)
+        """For a nonzero shift h, the unique configuration xi with support
+        bounded below and sigma(n) + xi(n - h) = xi(n): the sum of sigma
+        moved up by j·h for j >= 0 when h > 0, minus the sum of sigma
+        moved up by j·|h| for j >= 1 when h < 0."""
+        h, q, num, floor = self.shift, self.q, self.num, self.floor
         if h == 0:
-            return FIXES_ALL if not sigma and self.known_to is None else None
-        low, high = min(sigma, default=0), max(sigma, default=0)
-        if end_window is None:
+            return FIXES_ALL if not num and self.known_to is None else None
+        width, add, neg = lamp_form(q)
+        if end_window is None:     # past the highest lamp, if any
+            high = floor + (num.bit_length() - 1) // width if num else 0
             end_window = max(0, high) + 4 * abs(h) + 8
-        stop = low - 1 if h > 0 else high + 1
-        return LampEnd(self.q, end_window, tuple(
-            (n, sum(sigma.get(pos, 0) for pos in range(n, stop, -h)))
-            for n in range(low - abs(h), end_window + 1)))
+        if h < 0:
+            num, floor, h = neg(num), floor - h, -h
+        xi = 0, 0
+        for at in range(floor, end_window + 1, h) if num else ():
+            xi = add(*xi, num, at)
+        return LampEnd._of(q, *cut(*xi, end_window, width), end_window)
 
     def reference_homothety(self) -> "ReferenceHomothety":
         """s = (0, shift 1) fixing the all-zero configuration."""
@@ -264,10 +277,13 @@ class LampAffine:
                                   LampEnd(self.q, 24, ()))
 
     def prefix_key(self, depth: int):
-        return tuple((p, v) for p, v in self.lamps if p <= depth)
+        """Id of the depth-``depth`` disc below the element's position:
+        its lamps at positions <= depth, packed."""
+        return self.lamps_to(depth)
 
     def limit_end(self, known_exponent: int) -> LampEnd:
-        return LampEnd(self.q, known_exponent, self.prefix_key(known_exponent))
+        return LampEnd._of(self.q, *self.lamps_to(known_exponent),
+                           known_exponent)
 
     def engine(self, law):
         from .grid import LampGrid
@@ -275,15 +291,14 @@ class LampAffine:
 
     def section(self, end, unit) -> "LampAffine":
         """The translation section; the rotation group is trivial."""
-        return LampAffine(self.q, end.values, 0, known_to=end.known_to)
+        return LampAffine._of(self.q, end.num, end.floor, 0, end.known_to)
 
     def rotation_draws(self, gens):
         """No unit: nothing is drawn."""
         return repeat(None)
 
     def render(self) -> str:
-        inner = ",".join(f"{p}:{v}" for p, v in self.lamps)
-        return f"lamp(shift = {self.shift}, lamps = [{inner}])"
+        return f"lamp(shift = {self.shift}, lamps = [{self._render_lamps(':')}])"
 
     __repr__ = render
 

@@ -9,6 +9,8 @@ Each realization is one family of classes that owns its arithmetic:
 * lamplighter (``LampVertex``, ``LampEnd``): a vertex at height h is a
   lamp configuration known on positions <= h; bottom ends are
   configurations with support bounded below, known on a finite window.
+  Each holds its lamps as the packed ints (num, floor) of ``pack``, the
+  form the group's ``LampAffine`` and the engine's ``LampGrid`` share.
 
 Every class of a family (with the elements of ``group`` and the engine
 forms of ``grid``) has the family's ``kind`` and a ``degree``, the
@@ -21,9 +23,9 @@ sits one level above it (height - 1), each vertex has q sons below.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from operator import attrgetter
 
 from .errors import (
@@ -101,31 +103,148 @@ def sorted_lamps(lamps, q, top) -> tuple:
     """``lamps`` ((pos, val), ...) with values modulo q, sorted by
     position, without zero lamps or lamps above ``top`` (None: no top);
     raises ``ValueError`` for a position given twice."""
-    out = tuple(sorted((p, v % q) for p, v in lamps
-                       if v % q and (top is None or p <= top)))
+    out = tuple(sorted((p, r) for p, v in lamps
+                       if (r := v % q) and (top is None or p <= top)))
     if len(dict(out)) != len(out):
         raise ValueError("duplicate lamp positions")
     return out
 
 
-class _LampPoint:
-    """What lamp vertices and ends share: nonzero ``lamps`` known on the
-    positions up to ``known_to``."""
+# -- the packed lamp form ------------------------------------------------------
+#
+# A lamp configuration is a digit string without carries: the ints (num,
+# floor) hold the lamp at position floor + i in the ``width``-bit field i
+# of num.  Every lamp class (and the engine form ``grid.LampGrid``) keeps
+# it canonical, as ``cut`` gives it: field 0 nonzero, or (0, 0) without
+# lamps; so equal configurations have equal ints.
+
+
+def pack(lamps, width):
+    """(num, floor) of sorted nonzero lamps ((position, value), ...)."""
+    floor = lamps[0][0] if lamps else 0
+    return sum(v << width * (p - floor) for p, v in lamps), floor
+
+
+def unpack(num, floor, width) -> tuple:
+    """The sorted nonzero lamps ((position, value), ...) of ``pack``."""
+    mask = (1 << width) - 1
+    return tuple((floor + i, v) for i in range(-(-num.bit_length() // width))
+                 if (v := num >> width * i & mask))
+
+
+def cut(num, floor, top, width):
+    """The canonical (num, floor) of the lamps at positions <= top (None:
+    every lamp)."""
+    if top is not None:
+        if top < floor:
+            return 0, 0
+        num &= (1 << width * (top - floor + 1)) - 1
+    if num & ((1 << width) - 1):
+        return num, floor
+    if not num:
+        return 0, 0
+    z = ((num & -num).bit_length() - 1) // width      # empty low fields
+    return num >> width * z, floor + z
+
+
+def _xor_sum(num, floor, n, e):
+    """The sum of (num, floor) and (n, e) for q = 2, one bit per lamp,
+    added by XOR; not cut."""
+    if not n:
+        return num, floor
+    if not num:
+        return n, e
+    if e < floor:
+        return (num << (floor - e)) ^ n, e
+    return num ^ (n << (e - floor)), floor
+
+
+def _field_sum(q, width):
+    """(add, neg): ``_xor_sum`` and the field-wise negation for q > 2,
+    2**(width-1) >= q.  Digits below q add within a field, and adding
+    2**(width-1) - q sets a field's top bit exactly where it holds q or
+    more; there q is taken off."""
+    half = 1 << (width - 1)
+
+    def ones(t):
+        """A 1 in each field of t, and in the one above."""
+        return ((1 << width * (t.bit_length() // width + 1)) - 1) \
+            // ((1 << width) - 1)
+
+    def fields(t):
+        """Field-wise t mod q, for fields below 2q."""
+        one = ones(t)
+        return t - (((t + (half - q) * one) & half * one) >> (width - 1)) * q
+
+    def add(num, floor, n, e):
+        if not n:
+            return num, floor
+        if not num:
+            return n, e
+        if e < floor:
+            num, floor = num << width * (floor - e), e
+        else:
+            n <<= width * (e - floor)
+        return fields(num + n), floor
+
+    def neg(num):
+        return fields(q * ones(num) - num)    # q - v per field, then q -> 0
+    return add, neg
+
+
+@functools.cache
+def lamp_form(q):
+    """(width, add, neg) of the packed form over Z/q: ``add(num, floor, n,
+    e)`` sums two configurations, not cut, and ``neg(num)`` negates one
+    field by field."""
+    if q == 2:
+        return 1, _xor_sum, int      # each lamp is its own negative
+    width = (q - 1).bit_length() + 1
+    return (width, *_field_sum(q, width))
+
+
+class LampDigits:
+    """What the lamp classes share: a configuration over Z/q held in the
+    packed form as the ints ``num`` and ``floor``."""
 
     kind = "lamplighter"
     degree = property(attrgetter("q"))
 
+    def _fill(self, q, lamps, top, **fields):
+        """Set ``lamps``, checked by ``sorted_lamps`` and packed, and
+        ``fields``: the public constructors.  The results of arithmetic
+        are built unchecked from canonical ints, by each class's ``_of``."""
+        num, floor = pack(sorted_lamps(lamps, q, top), lamp_form(q)[0])
+        self.__dict__.update(q=q, num=num, floor=floor, **fields)
+
+    @property
+    def lamps(self) -> tuple:
+        """The sorted nonzero lamps ((position, value), ...)."""
+        return unpack(self.num, self.floor, lamp_form(self.q)[0])
+
+    def lamps_to(self, top):
+        """The canonical (num, floor) of the lamps at positions <= top."""
+        return cut(self.num, self.floor, top, lamp_form(self.q)[0])
+
+    def _render_lamps(self, sep) -> str:
+        return ",".join(f"{p}{sep}{v}" for p, v in self.lamps)
+
+
+class _LampPoint(LampDigits):
+    """What lamp vertices and ends share: lamps known on the positions up
+    to ``known_to``."""
+
     def meet_height(self, other):
-        """Height of the meet: below the first position where the sorted
-        lamp tuples part, capped by the common window."""
+        """Height of the meet: below the lowest position where the two
+        configurations differ, capped by the common window."""
         cap = min(self.known_to, other.known_to)
-        past = (cap + 1, 0)
-        for a, b in zip_longest(self.lamps, other.lamps, fillvalue=past):
-            if a != b:
-                h = min(a[0], b[0]) - 1
-                if h < cap:
-                    return h
-                break
+        lo = min(self.floor, other.floor)
+        width = lamp_form(self.q)[0]
+        diff, low = cut((self.num << width * (self.floor - lo))
+                        ^ (other.num << width * (other.floor - lo)),
+                        lo, cap, width)
+        if diff:
+            return low - 1
         if not (self.is_vertex or other.is_vertex):
             raise IndistinguishableAtPrecision(
                 "lamp ends agree on the whole known window",
@@ -133,7 +252,8 @@ class _LampPoint:
         return cap
 
     def meet(self, other):
-        return LampVertex(self.q, self.meet_height(other), self.lamps)
+        h = self.meet_height(other)
+        return LampVertex._of(self.q, *self.lamps_to(h), h)
 
 
 @dataclass(frozen=True, init=False)
@@ -182,33 +302,42 @@ class PadicVertex(_PadicPoint):
     __repr__ = render
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LampVertex(_LampPoint):
-    """Lamp configuration known on positions <= height."""
+    """Lamp configuration known on positions <= height, built from
+    ``lamps`` ((pos, val), ...) and kept packed."""
 
     q: int
     height: int
-    lamps: tuple  # sorted ((pos, val), ...), val != 0, pos <= height
+    num: int
+    floor: int
 
     is_vertex = True
     known_to = property(attrgetter("height"))
 
-    def __post_init__(self):
-        object.__setattr__(self, "lamps",
-                           sorted_lamps(self.lamps, self.q, self.height))
+    def __init__(self, q: int, height: int, lamps):
+        self._fill(q, lamps, height, height=height)
+
+    @classmethod
+    def _of(cls, q, num, floor, height):
+        self = object.__new__(cls)
+        self.__dict__.update(q=q, height=height, num=num, floor=floor)
+        return self
 
     def father(self) -> "LampVertex":
-        return LampVertex(self.q, self.height - 1, self.lamps)
+        h = self.height - 1
+        return LampVertex._of(self.q, *self.lamps_to(h), h)
 
     def son(self, branch: int) -> "LampVertex":
-        if not 0 <= branch < self.q:
-            raise BranchOutOfRange(f"branch {branch} not in [0, {self.q})")
-        lamps = self.lamps + (((self.height + 1, branch),) if branch else ())
-        return LampVertex(self.q, self.height + 1, lamps)
+        q, h = self.q, self.height + 1
+        if not 0 <= branch < q:
+            raise BranchOutOfRange(f"branch {branch} not in [0, {q})")
+        # a lamp above the others keeps (num, floor) canonical
+        return LampVertex._of(q, *lamp_form(q)[1](self.num, self.floor,
+                                                  branch, h), h)
 
     def render(self) -> str:
-        inner = ",".join(f"{p}={v}" for p, v in self.lamps)
-        return f"lamp:{self.height}:[{inner}]"
+        return f"lamp:{self.height}:[{self._render_lamps('=')}]"
 
     __repr__ = render
 
@@ -242,31 +371,40 @@ class PadicEnd(_PadicPoint):
     __repr__ = render
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LampEnd(_LampPoint):
-    """A bottom end of the lamplighter tree.
+    """A bottom end of the lamplighter tree, built from ``values`` ((pos,
+    val), ...) and kept packed.
 
-    ``values`` lists the nonzero lamps at positions <= ``known_to``; all
-    positions below the smallest listed one are zero (support is bounded
-    below), positions above ``known_to`` are unknown.
+    The lamps at positions <= ``known_to`` are known; all positions
+    below the lowest lamp are zero (support is bounded below), positions
+    above ``known_to`` are unknown.
     """
 
     q: int
     known_to: int
-    values: tuple  # sorted ((pos, val), ...), val != 0, pos <= known_to
+    num: int
+    floor: int
 
     is_vertex = False
-    lamps = property(attrgetter("values"))
+    values = property(attrgetter("lamps"))
 
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           sorted_lamps(self.values, self.q, self.known_to))
+    def __init__(self, q: int, known_to: int, values):
+        self._fill(q, values, known_to, known_to=known_to)
+
+    @classmethod
+    def _of(cls, q, num, floor, known_to):
+        self = object.__new__(cls)
+        self.__dict__.update(q=q, known_to=known_to, num=num, floor=floor)
+        return self
 
     def lamp(self, pos: int) -> int:
         if pos > self.known_to:
             raise IndistinguishableAtPrecision(
                 f"lamp at {pos} beyond known window (<= {self.known_to})")
-        return dict(self.values).get(pos, 0)
+        num, width = self.num, lamp_form(self.q)[0]
+        return num >> width * (pos - self.floor) & (1 << width) - 1 \
+            if pos >= self.floor else 0
 
     def in_disc(self, vertex) -> bool:
         # the discs at one height partition the ends: an end lies in the
@@ -275,19 +413,19 @@ class LampEnd(_LampPoint):
             raise IndistinguishableAtPrecision(
                 f"disc at height {vertex.height} beyond known window "
                 f"(<= {self.known_to})")
-        return self.disc_key(vertex.height) == vertex.lamps
+        return self.lamps_to(vertex.height) == (vertex.num, vertex.floor)
 
     def disc_key(self, depth: int):
-        """Hashable id of the depth-``depth`` disc containing the end."""
-        return tuple((p, v) for p, v in self.values if p <= depth)
+        """Hashable id of the depth-``depth`` disc containing the end: its
+        lamps at positions <= depth, packed."""
+        return self.lamps_to(depth)
 
     def agrees(self, other) -> bool:
         cap = min(self.known_to, other.known_to)
-        return self.disc_key(cap) == other.disc_key(cap)
+        return self.lamps_to(cap) == other.lamps_to(cap)
 
     def render(self) -> str:
-        inner = ",".join(f"{p}={v}" for p, v in self.values)
-        return f"lampend:{self.known_to}:[{inner}]"
+        return f"lampend:{self.known_to}:[{self._render_lamps('=')}]"
 
     __repr__ = render
 
@@ -300,11 +438,6 @@ def origin_padic(prime: int) -> PadicVertex:
 def origin_lamp(q: int) -> LampVertex:
     """The empty configuration at height 0."""
     return LampVertex(q, 0, ())
-
-
-def busemann(x) -> int:
-    """Height of a vertex (generation number with respect to the top end)."""
-    return x.height
 
 
 def end_in_disc(end, vertex) -> bool:
@@ -398,13 +531,16 @@ def parse_vertex(text: str, *, prime=None, q=None) -> "PadicVertex | LampVertex"
 
 
 def parse_lamps(text: str, sep: str, location=None) -> tuple:
-    """The (position, value) pairs of "pos<sep>val, ..." lamp entries."""
-    lamps, text = [], text.strip()
+    """The (position, value) pairs of "pos<sep>val, ..." lamp entries; a
+    position given twice is malformed."""
+    lamps, text = {}, text.strip()
     for item in text.split(",") if text else ():
         try:
-            pos, val = item.split(sep)
-            lamps.append((int(pos), int(val)))
+            pos, val = map(int, item.split(sep))
         except ValueError as exc:
             raise MalformedSyntax(f"bad lamp entry {item!r}",
                                   location) from exc
-    return tuple(lamps)
+        if pos in lamps:
+            raise MalformedSyntax(f"duplicate lamp position {pos}", location)
+        lamps[pos] = val
+    return tuple(lamps.items())

@@ -34,6 +34,19 @@ atom2 = affine(t = 1, a = 1/43) weight 1/4
 seed = 11
 """
 P43 = parse_config(P43_TEXT)
+# a q = 3 lamp law: its lamps add by the field sum, not by XOR
+LAMP3 = parse_config("""
+[realization]
+kind = lamplighter
+q = 3
+
+[law]
+atom1 = lamp(shift = 1, lamps = [0:2]) weight 3/4
+atom2 = lamp(shift = -1, lamps = [0:1, 1:2]) weight 1/4
+
+[experiment]
+seed = 13
+""")
 
 
 def within_5_sigma(count, trials, rate):
@@ -150,7 +163,8 @@ WRONG = {
 }
 
 
-@pytest.mark.parametrize("cfg", [P2, LAMP], ids=["p2", "lamp"])
+@pytest.mark.parametrize("cfg", [P2, LAMP, LAMP3],
+                         ids=["p2", "lamp", "lamp3"])
 @pytest.mark.parametrize("bucket", sorted(WRONG))
 def test_algebra_exact_fails_a_wrong_operation(monkeypatch, cfg, bucket):
     name, wrong = WRONG[bucket]
@@ -166,6 +180,12 @@ def test_algebra_exact_fails_a_swapped_product(monkeypatch):
     monkeypatch.setattr(suites, "compose", lambda g, h: compose(h, g))
     [claim] = suites.algebra_claims(P2, cases=40, seed=29)
     assert claim["details"]["failures"]["decomposition"] > 0
+
+
+def test_q3_lamps_pass_the_exact_claim():
+    [claim] = suites.algebra_claims(LAMP3, cases=400, seed=37)
+    assert claim["verdict"] == "pass" and claim["estimate"] == 0
+    assert claim["details"]["theta_pairs_beyond_window"] < 400
 
 
 def test_prime_43_passes_both_claims():

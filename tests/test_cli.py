@@ -111,6 +111,38 @@ def test_malformed_integer_exit_2(runner, tmp_path, line, location):
     assert f"config error: {location}: " in res.stderr
 
 
+LAMP = """
+[realization]
+kind = lamplighter
+q = 2
+
+[law]
+atom1 = lamp(shift = 1, lamps = []) weight 3/4
+atom2 = lamp(shift = -1, lamps = [0:1]) weight 1/4
+
+[experiment]
+seed = 9
+out = {out}
+"""
+
+
+@pytest.mark.parametrize("edit,location", [
+    (("lamps = []", "lamps = [0:1, 0:1]"), "law.atom1"),
+    (("seed = 9", "seed = 9\n\n[cylinders]\nhome = lamp:0:[] -> "
+      "lamp:1:[1=1,1=1]"), "cylinders.home"),
+], ids=["atom", "cylinder"])
+def test_duplicate_lamp_positions_exit_2(runner, tmp_path, edit, location):
+    """A lamp position given twice is a config error at its key."""
+    out = tmp_path / "r"
+    cfg = write(tmp_path, LAMP.format(out=out).replace(*edit))
+    res = runner.invoke(main, ["verify", "--config", cfg, "--suite",
+                               "algebra"])
+    _config_error(res)
+    assert f"config error: {location}: " in res.stderr
+    assert "duplicate lamp position" in res.stderr
+    assert not out.exists()
+
+
 def test_weights_not_normalized_exit_2(runner, tmp_path):
     out = tmp_path / "r"
     cfg = write(tmp_path, POS.format(out=out).replace("weight 1/4",

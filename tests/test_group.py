@@ -160,6 +160,27 @@ def test_fixed_end_lamp():
     assert fixed_end(LampAffine(2, (), 0)) is FIXES_ALL
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.dictionaries(
+    st.integers(-5, 5), st.integers(1, 4), max_size=4),
+    st.integers(-3, 3).filter(bool))
+def test_lamp_fixed_end_is_fixed(q, lamps, shift):
+    """Either sign of shift: the end has support bounded below and g
+    fixes it on the window where g·xi is known."""
+    g = LampAffine(q, tuple(lamps.items()), shift)
+    e = fixed_end(g)
+    assert ends_agree(act_end(g, e), e)
+    assert e.known_to >= max(lamps, default=0)
+
+
+def test_lamp_powers_share_a_fixed_end():
+    """g and g**2, g of negative shift, fix one end: not a valid law."""
+    g = LampAffine(2, ((0, 1),), -1)
+    assert ends_agree(fixed_end(g), fixed_end(power(g, 2)))
+    rep = validate_non_exceptional([g, power(g, 2)])
+    assert not rep.passed and rep.common_fixed_end
+
+
 def test_validate_non_exceptional():
     ok = validate_non_exceptional([aff(0, 2), aff(1, Fraction(1, 2))])
     assert ok.passed and ok.phi_gcd == 1

@@ -2,8 +2,9 @@
 no unused imports, no module-level name that nothing uses, no dataclass
 field that nothing reads, every random generator is built in ``rng``
 and only ``rng`` reads or sets a generator's state, and no code outside
-a realization's own classes tests which realization it holds.  The
-benchmark's tracer must still find every package function it wraps."""
+a realization's own classes tests which realization it holds.  Only
+``tree`` knows the packed lamp form.  The benchmark's tracer must still
+find every package function it wraps."""
 
 import ast
 import importlib.util
@@ -34,6 +35,10 @@ KIND_TESTS = {"same_realization", "parse_config", "_random_element",
               "_random_vertex", "_random_end", "padic_isometry_claims",
               "oracle_claims", "kernel_oracle", "period_invariance_claims",
               "omega_limit_claims", "verify_omega_limit"}
+
+# helpers of the packed lamp form, which only ``tree`` defines; outside
+# it, lamps are checked and packed by the lamp classes' constructors
+LAMP_FORM = {"pack", "unpack", "_xor_sum", "_field_sum"}
 
 
 def _tree(path):
@@ -217,6 +222,20 @@ def realization_tests(tree):
     return found
 
 
+def lamp_form_uses(tree):
+    """'line: what' for each definition of a packed-form helper and each
+    call of ``sorted_lamps``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name in LAMP_FORM:
+            found.append(f"{node.lineno}: def {node.name}")
+        elif isinstance(node, ast.Call) \
+                and "sorted_lamps" in _names(node.func):
+            found.append(f"{node.lineno}: sorted_lamps")
+    return sorted(found, key=lambda x: int(x.split(":")[0]))
+
+
 def test_no_dead_module_names():
     assert not dead_names({p.name: _tree(p) for p in MODULES})
 
@@ -298,6 +317,24 @@ def test_scan_sees_realization_tests():
     assert realization_tests(tree) == [
         "5: isinstance", "5: type test", "6: is_padic", "7: type test",
         "7: kind test in g"]
+
+
+def test_only_tree_knows_the_lamp_format():
+    """One lamp format: ``tree`` defines its helpers and alone checks raw
+    lamp lists; the group, the engine and the suites read (num, floor)."""
+    found = {p.name: lamp_form_uses(_tree(p)) for p in MODULES}
+    defined = {x.split("def ")[1] for x in found.pop("tree.py") if "def " in x}
+    assert defined == LAMP_FORM, "the scan must see the helpers in tree.py"
+    assert not {k: v for k, v in found.items() if v}
+
+
+def test_scan_sees_lamp_form_uses():
+    tree = ast.parse("def pack(lamps, width):\n    return 0, 0\n"
+                     "def f(g):\n    return tree.sorted_lamps(g, 2, None)\n"
+                     "class A:\n    def unpack(self):\n        pass\n"
+                     "x = sorted(lamps)\n")
+    assert lamp_form_uses(tree) == ["1: def pack", "4: sorted_lamps",
+                                    "6: def unpack"]
 
 
 def _perfbench_tracing():

@@ -15,11 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinetree.errors import AffineTreeError, StepBudgetExceeded
-from affinetree.grid import LampGrid, pack, reader
+from affinetree.grid import LampGrid, reader
 from affinetree.group import LampAffine, act_end, compose
 from affinetree.law import StepLaw
 from affinetree.rng import stream, stream_rows
-from affinetree.tree import OMEGA, LampEnd, LampVertex, end_in_disc
+from affinetree.tree import OMEGA, LampEnd, LampVertex, end_in_disc, pack
 from affinetree.walk import (
     excursion_rows,
     ladder_boundary_limit,
@@ -81,7 +81,7 @@ def _disc(draw, q, image):
     known = image.known_to if isinstance(image, LampEnd) else 8
     h = known + draw(st.integers(-6, 2))
     if isinstance(image, LampEnd) and h <= known and draw(st.booleans()):
-        return LampVertex(q, h, image.disc_key(h))
+        return LampVertex(q, h, image.values)
     return LampVertex(q, h, _lamps(draw, q, h - 6, h, 3))
 
 

@@ -20,7 +20,6 @@ from affinetree.tree import (
     LampVertex,
     PadicEnd,
     PadicVertex,
-    busemann,
     end_in_disc,
     graph_distance,
     meet,
@@ -60,8 +59,9 @@ def test_sons_are_distinct():
 
 
 def test_busemann_is_height():
-    assert busemann(origin_padic(2)) == 0
-    assert busemann(PadicVertex(2, -3, 0)) == -3
+    """The Busemann function of the top end is the height attribute."""
+    assert origin_padic(2).height == 0
+    assert PadicVertex(2, -3, 0).height == -3
 
 
 def test_meet_vertices():
@@ -173,8 +173,9 @@ def test_end_in_disc_reads_the_lamps_up_to_the_height(q, known, values, h,
         with pytest.raises(IndistinguishableAtPrecision):
             end_in_disc(e, v)
     else:
-        assert end_in_disc(e, v) == (e.disc_key(h) == v.lamps)
-        assert end_in_disc(e, LampVertex(q, h, e.disc_key(h)))
+        below = tuple((pos, x) for pos, x in e.values if pos <= h)
+        assert end_in_disc(e, v) == (below == v.lamps)
+        assert end_in_disc(e, LampVertex(q, h, e.values))
 
 
 def test_parse_vertex_round_trip():
