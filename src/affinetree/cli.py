@@ -89,7 +89,6 @@ def simulate(path, seed, trajectories, horizon, out_dir, dump):
                     horizon=horizon, out_dir=out_dir)
     summary = regime_summary(cfg.law, stream(cfg.seed, "simulate"),
                              cfg.trajectories, cfg.horizon)
-    summary["drift"] = str(cfg.law.drift())
     summary["seed"] = cfg.seed
     click.echo(reports.canonical_json(summary), nl=False)
     rows = None

@@ -104,7 +104,6 @@ class ExperimentConfig:
     prime: "int | None"
     q: "int | None"
     budget: PrecisionBudget
-    end_window: int
     law: StepLaw
     seed: int
     trajectories: int
@@ -125,7 +124,7 @@ class ExperimentConfig:
         blob = "|".join([
             self.kind, str(self.prime), str(self.q),
             f"{self.budget.working}/{self.budget.min_acceptable}",
-            str(self.end_window), law_part, str(self.seed),
+            law_part, str(self.seed),
             str(self.trajectories), str(self.horizon),
             str(self.tolerance_sigmas), cyl_part,
         ])
@@ -158,7 +157,6 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
                                "realization.prime")
     else:
         q = _int(real, "q", 2, 2)
-    end_window = _int(real, "end_window", 24, 1)
 
     if not cp.has_section("law"):
         raise MalformedSyntax("missing [law] section")
@@ -215,9 +213,8 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
                     "pairs disagree on height displacement (empty event)", loc)
             cylinders.append((name, ev))
 
-    return ExperimentConfig(kind, prime, q, budget, end_window, law, seed,
-                            trajectories, horizon, tol, out_dir,
-                            tuple(cylinders))
+    return ExperimentConfig(kind, prime, q, budget, law, seed, trajectories,
+                            horizon, tol, out_dir, tuple(cylinders))
 
 
 def load_config(path, **kw) -> ExperimentConfig:

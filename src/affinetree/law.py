@@ -4,9 +4,10 @@ A law is a list of atoms (group elements) with exact Fraction weights.
 Sampling uses inverse-CDF lookup against cumulative float thresholds;
 the scalar and vectorized paths consume uniforms identically, so a
 height-only simulation and a full group simulation with the same stream
-visit the same atoms.  Whole height paths skip the atom index: u picks the
-step phis[0] plus the jump phis[j+1] - phis[j] at each threshold j <= u.
-A final height draws no step: it is phis . K, K its multinomial atom counts.
+visit the same atoms.  Height paths skip the atom index: u picks the
+step phis[0] plus the jump phis[j+1] - phis[j] at each threshold j <= u,
+and ``phi_sums`` alone walks them, window by window, never whole.  A
+final height draws no step: it is phis . K, K its multinomial atom counts.
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class StepLaw:
             out += (u >= t) * dtype.type(d)
         return out
 
-    def sample_phi_paths(self, rng, n_traj: int, horizon: int) -> np.ndarray:
-        """Cumulative heights S_1..S_horizon for n_traj trajectories."""
-        return np.cumsum(self.phi_steps(rng.random((n_traj, horizon))), 1)
-
     def final_phis(self, rng, n_traj: int, horizon: int) -> np.ndarray:
         """S_horizon of n_traj paths: phis . K for atom counts K drawn from
         Multinomial(horizon, the samplers' float weights), in atom order."""
@@ -126,17 +123,25 @@ class StepLaw:
         return rng.multinomial(horizon, probs, size=n_traj) @ np.array(
             self.phis, dtype=np.int64)
 
-    def phi_sums(self, rng, rows, width: int):
-        """Running heights over ``width`` steps of the paths ``rows``, from
-        one (rows, width) block of uniforms of ``rng``: yields (chunk,
-        sums) by row chunks of about 2**20 steps, which read the same
-        uniforms.  Sums are int32 where the window cannot overflow them."""
-        sums = np.int32 if width * max(map(abs, self.phis)) < 2**31 else np.int64
-        step = max(1, 2 ** 20 // width)            # rows per chunk
-        for a in range(0, len(rows), step):
-            chunk = rows[a:a + step]
-            yield chunk, np.cumsum(self.phi_steps(
-                rng.random((len(chunk), width))), axis=1, dtype=sums)
+    def phi_sums(self, rng, count: int, width: int, span: int, going=None):
+        """Heights of the paths 0..count-1 in windows of ``width``, twice
+        that, ... steps, up to ``WINDOW_CAP``, cut at ``span``.  Each window
+        reads one (paths, width) block of ``rng`` for the paths still live,
+        in order: all at first, then those ``going(rows)`` keeps (all by
+        default).  It yields (steps before the window, rows, heights gained
+        in it) by row chunks of about 2**20 steps, which read the same
+        uniforms; heights are int32 where a window cannot overflow."""
+        live, done, top = np.arange(count), 0, max(map(abs, self.phis))
+        while live.size and done < span:
+            width = min(width, WINDOW_CAP, span - done)
+            sums = np.int32 if width * top < 2**31 else np.int64
+            step = max(1, 2 ** 20 // width)            # rows per chunk
+            for a in range(0, live.size, step):
+                rows = live[a:a + step]
+                yield done, rows, np.cumsum(self.phi_steps(
+                    rng.random((rows.size, width))), axis=1, dtype=sums)
+            live = live if going is None else going(live)
+            done, width = done + width, 2 * width
 
     def moment_report(self) -> dict:
         """Exact moment summary; all quantities are finite (finite support).

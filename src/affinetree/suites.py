@@ -37,7 +37,6 @@ from .group import (
     phi,
     power,
 )
-from .law import WINDOW_CAP
 from .padic import PAdic
 from .renewal import (
     CylinderEvent,
@@ -78,6 +77,7 @@ def _skip(cid, statement, reason):
 # -- randomized exact algebra ---------------------------------------------------
 
 _BLOCK = 1000   # cases whose inputs are drawn and held at once
+END_WINDOW = 24   # position up to which a random lamp end is known
 
 
 def _random_element(cfg, rng, factors, n):
@@ -124,8 +124,8 @@ def _random_end(cfg, rng, n):
     if cfg.kind == "padic":
         return [PadicEnd(PAdic.from_digits(v, -4, cfg.prime, cfg.budget))
                 for v in _below_power(rng, cfg.prime, 12, n)]
-    known = range(-4, cfg.end_window + 1)
-    return [LampEnd(cfg.q, cfg.end_window, tuple(zip(known, row)))
+    known = range(-4, END_WINDOW + 1)
+    return [LampEnd(cfg.q, END_WINDOW, tuple(zip(known, row)))
             for row in _random_lamps(rng, cfg.q, n, len(known), 0.3)]
 
 
@@ -259,19 +259,15 @@ def regime_claims(cfg, trajectories=1000, horizon=10000, limit_samples=None,
         # a 95% threshold needs N near 3e5 for unit-variance steps, so the
         # centered check runs its own longer horizon.  Extremes only grow,
         # so only paths whose max is at most +10 or min at least -10 draw
-        # the next window of 512, 1024, ... steps, up to ``WINDOW_CAP``.
+        # the next window of 512, 1024, ... steps.
         span = max(horizon, 300000)
-        r = stream(seed, "regime.centered")
         carry, mx, mn = np.zeros((3, trajectories), dtype=np.int64)
-        live, done, width = np.arange(trajectories), 0, 512
-        while live.size and done < span:
-            width = min(width, WINDOW_CAP, span - done)
-            for rows, seg in law.phi_sums(r, live, width):
-                mx[rows] = np.maximum(mx[rows], seg.max(axis=1) + carry[rows])
-                mn[rows] = np.minimum(mn[rows], seg.min(axis=1) + carry[rows])
-                carry[rows] += seg[:, -1]
-            live = live[(mx[live] <= 10) | (mn[live] >= -10)]
-            done, width = done + width, 2 * width
+        for _, rows, seg in law.phi_sums(
+                stream(seed, "regime.centered"), trajectories, 512, span,
+                lambda live: live[(mx[live] <= 10) | (mn[live] >= -10)]):
+            mx[rows] = np.maximum(mx[rows], seg.max(axis=1) + carry[rows])
+            mn[rows] = np.minimum(mn[rows], seg.min(axis=1) + carry[rows])
+            carry[rows] += seg[:, -1]
         frac = float(((mx > 10) & (mn < -10)).mean())
         claims.append(_claim(
             "regime.centered",

@@ -1,12 +1,11 @@
 """Random walk trajectories, ladder epochs and boundary limits.
 
-Height-only questions (drift, Wald identity, regime classification) use
-vectorized numpy paths, drawn in sequence by windows of growing width
-(``StepLaw.phi_sums``) until each path is decided.  Questions about
-where the walk lands on the boundary track full group elements: the
-right products R_n = X_1...X_n converge to a boundary point when the
-height drift is positive, and the sampler certifies a disc of requested
-depth around the limit.
+Height-only questions (ladder epochs, regime summaries) walk numpy
+paths in windows (``StepLaw.phi_sums``) until each is decided or its
+span is walked.  Questions about where the walk lands on the boundary
+track full group elements: the right products R_n = X_1...X_n converge
+to a boundary point when the height drift is positive, and the sampler
+certifies a disc of requested depth around the limit.
 
 Laws with an engine form (``StepLaw.grid``, p-adic and lamp) walk as
 batches of keyed rows (``grid.blocks``): certified boundary limits
@@ -28,7 +27,6 @@ import numpy as np
 from .errors import NonPositiveDrift, StepBudgetExceeded
 from .grid import blocks, row_chunks
 from .group import compose, identity_like, phi
-from .law import WINDOW_CAP
 from .rng import position, seek, stream, stream_rows
 
 DEFAULT_STEP_BUDGET = 10 ** 7
@@ -197,38 +195,42 @@ def ladder_heights(law, rng, count: int):
     """Vectorized (lengths, heights) at the first ascending ladder epoch,
     within ``DEFAULT_STEP_BUDGET`` steps, read when it is called.
 
-    Windows of 8, 16, 32, ... steps, up to ``WINDOW_CAP``, follow one
-    another; in each, the paths still below their first epoch, in order,
-    draw one (paths, width) block of ``rng`` (``StepLaw.phi_sums``).  So
-    ``rng`` ends where those draws leave it, also when the budget runs out.
+    The paths still below their first epoch walk in windows of 8, 16,
+    32, ... steps (``StepLaw.phi_sums``), so ``rng`` ends where those
+    draws leave it, also when the budget runs out.
     """
     lengths, heights, carried = np.zeros((3, count), dtype=np.int64)
-    live, done, width = np.arange(count), 0, 8    # carried: S at done
-    while live.size:
-        if done >= DEFAULT_STEP_BUDGET:
-            raise StepBudgetExceeded(
-                f"{live.size} paths without a ladder epoch after {done} steps")
-        width = min(width, WINDOW_CAP, DEFAULT_STEP_BUDGET - done)
-        for rows, seg in law.phi_sums(rng, live, width):
-            paths = carried[rows, None] + seg
-            hit = paths > 0
-            any_hit = hit.any(axis=1)
-            first = np.argmax(hit, axis=1)[any_hit]
-            lengths[rows[any_hit]] = done + first + 1
-            heights[rows[any_hit]] = paths[any_hit, first]
-            carried[rows] = paths[:, -1]
-        live = live[lengths[live] == 0]
-        done, width = done + width, 2 * width
+    for done, rows, seg in law.phi_sums(rng, count, 8, DEFAULT_STEP_BUDGET,
+                                        lambda live: live[lengths[live] == 0]):
+        paths = carried[rows, None] + seg        # carried: S at done
+        hit = paths > 0
+        any_hit = hit.any(axis=1)
+        first = np.argmax(hit, axis=1)[any_hit]
+        lengths[rows[any_hit]] = done + first + 1
+        heights[rows[any_hit]] = paths[any_hit, first]
+        carried[rows] = paths[:, -1]
+    left = np.count_nonzero(lengths == 0)
+    if left:
+        raise StepBudgetExceeded(
+            f"{left} paths without a ladder epoch after "
+            f"{DEFAULT_STEP_BUDGET} steps")
     return lengths, heights
 
 
 def regime_summary(law, rng, n_traj: int, horizon: int) -> dict:
-    """Height statistics of n_traj paths: terminal law, extremes, sign counts."""
-    paths = law.sample_phi_paths(rng, n_traj, horizon)
-    final = paths[:, -1]
-    half = paths[:, horizon // 2:]
+    """Height statistics of n_traj paths: terminal law, late-half extremes,
+    sign counts.  S at horizon // 2 comes from atom counts (``final_phis``),
+    and S_{h//2+1}..S_h walk in windows (``phi_sums``), held one at a time."""
+    late = horizon - horizon // 2
+    final = law.final_phis(rng, n_traj, horizon // 2)
+    low = np.full(n_traj, np.iinfo(np.int64).max)
+    high = np.full(n_traj, np.iinfo(np.int64).min)
+    for _, rows, seg in law.phi_sums(rng, n_traj, late, late):
+        low[rows] = np.minimum(low[rows], seg.min(axis=1) + final[rows])
+        high[rows] = np.maximum(high[rows], seg.max(axis=1) + final[rows])
+        final[rows] += seg[:, -1]
     return {
-        "drift": float(law.drift()),
+        "drift": str(law.drift()),
         "n_trajectories": n_traj,
         "horizon": horizon,
         "mean_final_height": float(final.mean()),
@@ -236,10 +238,10 @@ def regime_summary(law, rng, n_traj: int, horizon: int) -> dict:
         "std_final_height": float(final.std()),
         "fraction_final_positive": float((final > 0).mean()),
         "fraction_final_negative": float((final < 0).mean()),
-        "min_late_height": int(half.min()),
-        "max_late_height": int(half.max()),
-        "fraction_late_all_positive": float((half > 0).all(axis=1).mean()),
-        "fraction_late_all_negative": float((half < 0).all(axis=1).mean()),
+        "min_late_height": int(low.min()),
+        "max_late_height": int(high.max()),
+        "fraction_late_all_positive": float((low > 0).mean()),
+        "fraction_late_all_negative": float((high < 0).mean()),
     }
 
 

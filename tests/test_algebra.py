@@ -132,7 +132,7 @@ def test_padic_vertices_and_ends_follow_their_laws(cfg):
 
 
 def test_lamp_vertices_and_ends_follow_their_laws():
-    n, q, window = 4000, LAMP.q, LAMP.end_window
+    n, q, window = 4000, LAMP.q, suites.END_WINDOW
     rng = stream(23, "algebra.exact")
     vertices = suites._random_vertex(LAMP, rng, n)
     heights = Counter(v.height for v in vertices)

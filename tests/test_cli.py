@@ -90,8 +90,6 @@ def test_invalid_prime_exit_2(runner, tmp_path):
     ("working_precision = abc", "realization.working_precision"),
     ("working_precision = 0", "realization.working_precision"),
     ("min_precision = 60", "realization.min_precision"),
-    ("end_window = 2.5", "realization.end_window"),
-    ("end_window = -9", "realization.end_window"),
     ("seed = x", "experiment.seed"),
     ("trajectories = 0", "experiment.trajectories"),
 ])

@@ -3,8 +3,9 @@ no unused imports, no module-level name that nothing uses, no dataclass
 field that nothing reads, every random generator is built in ``rng``
 and only ``rng`` reads or sets a generator's state, and no code outside
 a realization's own classes tests which realization it holds.  Only
-``tree`` knows the packed lamp form.  The benchmark's tracer must still
-find every package function it wraps."""
+``tree`` knows the packed lamp form, and only ``law`` the height-path
+window cap.  The benchmark's tracer must still find every package
+function it wraps."""
 
 import ast
 import importlib.util
@@ -326,6 +327,13 @@ def test_only_tree_knows_the_lamp_format():
     defined = {x.split("def ")[1] for x in found.pop("tree.py") if "def " in x}
     assert defined == LAMP_FORM, "the scan must see the helpers in tree.py"
     assert not {k: v for k, v in found.items() if v}
+
+
+def test_only_law_knows_the_window_cap():
+    """One window walker: ``StepLaw.phi_sums`` alone schedules the
+    windows of a height path, so only ``law`` names ``WINDOW_CAP``."""
+    found = {p.name for p in MODULES if "WINDOW_CAP" in named(_tree(p))}
+    assert found == {"law.py"}
 
 
 def test_scan_sees_lamp_form_uses():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from affinetree import law as law_module
 from affinetree.config import parse_config, parse_element
 from affinetree.errors import (
     EmptySupport,
@@ -109,10 +110,24 @@ def test_inverse_cdf_is_clamped_searchsorted(weights):
 
 def test_phi_paths_match_atom_phis():
     law = law_pos()
-    paths = law.sample_phi_paths(stream(2, 0), 50, 100)
-    steps = np.diff(np.concatenate([np.zeros((50, 1), dtype=np.int64), paths],
-                                   axis=1), axis=1)
+    [(_, rows, paths)] = law.phi_sums(stream(2, 0), 50, 100, 100)
+    assert rows.tolist() == list(range(50))
+    steps = np.diff(paths, axis=1, prepend=0)
     assert set(np.unique(steps)) <= {-1, 1}
+
+
+def test_phi_sums_windows_double_to_the_cap(monkeypatch):
+    """Windows double from the given width up to ``WINDOW_CAP`` and are
+    cut at the span; each covers the paths ``going`` kept."""
+    monkeypatch.setattr(law_module, "WINDOW_CAP", 24)
+    windows = [(done, rows.tolist(), sums.shape) for done, rows, sums in
+               law_pos().phi_sums(stream(2, 1), 5, 5, 70,
+                                  lambda live: live[1:])]
+    assert windows == [(0, [0, 1, 2, 3, 4], (5, 5)),
+                       (5, [1, 2, 3, 4], (4, 10)),
+                       (15, [2, 3, 4], (3, 20)),
+                       (35, [3, 4], (2, 24)),
+                       (59, [4], (1, 11))]
 
 
 class _Fixed:

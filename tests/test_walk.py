@@ -4,6 +4,7 @@ import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from affinetree.errors import (
 from affinetree.grid import GridLaw, blocks, reader, vertex_test
 from affinetree.group import PadicAffine, act_end, act_vertex, compose, \
     identity_like, phi
+from affinetree.config import load_config
 from affinetree.law import WINDOW_CAP, StepLaw
 from affinetree.padic import DEFAULT_BUDGET, PAdic, PrecisionBudget
 from affinetree.renewal import CylinderEvent
@@ -36,6 +38,8 @@ from affinetree.walk import (
     run_product,
     sample_boundary_limit,
 )
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def aff(t, a, p=2, budget=DEFAULT_BUDGET):
@@ -55,9 +59,14 @@ LAW_23 = StepLaw((aff(0, 4), aff(1, Fraction(1, 8))),      # steps +2, -3
 
 
 def test_run_product_height_matches_phi_path():
-    g = run_product(LAW_POS, stream(4, 0), 200)
-    heights = LAW_POS.sample_phi_paths(stream(4, 0), 1, 200)
-    assert phi(g) == heights[0, -1]
+    """One (1, 200) block of ``phi_sums`` reads the same uniforms as 200
+    scalar draws, so it gives the product's heights step for step."""
+    seen = []
+    run_product(LAW_POS, stream(4, 0), 200,
+                visitor=lambda n, g: seen.append(phi(g)))
+    [(done, rows, heights)] = LAW_POS.phi_sums(stream(4, 0), 1, 200, 200)
+    assert (done, rows.tolist()) == (0, [0])
+    assert heights[0].tolist() == seen
 
 
 def test_ladder_excursion_stops_at_first_record():
@@ -176,6 +185,68 @@ def test_ladder_heights_memory_is_bounded():
         tracemalloc.stop()
     # drawing each path's whole first block took about 235 MB
     assert peak < 16 * 2 ** 20
+
+
+DRIFT_NEG = load_config(CONFIGS / "drift_neg.ini").law
+SUMMARY_KEYS = {
+    "drift", "n_trajectories", "horizon", "mean_final_height",
+    "mean_final_over_n", "std_final_height", "fraction_final_positive",
+    "fraction_final_negative", "min_late_height", "max_late_height",
+    "fraction_late_all_positive", "fraction_late_all_negative"}
+
+
+def _summary_reference(law, rng, n_traj, horizon):
+    """``regime_summary`` from S at horizon // 2 (``final_phis``) and one
+    (n_traj, late half) block of uniforms, looked up by inverse CDF."""
+    phis = np.array(law.phis, dtype=np.int64)
+    start = law.final_phis(rng, n_traj, horizon // 2)
+    u = rng.random((n_traj, horizon - horizon // 2))
+    idx = np.minimum(np.searchsorted(law.thresholds, u, side="right"),
+                     len(phis) - 1)
+    late = start[:, None] + np.cumsum(phis[idx], axis=1)
+    final = late[:, -1]
+    return {
+        "drift": str(law.drift()),
+        "n_trajectories": n_traj,
+        "horizon": horizon,
+        "mean_final_height": float(final.mean()),
+        "mean_final_over_n": float(final.mean()) / horizon,
+        "std_final_height": float(final.std()),
+        "fraction_final_positive": float((final > 0).mean()),
+        "fraction_final_negative": float((final < 0).mean()),
+        "min_late_height": int(late.min()),
+        "max_late_height": int(late.max()),
+        "fraction_late_all_positive": float((late > 0).all(axis=1).mean()),
+        "fraction_late_all_negative": float((late < 0).all(axis=1).mean()),
+    }
+
+
+@pytest.mark.parametrize("law,n_traj,horizon", [
+    (DRIFT_NEG, 300, 10000),      # two row chunks of one window
+    (DRIFT_NEG, 40, 2 * WINDOW_CAP - 1),
+    (LAW_POS, 50, 201),
+    (LAW_23, 20, 2),
+    (LAW_NEG, 5, 1)],
+    ids=["drift_neg", "drift_neg-cap", "pos-odd", "plus2-minus3-h2", "neg-h1"])
+def test_regime_summary_matches_one_block(law, n_traj, horizon):
+    """With the late half in one window, the summary is the one-block
+    reference's, key for key, and leaves ``rng`` where it does."""
+    got_rng, want_rng = stream(12, horizon), stream(12, horizon)
+    got = regime_summary(law, got_rng, n_traj, horizon)
+    assert set(got) == SUMMARY_KEYS
+    assert got == _summary_reference(law, want_rng, n_traj, horizon)
+    assert _state(got_rng) == _state(want_rng)
+
+
+def test_regime_summary_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        regime_summary(DRIFT_NEG, stream(12, "mem"), 1000, 10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 1000 x 10000 height array took 162 MB
+    assert peak < 32 * 2 ** 20
 
 
 def test_regime_summary_signs():
