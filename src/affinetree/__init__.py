@@ -56,7 +56,6 @@ from .renewal import (
     kernel_oracle,
     limit_measure_value,
     potential_kernel,
-    sample_mbar,
     verify_boundary_limit,
     verify_omega_limit,
     verify_renewal_identity,

@@ -2,12 +2,14 @@
 
 Sections: [realization] (which tree and at what precision), [law] (atoms
 and weights), [experiment] (seed, sizes, output), [cylinders] (named
-vertex-pair events).  Element literals::
+vertex-pair events); any other section or key is refused at
+``section.key``.  Element literals::
 
     affine(t = <rational or digit literal>, a = <rational or digit literal>)
     lamp(shift = <int>, lamps = [pos:val, ...])
 
 Atom lines append an exact weight: ``atom1 = affine(t = 0, a = 2) weight 3/4``.
+Law atoms must be exact (``group.require_exact``), so no digit literal.
 Vertex literals follow the tree module: ``p:<height>:<center>`` and
 ``lamp:<height>:[pos=val,...]``.
 """
@@ -27,7 +29,7 @@ from .errors import (
     NonExceptionalityFailed,
     WeightsNotNormalized,
 )
-from .group import LampAffine, PadicAffine
+from .group import LampAffine, PadicAffine, require_exact
 from .law import StepLaw
 from .padic import PrecisionBudget, is_prime, parse_padic
 from .renewal import CylinderEvent
@@ -39,6 +41,27 @@ _LAMP_RE = re.compile(
     r"^lamp\(\s*shift\s*=\s*(?P<shift>[+-]?\d+)\s*,\s*"
     r"lamps\s*=\s*\[(?P<lamps>[^\]]*)\]\s*\)$")
 _WEIGHT_RE = re.compile(r"^(?P<elem>.*\))\s+weight\s+(?P<w>\S+)$")
+# the keys of each section; [law] also takes atom keys, [cylinders] any
+_KEYS = {"realization": {"kind", "working_precision", "min_precision"},
+         "law": {"allow_non_surjective"},
+         "experiment": {"seed", "trajectories", "horizon",
+                        "tolerance_sigmas", "out"},
+         "cylinders": None}
+
+
+def _refuse_unknown(cp, kind):
+    """Refuse a section or key the format does not name, at
+    ``section.key``; [realization] takes ``prime`` or ``q`` by kind."""
+    known = dict(_KEYS, DEFAULT=set(), realization=_KEYS["realization"]
+                 | {"prime" if kind == "padic" else "q"})
+    for name in ["DEFAULT", *cp.sections()]:
+        if name not in known:
+            raise MalformedSyntax(f"unknown section [{name}]", name)
+        for key in cp.defaults() if name == "DEFAULT" else cp[name]:
+            if known[name] is not None and key not in known[name] \
+                    and not (name == "law" and key.startswith("atom")):
+                raise MalformedSyntax(f"unknown key {key!r}",
+                                      f"{name}.{key}")
 
 
 def parse_element(text, *, prime=None, q=None, budget=None, location=None):
@@ -146,6 +169,7 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
     if kind not in ("padic", "lamplighter"):
         raise MalformedSyntax(f"unknown realization kind {kind!r}",
                               "realization.kind")
+    _refuse_unknown(cp, kind)
     working = _int(real, "working_precision", 48, 1)
     budget = PrecisionBudget(working,
                              _int(real, "min_precision", 6, 1, working))
@@ -172,6 +196,7 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
                 f"expected '<element> weight <rational>', got {value!r}", loc)
         atoms.append(parse_element(m.group("elem"), prime=prime, q=q,
                                    budget=budget, location=loc))
+        require_exact(atoms[-1], loc)
         weights.append(_parse_fraction(m.group("w"), loc))
     if not atoms:
         raise MalformedSyntax("no atoms in [law]", "law")

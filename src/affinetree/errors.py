@@ -87,3 +87,7 @@ class NonExceptionalityFailed(ConfigError):
 
 class InvalidPrime(ConfigError):
     pass
+
+
+class InexactAtom(ConfigError):
+    """A law atom known only to finitely many digits or positions."""

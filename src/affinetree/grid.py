@@ -1,30 +1,36 @@
 """Exact integer walk engine on the digit grid, for both realizations.
 
-A p-adic law is on the digit grid when every atom is (txn·p**txe,
-p**phi).  An element reached by such a walk is kept as the scale
-exponent ``s``, a positive integer unit ``u`` (a = u·p**s, u prime to p)
-and the translation ``num·p**floor``, so a step costs a few integer
-operations instead of exact ``PAdic`` arithmetic.  A lamp element is a
-digit grid without carries (``LampGrid``): for prime q, Z/q ≀ Z is the
-subgroup of Aff(F_q((t))) with monomial scales (Cartwright, Kaimanovich
-& Woess, Ann. Inst. Fourier 44, 1994), so one body of code serves both.
-The lamp classes hold their lamps in that packed form (``tree.pack``),
-so the law's form reads their fields as they are and adds them with the
-same field sums.  Group elements and
+Every exact p-adic atom is on the digit grid, (txn/d·p**txe, u·p**phi)
+with its translation denominator d and scale unit u prime to p.  An
+element reached by a walk is kept as the scale exponent ``s``, its unit
+(for a walk, the counts of the atoms of unit other than 1) and the
+translation ``num·p**floor``, so a step costs a few integer operations
+instead of exact ``PAdic`` arithmetic.  On a ``plain`` law (every u and
+d 1) the translation is an exact integer sum; otherwise each term is
+multiplied by the running unit product (its inverse on the left walk)
+and reduced modulo the digits a read can see, so every read is exact
+and no number grows with the walk.  A lamp element is a digit grid
+without carries (``LampGrid``): for prime q, Z/q ≀ Z is the subgroup of
+Aff(F_q((t))) with monomial scales (Cartwright, Kaimanovich & Woess,
+Ann. Inst. Fourier 44, 1994), so one body of code serves both.  The lamp
+classes hold their lamps in that packed form (``tree.pack``), so the
+law's form reads their fields as they are and adds them with the same
+field sums.  Group elements and
 ends are built once, when a walk is done, and every read gives what the
 generic arithmetic of ``group`` gives on the same element, errors
 included.
 
 Walks run as batches, one keyed stream each, read block by block
-(``blocks``): atom indices, heights and the exponents of translation
-terms, for the potential kernel, certified boundary limits and ladder
-excursions alike.  ``GridLaw.characters`` is the digit grid's character
-table, for the exact oracle.
+(``blocks``): atom indices, heights, unit counts and the exponents of
+translation terms, for the potential kernel, certified boundary limits
+and ladder excursions alike.  ``GridLaw.characters`` is the digit grid's
+character table, for the exact oracle of plain laws.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
@@ -32,7 +38,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import PrecisionExhausted
-from .group import LampAffine, PadicAffine, act_end
+from .group import LampAffine, PadicAffine, act_end, require_exact
 from .padic import PAdic, PrecisionBudget, int_valuation, residue
 from .tree import OMEGA, cut, end_in_disc, lamp_form, same_realization
 
@@ -43,39 +49,65 @@ BATCH_COLS = 128      # steps each of them draws at a time
 @dataclass(frozen=True)
 class GridLaw:
     """A p-adic step law on the digit grid, atom k being
-    (txn·p**txe, p**phi) for ``steps[k] == (txn, txe, phi)``."""
+    (c_k·p**txe, u_k·p**phi) for ``steps[k] == (txn, txe, phi)``, c_k =
+    txn/d_k: ``units`` holds (k, u_k) for each atom whose scale unit u_k
+    is not 1, and ``coefs`` the c_k."""
 
     prime: int
     steps: tuple
     budget: PrecisionBudget
     thresholds: np.ndarray
+    units: tuple = ()
+    coefs: tuple = ()
 
     key_reach = 0    # ``key(.., depth)`` reads terms at exponents < depth
     kind = "padic"
     degree = property(attrgetter("prime"))
 
     @classmethod
-    def of(cls, law) -> "GridLaw | None":
-        """The grid form of a p-adic ``law``; None when it is off the grid."""
+    def of(cls, law) -> "GridLaw":
+        """The grid form of a p-adic ``law`` of exact atoms."""
         grid = cls(law.degree, (), law.atoms[0].a.budget, law.thresholds)
-        states = [grid.start(atom) for atom in law.atoms]
-        if any(st is None or st[1] != 1 for st in states):
-            return None
-        return replace(grid, steps=tuple((num, floor, s)
-                                         for s, _, num, floor in states))
+        parts = [grid.start(atom) for atom in law.atoms]
+        coefs = tuple(Fraction(num) for _, _, num, _ in parts)
+        units = tuple((k, u) for k, (_, u, _, _) in enumerate(parts) if u != 1)
+        steps = tuple((c.numerator, floor, s)
+                      for (s, _, _, floor), c in zip(parts, coefs))
+        return replace(grid, steps=steps, units=units, coefs=coefs)
 
-    def start(self, g) -> "tuple | None":
-        """(s, u, num, floor) of a start element; None when its scale is
-        not a positive integer unit times a power of p or its translation
-        is off the grid."""
+    @functools.cached_property
+    def plain(self) -> bool:
+        """Whether every scale unit and denominator is 1."""
+        return not self.units and all(c.denominator == 1 for c in self.coefs)
+
+    def start(self, g) -> tuple:
+        """(s, u, num, floor) of an exact element: the scale u·p**s and
+        the translation num·p**floor, u and num ints where they are
+        integers and Fractions (denominator prime to p) otherwise."""
         same_realization(self, g)
+        require_exact(g)
         t, a = g.t, g.a
-        if t.den != 1 or a.den != 1 or a.num < 0:
-            return None
+        u = a.num if a.den == 1 else Fraction(a.num, a.den)
+        num = t.num if t.den == 1 else Fraction(t.num, t.den)
         v = t.valuation or 0           # None for t == 0
         if v >= 0:
-            return a.valuation, a.num, t.num * self.prime ** v, 0
-        return a.valuation, a.num, t.num, v
+            return a.valuation, u, num * self.prime ** v, 0
+        return a.valuation, u, num, v
+
+    def unit(self, counts, m, *scales) -> int:
+        """The product of ``scales`` (rationals with denominators prime to
+        p) and of u_k**c over the ``units`` and their ``counts`` c (of any
+        sign), modulo p**m, as an int in [0, p**m)."""
+        mod = self.prime ** m
+        r = math.prod(_mod(x, mod) for x in scales)
+        for (_, u), c in zip(self.units, counts):
+            r = r * pow(_mod(u, mod), c, mod)
+        return r % mod
+
+    def scale(self, counts) -> Fraction:
+        """The exact product of u_k**c over the ``units``."""
+        return math.prod((Fraction(u) ** c for (_, u), c in
+                          zip(self.units, counts)), start=Fraction(1))
 
     def sum(self, num, floor, n, e):
         """(num', floor') with num'·p**floor' == num·p**floor + n·p**e."""
@@ -95,11 +127,16 @@ class GridLaw:
         return Fraction(r, self.prime ** -e)
 
     def element(self, state) -> PadicAffine:
-        """The exact group element of a state (s, u, num, floor)."""
+        """The exact group element of a state (s, u, num, floor): the
+        scale u·p**s and the translation num·p**floor, u and num ints or
+        Fractions with denominators prime to p, as ``start`` gives them."""
         s, u, num, floor = state
         p, budget = self.prime, self.budget
-        return PadicAffine(PAdic.from_digits(num, floor, p, budget),
-                           PAdic._of_exact(p, s, u, 1, budget))
+        t = PAdic.from_digits(num.numerator, floor, p, budget) \
+            if num.denominator == 1 \
+            else PAdic.from_fraction(num * Fraction(p) ** floor, p, budget)
+        return PadicAffine(t, PAdic._of_exact(p, s, u.numerator,
+                                              u.denominator, budget))
 
     def point(self, end):
         """(end, valuation, unit, digits) of a boundary point, the unit cut
@@ -158,7 +195,7 @@ class GridLaw:
 
     def hit_test(self, f, window):
         """``test(translation, unit)``: whether s**level·x^{-1} lies in
-        the event ``f`` for the ``sample_mbar`` element x whose end, known
+        the event ``f`` for the ``_mbar_rows`` element x whose end, known
         to ``window`` digits, has that translation (num, floor) and whose
         rotation unit is ``unit``; None unless each source lies at most
         ``window`` levels up and is centered at 0.  Then the image of a
@@ -212,6 +249,8 @@ class LampGrid:
     key_reach = 1    # ``key(.., depth)`` reads terms at exponents <= depth
     kind = "lamplighter"
     degree = property(attrgetter("q"))
+    units = ()       # a lamp law is ``plain``: its scales are shifts
+    plain = True
 
     def __init__(self, law):
         self.q = law.degree
@@ -219,23 +258,15 @@ class LampGrid:
         self.steps = tuple((a.num, a.floor, a.shift) for a in law.atoms)
         self.thresholds = law.thresholds
 
-    @classmethod
-    def of(cls, law) -> "LampGrid | None":
-        """The lamp form of ``law``; None when an atom is window-limited."""
-        return None if any(a.known_to is not None for a in law.atoms) \
-            else cls(law)
-
-    def start(self, g) -> "tuple | None":
-        """(shift, 1, num, floor) of a start element; None when it is
-        window-limited."""
+    def start(self, g) -> tuple:
+        """(shift, 1, num, floor) of a start element known everywhere."""
         same_realization(self, g)
-        if g.known_to is not None:
-            return None
+        require_exact(g)
         return g.shift, 1, g.num, g.floor
 
     def key(self, num, floor, depth):
         """The lamps at positions <= depth, packed and canonical: the
-        ``prefix_key`` and ``disc_key`` of the lamp classes."""
+        ``lamps_to`` and ``disc_key`` of the lamp classes."""
         return cut(num, floor, depth, self.width)
 
     def disc_id(self, key) -> tuple:
@@ -276,6 +307,14 @@ class LampGrid:
         return lambda t, unit: all(self.key(*t, h) == w for h, w in want)
 
 
+@functools.lru_cache(maxsize=1024)
+def _mod(x, mod):
+    """The rational ``x``, its denominator prime to p, modulo ``mod`` =
+    p**m, as an int in [0, mod)."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
 def inverse_cdf(thresholds, u):
     """The atom indices a law with cumulative ``thresholds`` reads from
     uniforms ``u``, a float or an array of any shape: the count of the
@@ -289,12 +328,21 @@ def inverse_cdf(thresholds, u):
 
 
 @functools.lru_cache(maxsize=64)
-def _step_columns(steps):
-    """(phis, txes) of a form's steps as arrays, shared and never written;
-    an atom without a translation term has its exponent far above every
-    cut."""
+def _step_columns(steps, units):
+    """(phis, txes, ids) of a form's steps and unit atoms as arrays,
+    shared and never written; an atom without a translation term has its
+    exponent far above every cut."""
     return (np.array([ph for _, _, ph in steps]),
-            np.array([e if n else 2 ** 62 for n, e, _ in steps]))
+            np.array([e if n else 2 ** 62 for n, e, _ in steps]),
+            np.array([k for k, _ in units], dtype=np.intp))
+
+
+def row_units(b, rows, cols, after=False):
+    """Per (row, column) of a block, the counts of the unit atoms before
+    that step (with it if ``after``) as a tuple, () on a plain form."""
+    if b.units is None:
+        return [()] * len(rows)
+    return list(map(tuple, b.units[rows, cols + after].tolist()))
 
 
 class Block:
@@ -302,13 +350,15 @@ class Block:
 
     ``live`` holds their ranks among the batch's rows, ``k`` their atom
     indices, ``path`` their heights before the block and after each of
-    its steps, and ``exps`` the exponent of each step's translation term.
+    its steps, ``units`` likewise the counts of each unit atom of the form
+    (None on a form without units), and ``exps`` the exponent of each
+    step's translation term.
     The reader of a block sets ``going``, the entries of ``live`` (a mask
     or a list) that walk on into the next block; it may write the first
     column of ``path``.
     """
 
-    __slots__ = ("live", "n0", "k", "path", "exps", "going")
+    __slots__ = ("live", "n0", "k", "path", "units", "exps", "going")
 
 
 def row_chunks(count):
@@ -327,10 +377,11 @@ def blocks(grid: GridLaw, read, rows, s0, horizon):
     walks ``ids``.  A batch of ``BATCH_ROWS`` rows in blocks of
     ``BATCH_COLS`` steps keeps the arrays near 128 KB.
     """
-    phis, txes = _step_columns(grid.steps)
+    phis, txes, ids = _step_columns(grid.steps, grid.units)
     height = np.full(len(rows), s0, dtype=np.int64)
+    counts = ids.size and np.zeros((len(rows), ids.size), dtype=np.int64)
     b = Block()
-    b.live, b.n0 = np.arange(len(rows)), 0
+    b.live, b.n0, b.units = np.arange(len(rows)), 0, None
     while b.live.size and b.n0 < horizon:
         size = min(BATCH_COLS, horizon - b.n0)
         b.k = inverse_cdf(grid.thresholds, read(rows[b.live], b.n0, size))
@@ -338,6 +389,12 @@ def blocks(grid: GridLaw, read, rows, s0, horizon):
         b.path[:, 0] = height[b.live]
         b.path[:, 1:] = phis[b.k]
         b.path.cumsum(axis=1, out=b.path)
+        if ids.size:
+            b.units = np.empty((b.live.size, size + 1, ids.size), np.int64)
+            b.units[:, 0] = counts[b.live]
+            b.units[:, 1:] = b.k[:, :, None] == ids
+            b.units.cumsum(axis=1, out=b.units)
+            counts[b.live] = b.units[:, -1]
         b.exps = b.path[:, :-1] + txes[b.k]
         b.going = None
         yield b
@@ -368,31 +425,35 @@ def vertex_test(grid, sources, targets):
 
 
 def reader(grid, end):
-    """``inside((s, t), disc)``: whether the prefix state (s, t), the
-    element (s, 1, t·p**s) of the engine form ``grid``, maps ``end`` into
-    ``disc``, as ``end_in_disc(act_end(g, end), disc)`` says, errors
-    included.  The image p**s·(x + t) lies in a disc of height h iff x +
-    t lies in the disc shifted by p**-s, read at depth h - s.  Reads are
-    kept per state and height, shifted discs per disc and s; the top end
-    is read on the element."""
+    """``inside((s, c, t), disc)``: whether the prefix state (s, c, t),
+    the element (s, u, t·p**s) of the engine form ``grid`` with u the
+    unit of the counts c (``GridLaw.scale``), maps ``end`` into ``disc``,
+    as ``end_in_disc(act_end(g, end), disc)`` says, errors included.  The
+    image u·p**s·(x + t) lies in a disc of height h iff x + t lies in the
+    disc moved by u**-1·p**-s, read at depth h - s.  Reads are kept per
+    state and height, moved discs per disc, s and c; the top end is read
+    on the element."""
     point = None if end is OMEGA else grid.point(end)
     keys, shifted = {}, {}
 
     def inside(state, disc):
-        s, t = state
+        s, c, t = state
         h = disc.height
         at = s, t, h
         key = keys.get(at, keys)
         if key is keys:
             key = keys[at] = point and grid.image_key(point, s, t, h)
         if key is None:
-            g = grid.element((s, 1, t[0], t[1] + s))
+            u = grid.scale(c) if c else 1
+            g = grid.element((s, u, u * t[0], t[1] + s))
             return end_in_disc(act_end(g, end), disc)
         # kept with the disc itself, so that its id stays its own
-        kept = shifted.get((id(disc), s))
+        kept = shifted.get((id(disc), s, c))
         if kept is None:
             num, floor = grid.digits(disc)
-            kept = shifted[id(disc), s] = disc, grid.key(num, floor - s,
-                                                        h - s)
+            if c and h > floor:
+                num = grid.unit([-n for n in c], h - floor, num)
+            kept = shifted[id(disc), s, c] = disc, grid.key(num, floor - s,
+                                                           h - s)
         return key == kept[1]
     return inside

@@ -26,6 +26,7 @@ from operator import attrgetter
 
 from .errors import (
     EmptySupport,
+    InexactAtom,
     PrecisionExhausted,
     RealizationMismatch,
 )
@@ -56,6 +57,8 @@ class PadicAffine:
     degree_name = "p"
     prime = degree = property(attrgetter("a.prime"))
     phi = property(attrgetter("a.valuation"))
+    # whether t and a are exact, as a law's atoms must be
+    exact = property(lambda g: None not in (g.t.den, g.a.den))
 
     def __post_init__(self):
         if self.a.prime != self.t.prime:
@@ -118,17 +121,13 @@ class PadicAffine:
                         PAdic.from_int(p, p, budget)),
             PadicEnd(PAdic.zero(p, None, budget)))
 
-    def prefix_key(self, depth: int):
-        """Id of the depth-``depth`` disc below the element's position."""
-        return self.t.residue(depth)
-
     def limit_end(self, known_exponent: int) -> PadicEnd:
         """Where a right product at this element goes, known modulo
         p**known_exponent: later terms may change any digit above."""
         return PadicEnd(self.t.with_known_exponent(known_exponent))
 
     def engine(self, law):
-        """The engine form of a law of this realization, or None."""
+        """The engine form of a law of this realization."""
         from .grid import GridLaw
         return GridLaw.of(law)
 
@@ -192,6 +191,8 @@ class LampAffine(LampDigits):
 
     degree_name = "q"
     phi = property(attrgetter("shift"))
+    # whether the lamps are known everywhere, as a law's atoms must be
+    exact = property(lambda g: g.known_to is None)
 
     def __init__(self, q: int, lamps, shift: int, known_to=None):
         self._fill(q, lamps, known_to, shift=shift, known_to=known_to)
@@ -276,18 +277,13 @@ class LampAffine(LampDigits):
         return ReferenceHomothety(LampAffine(self.q, (), 1),
                                   LampEnd(self.q, 24, ()))
 
-    def prefix_key(self, depth: int):
-        """Id of the depth-``depth`` disc below the element's position:
-        its lamps at positions <= depth, packed."""
-        return self.lamps_to(depth)
-
     def limit_end(self, known_exponent: int) -> LampEnd:
         return LampEnd._of(self.q, *self.lamps_to(known_exponent),
                            known_exponent)
 
     def engine(self, law):
         from .grid import LampGrid
-        return LampGrid.of(law)
+        return LampGrid(law)
 
     def section(self, end, unit) -> "LampAffine":
         """The translation section; the rotation group is trivial."""
@@ -301,6 +297,15 @@ class LampAffine(LampDigits):
         return f"lamp(shift = {self.shift}, lamps = [{self._render_lamps(':')}])"
 
     __repr__ = render
+
+
+def require_exact(g, location=None):
+    """Refuse an element known only to finitely many digits (p-adic) or
+    lamp positions: law atoms and walk starts are exact, so no walk loses
+    precision."""
+    if not g.exact:
+        raise InexactAtom(f"{g.render()} is not exact: law atoms and walk "
+                          "starts must be known everywhere", location)
 
 
 def compose(g1, g2):

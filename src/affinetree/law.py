@@ -1,13 +1,14 @@
 """Finitely supported step laws on the affine group.
 
-A law is a list of atoms (group elements) with exact Fraction weights.
-Sampling uses inverse-CDF lookup against cumulative float thresholds;
-the scalar and vectorized paths consume uniforms identically, so a
-height-only simulation and a full group simulation with the same stream
-visit the same atoms.  Height paths skip the atom index: u picks the
-step phis[0] plus the jump phis[j+1] - phis[j] at each threshold j <= u,
-and ``phi_sums`` alone walks them, window by window, never whole.  A
-final height draws no step: it is phis . K, K its multinomial atom counts.
+A law is a list of atoms, exact group elements (``require_exact``), with
+exact Fraction weights.  Sampling uses inverse-CDF lookup against
+cumulative float thresholds; the scalar and vectorized paths consume
+uniforms identically, so a height-only simulation and a full group
+simulation with the same stream visit the same atoms.  Height paths
+skip the atom index: u picks the step phis[0] plus the jump phis[j+1] -
+phis[j] at each threshold j <= u, and ``phi_sums`` alone walks them,
+window by window, never whole.  A final height draws no step: it is
+phis . K, K its multinomial atom counts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .errors import EmptySupport, WeightsNotNormalized
 from .grid import inverse_cdf
-from .group import decompose, invert, norm, phi, validate_non_exceptional
+from .group import decompose, invert, norm, phi, require_exact, \
+    validate_non_exceptional
 
 WINDOW_CAP = 20000    # the widest window of steps a height path draws
 
@@ -35,6 +37,8 @@ class StepLaw:
     def __post_init__(self):
         if not self.atoms:
             raise EmptySupport("a step law needs at least one atom")
+        for atom in self.atoms:
+            require_exact(atom)
         weights = tuple(Fraction(w) for w in self.weights)
         if len(weights) != len(self.atoms):
             raise WeightsNotNormalized("one weight per atom required")
@@ -87,8 +91,8 @@ class StepLaw:
         return StepLaw(tuple(invert(a) for a in self.atoms), self.weights)
 
     @functools.cached_property
-    def grid(self) -> "GridLaw | LampGrid | None":
-        """The law's form on the integer walk engine; None if off it."""
+    def grid(self) -> "GridLaw | LampGrid":
+        """The law's form on the integer walk engine."""
         return self.atoms[0].engine(self)
 
     def validate(self, *, allow_non_surjective=False):

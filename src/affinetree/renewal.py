@@ -7,13 +7,12 @@ renewal product identity; the boundary limit of the kernel along the
 reference homothety is matched against an independent estimator built
 from the inverted walk's harmonic measure extended by rotation averaging.
 
-Laws with an engine form (``StepLaw.grid``: the p-adic digit grid, or
-lamp digits added without carries) walk as batches of keyed rows on the
-integer engine of ``grid``: the potential kernel's trajectories, the
-limit-measure estimator's certified limits and the excursion clusters
-alike.  Only laws off the engine use generic group arithmetic, one step
-at a time.  The exact oracle ``kernel_oracle`` reads three parts: a
-``HeightChain``, the characters of the digit grid (``GridLaw``) and one
+Every law walks as batches of keyed rows on its engine form
+(``StepLaw.grid``: the p-adic digit grid, or lamp digits added without
+carries): the potential kernel's trajectories, the limit-measure
+estimator's certified limits and the excursion clusters alike.  The
+exact oracle ``kernel_oracle`` reads three parts: a ``HeightChain``, the
+characters of the digit grid of a plain law (``GridLaw``) and one
 ``band_solve`` over all of them.
 """
 
@@ -30,35 +29,28 @@ from .errors import (
     NonNegativeDrift,
     NonPositiveDrift,
     OracleUnsupported,
-    PrecisionExhausted,
     RealizationMismatch,
     StepBudgetExceeded,
 )
 from .group import (
     PadicAffine,
-    act_end,
     act_vertex,
     compose,
     invert,
     phi,
     power,
 )
-from .grid import blocks, reader, row_chunks, vertex_test
+from .grid import blocks, reader, row_chunks, row_units, vertex_test
 from .padic import PAdic
 from .rng import stream, stream_rows, streams_at
-from .tree import end_in_disc
 from .walk import (
     DEFAULT_STEP_BUDGET,
     _boundary_limit,
     _end_window,
-    _GenericWalk,
     excursion_rows,
-    ladder_boundary_limit,
-    ladder_excursion,
     ladder_heights,
     ladder_limit_rows,
     limit_rows,
-    sample_boundary_limit,
 )
 
 # -- events -------------------------------------------------------------------
@@ -151,15 +143,12 @@ _NEVER = np.iinfo(np.int64).max
 
 
 def _kernel_walk(g, f: CylinderEvent, law):
-    """(engine form, start state, membership test, highest target height)
-    of the integer kernel walk, or None when the law or the start element
-    is off the engine."""
-    grid = law.grid
-    start = grid and grid.start(g)
-    if not start:
-        return None
-    return (grid, start, vertex_test(grid, f.sources, f.targets),
-            max(t.height for t in f.targets))
+    """(engine form, start state, membership test, highest target height,
+    digits of the unit that the test reads) of the kernel walk."""
+    return (law.grid, law.grid.start(g),
+            vertex_test(law.grid, f.sources, f.targets),
+            max(t.height for t in f.targets),
+            max(max(x.height - x.floor for x in f.sources), 1))
 
 
 def _first(mask, n0):
@@ -191,14 +180,20 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     order, one atom per uniform.  ``stop`` is (direction, delta,
     min_steps) of the drifting stop rule, or None to run the horizon.
     Each row folds its translation terms in step order, only as far as
-    the visit that reads them.  Returns (rows, steps) of every visit to
-    the event, as flat arrays, per trajectory its exit step E and
-    re-entry step R (_NEVER when it has none), and 0: no trajectory
-    loses precision on integers.  See ``potential_kernel`` for the rule.
+    the visit that reads them: exactly on a ``plain`` form from an
+    integral start, else times the units before them, below the cut.
+    Returns (rows, steps) of every visit to the event, as flat arrays,
+    and per trajectory its exit step E and re-entry step R (_NEVER when
+    it has none).  See ``potential_kernel`` for the rule.
     """
-    grid, (s0, u, num0, floor0), member, top = walk
+    grid, (s0, u, num0, floor0), member, top, digits = walk
     add, steps, cut = grid.sum, grid.steps, top + grid.key_reach
-    at_start = s0 == level and member(s0, u, num0, floor0)
+    exact = grid.plain and u.denominator == num0.denominator == 1
+    if not exact:       # the start's digits a read sees, and its unit's
+        num0 = grid.unit((), cut - floor0, num0) if cut > floor0 else 0
+        num0, floor0 = grid.key(num0, floor0, cut)
+    unit = u if exact else grid.unit((), digits, u)
+    at_start = s0 == level and member(s0, unit, num0, floor0)
     hit_rows, hit_steps = [], []
     exits = np.full(trajectories, _NEVER)
     backs = np.full(trajectories, _NEVER)
@@ -236,19 +231,32 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
             bounds = np.arange(live.size + 1)
             t_at = tr.searchsorted(bounds).tolist()
             v_at = vr.searchsorted(bounds).tolist()
-            coefs = [u * steps[j][0] for j in k[tr, tc].tolist()]
-            exps, tc, vc = b.exps[tr, tc].tolist(), tc.tolist(), vc.tolist()
+            exps = b.exps[tr, tc].tolist()
+            if exact:
+                coefs = [u * steps[j][0] for j in k[tr, tc].tolist()]
+                visits = vc.tolist()
+            else:      # each visit with the unit of its element
+                coefs = [grid.unit(c, cut - x, u, grid.coefs[j])
+                         for j, c, x in zip(k[tr, tc].tolist(),
+                                            row_units(b, tr, tc), exps)]
+                visits = list(zip(vc.tolist(), [
+                    grid.unit(c, digits, u)
+                    for c in row_units(b, vr, vc, after=True)]))
+            tc = tc.tolist()
             live_l, going_l = live.tolist(), going.tolist()
             for i in np.flatnonzero(last >= 0).tolist():
                 row, j, t1 = live_l[i], t_at[i], t_at[i + 1]
                 t = carry[row]
-                for v in vc[v_at[i]:v_at[i + 1]]:
+                for v in visits[v_at[i]:v_at[i + 1]]:
+                    if not exact:
+                        v, unit = v
                     while j < t1 and tc[j] <= v:
                         t = add(*t, coefs[j], exps[j])
                         j += 1
-                    hit = reads.get(t)
+                    at = t if exact else (unit, t)
+                    hit = reads.get(at)
                     if hit is None:
-                        hit = reads[t] = member(level, u, *t)
+                        hit = reads[at] = member(level, unit, *t)
                     if hit:
                         hit_rows.append(ids[row])
                         hit_steps.append(n0 + 1 + v)
@@ -258,48 +266,7 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
                     carry[row] = grid.key(*t, top)   # drop what no read sees
             b.going = going
     return (np.array(hit_rows, dtype=np.int64),
-            np.array(hit_steps, dtype=np.int64), exits, backs, 0)
-
-
-def _generic_visits(g, f, law, seed, label, trajectories, horizon,
-                    stop=None):
-    """``_grid_visits`` on generic group arithmetic, for laws or starts
-    off the engine: trajectory i walks ``_GenericWalk`` from g on
-    ``stream(seed, label, i)``, and the rule of ``_stop_steps`` is applied
-    step by step.  A trajectory that loses its precision ends there; the
-    last item is how many did."""
-    level = f.level
-    direction, delta, min_steps = stop or (0, 0, 0)   # d = 0: no exit
-    hit_rows, hit_steps = [], []
-    exits = np.full(trajectories, _NEVER)
-    backs = np.full(trajectories, _NEVER)
-    aborted = 0
-    for i in range(trajectories):
-        w = _GenericWalk(law, stream(seed, label, i), g)
-        if f.member(g):
-            hit_rows.append(i)
-            hit_steps.append(0)
-        e = r = _NEVER
-        try:
-            for n in range(1, horizon + 1):
-                h = w.right()
-                if h == level and f.member(w.g):
-                    hit_rows.append(i)
-                    hit_steps.append(n)
-                d = (h - level) * direction
-                if e == _NEVER:
-                    if d > delta and n >= min_steps:
-                        e = n
-                elif r == _NEVER and h == level:
-                    r = n
-                # from the exit on: 2·delta out before re-entry, delta after
-                if e <= n and d > (2 * delta if r == _NEVER else delta):
-                    break
-        except PrecisionExhausted:
-            aborted += 1
-        exits[i], backs[i] = e, r
-    return (np.array(hit_rows, dtype=np.int64),
-            np.array(hit_steps, dtype=np.int64), exits, backs, aborted)
+            np.array(hit_steps, dtype=np.int64), exits, backs)
 
 
 def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
@@ -319,20 +286,16 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     the last-half visit rate of a fresh batch of at most 200 trajectories
     as a truncation proxy.  ``seed`` is a stream key (see ``rng``):
     trajectory i draws from ``(seed, "kernel", i)``, the centered tail
-    from "tail".  ``aborted`` counts the trajectories of both batches
-    that lost their precision; each keeps the visits it made.
+    from "tail".  No trajectory loses precision, so ``aborted`` is 0.
 
-    Laws on the engine, p-adic and lamp, run every trajectory in one
-    batch (``_grid_visits``): atom indices come from ``rng.stream_rows``
-    in blocks, heights are cumulative sums, the stop rule is a
-    first-index search per row, and the translation is summed in exact
-    integers only up to the visits it is read at.  Only terms at
-    exponents below H + ``key_reach`` enter the sum, H the highest
-    target height: a read at height h <= H sees the digits below h
-    (p-adic) or up to h (lamp), so a later term changes no read.  Only
-    laws off the engine walk one trajectory at a time on generic group
-    arithmetic (``_generic_visits``); both give the visits the same way,
-    and one reduction reads them.
+    Every trajectory runs in one batch on the law's engine form
+    (``_grid_visits``): atom indices come from ``rng.stream_rows`` in
+    blocks, heights are cumulative sums, the stop rule is a first-index
+    search per row, and the translation is summed in integers only up to
+    the visits it is read at.  Only terms at exponents below H +
+    ``key_reach`` enter the sum, H the highest target height: a read at
+    height h <= H sees the digits below h (p-adic) or up to h (lamp), so
+    a later term changes no read.
     """
     if trajectories < 1:
         raise ValueError(f"{trajectories} trajectories estimate nothing")
@@ -340,15 +303,12 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
         return KernelEstimate(0.0, 0.0, trajectories, 0, 0.0)
     drift = law.drift()
     direction = 0 if drift == 0 else (1 if drift > 0 else -1)
-    fast = _kernel_walk(g, f, law)
+    walk = _kernel_walk(g, f, law)
 
     def visits(label, count, stop=None):
-        if fast:
-            return _grid_visits(fast, f.level, seed, label, count, horizon,
-                                stop)
-        return _generic_visits(g, f, law, seed, label, count, horizon, stop)
+        return _grid_visits(walk, f.level, seed, label, count, horizon, stop)
 
-    rows, steps, exits, backs, aborted = visits(
+    rows, steps, exits, backs = visits(
         "kernel", trajectories,
         (direction, KERNEL_DELTA, KERNEL_MIN_STEPS) if direction else None)
     totals = np.bincount(rows, minlength=trajectories).astype(float)
@@ -359,10 +319,10 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
         # proxy only: visits cannot be bounded by a drift argument, so
         # report the last-half visit rate observed on a fresh small batch
         n = min(trajectories, 200)
-        _, late, _, _, lost = visits("tail", n)
+        _, late, _, _ = visits("tail", n)
         tail = float(np.count_nonzero(late > horizon // 2)) / n
         return KernelEstimate(value, stderr, trajectories, horizon, tail,
-                              truncated=True, aborted=aborted + lost)
+                              truncated=True)
     post_visits = np.bincount(rows[steps >= backs[rows]],
                               minlength=trajectories).astype(float)
     reentered = backs < _NEVER
@@ -372,8 +332,7 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
     per_round = float(post_visits[reentered].mean()) if reentered.any() else 1.0
     tail = per_round * capped / (1.0 - capped)
     return KernelEstimate(value, stderr, trajectories, horizon, tail,
-                          aborted=aborted, rho=rho,
-                          rho_capped=rho > TAIL_RHO_CAP)
+                          rho=rho, rho_capped=rho > TAIL_RHO_CAP)
 
 
 # -- Wald / ladder mass -------------------------------------------------------
@@ -443,28 +402,16 @@ def _clusters(law, seed, count, exc_count, depth):
     # shift the point's known digits down when acting on it
     window = depth + 24
     grid = law.grid
-    if grid is None:
-        for i in range(count):
-            end = ladder_boundary_limit(law, stream(seed, "ups", i),
-                                        depth=depth, end_window=window).end
-            rng = stream(seed, "exc", i)
-            excs = [ladder_excursion(law, rng, track_prefix=True)
-                    for _ in range(exc_count)]
-            yield ([e.length for e in excs], [e.height for e in excs],
-                   [(phi(g), g, 1) for e in excs for g in e.prefix],
-                   lambda g, disc, end=end: end_in_disc(act_end(g, end),
-                                                        disc))
-        return
 
     def rows_of(key):
         return lambda ids, start, size: stream_rows(ids, start, size, seed,
                                                     key)
     for rows in row_chunks(count):
         limits = ladder_limit_rows(grid, rows_of("ups"), rows, depth, window)
-        excs = excursion_rows(grid, rows_of("exc"), rows, exc_count)
+        excs = excursion_rows(grid, rows_of("exc"), rows, exc_count, window)
         for bl, (lengths, heights, states) in zip(limits, excs):
             yield (lengths, heights,
-                   [(s, (s, t), m) for (s, t), m in states.items()],
+                   [(state[0], state, m) for state, m in states.items()],
                    reader(grid, bl.end))
 
 
@@ -499,7 +446,7 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     height.  Returns one ClusterEstimate per functional, plus a stats
     dict.  Cluster i draws its point from ``(seed, "ups", i)`` and its
     excursions from ``(seed, "exc", i)``; ``seed`` is a stream key.
-    Laws on the engine walk the clusters as batches of keyed rows.
+    The clusters walk as batches of keyed rows on the engine.
     """
     if n_upsilon < 2:
         raise ValueError(f"{n_upsilon} clusters give no standard error; "
@@ -549,27 +496,12 @@ def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50):
 # -- inverted-walk boundary measure and kernel limits -------------------------
 
 
-def sample_mbar(law, rng, *, depth=4):
-    """One draw from the rotation-averaged extension of the inverted-walk
-    harmonic measure (total mass -1/drift) to the horocyclic group, for a
-    negative-drift law: a horocyclic element (phi == 0).
-
-    p-adic: (t = sampled end of the inverted walk, a = uniform unit);
-    lamplighter: the rotation group at the reference end is trivial, so
-    the element is the translation section of the sampled end.
-    """
-    if law.drift() >= 0:
-        raise NonNegativeDrift("the inverted walk must have positive drift")
-    bl = sample_boundary_limit(law.inverse(), rng, depth=depth)
-    atom = law.atoms[0]
-    return atom.section(bl.end, next(atom.rotation_draws([rng])))
-
-
 def _mbar_rows(law, seed, samples, depth):
-    """The draws of ``sample_mbar(law, stream(seed, "limit", i), depth)``
-    for i < samples, for a law whose inverse is on the engine: per sample
-    the inverted walk's row of ``walk.limit_rows`` and the unit drawn
-    where the walk left stream i (None where no unit is drawn)."""
+    """Draws x = ``section(end, unit)`` for i < samples of the rotation-
+    averaged extension of the inverted walk's harmonic measure (mass
+    -1/drift): per sample the inverted walk's row of ``walk.limit_rows``
+    on stream i and the unit drawn where it left the stream (None for a
+    lamp law, whose rotation group is trivial)."""
     if law.drift() >= 0:
         raise NonNegativeDrift("the inverted walk must have positive drift")
     i = 0
@@ -591,11 +523,12 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
 
     Only the height-f.level term of the homothety convolution can meet
     the event, so the value is mass x P[s**level · x^{-1} in f] with x
-    drawn from the rotation-averaged boundary measure.  ``seed`` is a
-    stream key; sample i is drawn from ``stream(seed, "limit", i)``.
+    drawn from the rotation-averaged boundary measure (``_mbar_rows``).
+    ``seed`` is a stream key; sample i is drawn from ``stream(seed,
+    "limit", i)``.
 
-    When the inverted law is on the engine, the samples' certified limits
-    walk as one batch (``walk.limit_rows``), each unit is drawn where its
+    The samples' certified limits walk as one batch on the inverted
+    law's engine form (``walk.limit_rows``), each unit is drawn where its
     walk left its stream, and the event is read on integers where the
     end's digits decide it (``hit_test`` of the engine form), else on the
     element.
@@ -608,20 +541,15 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     depth = max(max(t.height for t in f.targets) + 2, 4)
     hits = 0
     grid = law.inverse().grid
-    if grid is None:
-        for i in range(samples):
-            x = sample_mbar(law, stream(seed, "limit", i), depth=depth)
+    window = _end_window(depth, None)
+    test = grid.hit_test(f, window)
+    for row, unit in _mbar_rows(law, seed, samples, depth):
+        if test is not None:
+            hits += test(row[3], unit)
+        else:
+            end = _boundary_limit(grid, row, window).end
+            x = law.atoms[0].section(end, unit)
             hits += f.member(compose(s_h, invert(x)))
-    else:
-        window = _end_window(depth, None)
-        test = grid.hit_test(f, window)
-        for row, unit in _mbar_rows(law, seed, samples, depth):
-            if test is not None:
-                hits += test(row[3], unit)
-            else:
-                end = _boundary_limit(grid, row, window).end
-                x = law.atoms[0].section(end, unit)
-                hits += f.member(compose(s_h, invert(x)))
     mass = -1 / law.drift()
     prob = hits / samples
     value = float(mass) * prob
@@ -859,7 +787,7 @@ def kernel_oracle(law, cylinders, *, s_min=-8, s_max=40) -> dict:
     if law.kind != "padic":
         raise OracleUnsupported("the truncated-chain oracle is p-adic only")
     grid = law.grid
-    if grid is None:
+    if not grid.plain:
         raise OracleUnsupported(
             "atoms are off the digit grid: need exact scales p**k and "
             "translations with p-power denominators")

@@ -7,27 +7,27 @@ track full group elements: the right products R_n = X_1...X_n converge
 to a boundary point when the height drift is positive, and the sampler
 certifies a disc of requested depth around the limit.
 
-Laws with an engine form (``StepLaw.grid``, p-adic and lamp) walk as
-batches of keyed rows (``grid.blocks``): certified boundary limits
+Every law walks on its engine form (``StepLaw.grid``, p-adic and lamp)
+as batches of keyed rows (``grid.blocks``): certified boundary limits
 (``boundary_limits``), ladder excursions split by the strict records of
 the running maximum (``excursion_rows``) and the ladder walk's limit
-(``ladder_limit_rows``).  Laws off the engine walk one step at a time on
-``group.compose`` (``_GenericWalk``, from any start), and that loop is
-the reference the batches are tested against.  Every certified limit
-stops under the rule of ``STABLE_EPOCHS`` and ``HEIGHT_GUARD``, read
-when it is called.
+(``ladder_limit_rows``).  Only ``run_product`` (``simulate --dump``) and
+``ladder_excursion`` step on ``group.compose``, one draw per step.
+Every certified limit stops under the rule of ``STABLE_EPOCHS`` and
+``HEIGHT_GUARD``, read when it is called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import blocks, row_chunks
+from .grid import blocks, row_chunks, row_units
 from .group import compose, identity_like, phi
-from .rng import position, seek, stream, stream_rows
+from .rng import position, seek, stream_rows
 
 DEFAULT_STEP_BUDGET = 10 ** 7
 STABLE_EPOCHS = 3     # the certified-limit stop rule, read at each call
@@ -35,16 +35,16 @@ HEIGHT_GUARD = 15
 
 
 def run_product(law, rng, horizon: int, *, visitor=None):
-    """The right product R_n of ``horizon`` sampled steps, walked by
-    ``_GenericWalk``; ``visitor(n, g)`` is called after each step with
-    the running product.
+    """The right product R_n of ``horizon`` steps drawn from ``rng``, one
+    draw each; ``visitor(n, g)`` is called after each step with the
+    running product.
     """
-    w = _GenericWalk(law, rng)
+    g = identity_like(law.atoms[0])
     for n in range(1, horizon + 1):
-        w.right()
+        g = compose(g, law.sample_step(rng))
         if visitor is not None:
-            visitor(n, w.g)
-    return w.g
+            visitor(n, g)
+    return g
 
 
 @dataclass
@@ -62,35 +62,17 @@ class LadderExcursion:
     prefix: "list | None" = None
 
 
-class _GenericWalk:
-    """A walk from ``g`` (the identity by default) on generic group
-    arithmetic, one draw of ``rng`` per step: laws off the engine, and
-    the batches' reference."""
-
-    def __init__(self, law, rng, g=None):
-        self.law, self.rng = law, rng
-        self.g = identity_like(law.atoms[0]) if g is None else g
-
-    def right(self) -> int:
-        self.g = compose(self.g, self.law.sample_step(self.rng))
-        return phi(self.g)
-
-    def left(self) -> int:
-        self.g = compose(self.law.sample_step(self.rng), self.g)
-        return phi(self.g)
-
-
 def ladder_excursion(law, rng, *, track_prefix=False) -> LadderExcursion:
-    """One ladder excursion on ``_GenericWalk``, within
-    ``DEFAULT_STEP_BUDGET`` steps."""
-    w = _GenericWalk(law, rng)
-    prefix = [w.g] if track_prefix else None
+    """One ladder excursion of the left walk, one draw of ``rng`` per
+    step, within ``DEFAULT_STEP_BUDGET`` steps."""
+    g = identity_like(law.atoms[0])
+    prefix = [g] if track_prefix else None
     for n in range(1, DEFAULT_STEP_BUDGET + 1):
-        h = w.left()
-        if h > 0:
-            return LadderExcursion(n, w.g, h, prefix)
+        g = compose(law.sample_step(rng), g)
+        if phi(g) > 0:
+            return LadderExcursion(n, g, phi(g), prefix)
         if prefix is not None:
-            prefix.append(w.g)
+            prefix.append(g)
     raise StepBudgetExceeded(
         f"no ascending ladder epoch within {DEFAULT_STEP_BUDGET} steps")
 
@@ -98,16 +80,20 @@ def ladder_excursion(law, rng, *, track_prefix=False) -> LadderExcursion:
 def _record_rows(grid, read, rows, first, walk, error):
     """Each walk ``rows`` on the engine form ``grid``, read block by block
     by ``grid.blocks`` from ``read``, until ``walk`` has its result.
-    ``walk(state, n, ks, hs)`` takes a walk's state (``first()`` at the
-    start), its steps so far and the block's atom indices and heights
-    after each step, and gives (result, None) or (None, next state).  A
-    walk that runs out of steps raises ``StepBudgetExceeded(error)``."""
+    ``walk(state, n, ks, hs, cs)`` takes a walk's state (``first()`` at
+    the start), its steps so far and the block's atom indices, heights
+    and unit counts (() on a form without units) after each step, and
+    gives (result, None) or (None, next state).  A walk that runs out of
+    steps raises ``StepBudgetExceeded(error)``."""
     out, run = [None] * len(rows), [first() for _ in rows]
     for b in blocks(grid, read, rows, 0, DEFAULT_STEP_BUDGET):
         going = []
-        for i, (row, ks, hs) in enumerate(zip(
-                b.live.tolist(), b.k.tolist(), b.path[:, 1:].tolist())):
-            out[row], run[row] = walk(run[row], b.n0, ks, hs)
+        units = repeat(repeat(())) if b.units is None \
+            else map(lambda c: map(tuple, c), b.units[:, 1:].tolist())
+        for i, (row, ks, hs, cs) in enumerate(zip(
+                b.live.tolist(), b.k.tolist(), b.path[:, 1:].tolist(),
+                units)):
+            out[row], run[row] = walk(run[row], b.n0, ks, hs, cs)
             if out[row] is None:
                 going.append(i)
         b.going = going
@@ -116,66 +102,94 @@ def _record_rows(grid, read, rows, first, walk, error):
     return out
 
 
-def excursion_rows(grid, read, rows, count) -> list:
+def excursion_rows(grid, read, rows, count, window) -> list:
     """The first ``count`` ladder excursions of each walk ``rows``
     (``_record_rows``), as (lengths, heights, states) per walk.
 
     The excursions of a walk are split by the strict records of its
-    running maximum.  ``states`` counts the prefix states (S_k, T_k) of
-    them all: S_k is the height of L_k over the excursion's start and
-    T_k = sum over j <= k of txn_j·p**(txe_j - S_j), so L_k maps a point
-    x to p**S_k·(x + T_k) (``grid.reader``).
+    running maximum.  ``states`` counts the prefix states (S_k, C_k, T_k)
+    of them all: S_k is the height of L_k over the excursion's start, C_k
+    the counts of its unit atoms (its unit U_k, ``GridLaw.scale``) and
+    T_k = sum over j <= k of U_j**-1·txn_j/d_j·p**(txe_j - S_j), so L_k
+    maps a point x to U_k·p**S_k·(x + T_k) (``grid.reader``).  T_k is
+    exact on a ``plain`` form, else modulo p**``window``, as are its
+    reads of ends known modulo p**window at most.
     """
-    add, steps = grid.sum, grid.steps
+    add, steps, plain = grid.sum, grid.steps, grid.plain
+    zero = (0,) * len(grid.units)
 
-    def walk(run, n, ks, hs):
-        lengths, heights, states, top, start, t = run
-        for j, h in zip(ks, hs):
+    def walk(run, n, ks, hs, cs):
+        lengths, heights, states, top, start, t, base = run
+        for j, h, c in zip(ks, hs, cs):
             n += 1
             if h > top:                 # the excursion ends
                 lengths.append(n - start)
                 heights.append(h - top)
                 if len(lengths) == count:
                     return (lengths, heights, states), None
-                top, start, t = h, n, (0, 0)
-                state = 0, t
-            else:
+                top, start, t, base = h, n, (0, 0), c
+                state = 0, zero, t
+            elif plain:
                 txn, txe, _ = steps[j]
                 if txn:
                     t = add(*t, txn, txe - h + top)
-                state = h - top, t
+                state = h - top, zero, t
+            else:
+                txn, e = steps[j][0], steps[j][1] - h + top
+                rel = tuple(a - b for a, b in zip(c, base))
+                if txn and e < window:
+                    t = grid.key(*add(*t, grid.unit(
+                        [-a for a in rel], window - e, grid.coefs[j]), e),
+                        window)
+                state = h - top, rel, t
             states[state] = states.get(state, 0) + 1
-        return None, (lengths, heights, states, top, start, t)
+        return None, (lengths, heights, states, top, start, t, base)
     return _record_rows(
-        grid, read, rows, lambda: ([], [], {(0, (0, 0)): 1}, 0, 0, (0, 0)),
-        walk, f"no ascending ladder epoch within {DEFAULT_STEP_BUDGET} steps")
+        grid, read, rows,
+        lambda: ([], [], {(0, zero, (0, 0)): 1}, 0, 0, (0, 0), zero), walk,
+        f"no ascending ladder epoch within {DEFAULT_STEP_BUDGET} steps")
 
 
 def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
-    """``ladder_boundary_limit`` of each walk ``rows`` (``_record_rows``).
+    """The certified limit (``sample_boundary_limit``'s stop rule and
+    ``BoundaryLimit``) of the ladder walk of each walk ``rows``
+    (``_record_rows``), whose steps are the elements L_l of the walk's
+    successive ladder excursions; ``steps`` counts ladder steps.
 
     Ladder step m is the element of the walk's m-th excursion, so the
     ladder heights are the walk's records, and atom n of an excursion
-    from height H0 to H1 adds txn·p**(txe + H0 + H1 - H_n) to the
-    translation (H_n the height after it).  Terms wait at exponent txe -
-    H_n until their excursion ends; the whole translation is folded, so
-    the end is the generic ladder walk's.
+    from height H0 to H1 adds U_1·U_0·U_n**-1·txn/d·p**(txe + H0 + H1 -
+    H_n) to the translation (H_n the height after it, U_0, U_n and U_1
+    the walk's unit products at H0, H_n and H1).  Terms wait at exponent
+    txe - H_n until their excursion ends.  The translation is exact on a
+    ``plain`` form, else modulo the digits the key and the end read.
     """
-    add, steps = grid.sum, grid.steps
-    goal = end_window + HEIGHT_GUARD
+    add, steps, plain = grid.sum, grid.steps, grid.plain
+    goal, span = end_window + HEIGHT_GUARD, max(depth, end_window)
 
-    def walk(run, _n0, ks, hs):
-        # translation, waiting terms, top, ladder steps, key, stable
-        t, wait, top, n, key, stable = run
-        for j, h in zip(ks, hs):
+    def walk(run, _n0, ks, hs, cs):
+        # translation, waiting terms, top, ladder steps, key, stable,
+        # unit counts at the excursion's start
+        t, wait, top, n, key, stable, base = run
+        for j, h, c in zip(ks, hs, cs):
             txn, txe, _ = steps[j]
             if txn:
-                wait = add(*wait, txn, txe - h)
+                if plain:
+                    wait = add(*wait, txn, txe - h)
+                elif span - 2 * top > txe - h:   # H1 + H0 > 2·top
+                    wait = add(*wait, grid.unit(
+                        [a - b for a, b in zip(base, c)],
+                        span - 2 * top - txe + h, grid.coefs[j]), txe - h)
             if h <= top:
                 continue
             if wait[0]:
-                t = add(*t, wait[0], wait[1] + top + h)
-            wait, top, n = (0, 0), h, n + 1
+                e = wait[1] + top + h
+                if plain:
+                    t = add(*t, wait[0], e)
+                elif e < span:
+                    t = grid.key(*add(*t, grid.unit(c, span - e, wait[0]),
+                                      e), span)
+            wait, top, n, base = (0, 0), h, n + 1, c
             if h < depth:
                 continue
             k = grid.key(*t, depth)
@@ -184,9 +198,11 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
             if stable >= STABLE_EPOCHS and top >= goal:
                 return _boundary_limit(grid, (n, top, key, t),
                                        end_window), None
-        return None, (t, wait, top, n, key, stable)
+        return None, (t, wait, top, n, key, stable, base)
+    zero = (0,) * len(grid.units)
     return _record_rows(
-        grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, None, 0), walk,
+        grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, None, 0, zero),
+        walk,
         f"no certified depth-{depth} disc within {DEFAULT_STEP_BUDGET} "
         "steps")
 
@@ -258,29 +274,6 @@ def _end_window(depth, end_window):
     return depth + 8 if end_window is None else end_window
 
 
-def _certified_limit(walk, step, depth, end_window, max_steps):
-    """The certified limit of one generic walk stepped by ``step``."""
-    end_window = _end_window(depth, end_window)
-    top = 0
-    stable = 0
-    key = None
-    for n in range(1, max_steps + 1):
-        h = step()
-        if h <= top:
-            continue
-        top = h
-        if h < depth:
-            continue
-        k = walk.g.prefix_key(depth)
-        stable = stable + 1 if k == key else 1
-        key = k
-        if stable >= STABLE_EPOCHS and top >= end_window + HEIGHT_GUARD:
-            end = walk.g.limit_end(end_window)
-            return BoundaryLimit(end, key, n)
-    raise StepBudgetExceeded(
-        f"no certified depth-{depth} disc within {max_steps} steps")
-
-
 def _limit_chunks(grid, read, count, depth, end_window, max_steps):
     """Certified limits of the right walks 0..count-1 on the engine form
     ``grid``, as one list per batch of walks: per walk (steps, top, key,
@@ -290,11 +283,11 @@ def _limit_chunks(grid, read, count, depth, end_window, max_steps):
     at a time (``grid.row_chunks``).  Records are a running maximum of
     the heights.  Only translation terms below
     ``max(depth, end_window) + grid.key_reach`` can change a key or the
-    end; each row folds them in exact integers, in step order, only as
-    far as the record that reads them, and ``translation`` is their sum
-    (num, floor) at the stop.  A key changes only at a term below
-    ``depth + grid.key_reach``, so a record reads the key again only
-    after such a term.
+    end; each row folds them (times the unit product before the step, on
+    a form not ``plain``), in step order, only as far as the record that
+    reads them, and ``translation`` is their sum (num, floor) at the
+    stop.  A key changes only at a term below ``depth + grid.key_reach``,
+    so a record reads the key again only after such a term.
     """
     add, steps = grid.sum, grid.steps
     span = max(depth, end_window)
@@ -319,8 +312,14 @@ def _limit_chunks(grid, read, count, depth, end_window, max_steps):
             r_at = rr.searchsorted(bounds).tolist()
             r_h, rc = path[rr, rc + 1].tolist(), rc.tolist()
             t_at = tr.searchsorted(bounds).tolist()
-            coefs = [steps[j][0] for j in k[tr, tc].tolist()]
-            texps, tc = b.exps[tr, tc].tolist(), tc.tolist()
+            texps = b.exps[tr, tc].tolist()
+            if grid.plain:
+                coefs = [steps[j][0] for j in k[tr, tc].tolist()]
+            else:
+                coefs = [grid.unit(c, fold_cut - x, grid.coefs[j])
+                         for j, c, x in zip(k[tr, tc].tolist(),
+                                            row_units(b, tr, tc), texps)]
+            tc = tc.tolist()
             going = []
             for i, row in enumerate(live.tolist()):
                 t, cur, key, stable = state[row]
@@ -378,19 +377,9 @@ def boundary_limits(law, count, seed, *path, depth: int, end_window=None,
                     max_steps=DEFAULT_STEP_BUDGET) -> list:
     """``sample_boundary_limit`` on the streams ``stream(seed, *path, i)``
     for i < count, as a list of ``BoundaryLimit``, None for a walk that
-    ran out of ``max_steps``.  Laws on the engine walk as one batch
-    (``limit_rows``)."""
+    ran out of ``max_steps``, walked as one batch (``limit_rows``)."""
     _require_positive_drift(law)
     out = []
-    if law.grid is None:
-        for i in range(count):
-            try:
-                out.append(sample_boundary_limit(
-                    law, stream(seed, *path, i), depth=depth,
-                    end_window=end_window, max_steps=max_steps))
-            except StepBudgetExceeded:
-                out.append(None)
-        return out
     end_window = _end_window(depth, end_window)
     for rows in limit_rows(law, count, seed, *path, depth=depth,
                            end_window=end_window, max_steps=max_steps):
@@ -409,15 +398,12 @@ def sample_boundary_limit(law, rng, *, depth: int, end_window=None,
     window, so a later return below the window has probability at most
     about q**-HEIGHT_GUARD.  The end is known modulo p**``end_window``
     (default depth + 8, headroom for later arithmetic), exact or not: a
-    read past it raises.  On the engine this is the one-walk case of the
-    batch, read from ``rng`` in sequence, and ``rng`` is left where one
-    draw per step leaves it.
+    read past it raises.  This is the one-walk case of the batch, read
+    from ``rng`` in sequence, and ``rng`` is left where one draw per step
+    leaves it.
     """
     _require_positive_drift(law)
     grid = law.grid
-    if grid is None:
-        w = _GenericWalk(law, rng)
-        return _certified_limit(w, w.right, depth, end_window, max_steps)
     end_window = _end_window(depth, end_window)
     pos = position(rng)
     [row], = _limit_chunks(grid, lambda rows, start, size: rng.random(
@@ -427,19 +413,3 @@ def sample_boundary_limit(law, rng, *, depth: int, end_window=None,
         raise StepBudgetExceeded(
             f"no certified depth-{depth} disc within {max_steps} steps")
     return _boundary_limit(grid, row, end_window)
-
-
-def ladder_boundary_limit(law, rng, *, depth: int, end_window=None,
-                          max_steps=DEFAULT_STEP_BUDGET) -> BoundaryLimit:
-    """``sample_boundary_limit`` for the ladder walk, whose steps are the
-    elements L_l of successive ladder excursions drawn from ``rng``, on
-    generic group arithmetic, under the same stop rule (``STABLE_EPOCHS``
-    and ``HEIGHT_GUARD``).  ``steps`` counts ladder steps; its batch form
-    on the engine is ``ladder_limit_rows``."""
-    _require_positive_drift(law)
-    w = _GenericWalk(law, rng)
-
-    def ladder_step():
-        w.g = compose(w.g, ladder_excursion(law, rng).element)
-        return phi(w.g)
-    return _certified_limit(w, ladder_step, depth, end_window, max_steps)

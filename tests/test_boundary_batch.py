@@ -2,16 +2,18 @@
 
 ``walk.boundary_limits`` walks the streams ``stream(seed, *path, i)``
 together; each row must give what ``sample_boundary_limit`` gives on
-that stream, on the engine and on generic ``compose``, and its steps
-must be the uniforms that call used.  ``limit_measure_value`` draws its
-rotation units and reads its hits from the batch; both must match
-``sample_mbar`` and the generic membership test, sample by sample.
+that stream, on the engine and on generic ``compose`` (``generic_walk``),
+and its steps must be the uniforms that call used.
+``limit_measure_value`` draws its rotation units and reads its hits from
+the batch; both must match the generic ``sample_mbar`` and membership
+test, sample by sample.
 """
 
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,15 +30,15 @@ from affinetree.renewal import (
     CylinderEvent,
     _mbar_rows,
     limit_measure_value,
-    sample_mbar,
 )
 from affinetree.rng import position, stream
 from affinetree.tree import LampVertex, PadicVertex
-from affinetree.walk import boundary_limits, ladder_boundary_limit, \
+from affinetree.walk import boundary_limits, ladder_limit_rows, \
     limit_rows, sample_boundary_limit
 
-from test_lamp_walk import _generic_twin, lamp_laws
-from test_walk import SMALL_BUDGETS, grid_laws
+import generic_walk
+from test_lamp_walk import lamp_laws
+from test_walk import SMALL_BUDGETS, _uniforms, grid_laws
 
 LAW_NEG = StepLaw((PadicAffine(PAdic.from_int(0, 2),
                                PAdic.from_fraction(Fraction(1, 2), 2)),
@@ -62,13 +64,14 @@ def _row(bl, max_steps):
     return repr(bl), max_steps if bl is None else bl.steps
 
 
-def _scalar(law, seed, path, i, **kw):
-    """(limit or None, uniforms used) of ``sample_boundary_limit`` on
-    stream i, the limit as its repr: equal p-adic values compare equal
-    to precision, and the repr tells exact values apart as reports do."""
+def _scalar(law, seed, path, i, fn=sample_boundary_limit, **kw):
+    """(limit or None, uniforms used) of ``fn``, ``sample_boundary_limit``
+    or its generic reference, on stream i, the limit as its repr: equal
+    p-adic values compare equal to precision, and the repr tells exact
+    values apart as reports do."""
     rng = stream(seed, *path, i)
     try:
-        return repr(sample_boundary_limit(law, rng, **kw)), position(rng)
+        return repr(fn(law, rng, **kw)), position(rng)
     except StepBudgetExceeded:
         return repr(None), position(rng)
 
@@ -100,8 +103,7 @@ def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
     generic compose, under the stop rule as shipped and under its other
     settings (``walk.STABLE_EPOCHS`` and ``walk.HEIGHT_GUARD`` patched)."""
     law, kw, rule, (rows, cols) = case
-    assert law.grid is not None
-    twin = _generic_twin(law)
+    ref = generic_walk.sample_boundary_limit
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid, "BATCH_ROWS", rows)
         mp.setattr(grid, "BATCH_COLS", cols)
@@ -109,14 +111,14 @@ def test_batch_matches_scalar_limits_row_by_row(case, seed, count):
         for i, bl in enumerate(got):
             assert _row(bl, kw["max_steps"]) == \
                 _scalar(law, seed, ("batch",), i, **kw) == \
-                _scalar(twin, seed, ("batch",), i, **kw)
+                _scalar(law, seed, ("batch",), i, ref, **kw)
         mp.setattr(walk, "STABLE_EPOCHS", rule["stable_epochs"])
         mp.setattr(walk, "HEIGHT_GUARD", rule["height_guard"])
         got = boundary_limits(law, count, seed, "batch", **kw)
         for i, bl in enumerate(got):
             assert _row(bl, kw["max_steps"]) == \
                 _scalar(law, seed, ("batch",), i, **kw) == \
-                _scalar(twin, seed, ("batch",), i, **kw)
+                _scalar(law, seed, ("batch",), i, ref, **kw)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -126,10 +128,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_ends_carry_exactly_their_window(working):
     """At working precision 8 most translations here are exact with fewer
     digits than the window; every end, on the engine batch, the one-row
-    branch, the generic walk and the ladder walk, is still known modulo
-    exactly p**end_window and refuses a read past the window, and every
-    end of the right walk agrees at the window with a 40-digit
-    certification of its stream."""
+    branch, the generic walk and the ladder walk (on the engine and on
+    generic ``compose``), is still known modulo exactly p**end_window and
+    refuses a read past the window, and every end of the right walk
+    agrees at the window with a 40-digit certification of its stream."""
     text = (CONFIGS / "drift_pos.ini").read_text()
     law = parse_config(text.replace("working_precision = 48",
                                     f"working_precision = {working}")).law
@@ -142,12 +144,17 @@ def test_ends_carry_exactly_their_window(working):
         rng = lambda: stream(5, "window", i)
         ends = [bl.end,
                 sample_boundary_limit(law, rng(), depth=depth).end,
-                sample_boundary_limit(_generic_twin(law), rng(),
-                                      depth=depth).end]
+                generic_walk.sample_boundary_limit(law, rng(),
+                                                   depth=depth).end]
         for end in ends:
             assert end.disc_key(window) == ref.end.disc_key(window)
         if i < 20:      # the ladder walk's limit is another point
-            ends.append(ladder_boundary_limit(law, rng(), depth=depth).end)
+            [ladder] = ladder_limit_rows(
+                law.grid, lambda ids, start, size: _uniforms(
+                    rng(), start, size), np.array([0]), depth, window)
+            ends += [ladder.end, generic_walk.ladder_boundary_limit(
+                law, rng(), depth=depth).end]
+            assert repr(ends[-2]) == repr(ends[-1])
         for end in ends:
             assert end.value.known_exponent == window
             with pytest.raises(PrecisionExhausted):
@@ -232,8 +239,8 @@ def test_limit_samples_match_sample_mbar(up, seed, top, data):
         cases = _hit_cases(f, law, depth, rows, units)
         for i, (x, hit, want) in enumerate(cases):
             # the repr holds every digit of the end and of the unit
-            smp = sample_mbar(law, stream(seed, "limit", i), depth=depth)
-            assert repr(x) == repr(smp)
+            assert repr(x) == repr(generic_walk.sample_mbar(
+                law, stream(seed, "limit", i), depth=depth))
             assert hit in (None, want)
     if law.kind != "padic":
         assert units == (None,) * samples
@@ -264,7 +271,7 @@ def test_sample_mbar_draws_units_for_odd_primes():
                                PAdic.from_fraction(Fraction(1, 3), 3)),
                    PadicAffine(PAdic.from_int(1, 3), PAdic.from_int(3, 3))),
                   (Fraction(3, 4), Fraction(1, 4)))
-    smp = sample_mbar(law, stream(1, "limit", 0), depth=4)
+    smp = generic_walk.sample_mbar(law, stream(1, "limit", 0), depth=4)
     [(_, unit)] = _mbar_rows(law, 1, 1, 4)
     assert repr(smp) == repr(law.atoms[0].section(
         sample_boundary_limit(law.inverse(), stream(1, "limit", 0),
@@ -272,10 +279,10 @@ def test_sample_mbar_draws_units_for_odd_primes():
 
 
 def _reference_value(f, law, seed, samples):
-    """``limit_measure_value`` one ``sample_mbar`` at a time."""
+    """``limit_measure_value`` one generic ``sample_mbar`` at a time."""
     s_h = power(law.atoms[0].reference_homothety().element, f.level)
     depth = max(max(t.height for t in f.targets) + 2, 4)
-    hits = sum(f.member(compose(s_h, invert(sample_mbar(
+    hits = sum(f.member(compose(s_h, invert(generic_walk.sample_mbar(
         law, stream(seed, "limit", i), depth=depth))))
         for i in range(samples))
     return hits / samples

@@ -141,6 +141,23 @@ def test_duplicate_lamp_positions_exit_2(runner, tmp_path, edit, location):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit,location", [
+    (("affine(t = 1, a = 1/2)", "affine(t = 2^0 * (1.1)_2, a = 1/2)"),
+     "law.atom2"),
+    (("horizon = 400", "horizn = 50"), "experiment.horizn"),
+], ids=["inexact-atom", "unknown-key"])
+def test_refused_config_exit_2(runner, tmp_path, edit, location):
+    """An atom known only to its digits and a key the format does not
+    name are config errors at their key; nothing runs."""
+    out = tmp_path / "r"
+    cfg = write(tmp_path, POS.format(out=out).replace(*edit))
+    res = runner.invoke(main, ["verify", "--config", cfg, "--suite",
+                               "algebra"])
+    _config_error(res)
+    assert f"config error: {location}: " in res.stderr
+    assert not out.exists()
+
+
 def test_weights_not_normalized_exit_2(runner, tmp_path):
     out = tmp_path / "r"
     cfg = write(tmp_path, POS.format(out=out).replace("weight 1/4",

@@ -4,8 +4,11 @@ field that nothing reads, every random generator is built in ``rng``
 and only ``rng`` reads or sets a generator's state, and no code outside
 a realization's own classes tests which realization it holds.  Only
 ``tree`` knows the packed lamp form, and only ``law`` the height-path
-window cap.  The benchmark's tracer must still find every package
-function it wraps."""
+window cap.  The estimators of ``walk`` and ``renewal`` have one body,
+the engine's: no test of a missing engine form, and no loop stepping a
+walk on generic arithmetic but the two that serve ``simulate --dump``
+and single excursions.  The benchmark's tracer must still find every
+package function it wraps."""
 
 import ast
 import importlib.util
@@ -40,6 +43,11 @@ KIND_TESTS = {"same_realization", "parse_config", "_random_element",
 # helpers of the packed lamp form, which only ``tree`` defines; outside
 # it, lamps are checked and packed by the lamp classes' constructors
 LAMP_FORM = {"pack", "unpack", "_xor_sum", "_field_sum"}
+
+# the estimator modules, and the functions in them that may step a walk
+# on generic group arithmetic
+ESTIMATORS = {"walk.py", "renewal.py"}
+GENERIC_WALKS = {"run_product", "ladder_excursion"}
 
 
 def _tree(path):
@@ -343,6 +351,88 @@ def test_scan_sees_lamp_form_uses():
                      "x = sorted(lamps)\n")
     assert lamp_form_uses(tree) == ["1: def pack", "4: sorted_lamps",
                                     "6: def unpack"]
+
+
+def grid_none_tests(tree):
+    """'line: what' for each comparison of a ``grid`` (a name or an
+    attribute) with None, and each ``not grid``."""
+    def is_grid(node):
+        return isinstance(node, ast.Name) and node.id == "grid" \
+            or isinstance(node, ast.Attribute) and node.attr == "grid"
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_grid, operands)) and any(
+                    isinstance(o, ast.Constant) and o.value is None
+                    for o in operands):
+                found.append(f"{node.lineno}: grid is None")
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) \
+                and is_grid(node.operand):
+            found.append(f"{node.lineno}: not grid")
+    return sorted(found, key=lambda x: (int(x.split(":")[0]), x))
+
+
+def generic_walks(tree):
+    """'line: function' for each loop that steps a walk on generic group
+    arithmetic: it calls ``sample_step``, or rebinds a name to a
+    ``compose`` that reads that name."""
+    found = set()
+
+    def steps(loop):
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, (ast.Name, ast.Attribute)) \
+                    and (getattr(node.func, "id", None)
+                         or node.func.attr) == "sample_step":
+                return True
+            if isinstance(node, ast.Assign) \
+                    and isinstance(node.value, ast.Call) \
+                    and "compose" in _names(node.value.func) \
+                    and {t.id for t in node.targets
+                         if isinstance(t, ast.Name)} & _names(node.value):
+                return True
+        return False
+
+    def scan(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.For, ast.While)) and steps(node):
+            found.add(f"{node.lineno}: {function}")
+        for child in ast.iter_child_nodes(node):
+            scan(child, function)
+    scan(tree, None)
+    return sorted(found, key=lambda x: int(x.split(":")[0]))
+
+
+def test_estimators_have_one_body():
+    """No estimator tests for a missing engine form, and only
+    ``GENERIC_WALKS`` step on generic arithmetic."""
+    trees = {p.name: _tree(p) for p in MODULES if p.name in ESTIMATORS}
+    assert set(trees) == ESTIMATORS
+    assert not {k: v for k, t in trees.items() if (v := grid_none_tests(t))}
+    walkers = {x.split(": ")[1] for t in trees.values()
+               for x in generic_walks(t)}
+    assert walkers == GENERIC_WALKS, "the scan must see both walks"
+
+
+def test_scan_sees_generic_walks():
+    tree = ast.parse(
+        "def f(law, rng, g):\n"
+        "    if law.grid is None or not self.grid:\n"
+        "        for _ in range(3):\n"
+        "            g = compose(g, law.sample_step(rng))\n"
+        "    while True:\n"
+        "        g = group.compose(x, g)\n"
+        "    for x in xs:\n"
+        "        h = compose(s, x)\n"
+        "    def inner():\n"
+        "        while g:\n"
+        "            law.sample_step(rng)\n"
+        "    return grid is not None\n")
+    assert grid_none_tests(tree) == ["2: grid is None", "2: not grid",
+                                     "12: grid is None"]
+    assert generic_walks(tree) == ["3: f", "5: f", "10: inner"]
 
 
 def _perfbench_tracing():

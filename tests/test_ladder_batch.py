@@ -3,9 +3,9 @@
 ``renewal.ladder_cluster_run`` walks the clusters of a law on the engine
 as rows of ``walk.ladder_limit_rows`` and ``walk.excursion_rows`` and
 reads prefix states through ``grid.reader``.  Each cluster must give what
-the generic twin (the same law with its engine form switched off) gives
-on the same streams: excursion lengths and heights, prefix elements,
-every disc read, errors included, and the ladder walk's limit.
+the generic walks of ``generic_walk`` give on the same streams:
+excursion lengths and heights, prefix elements, every disc read, errors
+included, and the ladder walk's limit.
 """
 
 import tracemalloc
@@ -27,13 +27,14 @@ from affinetree.rng import stream, stream_rows
 from affinetree.suites import _default_product_events, renewal_claims
 from affinetree.tree import LampEnd, LampVertex, PadicEnd, PadicVertex, \
     end_in_disc
-from affinetree.walk import excursion_rows, ladder_boundary_limit, \
-    ladder_limit_rows
+from affinetree.walk import excursion_rows, ladder_limit_rows
 
+import generic_walk
 from test_boundary_batch import _with_budget
-from test_lamp_walk import _generic_twin, lamp_laws
+from test_lamp_walk import lamp_laws
 from test_renewal import _no_draws
-from test_walk import SMALL_BUDGETS, _counts, grid_laws
+from test_walk import SMALL_BUDGETS, _counts, grid_laws, prefix_key, \
+    state_element
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -49,22 +50,19 @@ def _rows(seed, key):
     return lambda ids, start, size: stream_rows(ids, start, size, seed, key)
 
 
-def _element(form, state):
-    s, t = state
-    return form.element((s, 1, t[0], t[1] + s))
-
-
 def _narrow_end(draw, law):
     """An end whose window is near the prefix heights: a p-adic value
-    known to a few digits, exact or zero to precision, or a lamp end
-    known to a low position."""
+    known to a few digits, exact (on a plain form, whose prefix states
+    are exact) or zero to precision, or a lamp end known to a low
+    position."""
     if law.kind != "padic":
         q = law.degree
         lamps = draw(st.dictionaries(st.integers(-6, 6),
                                      st.integers(1, q - 1), max_size=4))
         return LampEnd(q, draw(st.integers(-4, 6)), tuple(lamps.items()))
     p, budget = law.degree, law.atoms[0].a.budget
-    kind = draw(st.sampled_from(["digits", "digits", "exact", "zero"]))
+    kind = draw(st.sampled_from(["digits", "digits", "zero"]
+                                + ["exact"] * law.grid.plain))
     if kind == "zero":
         return PadicEnd(PAdic.zero(p, draw(st.integers(-3, 6)), budget))
     x = Fraction(draw(st.integers(-500, 500).filter(bool)),
@@ -88,7 +86,7 @@ def _disc(draw, law, state, end):
         disc = PadicVertex(p, h, center)
         if draw(st.booleans()):
             image = _outcome(lambda: act_end(
-                _element(law.grid, state), end).value.residue(h))
+                state_element(law.grid, state), end).value.residue(h))
             if not isinstance(image, str):
                 disc = PadicVertex(p, h, image)
         return disc
@@ -106,26 +104,29 @@ def _disc(draw, law, state, end):
 def test_clusters_match_generic_twin(law, budget, seed, depth, exc, shape,
                                      data):
     """Cluster by cluster on the same streams: lengths, heights, prefix
-    elements with their counts, the ladder walk's limit, and every read
-    of every prefix state, against the cluster's limit and a narrow
-    end."""
+    elements with their counts (modulo the states' window where the form
+    is not plain), the ladder walk's limit, and every read of every prefix
+    state, against the cluster's limit and a narrow end."""
     law = _with_budget(law, budget)
-    twin, form, count = _generic_twin(law), law.grid, 3
+    form, count = law.grid, 3
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid, "BATCH_ROWS", shape[0])
         mp.setattr(grid, "BATCH_COLS", shape[1])
         got = list(renewal._clusters(law, seed, count, exc, depth))
         limits = ladder_limit_rows(form, _rows(seed, "ups"), np.arange(count),
                                    depth, depth + 24)
-    want = list(renewal._clusters(twin, seed, count, exc, depth))
+    want = list(generic_walk.clusters(law, seed, count, exc, depth))
+    window = depth + 24
     for i, ((ls, hs, states, inside), (wls, whs, wstates, _), bl) in \
             enumerate(zip(got, want, limits)):
         assert (ls, hs) == (wls, whs)
-        assert repr(bl) == repr(ladder_boundary_limit(
-            twin, stream(seed, "ups", i), depth=depth, end_window=depth + 24))
-        prefix = {state: _element(form, state) for _, state, _ in states}
-        assert _counts((prefix[state], m) for _, state, m in states) == \
-            Counter(g for _, g, _ in wstates)
+        assert repr(bl) == repr(generic_walk.ladder_boundary_limit(
+            law, stream(seed, "ups", i), depth=depth, end_window=window))
+        prefix = {state: state_element(form, state) for _, state, _ in states}
+        key = lambda g: g if law.kind != "padic" \
+            else prefix_key(form, g, window)
+        assert _counts((key(prefix[state]), m) for _, state, m in states) \
+            == Counter(key(g) for _, g, _ in wstates)
         assert all(s == state[0] for s, state, _ in states)
         narrow = _narrow_end(data.draw, law)
         near = grid.reader(form, narrow)
@@ -143,8 +144,8 @@ LAW_LAMP = load_config(CONFIGS / "lamplighter.ini").law
 def _states(law, seed):
     """The distinct prefix states of 40 excursions and their elements."""
     [(_, _, states)] = excursion_rows(law.grid, _rows(seed, "exc"),
-                                      np.arange(1), 40)
-    return {state: _element(law.grid, state) for state in states}
+                                      np.arange(1), 40, 30)
+    return {state: state_element(law.grid, state) for state in states}
 
 
 def _reads(law, end, states, discs):
@@ -171,8 +172,8 @@ def test_reads_raise_where_generic_raises(kind):
         if kind == "window":       # x known to 2 digits
             end = PadicEnd(PAdic(2, 0, 1, 2, budget=budget))
         elif kind == "cancel":     # x = -t + 2**6 for a deep state
-            (s, (num, floor)), _ = max(states.items(),
-                                       key=lambda kv: abs(kv[0][1][0]))
+            (s, _, (num, floor)), _ = max(states.items(),
+                                          key=lambda kv: abs(kv[0][2][0]))
             x = -Fraction(num) * Fraction(2) ** floor + 2 ** 6
             exact = PAdic.from_fraction(x, 2, PrecisionBudget(96, 1))
             end = PadicEnd(PAdic(2, exact.valuation, exact.unit, 10,
@@ -202,15 +203,15 @@ def test_cluster_run_matches_generic_twin(law):
     fns = [(ev.disc, weight) for ev, weight in zip(
         _default_product_events_of(law), (lambda s: 2, lambda s: int(s > -2)))]
     fns.append((None, lambda s: 1))
-    runs = [renewal.ladder_cluster_run(w, 3, 4, 10, fns)
-            for w in (law, _generic_twin(law))]
+    runs = [run(law, 3, 4, 10, fns) for run in (
+        renewal.ladder_cluster_run, generic_walk.cluster_run)]
     assert repr(runs[0]) == repr(runs[1])
     deep = PadicVertex(2, 30, 0) if law.kind == "padic" \
         else LampVertex(2, 30, ())
     errors = []
-    for w in (law, _generic_twin(law)):
+    for run in (renewal.ladder_cluster_run, generic_walk.cluster_run):
         with pytest.raises(AffineTreeError) as exc:
-            renewal.ladder_cluster_run(w, 3, 2, 3, [(deep, lambda s: 1)])
+            run(law, 3, 2, 3, [(deep, lambda s: 1)])
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1]
     if law.kind == "padic":

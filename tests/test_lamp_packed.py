@@ -157,8 +157,8 @@ def test_group_operations_match_the_dict_model(data):
     assert (got.values, got.known_to) == (tuple(sorted(want[0].items())),
                                           want[1])
     depth = data.draw(st.integers(-4, 8))
-    assert G1.prefix_key(depth) == packed(q, prefix(g1[0], depth))
-    assert (G1.prefix_key(depth) == G2.prefix_key(depth)) == \
+    assert G1.lamps_to(depth) == packed(q, prefix(g1[0], depth))
+    assert (G1.lamps_to(depth) == G2.lamps_to(depth)) == \
         (prefix(g1[0], depth) == prefix(g2[0], depth))
     assert (G1 == G2) == (g1 == g2)
     assert G1 == element(q, g1) and hash(G1) == hash(element(q, g1))

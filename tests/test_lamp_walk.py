@@ -1,9 +1,8 @@
-"""The lamp engine (``grid.LampGrid``) against the generic twin.
+"""The lamp engine (``grid.LampGrid``) against the generic walks.
 
-Each reference runs the same function on a copy of the law with its
-engine form switched off, so it walks on ``group.compose``, one
-``law.sample_step`` per step: the engine must give the same elements,
-disc ids, reads and errors from the same uniforms.
+Each reference walks on ``group.compose``, one ``law.sample_step`` per
+step (``generic_walk``): the engine must give the same elements, disc
+ids, reads and errors from the same uniforms.
 """
 
 from collections import Counter
@@ -14,33 +13,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affinetree.errors import AffineTreeError, StepBudgetExceeded
-from affinetree.grid import LampGrid, reader
+from affinetree.errors import AffineTreeError, InexactAtom, \
+    StepBudgetExceeded
+from affinetree.grid import reader
 from affinetree.group import LampAffine, act_end, compose
 from affinetree.law import StepLaw
 from affinetree.rng import stream, stream_rows
 from affinetree.tree import OMEGA, LampEnd, LampVertex, end_in_disc, pack
 from affinetree.walk import (
     excursion_rows,
-    ladder_boundary_limit,
     ladder_excursion,
+    ladder_limit_rows,
     sample_boundary_limit,
 )
 
-from test_walk import _counts
+import generic_walk
+from test_walk import _counts, _uniforms
 
 
 def _state(rng):
     s = rng.bit_generator.state
     return (s["state"]["counter"].tolist(), s["buffer"].tolist(),
             s["buffer_pos"], s["has_uint32"], s["uinteger"])
-
-
-def _generic_twin(law):
-    """The same law with its engine form switched off."""
-    twin = StepLaw(law.atoms, law.weights)
-    twin.__dict__["grid"] = None
-    return twin
 
 
 def _outcome(fn):
@@ -86,10 +80,10 @@ def _disc(draw, q, image):
 
 
 def _lamp_state(grid, g):
-    """The prefix state (s, t) of the lamp element g: t its lamps
+    """The prefix state (s, (), t) of the lamp element g: t its lamps
     ``pack``ed, shifted by -s."""
     num, lo = pack(g.lamps, grid.width)
-    return g.shift, (num, lo - g.shift)
+    return g.shift, (), (num, lo - g.shift)
 
 
 @settings(max_examples=120, deadline=None)
@@ -100,11 +94,11 @@ def test_lamp_reads_match_compose(law, data):
     for move in data.draw(st.lists(st.sampled_from("lr"), max_size=20)):
         x = law.sample_step(r)
         g = compose(x, g) if move == "l" else compose(g, x)
-        s, (num, floor) = state = _lamp_state(grid, g)
+        s, _, (num, floor) = state = _lamp_state(grid, g)
         assert grid.element((s, 1, num, floor + s)) == g
         depth = data.draw(st.integers(-6, 8))
         assert grid.disc_id(grid.key(num, floor + s, depth)) == \
-            g.prefix_key(depth)
+            g.lamps_to(depth)
         end = OMEGA if data.draw(st.integers(0, 20)) == 0 \
             else _end(data.draw, q)
         image = _outcome(lambda: act_end(g, end))
@@ -117,15 +111,23 @@ def test_lamp_reads_match_compose(law, data):
 @given(lamp_laws(min_drift=Fraction(1, 4)), st.integers(0, 2 ** 32),
        st.integers(1, 5), st.booleans())
 def test_lamp_boundary_limit_matches_generic(law, seed, depth, ladder):
-    twin = _generic_twin(law)
-    fn = ladder_boundary_limit if ladder else sample_boundary_limit
+    if ladder:      # one row reading stream 0 in order
+        [got] = ladder_limit_rows(
+            law.grid, lambda ids, start, size: _uniforms(
+                stream(seed, 0), start, size), np.array([0]), depth,
+            depth + 8)
+        assert got == generic_walk.ladder_boundary_limit(
+            law, stream(seed, 0), depth=depth)
+        return
     fast, ref = stream(seed, 0), stream(seed, 0)
-    assert fn(law, fast, depth=depth) == fn(twin, ref, depth=depth)
+    assert sample_boundary_limit(law, fast, depth=depth) == \
+        generic_walk.sample_boundary_limit(law, ref, depth=depth)
     assert _state(fast) == _state(ref)
     fast, ref = stream(seed, 1), stream(seed, 1)
-    for w in ((law, fast), (twin, ref)):
+    for fn, rng in ((sample_boundary_limit, fast),
+                    (generic_walk.sample_boundary_limit, ref)):
         with pytest.raises(StepBudgetExceeded):
-            fn(*w, depth=depth, max_steps=5)
+            fn(law, rng, depth=depth, max_steps=5)
     assert _state(fast) == _state(ref)
     assert fast.random() == ref.random()
 
@@ -134,18 +136,18 @@ def test_lamp_boundary_limit_matches_generic(law, seed, depth, ladder):
 @given(lamp_laws(min_drift=Fraction(1, 4)), st.integers(0, 2 ** 32),
        st.data())
 def test_lamp_ladder_excursions_match_generic(law, seed, data):
-    """The batch's excursions of one stream against the generic twin's,
-    and each prefix state's reads."""
-    q, grid, twin = law.degree, law.grid, _generic_twin(law)
+    """The batch's excursions of one stream against those of generic
+    ``compose``, and each prefix state's reads."""
+    q, grid = law.degree, law.grid
     [(lengths, heights, states)] = excursion_rows(
         grid, lambda ids, start, size: stream_rows(ids, start, size, seed),
-        np.array([1]), 4)
+        np.array([1]), 4, 30)
     ref = stream(seed, 1)
-    want = [ladder_excursion(twin, ref, track_prefix=True) for _ in range(4)]
+    want = [ladder_excursion(law, ref, track_prefix=True) for _ in range(4)]
     assert (lengths, heights) == ([w.length for w in want],
                                   [w.height for w in want])
-    prefix = {(s, t): grid.element((s, 1, t[0], t[1] + s))
-              for s, t in states}
+    prefix = {(s, c, t): grid.element((s, 1, t[0], t[1] + s))
+              for s, c, t in states}
     assert _counts((prefix[k], m) for k, m in states.items()) == \
         Counter(g for w in want for g in w.prefix)
     end = _end(data.draw, q)
@@ -158,10 +160,9 @@ def test_lamp_ladder_excursions_match_generic(law, seed, data):
 
 
 @pytest.mark.parametrize("known_to", [0, 5])
-def test_window_limited_atoms_stay_generic(known_to):
+def test_window_limited_atoms_are_refused(known_to):
+    """A lamp atom known only up to a position is refused where the law
+    is built: no walk can lose its window."""
     atoms = (LampAffine(3, (), 1), LampAffine(3, ((0, 2),), -1, known_to))
-    law = StepLaw(atoms, (Fraction(3, 4), Fraction(1, 4)))
-    assert law.grid is None and LampGrid.of(law) is None
-    bl = sample_boundary_limit(law, stream(2, 0), depth=2)
-    assert bl == sample_boundary_limit(_generic_twin(law), stream(2, 0),
-                                       depth=2)
+    with pytest.raises(InexactAtom, match="not exact"):
+        StepLaw(atoms, (Fraction(3, 4), Fraction(1, 4)))

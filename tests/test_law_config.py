@@ -10,6 +10,7 @@ from affinetree import law as law_module
 from affinetree.config import parse_config, parse_element
 from affinetree.errors import (
     EmptySupport,
+    InexactAtom,
     InvalidPrime,
     MalformedSyntax,
     NonExceptionalityFailed,
@@ -240,6 +241,25 @@ def test_located_errors():
     with pytest.raises(MalformedSyntax):
         parse_config(POS.replace("atom1 = affine(t = 0, a = 2) weight 3/4",
                                  "atom1 = affine(t = 0, a = 2)"))
+    # a key or section the format does not name is refused where it is
+    for text, where in [
+            (POS.replace("horizon = 500", "horizn = 50"),
+             "experiment.horizn"),
+            (POS.replace("prime = 2", "prime = 2\nend_window = 12"),
+             "realization.end_window"),
+            (POS.replace("prime = 2", "prime = 2\nq = 2"), "realization.q"),
+            (POS.replace("[law]", "[law]\nweights = 3/4, 1/4"),
+             "law.weights"),
+            (POS + "\n[extra]\nx = 1\n", "extra"),
+            ("[DEFAULT]\nseed = 1\n" + POS, "DEFAULT.seed")]:
+        with pytest.raises(MalformedSyntax) as exc:
+            parse_config(text)
+        assert exc.value.location == where
+    # a law atom known only to its digits is refused at its key
+    with pytest.raises(InexactAtom) as exc:
+        parse_config(POS.replace("affine(t = 1, a = 1/2)",
+                                 "affine(t = 2^0 * (1.1)_2, a = 1/2)"))
+    assert exc.value.location == "law.atom2"
 
 
 @pytest.mark.parametrize("prime", [

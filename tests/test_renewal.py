@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from affinetree import grid, renewal
 from affinetree.errors import (
+    InexactAtom,
     NonPositiveDrift,
     OracleUnsupported,
-    PrecisionExhausted,
 )
 from affinetree.group import (
     LampAffine,
@@ -40,7 +40,6 @@ from affinetree.renewal import (
     kernel_oracle,
     limit_measure_value,
     potential_kernel,
-    sample_mbar,
     verify_boundary_limit,
     verify_omega_limit,
     verify_renewal_identity,
@@ -56,7 +55,10 @@ from affinetree.tree import (
     origin_padic,
 )
 
+import generic_walk
+from generic_walk import sample_mbar
 from test_lamp_walk import _lamps
+from test_walk import DENS, UNITS, _prime_to
 
 
 def aff(t, a, p=2):
@@ -123,8 +125,7 @@ def test_kernel_refuses_empty_batches(trajectories):
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_limit_value_refuses_empty_batches(samples, monkeypatch):
-    # refused before any draw: both ways of drawing are cut off
-    monkeypatch.setattr(renewal, "sample_mbar", None)
+    # refused before any draw: the draws are cut off
     monkeypatch.setattr(renewal, "_mbar_rows", None)
     with pytest.raises(ValueError, match="samples"):
         limit_measure_value(HOME, LAW_NEG, 1, samples)
@@ -503,9 +504,11 @@ def test_ascend_escape_needs_negative_drift():
 
 @st.composite
 def kernel_cases(draw):
-    """A grid law of any drift, a start element with unit u != 1 and
-    s != 0 allowed, a one- or two-pair cylinder, and stop-rule settings;
-    zero-drift cases keep the horizon small."""
+    """A p-adic law of any drift, its atoms' scale units and translation
+    denominators prime to p (as ``test_walk.grid_laws``), a start element
+    with unit u != 1 (rational at times) and s != 0 allowed, a one- or
+    two-pair cylinder, and stop-rule settings; zero-drift cases keep the
+    horizon small."""
     p = draw(st.sampled_from([2, 3, 5]))
     kind = draw(st.sampled_from(["centered", "weak", "any"]))
     if kind != "any":   # weights (nearly) balance the heights
@@ -523,12 +526,15 @@ def kernel_cases(draw):
         ws = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     ts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 2)),
                        min_size=len(phis), max_size=len(phis)))
-    atoms = tuple(aff(Fraction(tn, p ** tk), Fraction(p) ** ph, p)
+    atoms = tuple(aff(Fraction(tn, _prime_to(draw, p, DENS) * p ** tk),
+                      _prime_to(draw, p, UNITS) * Fraction(p) ** ph, p)
                   for (tn, tk), ph in zip(ts, phis))
     law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
-    u = draw(st.integers(1, 40).filter(lambda v: v % p))
+    u = draw(st.integers(1, 40).filter(lambda v: v % p)) \
+        * _prime_to(draw, p, UNITS)
     s0 = draw(st.integers(-3, 3))
-    t0 = Fraction(draw(st.integers(-50, 50)), p ** draw(st.integers(0, 3)))
+    t0 = Fraction(draw(st.integers(-50, 50)), p ** draw(st.integers(0, 3))
+                  * _prime_to(draw, p, DENS))
     g = aff(t0, u * Fraction(p) ** s0, p)
     # targets are the images of the sources under an element the walk can
     # reach (g times a few atoms), or drawn at that element's level
@@ -562,9 +568,9 @@ def test_grid_kernel_batch_matches_compose(case, seed, trajectories, sizes):
 
 def _batch_matches_compose(case, seed, trajectories, sizes):
     """The stop-rule settings are drawn into ``renewal.KERNEL_DELTA`` and
-    ``renewal.KERNEL_MIN_STEPS``."""
+    ``renewal.KERNEL_MIN_STEPS``; the reference walks are those of
+    ``generic_walk.visits``."""
     law, g, f, kw = case
-    assert renewal._kernel_walk(g, f, law) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(renewal, "KERNEL_DELTA", kw["delta"])
         mp.setattr(renewal, "KERNEL_MIN_STEPS", kw["min_steps"])
@@ -573,7 +579,7 @@ def _batch_matches_compose(case, seed, trajectories, sizes):
             mp.setattr(grid, "BATCH_COLS", sizes[1])
         got = potential_kernel(g, f, law, seed, trajectories,
                                horizon=kw["horizon"])
-        mp.setattr(renewal, "_kernel_walk", lambda *args: None)
+        mp.setattr(renewal, "_grid_visits", generic_walk.visits(g, f, law))
         want = potential_kernel(g, f, law, seed, trajectories,
                                 horizon=kw["horizon"])
     assert got == want
@@ -644,74 +650,34 @@ def test_tail_cap_is_reported(monkeypatch):
     assert capped.tail_bound < free.tail_bound
 
 
-def _lossy_law(*weights):
-    """Atoms (t, 2), (-t, 1/2) and (0, 1) off the engine, with t known to
-    7 digits at working precision 8: their products lose digits to
-    cancellation until fewer than 6 are left, and the walk aborts."""
-    budget = PrecisionBudget(8, 6)
-    t = PAdic(2, 0, 0b1011011, 7, budget=budget)
-
-    def value(x):
-        return PAdic.from_fraction(Fraction(x), 2, budget=budget)
-    atoms = (PadicAffine(t, value(2)), PadicAffine(-t, value("1/2")),
-             PadicAffine(value(0), value(1)))
-    return StepLaw(atoms, tuple(map(Fraction, weights)))
+def test_inexact_atoms_are_refused():
+    """An atom known only to finitely many digits is refused where the
+    law is built, so no walk can lose precision."""
+    t = PAdic(2, 0, 0b1011011, 7, budget=PrecisionBudget(8, 6))
+    with pytest.raises(InexactAtom, match="not exact"):
+        StepLaw((PadicAffine(t, PAdic.from_int(2, 2)), aff(0, "1/2")),
+                (Fraction(1, 2), Fraction(1, 2)))
 
 
-def _compose_aborts(law, seed, label, count, horizon):
-    """How many walks of ``horizon`` steps on ``compose`` from the
-    identity, on ``stream(seed, label, i)`` for i < count, lose their
-    precision."""
-    lost = 0
-    for i in range(count):
-        rng, g = stream(seed, label, i), identity_like(law.atoms[0])
-        try:
-            for _ in range(horizon):
-                g = compose(g, law.sample_step(rng))
-        except PrecisionExhausted:
-            lost += 1
-    return lost
-
-
-def test_kernel_counts_precision_aborts():
-    law = _lossy_law("1/2", "1/4", "1/4")        # drift 1/4
-    assert law.grid is None and law.drift() > 0
-    est = potential_kernel(identity_like(law.atoms[0]), HOME, law, 1, 50,
-                           horizon=200)
-    assert est.value == pytest.approx(1.74, abs=1e-12)
-    assert est.aborted == 20 == _compose_aborts(law, 1, "kernel", 50, 200)
-
-
-def test_precision_aborts_fail_verdicts():
+def test_precision_aborts_fail_verdicts(monkeypatch):
     """An estimate that lost trajectories to precision aborts passes no
     check: ``agrees_with``, the positive-drift decay check and the
-    omega-limit bound each fail it, though its numbers alone pass."""
-    law = _lossy_law("1/2", "1/4", "1/4")        # drift 1/4
-    est = potential_kernel(identity_like(law.atoms[0]), HOME, law, 1, 50,
-                           horizon=200)
-    whole = dataclasses.replace(est, aborted=0)
-    assert est.aborted == 20 and whole.agrees_with(whole)
+    omega-limit bound each fail it, though its numbers alone pass.  No
+    walk aborts since law atoms are exact, so the estimates are built by
+    hand."""
+    whole = KernelEstimate(0.01, 0.001, 50, 200, 0.0)
+    est = dataclasses.replace(whole, aborted=20)
+    assert whole.agrees_with(whole)
     assert not est.agrees_with(est)
     assert not est.agrees_with(whole) and not whole.agrees_with(est)
-    rep = verify_boundary_limit(law, HOME, [2, 4], 1, trajectories=50,
+    monkeypatch.setattr(renewal, "potential_kernel",
+                        lambda *args, **kw: est)
+    rep = verify_boundary_limit(LAW_POS, HOME, [2, 4], 1, trajectories=50,
                                 horizon=200)
-    assert [e["aborted"] for e in rep["estimates"]] == [17, 18]
+    assert [e["aborted"] for e in rep["estimates"]] == [20, 20]
     assert rep["checks"] == [{"trend_nonincreasing": True,
                               "final_below_0.05": True}]
     assert not rep["pass"]
-    rep = verify_omega_limit(law, HOME, "descend", [2, 4], 1,
+    rep = verify_omega_limit(LAW_POS, HOME, "descend", [2, 4], 1,
                              trajectories=50, horizon=200)
-    assert [e["aborted"] for e in rep["estimates"]] == [17, 18]
     assert rep["final_bound"] < rep["tolerance"] and not rep["pass"]
-
-
-def test_centered_tail_counts_precision_aborts():
-    """The tail batch of a centered walk loses precision as the main batch
-    does; it is counted, not raised."""
-    law = _lossy_law("1/4", "1/4", "1/2")        # centered
-    assert law.drift() == 0
-    est = potential_kernel(identity_like(law.atoms[0]), HOME, law, 1, 50,
-                           horizon=200)
-    assert est.truncated
-    assert est.aborted == 82 == _compose_aborts(law, 1, "kernel", 50, 200) \
-        + _compose_aborts(law, 1, "tail", 50, 200)

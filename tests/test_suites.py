@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from affinetree import renewal, suites
-from affinetree.config import load_config
-from affinetree.errors import StepBudgetExceeded
+from affinetree.config import load_config, parse_config
+from affinetree.errors import OracleUnsupported, StepBudgetExceeded
 from affinetree.group import PadicAffine, identity_like, power
 from affinetree.law import WINDOW_CAP, StepLaw
 from affinetree.padic import PAdic
@@ -251,14 +251,36 @@ def test_oracle_values_are_pinned(name):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")),
                          ids=lambda p: p.stem)
 def test_shipped_kernels_run_on_the_engine(path):
-    """Every shipped law's potential kernel takes the engine batch from
-    the starts its claims use; one that falls back to the generic walk
-    runs about ten times slower with no other sign."""
+    """Every shipped law's potential kernel sums its translations exactly
+    in integers from the starts its claims use: the law's engine form is
+    plain and each start integral."""
     cfg = load_config(str(path))
     f = suites._home_event(cfg)
     s = cfg.law.atoms[0].reference_homothety().element
     for g in (identity_like(s), power(s, 15), power(s, -15)):
-        assert renewal._kernel_walk(g, f, cfg.law) is not None, g
+        grid, (_, u, num, _), *_ = renewal._kernel_walk(g, f, cfg.law)
+        assert grid.plain and u.denominator == num.denominator == 1, g
+
+
+@pytest.mark.parametrize("old,new", [
+    ("affine(t = 1, a = 1/2)", "affine(t = 1/3, a = 1/2)"),
+    ("affine(t = 0, a = 2)", "affine(t = 0, a = 6)")],
+    ids=["denominator", "unit"])
+def test_off_grid_oracle_is_a_skip(old, new):
+    """The walks of a law with a translation denominator or a scale unit
+    run on the engine, but its digit chain is no convolution with fixed
+    shifts: the exact oracle refuses it, and the claim is a skip."""
+    cfg = parse_config((CONFIGS / "drift_pos.ini").read_text()
+                       .replace(old, new))
+    assert not cfg.law.grid.plain
+    reason = ("atoms are off the digit grid: need exact scales p**k and "
+              "translations with p-power denominators")
+    with pytest.raises(OracleUnsupported) as exc:
+        renewal.kernel_oracle(cfg.law, [suites._home_event(cfg)])
+    assert str(exc.value) == reason
+    [claim] = suites.oracle_claims(cfg)
+    assert claim["claim"] == "renewal.oracle" and claim["verdict"] == "skip"
+    assert claim["details"]["reason"] == reason
 
 
 def test_centered_oracle_is_a_skip_without_a_kernel(monkeypatch):

@@ -31,13 +31,15 @@ from affinetree.walk import (
     BoundaryLimit,
     LadderExcursion,
     excursion_rows,
-    ladder_boundary_limit,
     ladder_excursion,
     ladder_heights,
+    ladder_limit_rows,
     regime_summary,
     run_product,
     sample_boundary_limit,
 )
+
+import generic_walk
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -302,6 +304,9 @@ def test_disc_key_depth_monotone():
 # leave the generator in the same state.
 
 PRIMES = st.sampled_from([2, 3, 5])
+# scale units and translation denominators, those prime to p drawn
+UNITS = [-1, 3, Fraction(1, 3), Fraction(-5, 7)]
+DENS = [3, 7]
 # small working precisions, so that v(t) + working bounds a sum's window
 SMALL_BUDGETS = [PrecisionBudget(working=12, min_acceptable=4),
                  PrecisionBudget(working=5, min_acceptable=2)]
@@ -317,19 +322,30 @@ def _p_power(p, e):
     return Fraction(p) ** e
 
 
+def _prime_to(draw, p, values):
+    """1, or often one of ``values`` prime to p."""
+    values = [x for x in values if Fraction(x).numerator % p
+              and Fraction(x).denominator % p]
+    return draw(st.sampled_from([1, 1, *values]))
+
+
 @st.composite
-def grid_laws(draw):
-    """Laws on the digit grid with drift >= 1/4, negative translations
-    included."""
+def grid_laws(draw, plain=False):
+    """Laws with drift >= 1/4, negative translations included: atoms
+    (n/d·p**-k, u·p**phi) with scale units u such as -1, 3, 1/3 and -5/7
+    and denominators d prime to p, or all of them 1 for ``plain``."""
     p = draw(PRIMES)
     n = draw(st.integers(2, 3))
     phis = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
     ts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 2)),
                        min_size=n, max_size=n))
     ws = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    atoms = tuple(PadicAffine(PAdic.from_fraction(Fraction(tn, p ** tk), p),
-                              PAdic.from_fraction(_p_power(p, ph), p))
-                  for (tn, tk), ph in zip(ts, phis))
+    units = [1 if plain else _prime_to(draw, p, UNITS) for _ in phis]
+    dens = [1 if plain else _prime_to(draw, p, DENS) for _ in phis]
+    atoms = tuple(PadicAffine(
+        PAdic.from_fraction(Fraction(tn, d * p ** tk), p),
+        PAdic.from_fraction(u * _p_power(p, ph), p))
+        for (tn, tk), ph, u, d in zip(ts, phis, units, dens))
     law = StepLaw(atoms, tuple(Fraction(w, sum(ws)) for w in ws))
     assume(law.drift() >= Fraction(1, 4))
     return law
@@ -374,15 +390,21 @@ def _scalar_excursion(law, rng, track_prefix=False):
 @given(grid_laws(), st.integers(0, 2 ** 32), st.integers(1, 5),
        st.booleans())
 def test_boundary_limit_engine_matches_compose(law, seed, depth, ladder):
-    assert GridLaw.of(law) is not None
+    assert law.grid == GridLaw.of(law)
     fast, ref = stream(seed, 0), stream(seed, 0)
-    if ladder:
-        got = ladder_boundary_limit(law, fast, depth=depth)
+    if ladder:      # one row reading stream 0 in order, as the scalar walk
+        [got] = ladder_limit_rows(
+            law.grid, lambda ids, start, size: _uniforms(
+                stream(seed, 0), start, size), np.array([0]), depth,
+            depth + 8)
         want = _scalar_limit(law, ref, depth, step=lambda r: _scalar_excursion(
             law, r).element)
-    else:
-        got = sample_boundary_limit(law, fast, depth=depth)
-        want = _scalar_limit(law, ref, depth)
+        assert got == want
+        assert got == generic_walk.ladder_boundary_limit(
+            law, stream(seed, 0), depth=depth)
+        return
+    got = sample_boundary_limit(law, fast, depth=depth)
+    want = _scalar_limit(law, ref, depth)
     assert got == want
     assert _state(fast) == _state(ref)
     # a step budget that runs out leaves the generator as the scalar path does
@@ -406,12 +428,12 @@ def test_ladder_excursion_engine_matches_compose(law, seed, track):
     grid, ref = GridLaw.of(law), stream(seed, 1)
     [(lengths, heights, states)] = excursion_rows(
         grid, lambda ids, start, size: _uniforms(stream(seed, 1), start, size),
-        np.array([0]), 3)
+        np.array([0]), 3, WINDOW)
     want = [_scalar_excursion(law, ref, True) for _ in range(3)]
     assert (lengths, heights) == ([w.length for w in want],
                                   [w.height for w in want])
     assert _prefix_counts(grid, states) == \
-        Counter(g for w in want for g in w.prefix)
+        _counts((prefix_key(grid, g), 1) for w in want for g in w.prefix)
 
 
 def _uniforms(rng, start, size):
@@ -429,12 +451,35 @@ def _counts(pairs):
     return out
 
 
-def _prefix_counts(grid, states):
-    """The prefix elements of counted states (s, t) of ``excursion_rows``,
-    with their multiplicities: a state's translation may cancel to zero
-    at another floor."""
-    return _counts((grid.element((s, 1, t[0], t[1] + s)), m)
-                   for (s, t), m in states.items())
+# the digits an excursion's prefix states keep, on a form that is not plain
+WINDOW = 30
+
+
+def state_element(grid, state):
+    """The element (s, u, t·p**s) of a prefix state (s, c, t), u the unit
+    of the counts c."""
+    s, c, t = state
+    u = grid.scale(c) if c else 1
+    return grid.element((s, u, u * t[0], t[1] + s))
+
+
+def prefix_key(grid, g, window=WINDOW):
+    """A prefix element g = (t, a) as its state keeps it: itself on a
+    plain form, else (phi, a's unit and t/a, both modulo p**window)."""
+    if grid.plain:
+        return g
+    p, a = grid.prime, g.a.exact / Fraction(grid.prime) ** phi(g)
+    return (phi(g), a.numerator * pow(a.denominator, -1, p ** window)
+            % p ** window, (g.t / g.a).residue(window))
+
+
+def _prefix_counts(grid, states, window=WINDOW):
+    """The prefix elements of counted states (s, c, t) of
+    ``excursion_rows``, as ``prefix_key`` gives them, with their
+    multiplicities: a state's translation may cancel to zero at another
+    floor."""
+    return _counts((prefix_key(grid, state_element(grid, state), window), m)
+                   for state, m in states.items())
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 511, 512, 513, 1029])
@@ -456,7 +501,7 @@ def test_draws_match_scalar_indices(count):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid_laws(), st.data())
+@given(grid_laws(plain=True), st.data())
 def test_grid_reads_match_compose(law, data):
     grid = GridLaw.of(law)
     p = grid.prime
@@ -495,12 +540,13 @@ def _outcome(fn):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(-60, 60),
-       st.integers(1, 10 ** 20), st.integers(-10 ** 20, 10 ** 20),
-       st.integers(-60, 0))
-def test_engine_form_round_trips(p, s, u, num, floor):
-    # a state as ``start`` gives it: a unit u prime to p, and num prime to
-    # p unless floor is 0
-    assume(u % p and (floor == 0 or num % p))
+       st.integers(1, 10 ** 20), st.sampled_from([1, 1, -1, 7, 25]),
+       st.integers(-10 ** 20, 10 ** 20), st.integers(-60, 0))
+def test_engine_form_round_trips(p, s, u, d, num, floor):
+    # a state as ``start`` gives it: a unit u prime to p, an int when it
+    # is one, and num prime to p unless floor is 0
+    assume(u % p and d % p and (floor == 0 or num % p))
+    u = Fraction(u, d) if Fraction(u, d).denominator > 1 else u // d
     grid = GridLaw(p, ((0, 0, 1),), DEFAULT_BUDGET, np.array([1.0]))
     state = (s, u, num, floor)
     assert grid.start(grid.element(state)) == state
@@ -509,12 +555,19 @@ def test_engine_form_round_trips(p, s, u, num, floor):
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_prefix_in_disc_matches_act_end(data):
+    """A prefix state's read against every kind of end, with a scale unit
+    of any count of a unit atom (count 0: the plain form's)."""
     p = data.draw(PRIMES)
     budget = data.draw(st.sampled_from([DEFAULT_BUDGET, *SMALL_BUDGETS]))
-    grid = GridLaw(p, ((0, 0, 1),), budget, np.array([1.0]))
-    state = (data.draw(st.integers(-4, 4)), 1,
+    unit = data.draw(st.sampled_from([
+        u for u in UNITS
+        if Fraction(u).numerator % p and Fraction(u).denominator % p]))
+    grid = GridLaw(p, ((0, 0, 1),), budget, np.array([1.0]),
+                   units=((0, unit),))
+    counts = (data.draw(st.sampled_from([0, 0, 1, -1, 3, -4])),)
+    state = (data.draw(st.integers(-4, 4)), grid.scale(counts),
              data.draw(st.integers(-300, 300)), data.draw(st.integers(-4, 4)))
-    g = grid.element(state)
+    g = grid.element((*state[:2], state[1] * state[2], state[3]))
     kind = data.draw(st.sampled_from(["digits", "cancel", "exact", "zero"]))
     x = Fraction(data.draw(st.integers(-500, 500).filter(bool)),
                  p ** data.draw(st.integers(0, 3)))
@@ -559,6 +612,6 @@ def test_prefix_in_disc_matches_act_end(data):
     assert (grid.point(end)[1] is None) == \
         (value.exact is not None or value.is_zero)
     s, _, num, floor = state
-    assert _outcome(lambda: reader(grid, end)((s, (num, floor - s)),
+    assert _outcome(lambda: reader(grid, end)((s, counts, (num, floor - s)),
                                               disc)) == \
         _outcome(lambda: end_in_disc(act_end(g, end), disc))
