@@ -23,7 +23,8 @@ included.
 Walks run as batches, one keyed stream each, read block by block
 (``blocks``): atom indices, heights, unit counts and the exponents of
 translation terms, for the potential kernel, certified boundary limits
-and ladder excursions alike.  ``GridLaw.characters`` is the digit grid's
+and ladder excursions alike (these count their units as they step, and
+not at all on a plain form).  ``GridLaw.characters`` is the digit grid's
 character table, for the exact oracle of plain laws.
 """
 

@@ -151,26 +151,48 @@ def _kernel_walk(g, f: CylinderEvent, law):
             max(max(x.height - x.floor for x in f.sources), 1))
 
 
-def _first(mask, n0):
+def _first(mask, n1):
     """Per row, the step of the first True of ``mask``, whose column c
-    holds step n0 + 1 + c; _NEVER for a row with none."""
+    holds step n1 + c; _NEVER for a row with none."""
     col = mask.argmax(axis=1)
-    return np.where(mask[np.arange(len(mask)), col], n0 + 1 + col, _NEVER)
+    return np.where(mask[np.arange(len(mask)), col], n1 + col, _NEVER)
 
 
-def _stop_steps(heights, at, n0, level, rule, e, r):
+def _stop_steps(heights, spots, n0, level, rule, e, r):
     """The drifting stop rule on a block of steps n0 + 1, n0 + 2, ... of
-    each row, given the exit and re-entry steps found so far: (e, r, end)
-    with end the step a row stops at (_NEVER while it runs on), and r
-    cleared for a row that stops before re-entering."""
+    each row, given the exit and re-entry steps found so far and the flat
+    indices ``spots`` of the block's visits to the level: (e, r, end) with
+    end the step a row stops at (_NEVER while it runs on), and r cleared
+    for a row that stops before re-entering.
+
+    Exits are searched only from the first column at ``min_steps``.  The
+    first step past 2·delta in [e, r) is the later of e and the first one
+    from that column on: with delta >= 0 none lies before e, with delta
+    < 0 step e is one.  R is the first visit after e, found by a search
+    of ``spots``."""
     direction, delta, min_steps = rule
-    n = np.arange(n0 + 1, n0 + 1 + heights.shape[1])
-    d = (heights - level) * direction
-    e = np.where(e < _NEVER, e, _first((d > delta) & (n >= min_steps), n0))
-    r = np.where(r < _NEVER, r, _first(at & (n > e[:, None]), n0))
-    far = _first((d > 2 * delta) & (n >= e[:, None]) & (n < r[:, None]), n0)
-    end = np.minimum(far, _first((d > delta) & (n >= r[:, None]), n0))
-    return e, np.where(far < _NEVER, _NEVER, r), end
+    m, size = heights.shape
+    c0 = min(max(min_steps - n0 - 1, 0), size)
+    if c0 == size:                  # no step of the block can exit
+        return e, r, np.full(m, _NEVER)
+    past = np.greater if direction > 0 else np.less
+    tail = heights[:, c0:]
+    out = past(tail, level + direction * delta)
+    e = np.minimum(e, _first(out, n0 + 1 + c0))
+    far = np.maximum(_first(past(tail, level + 2 * direction * delta),
+                            n0 + 1 + c0), e)
+    base = np.arange(0, m * size, size)
+    hit = np.append(spots, m * size)[spots.searchsorted(
+        base + np.minimum(np.maximum(e - n0, 0), size))]
+    r = np.minimum(r, np.where(hit < base + size, hit - base + n0 + 1,
+                               _NEVER))
+    end = np.where(far < r, far, _NEVER)
+    r = np.where(end < _NEVER, _NEVER, r)
+    back = np.flatnonzero(r < _NEVER)       # re-entered: stop past delta
+    if back.size:
+        cols = np.arange(n0 + 1 + c0, n0 + 1 + size)
+        end[back] = _first(out[back] & (cols >= r[back, None]), n0 + 1 + c0)
+    return e, r, end
 
 
 def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
@@ -184,7 +206,8 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     integral start, else times the units before them, below the cut.
     Returns (rows, steps) of every visit to the event, as flat arrays,
     and per trajectory its exit step E and re-entry step R (_NEVER when
-    it has none).  See ``potential_kernel`` for the rule.
+    it has none).  See ``potential_kernel`` for the rule.  Visits and
+    terms are taken as flat indices of the block, few against its cells.
     """
     grid, (s0, u, num0, floor0), member, top, digits = walk
     add, steps, cut = grid.sum, grid.steps, top + grid.key_reach
@@ -198,6 +221,10 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     exits = np.full(trajectories, _NEVER)
     backs = np.full(trajectories, _NEVER)
     reads = {}            # membership by translation: walks meet few
+    # compares run on a contiguous copy of the heights, int32 where no walk
+    # can leave its range
+    span = abs(s0) + horizon * max(abs(phi) for _, _, phi in steps)
+    narrow = np.int32 if span < 2 ** 31 else np.int64
 
     def read(ids, start, size):
         return stream_rows(ids, start, size, seed, label)
@@ -209,42 +236,44 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
         carry = [(num0, floor0)] * len(rows)
         for b in blocks(grid, read, rows, s0, horizon):
             live, n0, k = b.live, b.n0, b.k
-            heights = b.path[:, 1:]
+            heights = b.path[:, 1:].astype(narrow)
             size = heights.shape[1]
-            at = heights == level
+            spots = np.flatnonzero(heights == level)
             end = np.full(live.size, _NEVER)
             if stop:
                 exits[rows[live]], backs[rows[live]], end = _stop_steps(
-                    heights, at, n0, level, stop, exits[rows[live]],
+                    heights, spots, n0, level, stop, exits[rows[live]],
                     backs[rows[live]])
-            col = np.arange(size)
-            seen = at & (col < (end - n0)[:, None])
+            vr, vc = divmod(spots, size)
+            seen = vc < (end - n0)[vr]   # visits up to the step it stops at
+            vr, vc = vr[seen], vc[seen]
             going = (end == _NEVER) & (n0 + size < horizon)
             # the translation is read only at visits, from the terms that
             # steps up to a row's last visit (its whole block, for a row
             # that runs on) add at exponents a read at the top height sees
-            last = np.where(seen.any(axis=1),
-                            size - 1 - seen[:, ::-1].argmax(axis=1), -1)
-            last[going] = size - 1
-            tr, tc = np.nonzero((b.exps < cut) & (col <= last[:, None]))
-            vr, vc = np.nonzero(seen)
+            reach = np.where(going, size, 0)
+            np.maximum.at(reach, vr, vc + 1)
+            terms = np.flatnonzero(b.exps < cut)
+            tr, tc = divmod(terms, size)
+            used = tc < reach[tr]
+            terms, tr, tc = terms[used], tr[used], tc[used]
             bounds = np.arange(live.size + 1)
             t_at = tr.searchsorted(bounds).tolist()
             v_at = vr.searchsorted(bounds).tolist()
-            exps = b.exps[tr, tc].tolist()
+            exps = b.exps.take(terms).tolist()
             if exact:
-                coefs = [u * steps[j][0] for j in k[tr, tc].tolist()]
+                coefs = [u * steps[j][0] for j in k.take(terms).tolist()]
                 visits = vc.tolist()
             else:      # each visit with the unit of its element
                 coefs = [grid.unit(c, cut - x, u, grid.coefs[j])
-                         for j, c, x in zip(k[tr, tc].tolist(),
+                         for j, c, x in zip(k.take(terms).tolist(),
                                             row_units(b, tr, tc), exps)]
                 visits = list(zip(vc.tolist(), [
                     grid.unit(c, digits, u)
                     for c in row_units(b, vr, vc, after=True)]))
             tc = tc.tolist()
             live_l, going_l = live.tolist(), going.tolist()
-            for i in np.flatnonzero(last >= 0).tolist():
+            for i in np.flatnonzero(reach).tolist():
                 row, j, t1 = live_l[i], t_at[i], t_at[i + 1]
                 t = carry[row]
                 for v in visits[v_at[i]:v_at[i + 1]]:

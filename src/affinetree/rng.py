@@ -10,11 +10,11 @@ stream.  Estimators label their streams ("kernel", "limit", ...), a
 caller that runs one estimator several times adds what tells the calls
 apart, and suites key each claim by its claim id.
 
-``streams_at`` hands out each stream ``stream(seed, *path, i)`` of many
-at a given position; ``stream_rows`` reads many at once through it.
-Philox is counter-based: uniform k of a stream depends only on its key
-and k, so one bit generator serves every row by taking each row's key
-and the counter of its first uniform.
+``stream_rows`` reads many streams ``stream(seed, *path, i)`` at once
+from one position, and ``streams_at`` hands out each of many at its own
+position.  Philox is counter-based: uniform k of a stream depends only
+on its key and k, so one bit generator serves every row by taking each
+row's key and the counter of its first uniform.
 ``position`` and ``seek`` read and set how far one stream has been
 drawn; no other module reads or sets a generator's state.
 """
@@ -62,13 +62,18 @@ def stream(seed, *path) -> np.random.Generator:
 def stream_rows(rows, start, size, seed, *path) -> np.ndarray:
     """Uniforms ``start`` to ``start + size`` of each stream
     ``stream(seed, *path, i)`` for ``i`` in ``rows``: row r holds what
-    that stream's ``random()`` draws yield after ``start`` draws.
-    """
-    out = np.empty((len(rows), size))
-    for row, gen in zip(out, streams_at(rows, [start] * len(rows), seed,
-                                        *path)):
+    that stream's ``random()`` draws yield after ``start`` draws.  Every
+    row starts at the same Philox block, so the loop only re-keys it."""
+    skip = start % 4                # draws of that block before ``start``
+    out = np.empty((len(rows), skip + size))
+    gen, state, prefix = _rekeyed(seed, path)
+    bits, inner = gen.bit_generator, state["state"]
+    inner["counter"][0] = start // 4
+    for row, i in zip(out, rows):
+        inner["key"] = _row_key(prefix, i)
+        bits.state = state
         gen.random(out=row)
-    return out
+    return out[:, skip:]
 
 
 def streams_at(rows, starts, seed, *path):
@@ -76,25 +81,38 @@ def streams_at(rows, starts, seed, *path):
     ``stream(seed, *path, i)`` after as many draws as the matching item of
     ``starts``; it is one generator, re-keyed for every row, so use each
     before asking for the next."""
-    # repr of (*prefix, i) is the prefix's items, then repr(i) and ")"
-    head = "(" + "".join(f"{item!r}, " for item in _flat((seed, *path)))
-    prefix = hashlib.blake2b(head.encode(), digest_size=16)
-    bits = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
-    gen = np.random.Generator(bits)
-    # the setter reads plain ints faster than the arrays the getter gives;
-    # a row gets its key and the counter of its first uniform's block
-    state = bits.state
-    inner = state["state"] = {"counter": [0, 0, 0, 0], "key": None}
-    state["buffer"] = [0] * 4
+    gen, state, prefix = _rekeyed(seed, path)
+    bits, inner = gen.bit_generator, state["state"]
     for i, start in zip(rows, starts):
-        h = prefix.copy()
-        h.update(f"{operator.index(i)!r})".encode())
-        inner["key"] = _KEY_WORDS.unpack(h.digest())
+        inner["key"] = _row_key(prefix, i)
         inner["counter"][0] = start // 4
         bits.state = state
         if start % 4:
             gen.random(start % 4)
         yield gen
+
+
+def _rekeyed(seed, path):
+    """(generator, state, prefix) for re-keying one Philox generator per
+    stream ``stream(seed, *path, i)``: set the key words and the counter of
+    the first uniform's block in ``state["state"]``, then hand ``state``
+    to the bit generator.  ``prefix`` hashes the key text before ``i``."""
+    # repr of (*prefix, i) is the prefix's items, then repr(i) and ")"
+    head = "(" + "".join(f"{item!r}, " for item in _flat((seed, *path)))
+    prefix = hashlib.blake2b(head.encode(), digest_size=16)
+    bits = np.random.Philox(_Key(np.zeros(2, dtype=np.uint64)))
+    # the setter reads plain ints faster than the arrays the getter gives
+    state = bits.state
+    state["state"] = {"counter": [0, 0, 0, 0], "key": None}
+    state["buffer"] = [0] * 4
+    return np.random.Generator(bits), state, prefix
+
+
+def _row_key(prefix, i):
+    """The key words of the stream whose key text is ``prefix`` then i."""
+    h = prefix.copy()
+    h.update(b"%d)" % operator.index(i))
+    return _KEY_WORDS.unpack(h.digest())
 
 
 def position(gen) -> int:

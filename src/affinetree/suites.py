@@ -116,7 +116,7 @@ def _random_vertex(cfg, rng, n):
     if cfg.kind == "padic":
         return [PadicVertex(cfg.prime, h, c, -4) for h, c in
                 zip(heights, _below_power(rng, cfg.prime, 8, n))]
-    return [LampVertex(cfg.q, h, tuple(zip(range(h - 4, h + 1), row)))
+    return [LampVertex.from_row(cfg.q, h, h - 4, row)
             for h, row in zip(heights, _random_lamps(rng, cfg.q, n, 5, 0.5))]
 
 
@@ -124,9 +124,8 @@ def _random_end(cfg, rng, n):
     if cfg.kind == "padic":
         return [PadicEnd(PAdic.from_digits(v, -4, cfg.prime, cfg.budget))
                 for v in _below_power(rng, cfg.prime, 12, n)]
-    known = range(-4, END_WINDOW + 1)
-    return [LampEnd(cfg.q, END_WINDOW, tuple(zip(known, row)))
-            for row in _random_lamps(rng, cfg.q, n, len(known), 0.3)]
+    return [LampEnd.from_row(cfg.q, END_WINDOW, -4, row)
+            for row in _random_lamps(rng, cfg.q, n, END_WINDOW + 5, 0.3)]
 
 
 def algebra_claims(cfg, cases=2000, seed=None):

@@ -234,6 +234,18 @@ class _LampPoint(LampDigits):
     """What lamp vertices and ends share: lamps known on the positions up
     to ``known_to``."""
 
+    @classmethod
+    def from_row(cls, q, top, low, row):
+        """The point known up to ``top`` whose lamp at position low + i is
+        ``row[i]`` (an int, taken modulo q): ``cls(q, top, zip(range(low,
+        low + len(row)), row))`` without the sort and its checks, since a
+        row names each position once and in order."""
+        width = lamp_form(q)[0]
+        num = 0
+        for v in reversed(row):
+            num = num << width | v % q
+        return cls._of(q, *cut(num, low, top, width), top)
+
     def meet_height(self, other):
         """Height of the meet: below the lowest position where the two
         configurations differ, capped by the common window."""

@@ -19,8 +19,8 @@ Every certified limit stops under the rule of ``STABLE_EPOCHS`` and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -80,26 +80,35 @@ def ladder_excursion(law, rng, *, track_prefix=False) -> LadderExcursion:
 def _record_rows(grid, read, rows, first, walk, error):
     """Each walk ``rows`` on the engine form ``grid``, read block by block
     by ``grid.blocks`` from ``read``, until ``walk`` has its result.
-    ``walk(state, n, ks, hs, cs)`` takes a walk's state (``first()`` at
-    the start), its steps so far and the block's atom indices, heights
-    and unit counts (() on a form without units) after each step, and
-    gives (result, None) or (None, next state).  A walk that runs out of
-    steps raises ``StepBudgetExceeded(error)``."""
+    ``walk(state, n, ks, hs)`` takes a walk's state (``first()`` at the
+    start), its steps so far and the block's atom indices and heights
+    after each step, and gives (result, None) or (None, next state).  A
+    walk that runs out of steps raises ``StepBudgetExceeded(error)``."""
     out, run = [None] * len(rows), [first() for _ in rows]
     for b in blocks(grid, read, rows, 0, DEFAULT_STEP_BUDGET):
         going = []
-        units = repeat(repeat(())) if b.units is None \
-            else map(lambda c: map(tuple, c), b.units[:, 1:].tolist())
-        for i, (row, ks, hs, cs) in enumerate(zip(
-                b.live.tolist(), b.k.tolist(), b.path[:, 1:].tolist(),
-                units)):
-            out[row], run[row] = walk(run[row], b.n0, ks, hs, cs)
+        for i, (row, ks, hs) in enumerate(zip(
+                b.live.tolist(), b.k.tolist(), b.path[:, 1:].tolist())):
+            out[row], run[row] = walk(run[row], b.n0, ks, hs)
             if out[row] is None:
                 going.append(i)
         b.going = going
     if None in out:
         raise StepBudgetExceeded(error)
     return out
+
+
+def _moves(grid, move):
+    """Per atom of the engine form ``grid``, (txn, txe, move) for a walk's
+    step of it: on a ``plain`` form its term txn·p**txe, added exactly at
+    the step's exponent offset, and move None; on others (1, 0, move(j,
+    one)), a function that moves the walk's terms and unit counts, ``one``
+    the counts the step adds.  So a step of a plain walk counts no units,
+    and one without a term does nothing."""
+    if grid.plain:
+        return [(txn, txe, None) for txn, txe, _ in grid.steps]
+    return [(1, 0, move(j, tuple(int(k == j) for k, _ in grid.units)))
+            for j in range(len(grid.steps))]
 
 
 def excursion_rows(grid, read, rows, count, window) -> list:
@@ -113,37 +122,45 @@ def excursion_rows(grid, read, rows, count, window) -> list:
     T_k = sum over j <= k of U_j**-1·txn_j/d_j·p**(txe_j - S_j), so L_k
     maps a point x to U_k·p**S_k·(x + T_k) (``grid.reader``).  T_k is
     exact on a ``plain`` form, else modulo p**``window``, as are its
-    reads of ends known modulo p**window at most.
+    reads of ends known modulo p**window at most.  A step moves (T, C)
+    by its atom's entry of ``_moves``, and C is counted from the
+    excursion's start.
     """
-    add, steps, plain = grid.sum, grid.steps, grid.plain
-    zero = (0,) * len(grid.units)
+    add, zero = grid.sum, (0,) * len(grid.units)
 
-    def walk(run, n, ks, hs, cs):
-        lengths, heights, states, top, start, t, base = run
-        for j, h, c in zip(ks, hs, cs):
+    def unit_move(j, one):
+        txn, txe, _ = grid.steps[j]
+
+        def move(t, c, s):
+            c, e = tuple(map(operator.add, c, one)), txe - s
+            if txn and e < window:
+                t = grid.key(*add(*t, grid.unit(
+                    [-a for a in c], window - e, grid.coefs[j]), e), window)
+            return t, c
+        return move
+    moves = _moves(grid, unit_move)
+
+    def walk(run, n, ks, hs):
+        lengths, heights, states, top, start, t, c = run
+        for j, h in zip(ks, hs):
             n += 1
             if h > top:                 # the excursion ends
                 lengths.append(n - start)
                 heights.append(h - top)
                 if len(lengths) == count:
                     return (lengths, heights, states), None
-                top, start, t, base = h, n, (0, 0), c
+                top, start, t, c = h, n, (0, 0), zero
                 state = 0, zero, t
-            elif plain:
-                txn, txe, _ = steps[j]
-                if txn:
-                    t = add(*t, txn, txe - h + top)
-                state = h - top, zero, t
             else:
-                txn, e = steps[j][0], steps[j][1] - h + top
-                rel = tuple(a - b for a, b in zip(c, base))
-                if txn and e < window:
-                    t = grid.key(*add(*t, grid.unit(
-                        [-a for a in rel], window - e, grid.coefs[j]), e),
-                        window)
-                state = h - top, rel, t
+                txn, txe, move = moves[j]
+                if txn:
+                    if move:
+                        t, c = move(t, c, h - top)
+                    else:
+                        t = add(*t, txn, txe - h + top)
+                state = h - top, c, t
             states[state] = states.get(state, 0) + 1
-        return None, (lengths, heights, states, top, start, t, base)
+        return None, (lengths, heights, states, top, start, t, c)
     return _record_rows(
         grid, read, rows,
         lambda: ([], [], {(0, zero, (0, 0)): 1}, 0, 0, (0, 0), zero), walk,
@@ -161,34 +178,50 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
     from height H0 to H1 adds U_1·U_0·U_n**-1·txn/d·p**(txe + H0 + H1 -
     H_n) to the translation (H_n the height after it, U_0, U_n and U_1
     the walk's unit products at H0, H_n and H1).  Terms wait at exponent
-    txe - H_n until their excursion ends.  The translation is exact on a
-    ``plain`` form, else modulo the digits the key and the end read.
+    txe - H_n until their excursion ends (``_moves``).  The translation
+    is exact on a ``plain`` form, else modulo the digits the key and the
+    end read.
     """
-    add, steps, plain = grid.sum, grid.steps, grid.plain
+    add = grid.sum
     goal, span = end_window + HEIGHT_GUARD, max(depth, end_window)
 
-    def walk(run, _n0, ks, hs, cs):
+    def unit_move(j, one):
+        txn, txe, _ = grid.steps[j]
+
+        def move(wait, c, h, top, base):      # c: the walk's unit counts
+            c = tuple(map(operator.add, c, one))
+            if txn and span - 2 * top > txe - h:   # H1 + H0 > 2·top
+                wait = add(*wait, grid.unit([a - b for a, b in zip(base, c)],
+                                            span - 2 * top - txe + h,
+                                            grid.coefs[j]), txe - h)
+            return wait, c
+        return move
+    moves = _moves(grid, unit_move)
+
+    def unit_land(t, wait, e, c):
+        """The translation plus the waiting terms times the unit of the
+        walk's counts ``c`` at the record, at exponent e."""
+        if e >= span:
+            return t
+        return grid.key(*add(*t, grid.unit(c, span - e, wait[0]), e), span)
+    land = (lambda t, wait, e, _: add(*t, wait[0], e)) if grid.plain \
+        else unit_land
+
+    def walk(run, _n0, ks, hs):
         # translation, waiting terms, top, ladder steps, key, stable,
-        # unit counts at the excursion's start
-        t, wait, top, n, key, stable, base = run
-        for j, h, c in zip(ks, hs, cs):
-            txn, txe, _ = steps[j]
+        # unit counts at the excursion's start and now
+        t, wait, top, n, key, stable, base, c = run
+        for j, h in zip(ks, hs):
+            txn, txe, move = moves[j]
             if txn:
-                if plain:
+                if move:
+                    wait, c = move(wait, c, h, top, base)
+                else:
                     wait = add(*wait, txn, txe - h)
-                elif span - 2 * top > txe - h:   # H1 + H0 > 2·top
-                    wait = add(*wait, grid.unit(
-                        [a - b for a, b in zip(base, c)],
-                        span - 2 * top - txe + h, grid.coefs[j]), txe - h)
             if h <= top:
                 continue
             if wait[0]:
-                e = wait[1] + top + h
-                if plain:
-                    t = add(*t, wait[0], e)
-                elif e < span:
-                    t = grid.key(*add(*t, grid.unit(c, span - e, wait[0]),
-                                      e), span)
+                t = land(t, wait, wait[1] + top + h, c)
             wait, top, n, base = (0, 0), h, n + 1, c
             if h < depth:
                 continue
@@ -198,11 +231,11 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
             if stable >= STABLE_EPOCHS and top >= goal:
                 return _boundary_limit(grid, (n, top, key, t),
                                        end_window), None
-        return None, (t, wait, top, n, key, stable, base)
+        return None, (t, wait, top, n, key, stable, base, c)
     zero = (0,) * len(grid.units)
     return _record_rows(
-        grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, None, 0, zero),
-        walk,
+        grid, read, rows,
+        lambda: ((0, 0), (0, 0), 0, 0, None, 0, zero, zero), walk,
         f"no certified depth-{depth} disc within {DEFAULT_STEP_BUDGET} "
         "steps")
 

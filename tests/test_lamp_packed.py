@@ -196,3 +196,21 @@ def test_tree_operations_match_the_dict_model(data):
         (prefix(e[0], depth) == prefix(f[0], depth))
     assert objects["x"].render() == f"lamp:{x[1]}:[{rendered(x[0], '=')}]"
     assert E.render() == f"lampend:{e[1]}:[{rendered(e[0], '=')}]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_row_equals_the_public_constructors(data):
+    """``from_row`` packs a digit row from its lowest position as the
+    public constructors pack the same lamps given as (position, value)
+    pairs: rows of any residue, zeros included, reaching past the top or
+    ending below it."""
+    q = data.draw(QS)
+    row = data.draw(st.lists(st.integers(-q, 2 * q), max_size=30))
+    low, top = data.draw(st.integers(-6, 6)), data.draw(st.integers(-8, 30))
+    pairs = tuple(zip(range(low, low + len(row)), row))
+    for cls in (LampVertex, LampEnd):
+        got, want = cls.from_row(q, top, low, row), cls(q, top, pairs)
+        assert got == want and hash(got) == hash(want)
+        assert (got.num, got.floor) == (want.num, want.floor)
+        assert got.lamps == tuple(sorted(lit(pairs, q, top).items()))

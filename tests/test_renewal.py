@@ -5,6 +5,7 @@ import math
 import operator
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetree import grid, renewal
+from affinetree.config import load_config
 from affinetree.errors import (
     InexactAtom,
     NonPositiveDrift,
@@ -633,6 +635,47 @@ def test_lamp_kernel_batch_matches_compose(case, seed, trajectories, sizes):
     batch adds digits without carries: bit for bit the generic estimate,
     the centered tail included."""
     _batch_matches_compose(case, seed, trajectories, sizes)
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("sizes", [None, (5, 7)])
+@pytest.mark.parametrize("config", ["drift_pos", "drift_neg"])
+def test_kernel_matches_compose_at_the_shipped_stop_rule(config, sizes):
+    """The batch gives the generic-``compose`` KernelEstimate bit for bit
+    at the shipped ``KERNEL_DELTA`` and ``KERNEL_MIN_STEPS``, in both drift
+    directions, from e and s**15, on HOME and a cylinder two levels up,
+    and the same visits and exit and re-entry steps E and R; in blocks of
+    7 steps, block edges fall between a trajectory's E and its stop."""
+    law = load_config(CONFIGS / f"{config}.ini").law
+    s = law.atoms[0].reference_homothety().element
+    up = CylinderEvent((O,), (PadicVertex(2, 2, 3),))
+    stop = (1 if law.drift() > 0 else -1, renewal.KERNEL_DELTA,
+            renewal.KERNEL_MIN_STEPS)
+    seen = []
+    for g in (identity_like(s), power(s, 15)):
+        for f in (HOME, up):
+            walk = renewal._kernel_walk(g, f, law)
+            ref = generic_walk.visits(g, f, law)
+            with pytest.MonkeyPatch.context() as mp:
+                if sizes:
+                    mp.setattr(grid, "BATCH_ROWS", sizes[0])
+                    mp.setattr(grid, "BATCH_COLS", sizes[1])
+                got = potential_kernel(g, f, law, 5, 32)
+                runs = [visits(walk, f.level, 5, "kernel", 32, 20000, stop)
+                        for visits in (renewal._grid_visits, ref)]
+                mp.setattr(renewal, "_grid_visits", ref)
+                want = potential_kernel(g, f, law, 5, 32)
+            assert got == want
+            (rows, steps, *ends), (rows2, steps2, *ends2) = runs
+            assert sorted(zip(rows.tolist(), steps.tolist())) == \
+                sorted(zip(rows2.tolist(), steps2.tolist()))
+            for a, b in zip(ends, ends2):       # E and R of every walk
+                assert np.array_equal(a, b)
+            seen.append((got.value, ends[0].max()))
+    assert all(v for v, _ in seen[:2])   # the walks from e meet both events
+    assert all(e < renewal._NEVER for _, e in seen)      # every walk exits
 
 
 def test_tail_cap_is_reported(monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from affinetree import rng
 from affinetree.config import load_config
+from affinetree.grid import BATCH_COLS
 from affinetree.rng import position, seek, stream, stream_rows
 from affinetree.suites import (
     algebra_claims,
@@ -82,6 +83,14 @@ def test_stream_rows_read_each_stream(start):
             gen.random(start)
             assert np.array_equal(got[r], gen.random(9))
     assert stream_rows([], start, 9, 5).shape == (0, 9)
+    if start in (0, 130):   # the engine's input: an int64 array, full blocks
+        ids = np.array([0, 3, 17, 2 ** 40, 127], dtype=np.int64)
+        got = stream_rows(ids, start, BATCH_COLS, 5, "kernel")
+        assert got.shape == (ids.size, BATCH_COLS)
+        for r, i in enumerate(ids.tolist()):
+            gen = stream(5, "kernel", i)
+            gen.random(start)
+            assert np.array_equal(got[r], gen.random(BATCH_COLS))
 
 
 paths = st.lists(st.one_of(st.integers(-5, 2 ** 70),
