@@ -7,8 +7,10 @@ uniforms identically, so a height-only simulation and a full group
 simulation with the same stream visit the same atoms.  Height paths
 skip the atom index: u picks the step phis[0] plus the jump phis[j+1] -
 phis[j] at each threshold j <= u, and ``phi_sums`` alone walks them,
-window by window, never whole.  A final height draws no step: it is
-phis . K, K its multinomial atom counts.
+window by window, never whole: a window with more paths than steps is
+summed across its paths, one vector add per step, a narrower one along
+each path.  A final height draws no step: it is phis . K, K its
+multinomial atom counts.
 """
 
 from __future__ import annotations
@@ -26,6 +28,22 @@ from .group import decompose, invert, norm, phi, require_exact, \
     validate_non_exceptional
 
 WINDOW_CAP = 20000    # the widest window of steps a height path draws
+
+
+def _window_sums(steps, dtype) -> np.ndarray:
+    """Running sums in ``dtype`` of ``steps``, a (paths, steps) array,
+    along each path.  With more paths than steps, one vector add per step
+    sums across the paths into a step-major array, handed out as its
+    transposed (paths, steps) view; otherwise ``np.cumsum`` sums along
+    each path."""
+    paths, width = steps.shape
+    if width >= paths:
+        return np.cumsum(steps, axis=1, dtype=dtype)
+    out = np.empty((width, paths), dtype)
+    out[0] = steps[:, 0]
+    for j in range(1, width):
+        np.add(out[j - 1], steps[:, j], out=out[j])
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -62,7 +80,7 @@ class StepLaw:
         """Branching number q of the tree the law acts on."""
         return self.atoms[0].degree
 
-    @property
+    @functools.cached_property
     def phis(self) -> tuple:
         return tuple(phi(a) for a in self.atoms)
 
@@ -113,12 +131,18 @@ class StepLaw:
     def phi_steps(self, u) -> np.ndarray:
         """``phis[sample_indices]`` for uniforms ``u``, in the narrowest
         signed integer type holding every phi and phi jump."""
-        jumps = np.diff(self.phis).tolist()
-        dtype = np.min_scalar_type(-max(map(abs, [*self.phis, *jumps])) - 1)
+        dtype, jumps = self._jumps
         out = np.full(u.shape, self.phis[0], dtype)
         for t, d in zip(self.thresholds, jumps):
-            out += (u >= t) * dtype.type(d)
+            out += (u >= t) * d
         return out
+
+    @functools.cached_property
+    def _jumps(self):
+        """``phi_steps``' dtype and its phi jump per threshold."""
+        jumps = np.diff(self.phis).tolist()
+        dtype = np.min_scalar_type(-max(map(abs, [*self.phis, *jumps])) - 1)
+        return dtype, [dtype.type(d) for d in jumps]
 
     def final_phis(self, rng, n_traj: int, horizon: int) -> np.ndarray:
         """S_horizon of n_traj paths: phis . K for atom counts K drawn from
@@ -134,7 +158,9 @@ class StepLaw:
         in order: all at first, then those ``going(rows)`` keeps (all by
         default).  It yields (steps before the window, rows, heights gained
         in it) by row chunks of about 2**20 steps, which read the same
-        uniforms; heights are int32 where a window cannot overflow."""
+        uniforms; heights are int32 where a window cannot overflow.  They
+        may be a transposed view (``_window_sums``), not C order: callers
+        index and reduce them and never assume their layout."""
         live, done, top = np.arange(count), 0, max(map(abs, self.phis))
         while live.size and done < span:
             width = min(width, WINDOW_CAP, span - done)
@@ -142,8 +168,8 @@ class StepLaw:
             step = max(1, 2 ** 20 // width)            # rows per chunk
             for a in range(0, live.size, step):
                 rows = live[a:a + step]
-                yield done, rows, np.cumsum(self.phi_steps(
-                    rng.random((rows.size, width))), axis=1, dtype=sums)
+                yield done, rows, _window_sums(self.phi_steps(
+                    rng.random((rows.size, width))), sums)
             live = live if going is None else going(live)
             done, width = done + width, 2 * width
 

@@ -2,7 +2,9 @@
 
 Height-only questions (ladder epochs, regime summaries) walk numpy
 paths in windows (``StepLaw.phi_sums``) until each is decided or its
-span is walked.  Questions about where the walk lands on the boundary
+span is walked, and index and reduce each window's sums in whatever
+layout it comes in: a window wider in paths than in steps is a
+transposed view.  Questions about where the walk lands on the boundary
 track full group elements: the right products R_n = X_1...X_n converge
 to a boundary point when the height drift is positive, and the sampler
 certifies a disc of requested depth around the limit.
@@ -246,18 +248,21 @@ def ladder_heights(law, rng, count: int):
 
     The paths still below their first epoch walk in windows of 8, 16,
     32, ... steps (``StepLaw.phi_sums``), so ``rng`` ends where those
-    draws leave it, also when the budget runs out.
+    draws leave it, also when the budget runs out.  A window's sums are
+    compared with -S, S the height at its start, with no copy of the
+    paths; only the paths that pass 0 in it look for their first
+    passage, and a height is S plus the sum there.
     """
     lengths, heights, carried = np.zeros((3, count), dtype=np.int64)
     for done, rows, seg in law.phi_sums(rng, count, 8, DEFAULT_STEP_BUDGET,
                                         lambda live: live[lengths[live] == 0]):
-        paths = carried[rows, None] + seg        # carried: S at done
-        hit = paths > 0
-        any_hit = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)[any_hit]
-        lengths[rows[any_hit]] = done + first + 1
-        heights[rows[any_hit]] = paths[any_hit, first]
-        carried[rows] = paths[:, -1]
+        s = carried[rows]                        # S at done
+        hit = seg > -s[:, None]
+        up = hit.any(axis=1).nonzero()[0]
+        first, at = np.argmax(hit[up], axis=1), rows[up]
+        lengths[at] = done + first + 1
+        heights[at] = s[up] + seg[up, first]
+        carried[rows] = s + seg[:, -1]
     left = np.count_nonzero(lengths == 0)
     if left:
         raise StepBudgetExceeded(
@@ -270,6 +275,10 @@ def regime_summary(law, rng, n_traj: int, horizon: int) -> dict:
     """Height statistics of n_traj paths: terminal law, late-half extremes,
     sign counts.  S at horizon // 2 comes from atom counts (``final_phis``),
     and S_{h//2+1}..S_h walk in windows (``phi_sums``), held one at a time."""
+    if n_traj < 1:
+        raise ValueError(f"n_traj {n_traj}: the summary needs a path")
+    if horizon < 1:
+        raise ValueError(f"horizon {horizon}: the summary needs a step")
     late = horizon - horizon // 2
     final = law.final_phis(rng, n_traj, horizon // 2)
     low = np.full(n_traj, np.iinfo(np.int64).max)

@@ -4,7 +4,8 @@ field that nothing reads, every random generator is built in ``rng``
 and only ``rng`` reads or sets a generator's state, and no code outside
 a realization's own classes tests which realization it holds.  Only
 ``tree`` knows the packed lamp form, and only ``law`` the height-path
-window cap.  The estimators of ``walk`` and ``renewal`` have one body,
+window cap; only ``law`` (height windows) and ``grid`` (engine blocks)
+take running sums.  The estimators of ``walk`` and ``renewal`` have one body,
 the engine's: no test of a missing engine form, and no loop stepping a
 walk on generic arithmetic but the two that serve ``simulate --dump``
 and single excursions.  The benchmark's tracer must still find every
@@ -342,6 +343,38 @@ def test_only_law_knows_the_window_cap():
     windows of a height path, so only ``law`` names ``WINDOW_CAP``."""
     found = {p.name for p in MODULES if "WINDOW_CAP" in named(_tree(p))}
     assert found == {"law.py"}
+
+
+def running_sums(tree):
+    """'line: what' for each call that takes a running sum: ``cumsum`` or
+    ``cumulative_sum``, as a function or a method, and ``add.accumulate``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func) or getattr(node.func, "attr", "")
+        if name.split(".")[-1] in {"cumsum", "cumulative_sum"} \
+                or name.endswith("add.accumulate"):
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_only_law_and_grid_take_running_sums():
+    """Height windows (``StepLaw.phi_sums``) and engine blocks
+    (``grid.blocks``) are where running sums are taken; ``walk``,
+    ``suites`` and ``renewal`` read theirs from them."""
+    found = {p.name for p in MODULES if running_sums(_tree(p))}
+    assert found == {"law.py", "grid.py"}
+
+
+def test_scan_sees_running_sums():
+    tree = ast.parse("a = np.cumsum(x, axis=1)\nb = x.path.cumsum(axis=1)\n"
+                     "c = np.add.accumulate(x)\nd = cumulative_sum(x)\n"
+                     "e = np.maximum.accumulate(x)\nf = x.sum()\n"
+                     "g = (x + 1).cumsum()\n")
+    assert running_sums(tree) == ["1: np.cumsum", "2: x.path.cumsum",
+                                  "3: np.add.accumulate",
+                                  "4: cumulative_sum", "7: cumsum"]
 
 
 def test_scan_sees_lamp_form_uses():

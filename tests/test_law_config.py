@@ -131,6 +131,44 @@ def test_phi_sums_windows_double_to_the_cap(monkeypatch):
                        (59, [4], (1, 11))]
 
 
+# shifts of +-2**28: a window of 8 steps may pass 2**31, so sums are int64
+WIDE_LAMP = StepLaw((LampAffine(2, (), 2 ** 28), LampAffine(2, (), -2 ** 28)),
+                    (Fraction(1, 2), Fraction(1, 2)))
+SPREAD = StepLaw(tuple(aff(0, Fraction(2) ** e) for e in (200, -150, 0, 3)),
+                 tuple(Fraction(w, 10) for w in (1, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("law,paths,width,dtype", [
+    (law_pos(), 50, 8, np.int32),
+    (law_pos(), 8, 50, np.int32),
+    (law_pos(), 16, 16, np.int32),
+    (law_pos(), 2100, 512, np.int32),    # chunks of 2048 and 52 paths
+    (SPREAD, 300, 12, np.int32),
+    (SPREAD, 1, 1, np.int32),
+    (WIDE_LAMP, 40, 8, np.int64),
+    (WIDE_LAMP, 8, 40, np.int64),
+    (WIDE_LAMP, 8, 8, np.int64)],
+    ids=["more-paths", "fewer-paths", "as-many", "chunks", "four-atoms",
+         "one-step", "int64-more-paths", "int64-fewer-paths",
+         "int64-as-many"])
+def test_phi_sums_are_running_sums_of_phi_steps(law, paths, width, dtype):
+    """For the same uniforms, each chunk of ``phi_sums``' first window has
+    the values, dtype and shape of ``np.cumsum`` of ``phi_steps`` along
+    its paths, whether it holds more paths than steps, fewer or as many.
+    A chunk holds 2**20 // width paths, so a window with more paths than
+    steps is narrower than 2**10 steps and needs int64 sums only past
+    2**21 per step: ``WIDE_LAMP`` steps 2**28 and needs them at width 8."""
+    got = list(law.phi_sums(stream(4, paths, width), paths, width, width))
+    u = stream(4, paths, width).random((paths, width))
+    want = np.cumsum(law.phi_steps(u), axis=1, dtype=dtype)
+    assert np.array_equal(np.concatenate([rows for _, rows, _ in got]),
+                          np.arange(paths))
+    for done, rows, sums in got:
+        assert done == 0 and sums.dtype == dtype
+        assert sums.shape == (rows.size, width)
+        assert np.array_equal(sums, want[rows])
+
+
 class _Fixed:
     """A stand-in generator whose ``random`` returns given uniforms."""
 

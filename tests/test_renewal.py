@@ -678,6 +678,46 @@ def test_kernel_matches_compose_at_the_shipped_stop_rule(config, sizes):
     assert all(e < renewal._NEVER for _, e in seen)      # every walk exits
 
 
+@pytest.mark.parametrize("sizes", [None, (5, 7)])
+def test_kernel_counts_no_visit_after_the_stop(monkeypatch, sizes):
+    """A walk that stops at step n - 1 and is in the event at step n: at
+    KERNEL_DELTA 0 a drift_pos walk one level above the event exits and
+    stops at once (KERNEL_MIN_STEPS n - 1), and a down step takes it to
+    the target, the origin's image under the walk's atoms up to step n.
+    The batch counts no visit at step n, as the generic walk does; in
+    blocks of 7 steps, n - 1 and n share a block."""
+    law = load_config(CONFIGS / "drift_pos.ini").law
+    g = identity_like(law.atoms[0])
+    w = generic_walk.GenericWalk(law, stream(3, "kernel", 0), g)
+    walked = [(0, g)]
+    for _ in range(60):
+        walked.append((w.right(), w.g))
+    n = next(n for n in range(3, 60) if n % 7 != 1
+             and walked[n][0] == walked[n - 1][0] - 1)
+    f = CylinderEvent((O,), (act_vertex(walked[n][1], O),))
+    monkeypatch.setattr(renewal, "KERNEL_DELTA", 0)
+    monkeypatch.setattr(renewal, "KERNEL_MIN_STEPS", n - 1)
+    if sizes:
+        monkeypatch.setattr(grid, "BATCH_ROWS", sizes[0])
+        monkeypatch.setattr(grid, "BATCH_COLS", sizes[1])
+    walk, ref = renewal._kernel_walk(g, f, law), generic_walk.visits(g, f, law)
+    # without the stop rule, walk 0 is in the event at step n
+    rows, steps, _, _ = ref(walk, f.level, 3, "kernel", 4, 200)
+    assert (0, n) in zip(rows.tolist(), steps.tolist())
+    runs = [visits(walk, f.level, 3, "kernel", 4, 200, (1, 0, n - 1))
+            for visits in (renewal._grid_visits, ref)]
+    (rows, steps, *ends), (rows2, steps2, *ends2) = runs
+    assert ends[0][0] == n - 1 and (0, n) not in zip(rows2.tolist(),
+                                                      steps2.tolist())
+    assert sorted(zip(rows.tolist(), steps.tolist())) == \
+        sorted(zip(rows2.tolist(), steps2.tolist()))
+    for a, b in zip(ends, ends2):
+        assert np.array_equal(a, b)
+    got = potential_kernel(g, f, law, 3, 4, horizon=200)
+    monkeypatch.setattr(renewal, "_grid_visits", ref)
+    assert got == potential_kernel(g, f, law, 3, 4, horizon=200)
+
+
 def test_tail_cap_is_reported(monkeypatch):
     # a small exit distance makes re-entries common
     monkeypatch.setattr(renewal, "KERNEL_DELTA", 2)

@@ -86,9 +86,10 @@ LAZIER = StepLaw((UP, DOWN, STAY), (Fraction(1, 4), Fraction(1, 4),
     (LAZY, 40, 1000, (8,), (0.1, 0.9)),
     (LAZY, 5, 310000, (8, 9, 10), (0.1, 0.9)),
     (LAZY, 1, 1000, tuple(range(6)), (0.1, 0.9)),
-    (LAZIER, 40, 1000, (1, 2, 3), (0.5, 0.99))],
+    (LAZIER, 40, 1000, (1, 2, 3), (0.5, 0.99)),
+    (LAZIER, 600, 1000, (4,), (0.5, 0.99))],
     ids=["descend", "ascend", "centered", "centered-ragged-span",
-         "centered-one-path", "centered-lazier"])
+         "centered-one-path", "centered-lazier", "centered-more-paths"])
 def test_regime_estimates_match_atom_indices(law, trajectories, horizon,
                                              seeds, within):
     got = [suites.regime_claims(SimpleNamespace(law=law), trajectories,

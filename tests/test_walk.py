@@ -251,6 +251,19 @@ def test_regime_summary_memory_is_bounded():
     assert peak < 32 * 2 ** 20
 
 
+@pytest.mark.parametrize("n_traj,horizon,name", [
+    (0, 10, "n_traj"), (-1, 10, "n_traj"), (5, 0, "horizon"),
+    (5, -3, "horizon")])
+def test_regime_summary_refuses_an_empty_run(n_traj, horizon, name):
+    """No path or no step: a ValueError naming the argument, before any
+    draw."""
+    rng = stream(12, "empty")
+    before = _state(rng)
+    with pytest.raises(ValueError, match=name):
+        regime_summary(LAW_POS, rng, n_traj, horizon)
+    assert _state(rng) == before
+
+
 def test_regime_summary_signs():
     up = regime_summary(LAW_POS, stream(12, 0), 100, 2000)
     down = regime_summary(LAW_NEG, stream(12, 1), 100, 2000)
