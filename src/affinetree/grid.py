@@ -426,35 +426,36 @@ def vertex_test(grid, sources, targets):
 
 
 def reader(grid, end):
-    """``inside((s, c, t), disc)``: whether the prefix state (s, c, t),
-    the element (s, u, t·p**s) of the engine form ``grid`` with u the
-    unit of the counts c (``GridLaw.scale``), maps ``end`` into ``disc``,
-    as ``end_in_disc(act_end(g, end), disc)`` says, errors included.  The
-    image u·p**s·(x + t) lies in a disc of height h iff x + t lies in the
-    disc moved by u**-1·p**-s, read at depth h - s.  Reads are kept per
-    state and height, moved discs per disc, s and c; the top end is read
-    on the element."""
+    """``read(s, c, members, discs)``: per disc, the total multiplicity
+    of the ``members`` (t, m) whose prefix state (s, c, t) maps ``end``
+    into it, as ``end_in_disc(act_end(g, end), disc)`` says of the element
+    g = (s, u, t·p**s) of the engine form ``grid``, u the unit of the
+    counts c; it raises if one of those reads does.  u·p**s·(x + t) lies
+    in a disc of height h iff x + t lies in the disc moved by u**-1·p**-s,
+    read at depth h - s: so each member reads one key per disc height,
+    and each disc, moved once, looks its key up among them.  Keys off the
+    engine (None) and the top end are read on the element."""
     point = None if end is OMEGA else grid.point(end)
-    keys, shifted = {}, {}
 
-    def inside(state, disc):
-        s, c, t = state
-        h = disc.height
-        at = s, t, h
-        key = keys.get(at, keys)
-        if key is keys:
-            key = keys[at] = point and grid.image_key(point, s, t, h)
-        if key is None:
-            u = grid.scale(c) if c else 1
-            g = grid.element((s, u, u * t[0], t[1] + s))
-            return end_in_disc(act_end(g, end), disc)
-        # kept with the disc itself, so that its id stays its own
-        kept = shifted.get((id(disc), s, c))
-        if kept is None:
-            num, floor = grid.digits(disc)
-            if c and h > floor:
-                num = grid.unit([-n for n in c], h - floor, num)
-            kept = shifted[id(disc), s, c] = disc, grid.key(num, floor - s,
-                                                           h - s)
-        return key == kept[1]
-    return inside
+    def read(s, c, members, discs):
+        out = [0] * len(discs)
+        for h in dict.fromkeys(d.height for d in discs):
+            tally, off = {}, []
+            for t, m in members:
+                key = point and grid.image_key(point, s, t, h)
+                if key is None:
+                    u = grid.scale(c) if c else 1
+                    off.append((grid.element((s, u, u * t[0], t[1] + s)), m))
+                else:
+                    tally[key] = tally.get(key, 0) + m
+            for i, disc in enumerate(discs):
+                if disc.height == h:
+                    num, floor = grid.digits(disc)
+                    if c and h > floor:
+                        num = grid.unit([-n for n in c], h - floor, num)
+                    out[i] = tally.get(grid.key(num, floor - s, h - s), 0)
+                    if off:
+                        out[i] += sum(m for g, m in off
+                                      if end_in_disc(act_end(g, end), disc))
+        return out
+    return read

@@ -422,11 +422,11 @@ def _cluster_ratio(numers: np.ndarray, denoms: np.ndarray) -> ClusterEstimate:
 
 
 def _clusters(law, seed, count, exc_count, depth):
-    """Per cluster i < count: (lengths, heights, states, inside) of its
+    """Per cluster i < count: (lengths, heights, groups, read) of its
     ``exc_count`` excursions on ``(seed, "exc", i)``, read against the
-    ladder walk's limit on ``(seed, "ups", i)``.  ``states`` lists (S,
-    state, multiplicity) of the prefix states and ``inside(state, disc)``
-    reads one."""
+    ladder walk's exact limit on ``(seed, "ups", i)``.  ``groups`` maps
+    (S, C) to the prefix states (S, C, T) as [(T, multiplicity), ...],
+    and ``read`` reads a group against discs (``grid.reader``)."""
     # generous window: excursion prefixes have negative heights and
     # shift the point's known digits down when acting on it
     window = depth + 24
@@ -439,27 +439,10 @@ def _clusters(law, seed, count, exc_count, depth):
         limits = ladder_limit_rows(grid, rows_of("ups"), rows, depth, window)
         excs = excursion_rows(grid, rows_of("exc"), rows, exc_count, window)
         for bl, (lengths, heights, states) in zip(limits, excs):
-            yield (lengths, heights,
-                   [(state[0], state, m) for state, m in states.items()],
-                   reader(grid, bl.end))
-
-
-def _totals(functionals, states, inside) -> list:
-    """Per functional (disc, weight): the sum over prefix states of
-    weight(S), times the state's multiplicity, over the states whose
-    point lies in the disc (every state for disc None).  A state whose
-    weight is 0 is not read."""
-    out = [0] * len(functionals)
-    fns = [(j, disc, weight, {}) for j, (disc, weight) in
-           enumerate(functionals)]    # with weight(S) per S met
-    for s, state, m in states:
-        for j, disc, weight, weights in fns:
-            w = weights.get(s)
-            if w is None:
-                w = weights[s] = weight(s)
-            if w and (disc is None or inside(state, disc)):
-                out[j] += m * w
-    return out
+            groups = {}
+            for (s, c, t), m in states.items():
+                groups.setdefault((s, c), []).append((t, m))
+            yield lengths, heights, groups, reader(grid, bl.end)
 
 
 def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
@@ -490,10 +473,21 @@ def ladder_cluster_run(law, seed, n_upsilon, exc_per_upsilon, functionals, *,
     numer = np.zeros((n_fn, n_upsilon))
     denom = np.zeros(n_upsilon)
     lengths = np.zeros(n_upsilon)
-    for i, (ls, hs, states, inside) in enumerate(_clusters(
+    live = {}     # per S: the functionals of nonzero weight, their discs
+    for i, (ls, hs, groups, read) in enumerate(_clusters(
             law, seed, n_upsilon, exc_per_upsilon, depth)):
-        numer[:, i] = np.array(_totals(functionals, states, inside),
-                               dtype=float) / exc_per_upsilon
+        totals = [0] * n_fn
+        for (s, c), members in groups.items():
+            if s not in live:           # no read where the weight is 0
+                fns = [(j, disc, w) for j, (disc, weight) in
+                       enumerate(functionals) if (w := weight(s))]
+                live[s] = fns, [disc for _, disc, _ in fns if disc is not None]
+            fns, discs = live[s]
+            hits = iter(read(s, c, members, discs))
+            for j, disc, w in fns:
+                totals[j] += w * (sum(m for _, m in members) if disc is None
+                                  else next(hits))
+        numer[:, i] = np.array(totals, dtype=float) / exc_per_upsilon
         denom[i] = sum(hs) / exc_per_upsilon
         lengths[i] = sum(ls) / exc_per_upsilon
     out = [_cluster_ratio(numer[j], denom) for j in range(n_fn)]

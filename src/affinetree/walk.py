@@ -15,8 +15,8 @@ as batches of keyed rows (``grid.blocks``): certified boundary limits
 the running maximum (``excursion_rows``) and the ladder walk's limit
 (``ladder_limit_rows``).  Only ``run_product`` (``simulate --dump``) and
 ``ladder_excursion`` step on ``group.compose``, one draw per step.
-Every certified limit stops under the rule of ``STABLE_EPOCHS`` and
-``HEIGHT_GUARD``, read when it is called.
+Certified limits of the right walk stop under ``STABLE_EPOCHS`` and
+``HEIGHT_GUARD``, read when called; the ladder walk's limit is exact.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .group import compose, identity_like, phi
 from .rng import position, seek, stream_rows
 
 DEFAULT_STEP_BUDGET = 10 ** 7
-STABLE_EPOCHS = 3     # the certified-limit stop rule, read at each call
+STABLE_EPOCHS = 3     # the right walk's certified stop, read at each call
 HEIGHT_GUARD = 15
 
 
@@ -170,22 +170,30 @@ def excursion_rows(grid, read, rows, count, window) -> list:
 
 
 def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
-    """The certified limit (``sample_boundary_limit``'s stop rule and
-    ``BoundaryLimit``) of the ladder walk of each walk ``rows``
-    (``_record_rows``), whose steps are the elements L_l of the walk's
-    successive ladder excursions; ``steps`` counts ladder steps.
+    """The limit (``BoundaryLimit``) of the ladder walk of each walk
+    ``rows`` (``_record_rows``), whose step m is the element L_l of the
+    walk's m-th ladder excursion, so its heights are the walk's records;
+    ``steps`` counts ladder steps.  Atom n of an excursion from height H0
+    to H1 adds U_1·U_0·U_n**-1·txn/d·p**(txe + H0 + H1 - H_n) to the
+    translation (H_n the height after it, U_0, U_n and U_1 the walk's
+    unit products at H0, H_n and H1).  Terms wait at exponent txe - H_n
+    until their excursion ends (``_moves``).  The translation is exact on
+    a ``plain`` form, else modulo the digits the key and the end read.
 
-    Ladder step m is the element of the walk's m-th excursion, so the
-    ladder heights are the walk's records, and atom n of an excursion
-    from height H0 to H1 adds U_1·U_0·U_n**-1·txn/d·p**(txe + H0 + H1 -
-    H_n) to the translation (H_n the height after it, U_0, U_n and U_1
-    the walk's unit products at H0, H_n and H1).  Terms wait at exponent
-    txe - H_n until their excursion ends (``_moves``).  The translation
-    is exact on a ``plain`` form, else modulo the digits the key and the
-    end read.
+    The limit is exact, not certified: an excursion's heights stay at or
+    below H0 until the last, H1, so each term lands at txe + H0 + H1 -
+    H_n >= txe + H0, and later records only raise H0.  A row stops at its
+    first record r with r + low >= max(depth, end_window) +
+    ``grid.key_reach``, low the lowest txe of an atom with a term: no
+    later term reaches the end (known modulo p**end_window, or its lamps
+    up to end_window) or the depth key, read once there.  Both equal what
+    the certified rule of ``sample_boundary_limit`` gives wherever it
+    stops no earlier, as for end_window >= depth and low >= key_reach -
+    ``HEIGHT_GUARD``; every shipped law has low = 0.
     """
-    add = grid.sum
-    goal, span = end_window + HEIGHT_GUARD, max(depth, end_window)
+    add, span = grid.sum, max(depth, end_window)
+    need = span + grid.key_reach - min(   # the record a row stops at
+        (e for n, e, _ in grid.steps if n), default=span + grid.key_reach)
 
     def unit_move(j, one):
         txn, txe, _ = grid.steps[j]
@@ -210,9 +218,9 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
         else unit_land
 
     def walk(run, _n0, ks, hs):
-        # translation, waiting terms, top, ladder steps, key, stable,
-        # unit counts at the excursion's start and now
-        t, wait, top, n, key, stable, base, c = run
+        # translation, waiting terms, top, ladder steps, unit counts at
+        # the excursion's start and now
+        t, wait, top, n, base, c = run
         for j, h in zip(ks, hs):
             txn, txe, move = moves[j]
             if txn:
@@ -225,20 +233,14 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
             if wait[0]:
                 t = land(t, wait, wait[1] + top + h, c)
             wait, top, n, base = (0, 0), h, n + 1, c
-            if h < depth:
-                continue
-            k = grid.key(*t, depth)
-            stable = stable + 1 if k == key else 1
-            key = k
-            if stable >= STABLE_EPOCHS and top >= goal:
-                return _boundary_limit(grid, (n, top, key, t),
-                                       end_window), None
-        return None, (t, wait, top, n, key, stable, base, c)
+            if h >= need:
+                return _boundary_limit(
+                    grid, (n, h, grid.key(*t, depth), t), end_window), None
+        return None, (t, wait, top, n, base, c)
     zero = (0,) * len(grid.units)
     return _record_rows(
-        grid, read, rows,
-        lambda: ((0, 0), (0, 0), 0, 0, None, 0, zero, zero), walk,
-        f"no certified depth-{depth} disc within {DEFAULT_STEP_BUDGET} "
+        grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, zero, zero), walk,
+        f"no exact depth-{depth} ladder limit within {DEFAULT_STEP_BUDGET} "
         "steps")
 
 
@@ -250,8 +252,9 @@ def ladder_heights(law, rng, count: int):
     32, ... steps (``StepLaw.phi_sums``), so ``rng`` ends where those
     draws leave it, also when the budget runs out.  A window's sums are
     compared with -S, S the height at its start, with no copy of the
-    paths; only the paths that pass 0 in it look for their first
-    passage, and a height is S plus the sum there.
+    paths; every path's first passage is found at once, it is read only
+    for the paths that pass 0 in the window, and a height is S plus the
+    sum there.
     """
     lengths, heights, carried = np.zeros((3, count), dtype=np.int64)
     for done, rows, seg in law.phi_sums(rng, count, 8, DEFAULT_STEP_BUDGET,
@@ -259,7 +262,7 @@ def ladder_heights(law, rng, count: int):
         s = carried[rows]                        # S at done
         hit = seg > -s[:, None]
         up = hit.any(axis=1).nonzero()[0]
-        first, at = np.argmax(hit[up], axis=1), rows[up]
+        first, at = np.argmax(hit, axis=1)[up], rows[up]
         lengths[at] = done + first + 1
         heights[at] = s[up] + seg[up, first]
         carried[rows] = s + seg[:, -1]

@@ -3,9 +3,12 @@ group arithmetic, one ``law.sample_step`` per step on ``group.compose``.
 
 The engine's batches (``affinetree.grid``) are tested against these bit
 for bit, from the same uniforms, errors included: kernel visits,
-certified limits of the right walk and of the ladder walk, excursion
-clusters and the draws of the limit measure.  Each reads the stop rules
-of ``walk`` and ``renewal`` when it is called, as the engine does.
+certified limits of the right walk, exact limits of the ladder walk,
+excursion clusters with their prefix reads and the draws of the limit
+measure.  Each reads the stop rules of ``walk`` and ``renewal`` when it
+is called, as the engine does.  The certified rule of the right walk is
+also kept here for the ladder walk (``certified_ladder_limit``): the
+reference the exact stop of ``walk.ladder_limit_rows`` must agree with.
 """
 
 import numpy as np
@@ -33,10 +36,16 @@ class GenericWalk:
         return phi(self.g)
 
 
+def _key(law, g, depth):
+    """The disc key at depth d: the residue below p**d or the lamps at
+    positions <= d."""
+    return g.t.residue(depth) if law.kind == "padic" else g.lamps_to(depth)
+
+
 def certified_limit(law, w, step, depth, end_window, max_steps):
     """The certified limit of the walk ``w`` stepped by ``step``, under
-    ``walk.STABLE_EPOCHS`` and ``walk.HEIGHT_GUARD``: the key at depth d
-    is the residue below p**d or the lamps at positions <= d."""
+    ``walk.STABLE_EPOCHS`` and ``walk.HEIGHT_GUARD``, its keys those of
+    ``_key``."""
     end_window = walk._end_window(depth, end_window)
     top = stable = 0
     key = None
@@ -47,8 +56,7 @@ def certified_limit(law, w, step, depth, end_window, max_steps):
         top = h
         if h < depth:
             continue
-        k = w.g.t.residue(depth) if law.kind == "padic" \
-            else w.g.lamps_to(depth)
+        k = _key(law, w.g, depth)
         stable = stable + 1 if k == key else 1
         key = k
         if stable >= walk.STABLE_EPOCHS \
@@ -66,19 +74,55 @@ def sample_boundary_limit(law, rng, *, depth, end_window=None,
     return certified_limit(law, w, w.right, depth, end_window, max_steps)
 
 
-def ladder_boundary_limit(law, rng, *, depth, end_window=None,
-                          max_steps=walk.DEFAULT_STEP_BUDGET):
-    """The certified limit of the ladder walk, whose steps are the
-    elements L_l of successive ``ladder_excursion``s drawn from ``rng``;
-    ``steps`` counts ladder steps (``walk.ladder_limit_rows``)."""
-    walk._require_positive_drift(law)
+def _ladder_walk(law, rng):
+    """A generic walk and its ladder step, which composes it with the
+    element L_l of the next ``ladder_excursion`` drawn from ``rng``."""
     w = GenericWalk(law, rng)
 
     def ladder_step():
         w.g = compose(w.g, ladder_excursion(law, rng).element)
         return phi(w.g)
-    return certified_limit(law, w, ladder_step, depth, end_window,
-                           max_steps)
+    return w, ladder_step
+
+
+def term_floor(law):
+    """The lowest exponent txe at which the engine form keeps an atom's
+    translation term (``GridLaw.start``): the valuation of t where it is
+    negative and 0 for a p-adic integer, or the lowest lamp position;
+    None when no atom has a term."""
+    return min((txe for txn, txe, _ in law.grid.steps if txn), default=None)
+
+
+def ladder_boundary_limit(law, rng, *, depth, end_window=None,
+                          max_steps=walk.DEFAULT_STEP_BUDGET):
+    """The exact limit of the ladder walk, whose steps are the elements
+    L_l of successive ``ladder_excursion``s drawn from ``rng``; ``steps``
+    counts ladder steps (``walk.ladder_limit_rows``).  It stops at the
+    first record r with r + ``term_floor`` >= max(depth, end_window) +
+    reach, reach 1 for the lamps at position depth and 0 on p-adic keys:
+    no later term reaches the key or the end."""
+    walk._require_positive_drift(law)
+    end_window = walk._end_window(depth, end_window)
+    w, step = _ladder_walk(law, rng)
+    low = term_floor(law)
+    need = 0 if low is None else \
+        max(depth, end_window) + (law.kind != "padic") - low
+    for n in range(1, max_steps + 1):
+        if step() >= need:
+            return BoundaryLimit(w.g.limit_end(end_window),
+                                 _key(law, w.g, depth), n)
+    raise StepBudgetExceeded(
+        f"no exact depth-{depth} ladder limit within {max_steps} steps")
+
+
+def certified_ladder_limit(law, rng, *, depth, end_window=None,
+                           max_steps=walk.DEFAULT_STEP_BUDGET):
+    """The ladder walk's limit under the right walk's certified rule
+    (``certified_limit``): what ``ladder_boundary_limit`` must agree with
+    in end and key."""
+    walk._require_positive_drift(law)
+    w, step = _ladder_walk(law, rng)
+    return certified_limit(law, w, step, depth, end_window, max_steps)
 
 
 def visits(g, f, law):
@@ -117,8 +161,9 @@ def visits(g, f, law):
 
 
 def clusters(law, seed, count, exc_count, depth):
-    """``renewal._clusters`` on generic walks: prefix elements as states,
-    read by ``end_in_disc`` of their image of the ladder walk's limit."""
+    """``renewal._clusters`` on generic walks: each prefix element its own
+    group (S, its rank), read by ``end_in_disc`` of its image of the
+    ladder walk's limit."""
     window = depth + 24
     for i in range(count):
         end = ladder_boundary_limit(law, stream(seed, "ups", i),
@@ -126,9 +171,14 @@ def clusters(law, seed, count, exc_count, depth):
         rng = stream(seed, "exc", i)
         excs = [ladder_excursion(law, rng, track_prefix=True)
                 for _ in range(exc_count)]
+
+        def read(s, c, members, discs, end=end):
+            return [sum(m for g, m in members
+                        if end_in_disc(act_end(g, end), d)) for d in discs]
         yield ([e.length for e in excs], [e.height for e in excs],
-               [(phi(g), g, 1) for e in excs for g in e.prefix],
-               lambda g, disc, end=end: end_in_disc(act_end(g, end), disc))
+               {(phi(g), k): [(g, 1)] for k, g in enumerate(
+                   g for e in excs for g in e.prefix)},
+               read)
 
 
 def sample_mbar(law, rng, *, depth=4):

@@ -5,7 +5,8 @@ and only ``rng`` reads or sets a generator's state, and no code outside
 a realization's own classes tests which realization it holds.  Only
 ``tree`` knows the packed lamp form, and only ``law`` the height-path
 window cap; only ``law`` (height windows) and ``grid`` (engine blocks)
-take running sums.  The estimators of ``walk`` and ``renewal`` have one body,
+take running sums, and only the right walk's certified limit reads its
+stop rule.  The estimators of ``walk`` and ``renewal`` have one body,
 the engine's: no test of a missing engine form, and no loop stepping a
 walk on generic arithmetic but the two that serve ``simulate --dump``
 and single excursions.  The benchmark's tracer must still find every
@@ -343,6 +344,46 @@ def test_only_law_knows_the_window_cap():
     windows of a height path, so only ``law`` names ``WINDOW_CAP``."""
     found = {p.name for p in MODULES if "WINDOW_CAP" in named(_tree(p))}
     assert found == {"law.py"}
+
+
+# the right walk's certified stop rule, and the one function that reads it
+CERTIFIED_RULE = {"STABLE_EPOCHS", "HEIGHT_GUARD"}
+
+
+def rule_reads(tree):
+    """'line: function' for each read of a ``CERTIFIED_RULE`` name, bare
+    or as an attribute, in the function around it."""
+    found = []
+
+    def scan(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = getattr(node, "id", None) if isinstance(node, ast.Name) \
+            else getattr(node, "attr", None)
+        if name in CERTIFIED_RULE and isinstance(node.ctx, ast.Load):
+            found.append(f"{node.lineno}: {function}")
+        for child in ast.iter_child_nodes(node):
+            scan(child, function)
+    scan(tree, None)
+    return found
+
+
+def test_only_the_right_walk_reads_the_certified_rule():
+    """The ladder walk's limit is exact (``walk.ladder_limit_rows``), so
+    ``STABLE_EPOCHS`` and ``HEIGHT_GUARD`` are read only by the right
+    walk's certified limit, ``walk._limit_chunks``."""
+    found = {f"{p.name}: {x.split(': ')[1]}" for p in MODULES
+             for x in rule_reads(_tree(p))}
+    assert found == {"walk.py: _limit_chunks"}
+
+
+def test_scan_sees_rule_reads():
+    tree = ast.parse("HEIGHT_GUARD = 15\n"
+                     "def f():\n    return walk.STABLE_EPOCHS + 1\n"
+                     "def g():\n    x = HEIGHT_GUARD\n"
+                     "    def h():\n        return HEIGHT_GUARD\n"
+                     "    walk.HEIGHT_GUARD = 2\n")
+    assert rule_reads(tree) == ["3: f", "5: g", "7: h"]
 
 
 def running_sums(tree):

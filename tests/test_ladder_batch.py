@@ -2,12 +2,15 @@
 
 ``renewal.ladder_cluster_run`` walks the clusters of a law on the engine
 as rows of ``walk.ladder_limit_rows`` and ``walk.excursion_rows`` and
-reads prefix states through ``grid.reader``.  Each cluster must give what
-the generic walks of ``generic_walk`` give on the same streams:
-excursion lengths and heights, prefix elements, every disc read, errors
-included, and the ladder walk's limit.
+reads prefix states an (S, C) group at a time through ``grid.reader``.
+Each cluster must give what the generic walks of ``generic_walk`` give
+on the same streams: excursion lengths and heights, prefix elements,
+every disc read, errors included, and the ladder walk's limit, which
+stops where its end and key are exact and agrees with the certified
+rule of the right walk.
 """
 
+import itertools
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -21,20 +24,22 @@ from hypothesis import strategies as st
 from affinetree import grid, renewal
 from affinetree.config import load_config
 from affinetree.errors import AffineTreeError, PrecisionExhausted
+from affinetree.law import StepLaw
 from affinetree.group import act_end
 from affinetree.padic import PAdic, PrecisionBudget
 from affinetree.rng import stream, stream_rows
 from affinetree.suites import _default_product_events, renewal_claims
 from affinetree.tree import LampEnd, LampVertex, PadicEnd, PadicVertex, \
     end_in_disc
-from affinetree.walk import excursion_rows, ladder_limit_rows
+from affinetree.walk import excursion_rows, ladder_excursion, \
+    ladder_limit_rows
 
 import generic_walk
 from test_boundary_batch import _with_budget
 from test_lamp_walk import lamp_laws
 from test_renewal import _no_draws
-from test_walk import SMALL_BUDGETS, _counts, grid_laws, prefix_key, \
-    state_element
+from test_walk import SMALL_BUDGETS, _counts, aff, check_group_reads, \
+    grid_laws, prefix_key, read_state, state_element
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,24 +122,61 @@ def test_clusters_match_generic_twin(law, budget, seed, depth, exc, shape,
                                    depth, depth + 24)
     want = list(generic_walk.clusters(law, seed, count, exc, depth))
     window = depth + 24
-    for i, ((ls, hs, states, inside), (wls, whs, wstates, _), bl) in \
+    for i, ((ls, hs, groups, read), (wls, whs, wgroups, _), bl) in \
             enumerate(zip(got, want, limits)):
         assert (ls, hs) == (wls, whs)
         assert repr(bl) == repr(generic_walk.ladder_boundary_limit(
             law, stream(seed, "ups", i), depth=depth, end_window=window))
-        prefix = {state: state_element(form, state) for _, state, _ in states}
+        states = [((s, c, t), m) for (s, c), members in groups.items()
+                  for t, m in members]
+        prefix = {state: state_element(form, state) for state, _ in states}
         key = lambda g: g if law.kind != "padic" \
             else prefix_key(form, g, window)
-        assert _counts((key(prefix[state]), m) for _, state, m in states) \
-            == Counter(key(g) for _, g, _ in wstates)
-        assert all(s == state[0] for s, state, _ in states)
+        assert _counts((key(prefix[state]), m) for state, m in states) \
+            == Counter(key(g) for [(g, _)] in wgroups.values())
         narrow = _narrow_end(data.draw, law)
         near = grid.reader(form, narrow)
-        for state, g in prefix.items():
-            for end, read in ((bl.end, inside), (narrow, near)):
-                disc = _disc(data.draw, law, state, end)
-                assert _outcome(lambda: read(state, disc)) == \
-                    _outcome(lambda: end_in_disc(act_end(g, end), disc))
+        for end, reads in ((bl.end, read), (narrow, near)):
+            for (s, c), members in groups.items():
+                members = [(t, m, prefix[s, c, t]) for t, m in members]
+                discs = [_disc(data.draw, law, (s, c, t), end)
+                         for t, _, _ in members]
+                for member, disc in zip(members, discs):
+                    check_group_reads(reads, end, s, c, [member], [disc],
+                                      _outcome)
+                check_group_reads(reads, end, s, c, members, discs[:4],
+                                  _outcome)
+
+
+# terms below p**0: t = 1/2 on p = 2, and t = 2/3 on p = 3
+LAW_HALF = StepLaw((aff(0, 2), aff(Fraction(1, 2), Fraction(1, 2))),
+                   (Fraction(3, 4), Fraction(1, 4)))
+LAW_P3 = StepLaw((aff(1, 3, 3), aff(Fraction(2, 3), Fraction(1, 3), 3)),
+                 (Fraction(3, 4), Fraction(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(grid_laws(), lamp_laws(min_drift=Fraction(1, 4)),
+                 st.sampled_from([LAW_HALF, LAW_P3])),
+       st.integers(0, 2 ** 32), st.integers(1, 5), st.sampled_from([0, 8, 24]))
+def test_ladder_limit_stops_where_it_is_exact(law, seed, depth, extra):
+    """On the same uniforms, the ladder walk's limit stops at its first
+    record r with r + low >= max(depth, end_window) + ``key_reach``, low
+    the lowest txe of an atom's term (``generic_walk.term_floor``), and
+    has the end and key of the certified rule of the right walk
+    (``generic_walk.certified_ladder_limit``), which stops later."""
+    window = depth + extra
+    [got] = ladder_limit_rows(law.grid, _rows(seed, "ups"), np.arange(1),
+                              depth, window)
+    want = generic_walk.certified_ladder_limit(
+        law, stream(seed, "ups", 0), depth=depth, end_window=window)
+    assert (repr(got.end), got.key) == (repr(want.end), want.key)
+    low, rng, top = generic_walk.term_floor(law), stream(seed, "ups", 0), 0
+    for n in itertools.count(1):
+        top += ladder_excursion(law, rng).height
+        if low is None or top + low >= window + law.grid.key_reach:
+            break
+    assert got.steps == n <= want.steps
 
 
 LAW_POS = load_config(CONFIGS / "drift_pos.ini").law
@@ -149,8 +191,7 @@ def _states(law, seed):
 
 
 def _reads(law, end, states, discs):
-    inside = grid.reader(law.grid, end)
-    return [(_outcome(lambda: inside(state, d)),
+    return [(_outcome(lambda: read_state(law.grid, end, state, d)),
              _outcome(lambda: end_in_disc(act_end(g, end), d)))
             for state, g in states.items() for d in discs]
 

@@ -28,7 +28,7 @@ from affinetree.walk import (
 )
 
 import generic_walk
-from test_walk import _counts, _uniforms
+from test_walk import _counts, _uniforms, check_group_reads, read_state
 
 
 def _state(rng):
@@ -103,7 +103,7 @@ def test_lamp_reads_match_compose(law, data):
             else _end(data.draw, q)
         image = _outcome(lambda: act_end(g, end))
         disc = _disc(data.draw, q, image)
-        assert _outcome(lambda: reader(grid, end)(state, disc)) == \
+        assert _outcome(lambda: read_state(grid, end, state, disc)) == \
             _outcome(lambda: end_in_disc(act_end(g, end), disc))
 
 
@@ -151,12 +151,13 @@ def test_lamp_ladder_excursions_match_generic(law, seed, data):
     assert _counts((prefix[k], m) for k, m in states.items()) == \
         Counter(g for w in want for g in w.prefix)
     end = _end(data.draw, q)
-    inside = reader(grid, end)
-    for _ in range(4):
-        disc = _disc(data.draw, q, end)
-        for state, g in prefix.items():
-            assert _outcome(lambda: inside(state, disc)) == \
-                _outcome(lambda: end_in_disc(act_end(g, end), disc))
+    discs = [_disc(data.draw, q, end) for _ in range(4)]
+    groups = {}
+    for (s, c, t), m in states.items():
+        groups.setdefault((s, c), []).append((t, m, prefix[s, c, t]))
+    for (s, c), members in groups.items():
+        check_group_reads(reader(grid, end), end, s, c, members, discs,
+                          _outcome)
 
 
 @pytest.mark.parametrize("known_to", [0, 5])

@@ -364,8 +364,10 @@ def grid_laws(draw, plain=False):
     return law
 
 
-def _scalar_limit(law, rng, depth, *, step=None, max_steps=10 ** 7):
-    """sample_boundary_limit on generic compose."""
+def _scalar_limit(law, rng, depth, *, step=None, need=None,
+                  max_steps=10 ** 7):
+    """sample_boundary_limit on generic compose; with ``need``, the ladder
+    walk's exact stop instead: the first record at or above ``need``."""
     step = step or law.sample_step
     end_window = depth + 8
     g = identity_like(law.atoms[0])
@@ -377,7 +379,10 @@ def _scalar_limit(law, rng, depth, *, step=None, max_steps=10 ** 7):
         if h <= top:
             continue
         top = h
-        if h < depth:
+        if need is not None and h >= need:
+            return BoundaryLimit(g.limit_end(end_window), g.t.residue(depth),
+                                 n)
+        if need is not None or h < depth:
             continue
         k = g.t.residue(depth)
         stable = stable + 1 if k == key else 1
@@ -410,8 +415,9 @@ def test_boundary_limit_engine_matches_compose(law, seed, depth, ladder):
             law.grid, lambda ids, start, size: _uniforms(
                 stream(seed, 0), start, size), np.array([0]), depth,
             depth + 8)
+        low = generic_walk.term_floor(law)
         want = _scalar_limit(law, ref, depth, step=lambda r: _scalar_excursion(
-            law, r).element)
+            law, r).element, need=0 if low is None else depth + 8 - low)
         assert got == want
         assert got == generic_walk.ladder_boundary_limit(
             law, stream(seed, 0), depth=depth)
@@ -466,6 +472,36 @@ def _counts(pairs):
 
 # the digits an excursion's prefix states keep, on a form that is not plain
 WINDOW = 30
+
+
+def read_state(grid, end, state, disc):
+    """Whether the prefix state (s, c, t) maps ``end`` into ``disc``, read
+    alone as a group of one (``grid.reader``)."""
+    s, c, t = state
+    [m] = reader(grid, end)(s, c, [(t, 1)], [disc])
+    return bool(m)
+
+
+def check_group_reads(read, end, s, c, members, discs, outcome):
+    """A group's read (``grid.reader``) against ``end_in_disc`` of each
+    member's element g (members (t, m, g)) acting on ``end``, errors
+    included (``outcome`` names them): each member against each disc
+    alone, then the group against all of ``discs`` at once, which sums
+    the members' multiplicities per disc or, where one of their reads
+    raises, raises the error of one of them."""
+    want = [[outcome(lambda: end_in_disc(act_end(g, end), d)) for d in discs]
+            for _, _, g in members]
+    for (t, _, _), row in zip(members, want):
+        for d, w in zip(discs, row):
+            assert outcome(lambda: read(s, c, [(t, 1)], [d])) == \
+                (w if isinstance(w, str) else [int(w)])
+    errors = {w for row in want for w in row if isinstance(w, str)}
+    got = outcome(lambda: read(s, c, [(t, m) for t, m, _ in members], discs))
+    if errors:
+        assert got in errors
+    else:
+        assert got == [sum(m for (_, m, _), row in zip(members, want)
+                           if row[i]) for i in range(len(discs))]
 
 
 def state_element(grid, state):
@@ -625,6 +661,7 @@ def test_prefix_in_disc_matches_act_end(data):
     assert (grid.point(end)[1] is None) == \
         (value.exact is not None or value.is_zero)
     s, _, num, floor = state
-    assert _outcome(lambda: reader(grid, end)((s, counts, (num, floor - s)),
-                                              disc)) == \
+    assert _outcome(lambda: read_state(grid, end, (s, counts,
+                                                   (num, floor - s)),
+                                       disc)) == \
         _outcome(lambda: end_in_disc(act_end(g, end), disc))
