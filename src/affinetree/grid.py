@@ -24,7 +24,10 @@ Walks run as batches, one keyed stream each, read block by block
 (``blocks``): atom indices, heights, unit counts and the exponents of
 translation terms, for the potential kernel, certified boundary limits
 and ladder excursions alike (these count their units as they step, and
-not at all on a plain form).  ``GridLaw.characters`` is the digit grid's
+not at all on a plain form).  ``block_terms`` is a block's one term
+table, for the kernel and the certified limits, and ``vertex_test`` the
+one integer read of an event, for the kernel's states and the limit
+measure's (``hit_state``).  ``GridLaw.characters`` is the digit grid's
 character table, for the exact oracle of plain laws.
 """
 
@@ -83,17 +86,15 @@ class GridLaw:
 
     def start(self, g) -> tuple:
         """(s, u, num, floor) of an exact element: the scale u·p**s and
-        the translation num·p**floor, u and num ints where they are
-        integers and Fractions (denominator prime to p) otherwise."""
+        the translation num·p**floor, num prime to p and floor its
+        valuation, or (0, 0); u and num ints where they are integers and
+        Fractions (denominator prime to p) otherwise."""
         same_realization(self, g)
         require_exact(g)
         t, a = g.t, g.a
         u = a.num if a.den == 1 else Fraction(a.num, a.den)
         num = t.num if t.den == 1 else Fraction(t.num, t.den)
-        v = t.valuation or 0           # None for t == 0
-        if v >= 0:
-            return a.valuation, u, num * self.prime ** v, 0
-        return a.valuation, u, num, v
+        return a.valuation, u, num, t.valuation or 0   # None for t == 0
 
     def unit(self, counts, m, *scales) -> int:
         """The product of ``scales`` (rationals with denominators prime to
@@ -151,11 +152,6 @@ class GridLaw:
         prec = min(x.precision, self.budget.working)
         return end, x.valuation, x.unit % self.prime ** prec, prec
 
-    def digits(self, disc):
-        """(num, floor) of a disc's center, floor <= 0: its denominator
-        is a power of p."""
-        return disc.num, disc.floor
-
     def image_key(self, point, s, t, h):
         """The key at depth h - s of x + t, for the ``point`` x and t =
         (num, floor), that tells whether p**s·(x + t) lies in a disc of
@@ -194,28 +190,29 @@ class GridLaw:
                 f"value known modulo p^{known + s}, need p^{h + s}")
         return residue(y, base, h, p)
 
-    def hit_test(self, f, window):
-        """``test(translation, unit)``: whether s**level·x^{-1} lies in
-        the event ``f`` for the ``_mbar_rows`` element x whose end, known
-        to ``window`` digits, has that translation (num, floor) and whose
-        rotation unit is ``unit``; None unless each source lies at most
-        ``window`` levels up and is centered at 0.  Then the image of a
-        source (h, 0) is -p**level·x/unit modulo p**(h + level), and
+    def hit_state(self, f, window):
+        """``state(translation, unit)``: the engine state (s, u, num,
+        floor) of s**level·x^{-1}, for the ``_mbar_rows`` element x whose
+        end, known to ``window`` digits, has that translation (num, floor)
+        and whose rotation unit is ``unit``; None unless each source lies
+        at most ``window`` levels up and is centered at 0.  Then
+        ``vertex_test`` reads only the translation -p**level·x/unit, and
+        the state keeps its digits below the highest source, moved up by
+        level: u is unit**-1 modulo those digits (1 where x has none), and
         generic arithmetic neither loses nor refuses a digit."""
         level, p = f.level, self.prime
-        if any(src.height > window or src.center for src in f.sources):
+        if any(src.height > window or src.num for src in f.sources):
             return None
-        pairs = [(x.height, y.height, self.key(*self.digits(y), y.height))
-                 for x, y in zip(f.sources, f.targets)]
+        top = max(src.height for src in f.sources)
 
-        def test(t, unit):
-            for h, th, want in pairs:
-                n, e = self.key(*t, h)          # x mod p**h is n·p**e
-                m = -n * pow(unit, -1, p ** (h - e)) if n else 0
-                if self.key(m, e + level, th) != want:
-                    return False
-            return True
-        return test
+        def state(t, unit):
+            n, e = self.key(*t, top)        # x mod p**top is n·p**e
+            if not n:
+                return level, 1, 0, 0
+            mod = p ** (top - e)
+            u = pow(unit, -1, mod)
+            return level, u, -n * u % mod, e + level
+        return state
 
     def characters(self, width):
         """(count, phases) of the characters k < count of Z/M, M = p**width,
@@ -283,10 +280,6 @@ class LampGrid:
         same_realization(self, end)
         return end, end.num, end.floor
 
-    def digits(self, disc):
-        """(num, floor) of a disc's lamps."""
-        return disc.num, disc.floor
-
     def image_key(self, point, s, t, h):
         """``GridLaw.image_key``; None above the image's window,
         end.known_to + s."""
@@ -295,17 +288,13 @@ class LampGrid:
             return None
         return self.key(*self.sum(*t, num, floor), h - s)
 
-    def hit_test(self, f, window):
-        """``GridLaw.hit_test``; a source may have any lamps, and its image
-        is the source minus the end's lamps, shifted by level."""
-        level, want = f.level, []
+    def hit_state(self, f, window):
+        """``GridLaw.hit_state``; a source may have any lamps: x^{-1} has
+        the end's lamps negated, and s**level moves them up by level."""
         if any(src.height > window for src in f.sources):
             return None
-        for src, tgt in zip(f.sources, f.targets):
-            diff = self.sum(src.num, src.floor, self.neg(tgt.num),
-                            tgt.floor - level)
-            want.append((src.height, self.key(*diff, src.height)))
-        return lambda t, unit: all(self.key(*t, h) == w for h, w in want)
+        level, neg = f.level, self.neg
+        return lambda t, unit: (level, 1, neg(t[0]), t[1] + level)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -353,7 +342,7 @@ class Block:
     indices, ``path`` their heights before the block and after each of
     its steps, ``units`` likewise the counts of each unit atom of the form
     (None on a form without units), and ``exps`` the exponent of each
-    step's translation term.
+    step's translation term, read by ``block_terms`` alone.
     The reader of a block sets ``going``, the entries of ``live`` (a mask
     or a list) that walk on into the next block; it may write the first
     column of ``path``.
@@ -404,6 +393,33 @@ def blocks(grid: GridLaw, read, rows, s0, horizon):
         b.n0 += size
 
 
+def block_terms(grid, b, cut, scale=1, reach=None):
+    """The translation terms of a block's steps at exponents below
+    ``cut``, as (at, cols, exps, coefs): row i of ``b.live`` has the
+    terms at[i] .. at[i + 1] - 1, in step order, each with its column,
+    exponent and coefficient.  The coefficient is scale·txn on a
+    ``plain`` form with an integral ``scale``, else the unit of the
+    counts before the step times scale·c_k, modulo p**(cut - exponent).
+    With ``reach``, row i keeps only its terms in columns below
+    reach[i]."""
+    size = b.exps.shape[1]
+    flat = (b.exps < cut).ravel().nonzero()[0]
+    if reach is not None:
+        flat = flat[flat % size < reach[flat // size]]
+    cols = flat % size
+    exps, ks = b.exps.take(flat).tolist(), b.k.take(flat).tolist()
+    if grid.plain and scale.denominator == 1:
+        txns = [scale * txn for txn, _, _ in grid.steps]
+        coefs = [txns[j] for j in ks]
+    else:
+        coefs = [grid.unit(c, cut - x, scale, grid.coefs[j])
+                 for j, c, x in zip(ks, row_units(b, flat // size, cols),
+                                    exps)]
+    # row i's terms are the flat indices in [i·size, (i + 1)·size)
+    at = flat.searchsorted(np.arange(0, b.exps.size + 1, size)).tolist()
+    return at, cols.tolist(), exps, coefs
+
+
 # -- integer reads --------------------------------------------------------------
 
 
@@ -413,7 +429,7 @@ def vertex_test(grid, sources, targets):
     (``act_vertex(g, src) == tgt`` for sources and targets at the
     element's height displacement).  The image of a source adds its
     digits, times u, at their exponents shifted by s."""
-    pairs = [(*grid.digits(x), y.height, grid.key(*grid.digits(y), y.height))
+    pairs = [(x.num, x.floor, y.height, grid.key(y.num, y.floor, y.height))
              for x, y in zip(sources, targets)]
 
     def test(s, u, num, floor):
@@ -450,7 +466,7 @@ def reader(grid, end):
                     tally[key] = tally.get(key, 0) + m
             for i, disc in enumerate(discs):
                 if disc.height == h:
-                    num, floor = grid.digits(disc)
+                    num, floor = disc.num, disc.floor
                     if c and h > floor:
                         num = grid.unit([-n for n in c], h - floor, num)
                     out[i] = tally.get(grid.key(num, floor - s, h - s), 0)

@@ -11,9 +11,12 @@ Every law walks as batches of keyed rows on its engine form
 (``StepLaw.grid``: the p-adic digit grid, or lamp digits added without
 carries): the potential kernel's trajectories, the limit-measure
 estimator's certified limits and the excursion clusters alike.  The
-exact oracle ``kernel_oracle`` reads three parts: a ``HeightChain``, the
-characters of the digit grid of a plain law (``GridLaw``) and one
-``band_solve`` over all of them.
+kernel folds a block's one term table (``grid.block_terms``), and reads
+events with ``grid.vertex_test``, as the limit measure reads the states
+``hit_state`` of the engine form gives.  The exact oracle
+``kernel_oracle`` reads three parts: a ``HeightChain``, the characters
+of the digit grid of a plain law (``GridLaw``) and one ``band_solve``
+over all of them.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .group import (
     phi,
     power,
 )
-from .grid import blocks, reader, row_chunks, row_units, vertex_test
+from .grid import block_terms, blocks, reader, row_chunks, row_units, \
+    vertex_test
 from .padic import PAdic
 from .rng import stream, stream_rows, streams_at
 from .walk import (
@@ -142,15 +146,6 @@ TAIL_RHO_CAP = 0.9
 _NEVER = np.iinfo(np.int64).max
 
 
-def _kernel_walk(g, f: CylinderEvent, law):
-    """(engine form, start state, membership test, highest target height,
-    digits of the unit that the test reads) of the kernel walk."""
-    return (law.grid, law.grid.start(g),
-            vertex_test(law.grid, f.sources, f.targets),
-            max(t.height for t in f.targets),
-            max(max(x.height - x.floor for x in f.sources), 1))
-
-
 def _first(mask, n1):
     """Per row, the step of the first True of ``mask``, whose column c
     holds step n1 + c; _NEVER for a row with none."""
@@ -195,22 +190,29 @@ def _stop_steps(heights, spots, n0, level, rule, e, r):
     return e, r, end
 
 
-def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
-    """Kernel walks 0..trajectories-1 on the engine, as a batch.
+def _grid_visits(g, f, law, seed, label, trajectories, horizon, stop=None):
+    """Kernel walks 0..trajectories-1 from g to the event f on the
+    engine form of ``law``, as a batch.
 
     Trajectory i takes the uniforms of ``stream(seed, label, i)`` in
     order, one atom per uniform.  ``stop`` is (direction, delta,
     min_steps) of the drifting stop rule, or None to run the horizon.
-    Each row folds its translation terms in step order, only as far as
-    the visit that reads them: exactly on a ``plain`` form from an
-    integral start, else times the units before them, below the cut.
-    Returns (rows, steps) of every visit to the event, as flat arrays,
-    and per trajectory its exit step E and re-entry step R (_NEVER when
-    it has none).  See ``potential_kernel`` for the rule.  Visits and
-    terms are taken as flat indices of the block, few against its cells.
+    Each row folds the block's term table (``grid.block_terms``) in step
+    order, only as far as the visit that reads it: exactly on a
+    ``plain`` form from an integral start, else times the units before
+    them, below the cut.  Returns (rows, steps) of every visit to the
+    event, as flat arrays, and per trajectory its exit step E and
+    re-entry step R (_NEVER when it has none).  See ``potential_kernel``
+    for the rule.  Visits are taken as flat indices of the block, few
+    against its cells.
     """
-    grid, (s0, u, num0, floor0), member, top, digits = walk
-    add, steps, cut = grid.sum, grid.steps, top + grid.key_reach
+    grid, level = law.grid, f.level
+    s0, u, num0, floor0 = grid.start(g)
+    member = vertex_test(grid, f.sources, f.targets)
+    top = max(t.height for t in f.targets)
+    # the digits of the unit that the test reads
+    digits = max(max(x.height - x.floor for x in f.sources), 1)
+    add, cut = grid.sum, top + grid.key_reach
     exact = grid.plain and u.denominator == num0.denominator == 1
     if not exact:       # the start's digits a read sees, and its unit's
         num0 = grid.unit((), cut - floor0, num0) if cut > floor0 else 0
@@ -223,7 +225,7 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
     reads = {}            # membership by translation: walks meet few
     # compares run on a contiguous copy of the heights, int32 where no walk
     # can leave its range
-    span = abs(s0) + horizon * max(abs(phi) for _, _, phi in steps)
+    span = abs(s0) + horizon * max(abs(phi) for _, _, phi in grid.steps)
     narrow = np.int32 if span < 2 ** 31 else np.int64
 
     def read(ids, start, size):
@@ -235,7 +237,7 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
             hit_steps += [0] * len(ids)
         carry = [(num0, floor0)] * len(rows)
         for b in blocks(grid, read, rows, s0, horizon):
-            live, n0, k = b.live, b.n0, b.k
+            live, n0 = b.live, b.n0
             heights = b.path[:, 1:].astype(narrow)
             size = heights.shape[1]
             spots = np.flatnonzero(heights == level)
@@ -253,25 +255,14 @@ def _grid_visits(walk, level, seed, label, trajectories, horizon, stop=None):
             # that runs on) add at exponents a read at the top height sees
             reach = np.where(going, size, 0)
             np.maximum.at(reach, vr, vc + 1)
-            terms = np.flatnonzero(b.exps < cut)
-            tr, tc = divmod(terms, size)
-            used = tc < reach[tr]
-            terms, tr, tc = terms[used], tr[used], tc[used]
-            bounds = np.arange(live.size + 1)
-            t_at = tr.searchsorted(bounds).tolist()
-            v_at = vr.searchsorted(bounds).tolist()
-            exps = b.exps.take(terms).tolist()
+            t_at, tc, exps, coefs = block_terms(grid, b, cut, u, reach)
+            v_at = vr.searchsorted(np.arange(live.size + 1)).tolist()
             if exact:
-                coefs = [u * steps[j][0] for j in k.take(terms).tolist()]
                 visits = vc.tolist()
             else:      # each visit with the unit of its element
-                coefs = [grid.unit(c, cut - x, u, grid.coefs[j])
-                         for j, c, x in zip(k.take(terms).tolist(),
-                                            row_units(b, tr, tc), exps)]
                 visits = list(zip(vc.tolist(), [
                     grid.unit(c, digits, u)
                     for c in row_units(b, vr, vc, after=True)]))
-            tc = tc.tolist()
             live_l, going_l = live.tolist(), going.tolist()
             for i in np.flatnonzero(reach).tolist():
                 row, j, t1 = live_l[i], t_at[i], t_at[i + 1]
@@ -332,10 +323,9 @@ def potential_kernel(g, f: CylinderEvent, law, seed, trajectories, *,
         return KernelEstimate(0.0, 0.0, trajectories, 0, 0.0)
     drift = law.drift()
     direction = 0 if drift == 0 else (1 if drift > 0 else -1)
-    walk = _kernel_walk(g, f, law)
 
     def visits(label, count, stop=None):
-        return _grid_visits(walk, f.level, seed, label, count, horizon, stop)
+        return _grid_visits(g, f, law, seed, label, count, horizon, stop)
 
     rows, steps, exits, backs = visits(
         "kernel", trajectories,
@@ -553,8 +543,8 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     The samples' certified limits walk as one batch on the inverted
     law's engine form (``walk.limit_rows``), each unit is drawn where its
     walk left its stream, and the event is read on integers where the
-    end's digits decide it (``hit_test`` of the engine form), else on the
-    element.
+    end's digits decide it: ``grid.vertex_test`` of the engine state
+    that ``hit_state`` of the engine form gives; else on the element.
     """
     if samples < 1:
         raise ValueError(f"{samples} samples estimate nothing")
@@ -565,10 +555,11 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
     hits = 0
     grid = law.inverse().grid
     window = _end_window(depth, None)
-    test = grid.hit_test(f, window)
+    state = grid.hit_state(f, window)
+    member = vertex_test(grid, f.sources, f.targets)
     for row, unit in _mbar_rows(law, seed, samples, depth):
-        if test is not None:
-            hits += test(row[3], unit)
+        if state is not None:
+            hits += member(*state(row[3], unit))
         else:
             end = _boundary_limit(grid, row, window).end
             x = law.atoms[0].section(end, unit)

@@ -11,7 +11,8 @@ certifies a disc of requested depth around the limit.
 
 Every law walks on its engine form (``StepLaw.grid``, p-adic and lamp)
 as batches of keyed rows (``grid.blocks``): certified boundary limits
-(``boundary_limits``), ladder excursions split by the strict records of
+(``boundary_limits``), which fold the block's one term table
+(``grid.block_terms``), ladder excursions split by the strict records of
 the running maximum (``excursion_rows``) and the ladder walk's limit
 (``ladder_limit_rows``).  Only ``run_product`` (``simulate --dump``) and
 ``ladder_excursion`` step on ``group.compose``, one draw per step.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDrift, StepBudgetExceeded
-from .grid import blocks, row_chunks, row_units
+from .grid import block_terms, blocks, row_chunks
 from .group import compose, identity_like, phi
 from .rng import position, seek, stream_rows
 
@@ -184,9 +185,10 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
     below H0 until the last, H1, so each term lands at txe + H0 + H1 -
     H_n >= txe + H0, and later records only raise H0.  A row stops at its
     first record r with r + low >= max(depth, end_window) +
-    ``grid.key_reach``, low the lowest txe of an atom with a term: no
-    later term reaches the end (known modulo p**end_window, or its lamps
-    up to end_window) or the depth key, read once there.  Both equal what
+    ``grid.key_reach``, low the lowest txe of an atom with a term (the
+    valuation of its translation, or its lowest lamp): no later term
+    reaches the end (known modulo p**end_window, or its lamps up to
+    end_window) or the depth key, read once there.  Both equal what
     the certified rule of ``sample_boundary_limit`` gives wherever it
     stops no earlier, as for end_window >= depth and low >= key_reach -
     ``HEIGHT_GUARD``; every shipped law has low = 0.
@@ -328,14 +330,13 @@ def _limit_chunks(grid, read, count, depth, end_window, max_steps):
     at a time (``grid.row_chunks``).  Records are a running maximum of
     the heights.  Only translation terms below
     ``max(depth, end_window) + grid.key_reach`` can change a key or the
-    end; each row folds them (times the unit product before the step, on
-    a form not ``plain``), in step order, only as far as the record that
-    reads them, and ``translation`` is their sum (num, floor) at the
+    end; each row folds them from the block's term table
+    (``grid.block_terms``), in step order, only as far as the record
+    that reads them, and ``translation`` is their sum (num, floor) at the
     stop.  A key changes only at a term below ``depth + grid.key_reach``,
     so a record reads the key again only after such a term.
     """
-    add, steps = grid.sum, grid.steps
-    span = max(depth, end_window)
+    add, span = grid.sum, max(depth, end_window)
     key_cut, fold_cut = depth + grid.key_reach, span + grid.key_reach
     goal = end_window + HEIGHT_GUARD
     for rows in row_chunks(count):
@@ -348,23 +349,14 @@ def _limit_chunks(grid, read, count, depth, end_window, max_steps):
         # the key at the last record and the records in a row with it
         state = [((0, 0), None, None, 0)] * m
         for b in blocks(grid, read, rows, 0, max_steps):
-            live, n0, k, path = b.live, b.n0, b.k, b.path
-            tr, tc = (b.exps < fold_cut).nonzero()
+            live, n0, path = b.live, b.n0, b.path
+            t_at, tc, texps, coefs = block_terms(grid, b, fold_cut)
             path[:, 0] = top[live]
             best = np.maximum.accumulate(path, axis=1)
-            rr, rc = (best[:, 1:] > best[:, :-1]).nonzero()
-            bounds = np.arange(live.size + 1)
-            r_at = rr.searchsorted(bounds).tolist()
-            r_h, rc = path[rr, rc + 1].tolist(), rc.tolist()
-            t_at = tr.searchsorted(bounds).tolist()
-            texps = b.exps[tr, tc].tolist()
-            if grid.plain:
-                coefs = [steps[j][0] for j in k[tr, tc].tolist()]
-            else:
-                coefs = [grid.unit(c, fold_cut - x, grid.coefs[j])
-                         for j, c, x in zip(k[tr, tc].tolist(),
-                                            row_units(b, tr, tc), texps)]
-            tc = tc.tolist()
+            after = best[:, 1:]           # at a record, its height
+            rr, rc = (after > best[:, :-1]).nonzero()
+            r_at = rr.searchsorted(np.arange(live.size + 1)).tolist()
+            r_h, rc = after[rr, rc].tolist(), rc.tolist()
             going = []
             for i, row in enumerate(live.tolist()):
                 t, cur, key, stable = state[row]

@@ -86,11 +86,12 @@ def _ladder_walk(law, rng):
 
 
 def term_floor(law):
-    """The lowest exponent txe at which the engine form keeps an atom's
-    translation term (``GridLaw.start``): the valuation of t where it is
-    negative and 0 for a p-adic integer, or the lowest lamp position;
-    None when no atom has a term."""
-    return min((txe for txn, txe, _ in law.grid.steps if txn), default=None)
+    """The lowest exponent of an atom's translation term, read from the
+    atoms: the valuation of t, or the lowest lamp position; None when no
+    atom has a term."""
+    lows = [a.t.valuation for a in law.atoms] if law.kind == "padic" \
+        else [a.floor for a in law.atoms if a.num]
+    return min((v for v in lows if v is not None), default=None)
 
 
 def ladder_boundary_limit(law, rng, *, depth, end_window=None,
@@ -125,39 +126,37 @@ def certified_ladder_limit(law, rng, *, depth, end_window=None,
     return certified_limit(law, w, step, depth, end_window, max_steps)
 
 
-def visits(g, f, law):
+def visits(g, f, law, seed, label, trajectories, horizon, stop=None):
     """A stand-in for ``renewal._grid_visits`` that walks trajectory i on
     ``stream(seed, label, i)`` from g and applies the rule of
     ``renewal._stop_steps`` step by step."""
-    def run(_walk, level, seed, label, trajectories, horizon, stop=None):
-        direction, delta, min_steps = stop or (0, 0, 0)   # d = 0: no exit
-        hit_rows, hit_steps = [], []
-        exits = np.full(trajectories, _NEVER)
-        backs = np.full(trajectories, _NEVER)
-        for i in range(trajectories):
-            w = GenericWalk(law, stream(seed, label, i), g)
-            if f.member(g):
+    direction, delta, min_steps = stop or (0, 0, 0)   # d = 0: no exit
+    level, hit_rows, hit_steps = f.level, [], []
+    exits = np.full(trajectories, _NEVER)
+    backs = np.full(trajectories, _NEVER)
+    for i in range(trajectories):
+        w = GenericWalk(law, stream(seed, label, i), g)
+        if f.member(g):
+            hit_rows.append(i)
+            hit_steps.append(0)
+        e = r = _NEVER
+        for n in range(1, horizon + 1):
+            h = w.right()
+            if h == level and f.member(w.g):
                 hit_rows.append(i)
-                hit_steps.append(0)
-            e = r = _NEVER
-            for n in range(1, horizon + 1):
-                h = w.right()
-                if h == level and f.member(w.g):
-                    hit_rows.append(i)
-                    hit_steps.append(n)
-                d = (h - level) * direction
-                if e == _NEVER:
-                    if d > delta and n >= min_steps:
-                        e = n
-                elif r == _NEVER and h == level:
-                    r = n
-                # from the exit on: 2·delta out before re-entry, delta after
-                if e <= n and d > (2 * delta if r == _NEVER else delta):
-                    break
-            exits[i], backs[i] = e, r
-        return (np.array(hit_rows, dtype=np.int64),
-                np.array(hit_steps, dtype=np.int64), exits, backs)
-    return run
+                hit_steps.append(n)
+            d = (h - level) * direction
+            if e == _NEVER:
+                if d > delta and n >= min_steps:
+                    e = n
+            elif r == _NEVER and h == level:
+                r = n
+            # from the exit on: 2·delta out before re-entry, delta after
+            if e <= n and d > (2 * delta if r == _NEVER else delta):
+                break
+        exits[i], backs[i] = e, r
+    return (np.array(hit_rows, dtype=np.int64),
+            np.array(hit_steps, dtype=np.int64), exits, backs)
 
 
 def clusters(law, seed, count, exc_count, depth):

@@ -216,14 +216,18 @@ def _end(law, row, depth):
 
 def _hit_cases(f, law, depth, rows, units):
     """Per limit row of ``law``'s inverted walk and its unit: the hit read
-    on integers (None where ``hit_test`` does not decide it) and
-    the generic member test of s**level·x^{-1}, or its error's name."""
+    on integers, ``grid.vertex_test`` of the engine state of
+    ``hit_state`` (None where that does not decide it), and the generic
+    member test of s**level·x^{-1}, or its error's name."""
     s_h = power(law.atoms[0].reference_homothety().element, f.level)
-    test = law.inverse().grid.hit_test(f, depth + 8)
+    form = law.inverse().grid
+    state = form.hit_state(f, depth + 8)
+    member = grid.vertex_test(form, f.sources, f.targets)
     for row, unit in zip(rows, units):
         x = law.atoms[0].section(_end(law, row, depth), unit)
         want = _outcome(lambda: f.member(compose(s_h, invert(x))))
-        yield x, (None if test is None else test(row[3], unit)), want
+        yield x, (None if state is None
+                  else member(*state(row[3], unit))), want
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,7 +303,7 @@ def test_limit_measure_value_matches_sample_mbar(src, tgt):
     the element read runs out of digits on both paths."""
     f = CylinderEvent((PadicVertex(2, *src),), (PadicVertex(2, *tgt),))
     depth = max(tgt[0] + 2, 4)
-    on_integers = LAW_NEG.inverse().grid.hit_test(
+    on_integers = LAW_NEG.inverse().grid.hit_state(
         f, walk._end_window(depth, None)) is not None
     assert on_integers == (src[0] <= depth + 8 and src[1] == 0)
     got = _outcome(lambda: limit_measure_value(f, LAW_NEG, 3, 300).value)

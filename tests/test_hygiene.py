@@ -5,8 +5,9 @@ and only ``rng`` reads or sets a generator's state, and no code outside
 a realization's own classes tests which realization it holds.  Only
 ``tree`` knows the packed lamp form, and only ``law`` the height-path
 window cap; only ``law`` (height windows) and ``grid`` (engine blocks)
-take running sums, and only the right walk's certified limit reads its
-stop rule.  The estimators of ``walk`` and ``renewal`` have one body,
+take running sums, only ``grid`` reads a block's term exponents (one
+term table), and only the right walk's certified limit reads its stop
+rule.  The estimators of ``walk`` and ``renewal`` have one body,
 the engine's: no test of a missing engine form, and no loop stepping a
 walk on generic arithmetic but the two that serve ``simulate --dump``
 and single excursions.  The benchmark's tracer must still find every
@@ -344,6 +345,30 @@ def test_only_law_knows_the_window_cap():
     windows of a height path, so only ``law`` names ``WINDOW_CAP``."""
     found = {p.name for p in MODULES if "WINDOW_CAP" in named(_tree(p))}
     assert found == {"law.py"}
+
+
+def exps_reads(tree):
+    """'line: exps' for each read of an attribute ``exps``, a block's
+    term exponents."""
+    return sorted((f"{node.lineno}: exps" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "exps"
+                   and isinstance(node.ctx, ast.Load)),
+                  key=lambda x: int(x.split(":")[0]))
+
+
+def test_only_grid_reads_term_exponents():
+    """One term table: ``grid.block_terms`` alone reads a block's term
+    exponents and applies their coefficient rule; the kernel walk and the
+    certified limits read the table it gives."""
+    found = {p.name for p in MODULES if exps_reads(_tree(p))}
+    assert found == {"grid.py"}
+
+
+def test_scan_sees_exps_reads():
+    tree = ast.parse("x = b.exps[0]\nb.exps = y\nexps = 1\nz = exps\n"
+                     "w = (blk.exps < cut).nonzero()\nb.exps += 1\n")
+    assert exps_reads(tree) == ["1: exps", "5: exps"]
 
 
 # the right walk's certified stop rule, and the one function that reads it

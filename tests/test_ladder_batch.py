@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinetree import grid, renewal
@@ -153,17 +153,22 @@ LAW_HALF = StepLaw((aff(0, 2), aff(Fraction(1, 2), Fraction(1, 2))),
                    (Fraction(3, 4), Fraction(1, 4)))
 LAW_P3 = StepLaw((aff(1, 3, 3), aff(Fraction(2, 3), Fraction(1, 3), 3)),
                  (Fraction(3, 4), Fraction(1, 4)))
+# no term below p**1: t = 2 is the only translation, on p = 2
+LAW_TWO = StepLaw((aff(0, Fraction(1, 2)), aff(2, 2)),
+                  (Fraction(1, 4), Fraction(3, 4)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(grid_laws(), lamp_laws(min_drift=Fraction(1, 4)),
-                 st.sampled_from([LAW_HALF, LAW_P3])),
+                 st.sampled_from([LAW_HALF, LAW_P3, LAW_TWO])),
        st.integers(0, 2 ** 32), st.integers(1, 5), st.sampled_from([0, 8, 24]))
+@example(LAW_TWO, 5, 4, 24)
 def test_ladder_limit_stops_where_it_is_exact(law, seed, depth, extra):
     """On the same uniforms, the ladder walk's limit stops at its first
     record r with r + low >= max(depth, end_window) + ``key_reach``, low
-    the lowest txe of an atom's term (``generic_walk.term_floor``), and
-    has the end and key of the certified rule of the right walk
+    the lowest exponent of an atom's term, read from the atoms
+    (``generic_walk.term_floor``), and has the end and key of the
+    certified rule of the right walk
     (``generic_walk.certified_ladder_limit``), which stops later."""
     window = depth + extra
     [got] = ladder_limit_rows(law.grid, _rows(seed, "ups"), np.arange(1),

@@ -581,7 +581,7 @@ def _batch_matches_compose(case, seed, trajectories, sizes):
             mp.setattr(grid, "BATCH_COLS", sizes[1])
         got = potential_kernel(g, f, law, seed, trajectories,
                                horizon=kw["horizon"])
-        mp.setattr(renewal, "_grid_visits", generic_walk.visits(g, f, law))
+        mp.setattr(renewal, "_grid_visits", generic_walk.visits)
         want = potential_kernel(g, f, law, seed, trajectories,
                                 horizon=kw["horizon"])
     assert got == want
@@ -656,16 +656,15 @@ def test_kernel_matches_compose_at_the_shipped_stop_rule(config, sizes):
     seen = []
     for g in (identity_like(s), power(s, 15)):
         for f in (HOME, up):
-            walk = renewal._kernel_walk(g, f, law)
-            ref = generic_walk.visits(g, f, law)
             with pytest.MonkeyPatch.context() as mp:
                 if sizes:
                     mp.setattr(grid, "BATCH_ROWS", sizes[0])
                     mp.setattr(grid, "BATCH_COLS", sizes[1])
                 got = potential_kernel(g, f, law, 5, 32)
-                runs = [visits(walk, f.level, 5, "kernel", 32, 20000, stop)
-                        for visits in (renewal._grid_visits, ref)]
-                mp.setattr(renewal, "_grid_visits", ref)
+                runs = [visits(g, f, law, 5, "kernel", 32, 20000, stop)
+                        for visits in (renewal._grid_visits,
+                                       generic_walk.visits)]
+                mp.setattr(renewal, "_grid_visits", generic_walk.visits)
                 want = potential_kernel(g, f, law, 5, 32)
             assert got == want
             (rows, steps, *ends), (rows2, steps2, *ends2) = runs
@@ -700,11 +699,11 @@ def test_kernel_counts_no_visit_after_the_stop(monkeypatch, sizes):
     if sizes:
         monkeypatch.setattr(grid, "BATCH_ROWS", sizes[0])
         monkeypatch.setattr(grid, "BATCH_COLS", sizes[1])
-    walk, ref = renewal._kernel_walk(g, f, law), generic_walk.visits(g, f, law)
+    ref = generic_walk.visits
     # without the stop rule, walk 0 is in the event at step n
-    rows, steps, _, _ = ref(walk, f.level, 3, "kernel", 4, 200)
+    rows, steps, _, _ = ref(g, f, law, 3, "kernel", 4, 200)
     assert (0, n) in zip(rows.tolist(), steps.tolist())
-    runs = [visits(walk, f.level, 3, "kernel", 4, 200, (1, 0, n - 1))
+    runs = [visits(g, f, law, 3, "kernel", 4, 200, (1, 0, n - 1))
             for visits in (renewal._grid_visits, ref)]
     (rows, steps, *ends), (rows2, steps2, *ends2) = runs
     assert ends[0][0] == n - 1 and (0, n) not in zip(rows2.tolist(),

@@ -255,12 +255,11 @@ def test_shipped_kernels_run_on_the_engine(path):
     """Every shipped law's potential kernel sums its translations exactly
     in integers from the starts its claims use: the law's engine form is
     plain and each start integral."""
-    cfg = load_config(str(path))
-    f = suites._home_event(cfg)
-    s = cfg.law.atoms[0].reference_homothety().element
+    law = load_config(str(path)).law
+    s = law.atoms[0].reference_homothety().element
     for g in (identity_like(s), power(s, 15), power(s, -15)):
-        grid, (_, u, num, _), *_ = renewal._kernel_walk(g, f, cfg.law)
-        assert grid.plain and u.denominator == num.denominator == 1, g
+        _, u, num, _ = law.grid.start(g)
+        assert law.grid.plain and u.denominator == num.denominator == 1, g
 
 
 @pytest.mark.parametrize("old,new", [

@@ -590,11 +590,11 @@ def _outcome(fn):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(-60, 60),
        st.integers(1, 10 ** 20), st.sampled_from([1, 1, -1, 7, 25]),
-       st.integers(-10 ** 20, 10 ** 20), st.integers(-60, 0))
+       st.integers(-10 ** 20, 10 ** 20), st.integers(-60, 60))
 def test_engine_form_round_trips(p, s, u, d, num, floor):
     # a state as ``start`` gives it: a unit u prime to p, an int when it
-    # is one, and num prime to p unless floor is 0
-    assume(u % p and d % p and (floor == 0 or num % p))
+    # is one, and num prime to p with floor its valuation, or (0, 0)
+    assume(u % p and d % p and (num % p if num else floor == 0))
     u = Fraction(u, d) if Fraction(u, d).denominator > 1 else u // d
     grid = GridLaw(p, ((0, 0, 1),), DEFAULT_BUDGET, np.array([1.0]))
     state = (s, u, num, floor)
