@@ -19,6 +19,7 @@ from .tree import (
     LampVertex,
     PadicEnd,
     PadicVertex,
+    end_in_disc,
     graph_distance,
     meet,
     origin_lamp,

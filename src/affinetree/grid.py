@@ -15,10 +15,11 @@ Aff(F_q((t))) with monomial scales (Cartwright, Kaimanovich & Woess,
 Ann. Inst. Fourier 44, 1994), so one body of code serves both.  The lamp
 classes hold their lamps in that packed form (``tree.pack``), so the
 law's form reads their fields as they are and adds them with the same
-field sums.  Group elements and
-ends are built once, when a walk is done, and every read gives what the
-generic arithmetic of ``group`` gives on the same element, errors
-included.
+field sums.  Group elements and ends are built once, when a walk is
+done, and every read is an integer read that gives what the generic
+arithmetic of ``group`` gives on the same element, errors included,
+but that the limit measure's hits are decided also where generic
+cancellation refuses a digit the end knows.
 
 Walks run as batches, one keyed stream each, read block by block
 (``blocks``): atom indices, heights, unit counts and the exponents of
@@ -27,8 +28,10 @@ and ladder excursions alike (these count their units as they step, and
 not at all on a plain form).  ``block_terms`` is a block's one term
 table, for the kernel and the certified limits, and ``vertex_test`` the
 one integer read of an event, for the kernel's states and the limit
-measure's (``hit_state``).  ``GridLaw.characters`` is the digit grid's
-character table, for the exact oracle of plain laws.
+measure's (``hit_state``); ``reader`` reads excursion prefixes against
+discs on an end cut to a window (``point``, ``image_key``).
+``GridLaw.characters`` is the digit grid's character table, for the
+exact oracle of plain laws.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import PrecisionExhausted
-from .group import LampAffine, PadicAffine, act_end, require_exact
+from .errors import IndistinguishableAtPrecision, PrecisionExhausted
+from .group import LampAffine, PadicAffine, require_exact
 from .padic import PAdic, PrecisionBudget, int_valuation, residue
-from .tree import OMEGA, cut, end_in_disc, lamp_form, same_realization
+from .tree import cut, lamp_form, same_realization
 
 BATCH_ROWS = 128      # walks of a batch (``blocks``) walked together
 BATCH_COLS = 128      # steps each of them draws at a time
@@ -106,11 +109,6 @@ class GridLaw:
             r = r * pow(_mod(u, mod), c, mod)
         return r % mod
 
-    def scale(self, counts) -> Fraction:
-        """The exact product of u_k**c over the ``units``."""
-        return math.prod((Fraction(u) ** c for (_, u), c in
-                          zip(self.units, counts)), start=Fraction(1))
-
     def sum(self, num, floor, n, e):
         """(num', floor') with num'·p**floor' == num·p**floor + n·p**e."""
         if not num:
@@ -141,13 +139,18 @@ class GridLaw:
                                               u.denominator, budget))
 
     def point(self, end):
-        """(end, valuation, unit, digits) of a boundary point, the unit cut
-        to its digits; exact and zero-to-precision points stay generic,
-        with valuation None."""
+        """(end, valuation, unit, digits) of an end known modulo p**k, as
+        ``limit_end`` cuts it: the unit cut to its digits, and (end, k, 0,
+        0) for a zero to that precision.  An exact end raises
+        ``ValueError``, and the top end, of no realization,
+        ``RealizationMismatch``: the engine reads only cut ends."""
         same_realization(self, end)
         x = end.value
-        if x.den is not None or x.is_zero:
-            return end, None, 0, 0
+        if x.den is not None:
+            raise ValueError(f"{end!r} is exact; the engine reads ends "
+                             "known modulo a power of p")
+        if x.is_zero:
+            return end, x.zero_bound, 0, 0
         # a·x keeps the digits of the shorter operand; a is exact
         prec = min(x.precision, self.budget.working)
         return end, x.valuation, x.unit % self.prime ** prec, prec
@@ -155,15 +158,13 @@ class GridLaw:
     def image_key(self, point, s, t, h):
         """The key at depth h - s of x + t, for the ``point`` x and t =
         (num, floor), that tells whether p**s·(x + t) lies in a disc of
-        height h; None for a point off the engine.  x + t is known modulo
-        p**known: x keeps its digits, and for t != 0 ``PAdic.__add__``
-        keeps at most v(t) + working digits and refuses a nonzero sum
-        with fewer than ``min_acceptable`` significant ones.  A read below
-        that window raises ``PrecisionExhausted`` as the generic one does,
-        with the image's exponents."""
+        height h.  x + t is known modulo p**known: x keeps its digits (a
+        zero to precision p**k none below k), and for t != 0
+        ``PAdic.__add__`` keeps at most v(t) + working digits and refuses
+        a nonzero sum with fewer than ``min_acceptable`` significant ones.
+        A read below that window raises ``PrecisionExhausted`` as the
+        generic one does, with the image's exponents."""
         _, val, y, prec = point    # y: x's digits, then x + t's over base
-        if val is None:
-            return None
         p, h = self.prime, h - s
         known, (num, floor), base = val + prec, t, val
         if num:                     # else the image is p**s·x
@@ -190,26 +191,23 @@ class GridLaw:
                 f"value known modulo p^{known + s}, need p^{h + s}")
         return residue(y, base, h, p)
 
-    def hit_state(self, f, window):
+    def hit_state(self, f):
         """``state(translation, unit)``: the engine state (s, u, num,
         floor) of s**level·x^{-1}, for the ``_mbar_rows`` element x whose
-        end, known to ``window`` digits, has that translation (num, floor)
-        and whose rotation unit is ``unit``; None unless each source lies
-        at most ``window`` levels up and is centered at 0.  Then
-        ``vertex_test`` reads only the translation -p**level·x/unit, and
-        the state keeps its digits below the highest source, moved up by
-        level: u is unit**-1 modulo those digits (1 where x has none), and
-        generic arithmetic neither loses nor refuses a digit."""
+        end has that translation (num, floor), known at least to the
+        highest source, top, and whose rotation unit is ``unit``.
+        ``vertex_test`` adds u·c at s + ce, for each source's center c =
+        cn·p**ce, to the translation -p**level·x·u and reads the sum below
+        the source's height moved up by level: so the state keeps x's
+        digits below top, n·p**e, moved up by level, and u is unit**-1
+        modulo the digits (x - c)·u keeps there, p**(top - min(e, ce))."""
         level, p = f.level, self.prime
-        if any(src.height > window or src.num for src in f.sources):
-            return None
         top = max(src.height for src in f.sources)
+        low = min((src.floor for src in f.sources if src.num), default=top)
 
         def state(t, unit):
             n, e = self.key(*t, top)        # x mod p**top is n·p**e
-            if not n:
-                return level, 1, 0, 0
-            mod = p ** (top - e)
+            mod = p ** (top - min(e, low))
             u = pow(unit, -1, mod)
             return level, u, -n * u % mod, e + level
         return state
@@ -276,23 +274,24 @@ class LampGrid:
                               None)
 
     def point(self, end):
-        """(end, num, floor) of a boundary point."""
+        """(end, num, floor) of an end; the top end raises
+        ``RealizationMismatch``."""
         same_realization(self, end)
         return end, end.num, end.floor
 
     def image_key(self, point, s, t, h):
-        """``GridLaw.image_key``; None above the image's window,
-        end.known_to + s."""
+        """``GridLaw.image_key``; above the image's window, end.known_to
+        + s, it raises as ``LampEnd.in_disc`` does."""
         end, num, floor = point
         if h - s > end.known_to:
-            return None
+            raise IndistinguishableAtPrecision(
+                f"disc at height {h} beyond known window "
+                f"(<= {end.known_to + s})")
         return self.key(*self.sum(*t, num, floor), h - s)
 
-    def hit_state(self, f, window):
-        """``GridLaw.hit_state``; a source may have any lamps: x^{-1} has
-        the end's lamps negated, and s**level moves them up by level."""
-        if any(src.height > window for src in f.sources):
-            return None
+    def hit_state(self, f):
+        """``GridLaw.hit_state``: x^{-1} has the end's lamps negated, and
+        s**level moves them up by level."""
         level, neg = f.level, self.neg
         return lambda t, unit: (level, 1, neg(t[0]), t[1] + level)
 
@@ -444,34 +443,26 @@ def vertex_test(grid, sources, targets):
 def reader(grid, end):
     """``read(s, c, members, discs)``: per disc, the total multiplicity
     of the ``members`` (t, m) whose prefix state (s, c, t) maps ``end``
-    into it, as ``end_in_disc(act_end(g, end), disc)`` says of the element
-    g = (s, u, t·p**s) of the engine form ``grid``, u the unit of the
-    counts c; it raises if one of those reads does.  u·p**s·(x + t) lies
-    in a disc of height h iff x + t lies in the disc moved by u**-1·p**-s,
-    read at depth h - s: so each member reads one key per disc height,
-    and each disc, moved once, looks its key up among them.  Keys off the
-    engine (None) and the top end are read on the element."""
-    point = None if end is OMEGA else grid.point(end)
+    into it: whether u·p**s·(x + t), u the unit of the counts c, lies in
+    the disc, errors included, as generic arithmetic reads it of the
+    element (s, u, u·t·p**s) of the engine form ``grid``.  That holds iff
+    x + t lies in the disc moved by u**-1·p**-s, read at depth h - s:
+    so each member reads one key per disc height (``image_key``), and
+    each disc, moved once, looks its key up among them."""
+    point = grid.point(end)
 
     def read(s, c, members, discs):
         out = [0] * len(discs)
         for h in dict.fromkeys(d.height for d in discs):
-            tally, off = {}, []
+            tally = {}
             for t, m in members:
-                key = point and grid.image_key(point, s, t, h)
-                if key is None:
-                    u = grid.scale(c) if c else 1
-                    off.append((grid.element((s, u, u * t[0], t[1] + s)), m))
-                else:
-                    tally[key] = tally.get(key, 0) + m
+                key = grid.image_key(point, s, t, h)
+                tally[key] = tally.get(key, 0) + m
             for i, disc in enumerate(discs):
                 if disc.height == h:
                     num, floor = disc.num, disc.floor
                     if c and h > floor:
                         num = grid.unit([-n for n in c], h - floor, num)
                     out[i] = tally.get(grid.key(num, floor - s, h - s), 0)
-                    if off:
-                        out[i] += sum(m for g, m in off
-                                      if end_in_disc(act_end(g, end), disc))
         return out
     return read

@@ -10,10 +10,12 @@ from the inverted walk's harmonic measure extended by rotation averaging.
 Every law walks as batches of keyed rows on its engine form
 (``StepLaw.grid``: the p-adic digit grid, or lamp digits added without
 carries): the potential kernel's trajectories, the limit-measure
-estimator's certified limits and the excursion clusters alike.  The
-kernel folds a block's one term table (``grid.block_terms``), and reads
-events with ``grid.vertex_test``, as the limit measure reads the states
-``hit_state`` of the engine form gives.  The exact oracle
+estimator's certified limits and the excursion clusters alike, and
+every read of them is an integer read.  The kernel folds a block's one
+term table (``grid.block_terms``), and reads events with
+``grid.vertex_test``, as the limit measure reads the states
+``hit_state`` of the engine form gives, and the clusters read their
+prefixes with ``grid.reader``.  The exact oracle
 ``kernel_oracle`` reads three parts: a ``HeightChain``, the characters
 of the digit grid of a plain law (``GridLaw``) and one ``band_solve``
 over all of them.
@@ -32,24 +34,17 @@ from .errors import (
     NonNegativeDrift,
     NonPositiveDrift,
     OracleUnsupported,
+    PrecisionExhausted,
     RealizationMismatch,
     StepBudgetExceeded,
 )
-from .group import (
-    PadicAffine,
-    act_vertex,
-    compose,
-    invert,
-    phi,
-    power,
-)
+from .group import PadicAffine, act_vertex, phi, power
 from .grid import block_terms, blocks, reader, row_chunks, row_units, \
     vertex_test
 from .padic import PAdic
 from .rng import stream, stream_rows, streams_at
 from .walk import (
     DEFAULT_STEP_BUDGET,
-    _boundary_limit,
     _end_window,
     excursion_rows,
     ladder_heights,
@@ -512,11 +507,10 @@ def estimate_m_misinv(law, discs, seed, *, n_upsilon=2000, exc_per_upsilon=50):
 def _mbar_rows(law, seed, samples, depth):
     """Draws x = ``section(end, unit)`` for i < samples of the rotation-
     averaged extension of the inverted walk's harmonic measure (mass
-    -1/drift): per sample the inverted walk's row of ``walk.limit_rows``
-    on stream i and the unit drawn where it left the stream (None for a
-    lamp law, whose rotation group is trivial)."""
-    if law.drift() >= 0:
-        raise NonNegativeDrift("the inverted walk must have positive drift")
+    -1/drift), of a law of negative drift: per sample the inverted walk's
+    row of ``walk.limit_rows`` on stream i and the unit drawn where it
+    left the stream (None for a lamp law, whose rotation group is
+    trivial)."""
     i = 0
     for rows in limit_rows(law.inverse(), samples, seed, "limit",
                            depth=depth):
@@ -542,28 +536,29 @@ def limit_measure_value(f: CylinderEvent, law, seed, samples) -> KernelEstimate:
 
     The samples' certified limits walk as one batch on the inverted
     law's engine form (``walk.limit_rows``), each unit is drawn where its
-    walk left its stream, and the event is read on integers where the
-    end's digits decide it: ``grid.vertex_test`` of the engine state
-    that ``hit_state`` of the engine form gives; else on the element.
+    walk left its stream, and each hit is read on integers:
+    ``grid.vertex_test`` of the engine state that ``hit_state`` of the
+    engine form gives.  The ends are known modulo p**window, so an event
+    with a source above the window raises ``PrecisionExhausted`` before
+    any draw, as each sample's generic read would.
     """
     if samples < 1:
         raise ValueError(f"{samples} samples estimate nothing")
     if f.is_empty:
         return KernelEstimate(0.0, 0.0, samples, 0, 0.0)
-    s_h = power(law.atoms[0].reference_homothety().element, f.level)
+    if law.drift() >= 0:
+        raise NonNegativeDrift("the inverted walk must have positive drift")
     depth = max(max(t.height for t in f.targets) + 2, 4)
-    hits = 0
-    grid = law.inverse().grid
     window = _end_window(depth, None)
-    state = grid.hit_state(f, window)
+    top = max(src.height for src in f.sources)
+    if top > window:
+        raise PrecisionExhausted(
+            f"ends known modulo p^{window}, a source needs p^{top}")
+    grid = law.inverse().grid
+    state = grid.hit_state(f)
     member = vertex_test(grid, f.sources, f.targets)
-    for row, unit in _mbar_rows(law, seed, samples, depth):
-        if state is not None:
-            hits += member(*state(row[3], unit))
-        else:
-            end = _boundary_limit(grid, row, window).end
-            x = law.atoms[0].section(end, unit)
-            hits += f.member(compose(s_h, invert(x)))
+    hits = sum(member(*state(row[3], unit))
+               for row, unit in _mbar_rows(law, seed, samples, depth))
     mass = -1 / law.drift()
     prob = hits / samples
     value = float(mass) * prob

@@ -39,10 +39,12 @@ from .padic import PAdic, int_valuation, is_prime, residue
 
 
 class _Omega:
-    """The distinguished fixed end; a singleton."""
+    """The distinguished fixed end; a singleton of no realization, which
+    ``same_realization`` refuses next to any point or element."""
 
     _instance = None
     is_vertex = False
+    kind = None
 
     def __new__(cls):
         if cls._instance is None:

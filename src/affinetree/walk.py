@@ -121,7 +121,7 @@ def excursion_rows(grid, read, rows, count, window) -> list:
     The excursions of a walk are split by the strict records of its
     running maximum.  ``states`` counts the prefix states (S_k, C_k, T_k)
     of them all: S_k is the height of L_k over the excursion's start, C_k
-    the counts of its unit atoms (its unit U_k, ``GridLaw.scale``) and
+    the counts of its unit atoms (its unit U_k, the product of u_j**C_j) and
     T_k = sum over j <= k of U_j**-1·txn_j/d_j·p**(txe_j - S_j), so L_k
     maps a point x to U_k·p**S_k·(x + T_k) (``grid.reader``).  T_k is
     exact on a ``plain`` form, else modulo p**``window``, as are its

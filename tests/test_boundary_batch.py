@@ -6,7 +6,8 @@ that stream, on the engine and on generic ``compose`` (``generic_walk``),
 and its steps must be the uniforms that call used.
 ``limit_measure_value`` draws its rotation units and reads its hits from
 the batch; both must match the generic ``sample_mbar`` and membership
-test, sample by sample.
+test, sample by sample, and where that test runs out of digits, the
+exact test of the digits the end is known by.
 """
 
 import tracemalloc
@@ -18,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetree import grid, walk
+from affinetree import grid, renewal, walk
 from affinetree.config import parse_config
-from affinetree.errors import AffineTreeError, PrecisionExhausted, \
-    StepBudgetExceeded
+from affinetree.errors import AffineTreeError, NonNegativeDrift, \
+    PrecisionExhausted, StepBudgetExceeded
 from affinetree.group import PadicAffine, act_vertex, compose, invert, \
     power
 from affinetree.law import StepLaw
@@ -214,20 +215,31 @@ def _end(law, row, depth):
     return walk._boundary_limit(law.inverse().grid, row, depth + 8).end
 
 
+def _generic_hit(f, s_h, x, window):
+    """The generic member test of s_h·x^{-1}; where it raises, that of
+    the exact element with x's exact unit and the window residue of x's
+    end, the digits the end is known by, as its translation."""
+    try:
+        return f.member(compose(s_h, invert(x)))
+    except PrecisionExhausted:
+        x = PadicAffine(PAdic.from_fraction(x.t.residue(window), x.prime,
+                                            x.a.budget), x.a)
+        return f.member(compose(s_h, invert(x)))
+
+
 def _hit_cases(f, law, depth, rows, units):
     """Per limit row of ``law``'s inverted walk and its unit: the hit read
     on integers, ``grid.vertex_test`` of the engine state of
-    ``hit_state`` (None where that does not decide it), and the generic
-    member test of s**level·x^{-1}, or its error's name."""
+    ``hit_state``, and the generic hit of s**level·x^{-1}
+    (``_generic_hit``)."""
     s_h = power(law.atoms[0].reference_homothety().element, f.level)
     form = law.inverse().grid
-    state = form.hit_state(f, depth + 8)
+    state = form.hit_state(f)
     member = grid.vertex_test(form, f.sources, f.targets)
     for row, unit in zip(rows, units):
         x = law.atoms[0].section(_end(law, row, depth), unit)
-        want = _outcome(lambda: f.member(compose(s_h, invert(x))))
-        yield x, (None if state is None
-                  else member(*state(row[3], unit))), want
+        yield member(*state(row[3], unit)), _generic_hit(f, s_h, x,
+                                                         depth + 8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,14 +250,16 @@ def test_limit_samples_match_sample_mbar(up, seed, top, data):
     depth = max(top + 2, 4)
     samples = 5
     rows, units = zip(*_mbar_rows(law, seed, samples, depth))
+    for i, (row, unit) in enumerate(zip(rows, units)):
+        # the repr holds every digit of the end and of the unit
+        assert repr(law.atoms[0].section(_end(law, row, depth), unit)) == \
+            repr(generic_walk.sample_mbar(law, stream(seed, "limit", i),
+                                          depth=depth))
     x = law.atoms[0].section(_end(law, rows[0], depth), units[0])
     for f in _events(data.draw, law, depth + 8, x):
-        cases = _hit_cases(f, law, depth, rows, units)
-        for i, (x, hit, want) in enumerate(cases):
-            # the repr holds every digit of the end and of the unit
-            assert repr(x) == repr(generic_walk.sample_mbar(
-                law, stream(seed, "limit", i), depth=depth))
-            assert hit in (None, want)
+        if max(src.height for src in f.sources) <= depth + 8:
+            for hit, want in _hit_cases(f, law, depth, rows, units):
+                assert hit == want
     if law.kind != "padic":
         assert units == (None,) * samples
 
@@ -264,8 +278,9 @@ def test_integer_hits_match_member_for_odd_primes(up, seed, top, data):
              + data.draw(st.integers(1, p - 1)) for _ in rows]
     x = law.atoms[0].section(_end(law, rows[0], depth), units[0])
     for f in _events(data.draw, law, depth + 8, x):
-        for _, hit, want in _hit_cases(f, law, depth, rows, units):
-            assert hit in (None, want)
+        if max(src.height for src in f.sources) <= depth + 8:
+            for hit, want in _hit_cases(f, law, depth, rows, units):
+                assert hit == want
 
 
 def test_sample_mbar_draws_units_for_odd_primes():
@@ -283,11 +298,12 @@ def test_sample_mbar_draws_units_for_odd_primes():
 
 
 def _reference_value(f, law, seed, samples):
-    """``limit_measure_value`` one generic ``sample_mbar`` at a time."""
+    """``limit_measure_value`` one generic ``sample_mbar`` at a time
+    (``_generic_hit``)."""
     s_h = power(law.atoms[0].reference_homothety().element, f.level)
     depth = max(max(t.height for t in f.targets) + 2, 4)
-    hits = sum(f.member(compose(s_h, invert(generic_walk.sample_mbar(
-        law, stream(seed, "limit", i), depth=depth))))
+    hits = sum(_generic_hit(f, s_h, generic_walk.sample_mbar(
+        law, stream(seed, "limit", i), depth=depth), depth + 8)
         for i in range(samples))
     return hits / samples
 
@@ -298,17 +314,53 @@ def _reference_value(f, law, seed, samples):
     ids=["home", "up", "down", "off-center", "deep", "window-edge",
          "past-window"])
 def test_limit_measure_value_matches_sample_mbar(src, tgt):
-    """Hits are read on integers for sources centered at 0 within the
-    ends' default window (depth 4 + 8 levels at target height 0); past it
-    the element read runs out of digits on both paths."""
+    """Hits are read on integers, for every source within the ends'
+    default window (depth 4 + 8 levels at target height 0); past it the
+    estimate raises, as the element read runs out of digits."""
     f = CylinderEvent((PadicVertex(2, *src),), (PadicVertex(2, *tgt),))
-    depth = max(tgt[0] + 2, 4)
-    on_integers = LAW_NEG.inverse().grid.hit_state(
-        f, walk._end_window(depth, None)) is not None
-    assert on_integers == (src[0] <= depth + 8 and src[1] == 0)
     got = _outcome(lambda: limit_measure_value(f, LAW_NEG, 3, 300).value)
-    assert got == _outcome(lambda: 2 * _reference_value(f, LAW_NEG, 3, 300))
-    assert (got == "PrecisionExhausted") == (src == (13, 0))
+    if src == (13, 0):
+        assert got == "PrecisionExhausted"
+    else:
+        assert got == 2 * _reference_value(f, LAW_NEG, 3, 300)
+
+
+@pytest.mark.parametrize("name", ["drift_neg", "lamplighter"])
+def test_limit_measure_value_refuses_sources_past_the_window(name):
+    """A source above the ends' window raises before any draw, after
+    the drift test of the law (the lamplighter law walks up, its inverse
+    down)."""
+    law = parse_config((CONFIGS / f"{name}.ini").read_text()).law
+    vertex = PadicVertex if law.kind == "padic" else \
+        lambda q, h, _: LampVertex(q, h, ())
+    f = CylinderEvent((vertex(law.degree, 13, 0),),
+                      (vertex(law.degree, 0, 0),))
+    down, up = (law, law.inverse()) if law.drift() < 0 \
+        else (law.inverse(), law)
+    with pytest.raises(NonNegativeDrift):
+        limit_measure_value(f, up, 1, 10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(renewal, "_mbar_rows", None)   # no draw is made
+        with pytest.raises(PrecisionExhausted):
+            limit_measure_value(f, down, 1, 10)
+
+
+def test_off_center_limit_measure_reads_every_sample():
+    """V(p:1:1 -> p:1:1) on drift_neg.ini: the generic read refused one
+    sample of seed 2 ("5 digits left after cancellation"), and with it
+    the estimate.  The integer read decides every sample, and at seeds 0,
+    1 and 3, where the generic read decided them all, gives its values;
+    the refused sample agrees with the exact read of its end's digits."""
+    law = parse_config((CONFIGS / "drift_neg.ini").read_text()).law
+    f = CylinderEvent((PadicVertex(2, 1, 1),), (PadicVertex(2, 1, 1),))
+    got = [limit_measure_value(f, law, seed, 2000) for seed in range(4)]
+    assert [e.value for e in got] == [1.092, 1.127, 1.101, 1.113]
+    assert [got[i].stderr for i in (0, 1, 3)] == [
+        0.02226584828835407, 0.02217961902287774, 0.022217459350699843]
+    # seed 2 sample by sample, the refused sample against the exact read
+    rows, units = zip(*_mbar_rows(law, 2, 2000, 4))
+    assert all(hit == want for hit, want in _hit_cases(f, law, 4, rows,
+                                                       units))
 
 
 def _peak(samples):

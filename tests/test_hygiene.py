@@ -10,8 +10,9 @@ term table), and only the right walk's certified limit reads its stop
 rule.  The estimators of ``walk`` and ``renewal`` have one body,
 the engine's: no test of a missing engine form, and no loop stepping a
 walk on generic arithmetic but the two that serve ``simulate --dump``
-and single excursions.  The benchmark's tracer must still find every
-package function it wraps."""
+and single excursions, and the engine's reads (``grid``, ``renewal``)
+name no generic group arithmetic.  The benchmark's tracer must still
+find every package function it wraps."""
 
 import ast
 import importlib.util
@@ -532,6 +533,28 @@ def test_scan_sees_generic_walks():
     assert grid_none_tests(tree) == ["2: grid is None", "2: not grid",
                                      "12: grid is None"]
     assert generic_walks(tree) == ["3: f", "5: f", "10: inner"]
+
+
+# the engine's reads decide on integers: the modules that hold them name
+# none of the generic group operations
+ENGINE_READS = {"grid.py", "renewal.py"}
+GENERIC_OPS = {"compose", "invert", "act_end", "end_in_disc"}
+
+
+def test_engine_reads_name_no_generic_arithmetic():
+    """The limit measure and the prefix reader have no element fallback:
+    ``grid`` and ``renewal`` neither import nor call a generic group
+    operation."""
+    found = {p.name: GENERIC_OPS & named(_tree(p)) for p in MODULES
+             if p.name in ENGINE_READS}
+    assert set(found) == ENGINE_READS
+    assert not {k: v for k, v in found.items() if v}
+
+
+def test_scan_sees_generic_ops():
+    tree = ast.parse("from .group import compose as c, phi\n"
+                     "y = group.invert(g)\nz = act_end\nend_in_disc = 1\n")
+    assert GENERIC_OPS & named(tree) == {"compose", "invert", "act_end"}
 
 
 def _perfbench_tracing():

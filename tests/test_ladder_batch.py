@@ -57,23 +57,18 @@ def _rows(seed, key):
 
 def _narrow_end(draw, law):
     """An end whose window is near the prefix heights: a p-adic value
-    known to a few digits, exact (on a plain form, whose prefix states
-    are exact) or zero to precision, or a lamp end known to a low
-    position."""
+    known to a few digits or zero to precision, or a lamp end known to a
+    low position."""
     if law.kind != "padic":
         q = law.degree
         lamps = draw(st.dictionaries(st.integers(-6, 6),
                                      st.integers(1, q - 1), max_size=4))
         return LampEnd(q, draw(st.integers(-4, 6)), tuple(lamps.items()))
     p, budget = law.degree, law.atoms[0].a.budget
-    kind = draw(st.sampled_from(["digits", "digits", "zero"]
-                                + ["exact"] * law.grid.plain))
-    if kind == "zero":
+    if draw(st.sampled_from(["digits", "digits", "zero"])) == "zero":
         return PadicEnd(PAdic.zero(p, draw(st.integers(-3, 6)), budget))
     x = Fraction(draw(st.integers(-500, 500).filter(bool)),
                  p ** draw(st.integers(0, 2)))
-    if kind == "exact":
-        return PadicEnd(PAdic.from_fraction(x, p, budget))
     exact = PAdic.from_fraction(x, p, PrecisionBudget(96, 1))
     return PadicEnd(PAdic(p, exact.valuation, exact.unit,
                           draw(st.integers(1, 8)), budget=budget))
@@ -206,7 +201,8 @@ def _reads(law, end, states, discs):
 def test_reads_raise_where_generic_raises(kind):
     """Ends with a narrow window: the batch's reads raise exactly where
     the generic reads do, on the known window, the ``min_acceptable``
-    rule and the exact or zero ends that stay generic."""
+    rule and a zero to precision; an exact end is refused, as the engine
+    reads only cut ends."""
     law = LAW_LAMP if kind == "lamp-window" else LAW_POS
     states = _states(law, 5)
     heights = range(-6, 4)
@@ -226,14 +222,16 @@ def test_reads_raise_where_generic_raises(kind):
                                  budget=budget))
         elif kind == "exact":
             end = PadicEnd(PAdic.from_fraction(Fraction(3, 4), 2, budget))
+            with pytest.raises(ValueError, match="exact"):
+                grid.reader(law.grid, end)
+            return
         else:
             end = PadicEnd(PAdic.zero(2, -2, budget))
         discs = [PadicVertex(2, h, c) for h in heights for c in (0, 1)]
     reads = _reads(law, end, states, discs)
     assert all(got == want for got, want in reads)
     raised = {got for got, _ in reads if isinstance(got, str)}
-    assert raised == (set() if kind == "exact"
-                      else {"IndistinguishableAtPrecision"}
+    assert raised == ({"IndistinguishableAtPrecision"}
                       if kind == "lamp-window" else {"PrecisionExhausted"})
 
 

@@ -1,6 +1,7 @@
 """Walk engine: products, ladder epochs, boundary limits."""
 
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -504,11 +505,18 @@ def check_group_reads(read, end, s, c, members, discs, outcome):
                            if row[i]) for i in range(len(discs))]
 
 
+def unit_product(grid, counts):
+    """The exact product of u_k**c over the form's units and their
+    ``counts`` c."""
+    return math.prod((Fraction(u) ** c for (_, u), c in
+                      zip(grid.units, counts)), start=Fraction(1))
+
+
 def state_element(grid, state):
-    """The element (s, u, t·p**s) of a prefix state (s, c, t), u the unit
-    of the counts c."""
+    """The element (s, u, u·t·p**s) of a prefix state (s, c, t), u the
+    unit of the counts c."""
     s, c, t = state
-    u = grid.scale(c) if c else 1
+    u = unit_product(grid, c) if c else 1
     return grid.element((s, u, u * t[0], t[1] + s))
 
 
@@ -605,7 +613,8 @@ def test_engine_form_round_trips(p, s, u, d, num, floor):
 @given(st.data())
 def test_prefix_in_disc_matches_act_end(data):
     """A prefix state's read against every kind of end, with a scale unit
-    of any count of a unit atom (count 0: the plain form's)."""
+    of any count of a unit atom (count 0: the plain form's); an exact end
+    is refused, as the engine reads only cut ends."""
     p = data.draw(PRIMES)
     budget = data.draw(st.sampled_from([DEFAULT_BUDGET, *SMALL_BUDGETS]))
     unit = data.draw(st.sampled_from([
@@ -614,7 +623,7 @@ def test_prefix_in_disc_matches_act_end(data):
     grid = GridLaw(p, ((0, 0, 1),), budget, np.array([1.0]),
                    units=((0, unit),))
     counts = (data.draw(st.sampled_from([0, 0, 1, -1, 3, -4])),)
-    state = (data.draw(st.integers(-4, 4)), grid.scale(counts),
+    state = (data.draw(st.integers(-4, 4)), unit_product(grid, counts),
              data.draw(st.integers(-300, 300)), data.draw(st.integers(-4, 4)))
     g = grid.element((*state[:2], state[1] * state[2], state[3]))
     kind = data.draw(st.sampled_from(["digits", "cancel", "exact", "zero"]))
@@ -658,10 +667,11 @@ def test_prefix_in_disc_matches_act_end(data):
         except PrecisionExhausted:
             pass
     disc = PadicVertex(p, h, center)
-    assert (grid.point(end)[1] is None) == \
-        (value.exact is not None or value.is_zero)
     s, _, num, floor = state
-    assert _outcome(lambda: read_state(grid, end, (s, counts,
-                                                   (num, floor - s)),
-                                       disc)) == \
-        _outcome(lambda: end_in_disc(act_end(g, end), disc))
+    read = lambda: read_state(grid, end, (s, counts, (num, floor - s)), disc)
+    if value.exact is not None:
+        with pytest.raises(ValueError, match="exact"):
+            read()
+    else:
+        assert _outcome(read) == \
+            _outcome(lambda: end_in_disc(act_end(g, end), disc))
