@@ -27,7 +27,9 @@ from .errors import (
     InvalidPrime,
     MalformedSyntax,
     NonExceptionalityFailed,
+    PrimeMismatch,
     WeightsNotNormalized,
+    ZeroDenominator,
 )
 from .group import LampAffine, PadicAffine, require_exact
 from .law import StepLaw
@@ -73,12 +75,12 @@ def parse_element(text, *, prime=None, q=None, budget=None, location=None):
             raise MalformedSyntax("affine(...) literal in a lamplighter config",
                                   location)
         budget = budget or PrecisionBudget()
-        try:
-            t = parse_padic(m.group("t"), prime, budget)
-            a = parse_padic(m.group("a"), prime, budget)
-        except MalformedSyntax as exc:
+        try:     # ValueError: a zero scale
+            return PadicAffine(parse_padic(m.group("t"), prime, budget),
+                               parse_padic(m.group("a"), prime, budget))
+        except (MalformedSyntax, PrimeMismatch, ZeroDenominator,
+                ValueError) as exc:
             raise MalformedSyntax(str(exc), location) from exc
-        return PadicAffine(t, a)
     m = _LAMP_RE.match(text)
     if m:
         if q is None:
@@ -185,7 +187,11 @@ def parse_config(text: str, *, allow_exceptional=False) -> ExperimentConfig:
     if not cp.has_section("law"):
         raise MalformedSyntax("missing [law] section")
     atoms, weights = [], []
-    allow_flag = cp["law"].getboolean("allow_non_surjective", fallback=False)
+    try:
+        allow_flag = cp["law"].getboolean("allow_non_surjective",
+                                          fallback=False)
+    except ValueError as exc:
+        raise MalformedSyntax(str(exc), "law.allow_non_surjective") from exc
     for key, value in cp["law"].items():
         if not key.startswith("atom"):
             continue

@@ -486,7 +486,8 @@ def parse_padic(text: str, prime: int, budget=DEFAULT_BUDGET) -> PAdic:
     if m:
         p, val, digit_str, p2 = int(m.group(1)), int(m.group(2)), m.group(3), int(m.group(4))
         if p != prime or p2 != prime:
-            raise PrimeMismatch(f"literal base {p} vs configured prime {prime}")
+            raise PrimeMismatch(f"literal base {p2 if p == prime else p} "
+                                f"vs configured prime {prime}")
         digits = [int(d) for d in digit_str.split(".")]
         if not digits or digits[0] == 0:
             raise MalformedSyntax(f"leading digit must be nonzero in {text!r}")

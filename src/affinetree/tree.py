@@ -508,16 +508,20 @@ def _render_center(num: int, floor: int, p: int) -> str:
 def _parse_center(text: str, p: int):
     """(c, floor) of a center literal, the center being c·p**floor."""
     text = text.strip()
-    if "@" in text:
-        digit_str, v = text.rsplit("@", 1)
-        digits = [int(d) for d in digit_str.split(".")]
-        if not digits or digits[0] == 0:
-            raise MalformedSyntax(f"leading digit must be nonzero in {text!r}")
-        return sum(d * p ** i for i, d in enumerate(digits)), int(v)
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den)), 0
-    return int(text), 0
+    try:
+        if "@" in text:
+            digit_str, v = text.rsplit("@", 1)
+            digits = [int(d) for d in digit_str.split(".")]
+            if digits[0] == 0:
+                raise MalformedSyntax(
+                    f"leading digit must be nonzero in {text!r}")
+            return sum(d * p ** i for i, d in enumerate(digits)), int(v)
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den)), 0
+        return int(text), 0
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedSyntax(f"bad center {text!r}") from exc
 
 
 def parse_vertex(text: str, *, prime=None, q=None) -> "PadicVertex | LampVertex":

@@ -12,12 +12,16 @@ certifies a disc of requested depth around the limit.
 Every law walks on its engine form (``StepLaw.grid``, p-adic and lamp)
 as batches of keyed rows (``grid.blocks``): certified boundary limits
 (``boundary_limits``), which fold the block's one term table
-(``grid.block_terms``), ladder excursions split by the strict records of
-the running maximum (``excursion_rows``) and the ladder walk's limit
-(``ladder_limit_rows``).  Only ``run_product`` (``simulate --dump``) and
-``ladder_excursion`` step on ``group.compose``, one draw per step.
-Certified limits of the right walk stop under ``STABLE_EPOCHS`` and
-``HEIGHT_GUARD``, read when called; the ladder walk's limit is exact.
+(``grid.block_terms``), and the two ladder walks, which step by one step
+table (``_moves``).  Those are the ladder excursions, split by the strict
+records of the running maximum (``excursion_rows``), each L_l mapping x
+to U·p**(H1 - H0)·(x + T) from record H0 to record H1, and the limit of
+the ladder walk (``ladder_limit_rows``), whose translation gains
+U_1·p**H1·T at each record H1.  Only ``run_product`` (``simulate
+--dump``) and ``ladder_excursion`` step on ``group.compose``, one draw
+per step.  Certified limits of the right walk stop under
+``STABLE_EPOCHS`` and ``HEIGHT_GUARD``, read when called; the ladder
+walk's limit is exact.
 """
 
 from __future__ import annotations
@@ -101,17 +105,34 @@ def _record_rows(grid, read, rows, first, walk, error):
     return out
 
 
-def _moves(grid, move):
-    """Per atom of the engine form ``grid``, (txn, txe, move) for a walk's
-    step of it: on a ``plain`` form its term txn·p**txe, added exactly at
-    the step's exponent offset, and move None; on others (1, 0, move(j,
-    one)), a function that moves the walk's terms and unit counts, ``one``
-    the counts the step adds.  So a step of a plain walk counts no units,
-    and one without a term does nothing."""
+def _moves(grid):
+    """The step table of both ladder walks: per atom k of the engine form
+    ``grid``, (txn, txe, move) for a step that leaves an excursion at
+    height s over its start.  On a ``plain`` form the step adds
+    txn·p**(txe - s) to the excursion's T, exactly, and move is None; on
+    others it is (1, 0, move), ``move(t, c, s, window)`` adding one to
+    atom k's count in C, then U**-1·c_k·p**(txe - s) to T modulo
+    p**window, U the unit of C.  So a step of a plain walk counts no
+    units, and one with neither a term nor a unit does nothing."""
     if grid.plain:
         return [(txn, txe, None) for txn, txe, _ in grid.steps]
-    return [(1, 0, move(j, tuple(int(k == j) for k, _ in grid.units)))
-            for j in range(len(grid.steps))]
+    add, ids = grid.sum, {k for k, _ in grid.units}
+
+    def unit_move(j):
+        txn, txe, _ = grid.steps[j]
+        one = tuple(int(k == j) for k, _ in grid.units) if j in ids else ()
+
+        def move(t, c, s, window):
+            if one:                     # a unit atom counts its step
+                c = tuple(map(operator.add, c, one))
+            e = txe - s
+            if txn and e < window:
+                t = grid.key(*add(*t, grid.unit(
+                    [-a for a in c], window - e, grid.coefs[j]), e), window)
+            return t, c
+        return move
+    return [(1, 0, unit_move(j)) if txn or j in ids else (0, 0, None)
+            for j, (txn, _, _) in enumerate(grid.steps)]
 
 
 def excursion_rows(grid, read, rows, count, window) -> list:
@@ -130,18 +151,7 @@ def excursion_rows(grid, read, rows, count, window) -> list:
     excursion's start.
     """
     add, zero = grid.sum, (0,) * len(grid.units)
-
-    def unit_move(j, one):
-        txn, txe, _ = grid.steps[j]
-
-        def move(t, c, s):
-            c, e = tuple(map(operator.add, c, one)), txe - s
-            if txn and e < window:
-                t = grid.key(*add(*t, grid.unit(
-                    [-a for a in c], window - e, grid.coefs[j]), e), window)
-            return t, c
-        return move
-    moves = _moves(grid, unit_move)
+    moves = _moves(grid)
 
     def walk(run, n, ks, hs):
         lengths, heights, states, top, start, t, c = run
@@ -158,7 +168,7 @@ def excursion_rows(grid, read, rows, count, window) -> list:
                 txn, txe, move = moves[j]
                 if txn:
                     if move:
-                        t, c = move(t, c, h - top)
+                        t, c = move(t, c, h - top, window)
                     else:
                         t = add(*t, txn, txe - h + top)
                 state = h - top, c, t
@@ -174,74 +184,61 @@ def ladder_limit_rows(grid, read, rows, depth, end_window) -> list:
     """The limit (``BoundaryLimit``) of the ladder walk of each walk
     ``rows`` (``_record_rows``), whose step m is the element L_l of the
     walk's m-th ladder excursion, so its heights are the walk's records;
-    ``steps`` counts ladder steps.  Atom n of an excursion from height H0
-    to H1 adds U_1·U_0·U_n**-1·txn/d·p**(txe + H0 + H1 - H_n) to the
-    translation (H_n the height after it, U_0, U_n and U_1 the walk's
-    unit products at H0, H_n and H1).  Terms wait at exponent txe - H_n
-    until their excursion ends (``_moves``).  The translation is exact on
-    a ``plain`` form, else modulo the digits the key and the end read.
+    ``steps`` counts ladder steps.
+
+    An excursion from the record H0 to H1 moves its own (T, C) by
+    ``_moves`` as ``excursion_rows`` does, so L_l maps x to
+    U·p**(H1 - H0)·(x + T), U the unit of C.  The ladder walk up to H0
+    scales by U_0·p**H0, so at H1 its translation gains U_0·U·p**H1·T =
+    U_1·p**H1·T, U_1 the unit of the walk's counts at H1.  It is exact on
+    a ``plain`` form, else modulo p**span, span = max(depth, end_window);
+    as H1 > H0, T is kept modulo p**(span - H0 - 1).
 
     The limit is exact, not certified: an excursion's heights stay at or
-    below H0 until the last, H1, so each term lands at txe + H0 + H1 -
-    H_n >= txe + H0, and later records only raise H0.  A row stops at its
-    first record r with r + low >= max(depth, end_window) +
+    below H0 until the last, so each term lands at txe + H0 + H1 - H_n >=
+    txe + H0, H_n the height after it, and later records only raise H0.
+    A row stops at its first record r with r + low >= span +
     ``grid.key_reach``, low the lowest txe of an atom with a term (the
     valuation of its translation, or its lowest lamp): no later term
     reaches the end (known modulo p**end_window, or its lamps up to
-    end_window) or the depth key, read once there.  Both equal what
-    the certified rule of ``sample_boundary_limit`` gives wherever it
-    stops no earlier, as for end_window >= depth and low >= key_reach -
+    end_window) or the depth key, read once there.  Both equal what the
+    certified rule of ``sample_boundary_limit`` gives wherever it stops no
+    earlier, as for end_window >= depth and low >= key_reach -
     ``HEIGHT_GUARD``; every shipped law has low = 0.
     """
     add, span = grid.sum, max(depth, end_window)
     need = span + grid.key_reach - min(   # the record a row stops at
         (e for n, e, _ in grid.steps if n), default=span + grid.key_reach)
-
-    def unit_move(j, one):
-        txn, txe, _ = grid.steps[j]
-
-        def move(wait, c, h, top, base):      # c: the walk's unit counts
-            c = tuple(map(operator.add, c, one))
-            if txn and span - 2 * top > txe - h:   # H1 + H0 > 2·top
-                wait = add(*wait, grid.unit([a - b for a, b in zip(base, c)],
-                                            span - 2 * top - txe + h,
-                                            grid.coefs[j]), txe - h)
-            return wait, c
-        return move
-    moves = _moves(grid, unit_move)
-
-    def unit_land(t, wait, e, c):
-        """The translation plus the waiting terms times the unit of the
-        walk's counts ``c`` at the record, at exponent e."""
-        if e >= span:
-            return t
-        return grid.key(*add(*t, grid.unit(c, span - e, wait[0]), e), span)
-    land = (lambda t, wait, e, _: add(*t, wait[0], e)) if grid.plain \
-        else unit_land
+    moves, zero, plain = _moves(grid), (0,) * len(grid.units), grid.plain
 
     def walk(run, _n0, ks, hs):
-        # translation, waiting terms, top, ladder steps, unit counts at
-        # the excursion's start and now
-        t, wait, top, n, base, c = run
+        # translation, ladder steps, top, the walk's unit counts there and
+        # the excursion's (T, C)
+        t, n, top, w, tt, c = run
         for j, h in zip(ks, hs):
             txn, txe, move = moves[j]
             if txn:
                 if move:
-                    wait, c = move(wait, c, h, top, base)
+                    tt, c = move(tt, c, h - top, span - top - 1)
                 else:
-                    wait = add(*wait, txn, txe - h)
+                    tt = add(*tt, txn, txe - h + top)
             if h <= top:
                 continue
-            if wait[0]:
-                t = land(t, wait, wait[1] + top + h, c)
-            wait, top, n, base = (0, 0), h, n + 1, c
+            if plain:                   # L_l lands: t += U_1·p**h·T
+                if tt[0]:
+                    t = add(*t, tt[0], tt[1] + h)
+            else:
+                w = tuple(map(operator.add, w, c))
+                if tt[0] and tt[1] + h < span:
+                    t = grid.key(*add(*t, grid.unit(
+                        w, span - tt[1] - h, tt[0]), tt[1] + h), span)
+            n, top, tt, c = n + 1, h, (0, 0), zero
             if h >= need:
                 return _boundary_limit(
                     grid, (n, h, grid.key(*t, depth), t), end_window), None
-        return None, (t, wait, top, n, base, c)
-    zero = (0,) * len(grid.units)
+        return None, (t, n, top, w, tt, c)
     return _record_rows(
-        grid, read, rows, lambda: ((0, 0), (0, 0), 0, 0, zero, zero), walk,
+        grid, read, rows, lambda: ((0, 0), 0, 0, zero, (0, 0), zero), walk,
         f"no exact depth-{depth} ladder limit within {DEFAULT_STEP_BUDGET} "
         "steps")
 

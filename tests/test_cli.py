@@ -145,17 +145,43 @@ def test_duplicate_lamp_positions_exit_2(runner, tmp_path, edit, location):
     (("affine(t = 1, a = 1/2)", "affine(t = 2^0 * (1.1)_2, a = 1/2)"),
      "law.atom2"),
     (("horizon = 400", "horizn = 50"), "experiment.horizn"),
-], ids=["inexact-atom", "unknown-key"])
+    (("[law]", "[law]\nallow_non_surjective = maybe"),
+     "law.allow_non_surjective"),
+    (("affine(t = 1, a = 1/2)", "affine(t = 1/0, a = 2)"), "law.atom2"),
+    (("affine(t = 1, a = 1/2)", "affine(t = 1, a = 0)"), "law.atom2"),
+    (("affine(t = 1, a = 1/2)", "affine(t = 2^0 * (1.1)_3, a = 2)"),
+     "law.atom2"),
+    (("out = {out}", "out = {out}\n\n[cylinders]\nhome = p:0:0 -> p:0:1/0"),
+     "cylinders.home"),
+    (("out = {out}", "out = {out}\n\n[cylinders]\nhome = p:0:x@2 -> p:0:0"),
+     "cylinders.home"),
+    (("out = {out}", "out = {out}\n\n[cylinders]\nhome = p:0:1.0@ -> p:0:0"),
+     "cylinders.home"),
+], ids=["inexact-atom", "unknown-key", "bad-flag", "zero-denominator",
+        "zero-scale", "digit-base", "center-zero-denominator",
+        "center-digit", "center-exponent"])
 def test_refused_config_exit_2(runner, tmp_path, edit, location):
-    """An atom known only to its digits and a key the format does not
-    name are config errors at their key; nothing runs."""
+    """An atom known only to its digits, a key the format does not name,
+    a flag that is not a boolean, an atom that does not parse to an
+    element of the configured prime and a center that does not parse
+    are config errors at their key; nothing runs."""
     out = tmp_path / "r"
-    cfg = write(tmp_path, POS.format(out=out).replace(*edit))
+    cfg = write(tmp_path, POS.replace(*edit).format(out=out))
     res = runner.invoke(main, ["verify", "--config", cfg, "--suite",
                                "algebra"])
     _config_error(res)
     assert f"config error: {location}: " in res.stderr
     assert not out.exists()
+
+
+def test_prime_mismatch_names_the_literal_base(runner, tmp_path):
+    """A digit literal whose closing base is not the configured prime
+    names that base."""
+    cfg = write(tmp_path, POS.format(out=tmp_path / "r").replace(
+        "affine(t = 1, a = 1/2)", "affine(t = 2^0 * (1.1)_3, a = 2)"))
+    res = runner.invoke(main, ["validate", "--config", cfg])
+    _config_error(res)
+    assert "literal base 3 vs configured prime 2" in res.stderr
 
 
 def test_weights_not_normalized_exit_2(runner, tmp_path):

@@ -6,13 +6,14 @@ a realization's own classes tests which realization it holds.  Only
 ``tree`` knows the packed lamp form, and only ``law`` the height-path
 window cap; only ``law`` (height windows) and ``grid`` (engine blocks)
 take running sums, only ``grid`` reads a block's term exponents (one
-term table), and only the right walk's certified limit reads its stop
-rule.  The estimators of ``walk`` and ``renewal`` have one body,
-the engine's: no test of a missing engine form, and no loop stepping a
-walk on generic arithmetic but the two that serve ``simulate --dump``
-and single excursions, and the engine's reads (``grid``, ``renewal``)
-name no generic group arithmetic.  The benchmark's tracer must still
-find every package function it wraps."""
+term table), only ``grid`` and ``walk._moves`` (the two step tables)
+read a form's coefficients, and only the right walk's certified limit
+reads its stop rule.  The estimators of ``walk`` and ``renewal`` have
+one body, the engine's: no test of a missing engine form, and no loop
+stepping a walk on generic arithmetic but the two that serve
+``simulate --dump`` and single excursions, and the engine's reads
+(``grid``, ``renewal``) name no generic group arithmetic.  The
+benchmark's tracer must still find every package function it wraps."""
 
 import ast
 import importlib.util
@@ -370,6 +371,38 @@ def test_scan_sees_exps_reads():
     tree = ast.parse("x = b.exps[0]\nb.exps = y\nexps = 1\nz = exps\n"
                      "w = (blk.exps < cut).nonzero()\nb.exps += 1\n")
     assert exps_reads(tree) == ["1: exps", "5: exps"]
+
+
+def coefs_reads(tree):
+    """'line: owner' for each read of an attribute ``coefs``, an engine
+    form's step coefficients, ``owner`` the module-level function or
+    class around it."""
+    found = []
+    for top in tree.body:
+        found += [f"{node.lineno}: {getattr(top, 'name', None)}"
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "coefs"
+                  and isinstance(node.ctx, ast.Load)]
+    return sorted(found, key=lambda x: int(x.split(":")[0]))
+
+
+def test_only_the_step_tables_read_coefficients():
+    """Two step tables: ``grid`` (``block_terms``, for the right walks
+    and the kernel) and ``walk._moves`` (for both ladder walks) alone
+    read an engine form's coefficients; the walks read the tables."""
+    found = {f"{p.name}: {x.split(': ')[1]}" for p in MODULES
+             for x in coefs_reads(_tree(p))}
+    assert found == {"grid.py: GridLaw", "grid.py: block_terms",
+                     "walk.py: _moves"}
+
+
+def test_scan_sees_coefs_reads():
+    tree = ast.parse("def f(grid):\n    def g():\n"
+                     "        return grid.coefs[0]\n    return g\n"
+                     "class A:\n    def h(self):\n        self.coefs = 1\n"
+                     "        return self.coefs\n"
+                     "x = form.coefs\ncoefs = 2\n")
+    assert coefs_reads(tree) == ["3: f", "8: A", "9: None"]
 
 
 # the right walk's certified stop rule, and the one function that reads it
